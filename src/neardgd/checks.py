@@ -10,7 +10,7 @@ from .consensus import (ConsensusMatrix, ConsensusMatrixError, apply_consensus,
 from .diagnostics import lyapunov_grad, lyapunov_value
 from .graph import build_ring
 from .objective import finite_difference_grad
-from .optimizer import DivergenceError, run
+from .optimizer import run
 
 
 def default_check_config() -> RunConfig:
@@ -90,11 +90,10 @@ def check_pd_rejection():
 
 
 def check_run_certificates(problem, cm, cfg):
-    try:
-        result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
-                     allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
-    except DivergenceError as exc:
-        detail = "run diverged: %s" % exc
+    result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
+                 allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
+    if result.diverged:
+        detail = "run diverged: %s" % result.trace.divergence_note
         return [("descent-residual", False, detail),
                 ("eq7-identity", False, detail),
                 ("consensus-bound", False, detail)]

@@ -15,7 +15,7 @@ import numpy as np
 from . import checks
 from .config import ConfigError, RunConfig, load_run_config_file
 from .diagnostics import TRACE_COLUMNS
-from .optimizer import DivergenceError, MethodSpec, SteplengthError, initial_point, run
+from .optimizer import MethodSpec, SteplengthError, initial_point, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,9 +54,6 @@ def cmd_run(args) -> int:
     except SteplengthError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    except DivergenceError as exc:
-        print("divergence: %s" % exc, file=sys.stderr)
-        return EXIT_DIVERGENCE
     path = _out_path(args, cfg)
     result.trace.write_csv(path)
     final = result.trace.final
@@ -78,14 +75,11 @@ def _sweep_one(payload):
     method = MethodSpec.parse(method_token)
     x0 = initial_point(problem.n, problem.p, seed)
     x0_hash = hashlib.sha256(x0.tobytes()).hexdigest()
-    try:
-        result = run(problem, cm, method, cfg.alpha, cfg.budget, seed=seed,
-                     cost_model=cfg.cost_model, grad_tol=cfg.grad_tol,
-                     allow_large_alpha=cfg.allow_large_alpha,
-                     box_radius=cfg.box_radius, x0=x0)
-        return method_token, seed, x0_hash, result.trace, None
-    except DivergenceError as exc:
-        return method_token, seed, x0_hash, None, str(exc)
+    result = run(problem, cm, method, cfg.alpha, cfg.budget, seed=seed,
+                 cost_model=cfg.cost_model, grad_tol=cfg.grad_tol,
+                 allow_large_alpha=cfg.allow_large_alpha,
+                 box_radius=cfg.box_radius, x0=x0)
+    return method_token, seed, x0_hash, result.trace
 
 
 def cmd_sweep(args) -> int:
@@ -96,22 +90,24 @@ def cmd_sweep(args) -> int:
         seeds = cfg.sweep_seeds or [cfg.seed]
         if args.seed is not None:
             seeds = [args.seed]
-        for m in cfg.sweep_methods:
-            pass  # MethodSpec construction already validated names
     except (ConfigError, ValueError) as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 
     jobs = [(args.config, m.label(), s) for s in seeds for m in cfg.sweep_methods]
-    if args.parallel and args.parallel > 1:
-        with multiprocessing.Pool(args.parallel) as pool:
-            results = pool.map(_sweep_one, jobs)
-    else:
-        results = [_sweep_one(job) for job in jobs]
+    try:
+        if args.parallel > 1:
+            with multiprocessing.Pool(args.parallel) as pool:
+                results = pool.map(_sweep_one, jobs)
+        else:
+            results = [_sweep_one(job) for job in jobs]
+    except SteplengthError as exc:  # the same alpha and L in every cell
+        print("validation error: %s" % exc, file=sys.stderr)
+        return EXIT_VALIDATION
 
     # same seed must mean the same initial point for every method
     hashes = {}
-    for method_token, seed, x0_hash, _, _ in results:
+    for method_token, seed, x0_hash, _ in results:
         assert hashes.setdefault(seed, x0_hash) == x0_hash, \
             "initial point mismatch for seed %d" % seed
 
@@ -119,18 +115,15 @@ def cmd_sweep(args) -> int:
     any_divergence = False
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["method", "seed"] + list(TRACE_COLUMNS)) + "\n")
-        for method_token, seed, _, trace, error in results:
-            if trace is None:
-                print("divergence (%s, seed %d): %s" % (method_token, seed, error),
-                      file=sys.stderr)
-                any_divergence = True
-                continue
-            if trace.diverged:
-                any_divergence = True
+        for method_token, seed, _, trace in results:
             trace.write_csv_to(fh, header=False, extra_key_columns=True)
             final = trace.final
             print("method=%s seed=%d f_err=%.6g cost=%.6g"
                   % (method_token, seed, final.f_err, final.cost))
+            if trace.diverged:
+                print("divergence (%s, seed %d): %s"
+                      % (method_token, seed, trace.divergence_note), file=sys.stderr)
+                any_divergence = True
     print("sweep written to %s" % path)
     return EXIT_DIVERGENCE if any_divergence else EXIT_OK
 
@@ -161,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for sweep")
+        if name == "sweep":
+            p.add_argument("--parallel", type=int, default=1, help="worker processes")
         p.set_defaults(fn=fn)
     return parser
 

@@ -106,8 +106,25 @@ class RunConfig:
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
+def _parse_bool(text):
+    try:
+        return _BOOL[text.lower()]
+    except KeyError:
+        raise ValueError("expected one of %s" % ", ".join(_BOOL)) from None
+
+
 def load_run_config(text: str) -> RunConfig:
+    """Parse and validate a config; every rejection is a ConfigError."""
     kv = parse_flat_config(text)
+    try:
+        return _build_run_config(kv)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a method, topology or problem constructor
+        raise ConfigError(str(exc)) from None
+
+
+def _build_run_config(kv: dict) -> RunConfig:
     cfg = RunConfig()
 
     def take(key, cast, default):
@@ -148,8 +165,8 @@ def load_run_config(text: str) -> RunConfig:
     cfg.budget = take("run.budget", int, cfg.budget)
     cfg.seed = take("run.seed", int, cfg.seed)
     cfg.grad_tol = take("run.grad_tol", float, cfg.grad_tol)
-    cfg.allow_large_alpha = take("run.allow_large_alpha",
-                                 lambda s: _BOOL[s.lower()], cfg.allow_large_alpha)
+    cfg.allow_large_alpha = take("run.allow_large_alpha", _parse_bool,
+                                 cfg.allow_large_alpha)
     cfg.box_radius = take("run.box_radius", float, cfg.box_radius)
     cfg.cost_model = CostModel(c_c=take("cost.c_c", float, 1.0),
                                c_g=take("cost.c_g", float, 1.0))
@@ -177,5 +194,9 @@ def validate(cfg: RunConfig):
 
 
 def load_run_config_file(path) -> RunConfig:
-    with open(path) as fh:
-        return load_run_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
+    return load_run_config(text)

@@ -26,25 +26,35 @@ TRACE_COLUMNS = (
 # ---------------------------------------------------------------------------
 # Lyapunov function
 
+def lyapunov_value_at(y, zy, objective: Objective, alpha: float) -> float:
+    """L_t(y) = f(Z^t y) + (1/2a)(y' Z^t y - y' Z^2t y), given zy = Z^t y.
+
+    y' Z^2t y = ||Z^t y||^2 by symmetry, so no further consensus is needed.
+    """
+    return objective.stacked_value(zy) + (1.0 / (2.0 * alpha)) * float(
+        np.vdot(y, zy) - np.vdot(zy, zy))
+
+
 def lyapunov_value(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> float:
-    """f(Z^t y) + (1/2a)(y' Z^t y - y' Z^2t y), via block consensus applications."""
+    """L_t(y), via block consensus applications."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     y = np.asarray(y, dtype=float)
-    zy = apply_consensus(cm, t, y)
-    # y' Z^2t y = ||Z^t y||^2 by symmetry
-    quad = float(np.vdot(y, zy) - np.vdot(zy, zy))
-    return objective.stacked_value(zy) + quad / (2.0 * alpha)
+    return lyapunov_value_at(y, apply_consensus(cm, t, y), objective, alpha)
+
+
+def lyapunov_grad_at(zy, grad, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
+    """grad L_t(y) = Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y, given zy = Z^t y
+    and grad = grad f(zy)."""
+    return apply_consensus(cm, t, grad) + (zy - apply_consensus(cm, t, zy)) / alpha
 
 
 def lyapunov_grad(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
     """Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    y = np.asarray(y, dtype=float)
-    zy = apply_consensus(cm, t, y)
-    g = apply_consensus(cm, t, objective.stacked_grad(zy))
-    return g + (zy - apply_consensus(cm, t, zy)) / alpha
+    zy = apply_consensus(cm, t, np.asarray(y, dtype=float))
+    return lyapunov_grad_at(zy, objective.stacked_grad(zy), cm, t, alpha)
 
 
 def lyapunov_hessian(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
@@ -79,15 +89,22 @@ def rho_constant(cm: ConsensusMatrix, t: int, alpha: float, lipschitz: float) ->
     return rho
 
 
+def descent_certificate(y_k, x_k, y_next, z_next, objective, alpha, rho):
+    """(L_t(y_k), L_t(y_{k+1}) - L_t(y_k) + rho ||dy||^2), given x_k = Z^t y_k
+    and z_next = Z^t y_{k+1}."""
+    lyap = lyapunov_value_at(y_k, x_k, objective, alpha)
+    dy = y_next - y_k
+    return lyap, (lyapunov_value_at(y_next, z_next, objective, alpha) - lyap
+                  + rho * float(np.vdot(dy, dy)))
+
+
 def descent_residual(y_k, y_next, objective, cm, t, alpha, lipschitz) -> float:
     """L_t(y_{k+1}) - L_t(y_k) + rho ||dy||^2; <= ~0 for valid steplengths."""
     y_k = np.asarray(y_k, dtype=float)
     y_next = np.asarray(y_next, dtype=float)
     rho = rho_constant(cm, t, alpha, lipschitz)
-    dy = y_next - y_k
-    return (lyapunov_value(y_next, objective, cm, t, alpha)
-            - lyapunov_value(y_k, objective, cm, t, alpha)
-            + rho * float(np.vdot(dy, dy)))
+    return descent_certificate(y_k, apply_consensus(cm, t, y_k), y_next,
+                               apply_consensus(cm, t, y_next), objective, alpha, rho)[1]
 
 
 def consensus_distance(x) -> float:

@@ -37,11 +37,6 @@ class Graph:
             canon.add(_canonical(i, j))
         object.__setattr__(self, "edges", frozenset(canon))
 
-    def neighbors(self, i):
-        return sorted(
-            (j if a == i else a) for (a, j) in self.edges if i in (a, j)
-        )
-
 
 def degrees(g: Graph) -> np.ndarray:
     """Per-node edge counts."""

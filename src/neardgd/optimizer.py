@@ -5,16 +5,17 @@ methods and seeds share no mutable state).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .consensus import CommCounter, ConsensusMatrix, apply_consensus
 from .diagnostics import (CostModel, RunTrace, TraceRecord, consensus_distance,
-                          cumulative_cost, rho_constant)
+                          consensus_distance_bound, cumulative_cost,
+                          descent_certificate, lyapunov_grad_at,
+                          lyapunov_value_at, rho_constant)
 from .objective import Objective
 
-DIVERGENCE_LIMIT = 1e12
 INIT_BOUND = 1.0        # iterates start uniform in [-INIT_BOUND, INIT_BOUND]
 BOX_INFLATION = 4.0     # trajectory box radius = INIT_BOUND * BOX_INFLATION
 
@@ -24,10 +25,6 @@ METHOD_NAMES = ("near-dgd-t", "near-dgd-plus", "near-dgd-plus-doubling",
 
 class SteplengthError(ValueError):
     """alpha fails the descent condition alpha < 2/L."""
-
-
-class DivergenceError(RuntimeError):
-    """Trajectory left the asserted box; Lipschitz certificate is void."""
 
 
 @dataclass(frozen=True)
@@ -94,20 +91,29 @@ class MethodSpec:
 # ---------------------------------------------------------------------------
 # Single steps (the spec-level primitives; run() drives them with tracing)
 
+def gradient(x, objective: Objective, counter: CommCounter) -> np.ndarray:
+    """grad f(x) at every node: one gradient evaluation."""
+    counter.gradient_evals += 1
+    return objective.stacked_grad(x)
+
+
+def gradient_step(x, objective: Objective, alpha: float, counter: CommCounter):
+    """The computation half of NEAR-DGD: (grad f(x), y+ = x - a grad f(x))."""
+    grad = gradient(x, objective, counter)
+    return grad, x - alpha * grad
+
+
 def near_dgd_step(y, objective: Objective, cm: ConsensusMatrix, t: int,
                   alpha: float, counter: CommCounter):
     """One NEAR-DGD iteration: x = Z^t y, then y+ = x - a grad f(x)."""
     x = apply_consensus(cm, t, y, counter)
-    g = objective.stacked_grad(x)
-    counter.gradient_evals += 1
-    return x, x - alpha * g
+    return x, gradient_step(x, objective, alpha, counter)[1]
 
 
 def dgd_step(x, objective: Objective, cm: ConsensusMatrix, alpha: float,
              counter: CommCounter):
     """One DGD iteration: x+ = Z x - a grad f(x); consensus fused with gradient."""
-    g = objective.stacked_grad(x)
-    counter.gradient_evals += 1
+    g = gradient(x, objective, counter)
     return apply_consensus(cm, 1, x, counter) - alpha * g
 
 
@@ -119,8 +125,7 @@ def gradient_tracking_step(x, s, grad_x, objective: Objective,
     returned for caching, so steady state costs 2 comms + 1 grad.
     """
     x_next = apply_consensus(cm, 1, x, counter) - alpha * s
-    grad_next = objective.stacked_grad(x_next)
-    counter.gradient_evals += 1
+    grad_next = gradient(x_next, objective, counter)
     s_next = apply_consensus(cm, 1, s, counter) + grad_next - grad_x
     return x_next, s_next, grad_next
 
@@ -132,15 +137,17 @@ def gradient_tracking_step(x, s, grad_x, objective: Objective,
 class RunResult:
     trace: RunTrace
     counter: CommCounter
-    final_y: np.ndarray | None
+    final_y: np.ndarray
     final_x: np.ndarray
     final_avg: np.ndarray
     b_y: float                    # trajectory max of the stacked iterate norm
     max_cons_gap: float           # max over iterations of cons_dist - beta^t ||y_k||
     max_eq7_inf: float            # fixed-t runs: worst Eq.-style identity violation
     lipschitz: float
-    diverged: bool = False
-    history: list | None = None   # optional (t, y_k, x_k) triples
+
+    @property
+    def diverged(self) -> bool:
+        return self.trace.diverged
 
     @property
     def final_avg_grad_norm(self) -> float:
@@ -162,16 +169,28 @@ def initial_point(n, p, seed) -> np.ndarray:
     return rng.uniform(-INIT_BOUND, INIT_BOUND, size=(n, p))
 
 
+def _record(k, t, point, lyap, residual, objective, f_star, counter, cost_model):
+    """Trace row k: the average of ``point`` and its distance to consensus."""
+    avg = point.mean(axis=0)
+    return TraceRecord(k, t, counter.consensus_rounds, counter.gradient_evals,
+                       objective.global_value(avg) - f_star,
+                       float(np.linalg.norm(objective.global_grad(avg))),
+                       consensus_distance(point), lyap, residual,
+                       float(np.linalg.norm(avg)), cumulative_cost(counter, cost_model))
+
+
 def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         alpha: float, budget: int, seed: int = 0, cost_model: CostModel | None = None,
-        f_star: float | None = None, grad_tol: float | None = None,
-        allow_large_alpha: bool = False, box_radius: float | None = None,
-        x0: np.ndarray | None = None, keep_history: bool = False) -> RunResult:
+        grad_tol: float | None = None, allow_large_alpha: bool = False,
+        box_radius: float | None = None, x0: np.ndarray | None = None) -> RunResult:
     """Execute one method until the gradient-evaluation budget (or tolerance).
 
-    Trace row k describes iterate k; rows 0..K-1 carry the per-iteration
-    Lyapunov value and descent residual (NEAR-DGD methods), the final row the
-    terminal state. Deterministic for fixed seed and config.
+    Iteration k of NEAR-DGD communicates, x_k = Z^{t_k} y_k, then computes,
+    y_{k+1} = x_k - a grad f(x_k); the baselines have x_k = y_k. Trace row k
+    describes x_k; rows 0..K-1 carry the Lyapunov value and descent residual
+    (NEAR-DGD methods), the final row the terminal state y_K. A run that
+    leaves the box |y|_inf <= box_radius stops there and is marked diverged.
+    Deterministic for fixed seed and config.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -181,8 +200,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         box_radius = INIT_BOUND * BOX_INFLATION
     lipschitz = objective.lipschitz_estimate(box_radius)
     _validate_alpha(alpha, lipschitz, allow_large_alpha)
-    if f_star is None:
-        f_star = objective.min_value() if hasattr(objective, "min_value") else 0.0
+    f_star = objective.min_value()
 
     y = initial_point(n, p, seed) if x0 is None else np.array(x0, dtype=float)
     if y.shape != (n, p):
@@ -190,149 +208,68 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
 
     counter = CommCounter()
     trace = RunTrace(method=method.label(), seed=int(seed))
-    sched = method.schedule()
-    is_near_dgd = method.name.startswith("near-dgd")
-    rho_cache: dict[int, float] = {}
-    inv2a = 1.0 / (2.0 * alpha)
-
-    result = RunResult(trace=trace, counter=counter, final_y=None, final_x=y,
+    result = RunResult(trace=trace, counter=counter, final_y=y, final_x=y,
                        final_avg=y.mean(axis=0), b_y=float(np.linalg.norm(y)),
-                       max_cons_gap=-math.inf, max_eq7_inf=0.0,
-                       lipschitz=lipschitz, history=[] if keep_history else None)
-
-    def point_metrics(avg):
-        f_err = objective.global_value(avg) - f_star
-        gnorm = float(np.linalg.norm(objective.global_grad(avg)))
-        return f_err, gnorm, float(np.linalg.norm(avg))
-
-    def guard(arr, note):
-        if not np.all(np.isfinite(arr)) or np.abs(arr).max() > DIVERGENCE_LIMIT:
-            result.diverged = True
-            trace.diverged = True
-            trace.divergence_note = note
-            return True
-        if np.abs(arr).max() > box_radius:
-            raise DivergenceError(
-                "trajectory left the box |x|_inf <= %g (%s); Lipschitz estimate "
-                "no longer valid" % (box_radius, note))
-        return False
-
-    def lyap_from(z, v):
-        # L_t(v) = f(Z^t v) + (1/2a)(<v, Z^t v> - ||Z^t v||^2), z = Z^t v
-        return objective.stacked_value(z) + inv2a * float(np.vdot(v, z) - np.vdot(z, z))
-
-    if is_near_dgd:
-        k = 0
-        cached_x = None  # Z^{t(k)} y when the previous diagnostics already built it
-        while counter.gradient_evals < budget:
-            t_k = sched.rounds(k)
-            if cached_x is None:
-                x = apply_consensus(cm, t_k, y)
-                counter.consensus_rounds += t_k
-            else:
-                x = cached_x  # same product; the rounds still happen and are counted
-                counter.consensus_rounds += t_k
-            grad = objective.stacked_grad(x)
-            counter.gradient_evals += 1
-            y_next = x - alpha * grad
-
-            result.b_y = max(result.b_y, float(np.linalg.norm(y_next)))
-            cons = consensus_distance(x)
-            result.max_cons_gap = max(
-                result.max_cons_gap, cons - cm.beta**t_k * float(np.linalg.norm(y)))
-
-            lyap = lyap_from(x, y)
-            z_next = apply_consensus(cm, t_k, y_next)  # uncounted diagnostic
-            if t_k not in rho_cache:
-                try:
-                    rho_cache[t_k] = rho_constant(cm, t_k, alpha, lipschitz)
-                except ValueError:
-                    # alpha >= 2/L under the override flag: no guaranteed
-                    # margin, report the raw Lyapunov difference
-                    rho_cache[t_k] = 0.0
-            dy = y_next - y
-            residual = lyap_from(z_next, y_next) - lyap + rho_cache[t_k] * float(np.vdot(dy, dy))
-            if sched.kind == "fixed":
-                # x_{k+1} - x_k vs -a grad L_t(y_k), assembled from reused pieces
-                grad_lyap = apply_consensus(cm, t_k, grad) + (x - apply_consensus(cm, t_k, x)) / alpha
-                result.max_eq7_inf = max(result.max_eq7_inf, float(
-                    np.abs(z_next - x + alpha * grad_lyap).max()))
-
-            avg = x.mean(axis=0)
-            f_err, gnorm, dist0 = point_metrics(avg)
-            trace.append(TraceRecord(k, t_k, counter.consensus_rounds,
-                                     counter.gradient_evals, f_err, gnorm, cons,
-                                     lyap, residual, dist0,
-                                     cumulative_cost(counter, cost_model)))
-            if result.history is not None:
-                result.history.append((t_k, y.copy(), x.copy()))
-
-            if guard(y_next, "iteration %d" % k):
-                break
-            y = y_next
-            cached_x = z_next if sched.rounds(k + 1) == t_k else None
-            k += 1
-            if grad_tol is not None and gnorm <= grad_tol:
-                break
-        # terminal row: state y_k, consensus not yet performed
-        t_k = sched.rounds(k)
-        avg = y.mean(axis=0)
-        f_err, gnorm, dist0 = point_metrics(avg)
-        z = cached_x if cached_x is not None else apply_consensus(cm, t_k, y)
-        trace.append(TraceRecord(k, t_k, counter.consensus_rounds,
-                                 counter.gradient_evals, f_err, gnorm,
-                                 consensus_distance(y), lyap_from(z, y),
-                                 math.nan, dist0,
-                                 cumulative_cost(counter, cost_model)))
-        result.final_y = y
-        result.final_x = z
-        result.final_avg = avg
-        return result
-
-    # baselines: single x-state methods
-    x = y
-    s = None
-    grad_x = None
-    k = 0
-    while counter.gradient_evals < budget:
-        if method.name == "gradient-tracking":
-            if s is None:
-                if budget - counter.gradient_evals < 2:
-                    break  # not enough budget for tracker init plus a step
-                grad_x = objective.stacked_grad(x)
-                counter.gradient_evals += 1
-                s = grad_x
-            x_prev = x
-            x_next, s, grad_x = gradient_tracking_step(x, s, grad_x, objective,
-                                                       cm, alpha, counter)
+                       max_cons_gap=-math.inf, max_eq7_inf=0.0, lipschitz=lipschitz)
+    sched = method.schedule()
+    near_dgd = method.name.startswith("near-dgd")
+    if method.name == "gradient-tracking":
+        if budget < 2:
+            budget = 0  # not enough budget for tracker init plus a step
         else:
-            x_prev = x
-            x_next = dgd_step(x, objective, cm, alpha, counter)
+            s = grad = gradient(y, objective, counter)
+    rho = {}  # descent constant per t
 
-        cons = consensus_distance(x_prev)
-        avg = x_prev.mean(axis=0)
-        f_err, gnorm, dist0 = point_metrics(avg)
-        trace.append(TraceRecord(k, 1, counter.consensus_rounds,
-                                 counter.gradient_evals, f_err, gnorm, cons,
-                                 math.nan, math.nan, dist0,
-                                 cumulative_cost(counter, cost_model)))
-        if result.history is not None:
-            result.history.append((1, x_prev.copy(), x_prev.copy()))
-        result.b_y = max(result.b_y, float(np.linalg.norm(x_next)))
-        if guard(x_next, "iteration %d" % k):
+    k, t = 0, sched.rounds(0)
+    # Z^{t_k} y_k; its t_k rounds are counted when iteration k uses it
+    x = apply_consensus(cm, t, y) if near_dgd else y
+    while counter.gradient_evals < budget:
+        lyap = residual = math.nan
+        if near_dgd:
+            counter.consensus_rounds += t
+            grad, y_next = gradient_step(x, objective, alpha, counter)
+            z = apply_consensus(cm, t, y_next)  # Z^{t_k} y_{k+1}
+            if t not in rho:
+                # alpha >= 2/L under the override flag: no guaranteed margin,
+                # report the raw Lyapunov difference
+                rho[t] = (rho_constant(cm, t, alpha, lipschitz)
+                          if alpha < 2.0 / lipschitz else 0.0)
+            lyap, residual = descent_certificate(y, x, y_next, z, objective, alpha, rho[t])
+            if sched.kind == "fixed":
+                # x_{k+1} - x_k vs -a grad L_t(y_k)
+                result.max_eq7_inf = max(result.max_eq7_inf, float(np.abs(
+                    z - x + alpha * lyapunov_grad_at(x, grad, cm, t, alpha)).max()))
+        elif method.name == "dgd":
+            y_next = dgd_step(y, objective, cm, alpha, counter)
+        else:
+            y_next, s, grad = gradient_tracking_step(y, s, grad, objective, cm,
+                                                     alpha, counter)
+        rec = _record(k, t, x, lyap, residual, objective, f_star, counter, cost_model)
+        trace.append(rec)
+        if near_dgd:
+            bound = consensus_distance_bound(cm.beta, t, float(np.linalg.norm(y)))
+            result.max_cons_gap = max(result.max_cons_gap, rec.cons_dist - bound)
+        result.b_y = max(result.b_y, float(np.linalg.norm(y_next)))
+        peak = np.abs(y_next).max()
+        if not peak <= box_radius:  # also true for a non-finite peak
+            trace.diverged = True
+            trace.divergence_note = (
+                "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
+                "estimate no longer valid" % (k, peak, box_radius))
             break
-        x = x_next
-        k += 1
-        if grad_tol is not None and gnorm <= grad_tol:
+        y, k = y_next, k + 1
+        t_prev, t = t, sched.rounds(k)
+        if not near_dgd:
+            x = y
+        else:  # schedules never decrease: Z^{t_k} y = Z^{t_k - t_{k-1}} z
+            x = z if t == t_prev else apply_consensus(cm, t - t_prev, z)
+        if grad_tol is not None and rec.grad_avg_norm <= grad_tol:
             break
 
-    avg = x.mean(axis=0)
-    f_err, gnorm, dist0 = point_metrics(avg)
-    trace.append(TraceRecord(k, 1, counter.consensus_rounds,
-                             counter.gradient_evals, f_err, gnorm,
-                             consensus_distance(x), math.nan, math.nan, dist0,
-                             cumulative_cost(counter, cost_model)))
-    result.final_y = x
+    # terminal row: state y_K, consensus not yet performed
+    lyap = lyapunov_value_at(y, x, objective, alpha) if near_dgd else math.nan
+    trace.append(_record(k, t, y, lyap, math.nan, objective, f_star, counter, cost_model))
+    result.final_y = y
     result.final_x = x
-    result.final_avg = avg
+    result.final_avg = y.mean(axis=0)
     return result

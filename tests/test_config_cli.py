@@ -1,7 +1,9 @@
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_OK, EXIT_VALIDATION, main)
+from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
+                         EXIT_VALIDATION, main)
 from neardgd.config import (ConfigError, RunConfig, load_run_config,
                             parse_flat_config)
 from neardgd.optimizer import MethodSpec
@@ -181,3 +183,101 @@ def test_cmd_check_large_alpha_fails(tmp_path, capsys):
     code = main(["check", "--config", cfg])
     assert code == EXIT_CHECK_FAILURE
     assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# User errors end in one line and exit 1
+
+def test_cmd_run_bad_boolean_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL + "run.allow_large_alpha = maybe\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "run.allow_large_alpha" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "check"])
+def test_cmd_missing_config_is_validation_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "absent.cfg")
+    assert main([command, "--config", missing]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "absent.cfg" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_cmd_sweep_large_alpha_is_validation_error(tmp_path, capsys, parallel):
+    text = SMALL.replace("run.alpha = 0.1", "run.alpha = 50") \
+        + "sweep.methods = near-dgd-t:1, dgd\nsweep.seeds = 0, 1\n"
+    cfg = write_config(tmp_path, text)
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--parallel", parallel])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: alpha=50") and len(err.splitlines()) == 1
+
+
+def test_parallel_is_a_sweep_option_only(tmp_path):
+    cfg = write_config(tmp_path)
+    for command in ("run", "check"):
+        with pytest.raises(SystemExit):
+            main([command, "--config", cfg, "--parallel", "2"])
+
+
+CONFIG_KEYS = ["problem.kind", "problem.n", "problem.p", "problem.I", "problem.c",
+               "problem.seed", "graph.kind", "graph.prob", "graph.edges",
+               "weights.rule", "weights.margin", "method.name", "method.t",
+               "method.period", "sweep.methods", "sweep.seeds", "run.alpha",
+               "run.budget", "run.seed", "run.grad_tol", "run.allow_large_alpha",
+               "run.box_radius", "cost.c_c", "cost.c_g", "output.path"]
+# No decimal digits in free text: a large problem.n would build a large problem.
+_free_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
+_value = st.one_of(_free_text, st.integers(-3, 30).map(str),
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                   st.sampled_from(["quartic", "quadratic", "ring", "star", "edgelist",
+                                    "erdos-renyi", "metropolis", "maxdegree", "dgd",
+                                    "near-dgd-t", "near-dgd-plus-doubling:3", "true"]))
+_line = st.one_of(st.tuples(st.sampled_from(CONFIG_KEYS), _value).map(" = ".join),
+                  _free_text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_line, max_size=8).map("\n".join))
+def test_config_loaders_raise_only_config_error(text):
+    for load in (parse_flat_config, load_run_config):
+        try:
+            load(text)
+        except ConfigError:
+            pass
+
+
+# ---------------------------------------------------------------------------
+# Divergence: one outcome, the partial trace is written and the exit code is 2
+
+BOXED = SMALL + "run.box_radius = 0.5\n"
+
+
+def test_cmd_run_divergence_writes_trace(tmp_path, capsys):
+    cfg = write_config(tmp_path, BOXED)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGENCE
+    assert "left the box" in capsys.readouterr().err
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert lines[0].startswith("k,t_k,") and len(lines) >= 3
+
+
+def test_cmd_sweep_divergence_writes_cell(tmp_path, capsys):
+    cfg = write_config(tmp_path, BOXED + "sweep.methods = near-dgd-t:2\nsweep.seeds = 3\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGENCE
+    assert "left the box" in capsys.readouterr().err
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("near-dgd-t:2,3,") for row in rows)
+
+
+def test_cmd_check_reports_divergence(tmp_path, capsys):
+    cfg = write_config(tmp_path, BOXED)
+    assert main(["check", "--config", cfg]) == EXIT_CHECK_FAILURE
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert [line.split()[1] for line in failed] == [
+        "descent-residual", "eq7-identity", "consensus-bound"]
+    assert all("run diverged" in line for line in failed)

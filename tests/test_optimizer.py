@@ -5,8 +5,8 @@ from neardgd.consensus import CommCounter, ConsensusMatrix, build_consensus_matr
 from neardgd.diagnostics import CostModel
 from neardgd.graph import Graph, build_ring
 from neardgd.objective import QuadraticProblem, sample_quartic_problem
-from neardgd.optimizer import (DivergenceError, MethodSpec, Schedule,
-                               SteplengthError, dgd_step,
+from neardgd import optimizer
+from neardgd.optimizer import (MethodSpec, Schedule, SteplengthError, dgd_step,
                                gradient_tracking_step, initial_point,
                                near_dgd_step, run)
 
@@ -200,12 +200,42 @@ def test_run_quadratic_near_dgd_plus_converges_exactly():
     assert res.final_avg_grad_norm <= 1e-8
 
 
-def test_run_average_iterate_identity():
+@pytest.mark.parametrize("token", ["near-dgd-t:3", "near-dgd-plus",
+                                   "near-dgd-plus-doubling:4"])
+def test_run_matches_hand_loop_of_near_dgd_step(token):
+    # fixed, linear and doubling schedules; a run with budget K ends at
+    # y_K with final_x = x_K = Z^{t_K} y_K
     prob, cm = paper_instance()
-    res = run(prob, cm, MethodSpec("near-dgd-t", t=3), alpha=0.1, budget=30,
-              keep_history=True)
-    for t_k, y_k, x_k in res.history:
-        np.testing.assert_allclose(x_k.mean(axis=0), y_k.mean(axis=0), atol=1e-12)
+    method = MethodSpec.parse(token)
+    sched = method.schedule()
+    counter = CommCounter()
+    y = initial_point(12, 4, 2)
+    for k in range(13):
+        x, y_next = near_dgd_step(y, prob, cm, sched.rounds(k), 0.1, counter)
+        res = run(prob, cm, method, alpha=0.1, budget=k, seed=2)
+        np.testing.assert_array_equal(res.final_y, y)
+        np.testing.assert_array_equal(res.final_x, x)
+        assert res.counter.consensus_rounds == counter.consensus_rounds - sched.rounds(k)
+        # the average iterate: consensus preserves the mean, x_k and y_k agree
+        np.testing.assert_allclose(x.mean(axis=0), y.mean(axis=0), atol=1e-12)
+        y = y_next
+
+
+def test_run_near_dgd_plus_applies_each_round_once(monkeypatch):
+    # z = Z^{t_k} y_{k+1}, formed for the descent certificate, becomes
+    # x_{k+1} = Z^{t_{k+1} - t_k} z: rounds sum to t_0 + ... + t_10 = 66
+    prob, cm = paper_instance()
+    applied = []
+    original = optimizer.apply_consensus
+
+    def counting(cm_, t, y, counter=None):
+        applied.append(t)
+        return original(cm_, t, y, counter)
+
+    monkeypatch.setattr(optimizer, "apply_consensus", counting)
+    res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=10)
+    assert sum(applied) <= sum(range(1, 12)) == 66
+    assert res.counter.consensus_rounds == 55
 
 
 def test_run_descent_and_eq7_certificates():
@@ -224,20 +254,21 @@ def test_run_steplength_validation():
         run(prob, cm, MethodSpec("dgd"), alpha=big, budget=10)
     with pytest.raises(SteplengthError):
         run(prob, cm, MethodSpec("dgd"), alpha=-0.1, budget=10)
-    # override flag lets the run proceed (it may then diverge or leave the box)
-    try:
-        res = run(prob, cm, MethodSpec("dgd"), alpha=big, budget=50,
-                  allow_large_alpha=True, box_radius=1e11)
-        assert res.trace.records
-    except DivergenceError:
-        pass
+    # override flag lets the run proceed (it may then leave the box)
+    res = run(prob, cm, MethodSpec("dgd"), alpha=big, budget=50,
+              allow_large_alpha=True, box_radius=1e11)
+    assert res.trace.records
 
 
 def test_run_divergence_guard_box():
     prob, cm = paper_instance()
     x0 = np.full((12, 4), 5.0)
-    with pytest.raises(DivergenceError):
-        run(prob, cm, MethodSpec("near-dgd-t", t=1), alpha=0.1, budget=50, x0=x0)
+    res = run(prob, cm, MethodSpec("near-dgd-t", t=1), alpha=0.1, budget=50, x0=x0)
+    assert res.diverged and res.trace.diverged
+    assert "box" in res.trace.divergence_note
+    # the partial trace: iteration 0, then the terminal row at y_0
+    assert [rec.k for rec in res.trace.records] == [0, 0]
+    np.testing.assert_array_equal(res.final_y, x0)
 
 
 def test_run_grad_tol_stops_early():
