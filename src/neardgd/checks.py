@@ -39,13 +39,13 @@ def check_objective_gradients(problem, rng, points=20, step=1e-5, tol=1e-6):
 
 def check_hessian_vector(problem, rng, points=10, step=1e-5, tol=1e-5):
     worst = 0.0
+    shape = (problem.n, problem.p)
     for _ in range(points):
-        i = int(rng.integers(problem.n))
-        x = rng.uniform(-1.0, 1.0, size=problem.p)
-        v = rng.normal(size=problem.p)
-        hv = problem.local_hessian(i, x) @ v
-        fd = (problem.local_grad(i, x + step * v) - problem.local_grad(i, x - step * v)) / (2 * step)
-        worst = max(worst, _rel_err(hv, fd))
+        x = rng.uniform(-1.0, 1.0, size=shape)
+        v = rng.normal(size=shape)
+        hv = problem.stacked_hessian(x) @ v.reshape(-1)
+        fd = (problem.stacked_grad(x + step * v) - problem.stacked_grad(x - step * v)) / (2 * step)
+        worst = max(worst, _rel_err(hv, fd.reshape(-1)))
     return worst <= tol, "max rel err %.3g" % worst
 
 

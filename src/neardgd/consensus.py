@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, degrees, is_connected
+from .graph import Graph, adjacency, is_connected
 from .linalg import check_symmetric, sym_eigen
 
 STOCH_TOL = 1e-12
@@ -35,10 +35,9 @@ def metropolis_weights(g: Graph) -> np.ndarray:
     """
     if not is_connected(g):
         raise ConsensusMatrixError("graph must be connected")
-    d = degrees(g)
-    w = np.zeros((g.n, g.n))
-    for (i, j) in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(d[i], d[j]))
+    a = adjacency(g)
+    d = a.sum(axis=1)
+    w = np.where(a, 1.0 / (1.0 + np.maximum.outer(d, d)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
@@ -47,10 +46,8 @@ def max_degree_weights(g: Graph) -> np.ndarray:
     """Max-degree weights: w_ij = 1/(1 + max_k d_k) on edges, diagonal residual."""
     if not is_connected(g):
         raise ConsensusMatrixError("graph must be connected")
-    off = 1.0 / (1.0 + degrees(g).max())
-    w = np.zeros((g.n, g.n))
-    for (i, j) in g.edges:
-        w[i, j] = w[j, i] = off
+    a = adjacency(g)
+    w = np.where(a, 1.0 / (1.0 + a.sum(axis=1).max()), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
@@ -103,13 +100,13 @@ def _check_consensus_invariants(w, g: Graph):
     rows = w.sum(axis=1)
     if np.any(np.abs(rows - 1.0) > STOCH_TOL):
         raise ConsensusMatrixError("rows do not sum to 1")
-    for i in range(n):
-        for j in range(i + 1, n):
-            on_edge = (i, j) in g.edges
-            if on_edge and w[i, j] <= 0:
-                raise ConsensusMatrixError("zero weight on edge (%d,%d)" % (i, j))
-            if not on_edge and w[i, j] != 0:
-                raise ConsensusMatrixError("nonzero weight off edge (%d,%d)" % (i, j))
+    a = adjacency(g)
+    bad = np.argwhere(np.triu(np.where(a, w <= 0, w != 0), 1))
+    if bad.size:
+        i, j = bad[0]  # row-major, so the first offending pair i < j
+        if a[i, j]:
+            raise ConsensusMatrixError("zero weight on edge (%d,%d)" % (i, j))
+        raise ConsensusMatrixError("nonzero weight off edge (%d,%d)" % (i, j))
 
 
 def ensure_positive_definite(w_tilde, g: Graph, margin: float = 0.1) -> ConsensusMatrix:

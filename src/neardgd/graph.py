@@ -38,13 +38,17 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(canon))
 
 
+def adjacency(g: Graph) -> np.ndarray:
+    """Symmetric boolean n x n adjacency matrix with a False diagonal."""
+    a = np.zeros((g.n, g.n), dtype=bool)
+    i, j = np.array(list(g.edges), dtype=int).reshape(-1, 2).T
+    a[i, j] = a[j, i] = True
+    return a
+
+
 def degrees(g: Graph) -> np.ndarray:
     """Per-node edge counts."""
-    d = np.zeros(g.n, dtype=int)
-    for (i, j) in g.edges:
-        d[i] += 1
-        d[j] += 1
-    return d
+    return adjacency(g).sum(axis=1)
 
 
 def is_connected(g: Graph) -> bool:

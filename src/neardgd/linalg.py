@@ -1,7 +1,8 @@
-"""Dense symmetric linear algebra: Jacobi eigensolver, quadratic forms.
+"""Dense symmetric linear algebra: eigendecomposition, powers, quadratic forms.
 
-Matrices here are small (node-count sized), so a cyclic Jacobi sweep is
-plenty and fully deterministic. All arithmetic is float64.
+Matrices here are node-count or stacked-iterate sized; eigendecompositions
+go to LAPACK through numpy.linalg.eigh after a symmetry check. All
+arithmetic is float64.
 """
 
 from dataclasses import dataclass
@@ -33,54 +34,9 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def sym_eigen(a, tol=SYM_TOL, max_sweeps=100) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Iterates sweeps of (p, q) rotations until the off-diagonal Frobenius norm
-    drops below tol * ||A||_F.
-    """
-    a = check_symmetric(a)
-    n = a.shape[0]
-    b = a.copy()
-    v = np.eye(n)
-    norm_a = np.linalg.norm(a)
-    if n == 1 or norm_a == 0.0:
-        order = np.argsort(np.diag(b), kind="stable")
-        return Spectrum(np.diag(b)[order].copy(), v[:, order].copy())
-
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(b - np.diag(np.diag(b)))
-        if off <= tol * norm_a:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = b[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (b[q, q] - b[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    # asymptotic tangent; avoids overflow in theta**2
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * b[:, p] - s * b[:, q]
-                rot_q = s * b[:, p] + c * b[:, q]
-                b[:, p], b[:, q] = rot_p, rot_q
-                rot_p = c * b[p, :] - s * b[q, :]
-                rot_q = s * b[p, :] + c * b[q, :]
-                b[p, :], b[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-
-    w = np.diag(b).copy()
-    order = np.argsort(w, kind="stable")
-    return Spectrum(w[order], v[:, order])
+def sym_eigen(a) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix (LAPACK, via eigh)."""
+    return Spectrum(*np.linalg.eigh(check_symmetric(a)))
 
 
 def quad_form(a, x) -> float:

@@ -1,7 +1,9 @@
-"""Separable objectives: per-node values, gradients, Hessians, Lipschitz bounds.
+"""Separable objectives as whole-array operations over (n, p) iterates.
 
 The stacked objective is f(x) = sum_i f_i(x_i) over an (n, p) iterate; the
 network-wide function evaluated at a single point is f(v) = sum_i f_i(v).
+Subclasses evaluate every node at once: row i of an (n, p) array goes
+through f_i. Every family here has diagonal per-node Hessians.
 """
 
 from dataclasses import dataclass
@@ -14,23 +16,25 @@ class ObjectiveError(ValueError):
 
 
 class Objective:
-    """Bundle of per-node evaluators for a separable objective.
+    """Separable objective defined by three whole-array primitives.
 
-    Subclasses implement local_value/local_grad/local_hessian and
+    Subclasses implement node_values ((n, p) -> (n,), the f_i(x_i)),
+    node_grads ((n, p) -> (n, p), the grad f_i(x_i)), node_hessian_diags
+    ((n, p) -> (n, p), the diagonals of the Hessians of the f_i at x_i) and
     lipschitz_estimate. Stacked evaluators and single-point aggregates are
-    derived here.
+    derived here, and subclasses do not override them.
     """
 
     n: int
     p: int
 
-    def local_value(self, i: int, x) -> float:
+    def node_values(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def local_grad(self, i: int, x) -> np.ndarray:
+    def node_grads(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def local_hessian(self, i: int, x) -> np.ndarray:
+    def node_hessian_diags(self, x) -> np.ndarray:
         raise NotImplementedError
 
     def lipschitz_estimate(self, radius: float) -> float:
@@ -39,41 +43,40 @@ class Objective:
     # stacked evaluators over (n, p) iterates
 
     def stacked_value(self, x) -> float:
-        x = self._check_stacked(x)
-        return float(sum(self.local_value(i, x[i]) for i in range(self.n)))
+        return float(self.node_values(self._check_stacked(x)).sum())
 
     def stacked_grad(self, x) -> np.ndarray:
-        x = self._check_stacked(x)
-        return np.stack([self.local_grad(i, x[i]) for i in range(self.n)])
+        return self.node_grads(self._check_stacked(x))
 
     def stacked_hessian(self, x) -> np.ndarray:
         """Block-diagonal np x np Hessian; diagnostics-scale sizes only."""
-        x = self._check_stacked(x)
-        h = np.zeros((self.n * self.p, self.n * self.p))
-        for i in range(self.n):
-            sl = slice(i * self.p, (i + 1) * self.p)
-            h[sl, sl] = self.local_hessian(i, x[i])
-        return h
+        return np.diag(self.node_hessian_diags(self._check_stacked(x)).reshape(-1))
 
-    # aggregates of the network-wide f at one p-dimensional point
+    # aggregates of the network-wide f at one p-dimensional point; they call
+    # the primitives rather than stacked_*, so stacked_grad calls stay one per
+    # gradient evaluation a run counts
 
     def global_value(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(sum(self.local_value(i, v) for i in range(self.n)))
+        return float(self.node_values(self._at_consensus(v)).sum())
 
     def global_grad(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.sum([self.local_grad(i, v) for i in range(self.n)], axis=0)
+        return self.node_grads(self._at_consensus(v)).sum(axis=0)
 
     def global_hessian(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.sum([self.local_hessian(i, v) for i in range(self.n)], axis=0)
+        return np.diag(self.node_hessian_diags(self._at_consensus(v)).sum(axis=0))
 
     def _check_stacked(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n, self.p):
             raise ObjectiveError("expected shape (%d, %d), got %r" % (self.n, self.p, x.shape))
         return x
+
+    def _at_consensus(self, v):
+        """The (n, p) iterate with v in every row (a read-only view)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.p,):
+            raise ObjectiveError("expected shape (%d,), got %r" % (self.p, v.shape))
+        return np.broadcast_to(v, (self.n, self.p))
 
 
 @dataclass
@@ -108,21 +111,18 @@ class QuadraticQuarticProblem(Objective):
     def _ii(self):
         return self.index - 1
 
-    def local_value(self, i, x):
-        x = self._check_local(x)
-        return float(0.5 * (self.q[i] * x * x).sum()
-                     + (self.c**2 / (4.0 * self.n)) * x[self._ii] ** 4)
+    def node_values(self, x):
+        return (0.5 * (self.q * x * x).sum(axis=1)
+                + (self.c**2 / (4.0 * self.n)) * x[:, self._ii] ** 4)
 
-    def local_grad(self, i, x):
-        x = self._check_local(x)
-        g = self.q[i] * x
-        g[self._ii] += (self.c**2 / self.n) * x[self._ii] ** 3
+    def node_grads(self, x):
+        g = self.q * x
+        g[:, self._ii] += (self.c**2 / self.n) * x[:, self._ii] ** 3
         return g
 
-    def local_hessian(self, i, x):
-        x = self._check_local(x)
-        h = np.diag(self.q[i].copy())
-        h[self._ii, self._ii] += 3.0 * (self.c**2 / self.n) * x[self._ii] ** 2
+    def node_hessian_diags(self, x):
+        h = self.q.copy()
+        h[:, self._ii] += 3.0 * (self.c**2 / self.n) * x[:, self._ii] ** 2
         return h
 
     def lipschitz_estimate(self, radius):
@@ -149,12 +149,6 @@ class QuadraticQuarticProblem(Objective):
         """Network objective value at either minimizer."""
         return self.global_value(self.minimizers()[0])
 
-    def _check_local(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.p,):
-            raise ObjectiveError("local vector must have dimension %d" % self.p)
-        return x
-
 
 def sample_quartic_problem(n, p, index, c, seed) -> QuadraticQuarticProblem:
     """Random diagonals: q^i_II uniform in (-1, 0), the rest uniform in (0, 1)."""
@@ -179,15 +173,15 @@ class QuadraticProblem(Objective):
         self.b = np.asarray(self.b, dtype=float)
         self.n, self.p = self.b.shape
 
-    def local_value(self, i, x):
-        d = np.asarray(x, dtype=float) - self.b[i]
-        return float(0.5 * (d @ d))
+    def node_values(self, x):
+        d = x - self.b
+        return 0.5 * (d * d).sum(axis=1)
 
-    def local_grad(self, i, x):
-        return np.asarray(x, dtype=float) - self.b[i]
+    def node_grads(self, x):
+        return x - self.b
 
-    def local_hessian(self, i, x):
-        return np.eye(self.p)
+    def node_hessian_diags(self, x):
+        return np.ones((self.n, self.p))
 
     def lipschitz_estimate(self, radius):
         return 1.0

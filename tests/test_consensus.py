@@ -78,6 +78,31 @@ def test_constructor_rejects_indefinite():
         ConsensusMatrix(metropolis_weights(g), g)
 
 
+def moved_weight(w, i, j, amount):
+    """w with amount added at (i, j) and (j, i) and taken from both diagonals."""
+    w = w.copy()
+    w[i, j] += amount
+    w[j, i] += amount
+    w[i, i] -= amount
+    w[j, j] -= amount
+    return w
+
+
+def test_constructor_names_the_pair_that_breaks_the_sparsity_pattern():
+    g = build_ring(4)  # edges (0,1), (1,2), (2,3), (0,3)
+    w = build_consensus_matrix(g).W
+    zero_on_edge = moved_weight(w, 1, 2, -w[1, 2])
+    with pytest.raises(ConsensusMatrixError, match=r"^zero weight on edge \(1,2\)$"):
+        ConsensusMatrix(zero_on_edge, g)
+    off_edge = moved_weight(w, 0, 2, 0.05)
+    with pytest.raises(ConsensusMatrixError, match=r"^nonzero weight off edge \(0,2\)$"):
+        ConsensusMatrix(off_edge, g)
+    # with both faults, the first pair in row-major order is named
+    both = moved_weight(zero_on_edge, 0, 2, 0.05)
+    with pytest.raises(ConsensusMatrixError, match=r"^nonzero weight off edge \(0,2\)$"):
+        ConsensusMatrix(both, g)
+
+
 def test_apply_consensus_examples():
     cm = two_node_cm()
     counter = CommCounter()

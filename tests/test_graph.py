@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from neardgd.graph import (Graph, TopologyError, build_erdos_renyi, build_ring,
-                           build_star, degrees, from_edge_list, is_connected,
-                           to_edge_list)
+from neardgd.graph import (Graph, TopologyError, adjacency, build_erdos_renyi,
+                           build_ring, build_star, degrees, from_edge_list,
+                           is_connected, to_edge_list)
 
 
 def test_ring_paper_size():
@@ -43,6 +43,9 @@ def test_degrees():
     assert list(degrees(build_ring(4))) == [2, 2, 2, 2]
     assert list(degrees(build_star(4))) == [3, 1, 1, 1]
     assert list(degrees(Graph(2, frozenset({(0, 1)})))) == [1, 1]
+    assert list(degrees(Graph(2, frozenset()))) == [0, 0]
+    np.testing.assert_array_equal(adjacency(build_star(3)),
+                                  [[False, True, True], [True, False, False], [True, False, False]])
 
 
 @given(st.integers(min_value=3, max_value=30))

@@ -8,22 +8,35 @@ from neardgd.objective import (ObjectiveError, QuadraticQuarticProblem,
                                sample_quartic_problem)
 
 
-def small_quartic():
-    return QuadraticQuarticProblem(q=np.array([[0.5, -0.25]]), index=2, c=1.0)
+def small_quartic(n=1):
+    """n nodes, each f_i(x) = 1/4 x_1^2 - 1/8 x_2^2 + 1/4 x_2^4 (c^2 / n = 1)."""
+    return QuadraticQuarticProblem(q=np.tile([0.5, -0.25], (n, 1)), index=2, c=np.sqrt(n))
 
 
-def test_local_value_examples():
+# one point per node of small_quartic(3)
+POINTS = np.array([[0.0, 0.5], [0.0, 0.0], [1.0, 1.0]])
+
+
+def test_stacked_value_examples():
     prob = small_quartic()
-    assert prob.local_value(0, [0.0, 0.5]) == pytest.approx(-0.015625)
-    assert prob.local_value(0, [0.0, 0.0]) == 0.0
-    assert prob.local_value(0, [1.0, 1.0]) == pytest.approx(0.375)
+    assert prob.stacked_value([[0.0, 0.5]]) == pytest.approx(-0.015625)
+    assert prob.stacked_value([[0.0, 0.0]]) == 0.0
+    assert prob.stacked_value([[1.0, 1.0]]) == pytest.approx(0.375)
+    prob = small_quartic(3)
+    assert prob.stacked_value(POINTS) == pytest.approx(-0.015625 + 0.375)
+    assert prob.stacked_value(np.tile([1.0, 1.0], (3, 1))) == pytest.approx(3 * 0.375)
 
 
-def test_local_grad_examples():
+def test_stacked_grad_examples():
     prob = small_quartic()
-    np.testing.assert_allclose(prob.local_grad(0, [1.0, 1.0]), [0.5, 0.75])
-    np.testing.assert_allclose(prob.local_grad(0, [0.0, 0.5]), [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(prob.local_grad(0, [0.0, 0.0]), [0.0, 0.0])
+    np.testing.assert_allclose(prob.stacked_grad([[1.0, 1.0]]), [[0.5, 0.75]])
+    np.testing.assert_allclose(prob.stacked_grad([[0.0, 0.5]]), [[0.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(prob.stacked_grad([[0.0, 0.0]]), [[0.0, 0.0]])
+    prob = small_quartic(3)
+    np.testing.assert_allclose(prob.stacked_grad(POINTS),
+                               [[0.0, 0.0], [0.0, 0.0], [0.5, 0.75]], atol=1e-15)
+    np.testing.assert_allclose(prob.stacked_grad(np.tile([1.0, 1.0], (3, 1))),
+                               np.tile([0.5, 0.75], (3, 1)))
 
 
 def test_minimizers_examples():
@@ -40,7 +53,7 @@ def test_minimizers_examples():
 def test_grad_vanishes_at_minimizers_and_hessian_pd():
     prob = sample_quartic_problem(6, 3, 2, 1.5, seed=11)
     for x in prob.minimizers():
-        stacked = np.stack([prob.local_grad(i, x) for i in range(prob.n)])
+        stacked = prob.stacked_grad(np.tile(x, (prob.n, 1)))
         assert np.linalg.norm(stacked.sum(axis=0)) <= 1e-12
         assert abs(prob.global_grad(x)).max() <= 1e-12
         assert sym_eigen(prob.global_hessian(x)).eigenvalues[0] > 0
@@ -114,9 +127,31 @@ def test_hessian_vector_matches_gradient_differences():
     rng = np.random.default_rng(1)
     step = 1e-5
     for _ in range(10):
-        i = int(rng.integers(prob.n))
-        x = rng.uniform(-1, 1, size=prob.p)
-        v = rng.normal(size=prob.p)
-        hv = prob.local_hessian(i, x) @ v
-        fd = (prob.local_grad(i, x + step * v) - prob.local_grad(i, x - step * v)) / (2 * step)
-        assert np.abs(hv - fd).max() / max(1.0, np.abs(fd).max()) <= 1e-6
+        x = rng.uniform(-1, 1, size=(prob.n, prob.p))
+        v = rng.normal(size=(prob.n, prob.p))
+        hv = prob.stacked_hessian(x) @ v.reshape(-1)
+        fd = (prob.stacked_grad(x + step * v) - prob.stacked_grad(x - step * v)) / (2 * step)
+        assert np.abs(hv - fd.reshape(-1)).max() / max(1.0, np.abs(fd).max()) <= 1e-6
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: sample_quartic_problem(4, 3, 2, 1.3, seed=7),
+    lambda: sample_quadratic_problem(4, 3, seed=7),
+])
+def test_global_oracles_are_stacked_oracles_at_consensus(factory):
+    prob = factory()
+    n, p = prob.n, prob.p
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        v = rng.uniform(-1, 1, size=p)
+        x = np.tile(v, (n, 1))
+        assert prob.global_value(v) == pytest.approx(prob.stacked_value(x), rel=1e-14)
+        np.testing.assert_allclose(prob.global_grad(v), prob.stacked_grad(x).sum(axis=0),
+                                   rtol=1e-14, atol=1e-15)
+        h = prob.stacked_hessian(x)
+        blocks = sum(h[i * p:(i + 1) * p, i * p:(i + 1) * p] for i in range(n))
+        np.testing.assert_allclose(prob.global_hessian(v), blocks, rtol=1e-14, atol=1e-15)
+    for bad in (np.zeros(p + 1), np.zeros((1, p)), np.zeros((n, p))):
+        for oracle in (prob.global_value, prob.global_grad, prob.global_hessian):
+            with pytest.raises(ObjectiveError):
+                oracle(bad)
