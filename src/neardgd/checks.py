@@ -76,6 +76,11 @@ def check_consensus_properties(cm, rng, tol=1e-12):
             problems.append("composition")
         if np.abs(average_project(z3) - m).max() > 1e-11:
             problems.append("mean preservation")
+        z7 = y
+        for _ in range(7):
+            z7 = cm.W @ z7
+        if np.abs(apply_consensus(cm, 7, y) - z7).max() > tol:
+            problems.append("spectral power")
     return not problems, ", ".join(sorted(set(problems)))
 
 

@@ -5,6 +5,7 @@ p-vector. The node-major flattening (`to_stacked`) matches the np-length
 vector convention used in configs and traces.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,18 +141,32 @@ def build_consensus_matrix(g: Graph, rule: str = "metropolis", margin: float = 0
 
 
 def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None = None):
-    """t successive block applications of W to a stacked iterate (never W^t).
+    """Z^t y: t consensus rounds applied block-wise to a stacked iterate.
 
-    Each of the t rounds is one communication; the counter advances by t.
+    t = 1 is the single product W y. For t >= 2 the rounds are applied at
+    once from the cached eigenpairs, W^t = V diag(lam^t) V', so a call costs
+    the same for every t. The top eigenvalue of a doubly stochastic W is
+    exactly 1; it is pinned there, because the few ulps eigh leaves on it
+    would grow with t and move the mean. Each of the t rounds is still one
+    communication: the counter advances by t.
     """
+    try:
+        t = operator.index(t)  # int and NumPy integers; 3.0 would be a fractional power
+    except TypeError:
+        raise ValueError("consensus rounds t must be an integer, got %r" % (t,)) from None
     if t < 1:
         raise ValueError("consensus rounds t must be >= 1")
     y = np.asarray(y, dtype=float)
     if y.shape[0] != cm.n:
         raise ValueError("iterate has %d node rows, matrix expects %d" % (y.shape[0], cm.n))
-    out = y
-    for _ in range(t):
-        out = cm.W @ out
+    if t == 1:
+        out = cm.W @ y
+    else:
+        v = cm.eigenvectors
+        lam_t = cm.eigenvalues ** t
+        lam_t[-1] = 1.0
+        coeffs = v.T @ y.reshape(cm.n, -1)  # also takes a single (n,) vector
+        out = (v @ (lam_t[:, None] * coeffs)).reshape(y.shape)
     if counter is not None:
         counter.consensus_rounds += t
     return out

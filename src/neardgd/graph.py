@@ -94,11 +94,10 @@ def build_erdos_renyi(n: int, prob: float, seed, max_tries: int = 200) -> Graph:
     if n < 2 or not 0.0 <= prob <= 1.0:
         raise TopologyError("invalid Erdos-Renyi parameters n=%d, prob=%r" % (n, prob))
     rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(n, 1)  # pairs i < j in row-major order
     for _ in range(max_tries):
-        edges = frozenset(
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < prob
-        )
-        g = Graph(n, edges)
+        keep = rng.uniform(size=rows.size) < prob
+        g = Graph(n, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
         if is_connected(g):
             return g
     raise TopologyError(

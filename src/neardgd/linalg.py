@@ -52,8 +52,10 @@ def sym_power(a, exponent: float) -> np.ndarray:
     """A^s for symmetric A via its eigendecomposition.
 
     Fractional exponents require positive eigenvalues (consensus matrices
-    qualify). Integer powers of the full matrix are only used in diagnostics
-    and tests, never in the consensus hot path.
+    qualify). Decomposes A on every call and forms the full matrix, so it
+    serves diagnostics and tests; the consensus hot path
+    (`consensus.apply_consensus`) applies W^t to an iterate from the
+    eigenpairs cached on the ConsensusMatrix instead.
     """
     spec = sym_eigen(a)
     lam = spec.eigenvalues

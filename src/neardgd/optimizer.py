@@ -261,8 +261,11 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         t_prev, t = t, sched.rounds(k)
         if not near_dgd:
             x = y
-        else:  # schedules never decrease: Z^{t_k} y = Z^{t_k - t_{k-1}} z
-            x = z if t == t_prev else apply_consensus(cm, t - t_prev, z)
+        else:
+            # x_k = Z^{t_k} y_k is the certificate's z when t is unchanged;
+            # otherwise one application from y_k (same cost at any t), which
+            # matches near_dgd_step exactly
+            x = z if t == t_prev else apply_consensus(cm, t, y)
         if grad_tol is not None and rec.grad_avg_norm <= grad_tol:
             break
 

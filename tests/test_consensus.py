@@ -121,6 +121,54 @@ def test_apply_consensus_fixed_on_consensus_subspace():
     np.testing.assert_allclose(apply_consensus(cm, 7, y), y, atol=1e-12)
 
 
+def successive_products(cm, t, y):
+    for _ in range(t):
+        y = cm.W @ y
+    return y
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "maxdegree"])
+def test_apply_consensus_equals_successive_products(rule):
+    rng = np.random.default_rng(11)
+    for g in (build_ring(9), build_star(7), build_erdos_renyi(10, 0.4, seed=1)):
+        cm = build_consensus_matrix(g, rule=rule)
+        for y in (rng.normal(size=(g.n, 3)), rng.normal(size=g.n)):
+            for t in (1, 2, 3, 7, 64, 1000):
+                z = apply_consensus(cm, t, y)
+                assert z.shape == y.shape
+                err = np.abs(z - successive_products(cm, t, y)).max()
+                assert err <= 1e-12 * max(1.0, np.linalg.norm(y)), (g.n, t, err)
+
+
+@pytest.mark.parametrize("t", [3000, 10**5, 10**6])
+def test_apply_consensus_long_horizon_keeps_mean_and_contraction(t):
+    # eigh puts the top eigenvalue of this W a few ulps above 1; raised to
+    # the power t it would move the mean unless it is pinned to 1
+    cm = build_consensus_matrix(build_erdos_renyi(100, 0.1, seed=0), rule="maxdegree")
+    y = np.random.default_rng(5).normal(size=(100, 3))
+    m = average_project(y)
+    z = apply_consensus(cm, t, y)
+    assert np.abs(average_project(z) - m).max() <= 1e-13
+    assert np.linalg.norm(z - m) <= cm.beta**t * np.linalg.norm(y - m) + 1e-12
+
+
+@pytest.mark.parametrize("t", [2.5, 3.0, "3"])
+def test_apply_consensus_rejects_non_integral_t(t):
+    cm = two_node_cm()
+    with pytest.raises(ValueError, match="must be an integer"):
+        apply_consensus(cm, t, np.ones((2, 1)))
+
+
+def test_apply_consensus_takes_numpy_integers():
+    cm = two_node_cm()
+    y = np.array([[1.0], [-1.0]])
+    counter = CommCounter()
+    for t in (np.int64(3), np.int32(3)):
+        np.testing.assert_array_equal(apply_consensus(cm, t, y, counter),
+                                      apply_consensus(cm, 3, y))
+    assert counter.consensus_rounds == 6
+
+
 def test_average_project_examples():
     np.testing.assert_allclose(average_project(np.array([[1.0], [-1.0]])), [[0.0], [0.0]])
     y = np.array([[2.0], [4.0], [6.0]])

@@ -62,6 +62,13 @@ def test_erdos_renyi_connected_and_deterministic():
     assert is_connected(g1)
 
 
+def test_erdos_renyi_pinned_sample():
+    # one uniform draw per pair i < j in row-major order, redrawn until
+    # connected; this seed is accepted on the eighth try
+    g = build_erdos_renyi(6, 0.3, seed=4)
+    assert g.edges == frozenset({(0, 4), (0, 5), (1, 2), (2, 5), (3, 4)})
+
+
 def test_edge_list_round_trip():
     g = build_ring(5)
     text = to_edge_list(g)
