@@ -57,9 +57,11 @@ def cmd_run(args) -> int:
     path = _out_path(args, cfg)
     result.trace.write_csv(path)
     final = result.trace.final
-    print("method=%s seed=%d iters=%d f_err=%.6g grad_avg_norm=%.6g cost=%.6g trace=%s"
+    print("method=%s seed=%d iters=%d f_err=%.6g grad_avg_norm=%.6g cost=%.6g "
+          "eq7=%.3g cons_gap=%.3g trace=%s"
           % (result.trace.method, cfg.seed, final.k, final.f_err,
-             final.grad_avg_norm, final.cost, path))
+             final.grad_avg_norm, final.cost, result.max_eq7_inf,
+             result.max_cons_gap, path))
     if result.diverged:
         print("divergence: %s" % result.trace.divergence_note, file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -89,13 +89,16 @@ def rho_constant(cm: ConsensusMatrix, t: int, alpha: float, lipschitz: float) ->
     return rho
 
 
-def descent_certificate(y_k, x_k, y_next, z_next, objective, alpha, rho):
-    """(L_t(y_k), L_t(y_{k+1}) - L_t(y_k) + rho ||dy||^2), given x_k = Z^t y_k
-    and z_next = Z^t y_{k+1}."""
-    lyap = lyapunov_value_at(y_k, x_k, objective, alpha)
+def descent_certificate(lyap_k, y_k, y_next, z_next, objective, alpha, rho):
+    """(L_t(y_{k+1}), L_t(y_{k+1}) - L_t(y_k) + rho ||dy||^2), given the known
+    lyap_k = L_t(y_k) and z_next = Z^t y_{k+1}.
+
+    A run passes the returned L_t(y_{k+1}) back as the next lyap_k while t
+    is unchanged, so each iterate's Lyapunov value is evaluated once.
+    """
+    lyap_next = lyapunov_value_at(y_next, z_next, objective, alpha)
     dy = y_next - y_k
-    return lyap, (lyapunov_value_at(y_next, z_next, objective, alpha) - lyap
-                  + rho * float(np.vdot(dy, dy)))
+    return lyap_next, lyap_next - lyap_k + rho * float(np.vdot(dy, dy))
 
 
 def descent_residual(y_k, y_next, objective, cm, t, alpha, lipschitz) -> float:
@@ -103,8 +106,9 @@ def descent_residual(y_k, y_next, objective, cm, t, alpha, lipschitz) -> float:
     y_k = np.asarray(y_k, dtype=float)
     y_next = np.asarray(y_next, dtype=float)
     rho = rho_constant(cm, t, alpha, lipschitz)
-    return descent_certificate(y_k, apply_consensus(cm, t, y_k), y_next,
-                               apply_consensus(cm, t, y_next), objective, alpha, rho)[1]
+    lyap_k = lyapunov_value_at(y_k, apply_consensus(cm, t, y_k), objective, alpha)
+    return descent_certificate(lyap_k, y_k, y_next, apply_consensus(cm, t, y_next),
+                               objective, alpha, rho)[1]
 
 
 def consensus_distance(x) -> float:

@@ -3,7 +3,8 @@
 The stacked objective is f(x) = sum_i f_i(x_i) over an (n, p) iterate; the
 network-wide function evaluated at a single point is f(v) = sum_i f_i(v).
 Subclasses evaluate every node at once: row i of an (n, p) array goes
-through f_i. Every family here has diagonal per-node Hessians.
+through f_i, and any leading batch axes, as in (B, n, p), pass through.
+Every family here has diagonal per-node Hessians.
 """
 
 from dataclasses import dataclass
@@ -18,15 +19,20 @@ class ObjectiveError(ValueError):
 class Objective:
     """Separable objective defined by three whole-array primitives.
 
-    Subclasses implement node_values ((n, p) -> (n,), the f_i(x_i)),
-    node_grads ((n, p) -> (n, p), the grad f_i(x_i)), node_hessian_diags
-    ((n, p) -> (n, p), the diagonals of the Hessians of the f_i at x_i) and
-    lipschitz_estimate. Stacked evaluators and single-point aggregates are
-    derived here, and subclasses do not override them.
+    Subclasses implement node_values ((..., n, p) -> (..., n), the
+    f_i(x_i)), node_grads ((..., n, p) -> (..., n, p), the grad f_i(x_i)),
+    node_hessian_diags ((..., n, p) -> (..., n, p), the diagonals of the
+    Hessians of the f_i at x_i) and lipschitz_estimate. Stacked evaluators
+    and single-point aggregates are derived here, and subclasses do not
+    override them.
     """
 
     n: int
     p: int
+
+    # batch_value_and_grad_norm evaluates at most this many entries of the
+    # (rows, n, p) broadcast per block, so its temporaries stay small
+    BATCH_ELEMENTS = 2**12
 
     def node_values(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -64,6 +70,27 @@ class Objective:
 
     def global_hessian(self, v) -> np.ndarray:
         return np.diag(self.node_hessian_diags(self._at_consensus(v)).sum(axis=0))
+
+    def batch_value_and_grad_norm(self, v):
+        """(f(v_j), ||grad f(v_j)||) as two (K,) arrays for a (K, p) stack of points.
+
+        Row j equals global_value(v_j) bitwise; the norm agrees with
+        np.linalg.norm(global_grad(v_j)) to rounding. Rows go in blocks of
+        max(1, BATCH_ELEMENTS // (n p)), each broadcast to (rows, n, p).
+        """
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 2 or v.shape[1] != self.p:
+            raise ObjectiveError("expected shape (K, %d), got %r" % (self.p, v.shape))
+        values = np.empty(len(v))
+        grad_norms = np.empty(len(v))
+        rows = max(1, self.BATCH_ELEMENTS // (self.n * self.p))
+        for lo in range(0, len(v), rows):
+            block = v[lo:lo + rows]
+            x = np.broadcast_to(block[:, None, :], (len(block), self.n, self.p))
+            values[lo:lo + rows] = self.node_values(x).sum(axis=-1)
+            grad_norms[lo:lo + rows] = np.linalg.norm(self.node_grads(x).sum(axis=-2),
+                                                      axis=-1)
+        return values, grad_norms
 
     def _check_stacked(self, x):
         x = np.asarray(x, dtype=float)
@@ -112,17 +139,17 @@ class QuadraticQuarticProblem(Objective):
         return self.index - 1
 
     def node_values(self, x):
-        return (0.5 * (self.q * x * x).sum(axis=1)
-                + (self.c**2 / (4.0 * self.n)) * x[:, self._ii] ** 4)
+        return (0.5 * (self.q * x * x).sum(axis=-1)
+                + (self.c**2 / (4.0 * self.n)) * x[..., self._ii] ** 4)
 
     def node_grads(self, x):
         g = self.q * x
-        g[:, self._ii] += (self.c**2 / self.n) * x[:, self._ii] ** 3
+        g[..., self._ii] += (self.c**2 / self.n) * x[..., self._ii] ** 3
         return g
 
     def node_hessian_diags(self, x):
-        h = self.q.copy()
-        h[:, self._ii] += 3.0 * (self.c**2 / self.n) * x[:, self._ii] ** 2
+        h = np.array(np.broadcast_to(self.q, np.shape(x)))
+        h[..., self._ii] += 3.0 * (self.c**2 / self.n) * x[..., self._ii] ** 2
         return h
 
     def lipschitz_estimate(self, radius):
@@ -175,13 +202,13 @@ class QuadraticProblem(Objective):
 
     def node_values(self, x):
         d = x - self.b
-        return 0.5 * (d * d).sum(axis=1)
+        return 0.5 * (d * d).sum(axis=-1)
 
     def node_grads(self, x):
         return x - self.b
 
     def node_hessian_diags(self, x):
-        return np.ones((self.n, self.p))
+        return np.ones(np.shape(x))
 
     def lipschitz_estimate(self, radius):
         return 1.0

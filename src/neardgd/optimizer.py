@@ -169,14 +169,12 @@ def initial_point(n, p, seed) -> np.ndarray:
     return rng.uniform(-INIT_BOUND, INIT_BOUND, size=(n, p))
 
 
-def _record(k, t, point, lyap, residual, objective, f_star, counter, cost_model):
-    """Trace row k: the average of ``point`` and its distance to consensus."""
-    avg = point.mean(axis=0)
+def _online_record(k, t, point, lyap, residual, counter, cost_model):
+    """Trace row k without the columns of its average (f_err, grad_avg_norm,
+    dist_saddle), which run() fills in for all rows after its loop."""
     return TraceRecord(k, t, counter.consensus_rounds, counter.gradient_evals,
-                       objective.global_value(avg) - f_star,
-                       float(np.linalg.norm(objective.global_grad(avg))),
-                       consensus_distance(point), lyap, residual,
-                       float(np.linalg.norm(avg)), cumulative_cost(counter, cost_model))
+                       math.nan, math.nan, consensus_distance(point), lyap, residual,
+                       math.nan, cumulative_cost(counter, cost_model))
 
 
 def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
@@ -191,6 +189,15 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     (NEAR-DGD methods), the final row the terminal state y_K. A run that
     leaves the box |y|_inf <= box_radius stops there and is marked diverged.
     Deterministic for fixed seed and config.
+
+    The loop records k, t_k, comms, grads, cons_dist, lyapunov,
+    descent_residual and cost of each row, and its average. f_err,
+    grad_avg_norm and dist_saddle depend only on that average; they are
+    computed for all rows in one batched pass after the loop, also after a
+    divergence. With grad_tol set, the stop test evaluates the same function
+    on the current row. L_t(y_{k+1}) from the descent certificate is the next
+    row's L_t(y_k) while t is unchanged, and is recomputed after a schedule
+    change.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -219,12 +226,14 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         else:
             s = grad = gradient(y, objective, counter)
     rho = {}  # descent constant per t
+    avgs = []  # the average of each trace row's point
 
     k, t = 0, sched.rounds(0)
     # Z^{t_k} y_k; its t_k rounds are counted when iteration k uses it
     x = apply_consensus(cm, t, y) if near_dgd else y
+    lyap = lyapunov_value_at(y, x, objective, alpha) if near_dgd else math.nan  # L_t(y_k)
     while counter.gradient_evals < budget:
-        lyap = residual = math.nan
+        residual = math.nan
         if near_dgd:
             counter.consensus_rounds += t
             grad, y_next = gradient_step(x, objective, alpha, counter)
@@ -234,7 +243,8 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
                 # report the raw Lyapunov difference
                 rho[t] = (rho_constant(cm, t, alpha, lipschitz)
                           if alpha < 2.0 / lipschitz else 0.0)
-            lyap, residual = descent_certificate(y, x, y_next, z, objective, alpha, rho[t])
+            lyap_next, residual = descent_certificate(lyap, y, y_next, z, objective,
+                                                      alpha, rho[t])
             if sched.kind == "fixed":
                 # x_{k+1} - x_k vs -a grad L_t(y_k)
                 result.max_eq7_inf = max(result.max_eq7_inf, float(np.abs(
@@ -244,8 +254,9 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         else:
             y_next, s, grad = gradient_tracking_step(y, s, grad, objective, cm,
                                                      alpha, counter)
-        rec = _record(k, t, x, lyap, residual, objective, f_star, counter, cost_model)
+        rec = _online_record(k, t, x, lyap, residual, counter, cost_model)
         trace.append(rec)
+        avgs.append(x.mean(axis=0))
         if near_dgd:
             bound = consensus_distance_bound(cm.beta, t, float(np.linalg.norm(y)))
             result.max_cons_gap = max(result.max_cons_gap, rec.cons_dist - bound)
@@ -256,22 +267,32 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
             trace.divergence_note = (
                 "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
                 "estimate no longer valid" % (k, peak, box_radius))
-            break
+            break  # y stays y_k, and lyap L_t(y_k)
         y, k = y_next, k + 1
         t_prev, t = t, sched.rounds(k)
         if not near_dgd:
             x = y
+        elif t == t_prev:
+            # x_k = Z^{t_k} y_k is the certificate's z, and L_t(y_k) its value
+            x, lyap = z, lyap_next
         else:
-            # x_k = Z^{t_k} y_k is the certificate's z when t is unchanged;
-            # otherwise one application from y_k (same cost at any t), which
-            # matches near_dgd_step exactly
-            x = z if t == t_prev else apply_consensus(cm, t, y)
-        if grad_tol is not None and rec.grad_avg_norm <= grad_tol:
+            # one application from y_k (same cost at any t), which matches
+            # near_dgd_step exactly
+            x = apply_consensus(cm, t, y)
+            lyap = lyapunov_value_at(y, x, objective, alpha)
+        if (grad_tol is not None
+                and objective.batch_value_and_grad_norm(avgs[-1:])[1][0] <= grad_tol):
             break
 
     # terminal row: state y_K, consensus not yet performed
-    lyap = lyapunov_value_at(y, x, objective, alpha) if near_dgd else math.nan
-    trace.append(_record(k, t, y, lyap, math.nan, objective, f_star, counter, cost_model))
+    trace.append(_online_record(k, t, y, lyap, math.nan, counter, cost_model))
+    avgs.append(y.mean(axis=0))
+    avgs = np.array(avgs)
+    values, grad_norms = objective.batch_value_and_grad_norm(avgs)
+    for rec, f_err, grad_norm, dist in zip(trace.records, (values - f_star).tolist(),
+                                           grad_norms.tolist(),
+                                           np.linalg.norm(avgs, axis=1).tolist()):
+        rec.f_err, rec.grad_avg_norm, rec.dist_saddle = f_err, grad_norm, dist
     result.final_y = y
     result.final_x = x
     result.final_avg = y.mean(axis=0)

@@ -6,7 +6,7 @@ from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, main)
 from neardgd.config import (ConfigError, RunConfig, load_run_config,
                             parse_flat_config)
-from neardgd.optimizer import MethodSpec
+from neardgd.optimizer import MethodSpec, run
 
 SMALL = """
 # small quartic instance
@@ -114,6 +114,18 @@ def test_cmd_run_writes_trace(tmp_path, capsys):
     assert lines[0] == "k,t_k,comms,grads,f_err,grad_avg_norm,cons_dist,lyapunov,descent_residual,dist_saddle,cost"
     assert len(lines) == 52  # 50 iteration rows + terminal row + header
     assert all(line.split(",")[1] == "2" for line in lines[1:])
+
+
+def test_cmd_run_summary_shows_certificates(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    fields = dict(token.split("=", 1) for token in capsys.readouterr().out.split())
+    loaded = load_run_config(SMALL)
+    res = run(loaded.build_problem(), loaded.build_consensus(), loaded.method,
+              loaded.alpha, loaded.budget, seed=loaded.seed, cost_model=loaded.cost_model)
+    assert fields["eq7"] == "%.3g" % res.max_eq7_inf
+    assert fields["cons_gap"] == "%.3g" % res.max_cons_gap
+    assert float(fields["eq7"]) <= 1e-10 and float(fields["cons_gap"]) <= 1e-12
 
 
 def test_cmd_run_determinism_byte_identical(tmp_path):

@@ -155,3 +155,44 @@ def test_global_oracles_are_stacked_oracles_at_consensus(factory):
         for oracle in (prob.global_value, prob.global_grad, prob.global_hessian):
             with pytest.raises(ObjectiveError):
                 oracle(bad)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: sample_quartic_problem(4, 3, 2, 1.3, seed=7),
+    lambda: sample_quadratic_problem(4, 3, seed=7),
+], ids=["quartic", "quadratic"])
+def test_primitives_take_a_leading_batch_axis(factory):
+    prob = factory()
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1, 1, size=(5, prob.n, prob.p))
+    # a broadcast view, as batch_value_and_grad_norm passes, as well
+    v = rng.uniform(-1, 1, size=(5, prob.p))
+    at_consensus = np.broadcast_to(v[:, None, :], x.shape)
+    for batch in (x, at_consensus):
+        for primitive in (prob.node_values, prob.node_grads, prob.node_hessian_diags):
+            whole = primitive(batch)
+            assert whole.shape[0] == len(batch)
+            for b in range(len(batch)):
+                np.testing.assert_array_equal(whole[b], primitive(np.array(batch[b])))
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: sample_quartic_problem(4, 3, 2, 1.3, seed=7),
+    lambda: sample_quadratic_problem(4, 3, seed=7),
+], ids=["quartic", "quadratic"])
+def test_batch_value_and_grad_norm_matches_global_oracles(factory, monkeypatch):
+    prob = factory()
+    # blocks of 2 rows, so 7 points make four blocks, the last one short
+    monkeypatch.setattr(prob, "BATCH_ELEMENTS", 2 * prob.n * prob.p)
+    v = np.random.default_rng(3).uniform(-2, 2, size=(7, prob.p))
+    values, grad_norms = prob.batch_value_and_grad_norm(v)
+    assert values.shape == grad_norms.shape == (7,)
+    for j in range(7):
+        assert values[j] == prob.global_value(v[j])
+        g = float(np.linalg.norm(prob.global_grad(v[j])))
+        assert abs(grad_norms[j] - g) <= 1e-15 * max(1.0, g)
+    empty_values, empty_norms = prob.batch_value_and_grad_norm(np.zeros((0, prob.p)))
+    assert empty_values.shape == empty_norms.shape == (0,)
+    for bad in (np.zeros(prob.p), np.zeros((2, prob.p + 1)), np.zeros((1, prob.n, prob.p))):
+        with pytest.raises(ObjectiveError):
+            prob.batch_value_and_grad_norm(bad)

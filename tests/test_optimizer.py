@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from neardgd.consensus import CommCounter, ConsensusMatrix, build_consensus_matrix
-from neardgd.diagnostics import CostModel
+from neardgd.diagnostics import CostModel, lyapunov_value, lyapunov_value_at
 from neardgd.graph import Graph, build_ring
-from neardgd.objective import QuadraticProblem, sample_quartic_problem
+from neardgd.objective import Objective, QuadraticProblem, sample_quartic_problem
 from neardgd import optimizer
 from neardgd.optimizer import (MethodSpec, Schedule, SteplengthError, dgd_step,
                                gradient_tracking_step, initial_point,
@@ -221,6 +221,69 @@ def test_run_matches_hand_loop_of_near_dgd_step(token):
         y = y_next
 
 
+@pytest.mark.parametrize("token", ["near-dgd-t:3", "near-dgd-plus",
+                                   "near-dgd-plus-doubling:4"])
+def test_run_lyapunov_column_is_carried_bitwise(token):
+    # row k holds L_{t_k}(y_k), computed once per iterate and carried from the
+    # certificate's L_t(y_{k+1}) while t is unchanged; the terminal row too
+    prob, cm = paper_instance()
+    method = MethodSpec.parse(token)
+    sched = method.schedule()
+    res = run(prob, cm, method, alpha=0.1, budget=12, seed=2)
+    y = initial_point(12, 4, 2)
+    for k, rec in enumerate(res.trace.records):
+        x, y_next = near_dgd_step(y, prob, cm, sched.rounds(k), 0.1, CommCounter())
+        assert rec.k == k
+        assert rec.lyapunov == lyapunov_value_at(y, x, prob, 0.1)
+        y = y_next
+    assert len(res.trace.records) == 13
+
+
+@pytest.mark.parametrize("token, calls", [
+    ("near-dgd-t:5", 11), ("near-dgd-plus-doubling:4", 13), ("near-dgd-plus", 21)])
+def test_run_evaluates_stacked_value_once_per_iterate(monkeypatch, token, calls):
+    # L_t(y_0), then L_t(y_{k+1}) per iteration, plus L_t(y_k) again after
+    # each schedule change (at k = 4 and 8 for doubling:4, every k for plus)
+    prob, cm = paper_instance()
+    seen = []
+    original = Objective.stacked_value
+
+    def counting(self, x):
+        seen.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(Objective, "stacked_value", counting)
+    run(prob, cm, MethodSpec.parse(token), alpha=0.1, budget=10)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("name", optimizer.METHOD_NAMES)
+def test_run_batched_columns_match_single_point_oracles(monkeypatch, name):
+    # every row's point passes through consensus_distance once, in row order;
+    # the 201 rows span more than one block of batch_value_and_grad_norm
+    prob, cm = paper_instance()
+    points = []
+    original = optimizer.consensus_distance
+
+    def capturing(x):
+        points.append(np.array(x))
+        return original(x)
+
+    monkeypatch.setattr(optimizer, "consensus_distance", capturing)
+    res = run(prob, cm, MethodSpec(name), alpha=0.1, budget=200)
+    assert len(points) == len(res.trace.records) > prob.BATCH_ELEMENTS // (12 * 4)
+    f_star = prob.min_value()
+
+    def close(a, b):
+        return abs(a - b) <= 1e-15 * max(1.0, abs(b))
+
+    for rec, point in zip(res.trace.records, points):
+        avg = point.mean(axis=0)
+        assert rec.f_err == prob.global_value(avg) - f_star
+        assert close(rec.grad_avg_norm, float(np.linalg.norm(prob.global_grad(avg))))
+        assert close(rec.dist_saddle, float(np.linalg.norm(avg)))
+
+
 def test_run_near_dgd_plus_applies_each_round_once(monkeypatch):
     # one application costs the same at any t, so the work is the number of
     # calls: x_0, then per iteration z = Z^{t_k} y_{k+1} for the descent
@@ -270,6 +333,10 @@ def test_run_divergence_guard_box():
     # the partial trace: iteration 0, then the terminal row at y_0
     assert [rec.k for rec in res.trace.records] == [0, 0]
     np.testing.assert_array_equal(res.final_y, x0)
+    # y did not advance, so the terminal row is L_t(y_0), not the certificate's
+    # L_t(y_1)
+    assert res.trace.final.lyapunov == lyapunov_value(x0, prob, cm, 1, 0.1)
+    assert res.trace.final.lyapunov == res.trace.records[0].lyapunov
 
 
 def test_run_grad_tol_stops_early():
@@ -278,6 +345,10 @@ def test_run_grad_tol_stops_early():
               grad_tol=1e-6)
     assert res.counter.gradient_evals < 3000
     assert res.final_avg_grad_norm <= 1e-6
+    # the online stop test and the batched trace column agree: the last
+    # iteration row stopped the run, and the one before it did not
+    stopped, before = res.trace.records[-2], res.trace.records[-3]
+    assert stopped.grad_avg_norm <= 1e-6 < before.grad_avg_norm
 
 
 def test_run_rejects_bad_inputs():
