@@ -10,8 +10,8 @@ rounds per iteration are hard to beat.
 
 import math
 
-from neardgd import MethodSpec, build_consensus_matrix, build_ring, run, \
-    sample_quartic_problem
+from neardgd import CostModel, MethodSpec, build_consensus_matrix, build_ring, \
+    run, sample_quartic_problem
 
 TARGET = 1e-4
 REGIMES = {"cheap communication (c_c = 0.01 c_g)": (0.01, 1.0),
@@ -29,30 +29,15 @@ methods = [
     MethodSpec("gradient-tracking"),
 ]
 
-results = {m.label(): run(problem, cm, m, alpha=0.1, budget=1000, seed=0)
-           for m in methods}
-
-
-def sustained_cost(trace, target, c_c, c_g):
-    """Cost of reaching the target and staying below it (transient dips
-    that bounce back above the target do not count)."""
-    reached = None
-    for rec in trace.records:
-        cost = c_c * rec.comms + c_g * rec.grads
-        if rec.f_err <= target:
-            if reached is None:
-                reached = cost
-        else:
-            reached = None
-    return math.inf if reached is None else reached
-
-
 for regime, (c_c, c_g) in REGIMES.items():
     print(regime)
-    for label, res in results.items():
-        cost = sustained_cost(res.trace, TARGET, c_c, c_g)
+    for m in methods:
+        # the cost column prices each row at c_c comms + c_g grads
+        res = run(problem, cm, m, alpha=0.1, budget=1000, seed=0,
+                  cost_model=CostModel(c_c, c_g))
+        cost = res.trace.cost_to_reach(TARGET)
         print("  %-28s cost to f_err <= %g: %s"
-              % (label, TARGET, "never" if math.isinf(cost) else "%.2f" % cost))
+              % (m.label(), TARGET, "never" if math.isinf(cost) else "%.2f" % cost))
     print()
 
 print("methods that plateau above the target (fixed small t, DGD) never")

@@ -143,6 +143,8 @@ def build_consensus_matrix(g: Graph, rule: str = "metropolis", margin: float = 0
 def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None = None):
     """Z^t y: t consensus rounds applied block-wise to a stacked iterate.
 
+    y has the node axis first: an (n, p) iterate, an (n,) vector, or any
+    (n, ...) array, whose trailing axes are columns of one product.
     t = 1 is the single product W y. For t >= 2 the rounds are applied at
     once from the cached eigenpairs, W^t = V diag(lam^t) V', so a call costs
     the same for every t. The top eigenvalue of a doubly stochastic W is
@@ -159,17 +161,17 @@ def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None 
     y = np.asarray(y, dtype=float)
     if y.shape[0] != cm.n:
         raise ValueError("iterate has %d node rows, matrix expects %d" % (y.shape[0], cm.n))
+    cols = y.reshape(cm.n, -1)
     if t == 1:
-        out = cm.W @ y
+        out = cm.W @ cols
     else:
         v = cm.eigenvectors
         lam_t = cm.eigenvalues ** t
         lam_t[-1] = 1.0
-        coeffs = v.T @ y.reshape(cm.n, -1)  # also takes a single (n,) vector
-        out = (v @ (lam_t[:, None] * coeffs)).reshape(y.shape)
+        out = v @ (lam_t[:, None] * (v.T @ cols))
     if counter is not None:
         counter.consensus_rounds += t
-    return out
+    return out.reshape(y.shape)
 
 
 def average_project(y):

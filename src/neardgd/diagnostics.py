@@ -26,13 +26,26 @@ TRACE_COLUMNS = (
 # ---------------------------------------------------------------------------
 # Lyapunov function
 
-def lyapunov_value_at(y, zy, objective: Objective, alpha: float) -> float:
+def inner(a, b):
+    """<a, b> over the last two axes: a float for (n, p) arrays, one value
+    per leading index for (..., n, p) stacks. Each value equals np.vdot of
+    its (n, p) pair bitwise, since both reduce to the same BLAS dot."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lead, size = a.shape[:-2], a.shape[-2] * a.shape[-1]
+    out = (a.reshape(lead + (1, size)) @ b.reshape(lead + (size, 1))).reshape(lead)
+    return float(out) if out.ndim == 0 else out
+
+
+def lyapunov_value_at(y, zy, objective: Objective, alpha: float):
     """L_t(y) = f(Z^t y) + (1/2a)(y' Z^t y - y' Z^2t y), given zy = Z^t y.
 
     y' Z^2t y = ||Z^t y||^2 by symmetry, so no further consensus is needed.
+    (..., n, p) stacks give one value per iterate, each equal to its (n, p)
+    call bitwise.
     """
-    return objective.stacked_value(zy) + (1.0 / (2.0 * alpha)) * float(
-        np.vdot(y, zy) - np.vdot(zy, zy))
+    return objective.stacked_value(zy) + (1.0 / (2.0 * alpha)) * (
+        inner(y, zy) - inner(zy, zy))
 
 
 def lyapunov_value(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> float:
@@ -45,8 +58,13 @@ def lyapunov_value(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: 
 
 def lyapunov_grad_at(zy, grad, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
     """grad L_t(y) = Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y, given zy = Z^t y
-    and grad = grad f(zy)."""
-    return apply_consensus(cm, t, grad) + (zy - apply_consensus(cm, t, zy)) / alpha
+    and grad = grad f(zy); (n, p) arrays or (..., n, p) stacks."""
+    return _consensus_at(cm, t, grad) + (zy - _consensus_at(cm, t, zy)) / alpha
+
+
+def _consensus_at(cm: ConsensusMatrix, t: int, x) -> np.ndarray:
+    """Z^t applied along the node axis of an (n, p) iterate or (..., n, p) stack."""
+    return np.moveaxis(apply_consensus(cm, t, np.moveaxis(x, -2, 0)), 0, -2)
 
 
 def lyapunov_grad(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
@@ -89,16 +107,11 @@ def rho_constant(cm: ConsensusMatrix, t: int, alpha: float, lipschitz: float) ->
     return rho
 
 
-def descent_certificate(lyap_k, y_k, y_next, z_next, objective, alpha, rho):
-    """(L_t(y_{k+1}), L_t(y_{k+1}) - L_t(y_k) + rho ||dy||^2), given the known
-    lyap_k = L_t(y_k) and z_next = Z^t y_{k+1}.
-
-    A run passes the returned L_t(y_{k+1}) back as the next lyap_k while t
-    is unchanged, so each iterate's Lyapunov value is evaluated once.
-    """
-    lyap_next = lyapunov_value_at(y_next, z_next, objective, alpha)
-    dy = y_next - y_k
-    return lyap_next, lyap_next - lyap_k + rho * float(np.vdot(dy, dy))
+def descent_certificate(lyap_k, lyap_next, y_k, y_next, rho):
+    """L_t(y_{k+1}) - L_t(y_k) + rho ||y_{k+1} - y_k||^2, given both Lyapunov
+    values; one value per row of (..., n, p) stacks with matching rho."""
+    dy = np.subtract(y_next, y_k)
+    return lyap_next - lyap_k + rho * inner(dy, dy)
 
 
 def descent_residual(y_k, y_next, objective, cm, t, alpha, lipschitz) -> float:
@@ -106,15 +119,18 @@ def descent_residual(y_k, y_next, objective, cm, t, alpha, lipschitz) -> float:
     y_k = np.asarray(y_k, dtype=float)
     y_next = np.asarray(y_next, dtype=float)
     rho = rho_constant(cm, t, alpha, lipschitz)
-    lyap_k = lyapunov_value_at(y_k, apply_consensus(cm, t, y_k), objective, alpha)
-    return descent_certificate(lyap_k, y_k, y_next, apply_consensus(cm, t, y_next),
-                               objective, alpha, rho)[1]
+    return descent_certificate(
+        lyapunov_value_at(y_k, apply_consensus(cm, t, y_k), objective, alpha),
+        lyapunov_value_at(y_next, apply_consensus(cm, t, y_next), objective, alpha),
+        y_k, y_next, rho)
 
 
-def consensus_distance(x) -> float:
-    """max_i ||x_i - xbar||, the worst per-node distance to the mean."""
+def consensus_distance(x):
+    """max_i ||x_i - xbar||, the worst per-node distance to the mean; one
+    value per iterate of a (..., n, p) stack."""
     x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - x.mean(axis=0), axis=1).max())
+    dist = np.linalg.norm(x - x.mean(axis=-2, keepdims=True), axis=-1).max(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def disagreement_norm(x) -> float:
@@ -204,7 +220,8 @@ class CostModel:
             raise ValueError("cost coefficients must be nonnegative")
 
 
-def cumulative_cost(counter: CommCounter, model: CostModel) -> float:
+def cumulative_cost(counter: CommCounter, model: CostModel):
+    """Cost of the counter's tallies; arrays of tallies give one cost each."""
     return model.c_c * counter.consensus_rounds + model.c_g * counter.gradient_evals
 
 

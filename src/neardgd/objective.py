@@ -30,10 +30,6 @@ class Objective:
     n: int
     p: int
 
-    # batch_value_and_grad_norm evaluates at most this many entries of the
-    # (rows, n, p) broadcast per block, so its temporaries stay small
-    BATCH_ELEMENTS = 2**12
-
     def node_values(self, x) -> np.ndarray:
         raise NotImplementedError
 
@@ -48,8 +44,15 @@ class Objective:
 
     # stacked evaluators over (n, p) iterates
 
-    def stacked_value(self, x) -> float:
-        return float(self.node_values(self._check_stacked(x)).sum())
+    def stacked_value(self, x):
+        """f(x) for an (n, p) iterate, or one value per iterate of a
+        (..., n, p) stack (each equal to its (n, p) call bitwise)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-2:] != (self.n, self.p):
+            raise ObjectiveError("expected shape (..., %d, %d), got %r"
+                                 % (self.n, self.p, x.shape))
+        values = self.node_values(x).sum(axis=-1)
+        return float(values) if values.ndim == 0 else values
 
     def stacked_grad(self, x) -> np.ndarray:
         return self.node_grads(self._check_stacked(x))
@@ -75,22 +78,15 @@ class Objective:
         """(f(v_j), ||grad f(v_j)||) as two (K,) arrays for a (K, p) stack of points.
 
         Row j equals global_value(v_j) bitwise; the norm agrees with
-        np.linalg.norm(global_grad(v_j)) to rounding. Rows go in blocks of
-        max(1, BATCH_ELEMENTS // (n p)), each broadcast to (rows, n, p).
+        np.linalg.norm(global_grad(v_j)) to rounding. The stack is broadcast
+        to (K, n, p) at once, so callers bound K to keep temporaries small.
         """
         v = np.asarray(v, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.p:
             raise ObjectiveError("expected shape (K, %d), got %r" % (self.p, v.shape))
-        values = np.empty(len(v))
-        grad_norms = np.empty(len(v))
-        rows = max(1, self.BATCH_ELEMENTS // (self.n * self.p))
-        for lo in range(0, len(v), rows):
-            block = v[lo:lo + rows]
-            x = np.broadcast_to(block[:, None, :], (len(block), self.n, self.p))
-            values[lo:lo + rows] = self.node_values(x).sum(axis=-1)
-            grad_norms[lo:lo + rows] = np.linalg.norm(self.node_grads(x).sum(axis=-2),
-                                                      axis=-1)
-        return values, grad_norms
+        x = np.broadcast_to(v[:, None, :], (len(v), self.n, self.p))
+        return (self.node_values(x).sum(axis=-1),
+                np.linalg.norm(self.node_grads(x).sum(axis=-2), axis=-1))
 
     def _check_stacked(self, x):
         x = np.asarray(x, dtype=float)

@@ -4,19 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from neardgd.consensus import CommCounter, ConsensusMatrix, build_consensus_matrix
+from neardgd.consensus import (CommCounter, ConsensusMatrix, apply_consensus,
+                               build_consensus_matrix)
 from neardgd.diagnostics import (CostModel, RunTrace, TraceRecord,
                                  consensus_distance, consensus_distance_bound,
                                  cumulative_cost, descent_residual,
                                  disagreement_norm, lyapunov_grad,
-                                 lyapunov_hessian, lyapunov_value,
+                                 lyapunov_grad_at, lyapunov_hessian,
+                                 lyapunov_value, lyapunov_value_at,
                                  neardgd_map_jacobian_eigenvalues,
                                  optimality_gap_bound, rho_constant,
                                  saddle_classification)
 from neardgd.graph import Graph, build_ring
 from neardgd.linalg import sym_eigen
 from neardgd.objective import (QuadraticProblem, finite_difference_grad,
-                               sample_quartic_problem)
+                               sample_quadratic_problem, sample_quartic_problem)
 from neardgd.optimizer import MethodSpec, near_dgd_step, run
 
 
@@ -219,6 +221,33 @@ def test_inertia_correspondence_hessian_vs_map():
             hess = sym_eigen(lyapunov_hessian(y, prob, cm, t, 0.1)).eigenvalues
             dg = neardgd_map_jacobian_eigenvalues(y, prob, cm, t, 0.1)
             assert (hess < -1e-10).sum() == (dg > 1.0 + 1e-10).sum()
+
+
+@pytest.mark.parametrize("family", ["quartic", "quadratic"])
+@pytest.mark.parametrize("n", [12, 100])
+def test_batched_formulas_match_single_iterate_calls(family, n):
+    # row b of a (B, n, p) stack gives the (n, p) call's float bit for bit
+    prob = (sample_quartic_problem(n, 4, 4, math.sqrt(n / 12), seed=0)
+            if family == "quartic" else sample_quadratic_problem(n, 4, seed=0))
+    cm = build_consensus_matrix(build_ring(n))
+    rng = np.random.default_rng(n)
+    y = rng.uniform(-1, 1, size=(5, n, 4))
+    zy = np.array([apply_consensus(cm, 5, yb) for yb in y])
+    values = prob.stacked_value(zy)
+    lyaps = lyapunov_value_at(y, zy, prob, 0.1)
+    dists = consensus_distance(zy)
+    assert values.shape == lyaps.shape == dists.shape == (5,)
+    for b in range(5):
+        assert type(prob.stacked_value(zy[b])) is float
+        assert values[b] == prob.stacked_value(zy[b])
+        assert lyaps[b] == lyapunov_value_at(y[b], zy[b], prob, 0.1)
+        assert dists[b] == consensus_distance(zy[b])
+    # the gradient applies Z^t to a whole stack at once: equal to rounding
+    grads = np.array([prob.stacked_grad(zb) for zb in zy])
+    stacked = lyapunov_grad_at(zy, grads, cm, 5, 0.1)
+    for b in range(5):
+        np.testing.assert_allclose(stacked[b], lyapunov_grad_at(zy[b], grads[b], cm, 5, 0.1),
+                                   rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

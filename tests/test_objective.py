@@ -180,10 +180,8 @@ def test_primitives_take_a_leading_batch_axis(factory):
     lambda: sample_quartic_problem(4, 3, 2, 1.3, seed=7),
     lambda: sample_quadratic_problem(4, 3, seed=7),
 ], ids=["quartic", "quadratic"])
-def test_batch_value_and_grad_norm_matches_global_oracles(factory, monkeypatch):
+def test_batch_value_and_grad_norm_matches_global_oracles(factory):
     prob = factory()
-    # blocks of 2 rows, so 7 points make four blocks, the last one short
-    monkeypatch.setattr(prob, "BATCH_ELEMENTS", 2 * prob.n * prob.p)
     v = np.random.default_rng(3).uniform(-2, 2, size=(7, prob.p))
     values, grad_norms = prob.batch_value_and_grad_norm(v)
     assert values.shape == grad_norms.shape == (7,)

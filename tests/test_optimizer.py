@@ -1,11 +1,14 @@
+import io
+
 import numpy as np
 import pytest
 
 from neardgd.consensus import CommCounter, ConsensusMatrix, build_consensus_matrix
-from neardgd.diagnostics import CostModel, lyapunov_value, lyapunov_value_at
+from neardgd.diagnostics import (CostModel, descent_residual, lyapunov_value,
+                                 lyapunov_value_at)
 from neardgd.graph import Graph, build_ring
 from neardgd.objective import Objective, QuadraticProblem, sample_quartic_problem
-from neardgd import optimizer
+from neardgd import diagnostics, optimizer
 from neardgd.optimizer import (MethodSpec, Schedule, SteplengthError, dgd_step,
                                gradient_tracking_step, initial_point,
                                near_dgd_step, run)
@@ -235,6 +238,10 @@ def test_run_lyapunov_column_is_carried_bitwise(token):
         x, y_next = near_dgd_step(y, prob, cm, sched.rounds(k), 0.1, CommCounter())
         assert rec.k == k
         assert rec.lyapunov == lyapunov_value_at(y, x, prob, 0.1)
+        if k < 12:
+            # L_{t_k}(y_{k+1}), also on the rows after which t changes
+            assert rec.descent_residual == descent_residual(
+                y, y_next, prob, cm, sched.rounds(k), 0.1, res.lipschitz)
         y = y_next
     assert len(res.trace.records) == 13
 
@@ -242,36 +249,100 @@ def test_run_lyapunov_column_is_carried_bitwise(token):
 @pytest.mark.parametrize("token, calls", [
     ("near-dgd-t:5", 11), ("near-dgd-plus-doubling:4", 13), ("near-dgd-plus", 21)])
 def test_run_evaluates_stacked_value_once_per_iterate(monkeypatch, token, calls):
-    # L_t(y_0), then L_t(y_{k+1}) per iteration, plus L_t(y_k) again after
-    # each schedule change (at k = 4 and 8 for doubling:4, every k for plus)
+    # L_t(y_0), then L_t(y_{k+1}) per iteration, plus L_{t_k}(y_{k+1}) again
+    # on each row after which t changes (k = 3 and 7 for doubling:4, every k
+    # for plus); counted in evaluated iterates, since the pass stacks them
     prob, cm = paper_instance()
     seen = []
     original = Objective.stacked_value
 
     def counting(self, x):
-        seen.append(1)
+        seen.append(1 if np.ndim(x) == 2 else len(x))
         return original(self, x)
 
     monkeypatch.setattr(Objective, "stacked_value", counting)
     run(prob, cm, MethodSpec.parse(token), alpha=0.1, budget=10)
-    assert len(seen) == calls
+    assert sum(seen) == calls
+
+
+def test_run_fixed_t_loop_makes_one_consensus_and_one_gradient_call(monkeypatch):
+    # blocks of 4 rows: budget 10 makes passes over 4, 4 and 2 rows; per
+    # iteration the loop applies Z^t once and evaluates one gradient, and
+    # the certificates cost a fixed number of calls per pass
+    prob, cm = paper_instance()
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 4 * 12 * 4)
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name, owner] = calls.get((name, owner), 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((optimizer, "apply_consensus"), (diagnostics, "apply_consensus"),
+                        (Objective, "stacked_grad"), (Objective, "stacked_value"),
+                        (optimizer, "consensus_distance")):
+        counting(owner, name)
+    res = run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=10)
+    assert res.counter.gradient_evals == 10 and res.counter.consensus_rounds == 50
+    assert calls["apply_consensus", optimizer] == 1 + 10  # x_0, then x_{k+1}
+    assert calls["stacked_grad", Objective] == 10
+    assert calls["apply_consensus", diagnostics] == 2 * 3  # Eq. 7: twice per pass
+    assert calls["stacked_value", Objective] == 1 + 3  # L_t(y_0), then per pass
+    assert calls["consensus_distance", optimizer] == 3 + 1  # per pass, terminal row
+
+
+def _run_fingerprint(res):
+    buf = io.StringIO()
+    res.trace.write_csv_to(buf)
+    return (buf.getvalue(), res.trace.diverged, res.trace.divergence_note,
+            res.final_y.tobytes(), res.final_x.tobytes(), res.final_avg.tobytes(),
+            repr(res.b_y), repr(res.max_cons_gap), repr(res.max_eq7_inf),
+            res.counter.consensus_rounds, res.counter.gradient_evals)
+
+
+BLOCK_CASES = [pytest.param(tok, dict(budget=30), id=tok) for tok in (
+    "near-dgd-t:3", "near-dgd-plus", "near-dgd-plus-doubling:4", "dgd", "gradient-tracking")]
+BLOCK_CASES += [
+    # alpha > 2/L = 0.78 on this box: diverges at k = 8, inside a block of 7
+    pytest.param("near-dgd-t:5", dict(budget=3000, alpha=0.9, allow_large_alpha=True,
+                                      box_radius=2.5, seed=1), id="diverges"),
+    # stops at k = 214 on grad_tol, inside a block of 7 rows
+    pytest.param("near-dgd-plus", dict(budget=3000, grad_tol=1e-5), id="grad_tol"),
+]
+
+
+@pytest.mark.parametrize("token, kwargs", BLOCK_CASES)
+def test_run_is_bitwise_independent_of_block_size(monkeypatch, token, kwargs):
+    prob, cm = paper_instance()
+    kwargs = dict(dict(alpha=0.1), **kwargs)
+    reference = run(prob, cm, MethodSpec.parse(token), **kwargs)
+    assert len(reference.trace.records) > 7
+    assert reference.trace.diverged == ("box_radius" in kwargs)
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", rows * 12 * 4)
+        res = run(prob, cm, MethodSpec.parse(token), **kwargs)
+        assert _run_fingerprint(res) == _run_fingerprint(reference)
 
 
 @pytest.mark.parametrize("name", optimizer.METHOD_NAMES)
 def test_run_batched_columns_match_single_point_oracles(monkeypatch, name):
-    # every row's point passes through consensus_distance once, in row order;
-    # the 201 rows span more than one block of batch_value_and_grad_norm
+    # every row's point passes through consensus_distance once, in row order,
+    # one block per call; the 201 rows span four blocks of 64
     prob, cm = paper_instance()
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 64 * 12 * 4)
     points = []
     original = optimizer.consensus_distance
 
     def capturing(x):
-        points.append(np.array(x))
+        points.extend(np.array(x).reshape(-1, 12, 4))
         return original(x)
 
     monkeypatch.setattr(optimizer, "consensus_distance", capturing)
     res = run(prob, cm, MethodSpec(name), alpha=0.1, budget=200)
-    assert len(points) == len(res.trace.records) > prob.BATCH_ELEMENTS // (12 * 4)
+    assert len(points) == len(res.trace.records) > 3 * 64
     f_star = prob.min_value()
 
     def close(a, b):
@@ -279,6 +350,7 @@ def test_run_batched_columns_match_single_point_oracles(monkeypatch, name):
 
     for rec, point in zip(res.trace.records, points):
         avg = point.mean(axis=0)
+        assert rec.cons_dist == original(point)
         assert rec.f_err == prob.global_value(avg) - f_star
         assert close(rec.grad_avg_norm, float(np.linalg.norm(prob.global_grad(avg))))
         assert close(rec.dist_saddle, float(np.linalg.norm(avg)))
