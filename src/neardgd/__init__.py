@@ -3,17 +3,16 @@ communication/computation, plus descent and consensus diagnostics."""
 
 from .consensus import (CommCounter, ConsensusMatrix, apply_consensus,
                         average_project, build_consensus_matrix,
-                        ensure_positive_definite, from_stacked,
-                        max_degree_weights, metropolis_weights, to_stacked)
+                        ensure_positive_definite, max_degree_weights,
+                        metropolis_weights)
 from .diagnostics import (CostModel, RunTrace, consensus_distance,
                           consensus_distance_bound, cumulative_cost,
-                          descent_residual, disagreement_norm, lyapunov_grad,
-                          lyapunov_hessian, lyapunov_value,
-                          optimality_gap_bound, rho_constant,
+                          descent_residual, lyapunov_grad, lyapunov_hessian,
+                          lyapunov_value, optimality_gap_bound, rho_constant,
                           saddle_classification)
 from .graph import (Graph, build_erdos_renyi, build_ring, build_star, degrees,
                     is_connected)
-from .linalg import Spectrum, quad_form, sym_eigen
+from .linalg import Spectrum, sym_eigen
 from .objective import (QuadraticProblem, QuadraticQuarticProblem,
                         sample_quadratic_problem, sample_quartic_problem)
 from .optimizer import (MethodSpec, Schedule, dgd_step, gradient_tracking_step,

@@ -1,8 +1,7 @@
 """Consensus weight matrices and multi-round averaging on stacked iterates.
 
 Stacked iterates are ndarrays of shape (n, p): row i is node i's local
-p-vector. The node-major flattening (`to_stacked`) matches the np-length
-vector convention used in configs and traces.
+p-vector. Flattened, they are node-major np-length vectors.
 """
 
 import operator
@@ -116,7 +115,8 @@ def ensure_positive_definite(w_tilde, g: Graph, margin: float = 0.1) -> Consensu
     If lambda_1 > 0 the matrix is returned unchanged; otherwise applies
     W = (W~ - delta*I) / (1 - delta) with delta = lambda_1 - margin, which
     keeps rows stochastic and eigenvectors intact while moving lambda_1 to
-    margin / (1 - delta) > 0.
+    margin / (1 - delta) > 0. It keeps the sign of every off-diagonal entry,
+    so the ConsensusMatrix constructor rejects a negative one.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -126,8 +126,6 @@ def ensure_positive_definite(w_tilde, g: Graph, margin: float = 0.1) -> Consensu
         return ConsensusMatrix(w_tilde.copy(), g)
     delta = lam1 - margin
     w = (w_tilde - delta * np.eye(w_tilde.shape[0])) / (1.0 - delta)
-    off = w[~np.eye(w.shape[0], dtype=bool)]
-    assert np.all(off >= 0.0), "shift produced a negative off-diagonal entry"
     return ConsensusMatrix(w, g)
 
 
@@ -179,14 +177,3 @@ def average_project(y):
     y = np.asarray(y, dtype=float)
     return np.broadcast_to(y.mean(axis=0), y.shape).copy()
 
-
-def to_stacked(y) -> np.ndarray:
-    """Node-major flattening (n, p) -> (n*p,)."""
-    return np.asarray(y, dtype=float).reshape(-1)
-
-
-def from_stacked(v, n: int, p: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.size != n * p:
-        raise ValueError("stacked vector length %d != n*p = %d" % (v.size, n * p))
-    return v.reshape(n, p)

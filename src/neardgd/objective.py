@@ -57,10 +57,6 @@ class Objective:
     def stacked_grad(self, x) -> np.ndarray:
         return self.node_grads(self._check_stacked(x))
 
-    def stacked_hessian(self, x) -> np.ndarray:
-        """Block-diagonal np x np Hessian; diagnostics-scale sizes only."""
-        return np.diag(self.node_hessian_diags(self._check_stacked(x)).reshape(-1))
-
     # aggregates of the network-wide f at one p-dimensional point; they call
     # the primitives rather than stacked_*, so stacked_grad calls stay one per
     # gradient evaluation a run counts

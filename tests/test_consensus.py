@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from neardgd.consensus import (CommCounter, ConsensusMatrix,
                                ConsensusMatrixError, apply_consensus,
                                average_project, build_consensus_matrix,
-                               ensure_positive_definite, from_stacked,
-                               max_degree_weights, metropolis_weights,
-                               to_stacked)
+                               ensure_positive_definite, max_degree_weights,
+                               metropolis_weights)
 from neardgd.graph import Graph, build_erdos_renyi, build_ring, build_star
 from neardgd.linalg import sym_eigen
 
@@ -70,6 +69,14 @@ def test_ensure_pd_two_node_complete_mixing():
     cm = ensure_positive_definite(np.full((2, 2), 0.5), g, margin=0.1)
     np.testing.assert_allclose(cm.W, [[6 / 11, 5 / 11], [5 / 11, 6 / 11]], atol=1e-12)
     np.testing.assert_allclose(cm.eigenvalues, [1 / 11, 1.0], atol=1e-12)
+
+
+def test_ensure_pd_rejects_negative_entry_the_shift_keeps():
+    # rows sum to 1 and lambda_1 = -1.1, so the shift applies; it keeps the
+    # sign of the -0.1 entries, and the constructor names them
+    w = np.array([[0.0, 1.1, -0.1], [1.1, 0.0, -0.1], [-0.1, -0.1, 1.2]])
+    with pytest.raises(ConsensusMatrixError, match="^negative entries$"):
+        ensure_positive_definite(w, build_ring(3))
 
 
 def test_constructor_rejects_indefinite():
@@ -230,17 +237,9 @@ def test_composition_and_mean_commute():
 
 
 def test_blockwise_equals_kronecker_operator():
-    from neardgd.linalg import kron_identity
     cm = build_consensus_matrix(build_ring(4))
     rng = np.random.default_rng(8)
     for p in (1, 2):
         y = rng.normal(size=(4, p))
-        z = kron_identity(cm.W @ cm.W @ cm.W, p) @ to_stacked(y)
-        np.testing.assert_allclose(to_stacked(apply_consensus(cm, 3, y)), z, atol=1e-12)
-
-
-def test_stacked_round_trip():
-    y = np.arange(12.0).reshape(4, 3)
-    np.testing.assert_array_equal(from_stacked(to_stacked(y), 4, 3), y)
-    with pytest.raises(ValueError):
-        from_stacked(np.zeros(5), 2, 3)
+        z = np.kron(cm.W @ cm.W @ cm.W, np.eye(p)) @ y.reshape(-1)
+        np.testing.assert_allclose(apply_consensus(cm, 3, y).reshape(-1), z, atol=1e-12)

@@ -7,9 +7,10 @@ import pytest
 from neardgd.consensus import (CommCounter, ConsensusMatrix, apply_consensus,
                                build_consensus_matrix)
 from neardgd.diagnostics import (CostModel, RunTrace, TraceRecord,
+                                 _coordinate_blocks,
                                  consensus_distance, consensus_distance_bound,
                                  cumulative_cost, descent_residual,
-                                 disagreement_norm, lyapunov_grad,
+                                 lyapunov_grad,
                                  lyapunov_grad_at, lyapunov_hessian,
                                  lyapunov_value, lyapunov_value_at,
                                  neardgd_map_jacobian_eigenvalues,
@@ -158,12 +159,12 @@ def test_consensus_distance_hand_examples():
     assert consensus_distance(np.tile([1.0, 2.0], (4, 1))) == 0.0
     x = cm.W @ Y2
     assert consensus_distance(x) == pytest.approx(0.2, abs=1e-14)
-    assert disagreement_norm(x) == pytest.approx(0.2 * math.sqrt(2), abs=1e-14)
+    assert np.linalg.norm(x - x.mean(axis=0)) == pytest.approx(0.2 * math.sqrt(2), abs=1e-14)
     bound = consensus_distance_bound(cm.beta, 1, float(np.linalg.norm(Y2)))
     assert bound == pytest.approx(0.2 * math.sqrt(2), abs=1e-14)
-    assert disagreement_norm(x) <= bound + 1e-14
+    assert np.linalg.norm(x - x.mean(axis=0)) <= bound + 1e-14
     x2 = cm.W @ x
-    assert disagreement_norm(x2) == pytest.approx(0.04 * math.sqrt(2), abs=1e-14)
+    assert np.linalg.norm(x2 - x2.mean(axis=0)) == pytest.approx(0.04 * math.sqrt(2), abs=1e-14)
     assert consensus_distance_bound(cm.beta, 2, math.sqrt(2)) == pytest.approx(
         0.04 * math.sqrt(2), abs=1e-14)
 
@@ -221,6 +222,56 @@ def test_inertia_correspondence_hessian_vs_map():
             hess = sym_eigen(lyapunov_hessian(y, prob, cm, t, 0.1)).eigenvalues
             dg = neardgd_map_jacobian_eigenvalues(y, prob, cm, t, 0.1)
             assert (hess < -1e-10).sum() == (dg > 1.0 + 1e-10).sum()
+
+
+def dense_spectra(y, prob, cm, t, alpha):
+    """Lyapunov-Hessian and Dg spectra from the np x np Kronecker operators."""
+    n, p = y.shape
+    eye = np.eye(n * p)
+    lam, v = np.linalg.eigh(cm.W)
+    zt = np.kron(np.linalg.matrix_power(cm.W, t), np.eye(p))
+    zh = np.kron((v * lam ** (t / 2.0)) @ v.T, np.eye(p))
+    hf = np.diag(prob.node_hessian_diags(apply_consensus(cm, t, y)).reshape(-1))
+    hess = zt @ hf @ zt + zt @ (eye - zt) / alpha
+    dg = zh @ (eye - alpha * hf) @ zh
+    return (np.linalg.eigvalsh(0.5 * (hess + hess.T)),
+            np.linalg.eigvalsh(0.5 * (dg + dg.T)))
+
+
+@pytest.mark.parametrize("family", ["quartic", "quadratic"])
+@pytest.mark.parametrize("n", [4, 12, 100])
+def test_split_spectra_match_dense_reference(family, n):
+    prob = (sample_quartic_problem(n, 4, 4, math.sqrt(n / 12), seed=0)
+            if family == "quartic" else sample_quadratic_problem(n, 4, seed=0))
+    cm = build_consensus_matrix(build_ring(n))
+    rng = np.random.default_rng(n)
+    for t in (1, 2, 3, 5, 20):
+        for y in (np.zeros((n, 4)), rng.uniform(-1, 1, size=(n, 4))):
+            ref_hess, ref_dg = dense_spectra(y, prob, cm, t, 0.1)
+            hess = np.sort(sym_eigen(_coordinate_blocks(y, prob, cm, t, 0.1)[0]).eigenvalues,
+                           axis=None)
+            dg = neardgd_map_jacobian_eigenvalues(y, prob, cm, t, 0.1)
+            assert hess.shape == dg.shape == (4 * n,)
+            for split, ref in ((hess, ref_hess), (dg, ref_dg)):
+                assert np.all(np.abs(split - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            assert (hess < -1e-10).sum() == (ref_hess < -1e-10).sum()
+            assert (dg > 1.0 + 1e-10).sum() == (ref_dg > 1.0 + 1e-10).sum()
+            if family == "quartic" and not y.any():
+                rep = saddle_classification(y, prob, cm, t, 0.1)
+                assert rep.negative_hessian_count == (ref_hess < -1e-8).sum() >= 1
+                assert rep.expanding_dg_count == (ref_dg > 1.0 + 1e-8).sum()
+
+
+def test_saddle_classification_beyond_the_hessian_size_guard():
+    # np = 2400: only the explicit Hessian is refused
+    prob = sample_quartic_problem(600, 4, 4, math.sqrt(600 / 12), seed=0)
+    cm = build_consensus_matrix(build_ring(600))
+    y = np.zeros((600, 4))
+    rep = saddle_classification(y, prob, cm, 5, 0.1)
+    assert rep.label == "strict-saddle"
+    assert rep.expanding_dg_count >= 1
+    with pytest.raises(ValueError, match="refusing to materialize"):
+        lyapunov_hessian(y, prob, cm, 5, 0.1)
 
 
 @pytest.mark.parametrize("family", ["quartic", "quadratic"])

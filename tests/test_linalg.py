@@ -3,8 +3,7 @@ import pytest
 
 from neardgd.consensus import metropolis_weights
 from neardgd.graph import build_ring
-from neardgd.linalg import (SymmetryError, kron_identity, quad_form, sym_eigen,
-                            sym_power)
+from neardgd.linalg import SymmetryError, sym_eigen, sym_power
 
 W2 = np.array([[0.6, 0.4], [0.4, 0.6]])
 
@@ -53,38 +52,19 @@ def test_eigenvalue_sum_equals_trace():
     assert abs(sym_eigen(a).eigenvalues.sum() - np.trace(a)) <= 1e-10 * max(1, abs(np.trace(a)))
 
 
-def test_quad_form_examples():
-    assert quad_form(W2, [1.0, -1.0]) == pytest.approx(0.4, abs=1e-14)
-    assert quad_form(np.eye(2), [3.0, 4.0]) == pytest.approx(25.0)
-    assert quad_form(W2 @ W2, [1.0, -1.0]) == pytest.approx(0.08, abs=1e-14)
-
-
-def test_quad_form_dimension_mismatch():
-    with pytest.raises(ValueError):
-        quad_form(W2, [1.0, 2.0, 3.0])
-
-
-def test_quad_form_eigenvalue_bounds():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(5, 5))
-    a = a + a.T
-    lam = sym_eigen(a).eigenvalues
-    for _ in range(20):
-        v = rng.normal(size=5)
-        q = quad_form(a, v)
-        nn = v @ v
-        assert lam[0] * nn - 1e-10 <= q <= lam[-1] * nn + 1e-10
-
-
-@pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (4, 2)])
-def test_kron_eigenvalue_multiplicity(n, p):
-    rng = np.random.default_rng(n * 10 + p)
-    a = rng.normal(size=(n, n))
-    a = a + a.T
-    z = kron_identity(a, p)
-    lam_w = sym_eigen(a).eigenvalues
-    lam_z = sym_eigen(z).eigenvalues
-    np.testing.assert_allclose(lam_z, np.sort(np.repeat(lam_w, p)), atol=1e-10)
+def test_stack_decomposes_each_matrix():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(3, 5, 5))
+    a = a + np.swapaxes(a, -1, -2)
+    spec = sym_eigen(a)
+    assert spec.eigenvalues.shape == (3, 5) and spec.eigenvectors.shape == (3, 5, 5)
+    for k in range(3):
+        np.testing.assert_array_equal(spec.eigenvalues[k], sym_eigen(a[k]).eigenvalues)
+    a[1, 0, 4] += 1.0
+    with pytest.raises(SymmetryError):
+        sym_eigen(a)
+    with pytest.raises(SymmetryError):
+        sym_eigen(np.zeros((2, 3, 4)))
 
 
 def test_sym_power_integer_and_half():
