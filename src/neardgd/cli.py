@@ -86,6 +86,8 @@ def _sweep_one(payload):
 
 def cmd_sweep(args) -> int:
     try:
+        if args.parallel < 1:
+            raise ValueError("--parallel must be at least 1, got %d" % args.parallel)
         cfg = _load(args)
         if not cfg.sweep_methods:
             raise ConfigError("sweep requires a nonempty sweep.methods list")
@@ -97,9 +99,10 @@ def cmd_sweep(args) -> int:
         return EXIT_VALIDATION
 
     jobs = [(args.config, m.label(), s) for s in seeds for m in cfg.sweep_methods]
+    workers = min(args.parallel, len(jobs))
     try:
-        if args.parallel > 1:
-            with multiprocessing.Pool(args.parallel) as pool:
+        if workers > 1:
+            with multiprocessing.Pool(workers) as pool:
                 results = pool.map(_sweep_one, jobs)
         else:
             results = [_sweep_one(job) for job in jobs]

@@ -61,7 +61,8 @@ class ConsensusMatrix:
 
     The spectrum is computed once at construction; beta is the second
     largest eigenvalue (the consensus contraction factor) and lambda_min
-    the smallest.
+    the smallest. V diag(lam^t) for the last t >= 2 that apply_consensus
+    asked for is kept beside it, formed on first use.
     """
 
     W: np.ndarray
@@ -70,6 +71,8 @@ class ConsensusMatrix:
     lambda_min: float = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
+    _scaled_memo: tuple | None = field(init=False, default=None, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         self.W = check_symmetric(self.W)
@@ -89,6 +92,21 @@ class ConsensusMatrix:
     @property
     def n(self):
         return self.W.shape[0]
+
+    def _scaled_eigenvectors(self, t: int) -> np.ndarray:
+        """V diag(lam^t), so that W^t = self._scaled_eigenvectors(t) @ V'.
+
+        The top eigenvalue of a doubly stochastic W is exactly 1; it is
+        pinned there, because the few ulps eigh leaves on it would grow with
+        t and move the mean. One slot holds the last t: a run that keeps t
+        pays the O(n^2) scaling once, and one that changes it every
+        iteration pays it per call, below the cost of the product it feeds.
+        """
+        if self._scaled_memo is None or self._scaled_memo[0] != t:
+            lam_t = self.eigenvalues ** t
+            lam_t[-1] = 1.0
+            self._scaled_memo = (t, self.eigenvectors * lam_t)
+        return self._scaled_memo[1]
 
 
 def _check_consensus_invariants(w, g: Graph):
@@ -144,11 +162,9 @@ def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None 
     y has the node axis first: an (n, p) iterate, an (n,) vector, or any
     (n, ...) array, whose trailing axes are columns of one product.
     t = 1 is the single product W y. For t >= 2 the rounds are applied at
-    once from the cached eigenpairs, W^t = V diag(lam^t) V', so a call costs
-    the same for every t. The top eigenvalue of a doubly stochastic W is
-    exactly 1; it is pinned there, because the few ulps eigh leaves on it
-    would grow with t and move the mean. Each of the t rounds is still one
-    communication: the counter advances by t.
+    once from the cached eigenpairs, W^t y = (V diag(lam^t)) (V' y), two
+    products whose cost is the same for every t. Each of the t rounds is
+    still one communication: the counter advances by t.
     """
     try:
         t = operator.index(t)  # int and NumPy integers; 3.0 would be a fractional power
@@ -163,10 +179,7 @@ def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None 
     if t == 1:
         out = cm.W @ cols
     else:
-        v = cm.eigenvectors
-        lam_t = cm.eigenvalues ** t
-        lam_t[-1] = 1.0
-        out = v @ (lam_t[:, None] * (v.T @ cols))
+        out = cm._scaled_eigenvectors(t) @ (cm.eigenvectors.T @ cols)
     if counter is not None:
         counter.consensus_rounds += t
     return out.reshape(y.shape)

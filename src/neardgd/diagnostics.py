@@ -5,8 +5,8 @@ Everything here is pure evaluation over immutable state and never touches a
 run's communication counter: diagnostic consensus applications are free.
 """
 
-import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,15 +256,6 @@ class TraceRecord:
     dist_saddle: float
     cost: float
 
-    def row(self):
-        return [getattr(self, c) for c in TRACE_COLUMNS]
-
-
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    return "%.17g" % value
-
 
 @dataclass
 class RunTrace:
@@ -288,17 +279,23 @@ class RunTrace:
             self.write_csv_to(fh, header=True, extra_key_columns=extra_key_columns)
 
     def write_csv_to(self, fh, header=True, extra_key_columns=False):
-        writer = csv.writer(fh, lineterminator="\n")
+        """CSV rows: the four counts as integers and the floats as %.17g,
+        which round-trips them. Integer cost coefficients give integer costs;
+        those keep %d, since %.17g would round them above 2^53. No field
+        needs csv quoting: method labels hold no comma or quote."""
         cols = list(TRACE_COLUMNS)
+        prefix = ""
         if extra_key_columns:
             cols = ["method", "seed"] + cols
+            prefix = "%s,%d," % (self.method, self.seed)
         if header:
-            writer.writerow(cols)
-        for rec in self.records:
-            row = [_fmt(v) for v in rec.row()]
-            if extra_key_columns:
-                row = [self.method, "%d" % self.seed] + row
-            writer.writerow(row)
+            fh.write(",".join(cols) + "\n")
+        head = (prefix.replace("%", "%%") + "%d,%d,%d,%d,"
+                + "%.17g," * (len(TRACE_COLUMNS) - 5))
+        float_cost, int_cost = head + "%.17g\n", head + "%d\n"
+        row = operator.attrgetter(*TRACE_COLUMNS)
+        fh.writelines((int_cost if isinstance(rec.cost, (int, np.integer)) else float_cost)
+                      % row(rec) for rec in self.records)
 
     def cost_to_reach(self, f_err_target: float) -> float:
         """Cost of first reaching the error target and staying at or below it.

@@ -125,24 +125,24 @@ class QuadraticQuarticProblem(Objective):
         others = np.delete(self.q, ii, axis=1)
         if others.size and np.any(others <= 0):
             raise ObjectiveError("off-index diagonal entries must be positive")
+        # (c^2 / n) e_I: the oracles scale x^2 by this row instead of raising
+        # one strided column to a power and writing it back
+        self._quartic_row = np.zeros(self.p)
+        self._quartic_row[ii] = self.c**2 / self.n
 
     @property
     def _ii(self):
         return self.index - 1
 
     def node_values(self, x):
-        return (0.5 * (self.q * x * x).sum(axis=-1)
-                + (self.c**2 / (4.0 * self.n)) * x[..., self._ii] ** 4)
+        x2 = x * x
+        return ((0.5 * self.q + (0.25 * self._quartic_row) * x2) * x2).sum(axis=-1)
 
     def node_grads(self, x):
-        g = self.q * x
-        g[..., self._ii] += (self.c**2 / self.n) * x[..., self._ii] ** 3
-        return g
+        return x * (self.q + self._quartic_row * (x * x))
 
     def node_hessian_diags(self, x):
-        h = np.array(np.broadcast_to(self.q, np.shape(x)))
-        h[..., self._ii] += 3.0 * (self.c**2 / self.n) * x[..., self._ii] ** 2
-        return h
+        return self.q + (3.0 * self._quartic_row) * (x * x)
 
     def lipschitz_estimate(self, radius):
         """Gradient Lipschitz bound valid on the box ||x||_inf <= radius.

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +229,57 @@ def test_cmd_sweep_large_alpha_is_validation_error(tmp_path, capsys, parallel):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: alpha=50") and len(err.splitlines()) == 1
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count asked
+    for and maps in this process, so no worker is started."""
+
+    started = []
+
+    def __init__(self, processes):
+        self.started.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+@pytest.mark.parametrize("parallel, seeds, workers", [
+    ("8", "0", []),          # one method and one seed: one cell, run serially
+    ("8", "0, 1", [2]),      # never more workers than cells
+    ("2", "0, 1, 2", [2]),
+    ("1", "0, 1, 2", []),
+])
+def test_cmd_sweep_starts_at_most_one_worker_per_cell(tmp_path, capsys, monkeypatch,
+                                                      parallel, seeds, workers):
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    cfg = write_config(tmp_path, SMALL + "sweep.methods = dgd\nsweep.seeds = %s\n" % seeds)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", parallel]) == EXIT_OK
+    assert RecordingPool.started == workers
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert sorted({row.split(",")[1] for row in rows[1:]}) == seeds.split(", ")
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_cmd_sweep_rejects_parallel_below_one(tmp_path, capsys, monkeypatch, parallel):
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    cfg = write_config(tmp_path, SMALL + "sweep.methods = dgd\nsweep.seeds = 0, 1\n")
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--parallel", parallel])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "validation error: --parallel must be at least 1, got %s\n" % parallel
+    assert RecordingPool.started == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_parallel_is_a_sweep_option_only(tmp_path):

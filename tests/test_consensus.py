@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,8 @@ from neardgd.consensus import (CommCounter, ConsensusMatrix,
                                metropolis_weights)
 from neardgd.graph import Graph, build_erdos_renyi, build_ring, build_star
 from neardgd.linalg import sym_eigen
+from neardgd.objective import sample_quartic_problem
+from neardgd.optimizer import MethodSpec, run
 
 
 def two_node_cm():
@@ -174,6 +178,35 @@ def test_apply_consensus_takes_numpy_integers():
         np.testing.assert_array_equal(apply_consensus(cm, t, y, counter),
                                       apply_consensus(cm, 3, y))
     assert counter.consensus_rounds == 6
+
+
+def test_changing_t_never_serves_a_stale_power():
+    g = build_erdos_renyi(10, 0.4, seed=2)
+    cm = build_consensus_matrix(g)
+    y = np.random.default_rng(4).normal(size=(10, 3))
+    for t in (5, 3, 5, 1, 2, 5):
+        z = apply_consensus(cm, t, y)
+        assert np.abs(z - successive_products(cm, t, y)).max() <= 1e-12
+        np.testing.assert_array_equal(z, apply_consensus(build_consensus_matrix(g), t, y))
+    for first, second in ((np.int64(3), 3), (3, np.int64(3))):
+        fresh = build_consensus_matrix(g)
+        np.testing.assert_array_equal(apply_consensus(fresh, first, y),
+                                      apply_consensus(fresh, second, y))
+
+
+def test_memo_holds_one_array_after_a_run_that_changes_t():
+    cm = build_consensus_matrix(build_ring(6))
+    before = repr(cm)
+    prob = sample_quartic_problem(6, 2, 2, 1.0, seed=0)
+    res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=40)
+    assert res.trace.final.t_k > 2  # t grew by one per iteration
+    assert set(vars(cm)) == {"W", "graph", "beta", "lambda_min", "eigenvalues",
+                             "eigenvectors", "_scaled_memo"}
+    t, scaled = cm._scaled_memo
+    assert type(t) is int and scaled.shape == (6, 6)
+    assert repr(cm) == before
+    memo = {f.name: f for f in fields(cm)}["_scaled_memo"]
+    assert not (memo.init or memo.repr or memo.compare)
 
 
 def test_average_project_examples():

@@ -342,6 +342,27 @@ def test_trace_csv_round_trip_precision():
     assert buf.getvalue().splitlines()[0].startswith("method,seed,k,")
 
 
+def test_trace_csv_prints_integer_costs_exactly():
+    prob, cm = paper_instance()
+    res = run(prob, cm, MethodSpec("near-dgd-plus-doubling", period=3), alpha=0.1,
+              budget=40, cost_model=CostModel(1, 1))
+    big = 2**53 + 1  # %.17g would print it as the nearest double, 2^53
+    res.trace.append(TraceRecord(99, 1, big - 1, 1, math.nan, math.inf, -math.inf,
+                                 -0.0, 0.1, 1e-300, big))
+    buf = io.StringIO()
+    res.trace.write_csv_to(buf, extra_key_columns=True)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == len(res.trace.records) + 1
+    for line, rec in zip(lines[1:], res.trace.records):
+        method, seed, k, t_k, comms, grads, *floats, cost = line.split(",")
+        assert (method, seed) == ("near-dgd-plus-doubling:3", "0")
+        assert [int(k), int(t_k), int(comms), int(grads)] == [rec.k, rec.t_k, rec.comms,
+                                                               rec.grads]
+        assert cost == "%d" % (rec.comms + rec.grads)
+    assert lines[-1].endswith(",nan,inf,-inf,-0,0.10000000000000001,1e-300,"
+                              "9007199254740993")
+
+
 def test_cost_nondecreasing_over_run():
     prob, cm = paper_instance()
     res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=40,

@@ -174,6 +174,37 @@ def test_primitives_take_a_leading_batch_axis(factory):
                 np.testing.assert_array_equal(whole[b], primitive(np.array(batch[b])))
 
 
+def test_quartic_oracles_match_power_formulas():
+    prob = sample_quartic_problem(5, 3, 2, 1.3, seed=4)
+    q, ii, k = prob.q, prob.index - 1, prob.c**2 / prob.n
+
+    def values(x):
+        return 0.5 * (q * x**2).sum(axis=-1) + (k / 4.0) * x[..., ii] ** 4
+
+    def grads(x):
+        g = q * x
+        g[..., ii] += k * x[..., ii] ** 3
+        return g
+
+    def hessian_diags(x):
+        h = q + 0.0 * x
+        h[..., ii] += 3.0 * k * x[..., ii] ** 2
+        return h
+
+    rng = np.random.default_rng(6)
+    stack = rng.uniform(-3, 3, size=(4, 5, 3))
+    read_only = np.broadcast_to(rng.uniform(-3, 3, size=(4, 1, 3)), (4, 5, 3))
+    assert not read_only.flags.writeable
+    for x in (stack[0], stack, read_only):
+        kept = x.copy()
+        for fused, reference in ((prob.node_values, values), (prob.node_grads, grads),
+                                 (prob.node_hessian_diags, hessian_diags)):
+            got, want = fused(x), reference(x)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        np.testing.assert_array_equal(x, kept)
+
+
 @pytest.mark.parametrize("factory", [
     lambda: sample_quartic_problem(4, 3, 2, 1.3, seed=7),
     lambda: sample_quadratic_problem(4, 3, seed=7),
