@@ -15,7 +15,7 @@ from .graph import (Graph, build_erdos_renyi, build_ring, build_star, degrees,
 from .linalg import Spectrum, sym_eigen
 from .objective import (QuadraticProblem, QuadraticQuarticProblem,
                         sample_quadratic_problem, sample_quartic_problem)
-from .optimizer import (MethodSpec, Schedule, dgd_step, gradient_tracking_step,
+from .optimizer import (MethodSpec, dgd_step, gradient_tracking_step,
                         initial_point, near_dgd_step, run)
 
 __version__ = "0.1.0"

@@ -5,17 +5,15 @@ Exit codes: 0 success, 1 validation error, 2 runtime divergence,
 """
 
 import argparse
-import hashlib
+import functools
 import multiprocessing
 import os
 import sys
 
-import numpy as np
-
 from . import checks
 from .config import ConfigError, RunConfig, load_run_config_file
 from .diagnostics import TRACE_COLUMNS
-from .optimizer import MethodSpec, SteplengthError, initial_point, run
+from .optimizer import initial_point, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -23,8 +21,8 @@ EXIT_DIVERGENCE = 2
 EXIT_CHECK_FAILURE = 3
 
 
-def _load(args) -> RunConfig:
-    cfg = load_run_config_file(args.config) if args.config else RunConfig()
+def _load(args, default=RunConfig) -> RunConfig:
+    cfg = load_run_config_file(args.config) if args.config else default()
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
@@ -38,22 +36,20 @@ def _out_path(args, cfg, default_name=None):
     return name
 
 
+def _run_cell(cfg, problem, cm, x0s, cell):
+    """Run one (MethodSpec, seed) cell of cfg from that seed's x0s entry."""
+    method, seed = cell
+    return run(problem, cm, method, cfg.alpha, cfg.budget, seed=seed,
+               cost_model=cfg.cost_model, grad_tol=cfg.grad_tol,
+               allow_large_alpha=cfg.allow_large_alpha,
+               box_radius=cfg.box_radius, x0=x0s[seed])
+
+
 def cmd_run(args) -> int:
-    try:
-        cfg = _load(args)
-        problem = cfg.build_problem()
-        cm = cfg.build_consensus()
-    except (ConfigError, ValueError) as exc:
-        print("validation error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
-                     cost_model=cfg.cost_model, grad_tol=cfg.grad_tol,
-                     allow_large_alpha=cfg.allow_large_alpha,
-                     box_radius=cfg.box_radius)
-    except SteplengthError as exc:
-        print("validation error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = _load(args)
+    problem = cfg.build_problem()
+    x0s = {cfg.seed: initial_point(problem.n, problem.p, cfg.seed)}
+    result = _run_cell(cfg, problem, cfg.build_consensus(), x0s, (cfg.method, cfg.seed))
     path = _out_path(args, cfg)
     result.trace.write_csv(path)
     final = result.trace.final
@@ -68,78 +64,45 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(payload):
-    """Worker for one (method, seed) cell; arguments are picklable primitives."""
-    config_path, method_token, seed = payload
-    cfg = load_run_config_file(config_path) if config_path else RunConfig()
-    problem = cfg.build_problem()
-    cm = cfg.build_consensus()
-    method = MethodSpec.parse(method_token)
-    x0 = initial_point(problem.n, problem.p, seed)
-    x0_hash = hashlib.sha256(x0.tobytes()).hexdigest()
-    result = run(problem, cm, method, cfg.alpha, cfg.budget, seed=seed,
-                 cost_model=cfg.cost_model, grad_tol=cfg.grad_tol,
-                 allow_large_alpha=cfg.allow_large_alpha,
-                 box_radius=cfg.box_radius, x0=x0)
-    return method_token, seed, x0_hash, result.trace
-
-
 def cmd_sweep(args) -> int:
-    try:
-        if args.parallel < 1:
-            raise ValueError("--parallel must be at least 1, got %d" % args.parallel)
-        cfg = _load(args)
-        if not cfg.sweep_methods:
-            raise ConfigError("sweep requires a nonempty sweep.methods list")
-        seeds = cfg.sweep_seeds or [cfg.seed]
-        if args.seed is not None:
-            seeds = [args.seed]
-    except (ConfigError, ValueError) as exc:
-        print("validation error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-
-    jobs = [(args.config, m.label(), s) for s in seeds for m in cfg.sweep_methods]
-    workers = min(args.parallel, len(jobs))
-    try:
-        if workers > 1:
-            with multiprocessing.Pool(workers) as pool:
-                results = pool.map(_sweep_one, jobs)
-        else:
-            results = [_sweep_one(job) for job in jobs]
-    except SteplengthError as exc:  # the same alpha and L in every cell
-        print("validation error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-
-    # same seed must mean the same initial point for every method
-    hashes = {}
-    for method_token, seed, x0_hash, _ in results:
-        assert hashes.setdefault(seed, x0_hash) == x0_hash, \
-            "initial point mismatch for seed %d" % seed
+    if args.parallel < 1:
+        raise ValueError("--parallel must be at least 1, got %d" % args.parallel)
+    cfg = _load(args)
+    if not cfg.sweep_methods:
+        raise ConfigError("sweep requires a nonempty sweep.methods list")
+    seeds = [args.seed] if args.seed is not None else cfg.sweep_seeds or [cfg.seed]
+    problem = cfg.build_problem()
+    # one draw per seed: every method of a seed starts from the same point
+    x0s = {s: initial_point(problem.n, problem.p, s) for s in seeds}
+    cell = functools.partial(_run_cell, cfg, problem, cfg.build_consensus(), x0s)
+    cells = [(m, s) for s in seeds for m in cfg.sweep_methods]
+    workers = min(args.parallel, len(cells))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            results = pool.map(cell, cells)
+    else:
+        results = list(map(cell, cells))
 
     path = _out_path(args, cfg, default_name="sweep.csv")
     any_divergence = False
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["method", "seed"] + list(TRACE_COLUMNS)) + "\n")
-        for method_token, seed, _, trace in results:
+        for result in results:
+            trace = result.trace
             trace.write_csv_to(fh, header=False, extra_key_columns=True)
             final = trace.final
             print("method=%s seed=%d f_err=%.6g cost=%.6g"
-                  % (method_token, seed, final.f_err, final.cost))
+                  % (trace.method, trace.seed, final.f_err, final.cost))
             if trace.diverged:
                 print("divergence (%s, seed %d): %s"
-                      % (method_token, seed, trace.divergence_note), file=sys.stderr)
+                      % (trace.method, trace.seed, trace.divergence_note), file=sys.stderr)
                 any_divergence = True
     print("sweep written to %s" % path)
     return EXIT_DIVERGENCE if any_divergence else EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        cfg = load_run_config_file(args.config) if args.config else checks.default_check_config()
-    except (ConfigError, ValueError) as exc:
-        print("validation error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    results = checks.run_check_suite(cfg)
+    results = checks.run_check_suite(_load(args, checks.default_check_config))
     failed = 0
     for name, ok, detail in results:
         print("%s %s%s" % ("PASS" if ok else "FAIL", name,
@@ -166,8 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse argv and run the subcommand. A rejected input (every input
+    error here is a ValueError) or a file that cannot be read or written
+    ends in one line and EXIT_VALIDATION."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print("validation error: %s" % exc, file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

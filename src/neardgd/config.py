@@ -7,7 +7,7 @@ pair per line). '#' starts a comment.
 
 from dataclasses import dataclass, field
 
-from .consensus import ConsensusMatrix, build_consensus_matrix
+from .consensus import WEIGHT_RULES, ConsensusMatrix, build_consensus_matrix
 from .diagnostics import CostModel
 from .graph import (Graph, build_erdos_renyi, build_ring, build_star,
                     from_edge_list, is_connected)
@@ -187,6 +187,8 @@ def validate(cfg: RunConfig):
         raise ConfigError("run.budget must be >= 0")
     if cfg.alpha <= 0:
         raise ConfigError("run.alpha must be positive")
+    if cfg.weight_rule not in WEIGHT_RULES:
+        raise ConfigError("unknown weight rule %r" % cfg.weight_rule)
     if cfg.margin <= 0:
         raise ConfigError("weights.margin must be positive")
     cfg.build_problem()

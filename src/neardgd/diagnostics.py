@@ -6,8 +6,8 @@ run's communication counter: diagnostic consensus applications are free.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,11 +17,6 @@ from .linalg import sym_eigen, sym_power
 from .objective import Objective
 
 HESSIAN_SIZE_GUARD = 2000
-
-TRACE_COLUMNS = (
-    "k", "t_k", "comms", "grads", "f_err", "grad_avg_norm", "cons_dist",
-    "lyapunov", "descent_residual", "dist_saddle", "cost",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +237,7 @@ def cumulative_cost(counter: CommCounter, model: CostModel):
     return model.c_c * counter.consensus_rounds + model.c_g * counter.gradient_evals
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     k: int
     t_k: int
     comms: int
@@ -255,6 +249,9 @@ class TraceRecord:
     descent_residual: float
     dist_saddle: float
     cost: float
+
+
+TRACE_COLUMNS = TraceRecord._fields
 
 
 @dataclass
@@ -293,9 +290,8 @@ class RunTrace:
         head = (prefix.replace("%", "%%") + "%d,%d,%d,%d,"
                 + "%.17g," * (len(TRACE_COLUMNS) - 5))
         float_cost, int_cost = head + "%.17g\n", head + "%d\n"
-        row = operator.attrgetter(*TRACE_COLUMNS)
         fh.writelines((int_cost if isinstance(rec.cost, (int, np.integer)) else float_cost)
-                      % row(rec) for rec in self.records)
+                      % rec for rec in self.records)
 
     def cost_to_reach(self, f_err_target: float) -> float:
         """Cost of first reaching the error target and staying at or below it.

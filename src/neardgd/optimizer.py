@@ -33,46 +33,28 @@ class SteplengthError(ValueError):
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Consensus rounds per iteration: fixed t, t(k)=k+1, or periodic doubling."""
-
-    kind: str  # "fixed" | "linear" | "doubling"
-    t: int = 1
-    period: int = 100
-    start: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "linear", "doubling"):
-            raise ValueError("unknown schedule kind %r" % self.kind)
-        if self.t < 1 or self.period < 1 or self.start < 1:
-            raise ValueError("schedule parameters must be >= 1")
-
-    def rounds(self, k: int) -> int:
-        if self.kind == "fixed":
-            return self.t
-        if self.kind == "linear":
-            return k + 1
-        return self.start * 2 ** (k // self.period)
-
-
-@dataclass(frozen=True)
 class MethodSpec:
     name: str
-    t: int = 1
-    period: int = 100
+    t: int = 1          # near-dgd-t: consensus rounds per iteration
+    period: int = 100   # near-dgd-plus-doubling: iterations between doublings
 
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError("unknown method %r" % self.name)
+        if self.t < 1 or self.period < 1:
+            raise ValueError("method %s needs t >= 1 and period >= 1, got t=%r, "
+                             "period=%r" % (self.name, self.t, self.period))
 
-    def schedule(self) -> Schedule:
+    def rounds(self, k: int) -> int:
+        """Consensus rounds t_k of iteration k: fixed t, k + 1, or doubling
+        every period iterations; the baselines communicate once."""
         if self.name == "near-dgd-t":
-            return Schedule("fixed", t=self.t)
+            return self.t
         if self.name == "near-dgd-plus":
-            return Schedule("linear")
+            return k + 1
         if self.name == "near-dgd-plus-doubling":
-            return Schedule("doubling", period=self.period)
-        return Schedule("fixed", t=1)  # baselines: one round per iteration
+            return 2 ** (k // self.period)
+        return 1
 
     def label(self) -> str:
         if self.name == "near-dgd-t":
@@ -320,6 +302,11 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         box_radius = INIT_BOUND * BOX_INFLATION
     lipschitz = objective.lipschitz_estimate(box_radius)
     _validate_alpha(alpha, lipschitz, allow_large_alpha)
+    # the schedules never decrease, so no t_k exceeds t_budget and the comms
+    # tally stays at most budget * t_budget; both must convert to float
+    if budget * method.rounds(budget) >= 2**1024:
+        raise ValueError("%s at budget %d: the consensus rounds per iteration "
+                         "outgrow the float range" % (method.label(), budget))
 
     y = initial_point(n, p, seed) if x0 is None else np.array(x0, dtype=float)
     if y.shape != (n, p):
@@ -330,7 +317,6 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     result = RunResult(trace=trace, counter=counter, final_y=y, final_x=y,
                        final_avg=y.mean(axis=0), b_y=float(np.linalg.norm(y)),
                        max_cons_gap=-math.inf, max_eq7_inf=0.0, lipschitz=lipschitz)
-    sched = method.schedule()
     near_dgd = method.name.startswith("near-dgd")
     grad = None  # grad f(x_k): NEAR-DGD's for the Eq.-7 check, the tracker's cache
     if method.name == "gradient-tracking":
@@ -339,7 +325,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         else:
             s = grad = gradient(y, objective, counter)
 
-    k, t = 0, sched.rounds(0)
+    k, t = 0, method.rounds(0)
     # Z^{t_k} y_k; its t_k rounds are counted when iteration k uses it
     x = apply_consensus(cm, t, y) if near_dgd else y
     block = _BlockCertifier(objective, cm, method, alpha, cost_model, result, y, x)
@@ -362,7 +348,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
                 "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
                 "estimate no longer valid" % (k, peak, box_radius))
             break  # y stays y_k
-        t_next, z_change = sched.rounds(k + 1), None
+        t_next, z_change = method.rounds(k + 1), None
         if t_next != t:
             # x_{k+1} = Z^{t_{k+1}} y_{k+1} in one application (same cost at
             # any t), as near_dgd_step forms it; the certificate keeps Z^{t_k} y_{k+1}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neardgd import checks
 from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, main)
 from neardgd.config import (ConfigError, RunConfig, load_run_config,
@@ -96,6 +97,10 @@ def test_load_run_config_rejects_unknown_and_invalid():
         load_run_config("run.budget = oops\n")
     with pytest.raises(ConfigError):
         load_run_config("graph.kind = moebius\n")
+    with pytest.raises(ConfigError, match="weight rule"):
+        load_run_config("weights.rule = nope\n")
+    with pytest.raises(ConfigError):
+        load_run_config("method.name = near-dgd-t\nmethod.t = 0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,19 @@ def test_cmd_sweep_shared_initial_point(tmp_path, capsys):
     keys = {(r.split(",")[0], r.split(",")[1]) for r in lines[1:]}
     assert keys == {(m, s) for m in ("near-dgd-t:1", "near-dgd-t:5", "dgd",
                                      "gradient-tracking") for s in ("0", "1")}
+    # row 0 describes the seed's initial average (consensus keeps the mean):
+    # f_err and dist_saddle agree across the methods of a seed, not across seeds
+    col = {name: i for i, name in enumerate(lines[0].split(","))}
+    first = {}
+    for row in (r.split(",") for r in lines[1:]):
+        if row[col["k"]] == "0":
+            first.setdefault(row[1], []).append(
+                (float(row[col["f_err"]]), float(row[col["dist_saddle"]])))
+    for seed, cells in first.items():
+        assert len(cells) == 4
+        for cell in cells:
+            assert cell == pytest.approx(cells[0], rel=1e-12, abs=1e-15)
+    assert first["0"][0] != pytest.approx(first["1"][0], rel=1e-3)
 
 
 def test_cmd_sweep_empty_methods_is_validation_error(tmp_path, capsys):
@@ -188,6 +206,15 @@ def test_cmd_check_default_suite_passes(capsys):
     assert main(["check"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+
+
+def test_cmd_check_applies_seed_override(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(checks, "run_check_suite", lambda cfg: seen.append(cfg.seed) or [])
+    assert main(["check", "--seed", "7"]) == EXIT_OK
+    assert main(["check", "--config", write_config(tmp_path), "--seed", "8"]) == EXIT_OK
+    assert main(["check", "--config", write_config(tmp_path)]) == EXIT_OK
+    assert seen == [7, 8, 3]  # SMALL sets run.seed = 3
 
 
 def test_cmd_check_large_alpha_fails(tmp_path, capsys):
@@ -217,6 +244,36 @@ def test_cmd_missing_config_is_validation_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and "absent.cfg" in err
     assert len(err.splitlines()) == 1
+
+
+DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-plus-doubling") \
+    .replace("method.t = 2", "method.period = 3").replace("run.budget = 50", "run.budget = 3100")
+
+
+@pytest.mark.parametrize("command, text, out", [
+    ("sweep", SMALL + "weights.rule = nope\nsweep.methods = dgd\n", "out"),
+    ("check", SMALL + "weights.rule = nope\n", None),
+    ("run", SMALL.replace("method.t = 2", "method.t = 0"), "out"),
+    ("sweep", SMALL + "sweep.methods = near-dgd-plus-doubling:0\n", "out"),
+    ("check", SMALL.replace("run.alpha = 0.1", "run.alpha = 50"), None),
+    ("run", SMALL.replace("output.path = trace.csv", "output.path = {tmp}/absent/trace.csv"),
+     None),
+    ("sweep", SMALL + "sweep.methods = dgd\n", "a_file"),
+    ("run", DOUBLING_3, "out"),
+    ("sweep", DOUBLING_3 + "sweep.methods = near-dgd-plus-doubling:3\n", "out"),
+], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
+        "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
+        "doubling-overflow-run", "doubling-overflow-sweep"])
+def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, text, out):
+    (tmp_path / "a_file").write_text("")
+    argv = [command, "--config", write_config(tmp_path, text.replace("{tmp}", str(tmp_path)))]
+    if out:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])

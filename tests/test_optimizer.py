@@ -9,7 +9,7 @@ from neardgd.diagnostics import (CostModel, descent_residual, lyapunov_value,
 from neardgd.graph import Graph, build_ring
 from neardgd.objective import Objective, QuadraticProblem, sample_quartic_problem
 from neardgd import diagnostics, optimizer
-from neardgd.optimizer import (MethodSpec, Schedule, SteplengthError, dgd_step,
+from neardgd.optimizer import (MethodSpec, SteplengthError, dgd_step,
                                gradient_tracking_step, initial_point,
                                near_dgd_step, run)
 
@@ -31,14 +31,18 @@ def paper_instance():
 # Schedules and method specs
 
 def test_schedule_fixed_linear_doubling():
-    assert [Schedule("fixed", t=5).rounds(k) for k in (0, 3, 99)] == [5, 5, 5]
-    assert [Schedule("linear").rounds(k) for k in (0, 1, 9)] == [1, 2, 10]
-    dbl = Schedule("doubling", period=100)
+    assert [MethodSpec("near-dgd-t", t=5).rounds(k) for k in (0, 3, 99)] == [5, 5, 5]
+    assert [MethodSpec("near-dgd-plus").rounds(k) for k in (0, 1, 9)] == [1, 2, 10]
+    dbl = MethodSpec("near-dgd-plus-doubling", period=100)
     assert [dbl.rounds(k) for k in (0, 99, 100, 199, 200)] == [1, 1, 2, 2, 4]
+    for baseline in ("dgd", "gradient-tracking"):
+        assert [MethodSpec(baseline).rounds(k) for k in (0, 7, 500)] == [1, 1, 1]
     with pytest.raises(ValueError):
-        Schedule("exp")
+        MethodSpec("exp")
     with pytest.raises(ValueError):
-        Schedule("fixed", t=0)
+        MethodSpec("near-dgd-t", t=0)
+    with pytest.raises(ValueError):
+        MethodSpec.parse("near-dgd-plus-doubling:0")
 
 
 def test_method_spec_labels_and_parse():
@@ -194,6 +198,19 @@ def test_run_near_dgd_plus_counts_triangular_comms():
     assert [rec.t_k for rec in res.trace.records][:10] == list(range(1, 11))
 
 
+def test_run_refuses_a_doubling_schedule_past_the_float_range(monkeypatch):
+    # period 3 doubles t 333 times in 1000 iterations: t = 2^333 still runs;
+    # by budget 3100, t_k passes 2^1024 and could no longer become a float
+    prob, cm = paper_instance()
+    method = MethodSpec("near-dgd-plus-doubling", period=3)
+    res = run(prob, cm, method, alpha=0.1, budget=1000)
+    assert res.trace.final.t_k == 2**333 and not res.diverged
+    monkeypatch.setattr(optimizer, "gradient_step",
+                        lambda *args: pytest.fail("refused only after iterating"))
+    with pytest.raises(ValueError, match=r"near-dgd-plus-doubling:3 at budget 3100"):
+        run(prob, cm, method, alpha=0.1, budget=3100)
+
+
 def test_run_quadratic_near_dgd_plus_converges_exactly():
     cm = build_consensus_matrix(build_ring(6))
     rng = np.random.default_rng(5)
@@ -210,15 +227,14 @@ def test_run_matches_hand_loop_of_near_dgd_step(token):
     # y_K with final_x = x_K = Z^{t_K} y_K
     prob, cm = paper_instance()
     method = MethodSpec.parse(token)
-    sched = method.schedule()
     counter = CommCounter()
     y = initial_point(12, 4, 2)
     for k in range(13):
-        x, y_next = near_dgd_step(y, prob, cm, sched.rounds(k), 0.1, counter)
+        x, y_next = near_dgd_step(y, prob, cm, method.rounds(k), 0.1, counter)
         res = run(prob, cm, method, alpha=0.1, budget=k, seed=2)
         np.testing.assert_array_equal(res.final_y, y)
         np.testing.assert_array_equal(res.final_x, x)
-        assert res.counter.consensus_rounds == counter.consensus_rounds - sched.rounds(k)
+        assert res.counter.consensus_rounds == counter.consensus_rounds - method.rounds(k)
         # the average iterate: consensus preserves the mean, x_k and y_k agree
         np.testing.assert_allclose(x.mean(axis=0), y.mean(axis=0), atol=1e-12)
         y = y_next
@@ -231,17 +247,16 @@ def test_run_lyapunov_column_is_carried_bitwise(token):
     # certificate's L_t(y_{k+1}) while t is unchanged; the terminal row too
     prob, cm = paper_instance()
     method = MethodSpec.parse(token)
-    sched = method.schedule()
     res = run(prob, cm, method, alpha=0.1, budget=12, seed=2)
     y = initial_point(12, 4, 2)
     for k, rec in enumerate(res.trace.records):
-        x, y_next = near_dgd_step(y, prob, cm, sched.rounds(k), 0.1, CommCounter())
+        x, y_next = near_dgd_step(y, prob, cm, method.rounds(k), 0.1, CommCounter())
         assert rec.k == k
         assert rec.lyapunov == lyapunov_value_at(y, x, prob, 0.1)
         if k < 12:
             # L_{t_k}(y_{k+1}), also on the rows after which t changes
             assert rec.descent_residual == descent_residual(
-                y, y_next, prob, cm, sched.rounds(k), 0.1, res.lipschitz)
+                y, y_next, prob, cm, method.rounds(k), 0.1, res.lipschitz)
         y = y_next
     assert len(res.trace.records) == 13
 
