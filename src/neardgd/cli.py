@@ -47,10 +47,10 @@ def _run_cell(cfg, problem, cm, x0s, cell):
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    problem = cfg.build_problem()
-    x0s = {cfg.seed: initial_point(problem.n, problem.p, cfg.seed)}
-    result = _run_cell(cfg, problem, cfg.build_consensus(), x0s, (cfg.method, cfg.seed))
+    problem, cm = cfg.build_problem(), cfg.build_consensus()
     path = _out_path(args, cfg)
+    x0s = {cfg.seed: initial_point(problem.n, problem.p, cfg.seed)}
+    result = _run_cell(cfg, problem, cm, x0s, (cfg.method, cfg.seed))
     result.trace.write_csv(path)
     final = result.trace.final
     print("method=%s seed=%d iters=%d f_err=%.6g grad_avg_norm=%.6g cost=%.6g "
@@ -71,10 +71,11 @@ def cmd_sweep(args) -> int:
     if not cfg.sweep_methods:
         raise ConfigError("sweep requires a nonempty sweep.methods list")
     seeds = [args.seed] if args.seed is not None else cfg.sweep_seeds or [cfg.seed]
-    problem = cfg.build_problem()
+    problem, cm = cfg.build_problem(), cfg.build_consensus()
+    path = _out_path(args, cfg, default_name="sweep.csv")
     # one draw per seed: every method of a seed starts from the same point
     x0s = {s: initial_point(problem.n, problem.p, s) for s in seeds}
-    cell = functools.partial(_run_cell, cfg, problem, cfg.build_consensus(), x0s)
+    cell = functools.partial(_run_cell, cfg, problem, cm, x0s)
     cells = [(m, s) for s in seeds for m in cfg.sweep_methods]
     workers = min(args.parallel, len(cells))
     if workers > 1:
@@ -83,7 +84,6 @@ def cmd_sweep(args) -> int:
     else:
         results = list(map(cell, cells))
 
-    path = _out_path(args, cfg, default_name="sweep.csv")
     any_divergence = False
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["method", "seed"] + list(TRACE_COLUMNS)) + "\n")

@@ -61,7 +61,7 @@ class ConsensusMatrix:
 
     The spectrum is computed once at construction; beta is the second
     largest eigenvalue (the consensus contraction factor) and lambda_min
-    the smallest. V diag(lam^t) for the last t >= 2 that apply_consensus
+    the smallest. V diag(lam^t) for the last t >= 2 that apply() was
     asked for is kept beside it, formed on first use.
     """
 
@@ -92,6 +92,20 @@ class ConsensusMatrix:
     @property
     def n(self):
         return self.W.shape[0]
+
+    def apply(self, t: int, cols) -> np.ndarray:
+        """Z^t cols for an int t >= 1 and a float (n,) or (n, k) array,
+        neither of them checked. apply_consensus checks its arguments and
+        calls this; run()'s loop calls it directly. Every consensus
+        application thus takes this one arithmetic path.
+
+        t = 1 is the single product W cols. For t >= 2 the rounds are applied
+        at once from the cached eigenpairs, W^t cols = (V diag(lam^t)) (V'
+        cols), two products whose cost is the same for every t.
+        """
+        if t == 1:
+            return self.W @ cols
+        return self._scaled_eigenvectors(t) @ (self.eigenvectors.T @ cols)
 
     def _scaled_eigenvectors(self, t: int) -> np.ndarray:
         """V diag(lam^t), so that W^t = self._scaled_eigenvectors(t) @ V'.
@@ -160,11 +174,10 @@ def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None 
     """Z^t y: t consensus rounds applied block-wise to a stacked iterate.
 
     y has the node axis first: an (n, p) iterate, an (n,) vector, or any
-    (n, ...) array, whose trailing axes are columns of one product.
-    t = 1 is the single product W y. For t >= 2 the rounds are applied at
-    once from the cached eigenpairs, W^t y = (V diag(lam^t)) (V' y), two
-    products whose cost is the same for every t. Each of the t rounds is
-    still one communication: the counter advances by t.
+    (n, ...) array, whose trailing axes are columns of one product. The
+    arguments are checked here and the product is ConsensusMatrix.apply's,
+    whose cost is the same for every t. Each of the t rounds is still one
+    communication: the counter advances by t.
     """
     try:
         t = operator.index(t)  # int and NumPy integers; 3.0 would be a fractional power
@@ -175,11 +188,7 @@ def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None 
     y = np.asarray(y, dtype=float)
     if y.shape[0] != cm.n:
         raise ValueError("iterate has %d node rows, matrix expects %d" % (y.shape[0], cm.n))
-    cols = y.reshape(cm.n, -1)
-    if t == 1:
-        out = cm.W @ cols
-    else:
-        out = cm._scaled_eigenvectors(t) @ (cm.eigenvectors.T @ cols)
+    out = cm.apply(t, y.reshape(cm.n, -1))
     if counter is not None:
         counter.consensus_rounds += t
     return out.reshape(y.shape)

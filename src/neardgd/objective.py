@@ -17,14 +17,17 @@ class ObjectiveError(ValueError):
 
 
 class Objective:
-    """Separable objective defined by three whole-array primitives.
+    """Separable objective defined by four whole-array primitives.
 
-    Subclasses implement node_values ((..., n, p) -> (..., n), the
-    f_i(x_i)), node_grads ((..., n, p) -> (..., n, p), the grad f_i(x_i)),
-    node_hessian_diags ((..., n, p) -> (..., n, p), the diagonals of the
-    Hessians of the f_i at x_i) and lipschitz_estimate. Stacked evaluators
-    and single-point aggregates are derived here, and subclasses do not
-    override them.
+    Subclasses implement three per-node primitives, node_values
+    ((..., n, p) -> (..., n), the f_i(x_i)), node_grads ((..., n, p) ->
+    (..., n, p), the grad f_i(x_i)) and node_hessian_diags ((..., n, p) ->
+    (..., n, p), the diagonals of the Hessians of the f_i at x_i); one
+    network primitive, network_value_and_grad ((K, p) -> (K,), (K, p): the
+    network-wide f(v) = sum_i f_i(v) and its gradient at each of K points,
+    in closed form, without an n-fold broadcast); and lipschitz_estimate.
+    Stacked evaluators and single-point aggregates are derived here, and
+    subclasses do not override them.
     """
 
     n: int
@@ -37,6 +40,9 @@ class Objective:
         raise NotImplementedError
 
     def node_hessian_diags(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def network_value_and_grad(self, v):
         raise NotImplementedError
 
     def lipschitz_estimate(self, radius: float) -> float:
@@ -57,32 +63,30 @@ class Objective:
     def stacked_grad(self, x) -> np.ndarray:
         return self.node_grads(self._check_stacked(x))
 
-    # aggregates of the network-wide f at one p-dimensional point; they call
-    # the primitives rather than stacked_*, so stacked_grad calls stay one per
-    # gradient evaluation a run counts
+    # aggregates of the network-wide f at p-dimensional points; the value and
+    # gradient come from network_value_and_grad alone, and none of them calls
+    # stacked_*, so stacked_grad calls stay one per gradient evaluation a run
+    # counts
 
     def global_value(self, v) -> float:
-        return float(self.node_values(self._at_consensus(v)).sum())
+        return float(self.network_value_and_grad(self._point(v))[0][0])
 
     def global_grad(self, v) -> np.ndarray:
-        return self.node_grads(self._at_consensus(v)).sum(axis=0)
+        return self.network_value_and_grad(self._point(v))[1][0]
 
     def global_hessian(self, v) -> np.ndarray:
-        return np.diag(self.node_hessian_diags(self._at_consensus(v)).sum(axis=0))
+        x = np.broadcast_to(self._point(v), (self.n, self.p))
+        return np.diag(self.node_hessian_diags(x).sum(axis=0))
 
     def batch_value_and_grad_norm(self, v):
-        """(f(v_j), ||grad f(v_j)||) as two (K,) arrays for a (K, p) stack of points.
-
-        Row j equals global_value(v_j) bitwise; the norm agrees with
-        np.linalg.norm(global_grad(v_j)) to rounding. The stack is broadcast
-        to (K, n, p) at once, so callers bound K to keep temporaries small.
-        """
+        """(f(v_j), ||grad f(v_j)||) as two (K,) arrays for a (K, p) stack of
+        points; row j equals global_value(v_j) and the norm of
+        global_grad(v_j) bitwise."""
         v = np.asarray(v, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.p:
             raise ObjectiveError("expected shape (K, %d), got %r" % (self.p, v.shape))
-        x = np.broadcast_to(v[:, None, :], (len(v), self.n, self.p))
-        return (self.node_values(x).sum(axis=-1),
-                np.linalg.norm(self.node_grads(x).sum(axis=-2), axis=-1))
+        values, grads = self.network_value_and_grad(v)
+        return values, np.linalg.norm(grads, axis=-1)
 
     def _check_stacked(self, x):
         x = np.asarray(x, dtype=float)
@@ -90,12 +94,12 @@ class Objective:
             raise ObjectiveError("expected shape (%d, %d), got %r" % (self.n, self.p, x.shape))
         return x
 
-    def _at_consensus(self, v):
-        """The (n, p) iterate with v in every row (a read-only view)."""
+    def _point(self, v):
+        """A (p,) point as the (1, p) stack the network primitive takes."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.p,):
             raise ObjectiveError("expected shape (%d,), got %r" % (self.p, v.shape))
-        return np.broadcast_to(v, (self.n, self.p))
+        return v[None]
 
 
 @dataclass
@@ -126,9 +130,13 @@ class QuadraticQuarticProblem(Objective):
         if others.size and np.any(others <= 0):
             raise ObjectiveError("off-index diagonal entries must be positive")
         # (c^2 / n) e_I: the oracles scale x^2 by this row instead of raising
-        # one strided column to a power and writing it back
+        # one strided column to a power and writing it back; summed over the
+        # n nodes it is c^2 e_I, the network function's row beside Q = sum_i q^i
         self._quartic_row = np.zeros(self.p)
         self._quartic_row[ii] = self.c**2 / self.n
+        self._network_quartic_row = np.zeros(self.p)
+        self._network_quartic_row[ii] = self.c**2
+        self._q_sum = self.q.sum(axis=0)
 
     @property
     def _ii(self):
@@ -143,6 +151,13 @@ class QuadraticQuarticProblem(Objective):
 
     def node_hessian_diags(self, x):
         return self.q + (3.0 * self._quartic_row) * (x * x)
+
+    def network_value_and_grad(self, v):
+        """f(v) = sum_j (Q_j / 2 + c^2 [j = I] v_j^2 / 4) v_j^2 and
+        grad f(v) = v (Q + c^2 e_I v^2), with Q = sum_i q^i."""
+        v2 = v * v
+        return (((0.5 * self._q_sum + (0.25 * self._network_quartic_row) * v2) * v2).sum(axis=-1),
+                v * (self._q_sum + self._network_quartic_row * v2))
 
     def lipschitz_estimate(self, radius):
         """Gradient Lipschitz bound valid on the box ||x||_inf <= radius.
@@ -201,6 +216,16 @@ class QuadraticProblem(Objective):
 
     def node_hessian_diags(self, x):
         return np.ones(np.shape(x))
+
+    def network_value_and_grad(self, v):
+        """f(v) = sum_j (n/2 (v_j - bbar_j)^2 + s_j) and grad f(v) =
+        n (v - bbar), with bbar the mean of the b_i and s_j =
+        sum_i (b_ij - bbar_j)^2 / 2."""
+        b_mean = self.b.mean(axis=0)
+        spread = self.b - b_mean
+        d = v - b_mean
+        return (((0.5 * self.n) * (d * d) + 0.5 * (spread * spread).sum(axis=0)).sum(axis=-1),
+                self.n * d)
 
     def lipschitz_estimate(self, radius):
         return 1.0

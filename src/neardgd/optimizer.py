@@ -2,10 +2,12 @@
 
 A run is strictly sequential; parallelism lives one level up (sweeps over
 methods and seeds share no mutable state). run()'s loop does only the
-method's work and buffers each iteration's state; the certificates and trace
-rows are computed from those buffers one block of rows at a time.
+method's arithmetic and keeps each iteration's fresh arrays; one pass per
+block of iterations decides how the run ends and computes the certificates
+and trace rows.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,7 +78,7 @@ class MethodSpec:
 
 
 # ---------------------------------------------------------------------------
-# Single steps (the spec-level primitives; run() drives them with tracing)
+# Single steps (the spec-level primitives; tests hold run() bitwise equal to them)
 
 def gradient(x, objective: Objective, counter: CommCounter) -> np.ndarray:
     """grad f(x) at every node: one gradient evaluation."""
@@ -162,106 +164,184 @@ def _running_max(current, values) -> float:
     return float(np.fmax.reduce(values, initial=current))
 
 
-class _BlockCertifier:
-    """The certificates and trace rows of one run, a block of rows at a time.
+# ---------------------------------------------------------------------------
+# The iterations of one block. Each takes the state the block starts from and
+# returns the fresh arrays of its iterations, without checks or tallies; the
+# block pass decides which of them the run keeps. The arithmetic is that of
+# near_dgd_step, dgd_step and gradient_tracking_step.
 
-    push() buffers one iteration and _certify() turns a full block into trace
-    records and certificate maxima; finish() certifies the rest and appends
-    the terminal row. Slot 0 of ys and xs holds the state (y_k, x_k) the
-    block starts from, with its Lyapunov value in lyap; row i's y_{k+1} and
-    x_{k+1} go in slot i + 1. The baselines have x_k = y_k, so xs is ys.
+def _near_dgd_iterations(objective, cm, alpha, x, ts):
+    """Iterations k..k+m-1 from x_k = Z^{t_k} y_k, given ts = [t_k, ...,
+    t_{k+m}]: the lists of y_{k+1}, x_{k+1} = Z^{t_{k+1}} y_{k+1} and
+    grad f(x_k)."""
+    ys, xs, grads = [], [], []
+    grad_of, apply = objective.stacked_grad, cm.apply
+    for t in ts[1:]:
+        grad = grad_of(x)
+        y = x - alpha * grad
+        x = apply(t, y)
+        ys.append(y)
+        xs.append(x)
+        grads.append(grad)
+    return ys, xs, grads
+
+
+def _dgd_iterations(objective, cm, alpha, x, m):
+    xs = []
+    grad_of, apply = objective.stacked_grad, cm.apply
+    for _ in range(m):
+        grad = grad_of(x)
+        x = apply(1, x) - alpha * grad
+        xs.append(x)
+    return xs
+
+
+def _tracking_iterations(objective, cm, alpha, x, s, grad, m):
+    """m tracker iterations; returns the list of x_{k+1} and the final (s, grad)."""
+    xs = []
+    grad_of, apply = objective.stacked_grad, cm.apply
+    for _ in range(m):
+        x_next = apply(1, x) - alpha * s
+        grad_next = grad_of(x_next)
+        s = apply(1, s) + grad_next - grad
+        x, grad = x_next, grad_next
+        xs.append(x)
+    return xs, s, grad
+
+
+def _stack(arrays):
+    """np.stack of (n, p) arrays, as one concatenate."""
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+
+
+class _BlockCertifier:
+    """How a run ends, its certificates and its trace rows, a block at a time.
+
+    certify() takes the fresh iterates of one block of iterations and decides
+    how many of them the run keeps: the first row whose y_{k+1} leaves the
+    box ends the run there (diverged); otherwise, with grad_tol set, the
+    first row whose grad_avg_norm is at most grad_tol ends it (stopped); the
+    later rows are discarded. It then turns the kept rows into trace records
+    and certificate maxima. (k, t_k, comms, grads) of each row follow from k
+    and the schedule in exact ints. finish() appends the terminal row.
+
+    y, x, lyap, k and the tallies are the state (y_k, x_k) the next block
+    starts from; the baselines have x_k = y_k.
     """
 
-    def __init__(self, objective, cm, method, alpha, cost_model, result, y, x):
+    def __init__(self, objective, cm, method, alpha, cost_model, result,
+                 box_radius, grad_tol, y, x, grad_evals):
         n, p = objective.n, objective.p
         self.objective, self.cm, self.alpha, self.cost_model = objective, cm, alpha, cost_model
         self.result, self.trace, self.lipschitz = result, result.trace, result.lipschitz
+        self.box_radius, self.grad_tol = box_radius, grad_tol
         self.f_star = objective.min_value()
         self.near_dgd = method.name.startswith("near-dgd")
+        self.fixed_t = method.name == "near-dgd-t"  # the Eq.-7 check applies
+        # comms per round of t_k: the tracker communicates x and s
+        self.comms_per_round = 2 if method.name == "gradient-tracking" else 1
         self.rows = max(1, BLOCK_ELEMENTS // (n * p))
-        self.ys = np.empty((self.rows + 1, n, p))
-        self.xs = np.empty_like(self.ys) if self.near_dgd else self.ys
-        # grad f(x_k) per row, for the Eq.-7 check of fixed-t NEAR-DGD
-        self.grads = np.empty((self.rows, n, p)) if method.name == "near-dgd-t" else None
-        self.ys[0], self.xs[0] = y, x
-        self.meta, self.changes = [], []  # (k, t_k, comms, grads); (i, Z^{t_k} y_{k+1})
+        self.y, self.x, self.k = y, x, 0
+        self.comm_rounds, self.grad_evals = 0, grad_evals
         self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
         self.rho = {}  # descent constant per t
+        self.ended = False
 
-    def push(self, k, t, counter, y_next, x_next, grad=None, z_change=None):
-        """Buffer iteration k at t_k = t: y_{k+1}, x_{k+1} and grad f(x_k).
-        z_change is Z^{t_k} y_{k+1} when t_{k+1} != t_k (x_{k+1} then uses
-        t_{k+1}); after a divergence x_{k+1} is Z^{t_k} of the out-of-box
-        y_{k+1}. Certifies the block once it is full."""
-        i = len(self.meta)
-        self.ys[i + 1] = y_next
-        if self.xs is not self.ys:
-            self.xs[i + 1] = x_next
-        if self.grads is not None:
-            self.grads[i] = grad
-        if z_change is not None:
-            self.changes.append((i, z_change))
-        self.meta.append((k, t, counter.consensus_rounds, counter.gradient_evals))
-        if len(self.meta) == self.rows:
-            self._certify()
-
-    def finish(self, k, t, counter, y):
-        """Certify the buffered rows, then append the terminal row at y: the
-        state y_K, or y_k with the last row's L_t(y_k) after a divergence."""
-        self._certify()
-        lyap = self.trace.final.lyapunov if self.trace.diverged else self.lyap
-        self._append_rows(np.array([[k, t, counter.consensus_rounds, counter.gradient_evals]]),
-                          y[None], np.array([lyap]), np.array([math.nan]))
-
-    def _certify(self):
-        m = len(self.meta)
-        if m == 0:
-            return
-        meta = np.array(self.meta)
-        ts = meta[:, 1].tolist()
-        ys, xs = self.ys[:m + 1], self.xs[:m + 1]
+    def certify(self, ts, fresh_y, fresh_x, grads):
+        """Certify iterations k..k+m-1 from ts = [t_k, ..., t_{k+m}] and the
+        lists of their y_{k+1}, x_{k+1} = Z^{t_{k+1}} y_{k+1} (fresh_y for
+        the baselines) and, for fixed-t NEAR-DGD, grad f(x_k)."""
+        m = len(fresh_y)
+        stack_y = _stack([self.y, *fresh_y])
+        stack_x = _stack([self.x, *fresh_x]) if self.near_dgd else stack_y
         objective, cm, alpha, res = self.objective, self.cm, self.alpha, self.result
+
+        peaks = np.abs(stack_y[1:]).reshape(m, -1).max(axis=1)
+        out = np.flatnonzero(~(peaks <= self.box_radius))  # also a non-finite peak
+        diverged = int(out[0]) if out.size else None
+        r = m if diverged is None else diverged + 1  # the rows kept
+        evaluated = self._evaluate(stack_x[:r])
+        stopped = None
+        if self.grad_tol is not None:
+            below = np.flatnonzero(evaluated[2][:r if diverged is None else diverged]
+                                   <= self.grad_tol)
+            if below.size:
+                stopped, diverged = int(below[0]), None
+                r = stopped + 1
+        ys, xs, ts_rows = stack_y[:r + 1], stack_x[:r + 1], ts[:r]
+
+        comms = list(itertools.accumulate((self.comms_per_round * t for t in ts_rows),
+                                          initial=self.comm_rounds))[1:]
+        meta = np.array([list(range(self.k, self.k + r)), ts_rows, comms,
+                         list(range(self.grad_evals + 1, self.grad_evals + r + 1))])
         norms = np.sqrt(inner(ys, ys))  # ||y_k||, and ||y_{k+1}|| of the last row
         res.b_y = _running_max(res.b_y, norms[1:])
-        lyaps = np.full(m + 1, math.nan)  # L_{t_k}(y_k) from (y_k, x_k)
-        residuals = np.full(m, math.nan)
+        lyaps = np.full(r + 1, math.nan)  # L_{t_k}(y_k) from (y_k, x_k)
+        residuals = np.full(r, math.nan)
         if self.near_dgd:
             lyaps[0] = self.lyap
             lyaps[1:] = lyapunov_value_at(ys[1:], xs[1:], objective, alpha)
             lyap_next = lyaps[1:].copy()  # L_{t_k}(y_{k+1})
-            if self.changes:
-                rows = np.array([i for i, _ in self.changes])
+            changes = [i for i in range(r) if ts[i + 1] != ts[i]]
+            if changes:
+                # x_{k+1} used t_{k+1}; the certificate needs Z^{t_k} y_{k+1}
+                rows = np.array(changes)
                 lyap_next[rows] = lyapunov_value_at(
-                    ys[rows + 1], np.array([z for _, z in self.changes]), objective, alpha)
-            for t in set(ts) - self.rho.keys():
+                    ys[rows + 1], np.array([cm.apply(ts[i], fresh_y[i]) for i in changes]),
+                    objective, alpha)
+            for t in set(ts_rows) - self.rho.keys():
                 # alpha >= 2/L under the override flag: no guaranteed margin,
                 # report the raw Lyapunov difference
                 self.rho[t] = (rho_constant(cm, t, alpha, self.lipschitz)
                                if alpha < 2.0 / self.lipschitz else 0.0)
-            residuals = descent_certificate(lyaps[:m], lyap_next, ys[:m], ys[1:],
-                                            np.array([self.rho[t] for t in ts]))
-        cons = self._append_rows(meta, xs[:m], lyaps[:m], residuals)
+            residuals = descent_certificate(lyaps[:r], lyap_next, ys[:r], ys[1:],
+                                            np.array([self.rho[t] for t in ts_rows]))
+        cons = self._append_rows(meta, xs[:r], lyaps[:r], residuals,
+                                 *(column[:r] for column in evaluated))
         if self.near_dgd:
             bounds = [consensus_distance_bound(cm.beta, t, b)
-                      for t, b in zip(ts, norms[:m].tolist())]
+                      for t, b in zip(ts_rows, norms[:r].tolist())]
             res.max_cons_gap = _running_max(res.max_cons_gap, cons - bounds)
-        if self.grads is not None:
+        if self.fixed_t:
             # x_{k+1} - x_k vs -a grad L_t(y_k)
-            violation = np.abs(xs[1:] - xs[:m] + alpha * lyapunov_grad_at(
-                xs[:m], self.grads[:m], cm, ts[0], alpha))
+            violation = np.abs(xs[1:] - xs[:r] + alpha * lyapunov_grad_at(
+                xs[:r], _stack(grads[:r]), cm, ts[0], alpha))
             res.max_eq7_inf = _running_max(res.max_eq7_inf,
-                                           violation.reshape(m, -1).max(axis=1))
-        self.ys[0], self.xs[0], self.lyap = ys[m], xs[m], lyaps[m]
-        self.meta.clear()
-        self.changes.clear()
+                                           violation.reshape(r, -1).max(axis=1))
 
-    def _append_rows(self, meta, points, lyaps, residuals):
-        """Append the trace rows with (k, t_k, comms, grads) in meta, each
-        describing its (n, p) point; returns their cons_dist."""
-        ks, ts, comms, grads = meta.T
-        cons = consensus_distance(points)
+        self.comm_rounds, self.grad_evals = comms[-1], self.grad_evals + r
+        end = r  # the state the run goes on from, or ends at
+        if diverged is not None:
+            # the run stops at y_k; its terminal row repeats row k's L_t(y_k)
+            end = diverged
+            self.trace.diverged = True
+            self.trace.divergence_note = (
+                "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
+                "estimate no longer valid" % (self.k + end, peaks[end], self.box_radius))
+        self.y, self.x, self.lyap = ys[end], xs[end], lyaps[end]
+        self.k += end
+        if diverged is not None or stopped is not None:
+            self.ended = True
+            self.finish(ts[end])
+
+    def finish(self, t):
+        """Append the terminal row (k, t, tallies) at the state y."""
+        points = self.y[None]
+        meta = np.array([[self.k], [t], [self.comm_rounds], [self.grad_evals]])
+        self._append_rows(meta, points, np.array([self.lyap]), np.array([math.nan]),
+                          *self._evaluate(points))
+
+    def _evaluate(self, points):
+        """The averages of a stack of (n, p) points, and f and ||grad f|| there."""
         avgs = points.mean(axis=-2)
-        values, grad_norms = self.objective.batch_value_and_grad_norm(avgs)
+        return (avgs, *self.objective.batch_value_and_grad_norm(avgs))
+
+    def _append_rows(self, meta, points, lyaps, residuals, avgs, values, grad_norms):
+        """Append the trace rows with (k, t_k, comms, grads) in the rows of
+        meta, each describing its (n, p) point, given _evaluate's columns;
+        returns their cons_dist."""
+        ks, ts, comms, grads = meta
+        cons = consensus_distance(points)
         cost = cumulative_cost(CommCounter(comms, grads), self.cost_model)
         self.trace.records.extend(map(
             TraceRecord, ks.tolist(), ts.tolist(), comms.tolist(), grads.tolist(),
@@ -284,15 +364,19 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     leaves the box |y|_inf <= box_radius stops there and is marked diverged.
     Deterministic for fixed seed and config.
 
-    The loop does only the method's work: the gradient, the step, the
-    consensus that forms x_{k+1}, the box test and, with grad_tol set, the
-    stop test on the current row's average. It buffers each iteration's
-    state, and every max(1, BLOCK_ELEMENTS // (n p)) rows, and once more when
-    the run ends or diverges, one batched pass computes the rows' trace
-    columns and the descent, Eq.-7 and consensus-bound certificates. Each
-    iterate's Lyapunov value is evaluated once, plus L_{t_k}(y_{k+1}) on the
-    rows after which t changes. The pass gives the same values, bit for bit,
-    for any block size.
+    The loop does only the method's arithmetic: per iteration one gradient
+    and one consensus application (two for the tracker), through
+    ConsensusMatrix.apply. It keeps each iteration's fresh arrays for one
+    block of max(1, BLOCK_ELEMENTS // (n p)) iterations, and one batched
+    pass per block then decides how the run ends and certifies the rows it
+    keeps. The first row whose y_{k+1} leaves the box ends the run there,
+    diverged; otherwise, with grad_tol set, the first row whose
+    grad_avg_norm is at most grad_tol ends it; the rest of that block is
+    discarded. The pass computes the rows' (k, t_k, comms, grads) from k and
+    the schedule, their trace columns and the descent, Eq.-7 and
+    consensus-bound certificates. Each iterate's Lyapunov value is evaluated
+    once, plus L_{t_k}(y_{k+1}) on the rows after which t changes. The run
+    gives the same values, bit for bit, for any block size.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -312,55 +396,40 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     if y.shape != (n, p):
         raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
 
-    counter = CommCounter()
     trace = RunTrace(method=method.label(), seed=int(seed))
-    result = RunResult(trace=trace, counter=counter, final_y=y, final_x=y,
+    result = RunResult(trace=trace, counter=CommCounter(), final_y=y, final_x=y,
                        final_avg=y.mean(axis=0), b_y=float(np.linalg.norm(y)),
                        max_cons_gap=-math.inf, max_eq7_inf=0.0, lipschitz=lipschitz)
     near_dgd = method.name.startswith("near-dgd")
-    grad = None  # grad f(x_k): NEAR-DGD's for the Eq.-7 check, the tracker's cache
+    iterations, grad_evals = budget, 0
     if method.name == "gradient-tracking":
         if budget < 2:
-            budget = 0  # not enough budget for tracker init plus a step
+            iterations = 0  # not enough budget for tracker init plus a step
         else:
-            s = grad = gradient(y, objective, counter)
+            s = grad = objective.stacked_grad(y)
+            iterations, grad_evals = budget - 1, 1
 
-    k, t = 0, method.rounds(0)
-    # Z^{t_k} y_k; its t_k rounds are counted when iteration k uses it
-    x = apply_consensus(cm, t, y) if near_dgd else y
-    block = _BlockCertifier(objective, cm, method, alpha, cost_model, result, y, x)
-    while counter.gradient_evals < budget:
-        if near_dgd:
-            counter.consensus_rounds += t
-            grad, y_next = gradient_step(x, objective, alpha, counter)
-            x_next = apply_consensus(cm, t, y_next)  # Z^{t_k} y_{k+1}
-        elif method.name == "dgd":
-            y_next = x_next = dgd_step(y, objective, cm, alpha, counter)
-        else:
-            y_next, s, grad = gradient_tracking_step(y, s, grad, objective, cm,
-                                                     alpha, counter)
-            x_next = y_next
-        peak = np.abs(y_next).max()
-        if not peak <= box_radius:  # also true for a non-finite peak
-            block.push(k, t, counter, y_next, x_next, grad)
-            trace.diverged = True
-            trace.divergence_note = (
-                "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
-                "estimate no longer valid" % (k, peak, box_radius))
-            break  # y stays y_k
-        t_next, z_change = method.rounds(k + 1), None
-        if t_next != t:
-            # x_{k+1} = Z^{t_{k+1}} y_{k+1} in one application (same cost at
-            # any t), as near_dgd_step forms it; the certificate keeps Z^{t_k} y_{k+1}
-            z_change, x_next = x_next, apply_consensus(cm, t_next, y_next)
-        block.push(k, t, counter, y_next, x_next, grad, z_change)
-        stop = grad_tol is not None and objective.batch_value_and_grad_norm(
-            x.mean(axis=0, keepdims=True))[1][0] <= grad_tol  # row k's x_k
-        y, x, k, t = y_next, x_next, k + 1, t_next
-        if stop:
-            break
-    block.finish(k, t, counter, y)
-    result.final_y = y
-    result.final_x = x
-    result.final_avg = y.mean(axis=0)
+    # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
+    x = cm.apply(method.rounds(0), y) if near_dgd else y
+    block = _BlockCertifier(objective, cm, method, alpha, cost_model, result,
+                            box_radius, grad_tol, y, x, grad_evals)
+    while block.k < iterations and not block.ended:
+        k, m = block.k, min(block.rows, iterations - block.k)
+        ts = [method.rounds(j) for j in range(k, k + m + 1)]
+        grads = None
+        # iterations past a divergence may overflow; the pass discards them
+        with np.errstate(over="ignore", invalid="ignore"):
+            if near_dgd:
+                ys, xs, grads = _near_dgd_iterations(objective, cm, alpha, block.x, ts)
+            elif method.name == "dgd":
+                ys = xs = _dgd_iterations(objective, cm, alpha, block.y, m)
+            else:
+                ys, s, grad = _tracking_iterations(objective, cm, alpha, block.y, s, grad, m)
+                xs = ys
+        block.certify(ts, ys, xs, grads)
+    if not block.ended:
+        block.finish(method.rounds(block.k))
+    result.counter = CommCounter(block.comm_rounds, block.grad_evals)
+    result.final_y, result.final_x = block.y, block.x
+    result.final_avg = block.y.mean(axis=0)
     return result

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neardgd import checks
+from neardgd import checks, cli
 from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, main)
 from neardgd.config import (ConfigError, RunConfig, load_run_config,
@@ -337,6 +337,20 @@ def test_cmd_sweep_rejects_parallel_below_one(tmp_path, capsys, monkeypatch, par
     assert err == "validation error: --parallel must be at least 1, got %s\n" % parallel
     assert RecordingPool.started == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_that_is_a_file_fails_before_any_cell_runs(tmp_path, capsys, monkeypatch,
+                                                       command):
+    cells = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: cells.append(args))
+    (tmp_path / "a_file").write_text("")
+    cfg = write_config(tmp_path, SMALL + "sweep.methods = near-dgd-t:1, dgd\n")
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "a_file")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and len(err.splitlines()) == 1
+    assert cells == []
 
 
 def test_parallel_is_a_sweep_option_only(tmp_path):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_run_refuses_a_doubling_schedule_past_the_float_range(monkeypatch):
     method = MethodSpec("near-dgd-plus-doubling", period=3)
     res = run(prob, cm, method, alpha=0.1, budget=1000)
     assert res.trace.final.t_k == 2**333 and not res.diverged
-    monkeypatch.setattr(optimizer, "gradient_step",
+    monkeypatch.setattr(Objective, "stacked_grad",
                         lambda *args: pytest.fail("refused only after iterating"))
     with pytest.raises(ValueError, match=r"near-dgd-plus-doubling:3 at budget 3100"):
         run(prob, cm, method, alpha=0.1, budget=3100)
@@ -280,12 +281,35 @@ def test_run_evaluates_stacked_value_once_per_iterate(monkeypatch, token, calls)
     assert sum(seen) == calls
 
 
+def count_kernel_calls(monkeypatch):
+    """Counts ConsensusMatrix.apply calls, split into those made inside a
+    block pass and the rest (x_0 and run()'s loop)."""
+    counts, in_pass = {"loop": 0, "pass": 0}, []
+    apply, certify = ConsensusMatrix.apply, optimizer._BlockCertifier.certify
+
+    def counting(self, t, cols):
+        counts["pass" if in_pass else "loop"] += 1
+        return apply(self, t, cols)
+
+    def flagged(self, *args):
+        in_pass.append(True)
+        try:
+            return certify(self, *args)
+        finally:
+            in_pass.pop()
+
+    monkeypatch.setattr(ConsensusMatrix, "apply", counting)
+    monkeypatch.setattr(optimizer._BlockCertifier, "certify", flagged)
+    return counts
+
+
 def test_run_fixed_t_loop_makes_one_consensus_and_one_gradient_call(monkeypatch):
     # blocks of 4 rows: budget 10 makes passes over 4, 4 and 2 rows; per
     # iteration the loop applies Z^t once and evaluates one gradient, and
     # the certificates cost a fixed number of calls per pass
     prob, cm = paper_instance()
     monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 4 * 12 * 4)
+    kernel = count_kernel_calls(monkeypatch)
     calls = {}
 
     def counting(owner, name):
@@ -296,15 +320,15 @@ def test_run_fixed_t_loop_makes_one_consensus_and_one_gradient_call(monkeypatch)
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((optimizer, "apply_consensus"), (diagnostics, "apply_consensus"),
-                        (Objective, "stacked_grad"), (Objective, "stacked_value"),
-                        (optimizer, "consensus_distance")):
+    for owner, name in ((diagnostics, "apply_consensus"), (Objective, "stacked_grad"),
+                        (Objective, "stacked_value"), (optimizer, "consensus_distance")):
         counting(owner, name)
     res = run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=10)
     assert res.counter.gradient_evals == 10 and res.counter.consensus_rounds == 50
-    assert calls["apply_consensus", optimizer] == 1 + 10  # x_0, then x_{k+1}
+    assert kernel["loop"] == 1 + 10  # x_0, then x_{k+1}
     assert calls["stacked_grad", Objective] == 10
-    assert calls["apply_consensus", diagnostics] == 2 * 3  # Eq. 7: twice per pass
+    # Eq. 7: twice per pass, through apply_consensus, and nothing else
+    assert calls["apply_consensus", diagnostics] == kernel["pass"] == 2 * 3
     assert calls["stacked_value", Objective] == 1 + 3  # L_t(y_0), then per pass
     assert calls["consensus_distance", optimizer] == 3 + 1  # per pass, terminal row
 
@@ -373,20 +397,52 @@ def test_run_batched_columns_match_single_point_oracles(monkeypatch, name):
 
 def test_run_near_dgd_plus_applies_each_round_once(monkeypatch):
     # one application costs the same at any t, so the work is the number of
-    # calls: x_0, then per iteration z = Z^{t_k} y_{k+1} for the descent
-    # certificate and x_{k+1} = Z^{t_{k+1}} y_{k+1} when t changes (1 + 10 + 10)
+    # calls: x_0, then per iteration x_{k+1} = Z^{t_{k+1}} y_{k+1} in the
+    # loop, and z = Z^{t_k} y_{k+1} for the descent certificate in the pass
     prob, cm = paper_instance()
-    applied = []
-    original = optimizer.apply_consensus
-
-    def counting(cm_, t, y, counter=None):
-        applied.append(t)
-        return original(cm_, t, y, counter)
-
-    monkeypatch.setattr(optimizer, "apply_consensus", counting)
+    kernel = count_kernel_calls(monkeypatch)
     res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=10)
-    assert len(applied) <= 21
+    assert kernel == {"loop": 1 + 10, "pass": 10}
     assert res.counter.consensus_rounds == 55
+
+
+@pytest.mark.parametrize("token, alpha", [
+    ("near-dgd-t:5", 0.9), ("near-dgd-plus", 0.9), ("dgd", 0.9),
+    # these two overflow to inf and nan by k = 11 and k = 10
+    ("near-dgd-t:5", 6.0), ("dgd", 3.0)])
+def test_run_ends_at_a_mid_block_divergence_without_warnings(monkeypatch, token, alpha):
+    # alpha > 2/L on a box of 2.5: the first y_{k+1} out of the box falls
+    # inside the first block of 85 rows; the loop runs on to the end of the
+    # block, and the pass discards the rows past the divergence
+    prob, cm = paper_instance()
+    method = MethodSpec.parse(token)
+    counter = CommCounter()
+    y = initial_point(12, 4, 1)
+    for k in range(3000):
+        if method.name == "dgd":
+            y_next = dgd_step(y, prob, cm, alpha, counter)
+        else:
+            y_next = near_dgd_step(y, prob, cm, method.rounds(k), alpha, counter)[1]
+        if not np.abs(y_next).max() <= 2.5:
+            break
+        y = y_next
+    rows = optimizer.BLOCK_ELEMENTS // (12 * 4)
+    assert 0 < k < rows - 1
+    grad_calls = []
+    stacked_grad = Objective.stacked_grad
+    monkeypatch.setattr(Objective, "stacked_grad",
+                        lambda self, x: grad_calls.append(1) or stacked_grad(self, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(prob, cm, method, alpha=alpha, budget=3000, allow_large_alpha=True,
+                  box_radius=2.5, seed=1)
+    assert len(grad_calls) == rows  # the loop did run past the divergence
+    assert res.diverged
+    assert res.trace.divergence_note.startswith("iteration %d: " % k)
+    assert res.final_y.tobytes() == y.tobytes()
+    assert [rec.k for rec in res.trace.records] == list(range(k + 1)) + [k]
+    assert (res.counter.consensus_rounds, res.counter.gradient_evals) == (
+        counter.consensus_rounds, counter.gradient_evals)
 
 
 def test_run_descent_and_eq7_certificates():
@@ -432,8 +488,8 @@ def test_run_grad_tol_stops_early():
               grad_tol=1e-6)
     assert res.counter.gradient_evals < 3000
     assert res.final_avg_grad_norm <= 1e-6
-    # the online stop test and the batched trace column agree: the last
-    # iteration row stopped the run, and the one before it did not
+    # the stop decision reads the trace column: the last iteration row
+    # stopped the run, and the one before it did not
     stopped, before = res.trace.records[-2], res.trace.records[-3]
     assert stopped.grad_avg_norm <= 1e-6 < before.grad_avg_norm
 
