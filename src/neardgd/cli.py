@@ -103,12 +103,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     results = checks.run_check_suite(_load(args, checks.default_check_config))
-    failed = 0
+    failed = skipped = 0
     for name, ok, detail in results:
+        if ok is None:  # not applicable: neither passed nor failed
+            print("N/A %s (%s)" % (name, detail))
+            skipped += 1
+            continue
         print("%s %s%s" % ("PASS" if ok else "FAIL", name,
                            "" if ok else " (%s)" % detail))
         failed += 0 if ok else 1
-    print("%d/%d checks passed" % (len(results) - failed, len(results)))
+    applied = len(results) - skipped
+    print("%d/%d checks passed%s" % (applied - failed, applied,
+                                     ", %d not applicable" % skipped if skipped else ""))
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILURE
 
 

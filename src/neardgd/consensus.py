@@ -13,6 +13,9 @@ from .graph import Graph, adjacency, is_connected
 from .linalg import check_symmetric, sym_eigen
 
 STOCH_TOL = 1e-12
+# ConsensusMatrix.apply_each forms at most this many scaled eigenvector
+# entries at once
+APPLY_EACH_ELEMENTS = 2**17
 
 
 class ConsensusMatrixError(ValueError):
@@ -61,7 +64,7 @@ class ConsensusMatrix:
 
     The spectrum is computed once at construction; beta is the second
     largest eigenvalue (the consensus contraction factor) and lambda_min
-    the smallest. V diag(lam^t) for the last t >= 2 that apply() was
+    the smallest. V diag(lam^t) for the last two t >= 2 that apply() was
     asked for is kept beside it, formed on first use.
     """
 
@@ -71,8 +74,8 @@ class ConsensusMatrix:
     lambda_min: float = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
-    _scaled_memo: tuple | None = field(init=False, default=None, repr=False,
-                                      compare=False)
+    _scaled_memo: dict = field(init=False, default_factory=dict, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         self.W = check_symmetric(self.W)
@@ -94,8 +97,9 @@ class ConsensusMatrix:
         return self.W.shape[0]
 
     def apply(self, t: int, cols) -> np.ndarray:
-        """Z^t cols for an int t >= 1 and a float (n,) or (n, k) array,
-        neither of them checked. apply_consensus checks its arguments and
+        """Z^t cols for an int t >= 1 and a float (n,) or (n, k) array, or
+        an (r, n, k) stack with one product per iterate, none of them
+        checked. apply_consensus checks its arguments and
         calls this; run()'s loop calls it directly. Every consensus
         application thus takes this one arithmetic path.
 
@@ -112,15 +116,53 @@ class ConsensusMatrix:
 
         The top eigenvalue of a doubly stochastic W is exactly 1; it is
         pinned there, because the few ulps eigh leaves on it would grow with
-        t and move the mean. One slot holds the last t: a run that keeps t
-        pays the O(n^2) scaling once, and one that changes it every
-        iteration pays it per call, below the cost of the product it feeds.
+        t and move the mean. Two slots hold the last two t asked for: a
+        caller that keeps t pays the O(n^2) scaling once, one that goes back
+        and forth between two t (a step with t_k, then a check with t_{k-1})
+        pays it twice, and one that moves on every call pays it per call,
+        below the cost of the product it feeds.
         """
-        if self._scaled_memo is None or self._scaled_memo[0] != t:
+        memo = self._scaled_memo  # in order of use, the most recent t last
+        scaled = memo.pop(t, None)
+        if scaled is None:
+            scaled = self.eigenvectors * self._pinned_powers(t)
+            if len(memo) == 2:
+                del memo[next(iter(memo))]
+        memo[t] = scaled
+        return scaled
+
+    def _pinned_powers(self, t: int) -> np.ndarray:
+        """lam^t with the top eigenvalue's power pinned to exactly 1. A top
+        eigenvalue one ulp above 1 overflows for a t near 2^62, harmlessly,
+        since the pin overwrites it."""
+        with np.errstate(over="ignore"):
             lam_t = self.eigenvalues ** t
-            lam_t[-1] = 1.0
-            self._scaled_memo = (t, self.eigenvectors * lam_t)
-        return self._scaled_memo[1]
+        lam_t[-1] = 1.0
+        return lam_t
+
+    def apply_each(self, ts, stack) -> np.ndarray:
+        """Z^{ts[i]} stack[i] for each i of a float (c, n, k) stack, without
+        checks; each equal to apply(ts[i], stack[i]) bitwise.
+
+        The rows with t = 1 take the product W stack[i]. The others form all
+        their V diag(lam^t) in one broadcast product, each lam^t taken as its
+        own power as apply() takes it, and then make two batched products,
+        which NumPy evaluates as one matrix product per row. At most
+        APPLY_EACH_ELEMENTS scaled entries are formed at a time, so a large
+        n takes the rows a few at a time.
+        """
+        out = np.empty_like(stack)
+        ones = [i for i, t in enumerate(ts) if t == 1]
+        if ones:
+            out[ones] = self.W @ stack[ones]
+        rest = [i for i, t in enumerate(ts) if t != 1]
+        step = max(1, APPLY_EACH_ELEMENTS // self.n**2)
+        for j in range(0, len(rest), step):
+            rows = rest[j:j + step]
+            lam_t = np.array([self._pinned_powers(ts[i]) for i in rows])
+            scaled = self.eigenvectors * lam_t[:, None, :]
+            out[rows] = scaled @ (self.eigenvectors.T @ stack[rows])
+        return out
 
 
 def _check_consensus_invariants(w, g: Graph):
@@ -173,8 +215,9 @@ def build_consensus_matrix(g: Graph, rule: str = "metropolis", margin: float = 0
 def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None = None):
     """Z^t y: t consensus rounds applied block-wise to a stacked iterate.
 
-    y has the node axis first: an (n, p) iterate, an (n,) vector, or any
-    (n, ...) array, whose trailing axes are columns of one product. The
+    y has the node axis first: an (n, p) iterate, an (n,) vector, or an
+    (n, ..., p) array of iterates side by side, each taking its own product,
+    so that its values equal those of its (n, p) calls bitwise. The
     arguments are checked here and the product is ConsensusMatrix.apply's,
     whose cost is the same for every t. Each of the t rounds is still one
     communication: the counter advances by t.
@@ -188,10 +231,15 @@ def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None 
     y = np.asarray(y, dtype=float)
     if y.shape[0] != cm.n:
         raise ValueError("iterate has %d node rows, matrix expects %d" % (y.shape[0], cm.n))
-    out = cm.apply(t, y.reshape(cm.n, -1))
+    if y.ndim <= 2:
+        out = cm.apply(t, y.reshape(cm.n, -1)).reshape(y.shape)
+    else:
+        # the (..., n, p) stack that y views, whose iterates NumPy
+        # multiplies one at a time
+        out = np.moveaxis(cm.apply(t, np.moveaxis(y, 0, -2)), -2, 0)
     if counter is not None:
         counter.consensus_rounds += t
-    return out.reshape(y.shape)
+    return out
 
 
 def average_project(y):

@@ -1,11 +1,16 @@
 """Lyapunov evaluations, descent constants, theoretical bounds, saddle
-classification and cost accounting.
+classification, cost accounting and the run trace.
 
-Everything here is pure evaluation over immutable state and never touches a
-run's communication counter: diagnostic consensus applications are free.
+Everything here but RunTrace, which a run appends its rows to as columns,
+is pure evaluation over immutable state and never touches a run's
+communication counter: diagnostic consensus applications are free. The
+stacked forms take (..., n, p) stacks of iterates, and each iterate's value
+equals its (n, p) call bitwise.
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -54,12 +59,14 @@ def lyapunov_value(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: 
 
 def lyapunov_grad_at(zy, grad, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
     """grad L_t(y) = Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y, given zy = Z^t y
-    and grad = grad f(zy); (n, p) arrays or (..., n, p) stacks."""
+    and grad = grad f(zy); (n, p) arrays or (..., n, p) stacks, each
+    iterate of a stack equal to its (n, p) call bitwise."""
     return _consensus_at(cm, t, grad) + (zy - _consensus_at(cm, t, zy)) / alpha
 
 
 def _consensus_at(cm: ConsensusMatrix, t: int, x) -> np.ndarray:
-    """Z^t applied along the node axis of an (n, p) iterate or (..., n, p) stack."""
+    """Z^t applied along the node axis of an (n, p) iterate or (..., n, p)
+    stack, one product per iterate."""
     return np.moveaxis(apply_consensus(cm, t, np.moveaxis(x, -2, 0)), 0, -2)
 
 
@@ -89,20 +96,24 @@ def lyapunov_hessian(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha
 # ---------------------------------------------------------------------------
 # Descent constants and bounds
 
-def rho_constant(cm: ConsensusMatrix, t: int, alpha: float, lipschitz: float) -> float:
+def rho_constant(cm: ConsensusMatrix, t, alpha: float, lipschitz: float):
     """Sufficient-descent constant: (2a)^-1 min_i lam_i^t (1 + (1 - aL) lam_i^t).
 
     The eigenvalues of the stacked operator are those of W, each with
-    multiplicity p, so the minimum runs over the cached spectrum of W.
+    multiplicity p, so the minimum runs over the cached spectrum of W. A
+    sequence of t gives an array with one constant per entry, each equal to
+    its scalar call bitwise: every lam^t is taken as its own power, since
+    NumPy's power over a whole (len(t), n) stack may differ in the last bit.
     """
     if alpha <= 0 or alpha >= 2.0 / lipschitz:
         raise ValueError("rho requires 0 < alpha < 2/L")
-    lam_t = cm.eigenvalues**t
-    rho = float((lam_t * (1.0 + (1.0 - alpha * lipschitz) * lam_t)).min() / (2.0 * alpha))
+    scalar = np.ndim(t) == 0
+    lam_t = np.array([cm.eigenvalues**s for s in ([t] if scalar else t)])
+    rho = (lam_t * (1.0 + (1.0 - alpha * lipschitz) * lam_t)).min(axis=-1) / (2.0 * alpha)
     # mathematically positive for PD W and alpha < 2/L, but lambda_min^t
     # underflows to 0 for very large t; 0 is the conservative limit there
-    assert rho >= 0.0
-    return rho
+    assert (rho >= 0.0).all()
+    return float(rho[0]) if scalar else rho
 
 
 def descent_certificate(lyap_k, lyap_next, y_k, y_next, rho):
@@ -252,24 +263,86 @@ class TraceRecord(NamedTuple):
 
 
 TRACE_COLUMNS = TraceRecord._fields
+FLOAT_COLUMNS = TRACE_COLUMNS[4:10]  # f_err .. dist_saddle
 
 
-@dataclass
+class _Block(NamedTuple):
+    """r trace rows as columns."""
+    k: list
+    t_k: list
+    comms: list
+    grads: list
+    floats: np.ndarray  # (r, 6), the FLOAT_COLUMNS
+    cost: list
+
+
+class TraceRecords(Sequence):
+    """Read-only view of a RunTrace's rows, built as TraceRecords on demand."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+
+    def __len__(self):
+        return sum(len(block[0]) for block in self._blocks)
+
+    def __iter__(self):
+        for ks, ts, comms, grads, floats, costs in self._blocks:
+            yield from map(TraceRecord, ks, ts, comms, grads, *floats.T.tolist(), costs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        for ks, ts, comms, grads, floats, costs in self._blocks:
+            if 0 <= i < len(ks):
+                return TraceRecord(ks[i], ts[i], comms[i], grads[i], *floats[i].tolist(),
+                                   costs[i])
+            i -= len(ks)
+        raise IndexError("trace row index out of range")
+
+
+@dataclass(eq=False)
 class RunTrace:
-    """Per-iteration metric records for one run."""
+    """Per-iteration trace rows of one run, kept as columns a block at a time.
+
+    A block of r rows holds k, t_k, comms and grads as lists of Python ints
+    (a doubling schedule's counts outgrow int64), the six FLOAT_COLUMNS as
+    one (r, 6) array, and the cost column as a list: ints under integer
+    cost coefficients, floats otherwise. ``records`` is a read-only view
+    that builds TraceRecords on demand.
+    """
 
     method: str
     seed: int
-    records: list = field(default_factory=list)
     diverged: bool = False
     divergence_note: str = ""
+    _blocks: list = field(default_factory=list, init=False, repr=False)
+
+    def extend(self, ks, ts, comms, grads, floats, costs):
+        """Append r rows: four lists of r ints, an (r, 6) float array and r costs."""
+        self._blocks.append(_Block(ks, ts, comms, grads, floats, costs))
 
     def append(self, record: TraceRecord):
-        self.records.append(record)
+        self.extend([record.k], [record.t_k], [record.comms], [record.grads],
+                    np.array([record[4:10]], dtype=float), [record.cost])
+
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self._blocks)
 
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
+
+    def column(self, name):
+        """One column over every row: a float array for FLOAT_COLUMNS, a
+        list for the integer columns and cost."""
+        if name in FLOAT_COLUMNS:
+            j = FLOAT_COLUMNS.index(name)
+            return np.concatenate([b.floats[:, j] for b in self._blocks] or [np.empty(0)])
+        return [value for block in self._blocks for value in getattr(block, name)]
 
     def write_csv(self, path, extra_key_columns=False):
         with open(path, "w", newline="") as fh:
@@ -290,8 +363,9 @@ class RunTrace:
         head = (prefix.replace("%", "%%") + "%d,%d,%d,%d,"
                 + "%.17g," * (len(TRACE_COLUMNS) - 5))
         float_cost, int_cost = head + "%.17g\n", head + "%d\n"
-        fh.writelines((int_cost if isinstance(rec.cost, (int, np.integer)) else float_cost)
-                      % rec for rec in self.records)
+        for ks, ts, comms, grads, floats, costs in self._blocks:
+            fh.writelines((int_cost if isinstance(row[-1], (int, np.integer)) else float_cost)
+                          % row for row in zip(ks, ts, comms, grads, *floats.T.tolist(), costs))
 
     def cost_to_reach(self, f_err_target: float) -> float:
         """Cost of first reaching the error target and staying at or below it.
@@ -299,11 +373,7 @@ class RunTrace:
         Transient dips that later rise back above the target do not count;
         inf if the run never settles below the target.
         """
-        reached_at = None
-        for rec in self.records:
-            if rec.f_err <= f_err_target:
-                if reached_at is None:
-                    reached_at = rec.cost
-            else:
-                reached_at = None
-        return math.inf if reached_at is None else reached_at
+        unsettled = np.flatnonzero(~(self.column("f_err") <= f_err_target))
+        start = int(unsettled[-1]) + 1 if unsettled.size else 0
+        costs = self.column("cost")
+        return costs[start] if start < len(costs) else math.inf

@@ -2,9 +2,10 @@
 
 A run is strictly sequential; parallelism lives one level up (sweeps over
 methods and seeds share no mutable state). run()'s loop does only the
-method's arithmetic and keeps each iteration's fresh arrays; one pass per
-block of iterations decides how the run ends and computes the certificates
-and trace rows.
+method's arithmetic and writes each iteration's iterates into two buffers
+allocated once per run; one pass per block of iterations reads them in
+place, decides how the run ends and appends the certificates and trace
+columns.
 """
 
 import itertools
@@ -14,17 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import CommCounter, ConsensusMatrix, apply_consensus
-from .diagnostics import (CostModel, RunTrace, TraceRecord, consensus_distance,
-                          consensus_distance_bound, cumulative_cost,
-                          descent_certificate, inner, lyapunov_grad_at,
-                          lyapunov_value_at, rho_constant)
+from .diagnostics import (FLOAT_COLUMNS, CostModel, RunTrace, consensus_distance,
+                          cumulative_cost, descent_certificate, inner,
+                          lyapunov_grad_at, lyapunov_value_at, rho_constant)
 from .objective import Objective
 
 INIT_BOUND = 1.0        # iterates start uniform in [-INIT_BOUND, INIT_BOUND]
 BOX_INFLATION = 4.0     # trajectory box radius = INIT_BOUND * BOX_INFLATION
 # a run buffers max(1, BLOCK_ELEMENTS // (n p)) iterations between two
 # certificate passes, so its buffers and temporaries do not grow with budget
-BLOCK_ELEMENTS = 2**12
+BLOCK_ELEMENTS = 2**14
 
 METHOD_NAMES = ("near-dgd-t", "near-dgd-plus", "near-dgd-plus-doubling",
                 "dgd", "gradient-tracking")
@@ -57,6 +57,18 @@ class MethodSpec:
         if self.name == "near-dgd-plus-doubling":
             return 2 ** (k // self.period)
         return 1
+
+    @property
+    def certificates(self) -> tuple:
+        """The run certificates a run of this method evaluates: descent and
+        the consensus bound for the NEAR-DGD methods, whose Lyapunov
+        function the paper defines, and the Eq.-7 update identity for a
+        fixed t only. The baselines evaluate none."""
+        if self.name == "near-dgd-t":
+            return ("descent-residual", "eq7-identity", "consensus-bound")
+        if self.name.startswith("near-dgd"):
+            return ("descent-residual", "consensus-bound")
+        return ()
 
     def label(self) -> str:
         if self.name == "near-dgd-t":
@@ -165,95 +177,80 @@ def _running_max(current, values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The iterations of one block. Each takes the state the block starts from and
-# returns the fresh arrays of its iterations, without checks or tallies; the
-# block pass decides which of them the run keeps. The arithmetic is that of
-# near_dgd_step, dgd_step and gradient_tracking_step.
+# The iterations of one block. Each takes the per-slot views of the block
+# buffers, whose slot 0 holds the state the block starts from, and writes
+# iteration i's fresh iterates into slot i + 1, without checks or tallies;
+# the block pass decides which of them the run keeps. The arithmetic is that
+# of near_dgd_step, dgd_step and gradient_tracking_step.
 
-def _near_dgd_iterations(objective, cm, alpha, x, ts):
-    """Iterations k..k+m-1 from x_k = Z^{t_k} y_k, given ts = [t_k, ...,
-    t_{k+m}]: the lists of y_{k+1}, x_{k+1} = Z^{t_{k+1}} y_{k+1} and
-    grad f(x_k)."""
-    ys, xs, grads = [], [], []
-    grad_of, apply = objective.stacked_grad, cm.apply
-    for t in ts[1:]:
+def _near_dgd_iterations(objective, cm, alpha, ys, xs, ts):
+    """Iterations k..k+m-1 from x_k = xs[0], given ts = [t_k, ..., t_{k+m}]:
+    y_{k+i+1} into ys[i+1] and x_{k+i+1} = Z^{t_{k+i+1}} y_{k+i+1} into xs[i+1]."""
+    grad_of, apply, subtract = objective.stacked_grad, cm.apply, np.subtract
+    for t, x, y_next, x_next in zip(ts[1:], xs, ys[1:], xs[1:]):
+        subtract(x, alpha * grad_of(x), out=y_next)
+        x_next[...] = apply(t, y_next)
+
+
+def _dgd_iterations(objective, cm, alpha, xs, m):
+    grad_of, apply, subtract = objective.stacked_grad, cm.apply, np.subtract
+    for x, x_next in zip(xs[:m], xs[1:m + 1]):
         grad = grad_of(x)
-        y = x - alpha * grad
-        x = apply(t, y)
-        ys.append(y)
-        xs.append(x)
-        grads.append(grad)
-    return ys, xs, grads
+        subtract(apply(1, x), alpha * grad, out=x_next)
 
 
-def _dgd_iterations(objective, cm, alpha, x, m):
-    xs = []
-    grad_of, apply = objective.stacked_grad, cm.apply
-    for _ in range(m):
-        grad = grad_of(x)
-        x = apply(1, x) - alpha * grad
-        xs.append(x)
-    return xs
-
-
-def _tracking_iterations(objective, cm, alpha, x, s, grad, m):
-    """m tracker iterations; returns the list of x_{k+1} and the final (s, grad)."""
-    xs = []
-    grad_of, apply = objective.stacked_grad, cm.apply
-    for _ in range(m):
-        x_next = apply(1, x) - alpha * s
+def _tracking_iterations(objective, cm, alpha, xs, s, grad, m):
+    """m tracker iterations into xs[1..m]; returns the final (s, grad)."""
+    grad_of, apply, subtract = objective.stacked_grad, cm.apply, np.subtract
+    for x, x_next in zip(xs[:m], xs[1:m + 1]):
+        subtract(apply(1, x), alpha * s, out=x_next)
         grad_next = grad_of(x_next)
         s = apply(1, s) + grad_next - grad
-        x, grad = x_next, grad_next
-        xs.append(x)
-    return xs, s, grad
-
-
-def _stack(arrays):
-    """np.stack of (n, p) arrays, as one concatenate."""
-    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+        grad = grad_next
+    return s, grad
 
 
 class _BlockCertifier:
     """How a run ends, its certificates and its trace rows, a block at a time.
 
-    certify() takes the fresh iterates of one block of iterations and decides
-    how many of them the run keeps: the first row whose y_{k+1} leaves the
-    box ends the run there (diverged); otherwise, with grad_tol set, the
-    first row whose grad_avg_norm is at most grad_tol ends it (stopped); the
-    later rows are discarded. It then turns the kept rows into trace records
-    and certificate maxima. (k, t_k, comms, grads) of each row follow from k
-    and the schedule in exact ints. finish() appends the terminal row.
-
-    y, x, lyap, k and the tallies are the state (y_k, x_k) the next block
-    starts from; the baselines have x_k = y_k.
+    The run's two (rows + 1, n, p) buffers Y and X are allocated here once;
+    the baselines have x_k = y_k and share one. Slot 0 holds the state
+    (y_k, x_k) the next block starts from, and the loop writes y_{k+i+1} and
+    x_{k+i+1} into slot i + 1. certify() reads the buffers in place and
+    decides how many of the block's rows the run keeps: the first row whose
+    y_{k+1} leaves the box ends the run there (diverged); otherwise, with
+    grad_tol set, the first row whose grad_avg_norm is at most grad_tol ends
+    it (stopped); the later rows are discarded. It then appends the kept
+    rows to the trace as columns and updates the certificate maxima.
+    (k, t_k, comms, grads) of each row follow from k and the schedule in
+    exact ints. finish() appends the terminal row.
     """
 
     def __init__(self, objective, cm, method, alpha, cost_model, result,
-                 box_radius, grad_tol, y, x, grad_evals):
+                 box_radius, grad_tol, y, x, iterations, grad_evals):
         n, p = objective.n, objective.p
         self.objective, self.cm, self.alpha, self.cost_model = objective, cm, alpha, cost_model
         self.result, self.trace, self.lipschitz = result, result.trace, result.lipschitz
         self.box_radius, self.grad_tol = box_radius, grad_tol
         self.f_star = objective.min_value()
         self.near_dgd = method.name.startswith("near-dgd")
-        self.fixed_t = method.name == "near-dgd-t"  # the Eq.-7 check applies
+        self.fixed_t = "eq7-identity" in method.certificates
         # comms per round of t_k: the tracker communicates x and s
         self.comms_per_round = 2 if method.name == "gradient-tracking" else 1
-        self.rows = max(1, BLOCK_ELEMENTS // (n * p))
-        self.y, self.x, self.k = y, x, 0
-        self.comm_rounds, self.grad_evals = 0, grad_evals
+        self.rows = max(1, min(BLOCK_ELEMENTS // (n * p), iterations))
+        self.Y = np.empty((self.rows + 1, n, p))
+        self.X = np.empty_like(self.Y) if self.near_dgd else self.Y
+        self.Y[0], self.X[0] = y, x
+        self.ys, self.xs = list(self.Y), list(self.X)  # per-slot views for the loop
+        self.k, self.comm_rounds, self.grad_evals = 0, 0, grad_evals
         self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
-        self.rho = {}  # descent constant per t
         self.ended = False
 
-    def certify(self, ts, fresh_y, fresh_x, grads):
+    def certify(self, ts):
         """Certify iterations k..k+m-1 from ts = [t_k, ..., t_{k+m}] and the
-        lists of their y_{k+1}, x_{k+1} = Z^{t_{k+1}} y_{k+1} (fresh_y for
-        the baselines) and, for fixed-t NEAR-DGD, grad f(x_k)."""
-        m = len(fresh_y)
-        stack_y = _stack([self.y, *fresh_y])
-        stack_x = _stack([self.x, *fresh_x]) if self.near_dgd else stack_y
+        buffers' slots 0..m."""
+        m = len(ts) - 1
+        stack_y, stack_x = self.Y[:m + 1], self.X[:m + 1]
         objective, cm, alpha, res = self.objective, self.cm, self.alpha, self.result
 
         peaks = np.abs(stack_y[1:]).reshape(m, -1).max(axis=1)
@@ -272,8 +269,7 @@ class _BlockCertifier:
 
         comms = list(itertools.accumulate((self.comms_per_round * t for t in ts_rows),
                                           initial=self.comm_rounds))[1:]
-        meta = np.array([list(range(self.k, self.k + r)), ts_rows, comms,
-                         list(range(self.grad_evals + 1, self.grad_evals + r + 1))])
+        grads = list(range(self.grad_evals + 1, self.grad_evals + r + 1))
         norms = np.sqrt(inner(ys, ys))  # ||y_k||, and ||y_{k+1}|| of the last row
         res.b_y = _running_max(res.b_y, norms[1:])
         lyaps = np.full(r + 1, math.nan)  # L_{t_k}(y_k) from (y_k, x_k)
@@ -286,26 +282,32 @@ class _BlockCertifier:
             if changes:
                 # x_{k+1} used t_{k+1}; the certificate needs Z^{t_k} y_{k+1}
                 rows = np.array(changes)
+                changed = ys[rows + 1]
                 lyap_next[rows] = lyapunov_value_at(
-                    ys[rows + 1], np.array([cm.apply(ts[i], fresh_y[i]) for i in changes]),
+                    changed, cm.apply_each([ts[i] for i in changes], changed),
                     objective, alpha)
-            for t in set(ts_rows) - self.rho.keys():
-                # alpha >= 2/L under the override flag: no guaranteed margin,
-                # report the raw Lyapunov difference
-                self.rho[t] = (rho_constant(cm, t, alpha, self.lipschitz)
-                               if alpha < 2.0 / self.lipschitz else 0.0)
-            residuals = descent_certificate(lyaps[:r], lyap_next, ys[:r], ys[1:],
-                                            np.array([self.rho[t] for t in ts_rows]))
-        cons = self._append_rows(meta, xs[:r], lyaps[:r], residuals,
+            # the schedules never decrease, so the rows of one t are consecutive
+            distinct, counts = zip(*((t, len(list(g))) for t, g in itertools.groupby(ts_rows)))
+            per_row = np.repeat(np.arange(len(distinct)), counts)
+            # alpha >= 2/L under the override flag: no guaranteed margin,
+            # report the raw Lyapunov difference
+            rho = (rho_constant(cm, distinct, alpha, self.lipschitz)[per_row]
+                   if alpha < 2.0 / self.lipschitz else 0.0)
+            residuals = descent_certificate(lyaps[:r], lyap_next, ys[:r], ys[1:], rho)
+        cons = self._append_rows(list(range(self.k, self.k + r)), ts_rows, comms, grads,
+                                 xs[:r], lyaps[:r], residuals,
                                  *(column[:r] for column in evaluated))
         if self.near_dgd:
-            bounds = [consensus_distance_bound(cm.beta, t, b)
-                      for t, b in zip(ts_rows, norms[:r].tolist())]
+            # consensus_distance_bound beta^t ||y_k||, with Python's beta ** t
+            # once per distinct t (NumPy's power of an array may differ in
+            # the last bit)
+            bounds = np.array([cm.beta**t for t in distinct])[per_row] * norms[:r]
             res.max_cons_gap = _running_max(res.max_cons_gap, cons - bounds)
         if self.fixed_t:
-            # x_{k+1} - x_k vs -a grad L_t(y_k)
+            # x_{k+1} - x_k vs -a grad L_t(y_k); grad f(x_k) is recomputed on
+            # the stack, elementwise and so equal to the loop's bitwise
             violation = np.abs(xs[1:] - xs[:r] + alpha * lyapunov_grad_at(
-                xs[:r], _stack(grads[:r]), cm, ts[0], alpha))
+                xs[:r], objective.node_grads(xs[:r]), cm, ts[0], alpha))
             res.max_eq7_inf = _running_max(res.max_eq7_inf,
                                            violation.reshape(r, -1).max(axis=1))
 
@@ -318,17 +320,21 @@ class _BlockCertifier:
             self.trace.divergence_note = (
                 "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
                 "estimate no longer valid" % (self.k + end, peaks[end], self.box_radius))
-        self.y, self.x, self.lyap = ys[end], xs[end], lyaps[end]
+        if end:
+            self.Y[0] = ys[end]
+            if self.near_dgd:
+                self.X[0] = xs[end]
+        self.lyap = lyaps[end]
         self.k += end
         if diverged is not None or stopped is not None:
             self.ended = True
             self.finish(ts[end])
 
     def finish(self, t):
-        """Append the terminal row (k, t, tallies) at the state y."""
-        points = self.y[None]
-        meta = np.array([[self.k], [t], [self.comm_rounds], [self.grad_evals]])
-        self._append_rows(meta, points, np.array([self.lyap]), np.array([math.nan]),
+        """Append the terminal row (k, t, tallies) at the state y_k in slot 0."""
+        points = self.Y[:1]
+        self._append_rows([self.k], [t], [self.comm_rounds], [self.grad_evals], points,
+                          np.array([self.lyap]), np.array([math.nan]),
                           *self._evaluate(points))
 
     def _evaluate(self, points):
@@ -336,18 +342,23 @@ class _BlockCertifier:
         avgs = points.mean(axis=-2)
         return (avgs, *self.objective.batch_value_and_grad_norm(avgs))
 
-    def _append_rows(self, meta, points, lyaps, residuals, avgs, values, grad_norms):
-        """Append the trace rows with (k, t_k, comms, grads) in the rows of
-        meta, each describing its (n, p) point, given _evaluate's columns;
-        returns their cons_dist."""
-        ks, ts, comms, grads = meta
+    def _append_rows(self, ks, ts, comms, grads, points, lyaps, residuals, avgs, values,
+                     grad_norms):
+        """Append the trace rows with the given (k, t_k, comms, grads), each
+        describing its (n, p) point, given _evaluate's columns; returns
+        their cons_dist."""
         cons = consensus_distance(points)
-        cost = cumulative_cost(CommCounter(comms, grads), self.cost_model)
-        self.trace.records.extend(map(
-            TraceRecord, ks.tolist(), ts.tolist(), comms.tolist(), grads.tolist(),
-            (values - self.f_star).tolist(), grad_norms.tolist(), cons.tolist(),
-            lyaps.tolist(), residuals.tolist(), np.linalg.norm(avgs, axis=-1).tolist(),
-            cost.tolist()))
+        floats = np.empty((len(ks), len(FLOAT_COLUMNS)))
+        floats[:, 0] = values - self.f_star
+        floats[:, 1] = grad_norms
+        floats[:, 2] = cons
+        floats[:, 3] = lyaps
+        floats[:, 4] = residuals
+        floats[:, 5] = np.linalg.norm(avgs, axis=-1)
+        # one array for both tallies, so that counts past int64 make both
+        # object arrays of exact ints
+        cost = cumulative_cost(CommCounter(*np.array([comms, grads])), self.cost_model)
+        self.trace.extend(ks, ts, comms, grads, floats, cost.tolist())
         return cons
 
 
@@ -366,17 +377,19 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
 
     The loop does only the method's arithmetic: per iteration one gradient
     and one consensus application (two for the tracker), through
-    ConsensusMatrix.apply. It keeps each iteration's fresh arrays for one
-    block of max(1, BLOCK_ELEMENTS // (n p)) iterations, and one batched
-    pass per block then decides how the run ends and certifies the rows it
-    keeps. The first row whose y_{k+1} leaves the box ends the run there,
+    ConsensusMatrix.apply. It writes each iteration's y_{k+1} and x_{k+1}
+    into the slots of two (rows + 1, n, p) buffers, rows = max(1,
+    BLOCK_ELEMENTS // (n p)) capped at the iterations, and one batched pass
+    per block then reads them in place, decides how the run ends and
+    certifies the rows it keeps. The first row whose y_{k+1} leaves the box ends the run there,
     diverged; otherwise, with grad_tol set, the first row whose
     grad_avg_norm is at most grad_tol ends it; the rest of that block is
     discarded. The pass computes the rows' (k, t_k, comms, grads) from k and
     the schedule, their trace columns and the descent, Eq.-7 and
     consensus-bound certificates. Each iterate's Lyapunov value is evaluated
     once, plus L_{t_k}(y_{k+1}) on the rows after which t changes. The run
-    gives the same values, bit for bit, for any block size.
+    gives the same values, bit for bit, for any block size. final_y and
+    final_x are copies, never views of the buffers.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -412,24 +425,24 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
     x = cm.apply(method.rounds(0), y) if near_dgd else y
     block = _BlockCertifier(objective, cm, method, alpha, cost_model, result,
-                            box_radius, grad_tol, y, x, grad_evals)
+                            box_radius, grad_tol, y, x, iterations, grad_evals)
     while block.k < iterations and not block.ended:
         k, m = block.k, min(block.rows, iterations - block.k)
         ts = [method.rounds(j) for j in range(k, k + m + 1)]
-        grads = None
         # iterations past a divergence may overflow; the pass discards them
         with np.errstate(over="ignore", invalid="ignore"):
             if near_dgd:
-                ys, xs, grads = _near_dgd_iterations(objective, cm, alpha, block.x, ts)
+                _near_dgd_iterations(objective, cm, alpha, block.ys, block.xs, ts)
             elif method.name == "dgd":
-                ys = xs = _dgd_iterations(objective, cm, alpha, block.y, m)
+                _dgd_iterations(objective, cm, alpha, block.ys, m)
             else:
-                ys, s, grad = _tracking_iterations(objective, cm, alpha, block.y, s, grad, m)
-                xs = ys
-        block.certify(ts, ys, xs, grads)
+                s, grad = _tracking_iterations(objective, cm, alpha, block.ys, s, grad, m)
+        block.certify(ts)
     if not block.ended:
         block.finish(method.rounds(block.k))
+    # copies, so that no result holds a view of the run's buffers
     result.counter = CommCounter(block.comm_rounds, block.grad_evals)
-    result.final_y, result.final_x = block.y, block.x
-    result.final_avg = block.y.mean(axis=0)
+    result.final_y = block.Y[0].copy()
+    result.final_x = result.final_y if block.X is block.Y else block.X[0].copy()
+    result.final_avg = result.final_y.mean(axis=0)
     return result

@@ -217,6 +217,36 @@ def test_cmd_check_applies_seed_override(tmp_path, monkeypatch):
     assert seen == [7, 8, 3]  # SMALL sets run.seed = 3
 
 
+@pytest.mark.parametrize("method, inapplicable", [
+    ("dgd", ["descent-residual", "eq7-identity", "consensus-bound"]),
+    ("gradient-tracking", ["descent-residual", "eq7-identity", "consensus-bound"]),
+    ("near-dgd-plus", ["eq7-identity"]),
+    ("near-dgd-plus-doubling", ["eq7-identity"])])
+def test_cmd_check_reports_inapplicable_certificates(tmp_path, capsys, method, inapplicable):
+    # the baselines evaluate no run certificate, and a changing t has no
+    # Eq.-7 identity: those lines are N/A, not PASS, and are not counted
+    cfg = write_config(tmp_path, SMALL.replace("method.name = near-dgd-t",
+                                               "method.name = %s" % method))
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("N/A")] == inapplicable
+    assert all("(not evaluated for %s" % method in line
+               for line in lines if line.startswith("N/A"))
+    assert not [line for line in lines if line.startswith(("PASS", "FAIL"))
+                and line.split()[1] in inapplicable]
+    applied = 8 - len(inapplicable)
+    assert lines[-1] == "%d/%d checks passed, %d not applicable" % (
+        applied, applied, len(inapplicable))
+
+
+def test_cmd_check_default_output_lists_eight_passes(capsys):
+    assert main(["check"]) == EXIT_OK
+    assert capsys.readouterr().out == "".join("PASS %s\n" % name for name in (
+        "objective-gradient-fd", "hessian-vector-fd", "lyapunov-gradient-fd",
+        "consensus-properties", "pd-shift-detection", "descent-residual",
+        "eq7-identity", "consensus-bound")) + "8/8 checks passed\n"
+
+
 def test_cmd_check_large_alpha_fails(tmp_path, capsys):
     text = SMALL.replace("run.alpha = 0.1",
                          "run.alpha = 2.0\nrun.allow_large_alpha = true")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neardgd import consensus
 from neardgd.consensus import (CommCounter, ConsensusMatrix,
                                ConsensusMatrixError, apply_consensus,
                                average_project, build_consensus_matrix,
@@ -194,7 +195,7 @@ def test_changing_t_never_serves_a_stale_power():
                                       apply_consensus(fresh, second, y))
 
 
-def test_memo_holds_one_array_after_a_run_that_changes_t():
+def test_memo_holds_at_most_two_arrays_after_a_run_that_changes_t():
     cm = build_consensus_matrix(build_ring(6))
     before = repr(cm)
     prob = sample_quartic_problem(6, 2, 2, 1.0, seed=0)
@@ -202,11 +203,33 @@ def test_memo_holds_one_array_after_a_run_that_changes_t():
     assert res.trace.final.t_k > 2  # t grew by one per iteration
     assert set(vars(cm)) == {"W", "graph", "beta", "lambda_min", "eigenvalues",
                              "eigenvectors", "_scaled_memo"}
-    t, scaled = cm._scaled_memo
-    assert type(t) is int and scaled.shape == (6, 6)
+    assert len(cm._scaled_memo) == 2
+    for t, scaled in cm._scaled_memo.items():
+        assert type(t) is int and scaled.shape == (6, 6)
     assert repr(cm) == before
     memo = {f.name: f for f in fields(cm)}["_scaled_memo"]
     assert not (memo.init or memo.repr or memo.compare)
+
+
+def test_memo_keeps_the_last_two_t_and_never_serves_a_stale_one():
+    cm = build_consensus_matrix(build_erdos_renyi(10, 0.4, seed=2))
+    y = np.random.default_rng(4).normal(size=(10, 3))
+    for t in (3, 5, 3, 5, 7, 3, 7):
+        z = cm.apply(t, y)
+        np.testing.assert_array_equal(z, build_consensus_matrix(cm.graph).apply(t, y))
+    assert list(cm._scaled_memo) == [3, 7]  # the last two t asked for, in order of use
+
+
+@pytest.mark.parametrize("n, p", [(12, 4), (5, 1), (30, 3)])
+def test_apply_each_equals_apply_per_row_bitwise(monkeypatch, n, p):
+    cm = build_consensus_matrix(build_ring(n))
+    stack = np.random.default_rng(n).normal(size=(9, n, p))
+    ts = [1, 2, 2, 3, 1, 8, 40, 2**70, 5]
+    expected = np.array([cm.apply(t, y) for t, y in zip(ts, stack)])
+    np.testing.assert_array_equal(cm.apply_each(ts, stack), expected)
+    # a large n forms its scaled eigenvectors a few rows at a time
+    monkeypatch.setattr(consensus, "APPLY_EACH_ELEMENTS", 2 * n * n)
+    np.testing.assert_array_equal(cm.apply_each(ts, stack), expected)
 
 
 def test_average_project_examples():

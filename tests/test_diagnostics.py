@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def test_rho_constant_hand_examples():
         rho_constant(cm, 1, 2.0, 1.0)
     with pytest.raises(ValueError):
         rho_constant(cm, 1, -0.1, 1.0)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_rho_constant_of_a_sequence_equals_its_scalar_calls_bitwise(n):
+    # a vectorised power of the whole (len(ts), n) stack differs from the
+    # scalar call in the last bit at t = 2 on the 4-node ring
+    cm = build_consensus_matrix(build_ring(n))
+    ts = [1, 2, 2, 3, 7, 40, 2**70]
+    rhos = rho_constant(cm, ts, 0.1, 5.0)
+    assert rhos.shape == (len(ts),)
+    assert rhos.tolist() == [rho_constant(cm, t, 0.1, 5.0) for t in ts]
 
 
 def test_descent_residual_examples():
@@ -293,12 +305,12 @@ def test_batched_formulas_match_single_iterate_calls(family, n):
         assert values[b] == prob.stacked_value(zy[b])
         assert lyaps[b] == lyapunov_value_at(y[b], zy[b], prob, 0.1)
         assert dists[b] == consensus_distance(zy[b])
-    # the gradient applies Z^t to a whole stack at once: equal to rounding
+    # the gradient applies Z^t to a whole stack in one call, one product per
+    # iterate
     grads = np.array([prob.stacked_grad(zb) for zb in zy])
     stacked = lyapunov_grad_at(zy, grads, cm, 5, 0.1)
     for b in range(5):
-        np.testing.assert_allclose(stacked[b], lyapunov_grad_at(zy[b], grads[b], cm, 5, 0.1),
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(stacked[b], lyapunov_grad_at(zy[b], grads[b], cm, 5, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +381,111 @@ def test_cost_nondecreasing_over_run():
               cost_model=CostModel(0.01, 1.0))
     costs = [rec.cost for rec in res.trace.records]
     assert all(b >= a for a, b in zip(costs, costs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# The columnar trace against a row-built reference
+
+def reference_csv(method, seed, rows, extra_key_columns):
+    """The CSV as a list of TraceRecords prints, one field at a time."""
+    head = (["method", "seed"] if extra_key_columns else []) + list(TraceRecord._fields)
+    lines = [",".join(head)]
+    for rec in rows:
+        cost = rec.cost
+        fields = (["%s" % method, "%d" % seed] if extra_key_columns else [])
+        fields += ["%d" % v for v in rec[:4]] + ["%.17g" % v for v in rec[4:10]]
+        fields.append("%d" % cost if isinstance(cost, (int, np.integer)) else "%.17g" % cost)
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def reference_cost_to_reach(rows, target):
+    reached = None
+    for rec in rows:
+        if rec.f_err <= target:
+            if reached is None:
+                reached = rec.cost
+        else:
+            reached = None
+    return math.inf if reached is None else reached
+
+
+def assert_trace_matches_rows(trace, rows):
+    """records, final, cost_to_reach and write_csv_to agree with rows;
+    repr tells NaN, -0.0 and an int from a float apart."""
+    assert repr(list(trace.records)) == repr(rows)
+    assert len(trace.records) == len(rows)
+    for i in (0, len(rows) // 2, -2, -1):
+        assert repr(trace.records[i]) == repr(rows[i])
+    assert repr(trace.records[1:-1]) == repr(rows[1:-1])
+    with pytest.raises(IndexError):
+        trace.records[len(rows)]
+    assert repr(trace.final) == repr(rows[-1])
+    targets = {rec.f_err for rec in rows} | {-math.inf, 0.0, 1e-3, math.inf, math.nan}
+    for target in targets:
+        assert (repr(trace.cost_to_reach(target))
+                == repr(reference_cost_to_reach(rows, target))), target
+    for extra in (False, True):
+        buf = io.StringIO()
+        trace.write_csv_to(buf, extra_key_columns=extra)
+        assert buf.getvalue() == reference_csv(trace.method, trace.seed, rows, extra)
+
+
+APPENDED = [
+    # integer costs above 2^53 and counts past int64
+    TraceRecord(99, 1, 2**53, 1, math.nan, math.inf, -math.inf, -0.0, 0.1, 1e-300,
+                2**53 + 1),
+    TraceRecord(100, 2**70, 2**80, 2, 1e-9, 0.0, 0.0, 1.0, -1e-17, 2.5, 2**80 + 2),
+    # float costs, and the f_err that settles cost_to_reach
+    TraceRecord(101, 3, 7, 3, -math.inf, math.nan, 1.0, math.nan, math.nan, 0.0, 1e300),
+    TraceRecord(102, 3, 8, 4, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 12.5),
+]
+
+
+@pytest.mark.parametrize("costs", [(1, 1), (0.01, 1.0)], ids=["int-costs", "float-costs"])
+def test_columnar_trace_matches_a_row_built_reference(costs):
+    prob, cm = paper_instance()
+    c_c, c_g = costs
+    res = run(prob, cm, MethodSpec("near-dgd-plus-doubling", period=3), alpha=0.1,
+              budget=60, cost_model=CostModel(*costs))
+    rows = list(res.trace.records)
+    for rec in rows:  # the counts are exact ints, the cost c_c comms + c_g grads
+        assert all(type(v) is int for v in rec[:4])
+        assert type(rec.cost) is type(c_c * rec.comms + c_g * rec.grads)
+        assert rec.cost == c_c * rec.comms + c_g * rec.grads
+    assert_trace_matches_rows(res.trace, rows)
+    # a trace built row by row from the same records
+    rebuilt = RunTrace(method=res.trace.method, seed=res.trace.seed)
+    for rec in rows:
+        rebuilt.append(rec)
+    assert_trace_matches_rows(rebuilt, rows)
+    # records appended after a run, with NaN, +-inf, -0.0 and big ints
+    for rec in APPENDED:
+        res.trace.append(rec)
+    assert_trace_matches_rows(res.trace, rows + APPENDED)
+    # f_err = 1e-9 does not reach 1e-11; -inf and 1e-12 after it do
+    assert res.trace.cost_to_reach(1e-11) == 1e300
+
+
+def test_columnar_trace_survives_pickling():
+    # sweep --parallel sends each RunResult back from its worker by pickle
+    prob, cm = paper_instance()
+    res = run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=30,
+              cost_model=CostModel(1, 1))
+    res.trace.append(APPENDED[1])
+    rows = list(res.trace.records)
+    back = pickle.loads(pickle.dumps(res))
+    assert_trace_matches_rows(back.trace, rows)
+    assert back.final_y.tobytes() == res.final_y.tobytes()
+    assert (back.trace.method, back.trace.seed) == (res.trace.method, res.trace.seed)
+
+
+def test_empty_trace():
+    trace = RunTrace(method="m", seed=0)
+    assert len(trace.records) == 0 and list(trace.records) == []
+    assert trace.cost_to_reach(1.0) == math.inf
+    buf = io.StringIO()
+    trace.write_csv_to(buf)
+    assert buf.getvalue() == reference_csv("m", 0, [], False)
+    with pytest.raises(IndexError):
+        trace.final

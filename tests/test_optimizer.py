@@ -398,11 +398,17 @@ def test_run_batched_columns_match_single_point_oracles(monkeypatch, name):
 def test_run_near_dgd_plus_applies_each_round_once(monkeypatch):
     # one application costs the same at any t, so the work is the number of
     # calls: x_0, then per iteration x_{k+1} = Z^{t_{k+1}} y_{k+1} in the
-    # loop, and z = Z^{t_k} y_{k+1} for the descent certificate in the pass
+    # loop; the pass forms every row's z = Z^{t_k} y_{k+1} for the descent
+    # certificate in one apply_each call
     prob, cm = paper_instance()
     kernel = count_kernel_calls(monkeypatch)
+    batches = []
+    apply_each = ConsensusMatrix.apply_each
+    monkeypatch.setattr(ConsensusMatrix, "apply_each", lambda self, ts, stack: (
+        batches.append(list(ts)) or apply_each(self, ts, stack)))
     res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=10)
-    assert kernel == {"loop": 1 + 10, "pass": 10}
+    assert kernel == {"loop": 1 + 10, "pass": 0}
+    assert batches == [list(range(1, 11))]
     assert res.counter.consensus_rounds == 55
 
 
@@ -412,7 +418,7 @@ def test_run_near_dgd_plus_applies_each_round_once(monkeypatch):
     ("near-dgd-t:5", 6.0), ("dgd", 3.0)])
 def test_run_ends_at_a_mid_block_divergence_without_warnings(monkeypatch, token, alpha):
     # alpha > 2/L on a box of 2.5: the first y_{k+1} out of the box falls
-    # inside the first block of 85 rows; the loop runs on to the end of the
+    # inside the first block of 341 rows; the loop runs on to the end of the
     # block, and the pass discards the rows past the divergence
     prob, cm = paper_instance()
     method = MethodSpec.parse(token)

@@ -1,0 +1,124 @@
+"""SHA-256 digests of the program's observable output.
+
+Prints one line per item, "<sha256>  <name>": the trace CSV and end state
+of runs of every method (both objective families, integer and float cost
+models, a diverging run and a grad_tol run), a sweep CSV, and the stdout of
+`neardgd run`, `neardgd sweep` and `neardgd check`. A change that promises
+byte-identical output shows it by printing the same lines on both trees:
+
+    python3 tools/trace_digest.py > new.txt
+    python3 tools/trace_digest.py --src /path/to/other/checkout/src > old.txt
+    diff old.txt new.txt
+
+--src names the package source to import (default: this checkout's src/).
+The runs take a few seconds on one core.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# (token, run() keyword arguments) on the n=12 reference instance
+RUNS = [(tok, {}) for tok in ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",
+                               "near-dgd-plus-doubling:4", "dgd", "gradient-tracking")]
+RUNS += [
+    # alpha above 2/L on a small box: leaves it mid-block
+    ("near-dgd-t:5", dict(alpha=0.9, allow_large_alpha=True, box_radius=2.5, seed=1)),
+    ("dgd", dict(alpha=0.9, allow_large_alpha=True, box_radius=2.5, seed=1)),
+    ("near-dgd-plus", dict(budget=3000, grad_tol=1e-5)),
+    ("near-dgd-t:3", dict(budget=3000, grad_tol=1e-4, seed=2)),
+]
+
+SMALL_CHECK = """\
+problem.n = 4
+problem.p = 2
+problem.I = 2
+run.budget = 200
+method.name = %s
+method.t = 2
+"""
+
+SWEEP = """\
+run.budget = 300
+cost.c_c = 0.01
+sweep.methods = %s
+sweep.seeds = 0,1
+""" % ",".join(("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus", "near-dgd-plus-doubling:100",
+                "dgd", "gradient-tracking"))
+
+
+def sha(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def run_digests():
+    from neardgd import (CostModel, MethodSpec, build_consensus_matrix, build_ring,
+                         run, sample_quadratic_problem, sample_quartic_problem)
+
+    cm = build_consensus_matrix(build_ring(12))
+    families = (("quartic", sample_quartic_problem(12, 4, 4, 1.0, seed=0)),
+                ("quadratic", sample_quadratic_problem(12, 4, seed=0)))
+    for family, problem in families:
+        for costs in ((1, 1), (0.01, 1.0)):
+            for token, kwargs in RUNS:
+                kwargs = dict(dict(alpha=0.1, budget=400), **kwargs)
+                res = run(problem, cm, MethodSpec.parse(token),
+                          cost_model=CostModel(*costs), **kwargs)
+                buf = io.StringIO()
+                res.trace.write_csv_to(buf, extra_key_columns=True)
+                name = "%s %s %s c=%r,%r" % (family, token, sorted(kwargs.items()), *costs)
+                yield sha(buf.getvalue()), "trace " + name
+                state = b"".join([
+                    res.final_y.tobytes(), res.final_x.tobytes(), res.final_avg.tobytes(),
+                    repr((res.b_y, res.max_cons_gap, res.max_eq7_inf, res.lipschitz,
+                          res.counter.consensus_rounds, res.counter.gradient_evals,
+                          res.trace.diverged, res.trace.divergence_note)).encode()])
+                yield sha(state), "state " + name
+
+
+def cli_digests():
+    from neardgd.cli import main
+
+    def capture(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return "%s\n--stderr--\n%s--exit %d--\n" % (out.getvalue(), err.getvalue(), code)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # the printed paths are then the same on every tree
+        try:
+            Path("sweep.cfg").write_text(SWEEP)
+            yield sha(capture(["run", "--out", "."])), "stdout run (default config)"
+            yield sha(Path("trace.csv").read_bytes()), "trace.csv of run (default config)"
+            yield sha(capture(["sweep", "--config", "sweep.cfg", "--out", "."])), "stdout sweep"
+            yield sha(Path("sweep.csv").read_bytes()), "sweep.csv"
+            yield sha(capture(["check"])), "stdout check (default config)"
+            for method in ("near-dgd-t", "near-dgd-plus", "near-dgd-plus-doubling",
+                           "dgd", "gradient-tracking"):
+                Path("check.cfg").write_text(SMALL_CHECK % method)
+                yield (sha(capture(["check", "--config", "check.cfg"])),
+                       "stdout check (method.name = %s)" % method)
+        finally:
+            os.chdir(cwd)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the neardgd package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    for digest, name in (*run_digests(), *cli_digests()):
+        print("%s  %s" % (digest, name))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
