@@ -1,7 +1,8 @@
 """Consensus weight matrices and multi-round averaging on stacked iterates.
 
 Stacked iterates are ndarrays of shape (n, p): row i is node i's local
-p-vector. Flattened, they are node-major np-length vectors.
+p-vector. Flattened, they are node-major np-length vectors. Several iterates
+side by side form an (..., n, p) stack.
 """
 
 import operator
@@ -64,8 +65,9 @@ class ConsensusMatrix:
 
     The spectrum is computed once at construction; beta is the second
     largest eigenvalue (the consensus contraction factor) and lambda_min
-    the smallest. V diag(lam^t) for the last two t >= 2 that apply() was
-    asked for is kept beside it, formed on first use.
+    the smallest. powers(t) is the one source of lam^t, with the top power
+    pinned to 1. One slot keeps (t, V diag(lam^t)) for the last t >= 2 that
+    apply() was asked for, formed on first use.
     """
 
     W: np.ndarray
@@ -74,8 +76,8 @@ class ConsensusMatrix:
     lambda_min: float = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
-    _scaled_memo: dict = field(init=False, default_factory=dict, repr=False,
-                               compare=False)
+    _scaled_memo: tuple | None = field(init=False, default=None, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         self.W = check_symmetric(self.W)
@@ -96,6 +98,20 @@ class ConsensusMatrix:
     def n(self):
         return self.W.shape[0]
 
+    def powers(self, t) -> np.ndarray:
+        """lam^t, a fresh (n,) array, with the top eigenvalue's power pinned
+        to exactly 1.
+
+        The top eigenvalue of a doubly stochastic W is exactly 1, but eigh
+        may leave it a few ulps above; raised to a large t that error would
+        grow, move the mean and overflow near t = 2^62, harmlessly, since
+        the pin overwrites it. t may be fractional (t / 2 for Z^{t/2}).
+        """
+        with np.errstate(over="ignore"):
+            lam_t = self.eigenvalues ** t
+        lam_t[-1] = 1.0
+        return lam_t
+
     def apply(self, t: int, cols) -> np.ndarray:
         """Z^t cols for an int t >= 1 and a float (n,) or (n, k) array, or
         an (r, n, k) stack with one product per iterate, none of them
@@ -105,40 +121,16 @@ class ConsensusMatrix:
 
         t = 1 is the single product W cols. For t >= 2 the rounds are applied
         at once from the cached eigenpairs, W^t cols = (V diag(lam^t)) (V'
-        cols), two products whose cost is the same for every t.
+        cols), two products whose cost is the same for every t. The memo
+        slot holds V diag(lam^t) for the last t: a run that keeps t pays the
+        O(n^2) scaling once, one that moves t on every call pays it per call,
+        below the cost of the product it feeds.
         """
         if t == 1:
             return self.W @ cols
-        return self._scaled_eigenvectors(t) @ (self.eigenvectors.T @ cols)
-
-    def _scaled_eigenvectors(self, t: int) -> np.ndarray:
-        """V diag(lam^t), so that W^t = self._scaled_eigenvectors(t) @ V'.
-
-        The top eigenvalue of a doubly stochastic W is exactly 1; it is
-        pinned there, because the few ulps eigh leaves on it would grow with
-        t and move the mean. Two slots hold the last two t asked for: a
-        caller that keeps t pays the O(n^2) scaling once, one that goes back
-        and forth between two t (a step with t_k, then a check with t_{k-1})
-        pays it twice, and one that moves on every call pays it per call,
-        below the cost of the product it feeds.
-        """
-        memo = self._scaled_memo  # in order of use, the most recent t last
-        scaled = memo.pop(t, None)
-        if scaled is None:
-            scaled = self.eigenvectors * self._pinned_powers(t)
-            if len(memo) == 2:
-                del memo[next(iter(memo))]
-        memo[t] = scaled
-        return scaled
-
-    def _pinned_powers(self, t: int) -> np.ndarray:
-        """lam^t with the top eigenvalue's power pinned to exactly 1. A top
-        eigenvalue one ulp above 1 overflows for a t near 2^62, harmlessly,
-        since the pin overwrites it."""
-        with np.errstate(over="ignore"):
-            lam_t = self.eigenvalues ** t
-        lam_t[-1] = 1.0
-        return lam_t
+        if self._scaled_memo is None or self._scaled_memo[0] != t:
+            self._scaled_memo = (t, self.eigenvectors * self.powers(t))
+        return self._scaled_memo[1] @ (self.eigenvectors.T @ cols)
 
     def apply_each(self, ts, stack) -> np.ndarray:
         """Z^{ts[i]} stack[i] for each i of a float (c, n, k) stack, without
@@ -159,7 +151,7 @@ class ConsensusMatrix:
         step = max(1, APPLY_EACH_ELEMENTS // self.n**2)
         for j in range(0, len(rest), step):
             rows = rest[j:j + step]
-            lam_t = np.array([self._pinned_powers(ts[i]) for i in rows])
+            lam_t = np.array([self.powers(ts[i]) for i in rows])
             scaled = self.eigenvectors * lam_t[:, None, :]
             out[rows] = scaled @ (self.eigenvectors.T @ stack[rows])
         return out
@@ -215,12 +207,11 @@ def build_consensus_matrix(g: Graph, rule: str = "metropolis", margin: float = 0
 def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None = None):
     """Z^t y: t consensus rounds applied block-wise to a stacked iterate.
 
-    y has the node axis first: an (n, p) iterate, an (n,) vector, or an
-    (n, ..., p) array of iterates side by side, each taking its own product,
-    so that its values equal those of its (n, p) calls bitwise. The
-    arguments are checked here and the product is ConsensusMatrix.apply's,
-    whose cost is the same for every t. Each of the t rounds is still one
-    communication: the counter advances by t.
+    y is an (n, p) iterate, an (n,) vector, or an (..., n, p) stack of
+    iterates, each taking its own product, so that its values equal those of
+    its (n, p) calls bitwise. The arguments are checked here and the product
+    is ConsensusMatrix.apply's, whose cost is the same for every t. Each of
+    the t rounds is still one communication: the counter advances by t.
     """
     try:
         t = operator.index(t)  # int and NumPy integers; 3.0 would be a fractional power
@@ -229,14 +220,11 @@ def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None 
     if t < 1:
         raise ValueError("consensus rounds t must be >= 1")
     y = np.asarray(y, dtype=float)
-    if y.shape[0] != cm.n:
-        raise ValueError("iterate has %d node rows, matrix expects %d" % (y.shape[0], cm.n))
-    if y.ndim <= 2:
-        out = cm.apply(t, y.reshape(cm.n, -1)).reshape(y.shape)
-    else:
-        # the (..., n, p) stack that y views, whose iterates NumPy
-        # multiplies one at a time
-        out = np.moveaxis(cm.apply(t, np.moveaxis(y, 0, -2)), -2, 0)
+    cols = y.reshape(-1, 1) if y.ndim == 1 else y  # a vector is one column
+    if cols.ndim < 2 or cols.shape[-2] != cm.n:
+        raise ValueError("iterate of shape %r does not have the matrix's %d node rows "
+                         "on axis -2" % (y.shape, cm.n))
+    out = cm.apply(t, cols).reshape(y.shape)
     if counter is not None:
         counter.consensus_rounds += t
     return out

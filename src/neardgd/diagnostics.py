@@ -9,8 +9,6 @@ equals its (n, p) call bitwise.
 """
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,13 +59,7 @@ def lyapunov_grad_at(zy, grad, cm: ConsensusMatrix, t: int, alpha: float) -> np.
     """grad L_t(y) = Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y, given zy = Z^t y
     and grad = grad f(zy); (n, p) arrays or (..., n, p) stacks, each
     iterate of a stack equal to its (n, p) call bitwise."""
-    return _consensus_at(cm, t, grad) + (zy - _consensus_at(cm, t, zy)) / alpha
-
-
-def _consensus_at(cm: ConsensusMatrix, t: int, x) -> np.ndarray:
-    """Z^t applied along the node axis of an (n, p) iterate or (..., n, p)
-    stack, one product per iterate."""
-    return np.moveaxis(apply_consensus(cm, t, np.moveaxis(x, -2, 0)), 0, -2)
+    return apply_consensus(cm, t, grad) + (zy - apply_consensus(cm, t, zy)) / alpha
 
 
 def lyapunov_grad(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
@@ -100,15 +92,17 @@ def rho_constant(cm: ConsensusMatrix, t, alpha: float, lipschitz: float):
     """Sufficient-descent constant: (2a)^-1 min_i lam_i^t (1 + (1 - aL) lam_i^t).
 
     The eigenvalues of the stacked operator are those of W, each with
-    multiplicity p, so the minimum runs over the cached spectrum of W. A
-    sequence of t gives an array with one constant per entry, each equal to
-    its scalar call bitwise: every lam^t is taken as its own power, since
-    NumPy's power over a whole (len(t), n) stack may differ in the last bit.
+    multiplicity p, so the minimum runs over the cached spectrum of W, with
+    lam^t from cm.powers (the top power pinned to 1, so that the top term
+    stays 2 - aL at any t). A sequence of t gives an array with one constant
+    per entry, each equal to its scalar call bitwise: every lam^t is taken
+    as its own power, since NumPy's power over a whole (len(t), n) stack may
+    differ in the last bit.
     """
     if alpha <= 0 or alpha >= 2.0 / lipschitz:
         raise ValueError("rho requires 0 < alpha < 2/L")
     scalar = np.ndim(t) == 0
-    lam_t = np.array([cm.eigenvalues**s for s in ([t] if scalar else t)])
+    lam_t = np.array([cm.powers(s) for s in ([t] if scalar else t)])
     rho = (lam_t * (1.0 + (1.0 - alpha * lipschitz) * lam_t)).min(axis=-1) / (2.0 * alpha)
     # mathematically positive for PD W and alpha < 2/L, but lambda_min^t
     # underflows to 0 for very large t; 0 is the conservative limit there
@@ -160,17 +154,17 @@ def _coordinate_blocks(y, objective, cm, t, alpha):
 
     Every Hessian here is diagonal per node, so both stacked operators split
     by coordinate. With Z^t = V diag(lam^t) V' from the eigenpairs cached on
-    cm, h the diagonal of H_f(Z^t y) and B_j = V' diag(h_j) V, returns the
-    two (p, n, n) stacks
+    cm and lam^t, lam^{t/2} from cm.powers, h the diagonal of H_f(Z^t y) and
+    B_j = V' diag(h_j) V, returns the two (p, n, n) stacks
       M_j = lam^t B_j lam^t + diag(lam^t (1 - lam^t)) / a  (Hessian = V M_j V'),
       D_j = lam^{t/2} (I - a B_j) lam^{t/2}                 (similar to Dg).
     """
     zy = apply_consensus(cm, t, np.asarray(y, dtype=float))
     h = objective.node_hessian_diags(objective._check_stacked(zy))
-    v, lam = cm.eigenvectors, cm.eigenvalues
+    v = cm.eigenvectors
     b = (v.T * h.T[:, None, :]) @ v
     b = 0.5 * (b + np.swapaxes(b, -1, -2))
-    lam_t, lam_half = lam**t, lam ** (t / 2.0)
+    lam_t, lam_half = cm.powers(t), cm.powers(t / 2.0)
     hess = b * np.outer(lam_t, lam_t) + np.diag(lam_t * (1.0 - lam_t) / alpha)
     dg = (np.eye(cm.n) - alpha * b) * np.outer(lam_half, lam_half)
     return hess, dg
@@ -276,33 +270,6 @@ class _Block(NamedTuple):
     cost: list
 
 
-class TraceRecords(Sequence):
-    """Read-only view of a RunTrace's rows, built as TraceRecords on demand."""
-
-    def __init__(self, blocks):
-        self._blocks = blocks
-
-    def __len__(self):
-        return sum(len(block[0]) for block in self._blocks)
-
-    def __iter__(self):
-        for ks, ts, comms, grads, floats, costs in self._blocks:
-            yield from map(TraceRecord, ks, ts, comms, grads, *floats.T.tolist(), costs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        for ks, ts, comms, grads, floats, costs in self._blocks:
-            if 0 <= i < len(ks):
-                return TraceRecord(ks[i], ts[i], comms[i], grads[i], *floats[i].tolist(),
-                                   costs[i])
-            i -= len(ks)
-        raise IndexError("trace row index out of range")
-
-
 @dataclass(eq=False)
 class RunTrace:
     """Per-iteration trace rows of one run, kept as columns a block at a time.
@@ -310,8 +277,8 @@ class RunTrace:
     A block of r rows holds k, t_k, comms and grads as lists of Python ints
     (a doubling schedule's counts outgrow int64), the six FLOAT_COLUMNS as
     one (r, 6) array, and the cost column as a list: ints under integer
-    cost coefficients, floats otherwise. ``records`` is a read-only view
-    that builds TraceRecords on demand.
+    cost coefficients, floats otherwise. ``records`` builds a new list of
+    every row as a TraceRecord on each access; ``final`` builds only the last.
     """
 
     method: str
@@ -329,12 +296,14 @@ class RunTrace:
                     np.array([record[4:10]], dtype=float), [record.cost])
 
     @property
-    def records(self) -> TraceRecords:
-        return TraceRecords(self._blocks)
+    def records(self) -> list:
+        return [row for ks, ts, comms, grads, floats, costs in self._blocks
+                for row in map(TraceRecord, ks, ts, comms, grads, *floats.T.tolist(), costs)]
 
     @property
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        ks, ts, comms, grads, floats, costs = self._blocks[-1]  # IndexError when empty
+        return TraceRecord(ks[-1], ts[-1], comms[-1], grads[-1], *floats[-1].tolist(), costs[-1])
 
     def column(self, name):
         """One column over every row: a float array for FLOAT_COLUMNS, a

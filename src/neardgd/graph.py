@@ -105,11 +105,6 @@ def build_erdos_renyi(n: int, prob: float, seed, max_tries: int = 200) -> Graph:
     )
 
 
-def to_edge_list(g: Graph) -> str:
-    """Serialize as one 'i j' pair per line, sorted."""
-    return "\n".join("%d %d" % e for e in sorted(g.edges))
-
-
 def from_edge_list(n: int, text: str) -> Graph:
     edges = set()
     for line in text.strip().splitlines():

@@ -74,10 +74,6 @@ class Objective:
     def global_grad(self, v) -> np.ndarray:
         return self.network_value_and_grad(self._point(v))[1][0]
 
-    def global_hessian(self, v) -> np.ndarray:
-        x = np.broadcast_to(self._point(v), (self.n, self.p))
-        return np.diag(self.node_hessian_diags(x).sum(axis=0))
-
     def batch_value_and_grad_norm(self, v):
         """(f(v_j), ||grad f(v_j)||) as two (K,) arrays for a (K, p) stack of
         points; row j equals global_value(v_j) and the norm of

@@ -163,6 +163,22 @@ def test_cmd_run_doubling_schedule(tmp_path):
     assert t_of[0] == 1 and t_of[99] == 1 and t_of[100] == 2 and t_of[200] == 4
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "0.1"])
+def test_cmd_run_doubling_every_iteration_on_a_30_node_ring(tmp_path, capsys, alpha):
+    # t reaches 2^100; eigh leaves the top eigenvalue of this ring an ulp
+    # above 1, and rho_constant once raised it to t unpinned: an overflow
+    # warning, and with alpha L > 1 a negative rho
+    text = ("problem.kind = quadratic\nproblem.n = 30\n"
+            "method.name = near-dgd-plus-doubling\nmethod.period = 1\n"
+            "run.alpha = %s\nrun.budget = 100\n" % alpha)
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("method=near-dgd-plus-doubling:1 ")
+    assert "iters=100 " in lines[0] and captured.err == ""
+
+
 def test_cmd_run_validation_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "run.alpha = 50\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])

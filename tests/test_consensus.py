@@ -195,7 +195,7 @@ def test_changing_t_never_serves_a_stale_power():
                                       apply_consensus(fresh, second, y))
 
 
-def test_memo_holds_at_most_two_arrays_after_a_run_that_changes_t():
+def test_memo_holds_one_array_after_a_run_that_changes_t():
     cm = build_consensus_matrix(build_ring(6))
     before = repr(cm)
     prob = sample_quartic_problem(6, 2, 2, 1.0, seed=0)
@@ -203,21 +203,68 @@ def test_memo_holds_at_most_two_arrays_after_a_run_that_changes_t():
     assert res.trace.final.t_k > 2  # t grew by one per iteration
     assert set(vars(cm)) == {"W", "graph", "beta", "lambda_min", "eigenvalues",
                              "eigenvectors", "_scaled_memo"}
-    assert len(cm._scaled_memo) == 2
-    for t, scaled in cm._scaled_memo.items():
-        assert type(t) is int and scaled.shape == (6, 6)
+    t, scaled = cm._scaled_memo  # the loop's last t, x_K = Z^{t_K} y_K
+    assert type(t) is int and t == res.trace.final.t_k and scaled.shape == (6, 6)
+    np.testing.assert_array_equal(scaled, cm.eigenvectors * cm.powers(t))
     assert repr(cm) == before
     memo = {f.name: f for f in fields(cm)}["_scaled_memo"]
     assert not (memo.init or memo.repr or memo.compare)
 
 
-def test_memo_keeps_the_last_two_t_and_never_serves_a_stale_one():
+def test_memo_keeps_the_last_t_and_never_serves_a_stale_one():
     cm = build_consensus_matrix(build_erdos_renyi(10, 0.4, seed=2))
     y = np.random.default_rng(4).normal(size=(10, 3))
-    for t in (3, 5, 3, 5, 7, 3, 7):
+    assert cm._scaled_memo is None  # formed on first use
+    for t in (3, 5, 3, 5, 7, 3, 7, 1):
         z = cm.apply(t, y)
         np.testing.assert_array_equal(z, build_consensus_matrix(cm.graph).apply(t, y))
-    assert list(cm._scaled_memo) == [3, 7]  # the last two t asked for, in order of use
+        assert cm._scaled_memo[0] == (7 if t == 1 else t)  # W y leaves the slot alone
+
+
+def test_powers_pin_the_top_eigenvalue():
+    cm = build_consensus_matrix(build_ring(30))
+    top = cm.eigenvalues[-1]
+    for t in (1, 2, 5.5, 2**70):
+        with np.errstate(over="ignore"):
+            raw = cm.eigenvalues ** t
+        lam_t = cm.powers(t)
+        assert lam_t[-1] == 1.0
+        np.testing.assert_array_equal(lam_t[:-1], raw[:-1])
+    assert cm.eigenvalues[-1] == top  # each call pins a fresh array
+    # a top eigenvalue an ulp above 1 overflows at a large t, silently
+    cm.eigenvalues = cm.eigenvalues.copy()
+    cm.eigenvalues[-1] = np.nextafter(1.0, 2.0)
+    with np.errstate(over="raise"):
+        assert cm.powers(2**70)[-1] == 1.0
+
+
+@pytest.mark.parametrize("t", [1, 2, 7])
+def test_apply_consensus_on_a_stack_equals_its_per_iterate_calls_bitwise(t):
+    cm = build_consensus_matrix(build_erdos_renyi(10, 0.4, seed=2))
+    rng = np.random.default_rng(t)
+    counter = CommCounter()
+    for stack in (rng.normal(size=(5, 10, 3)), rng.normal(size=(2, 3, 10, 1))):
+        z = apply_consensus(cm, t, stack, counter)
+        assert z.shape == stack.shape
+        expected = [apply_consensus(cm, t, y) for y in stack.reshape(-1, 10, stack.shape[-1])]
+        np.testing.assert_array_equal(z, np.reshape(expected, stack.shape))
+    assert counter.consensus_rounds == 2 * t
+
+
+def test_apply_consensus_takes_a_vector():
+    cm = build_consensus_matrix(build_ring(6))
+    v = np.random.default_rng(1).normal(size=6)
+    for t in (1, 4):
+        z = apply_consensus(cm, t, v)
+        assert z.shape == (6,)
+        np.testing.assert_array_equal(z, apply_consensus(cm, t, v[:, None])[:, 0])
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (5, 2), (6, 5, 2), (6, 2, 6)])
+def test_apply_consensus_rejects_a_node_count_off_axis_minus_two(shape):
+    cm = build_consensus_matrix(build_ring(6))
+    with pytest.raises(ValueError, match="6 node rows on axis -2"):
+        apply_consensus(cm, 2, np.ones(shape))
 
 
 @pytest.mark.parametrize("n, p", [(12, 4), (5, 1), (30, 3)])

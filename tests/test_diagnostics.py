@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,18 @@ def test_rho_constant_of_a_sequence_equals_its_scalar_calls_bitwise(n):
     rhos = rho_constant(cm, ts, 0.1, 5.0)
     assert rhos.shape == (len(ts),)
     assert rhos.tolist() == [rho_constant(cm, t, 0.1, 5.0) for t in ts]
+
+
+def test_rho_constant_pins_the_top_power_at_any_t():
+    # eigh leaves the top eigenvalue of this ring an ulp above 1; raised to
+    # t unpinned, the top term (1 - aL) lam^2t overflowed to -inf for aL > 1
+    cm = build_consensus_matrix(build_ring(30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = rho_constant(cm, 2**70, 1.5, 1.0)
+        rhos = rho_constant(cm, [1, 2**40, 2**70], 1.5, 1.0)
+    assert math.isfinite(rho) and rho >= 0.0
+    assert np.isfinite(rhos).all() and (rhos >= 0.0).all() and rhos[-1] == rho
 
 
 def test_descent_residual_examples():

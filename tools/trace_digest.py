@@ -2,8 +2,10 @@
 
 Prints one line per item, "<sha256>  <name>": the trace CSV and end state
 of runs of every method (both objective families, integer and float cost
-models, a diverging run and a grad_tol run), a sweep CSV, and the stdout of
-`neardgd run`, `neardgd sweep` and `neardgd check`. A change that promises
+models, a diverging run and a grad_tol run), a sweep CSV, the stdout of
+`neardgd run`, `neardgd sweep` and `neardgd check`, and the spectral
+diagnostics (saddle classification, Dg eigenvalues, Lyapunov Hessian and
+descent constant rho) over a grid of t and alpha. A change that promises
 byte-identical output shows it by printing the same lines on both trees:
 
     python3 tools/trace_digest.py > new.txt
@@ -22,6 +24,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # (token, run() keyword arguments) on the n=12 reference instance
 RUNS = [(tok, {}) for tok in ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",
@@ -81,6 +85,30 @@ def run_digests():
                 yield sha(state), "state " + name
 
 
+def spectral_digests():
+    from neardgd import build_consensus_matrix, build_ring, sample_quartic_problem
+    from neardgd.diagnostics import (lyapunov_hessian, neardgd_map_jacobian_eigenvalues,
+                                     rho_constant, saddle_classification)
+
+    problem = sample_quartic_problem(12, 4, 4, 1.0, seed=0)
+    cm = build_consensus_matrix(build_ring(12))
+    saddle = np.zeros((12, 4))  # the lifted saddle of every node's f_i
+    near = 1e-3 * np.random.default_rng(0).uniform(-1.0, 1.0, size=saddle.shape)
+    ts = (1, 2, 5, 20)
+    for alpha in (0.05, 0.1, 0.3):
+        for t in ts:
+            name = "t=%d alpha=%r" % (t, alpha)
+            yield (sha(repr(saddle_classification(saddle, problem, cm, t, alpha))),
+                   "saddle_classification at the saddle " + name)
+            yield (sha(neardgd_map_jacobian_eigenvalues(saddle, problem, cm, t, alpha).tobytes()),
+                   "Dg eigenvalues at the saddle " + name)
+            yield (sha(lyapunov_hessian(near, problem, cm, t, alpha).tobytes()),
+                   "lyapunov_hessian near the saddle " + name)
+        rhos = [rho_constant(cm, t, alpha, 5.0) for t in ts]
+        yield (sha(repr(rhos).encode() + rho_constant(cm, ts, alpha, 5.0).tobytes()),
+               "rho_constant t=%r alpha=%r L=5.0" % (ts, alpha))
+
+
 def cli_digests():
     from neardgd.cli import main
 
@@ -115,7 +143,7 @@ def main(argv=None):
                         help="directory holding the neardgd package")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    for digest, name in (*run_digests(), *cli_digests()):
+    for digest, name in (*run_digests(), *spectral_digests(), *cli_digests()):
         print("%s  %s" % (digest, name))
     return 0
 
