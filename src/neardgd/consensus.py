@@ -104,20 +104,23 @@ class ConsensusMatrix:
 
         The top eigenvalue of a doubly stochastic W is exactly 1, but eigh
         may leave it a few ulps above; raised to a large t that error would
-        grow, move the mean and overflow near t = 2^62, harmlessly, since
-        the pin overwrites it. t may be fractional (t / 2 for Z^{t/2}).
+        grow, move the mean and overflow near t = 2^62. So the top entry of
+        a copy of the spectrum is set to 1.0 before the power is taken: 1^t
+        is exactly 1, the other entries lie in (0, 1), and no power can
+        overflow. t may be fractional (t / 2 for Z^{t/2}).
         """
-        with np.errstate(over="ignore"):
-            lam_t = self.eigenvalues ** t
+        lam_t = self.eigenvalues.copy()
         lam_t[-1] = 1.0
+        lam_t **= t
         return lam_t
 
-    def apply(self, t: int, cols) -> np.ndarray:
+    def apply(self, t: int, cols, out=None) -> np.ndarray:
         """Z^t cols for an int t >= 1 and a float (n,) or (n, k) array, or
         an (r, n, k) stack with one product per iterate, none of them
-        checked. apply_consensus checks its arguments and
-        calls this; run()'s loop calls it directly. Every consensus
-        application thus takes this one arithmetic path.
+        checked; written into out when given (a C-ordered float array of
+        the result's shape that shares no memory with cols). apply_consensus
+        checks its arguments and calls this; run()'s loop calls it directly.
+        Every consensus application thus takes this one arithmetic path.
 
         t = 1 is the single product W cols. For t >= 2 the rounds are applied
         at once from the cached eigenpairs, W^t cols = (V diag(lam^t)) (V'
@@ -125,12 +128,21 @@ class ConsensusMatrix:
         slot holds V diag(lam^t) for the last t: a run that keeps t pays the
         O(n^2) scaling once, one that moves t on every call pays it per call,
         below the cost of the product it feeds.
+
+        One iterate, a 1-D or 2-D cols, goes through ndarray.dot and a stack
+        through the @ operator: both reach the same BLAS routine (gemm, or
+        gemv for a vector) for each iterate, so a 2-D call equals the
+        matching iterate of a stacked call bitwise, and dot spends less on
+        each call.
         """
         if t == 1:
-            return self.W @ cols
-        if self._scaled_memo is None or self._scaled_memo[0] != t:
-            self._scaled_memo = (t, self.eigenvectors * self.powers(t))
-        return self._scaled_memo[1] @ (self.eigenvectors.T @ cols)
+            return self.W.dot(cols, out) if cols.ndim <= 2 else np.matmul(self.W, cols, out=out)
+        memo = self._scaled_memo
+        if memo is None or memo[0] != t:
+            memo = self._scaled_memo = (t, self.eigenvectors * self.powers(t))
+        if cols.ndim <= 2:
+            return memo[1].dot(self.eigenvectors.T.dot(cols), out)
+        return np.matmul(memo[1], self.eigenvectors.T @ cols, out=out)
 
     def apply_each(self, ts, stack) -> np.ndarray:
         """Z^{ts[i]} stack[i] for each i of a float (c, n, k) stack, without

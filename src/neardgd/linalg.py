@@ -1,8 +1,10 @@
-"""Dense symmetric linear algebra: eigendecomposition and matrix powers.
+"""Dense symmetric linear algebra: eigendecomposition, eigenvalues and matrix
+powers.
 
 Matrices here are node-count sized, one at a time or as (..., m, m) stacks;
-eigendecompositions go to LAPACK through numpy.linalg.eigh after a symmetry
-check. All arithmetic is float64.
+eigendecompositions go to LAPACK through numpy.linalg.eigh, and spectra
+alone through numpy.linalg.eigvalsh, after a symmetry check. All arithmetic
+is float64.
 """
 
 from dataclasses import dataclass
@@ -39,6 +41,14 @@ def sym_eigen(a) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix, or of each matrix of a
     (..., m, m) stack (LAPACK, via eigh)."""
     return Spectrum(*np.linalg.eigh(check_symmetric(a)))
+
+
+def sym_eigvals(a) -> np.ndarray:
+    """The eigenvalues alone, ascending, of a symmetric matrix or of each
+    matrix of a (..., m, m) stack (LAPACK, via eigvalsh). It forms no
+    eigenvectors, so it costs about half of sym_eigen; its values may
+    differ from sym_eigen's in the last bits."""
+    return np.linalg.eigvalsh(check_symmetric(a))
 
 
 def sym_power(a, exponent: float) -> np.ndarray:

@@ -181,31 +181,40 @@ def _running_max(current, values) -> float:
 # buffers, whose slot 0 holds the state the block starts from, and writes
 # iteration i's fresh iterates into slot i + 1, without checks or tallies;
 # the block pass decides which of them the run keeps. The arithmetic is that
-# of near_dgd_step, dgd_step and gradient_tracking_step.
+# of near_dgd_step, dgd_step and gradient_tracking_step, element for element:
+# a alpha grad f(x) goes into one (n, p) step buffer per block, and each
+# consensus product straight into its slot. The ufuncs take their output
+# positionally, which NumPy parses faster than the out keyword.
 
 def _near_dgd_iterations(objective, cm, alpha, ys, xs, ts):
     """Iterations k..k+m-1 from x_k = xs[0], given ts = [t_k, ..., t_{k+m}]:
     y_{k+i+1} into ys[i+1] and x_{k+i+1} = Z^{t_{k+i+1}} y_{k+i+1} into xs[i+1]."""
-    grad_of, apply, subtract = objective.stacked_grad, cm.apply, np.subtract
+    grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
+    step = np.empty_like(xs[0])
     for t, x, y_next, x_next in zip(ts[1:], xs, ys[1:], xs[1:]):
-        subtract(x, alpha * grad_of(x), out=y_next)
-        x_next[...] = apply(t, y_next)
+        subtract(x, multiply(grad_of(x), alpha, step), y_next)
+        apply(t, y_next, x_next)
 
 
 def _dgd_iterations(objective, cm, alpha, xs, m):
-    grad_of, apply, subtract = objective.stacked_grad, cm.apply, np.subtract
+    grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
+    step = np.empty_like(xs[0])
     for x, x_next in zip(xs[:m], xs[1:m + 1]):
-        grad = grad_of(x)
-        subtract(apply(1, x), alpha * grad, out=x_next)
+        multiply(grad_of(x), alpha, step)
+        subtract(apply(1, x, x_next), step, x_next)
 
 
 def _tracking_iterations(objective, cm, alpha, xs, s, grad, m):
     """m tracker iterations into xs[1..m]; returns the final (s, grad)."""
-    grad_of, apply, subtract = objective.stacked_grad, cm.apply, np.subtract
+    grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
+    step = np.empty_like(xs[0])
     for x, x_next in zip(xs[:m], xs[1:m + 1]):
-        subtract(apply(1, x), alpha * s, out=x_next)
+        subtract(apply(1, x, x_next), multiply(s, alpha, step), x_next)
         grad_next = grad_of(x_next)
-        s = apply(1, s) + grad_next - grad
+        # W s is a fresh array, so (W s + grad_next) - grad is formed in it
+        s = apply(1, s)
+        s += grad_next
+        s -= grad
         grad = grad_next
     return s, grad
 

@@ -267,6 +267,64 @@ def test_apply_consensus_rejects_a_node_count_off_axis_minus_two(shape):
         apply_consensus(cm, 2, np.ones(shape))
 
 
+
+def _iterate_layouts(rng, n):
+    """(name, (3, n, k) stack) pairs whose iterates are C-ordered, F-ordered
+    and strided views, with k = 4 or k = 1."""
+    base = rng.normal(size=(3, 2 * n, 9))
+    c4 = np.ascontiguousarray(base[:, :n, :4])
+    return [("p=4", c4),
+            ("p=1", np.ascontiguousarray(base[:, :n, :1])),
+            ("F-ordered", np.swapaxes(np.ascontiguousarray(np.swapaxes(c4, 1, 2)), 1, 2)),
+            ("F-ordered stack", np.asfortranarray(c4)),
+            ("strided", base[:, ::2, ::2])]
+
+
+@pytest.mark.parametrize("n", [7, 12, 100])
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_apply_consensus_on_one_iterate_equals_its_stacked_iterate_and_the_matmul_formula(n, t):
+    # one iterate goes through ndarray.dot, a stack through @; both are the
+    # same BLAS product per iterate, and both equal W @ y, or
+    # (V diag(lam^t)) @ (V' @ y), bitwise
+    cm = build_consensus_matrix(build_ring(n))
+    rng = np.random.default_rng(100 * n + t)
+
+    def matmul_formula(y):
+        if t == 1:
+            return cm.W @ y
+        return (cm.eigenvectors * cm.powers(t)) @ (cm.eigenvectors.T @ y)
+
+    for name, stack in _iterate_layouts(rng, n):
+        stacked = apply_consensus(cm, t, stack)
+        for i, y in enumerate(stack):
+            z = apply_consensus(cm, t, y)
+            np.testing.assert_array_equal(z, stacked[i], err_msg=name)
+            np.testing.assert_array_equal(z, matmul_formula(y), err_msg=name)
+            out = np.full(y.shape, np.nan)
+            assert cm.apply(t, y, out) is out
+            np.testing.assert_array_equal(out, z, err_msg=name)
+    vectors = rng.normal(size=(3, n))
+    stacked = apply_consensus(cm, t, vectors[:, :, None])
+    for i, v in enumerate(vectors):
+        z = apply_consensus(cm, t, v)
+        np.testing.assert_array_equal(z, stacked[i, :, 0])
+        np.testing.assert_array_equal(z, matmul_formula(v[:, None])[:, 0])
+
+
+@pytest.mark.parametrize("graph", [build_ring(12), build_ring(30),
+                                   build_erdos_renyi(20, 0.3, seed=0), build_star(7)],
+                         ids=["ring12", "ring30", "er20", "star7"])
+def test_powers_equal_the_raw_power_with_the_top_entry_pinned_without_overflow(graph):
+    cm = build_consensus_matrix(graph)
+    for t in (1, 2, 3, 0.5, 5.5, 2**70):
+        with np.errstate(over="ignore"):
+            expected = cm.eigenvalues ** t
+        expected[-1] = 1.0
+        with np.errstate(over="raise"):
+            lam_t = cm.powers(t)
+        np.testing.assert_array_equal(lam_t, expected)
+        assert lam_t[-1] == 1.0
+
 @pytest.mark.parametrize("n, p", [(12, 4), (5, 1), (30, 3)])
 def test_apply_each_equals_apply_per_row_bitwise(monkeypatch, n, p):
     cm = build_consensus_matrix(build_ring(n))

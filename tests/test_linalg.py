@@ -3,7 +3,7 @@ import pytest
 
 from neardgd.consensus import metropolis_weights
 from neardgd.graph import build_ring
-from neardgd.linalg import SymmetryError, sym_eigen, sym_power
+from neardgd.linalg import SymmetryError, sym_eigen, sym_eigvals, sym_power
 
 W2 = np.array([[0.6, 0.4], [0.4, 0.6]])
 
@@ -72,3 +72,19 @@ def test_sym_power_integer_and_half():
     np.testing.assert_allclose(wt, W2 @ W2 @ W2, atol=1e-12)
     half = sym_power(W2, 0.5)
     np.testing.assert_allclose(half @ half, W2, atol=1e-12)
+
+
+def test_eigvals_agree_with_the_full_decomposition():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 12, 12))
+    a = a + np.swapaxes(a, -1, -2)
+    lam = sym_eigvals(a)
+    assert lam.shape == (4, 12)
+    assert np.all(np.diff(lam, axis=-1) >= 0)  # ascending
+    np.testing.assert_allclose(lam, sym_eigen(a).eigenvalues, rtol=0,
+                               atol=1e-12 * np.abs(lam).max())
+    np.testing.assert_allclose(sym_eigvals(W2), [0.2, 1.0], atol=1e-14)
+    with pytest.raises(SymmetryError):
+        sym_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(SymmetryError):
+        sym_eigvals(np.zeros((2, 3)))

@@ -287,9 +287,9 @@ def count_kernel_calls(monkeypatch):
     counts, in_pass = {"loop": 0, "pass": 0}, []
     apply, certify = ConsensusMatrix.apply, optimizer._BlockCertifier.certify
 
-    def counting(self, t, cols):
+    def counting(self, t, cols, out=None):
         counts["pass" if in_pass else "loop"] += 1
-        return apply(self, t, cols)
+        return apply(self, t, cols, out)
 
     def flagged(self, *args):
         in_pass.append(True)
@@ -332,6 +332,20 @@ def test_run_fixed_t_loop_makes_one_consensus_and_one_gradient_call(monkeypatch)
     assert calls["stacked_value", Objective] == 1 + 3  # L_t(y_0), then per pass
     assert calls["consensus_distance", optimizer] == 3 + 1  # per pass, terminal row
 
+
+
+@pytest.mark.parametrize("name", optimizer.METHOD_NAMES)
+def test_run_makes_one_stacked_grad_call_per_gradient_evaluation(monkeypatch, name):
+    # blocks of 4 rows over a budget of 10: the tracker's first gradient
+    # is its initialisation, and every iteration evaluates one gradient
+    prob, cm = paper_instance()
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 4 * 12 * 4)
+    calls = []
+    stacked_grad = Objective.stacked_grad
+    monkeypatch.setattr(Objective, "stacked_grad",
+                        lambda self, x: calls.append(1) or stacked_grad(self, x))
+    res = run(prob, cm, MethodSpec(name), alpha=0.1, budget=10)
+    assert len(calls) == res.counter.gradient_evals == 10
 
 def _run_fingerprint(res):
     buf = io.StringIO()

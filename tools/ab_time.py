@@ -1,0 +1,149 @@
+"""Paired wall-clock comparison of two neardgd source trees in one process.
+
+Copies the `neardgd` package of each tree into a temporary directory under
+a name of its own, imports both, and times one call of a workload per tree
+per pair. Each pair runs the two trees back to back, the first of them
+alternating from pair to pair, so that a host whose speed changes over
+seconds slows both sides of a pair alike. Prints each tree's median and
+the median over pairs of the ratio change / base:
+
+    python3 tools/ab_time.py --base /path/to/other/checkout/src --workload escape
+    python3 tools/ab_time.py --base old/src --change new/src --workload dgd --pairs 40
+
+Workloads, after the benchmark's (benchmarks/harness.py) on the n=12
+reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
+  escape          one near-dgd-t:5 run at budget 1500, on the next seed
+  sweep           `neardgd sweep --parallel 1`: six methods, budget 1000, one seed
+  scale           near-dgd-t:5 at budget 100 on a ring and an Erdos-Renyi
+                  graph (prob 0.1) at n=100 under both weight rules, then a
+                  saddle classification of the reference instance at t=5
+  <method token>  one run of that method (e.g. dgd, near-dgd-plus) at budget 1000
+Set-up (problem and matrix builds) is outside the timed calls. The output
+is for reading only; it is no gate.
+"""
+
+import argparse
+import contextlib
+import importlib
+import io
+import math
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+ALPHA = 0.1
+SWEEP_CONFIG = """\
+problem.kind = quartic
+problem.n = 12
+problem.p = 4
+problem.I = 4
+problem.c = 1.0
+problem.seed = 0
+graph.kind = ring
+weights.rule = metropolis
+run.alpha = %r
+run.budget = 1000
+cost.c_c = 0.01
+cost.c_g = 1.0
+sweep.methods = %s
+sweep.seeds = 0
+""" % (ALPHA, ", ".join(("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",
+                         "near-dgd-plus-doubling:100", "dgd", "gradient-tracking")))
+
+
+def import_tree(src, name, into):
+    """Import <src>/neardgd as the package `name`, copied into `into`."""
+    shutil.copytree(Path(src) / "neardgd", Path(into) / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def workload(pkg, token, workdir):
+    """A call that runs the workload once on the package pkg."""
+    def from_pkg(module):
+        return importlib.import_module("%s.%s" % (pkg.__name__, module))
+
+    optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
+    problem = pkg.sample_quartic_problem(12, 4, 4, 1.0, seed=0)
+    cm = pkg.build_consensus_matrix(pkg.build_ring(12))
+    if token == "escape":
+        method, seeds = pkg.MethodSpec("near-dgd-t", t=5), iter(range(10**9))
+        return lambda: optimizer.run(problem, cm, method, ALPHA, 1500, seed=next(seeds))
+    if token == "sweep":
+        cli = from_pkg("cli")
+        config = Path(workdir) / "sweep.cfg"
+        config.write_text(SWEEP_CONFIG)
+        out_dir = Path(workdir) / ("out-" + pkg.__name__)
+
+        def sweep():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["sweep", "--config", str(config), "--out", str(out_dir),
+                                 "--parallel", "1"])
+            if code != 0:
+                raise RuntimeError("sweep exited with %d" % code)
+        return sweep
+    if token == "scale":
+        n, method = 100, pkg.MethodSpec("near-dgd-t", t=5)
+        large = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
+        cms = [pkg.build_consensus_matrix(g, rule)
+               for g in (pkg.build_ring(n), pkg.build_erdos_renyi(n, 0.1, seed=0))
+               for rule in ("metropolis", "maxdegree")]
+
+        def scale():
+            for c in cms:
+                optimizer.run(large, c, method, ALPHA, 100, seed=0)
+            diagnostics.saddle_classification(np.zeros((12, 4)), problem, cm, 5, ALPHA)
+        return scale
+    method = pkg.MethodSpec.parse(token)
+    return lambda: optimizer.run(problem, cm, method, ALPHA, 1000, seed=0)
+
+
+def timed(call):
+    started = perf_counter()
+    call()
+    return perf_counter() - started
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="source directory of the base tree")
+    parser.add_argument("--change", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="source directory of the changed tree (default: this checkout's src/)")
+    parser.add_argument("--workload", default="escape",
+                        help="escape, sweep, scale or a method token (default: escape)")
+    parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    for src in (args.base, args.change):
+        if not (Path(src) / "neardgd" / "__init__.py").is_file():
+            parser.error("no neardgd package under %s" % src)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            calls = {side: workload(import_tree(src, "neardgd_" + side, tmp), args.workload, tmp)
+                     for side, src in (("base", args.base), ("change", args.change))}
+        except ValueError as exc:  # a workload that is no method token
+            parser.error("--workload: %s" % exc)
+        for call in calls.values():
+            call()  # warm-up: first calls and caches stay out of the samples
+        times = {"base": [], "change": []}
+        for i in range(args.pairs):
+            for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                times[side].append(timed(calls[side]))
+    ratios = [c / b for b, c in zip(times["base"], times["change"])]
+    for side in ("base", "change"):
+        print("%-6s median %.5f s" % (side, statistics.median(times[side])))
+    print("change / base: median paired ratio %.3f (%+.1f %%), change faster in %d of %d pairs"
+          % (statistics.median(ratios), 100 * (statistics.median(ratios) - 1),
+             sum(r < 1 for r in ratios), len(ratios)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,10 +2,12 @@
 
 Prints one line per item, "<sha256>  <name>": the trace CSV and end state
 of runs of every method (both objective families, integer and float cost
-models, a diverging run and a grad_tol run), a sweep CSV, the stdout of
-`neardgd run`, `neardgd sweep` and `neardgd check`, and the spectral
-diagnostics (saddle classification, Dg eigenvalues, Lyapunov Hessian and
-descent constant rho) over a grid of t and alpha. A change that promises
+models, a diverging run and a grad_tol run), of runs on the benchmark's
+n=100 networks, the consensus products on C-ordered, F-ordered and strided
+operands, a sweep CSV, the stdout of `neardgd run`, `neardgd sweep` and
+`neardgd check`, and the spectral diagnostics (saddle classification, Dg
+eigenvalues, Lyapunov Hessian and descent constant rho) over a grid of t and
+alpha. A change that promises
 byte-identical output shows it by printing the same lines on both trees:
 
     python3 tools/trace_digest.py > new.txt
@@ -20,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -60,6 +63,19 @@ def sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
+def run_result_digests(res, name):
+    """The trace CSV and the end state of one run."""
+    buf = io.StringIO()
+    res.trace.write_csv_to(buf, extra_key_columns=True)
+    yield sha(buf.getvalue()), "trace " + name
+    state = b"".join([
+        res.final_y.tobytes(), res.final_x.tobytes(), res.final_avg.tobytes(),
+        repr((res.b_y, res.max_cons_gap, res.max_eq7_inf, res.lipschitz,
+              res.counter.consensus_rounds, res.counter.gradient_evals,
+              res.trace.diverged, res.trace.divergence_note)).encode()])
+    yield sha(state), "state " + name
+
+
 def run_digests():
     from neardgd import (CostModel, MethodSpec, build_consensus_matrix, build_ring,
                          run, sample_quadratic_problem, sample_quartic_problem)
@@ -73,16 +89,53 @@ def run_digests():
                 kwargs = dict(dict(alpha=0.1, budget=400), **kwargs)
                 res = run(problem, cm, MethodSpec.parse(token),
                           cost_model=CostModel(*costs), **kwargs)
-                buf = io.StringIO()
-                res.trace.write_csv_to(buf, extra_key_columns=True)
                 name = "%s %s %s c=%r,%r" % (family, token, sorted(kwargs.items()), *costs)
-                yield sha(buf.getvalue()), "trace " + name
-                state = b"".join([
-                    res.final_y.tobytes(), res.final_x.tobytes(), res.final_avg.tobytes(),
-                    repr((res.b_y, res.max_cons_gap, res.max_eq7_inf, res.lipschitz,
-                          res.counter.consensus_rounds, res.counter.gradient_evals,
-                          res.trace.diverged, res.trace.divergence_note)).encode()])
-                yield sha(state), "state " + name
+                yield from run_result_digests(res, name)
+
+
+def large_run_digests():
+    """The benchmark's scale networks at n=100: near-dgd-t:5 on a ring and an
+    Erdos-Renyi graph (prob 0.1) under both weight rules, plus dgd and
+    gradient tracking on the Metropolis ring; budget 100, seeds 0 and 1."""
+    from neardgd import (MethodSpec, build_consensus_matrix, build_erdos_renyi,
+                         build_ring, run, sample_quartic_problem)
+
+    n = 100
+    problem = sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
+    graphs = (("ring", build_ring(n)), ("erdos-renyi", build_erdos_renyi(n, 0.1, seed=0)))
+    for kind, g in graphs:
+        for rule in ("metropolis", "maxdegree"):
+            cm = build_consensus_matrix(g, rule)
+            tokens = ["near-dgd-t:5"]
+            if (kind, rule) == ("ring", "metropolis"):
+                tokens += ["dgd", "gradient-tracking"]
+            for token in tokens:
+                for seed in (0, 1):
+                    res = run(problem, cm, MethodSpec.parse(token), alpha=0.1, budget=100,
+                              seed=seed)
+                    yield from run_result_digests(
+                        res, "n=%d %s/%s %s seed=%d" % (n, kind, rule, token, seed))
+
+
+def kernel_digests():
+    """apply_consensus on C-ordered, F-ordered and strided iterates and stacks,
+    on one column and on (n,) vectors."""
+    from neardgd import apply_consensus, build_consensus_matrix, build_ring
+
+    for n in (12, 100):
+        cm = build_consensus_matrix(build_ring(n))
+        base = np.random.default_rng(n).uniform(-1.0, 1.0, size=(3, 2 * n, 9))
+        c4 = np.ascontiguousarray(base[:, :n, :4])
+        operands = (("C-ordered", c4), ("F-ordered stack", np.asfortranarray(c4)),
+                    ("strided", base[:, ::2, ::2]), ("one column", c4[:, :, :1]))
+        for t in (1, 2, 5):
+            for layout, stack in operands:
+                parts = [apply_consensus(cm, t, stack).tobytes()]
+                parts += [apply_consensus(cm, t, y).tobytes() for y in stack]
+                parts += [apply_consensus(cm, t, np.asfortranarray(y)).tobytes() for y in stack]
+                yield sha(b"".join(parts)), "apply_consensus n=%d t=%d %s" % (n, t, layout)
+            yield (sha(apply_consensus(cm, t, base[0, :n, 0]).tobytes()),
+                   "apply_consensus n=%d t=%d vector" % (n, t))
 
 
 def spectral_digests():
@@ -143,7 +196,8 @@ def main(argv=None):
                         help="directory holding the neardgd package")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    for digest, name in (*run_digests(), *spectral_digests(), *cli_digests()):
+    for digest, name in (*run_digests(), *large_run_digests(), *kernel_digests(),
+                         *spectral_digests(), *cli_digests()):
         print("%s  %s" % (digest, name))
     return 0
 
