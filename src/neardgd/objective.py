@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import sum_last
+
 
 class ObjectiveError(ValueError):
     pass
@@ -28,6 +30,14 @@ class Objective:
     in closed form, without an n-fold broadcast); and lipschitz_estimate.
     Stacked evaluators and single-point aggregates are derived here, and
     subclasses do not override them.
+
+    The primitives run once per iteration on small arrays, where a NumPy
+    call costs more than its arithmetic. At n = 12, p = 4 a (p,) row
+    broadcast over an (n, p) operand costs two to three times a same-shape
+    ufunc, and a reduction over the short coordinate axis several times
+    the column adds that give its bits. So coefficient arrays are kept at
+    the full (n, p) shape of an iterate, and sums over coordinates go
+    through linalg.sum_last.
     """
 
     n: int
@@ -82,7 +92,8 @@ class Objective:
         if v.ndim != 2 or v.shape[1] != self.p:
             raise ObjectiveError("expected shape (K, %d), got %r" % (self.p, v.shape))
         values, grads = self.network_value_and_grad(v)
-        return values, np.linalg.norm(grads, axis=-1)
+        # numpy.linalg.norm(grads, axis=-1), operation for operation
+        return values, np.sqrt(sum_last(grads * grads))
 
     def _check_stacked(self, x):
         x = np.asarray(x, dtype=float)
@@ -125,11 +136,12 @@ class QuadraticQuarticProblem(Objective):
         others = np.delete(self.q, ii, axis=1)
         if others.size and np.any(others <= 0):
             raise ObjectiveError("off-index diagonal entries must be positive")
-        # (c^2 / n) e_I: the oracles scale x^2 by this row instead of raising
-        # one strided column to a power and writing it back; summed over the
-        # n nodes it is c^2 e_I, the network function's row beside Q = sum_i q^i
-        self._quartic_row = np.zeros(self.p)
-        self._quartic_row[ii] = self.c**2 / self.n
+        # the quartic coefficients c^2 / n of every node, in column I of a
+        # full (n, p) array so that the oracles combine same-shape operands;
+        # summed over the n nodes they are c^2 e_I, the network function's
+        # row beside Q = sum_i q^i
+        self._quartic = np.zeros_like(self.q)
+        self._quartic[:, ii] = self.c**2 / self.n
         self._network_quartic_row = np.zeros(self.p)
         self._network_quartic_row[ii] = self.c**2
         self._q_sum = self.q.sum(axis=0)
@@ -140,19 +152,19 @@ class QuadraticQuarticProblem(Objective):
 
     def node_values(self, x):
         x2 = x * x
-        return ((0.5 * self.q + (0.25 * self._quartic_row) * x2) * x2).sum(axis=-1)
+        return sum_last((0.5 * self.q + (0.25 * self._quartic) * x2) * x2)
 
     def node_grads(self, x):
-        return x * (self.q + self._quartic_row * (x * x))
+        return x * (self.q + self._quartic * (x * x))
 
     def node_hessian_diags(self, x):
-        return self.q + (3.0 * self._quartic_row) * (x * x)
+        return self.q + (3.0 * self._quartic) * (x * x)
 
     def network_value_and_grad(self, v):
         """f(v) = sum_j (Q_j / 2 + c^2 [j = I] v_j^2 / 4) v_j^2 and
         grad f(v) = v (Q + c^2 e_I v^2), with Q = sum_i q^i."""
         v2 = v * v
-        return (((0.5 * self._q_sum + (0.25 * self._network_quartic_row) * v2) * v2).sum(axis=-1),
+        return (sum_last((0.5 * self._q_sum + (0.25 * self._network_quartic_row) * v2) * v2),
                 v * (self._q_sum + self._network_quartic_row * v2))
 
     def lipschitz_estimate(self, radius):
@@ -194,18 +206,28 @@ def sample_quartic_problem(n, p, index, c, seed) -> QuadraticQuarticProblem:
 class QuadraticProblem(Objective):
     """Strongly convex sanity problem: f_i(x) = 1/2 ||x - b_i||^2.
 
-    Unique network minimizer at the mean of the b_i; L = 1.
+    Unique network minimizer at the mean of the b_i; L = 1. Assigning b
+    sets n, p and the terms of the network primitive that depend on b
+    alone; writing into b in place does not update them.
     """
 
     b: np.ndarray  # (n, p) targets
 
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        self.n, self.p = self.b.shape
+    def __setattr__(self, name, value):
+        if name == "b":
+            # bbar and s_j = sum_i (b_ij - bbar_j)^2 / 2 of
+            # network_value_and_grad, formed once per assignment
+            value = np.asarray(value, dtype=float)
+            n, p = value.shape
+            b_mean = value.mean(axis=0)
+            spread = value - b_mean
+            self.__dict__.update(n=n, p=p, _b_mean=b_mean,
+                                 _half_spread=0.5 * (spread * spread).sum(axis=0))
+        super().__setattr__(name, value)
 
     def node_values(self, x):
         d = x - self.b
-        return 0.5 * (d * d).sum(axis=-1)
+        return 0.5 * sum_last(d * d)
 
     def node_grads(self, x):
         return x - self.b
@@ -217,11 +239,8 @@ class QuadraticProblem(Objective):
         """f(v) = sum_j (n/2 (v_j - bbar_j)^2 + s_j) and grad f(v) =
         n (v - bbar), with bbar the mean of the b_i and s_j =
         sum_i (b_ij - bbar_j)^2 / 2."""
-        b_mean = self.b.mean(axis=0)
-        spread = self.b - b_mean
-        d = v - b_mean
-        return (((0.5 * self.n) * (d * d) + 0.5 * (spread * spread).sum(axis=0)).sum(axis=-1),
-                self.n * d)
+        d = v - self._b_mean
+        return sum_last((0.5 * self.n) * (d * d) + self._half_spread), self.n * d
 
     def lipschitz_estimate(self, radius):
         return 1.0

@@ -18,6 +18,7 @@ from .consensus import CommCounter, ConsensusMatrix, apply_consensus
 from .diagnostics import (FLOAT_COLUMNS, CostModel, RunTrace, consensus_distance,
                           cumulative_cost, descent_certificate, inner,
                           lyapunov_grad_at, lyapunov_value_at, rho_constant)
+from .linalg import sum_last
 from .objective import Objective
 
 INIT_BOUND = 1.0        # iterates start uniform in [-INIT_BOUND, INIT_BOUND]
@@ -57,6 +58,17 @@ class MethodSpec:
         if self.name == "near-dgd-plus-doubling":
             return 2 ** (k // self.period)
         return 1
+
+    def schedule(self, k: int, count: int) -> list:
+        """[t_k, ..., t_{k+count-1}]: rounds() of each of count iterations
+        from k, made in one list operation except for the doubling."""
+        if self.name == "near-dgd-t":
+            return [self.t] * count
+        if self.name == "near-dgd-plus":
+            return list(range(k + 1, k + count + 1))
+        if self.name == "near-dgd-plus-doubling":
+            return [2 ** (j // self.period) for j in range(k, k + count)]
+        return [1] * count
 
     @property
     def certificates(self) -> tuple:
@@ -183,33 +195,35 @@ def _running_max(current, values) -> float:
 # the block pass decides which of them the run keeps. The arithmetic is that
 # of near_dgd_step, dgd_step and gradient_tracking_step, element for element:
 # a alpha grad f(x) goes into one (n, p) step buffer per block, and each
-# consensus product straight into its slot. The ufuncs take their output
-# positionally, which NumPy parses faster than the out keyword.
+# consensus product straight into its slot. alpha is held as an (n, p) array,
+# since NumPy multiplies two same-shape arrays faster than it converts a
+# Python float, and the ufuncs take their output positionally, which NumPy
+# parses faster than the out keyword.
 
 def _near_dgd_iterations(objective, cm, alpha, ys, xs, ts):
     """Iterations k..k+m-1 from x_k = xs[0], given ts = [t_k, ..., t_{k+m}]:
     y_{k+i+1} into ys[i+1] and x_{k+i+1} = Z^{t_{k+i+1}} y_{k+i+1} into xs[i+1]."""
     grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
-    step = np.empty_like(xs[0])
+    alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
     for t, x, y_next, x_next in zip(ts[1:], xs, ys[1:], xs[1:]):
-        subtract(x, multiply(grad_of(x), alpha, step), y_next)
+        subtract(x, multiply(grad_of(x), alphas, step), y_next)
         apply(t, y_next, x_next)
 
 
 def _dgd_iterations(objective, cm, alpha, xs, m):
     grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
-    step = np.empty_like(xs[0])
+    alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
     for x, x_next in zip(xs[:m], xs[1:m + 1]):
-        multiply(grad_of(x), alpha, step)
+        multiply(grad_of(x), alphas, step)
         subtract(apply(1, x, x_next), step, x_next)
 
 
 def _tracking_iterations(objective, cm, alpha, xs, s, grad, m):
     """m tracker iterations into xs[1..m]; returns the final (s, grad)."""
     grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
-    step = np.empty_like(xs[0])
+    alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
     for x, x_next in zip(xs[:m], xs[1:m + 1]):
-        subtract(apply(1, x, x_next), multiply(s, alpha, step), x_next)
+        subtract(apply(1, x, x_next), multiply(s, alphas, step), x_next)
         grad_next = grad_of(x_next)
         # W s is a fresh array, so (W s + grad_next) - grad is formed in it
         s = apply(1, s)
@@ -356,14 +370,14 @@ class _BlockCertifier:
         """Append the trace rows with the given (k, t_k, comms, grads), each
         describing its (n, p) point, given _evaluate's columns; returns
         their cons_dist."""
-        cons = consensus_distance(points)
+        cons = consensus_distance(points, avgs)
         floats = np.empty((len(ks), len(FLOAT_COLUMNS)))
         floats[:, 0] = values - self.f_star
         floats[:, 1] = grad_norms
         floats[:, 2] = cons
         floats[:, 3] = lyaps
         floats[:, 4] = residuals
-        floats[:, 5] = np.linalg.norm(avgs, axis=-1)
+        floats[:, 5] = np.sqrt(sum_last(avgs * avgs))  # ||xbar||, as numpy.linalg.norm
         # one array for both tallies, so that counts past int64 make both
         # object arrays of exact ints
         cost = cumulative_cost(CommCounter(*np.array([comms, grads])), self.cost_model)
@@ -437,7 +451,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
                             box_radius, grad_tol, y, x, iterations, grad_evals)
     while block.k < iterations and not block.ended:
         k, m = block.k, min(block.rows, iterations - block.k)
-        ts = [method.rounds(j) for j in range(k, k + m + 1)]
+        ts = method.schedule(k, m + 1)
         # iterations past a divergence may overflow; the pass discards them
         with np.errstate(over="ignore", invalid="ignore"):
             if near_dgd:

@@ -194,6 +194,20 @@ def test_consensus_distance_hand_examples():
         0.04 * math.sqrt(2), abs=1e-14)
 
 
+@pytest.mark.parametrize("n, p", [(12, 4), (5, 1), (7, 9)])
+def test_consensus_distance_takes_the_averages_bitwise(n, p):
+    # the averages a caller passes give the bits of the averages formed
+    # here, and both the bits of numpy.linalg.norm's per-node distances
+    rng = np.random.default_rng(n * p)
+    stack = rng.uniform(-3, 3, size=(6, n, p))
+    for x in (stack[0], stack, stack.reshape(2, 3, n, p)):
+        mean = x.mean(axis=-2)
+        want = np.linalg.norm(x - x.mean(axis=-2, keepdims=True), axis=-1).max(axis=-1)
+        for got in (consensus_distance(x, mean), consensus_distance(x)):
+            assert np.asarray(got).tobytes() == want.tobytes()
+    assert isinstance(consensus_distance(stack[0], stack[0].mean(axis=0)), float)
+
+
 def test_optimality_gap_bound_examples():
     assert optimality_gap_bound(0.5349, 5, 4, 3.5, 10.0) == pytest.approx(
         0.5349**5 * 2 * 35, rel=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from neardgd.consensus import metropolis_weights
 from neardgd.graph import build_ring
-from neardgd.linalg import SymmetryError, sym_eigen, sym_eigvals, sym_power
+from neardgd.linalg import SymmetryError, sum_last, sym_eigen, sym_eigvals, sym_power
 
 W2 = np.array([[0.6, 0.4], [0.4, 0.6]])
 
@@ -88,3 +88,40 @@ def test_eigvals_agree_with_the_full_decomposition():
         sym_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(SymmetryError):
         sym_eigvals(np.zeros((2, 3)))
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 5e-324])
+
+
+def _layouts(a):
+    """a (C-ordered), an F-ordered copy and a strided view holding a's
+    values, and 2-D, row-sliced, 1-D and reversed views of a."""
+    padded = np.zeros(tuple(2 * d for d in a.shape))
+    view = padded[tuple(slice(None, None, 2) for _ in a.shape)]
+    view[...] = a
+    return (("C-ordered", a), ("F-ordered", np.asfortranarray(a)), ("strided", view),
+            ("2-D", a[0]), ("row slice", a[:, 3]), ("1-D", a[0, 0]),
+            ("reversed", a[::-1, ::-1]))
+
+
+@pytest.mark.parametrize("length", range(1, 13))
+def test_sum_last_equals_numpy_sum_bitwise(length):
+    # NaNs of both signs, infinities of both signs (whose sum is a third
+    # NaN), signed zeros, overflow and a subnormal: the bits, sign of zero
+    # and of NaN included, are the reduction's on every layout
+    rng = np.random.default_rng(length)
+    for trial in range(10):
+        a = rng.standard_normal((7, 11, length)) * np.exp(rng.uniform(-30, 30, (7, 11, length)))
+        special = rng.uniform(size=a.shape) < 0.1 * (trial % 5)
+        a[special] = rng.choice(SPECIALS, size=int(special.sum()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for layout, b in _layouts(a):
+                want, got = b.sum(axis=-1), sum_last(b)
+                assert np.shape(got) == np.shape(want), layout
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), layout
+
+
+def test_sum_last_of_negative_zeros_is_positive_zero():
+    for length in (1, 4, 9):
+        got = sum_last(np.full((3, length), -0.0))
+        assert got.tobytes() == np.zeros(3).tobytes()

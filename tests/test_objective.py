@@ -203,6 +203,53 @@ def test_quartic_oracles_match_power_formulas():
         np.testing.assert_array_equal(x, kept)
 
 
+@pytest.mark.parametrize("n", [1, 12, 100])
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_quartic_oracles_equal_the_broadcast_row_formulas_bitwise(n, p):
+    # the oracles keep c^2 / n in column I of a full (n, p) array; written
+    # with a (p,) row broadcast over the nodes instead, every entry is the
+    # same product, so the bits are the same
+    prob = sample_quartic_problem(n, p, (p + 1) // 2, 1.7, seed=n + p)
+    q, row = prob.q, np.zeros(p)
+    row[prob.index - 1] = prob.c**2 / n
+
+    def values(x):
+        x2 = x * x
+        return ((0.5 * q + (0.25 * row) * x2) * x2).sum(axis=-1)
+
+    def grads(x):
+        return x * (q + row * (x * x))
+
+    def hessian_diags(x):
+        return q + (3.0 * row) * (x * x)
+
+    stack = np.random.default_rng(p).uniform(-3, 3, size=(5, n, p))
+    for x in (stack[0], stack):
+        for oracle, formula in ((prob.node_values, values), (prob.node_grads, grads),
+                                (prob.node_hessian_diags, hessian_diags)):
+            got, want = oracle(x), formula(x)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_quadratic_network_oracle_equals_its_inline_formula_bitwise():
+    # bbar and the spread sum are formed once per assignment of b, by the
+    # same operations the closed form would repeat on every call
+    prob = sample_quadratic_problem(12, 4, seed=3)
+    v = np.random.default_rng(4).uniform(-2, 2, size=(9, 4))
+    b_mean = prob.b.mean(axis=0)
+    spread, d = prob.b - b_mean, v - b_mean
+    want_values = ((0.5 * prob.n) * (d * d) + 0.5 * (spread * spread).sum(axis=0)).sum(axis=-1)
+    values, grads = prob.network_value_and_grad(v)
+    assert values.tobytes() == want_values.tobytes()
+    assert grads.tobytes() == (prob.n * d).tobytes()
+    # a new b brings its own terms, and its own shape
+    prob.b = np.array([[0.0], [2.0]])
+    assert (prob.n, prob.p) == (2, 1)
+    assert prob.min_value() == 1.0
+    assert prob.global_grad(prob.minimizer()).tolist() == [0.0]
+
+
 @pytest.mark.parametrize("factory", [
     lambda: sample_quartic_problem(4, 3, 2, 1.3, seed=7),
     lambda: sample_quadratic_problem(4, 3, seed=7),

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neardgd.consensus import CommCounter, ConsensusMatrix, build_consensus_matrix
 from neardgd.diagnostics import (CostModel, descent_residual, lyapunov_value,
@@ -44,6 +45,25 @@ def test_schedule_fixed_linear_doubling():
         MethodSpec("near-dgd-t", t=0)
     with pytest.raises(ValueError):
         MethodSpec.parse("near-dgd-plus-doubling:0")
+
+
+_METHODS = st.one_of(
+    st.integers(min_value=1, max_value=50).map(lambda t: MethodSpec("near-dgd-t", t=t)),
+    st.just(MethodSpec("near-dgd-plus")),
+    st.integers(min_value=1, max_value=40).map(
+        lambda period: MethodSpec("near-dgd-plus-doubling", period=period)),
+    st.just(MethodSpec("dgd")),
+    st.just(MethodSpec("gradient-tracking")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(method=_METHODS, boundary=st.integers(min_value=0, max_value=60),
+       offset=st.integers(min_value=-5, max_value=5), count=st.integers(min_value=0, max_value=200))
+def test_block_schedule_equals_the_rounds_of_each_iteration(method, boundary, offset, count):
+    # blocks start a few iterations before or after the start of a doubling
+    # period, and the longer ones span several doublings
+    k = max(0, boundary * method.period + offset)
+    assert method.schedule(k, count) == [method.rounds(j) for j in range(k, k + count)]
 
 
 def test_method_spec_labels_and_parse():
@@ -389,9 +409,9 @@ def test_run_batched_columns_match_single_point_oracles(monkeypatch, name):
     points = []
     original = optimizer.consensus_distance
 
-    def capturing(x):
+    def capturing(x, mean=None):
         points.extend(np.array(x).reshape(-1, 12, 4))
-        return original(x)
+        return original(x, mean)
 
     monkeypatch.setattr(optimizer, "consensus_distance", capturing)
     res = run(prob, cm, MethodSpec(name), alpha=0.1, budget=200)

@@ -2,7 +2,9 @@
 
 Prints one line per item, "<sha256>  <name>": the trace CSV and end state
 of runs of every method (both objective families, integer and float cost
-models, a diverging run and a grad_tol run), of runs on the benchmark's
+models, a diverging run and a grad_tol run), of quartic runs with one and
+with nine coordinates (sums over fewer and over more than 8 entries, which
+NumPy adds in order and pairwise), of runs on the benchmark's
 n=100 networks, the consensus products on C-ordered, F-ordered and strided
 operands, a sweep CSV, the stdout of `neardgd run`, `neardgd sweep` and
 `neardgd check`, and the spectral diagnostics (saddle classification, Dg
@@ -91,6 +93,11 @@ def run_digests():
                           cost_model=CostModel(*costs), **kwargs)
                 name = "%s %s %s c=%r,%r" % (family, token, sorted(kwargs.items()), *costs)
                 yield from run_result_digests(res, name)
+    for p in (1, 9):
+        problem = sample_quartic_problem(12, p, p, 1.0, seed=0)
+        for token in ("near-dgd-t:5", "near-dgd-plus"):
+            res = run(problem, cm, MethodSpec.parse(token), alpha=0.1, budget=400)
+            yield from run_result_digests(res, "quartic p=%d %s" % (p, token))
 
 
 def large_run_digests():
