@@ -206,24 +206,14 @@ def sample_quartic_problem(n, p, index, c, seed) -> QuadraticQuarticProblem:
 class QuadraticProblem(Objective):
     """Strongly convex sanity problem: f_i(x) = 1/2 ||x - b_i||^2.
 
-    Unique network minimizer at the mean of the b_i; L = 1. Assigning b
-    sets n, p and the terms of the network primitive that depend on b
-    alone; writing into b in place does not update them.
+    Unique network minimizer at the mean of the b_i; L = 1.
     """
 
     b: np.ndarray  # (n, p) targets
 
-    def __setattr__(self, name, value):
-        if name == "b":
-            # bbar and s_j = sum_i (b_ij - bbar_j)^2 / 2 of
-            # network_value_and_grad, formed once per assignment
-            value = np.asarray(value, dtype=float)
-            n, p = value.shape
-            b_mean = value.mean(axis=0)
-            spread = value - b_mean
-            self.__dict__.update(n=n, p=p, _b_mean=b_mean,
-                                 _half_spread=0.5 * (spread * spread).sum(axis=0))
-        super().__setattr__(name, value)
+    def __post_init__(self):
+        self.b = np.asarray(self.b, dtype=float)
+        self.n, self.p = self.b.shape
 
     def node_values(self, x):
         d = x - self.b
@@ -239,8 +229,11 @@ class QuadraticProblem(Objective):
         """f(v) = sum_j (n/2 (v_j - bbar_j)^2 + s_j) and grad f(v) =
         n (v - bbar), with bbar the mean of the b_i and s_j =
         sum_i (b_ij - bbar_j)^2 / 2."""
-        d = v - self._b_mean
-        return sum_last((0.5 * self.n) * (d * d) + self._half_spread), self.n * d
+        b_mean = self.b.mean(axis=0)
+        spread = self.b - b_mean
+        d = v - b_mean
+        return (sum_last((0.5 * self.n) * (d * d) + 0.5 * (spread * spread).sum(axis=0)),
+                self.n * d)
 
     def lipschitz_estimate(self, radius):
         return 1.0

@@ -49,19 +49,14 @@ class MethodSpec:
                              "period=%r" % (self.name, self.t, self.period))
 
     def rounds(self, k: int) -> int:
-        """Consensus rounds t_k of iteration k: fixed t, k + 1, or doubling
-        every period iterations; the baselines communicate once."""
-        if self.name == "near-dgd-t":
-            return self.t
-        if self.name == "near-dgd-plus":
-            return k + 1
-        if self.name == "near-dgd-plus-doubling":
-            return 2 ** (k // self.period)
-        return 1
+        """Consensus rounds t_k of iteration k."""
+        return self.schedule(k, 1)[0]
 
     def schedule(self, k: int, count: int) -> list:
-        """[t_k, ..., t_{k+count-1}]: rounds() of each of count iterations
-        from k, made in one list operation except for the doubling."""
+        """[t_k, ..., t_{k+count-1}], the consensus rounds of count
+        iterations from k: fixed t, k + 1, or doubling every period
+        iterations; the baselines communicate once. One list operation
+        except for the doubling."""
         if self.name == "near-dgd-t":
             return [self.t] * count
         if self.name == "near-dgd-plus":

@@ -232,24 +232,6 @@ def test_quartic_oracles_equal_the_broadcast_row_formulas_bitwise(n, p):
             assert got.tobytes() == want.tobytes()
 
 
-def test_quadratic_network_oracle_equals_its_inline_formula_bitwise():
-    # bbar and the spread sum are formed once per assignment of b, by the
-    # same operations the closed form would repeat on every call
-    prob = sample_quadratic_problem(12, 4, seed=3)
-    v = np.random.default_rng(4).uniform(-2, 2, size=(9, 4))
-    b_mean = prob.b.mean(axis=0)
-    spread, d = prob.b - b_mean, v - b_mean
-    want_values = ((0.5 * prob.n) * (d * d) + 0.5 * (spread * spread).sum(axis=0)).sum(axis=-1)
-    values, grads = prob.network_value_and_grad(v)
-    assert values.tobytes() == want_values.tobytes()
-    assert grads.tobytes() == (prob.n * d).tobytes()
-    # a new b brings its own terms, and its own shape
-    prob.b = np.array([[0.0], [2.0]])
-    assert (prob.n, prob.p) == (2, 1)
-    assert prob.min_value() == 1.0
-    assert prob.global_grad(prob.minimizer()).tolist() == [0.0]
-
-
 @pytest.mark.parametrize("factory", [
     lambda: sample_quartic_problem(4, 3, 2, 1.3, seed=7),
     lambda: sample_quadratic_problem(4, 3, seed=7),

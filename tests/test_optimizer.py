@@ -56,6 +56,12 @@ _METHODS = st.one_of(
     st.just(MethodSpec("gradient-tracking")))
 
 
+def _rounds_of_iteration(method, k):
+    # t_k of each method, written out one iteration at a time
+    return {"near-dgd-t": method.t, "near-dgd-plus": k + 1,
+            "near-dgd-plus-doubling": 2 ** (k // method.period)}.get(method.name, 1)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(method=_METHODS, boundary=st.integers(min_value=0, max_value=60),
        offset=st.integers(min_value=-5, max_value=5), count=st.integers(min_value=0, max_value=200))
@@ -63,7 +69,9 @@ def test_block_schedule_equals_the_rounds_of_each_iteration(method, boundary, of
     # blocks start a few iterations before or after the start of a doubling
     # period, and the longer ones span several doublings
     k = max(0, boundary * method.period + offset)
-    assert method.schedule(k, count) == [method.rounds(j) for j in range(k, k + count)]
+    block = method.schedule(k, count)
+    assert block == [_rounds_of_iteration(method, j) for j in range(k, k + count)]
+    assert block == [method.rounds(j) for j in range(k, k + count)]
 
 
 def test_method_spec_labels_and_parse():
