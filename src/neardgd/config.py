@@ -5,6 +5,7 @@ empty value opens an indented block (used for graph edge lists, one "i j"
 pair per line). '#' starts a comment.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .consensus import WEIGHT_RULES, ConsensusMatrix, build_consensus_matrix
@@ -185,12 +186,12 @@ def validate(cfg: RunConfig):
         raise ConfigError("problem.I must lie in 1..p")
     if cfg.budget < 0:
         raise ConfigError("run.budget must be >= 0")
-    if cfg.alpha <= 0:
-        raise ConfigError("run.alpha must be positive")
+    if not 0 < cfg.alpha < math.inf:  # NaN fails both comparisons
+        raise ConfigError("run.alpha must be positive and finite")
     if cfg.weight_rule not in WEIGHT_RULES:
         raise ConfigError("unknown weight rule %r" % cfg.weight_rule)
-    if cfg.margin <= 0:
-        raise ConfigError("weights.margin must be positive")
+    if not 0 < cfg.margin < math.inf:
+        raise ConfigError("weights.margin must be positive and finite")
     cfg.build_problem()
     cfg.build_graph()
 

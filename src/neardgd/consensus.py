@@ -5,6 +5,7 @@ p-vector. Flattened, they are node-major np-length vectors. Several iterates
 side by side form an (..., n, p) stack.
 """
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -196,8 +197,8 @@ def ensure_positive_definite(w_tilde, g: Graph, margin: float = 0.1) -> Consensu
     margin / (1 - delta) > 0. It keeps the sign of every off-diagonal entry,
     so the ConsensusMatrix constructor rejects a negative one.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < math.inf:  # NaN fails both comparisons
+        raise ValueError("margin must be positive and finite, got %r" % margin)
     w_tilde = check_symmetric(w_tilde)
     lam1 = sym_eigen(w_tilde).eigenvalues[0]
     if lam1 > 0:

@@ -50,8 +50,8 @@ def lyapunov_value_at(y, zy, objective: Objective, alpha: float):
 
 def lyapunov_value(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> float:
     """L_t(y), via block consensus applications."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN fails both comparisons
+        raise ValueError("alpha must be positive and finite")
     y = np.asarray(y, dtype=float)
     return lyapunov_value_at(y, apply_consensus(cm, t, y), objective, alpha)
 
@@ -59,14 +59,24 @@ def lyapunov_value(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: 
 def lyapunov_grad_at(zy, grad, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
     """grad L_t(y) = Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y, given zy = Z^t y
     and grad = grad f(zy); (n, p) arrays or (..., n, p) stacks, each
-    iterate of a stack equal to its (n, p) call bitwise."""
-    return apply_consensus(cm, t, grad) + (zy - apply_consensus(cm, t, zy)) / alpha
+    iterate of a stack equal to its (n, p) call bitwise. The sum is formed in
+    the fresh array of the Z^2t y product, with the bits of the formula as
+    written."""
+    zgrad = apply_consensus(cm, t, grad)
+    # a grad passed as a temporary is freed here, so that the block pass
+    # holds at most three block-sized arrays during the second product
+    del grad
+    out = apply_consensus(cm, t, zy)
+    np.subtract(zy, out, out)
+    out /= alpha
+    out += zgrad
+    return out
 
 
 def lyapunov_grad(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
     """Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN fails both comparisons
+        raise ValueError("alpha must be positive and finite")
     zy = apply_consensus(cm, t, np.asarray(y, dtype=float))
     return lyapunov_grad_at(zy, objective.stacked_grad(zy), cm, t, alpha)
 
@@ -100,7 +110,7 @@ def rho_constant(cm: ConsensusMatrix, t, alpha: float, lipschitz: float):
     as its own power, since NumPy's power over a whole (len(t), n) stack may
     differ in the last bit.
     """
-    if alpha <= 0 or alpha >= 2.0 / lipschitz:
+    if not 0 < alpha < 2.0 / lipschitz:  # NaN fails both comparisons
         raise ValueError("rho requires 0 < alpha < 2/L")
     scalar = np.ndim(t) == 0
     lam_t = np.array([cm.powers(s) for s in ([t] if scalar else t)])
@@ -239,8 +249,10 @@ class CostModel:
     c_g: float = 1.0
 
     def __post_init__(self):
-        if self.c_c < 0 or self.c_g < 0:
-            raise ValueError("cost coefficients must be nonnegative")
+        # NaN fails each comparison
+        if not (0 <= self.c_c < math.inf and 0 <= self.c_g < math.inf):
+            raise ValueError("cost coefficients must be finite and nonnegative, got "
+                             "c_c=%r, c_g=%r" % (self.c_c, self.c_g))
 
 
 def cumulative_cost(counter: CommCounter, model: CostModel):

@@ -7,6 +7,7 @@ through f_i, and any leading batch axes, as in (B, n, p), pass through.
 Every family here has diagonal per-node Hessians.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,12 @@ from .linalg import sum_last
 
 class ObjectiveError(ValueError):
     pass
+
+
+def _check_radius(radius):
+    """A box radius must be positive; NaN is not. An infinite box is allowed."""
+    if not radius > 0:
+        raise ObjectiveError("radius must be positive, got %r" % radius)
 
 
 class Objective:
@@ -128,8 +135,10 @@ class QuadraticQuarticProblem(Objective):
         self.n, self.p = self.q.shape
         if not 1 <= self.index <= self.p:
             raise ObjectiveError("index %d outside 1..%d" % (self.index, self.p))
-        if self.c <= 0:
-            raise ObjectiveError("c must be positive")
+        if not 0 < self.c < math.inf:  # NaN fails both comparisons
+            raise ObjectiveError("c must be positive and finite, got %r" % self.c)
+        if not np.isfinite(self.q).all():
+            raise ObjectiveError("the diagonals q must be finite")
         ii = self.index - 1
         if np.any(self.q[:, ii] >= 0):
             raise ObjectiveError("q^i_II must be negative at the quartic coordinate")
@@ -142,6 +151,9 @@ class QuadraticQuarticProblem(Objective):
         # row beside Q = sum_i q^i
         self._quartic = np.zeros_like(self.q)
         self._quartic[:, ii] = self.c**2 / self.n
+        # the value's coefficients, 0.5 q and 0.25 c^2 / n, formed once
+        self._half_q = 0.5 * self.q
+        self._quarter_quartic = 0.25 * self._quartic
         self._network_quartic_row = np.zeros(self.p)
         self._network_quartic_row[ii] = self.c**2
         self._q_sum = self.q.sum(axis=0)
@@ -150,12 +162,23 @@ class QuadraticQuarticProblem(Objective):
     def _ii(self):
         return self.index - 1
 
+    # each oracle forms its products in one array: the operations of
+    # (0.5 q + (0.25 c^2/n) x^2) x^2 and x (q + (c^2/n) x^2), with the
+    # operands of a product swapped where that keeps its bits
+
     def node_values(self, x):
         x2 = x * x
-        return sum_last((0.5 * self.q + (0.25 * self._quartic) * x2) * x2)
+        terms = self._quarter_quartic * x2
+        terms += self._half_q
+        terms *= x2
+        return sum_last(terms)
 
     def node_grads(self, x):
-        return x * (self.q + self._quartic * (x * x))
+        grads = x * x
+        grads *= self._quartic
+        grads += self.q
+        grads *= x
+        return grads
 
     def node_hessian_diags(self, x):
         return self.q + (3.0 * self._quartic) * (x * x)
@@ -173,8 +196,7 @@ class QuadraticQuarticProblem(Objective):
         Deliberately an over-estimate: max diagonal curvature plus the
         quartic term's worst-case curvature on the box.
         """
-        if radius <= 0:
-            raise ObjectiveError("radius must be positive")
+        _check_radius(radius)
         return float(np.abs(self.q).max(axis=1).max()
                      + 3.0 * (self.c**2 / self.n) * radius**2)
 
@@ -236,6 +258,7 @@ class QuadraticProblem(Objective):
                 self.n * d)
 
     def lipschitz_estimate(self, radius):
+        _check_radius(radius)
         return 1.0
 
     def minimizer(self) -> np.ndarray:

@@ -18,7 +18,7 @@ from .consensus import CommCounter, ConsensusMatrix, apply_consensus
 from .diagnostics import (FLOAT_COLUMNS, CostModel, RunTrace, consensus_distance,
                           cumulative_cost, descent_certificate, inner,
                           lyapunov_grad_at, lyapunov_value_at, rho_constant)
-from .linalg import sum_last
+from .linalg import mean_rows, sum_last
 from .objective import Objective
 
 INIT_BOUND = 1.0        # iterates start uniform in [-INIT_BOUND, INIT_BOUND]
@@ -163,8 +163,8 @@ class RunResult:
 
 
 def _validate_alpha(alpha, lipschitz, allow_large_alpha):
-    if alpha <= 0:
-        raise SteplengthError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN fails both comparisons
+        raise SteplengthError("alpha must be positive and finite, got %r" % alpha)
     if alpha >= 2.0 / lipschitz and not allow_large_alpha:
         raise SteplengthError(
             "alpha=%g violates alpha < 2/L with L=%g; pass allow_large_alpha "
@@ -285,8 +285,15 @@ class _BlockCertifier:
                 r = stopped + 1
         ys, xs, ts_rows = stack_y[:r + 1], stack_x[:r + 1], ts[:r]
 
-        comms = list(itertools.accumulate((self.comms_per_round * t for t in ts_rows),
-                                          initial=self.comm_rounds))[1:]
+        # the schedules never decrease, so ts[0] == ts[m] means one t for
+        # every row: its comms are one arithmetic progression
+        constant = ts[0] == ts[m]
+        if constant:
+            step = self.comms_per_round * ts[0]
+            comms = list(range(self.comm_rounds + step, self.comm_rounds + (r + 1) * step, step))
+        else:
+            comms = list(itertools.accumulate((self.comms_per_round * t for t in ts_rows),
+                                              initial=self.comm_rounds))[1:]
         grads = list(range(self.grad_evals + 1, self.grad_evals + r + 1))
         norms = np.sqrt(inner(ys, ys))  # ||y_k||, and ||y_{k+1}|| of the last row
         res.b_y = _running_max(res.b_y, norms[1:])
@@ -296,17 +303,21 @@ class _BlockCertifier:
             lyaps[0] = self.lyap
             lyaps[1:] = lyapunov_value_at(ys[1:], xs[1:], objective, alpha)
             lyap_next = lyaps[1:].copy()  # L_{t_k}(y_{k+1})
-            changes = [i for i in range(r) if ts[i + 1] != ts[i]]
-            if changes:
-                # x_{k+1} used t_{k+1}; the certificate needs Z^{t_k} y_{k+1}
-                rows = np.array(changes)
-                changed = ys[rows + 1]
-                lyap_next[rows] = lyapunov_value_at(
-                    changed, cm.apply_each([ts[i] for i in changes], changed),
-                    objective, alpha)
-            # the schedules never decrease, so the rows of one t are consecutive
-            distinct, counts = zip(*((t, len(list(g))) for t, g in itertools.groupby(ts_rows)))
-            per_row = np.repeat(np.arange(len(distinct)), counts)
+            if constant:
+                distinct, per_row = (ts[0],), np.zeros(r, dtype=int)
+            else:
+                changes = [i for i in range(r) if ts[i + 1] != ts[i]]
+                if changes:
+                    # x_{k+1} used t_{k+1}; the certificate needs Z^{t_k} y_{k+1}
+                    rows = np.array(changes)
+                    changed = ys[rows + 1]
+                    lyap_next[rows] = lyapunov_value_at(
+                        changed, cm.apply_each([ts[i] for i in changes], changed),
+                        objective, alpha)
+                # the rows of one t are consecutive
+                distinct, counts = zip(*((t, len(list(g)))
+                                         for t, g in itertools.groupby(ts_rows)))
+                per_row = np.repeat(np.arange(len(distinct)), counts)
             # alpha >= 2/L under the override flag: no guaranteed margin,
             # report the raw Lyapunov difference
             rho = (rho_constant(cm, distinct, alpha, self.lipschitz)[per_row]
@@ -322,10 +333,14 @@ class _BlockCertifier:
             bounds = np.array([cm.beta**t for t in distinct])[per_row] * norms[:r]
             res.max_cons_gap = _running_max(res.max_cons_gap, cons - bounds)
         if self.fixed_t:
-            # x_{k+1} - x_k vs -a grad L_t(y_k); grad f(x_k) is recomputed on
-            # the stack, elementwise and so equal to the loop's bitwise
-            violation = np.abs(xs[1:] - xs[:r] + alpha * lyapunov_grad_at(
-                xs[:r], objective.node_grads(xs[:r]), cm, ts[0], alpha))
+            # |x_{k+1} - x_k + a grad L_t(y_k)|, formed in the array of the
+            # difference; grad f(x_k) is recomputed on the stack, elementwise
+            # and so equal to the loop's bitwise
+            grad_step = lyapunov_grad_at(xs[:r], objective.node_grads(xs[:r]), cm, ts[0], alpha)
+            grad_step *= alpha
+            violation = np.subtract(xs[1:], xs[:r])
+            violation += grad_step
+            np.abs(violation, violation)
             res.max_eq7_inf = _running_max(res.max_eq7_inf,
                                            violation.reshape(r, -1).max(axis=1))
 
@@ -357,7 +372,7 @@ class _BlockCertifier:
 
     def _evaluate(self, points):
         """The averages of a stack of (n, p) points, and f and ||grad f|| there."""
-        avgs = points.mean(axis=-2)
+        avgs = mean_rows(points)
         return (avgs, *self.objective.batch_value_and_grad_norm(avgs))
 
     def _append_rows(self, ks, ts, comms, grads, points, lyaps, residuals, avgs, values,
@@ -411,6 +426,8 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if grad_tol is not None and not grad_tol >= 0:
+        raise ValueError("grad_tol must be nonnegative, got %r" % grad_tol)
     cost_model = cost_model or CostModel()
     n, p = objective.n, objective.p
     if box_radius is None:

@@ -296,21 +296,37 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
     .replace("method.t = 2", "method.period = 3").replace("run.budget = 50", "run.budget = 3100")
 
 
-@pytest.mark.parametrize("command, text, out", [
-    ("sweep", SMALL + "weights.rule = nope\nsweep.methods = dgd\n", "out"),
-    ("check", SMALL + "weights.rule = nope\n", None),
-    ("run", SMALL.replace("method.t = 2", "method.t = 0"), "out"),
-    ("sweep", SMALL + "sweep.methods = near-dgd-plus-doubling:0\n", "out"),
-    ("check", SMALL.replace("run.alpha = 0.1", "run.alpha = 50"), None),
+@pytest.mark.parametrize("command, text, out, says", [
+    ("sweep", SMALL + "weights.rule = nope\nsweep.methods = dgd\n", "out", ""),
+    ("check", SMALL + "weights.rule = nope\n", None, ""),
+    ("run", SMALL.replace("method.t = 2", "method.t = 0"), "out", ""),
+    ("sweep", SMALL + "sweep.methods = near-dgd-plus-doubling:0\n", "out", ""),
+    ("check", SMALL.replace("run.alpha = 0.1", "run.alpha = 50"), None, ""),
     ("run", SMALL.replace("output.path = trace.csv", "output.path = {tmp}/absent/trace.csv"),
-     None),
-    ("sweep", SMALL + "sweep.methods = dgd\n", "a_file"),
-    ("run", DOUBLING_3, "out"),
-    ("sweep", DOUBLING_3 + "sweep.methods = near-dgd-plus-doubling:3\n", "out"),
+     None, ""),
+    ("sweep", SMALL + "sweep.methods = dgd\n", "a_file", ""),
+    ("run", DOUBLING_3, "out", ""),
+    ("sweep", DOUBLING_3 + "sweep.methods = near-dgd-plus-doubling:3\n", "out", ""),
+    # NaN passes a "<= 0" test; each of these is rejected where it is
+    # checked, with a message that names it
+    ("run", SMALL.replace("run.alpha = 0.1", "run.alpha = nan"), "out", "alpha"),
+    ("sweep", SMALL.replace("problem.c = 1.0", "problem.c = nan") + "sweep.methods = dgd\n",
+     "out", "c must be"),
+    ("check", SMALL.replace("problem.c = 1.0", "problem.c = nan"), None, "c must be"),
+    ("run", SMALL + "run.box_radius = nan\n", "out", "radius"),
+    ("run", SMALL.replace("cost.c_c = 0.01", "cost.c_c = nan"), "out", "cost"),
+    ("sweep", SMALL + "cost.c_g = inf\nsweep.methods = dgd\n", "out", "cost"),
+    ("check", SMALL + "weights.margin = nan\n", None, "margin"),
+    ("run", SMALL + "weights.margin = inf\n", "out", "margin"),
+    ("run", SMALL + "run.grad_tol = nan\n", "out", "grad_tol"),
+    ("sweep", SMALL + "run.grad_tol = -1\nsweep.methods = dgd\n", "out", "grad_tol"),
 ], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
-        "doubling-overflow-run", "doubling-overflow-sweep"])
-def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, text, out):
+        "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
+        "nan-c-check", "nan-box-radius-run", "nan-cost-run", "inf-cost-sweep",
+        "nan-margin-check", "inf-margin-run", "nan-grad-tol-run", "negative-grad-tol-sweep"])
+def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, text, out,
+                                                     says):
     (tmp_path / "a_file").write_text("")
     argv = [command, "--config", write_config(tmp_path, text.replace("{tmp}", str(tmp_path)))]
     if out:
@@ -319,6 +335,7 @@ def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, 
     captured = capsys.readouterr()
     assert captured.err.startswith("validation error: ")
     assert len(captured.err.splitlines()) == 1
+    assert says in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 

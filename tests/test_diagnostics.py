@@ -338,6 +338,9 @@ def test_batched_formulas_match_single_iterate_calls(family, n):
     stacked = lyapunov_grad_at(zy, grads, cm, 5, 0.1)
     for b in range(5):
         np.testing.assert_array_equal(stacked[b], lyapunov_grad_at(zy[b], grads[b], cm, 5, 0.1))
+    # formed in place, with the bits of the formula as written
+    written = apply_consensus(cm, 5, grads) + (zy - apply_consensus(cm, 5, zy)) / 0.1
+    assert stacked.tobytes() == written.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from neardgd.consensus import metropolis_weights
 from neardgd.graph import build_ring
-from neardgd.linalg import SymmetryError, sum_last, sym_eigen, sym_eigvals, sym_power
+from neardgd.linalg import (SymmetryError, mean_rows, sum_last, sym_eigen, sym_eigvals,
+                            sym_power)
 
 W2 = np.array([[0.6, 0.4], [0.4, 0.6]])
 
@@ -100,7 +101,7 @@ def _layouts(a):
     view = padded[tuple(slice(None, None, 2) for _ in a.shape)]
     view[...] = a
     return (("C-ordered", a), ("F-ordered", np.asfortranarray(a)), ("strided", view),
-            ("2-D", a[0]), ("row slice", a[:, 3]), ("1-D", a[0, 0]),
+            ("2-D", a[0]), ("row slice", a[:, min(3, a.shape[1] - 1)]), ("1-D", a[0, 0]),
             ("reversed", a[::-1, ::-1]))
 
 
@@ -119,6 +120,30 @@ def test_sum_last_equals_numpy_sum_bitwise(length):
                 want, got = b.sum(axis=-1), sum_last(b)
                 assert np.shape(got) == np.shape(want), layout
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), layout
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 100])
+@pytest.mark.parametrize("length", range(1, 13))
+def test_mean_rows_equals_numpy_mean_bitwise(n, length):
+    # the same specials as above: where NaNs of both signs meet in a column
+    # the fast path's sum differs from the reduction's, and mean_rows must
+    # still give the reduction's bits
+    rng = np.random.default_rng(100 * n + length)
+    for trial in range(5):
+        a = rng.standard_normal((7, n, length)) * np.exp(rng.uniform(-30, 30, (7, n, length)))
+        special = rng.uniform(size=a.shape) < 0.1 * trial
+        a[special] = rng.choice(SPECIALS, size=int(special.sum()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for layout, b in _layouts(a):
+                if b.ndim < 2:
+                    continue
+                want, got = b.mean(axis=-2), mean_rows(b)
+                assert got.shape == want.shape, layout
+                assert got.tobytes() == want.tobytes(), layout
+    if n > 1:
+        # a sum that overflows warns as the mean's reduction does
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            mean_rows(np.full((3, n, length), 1e308))
 
 
 def test_sum_last_of_negative_zeros_is_positive_zero():

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neardgd.consensus import CommCounter, ConsensusMatrix, build_consensus_matrix
+from neardgd.consensus import (CommCounter, ConsensusMatrix, build_consensus_matrix,
+                               ensure_positive_definite, metropolis_weights)
 from neardgd.diagnostics import (CostModel, descent_residual, lyapunov_value,
                                  lyapunov_value_at)
 from neardgd.graph import Graph, build_ring
-from neardgd.objective import Objective, QuadraticProblem, sample_quartic_problem
+from neardgd.objective import (Objective, QuadraticProblem, QuadraticQuarticProblem,
+                               sample_quartic_problem)
 from neardgd import diagnostics, optimizer
 from neardgd.optimizer import (MethodSpec, SteplengthError, dgd_step,
                                gradient_tracking_step, initial_point,
@@ -502,6 +504,17 @@ def test_run_descent_and_eq7_certificates():
     assert res.max_cons_gap <= 1e-10
 
 
+def test_eq7_certificate_catches_a_loop_with_a_wrong_gradient(monkeypatch):
+    # only the loop calls stacked_grad; the block pass recomputes grad f(x_k)
+    # from the buffered x_k and applies Z^t itself, so a loop that steps
+    # along grad f at a perturbed point breaks the Eq.-7 identity
+    prob, cm = paper_instance()
+    true_grad = prob.stacked_grad
+    monkeypatch.setattr(prob, "stacked_grad", lambda x: true_grad(x + 1e-3))
+    res = run(prob, cm, MethodSpec("near-dgd-t", t=2), alpha=0.1, budget=300)
+    assert res.max_eq7_inf > 1e-10
+
+
 def test_run_steplength_validation():
     prob, cm = paper_instance()
     big = 2.0 / prob.lipschitz_estimate(4.0) + 0.1
@@ -513,6 +526,37 @@ def test_run_steplength_validation():
     res = run(prob, cm, MethodSpec("dgd"), alpha=big, budget=50,
               allow_large_alpha=True, box_radius=1e11)
     assert res.trace.records
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_library_checks_reject_meaningless_values(bad):
+    # NaN passes a "<= 0" test; each check rejects it, and every value
+    # that is negative or (but for the box radius and grad_tol) infinite
+    prob, cm = paper_instance()
+    quadratic = QuadraticProblem(np.zeros((12, 4)))
+    method = MethodSpec("near-dgd-t", t=2)
+    with pytest.raises(SteplengthError):
+        run(prob, cm, method, alpha=bad, budget=5)
+    with pytest.raises(ValueError, match="c must be"):
+        sample_quartic_problem(12, 4, 4, bad, seed=0)
+    q = prob.q.copy()
+    q[0, 0] = bad
+    with pytest.raises(ValueError, match="finite" if bad != -1.0 else "positive"):
+        QuadraticQuarticProblem(q, prob.index, prob.c)
+    with pytest.raises(ValueError, match="alpha"):
+        lyapunov_value(q, prob, cm, 2, bad)
+    with pytest.raises(ValueError, match="cost coefficients"):
+        CostModel(c_c=bad)
+    with pytest.raises(ValueError, match="cost coefficients"):
+        CostModel(c_g=bad)
+    with pytest.raises(ValueError, match="margin"):
+        ensure_positive_definite(metropolis_weights(cm.graph), cm.graph, margin=bad)
+    if bad != float("inf"):
+        for objective in (prob, quadratic):
+            with pytest.raises(ValueError, match="radius"):
+                run(objective, cm, method, alpha=0.1, budget=5, box_radius=bad)
+        with pytest.raises(ValueError, match="grad_tol"):
+            run(prob, cm, method, alpha=0.1, budget=5, grad_tol=bad)
 
 
 def test_run_divergence_guard_box():

@@ -4,8 +4,11 @@ Copies the `neardgd` package of each tree into a temporary directory under
 a name of its own, imports both, and times one call of a workload per tree
 per pair. Each pair runs the two trees back to back, the first of them
 alternating from pair to pair, so that a host whose speed changes over
-seconds slows both sides of a pair alike. Prints each tree's median and
-the median over pairs of the ratio change / base:
+seconds slows both sides of a pair alike. Prints each tree's median time
+and median count of minor page faults per call (the growth of the
+process's ru_minflt over the call, which counts the pages of work arrays
+that the heap had given back to the system), and the median over pairs
+of the ratio change / base:
 
     python3 tools/ab_time.py --base /path/to/other/checkout/src --workload escape
     python3 tools/ab_time.py --base old/src --change new/src --workload dgd --pairs 40
@@ -27,6 +30,7 @@ import contextlib
 import importlib
 import io
 import math
+import resource
 import shutil
 import statistics
 import sys
@@ -104,9 +108,12 @@ def workload(pkg, token, workdir):
 
 
 def timed(call):
+    """(seconds, minor page faults) of one call."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     started = perf_counter()
     call()
-    return perf_counter() - started
+    elapsed = perf_counter() - started
+    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def main(argv=None):
@@ -132,13 +139,16 @@ def main(argv=None):
             parser.error("--workload: %s" % exc)
         for call in calls.values():
             call()  # warm-up: first calls and caches stay out of the samples
-        times = {"base": [], "change": []}
+        times, faults = {"base": [], "change": []}, {"base": [], "change": []}
         for i in range(args.pairs):
             for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                times[side].append(timed(calls[side]))
+                elapsed, faulted = timed(calls[side])
+                times[side].append(elapsed)
+                faults[side].append(faulted)
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     for side in ("base", "change"):
-        print("%-6s median %.5f s" % (side, statistics.median(times[side])))
+        print("%-6s median %.5f s, %g minor page faults per call"
+              % (side, statistics.median(times[side]), statistics.median(faults[side])))
     print("change / base: median paired ratio %.3f (%+.1f %%), change faster in %d of %d pairs"
           % (statistics.median(ratios), 100 * (statistics.median(ratios) - 1),
              sum(r < 1 for r in ratios), len(ratios)))
