@@ -1,11 +1,10 @@
 """neardgd: decentralized nonconvex optimization with adjustable
 communication/computation, plus descent and consensus diagnostics."""
 
-from .consensus import (CommCounter, ConsensusMatrix, apply_consensus,
-                        average_project, build_consensus_matrix,
-                        ensure_positive_definite, max_degree_weights,
-                        metropolis_weights)
-from .diagnostics import (CostModel, RunTrace, consensus_distance,
+from .consensus import (ConsensusMatrix, apply_consensus, average_project,
+                        build_consensus_matrix, ensure_positive_definite,
+                        max_degree_weights, metropolis_weights)
+from .diagnostics import (CommCounter, CostModel, RunTrace, consensus_distance,
                           consensus_distance_bound, cumulative_cost,
                           descent_residual, lyapunov_grad, lyapunov_hessian,
                           lyapunov_value, optimality_gap_bound, rho_constant,
@@ -15,7 +14,6 @@ from .graph import (Graph, build_erdos_renyi, build_ring, build_star, degrees,
 from .linalg import Spectrum, sym_eigen
 from .objective import (QuadraticProblem, QuadraticQuarticProblem,
                         sample_quadratic_problem, sample_quartic_problem)
-from .optimizer import (MethodSpec, dgd_step, gradient_tracking_step,
-                        initial_point, near_dgd_step, run)
+from .optimizer import MethodSpec, initial_point, run
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from .consensus import (ConsensusMatrix, ConsensusMatrixError, apply_consensus,
 from .diagnostics import lyapunov_grad, lyapunov_value
 from .graph import build_ring
 from .objective import finite_difference_grad
-from .optimizer import run
+from .optimizer import MethodSpec, run
 
 
 def default_check_config() -> RunConfig:
@@ -18,7 +18,6 @@ def default_check_config() -> RunConfig:
     cfg.n, cfg.p, cfg.index = 4, 2, 2
     cfg.problem_kind = "quartic"
     cfg.budget = 200
-    from .optimizer import MethodSpec
     cfg.method = MethodSpec("near-dgd-t", t=2)
     return cfg
 

@@ -53,11 +53,14 @@ def cmd_run(args) -> int:
     result = _run_cell(cfg, problem, cm, x0s, (cfg.method, cfg.seed))
     result.trace.write_csv(path)
     final = result.trace.final
+    evaluated = cfg.method.certificates
     print("method=%s seed=%d iters=%d f_err=%.6g grad_avg_norm=%.6g cost=%.6g "
-          "eq7=%.3g cons_gap=%.3g trace=%s"
+          "eq7=%s cons_gap=%s trace=%s"
           % (result.trace.method, cfg.seed, final.k, final.f_err,
-             final.grad_avg_norm, final.cost, result.max_eq7_inf,
-             result.max_cons_gap, path))
+             final.grad_avg_norm, final.cost,
+             "%.3g" % result.max_eq7_inf if "eq7-identity" in evaluated else "n/a",
+             "%.3g" % result.max_cons_gap if "consensus-bound" in evaluated else "n/a",
+             path))
     if result.diverged:
         print("divergence: %s" % result.trace.divergence_note, file=sys.stderr)
         return EXIT_DIVERGENCE

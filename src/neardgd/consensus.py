@@ -24,14 +24,6 @@ class ConsensusMatrixError(ValueError):
     """Weight matrix violates a consensus-matrix requirement."""
 
 
-@dataclass
-class CommCounter:
-    """Cumulative communication/computation tallies for one run."""
-
-    consensus_rounds: int = 0
-    gradient_evals: int = 0
-
-
 def metropolis_weights(g: Graph) -> np.ndarray:
     """Metropolis-Hastings weights: w_ij = 1/(1 + max(d_i, d_j)) on edges.
 
@@ -217,14 +209,13 @@ def build_consensus_matrix(g: Graph, rule: str = "metropolis", margin: float = 0
     return ensure_positive_definite(base(g), g, margin)
 
 
-def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None = None):
+def apply_consensus(cm: ConsensusMatrix, t: int, y):
     """Z^t y: t consensus rounds applied block-wise to a stacked iterate.
 
     y is an (n, p) iterate, an (n,) vector, or an (..., n, p) stack of
     iterates, each taking its own product, so that its values equal those of
     its (n, p) calls bitwise. The arguments are checked here and the product
-    is ConsensusMatrix.apply's, whose cost is the same for every t. Each of
-    the t rounds is still one communication: the counter advances by t.
+    is ConsensusMatrix.apply's, whose cost is the same for every t.
     """
     try:
         t = operator.index(t)  # int and NumPy integers; 3.0 would be a fractional power
@@ -237,10 +228,7 @@ def apply_consensus(cm: ConsensusMatrix, t: int, y, counter: CommCounter | None 
     if cols.ndim < 2 or cols.shape[-2] != cm.n:
         raise ValueError("iterate of shape %r does not have the matrix's %d node rows "
                          "on axis -2" % (y.shape, cm.n))
-    out = cm.apply(t, cols).reshape(y.shape)
-    if counter is not None:
-        counter.consensus_rounds += t
-    return out
+    return cm.apply(t, cols).reshape(y.shape)
 
 
 def average_project(y):

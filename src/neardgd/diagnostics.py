@@ -2,10 +2,9 @@
 classification, cost accounting and the run trace.
 
 Everything here but RunTrace, which a run appends its rows to as columns,
-is pure evaluation over immutable state and never touches a run's
-communication counter: diagnostic consensus applications are free. The
-stacked forms take (..., n, p) stacks of iterates, and each iterate's value
-equals its (n, p) call bitwise.
+is pure evaluation over immutable state; its consensus applications are
+diagnostic and count in no run's tallies. The stacked forms take (..., n, p)
+stacks of iterates, and each iterate's value equals its (n, p) call bitwise.
 """
 
 import math
@@ -14,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import ConsensusMatrix, CommCounter, apply_consensus
+from .consensus import ConsensusMatrix, apply_consensus
 # sym_eigen and sym_power have no caller here; the benchmark harness traces
 # them under these names
 from .linalg import sum_last, sym_eigen, sym_eigvals, sym_power
@@ -255,6 +254,14 @@ class CostModel:
                              "c_c=%r, c_g=%r" % (self.c_c, self.c_g))
 
 
+@dataclass
+class CommCounter:
+    """Cumulative communication/computation tallies for one run."""
+
+    consensus_rounds: int = 0
+    gradient_evals: int = 0
+
+
 def cumulative_cost(counter: CommCounter, model: CostModel):
     """Cost of the counter's tallies; arrays of tallies give one cost each."""
     return model.c_c * counter.consensus_rounds + model.c_g * counter.gradient_evals
@@ -308,10 +315,6 @@ class RunTrace:
     def extend(self, ks, ts, comms, grads, floats, costs):
         """Append r rows: four lists of r ints, an (r, 6) float array and r costs."""
         self._blocks.append(_Block(ks, ts, comms, grads, floats, costs))
-
-    def append(self, record: TraceRecord):
-        self.extend([record.k], [record.t_k], [record.comms], [record.grads],
-                    np.array([record[4:10]], dtype=float), [record.cost])
 
     @property
     def records(self) -> list:

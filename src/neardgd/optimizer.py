@@ -10,14 +10,17 @@ columns.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import CommCounter, ConsensusMatrix, apply_consensus
-from .diagnostics import (FLOAT_COLUMNS, CostModel, RunTrace, consensus_distance,
-                          cumulative_cost, descent_certificate, inner,
-                          lyapunov_grad_at, lyapunov_value_at, rho_constant)
+# apply_consensus has no caller here; the benchmark harness traces it under
+# this name
+from .consensus import ConsensusMatrix, apply_consensus
+from .diagnostics import (FLOAT_COLUMNS, CommCounter, CostModel, RunTrace,
+                          consensus_distance, cumulative_cost, descent_certificate,
+                          inner, lyapunov_grad_at, lyapunov_value_at, rho_constant)
 from .linalg import mean_rows, sum_last
 from .objective import Objective
 
@@ -44,6 +47,12 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError("unknown method %r" % self.name)
+        try:  # int and NumPy integers; 2.5 would make fractional rounds
+            object.__setattr__(self, "t", operator.index(self.t))
+            object.__setattr__(self, "period", operator.index(self.period))
+        except TypeError:
+            raise ValueError("method %s needs integer t and period, got t=%r, period=%r"
+                             % (self.name, self.t, self.period)) from None
         if self.t < 1 or self.period < 1:
             raise ValueError("method %s needs t >= 1 and period >= 1, got t=%r, "
                              "period=%r" % (self.name, self.t, self.period))
@@ -97,48 +106,6 @@ class MethodSpec:
 
 
 # ---------------------------------------------------------------------------
-# Single steps (the spec-level primitives; tests hold run() bitwise equal to them)
-
-def gradient(x, objective: Objective, counter: CommCounter) -> np.ndarray:
-    """grad f(x) at every node: one gradient evaluation."""
-    counter.gradient_evals += 1
-    return objective.stacked_grad(x)
-
-
-def gradient_step(x, objective: Objective, alpha: float, counter: CommCounter):
-    """The computation half of NEAR-DGD: (grad f(x), y+ = x - a grad f(x))."""
-    grad = gradient(x, objective, counter)
-    return grad, x - alpha * grad
-
-
-def near_dgd_step(y, objective: Objective, cm: ConsensusMatrix, t: int,
-                  alpha: float, counter: CommCounter):
-    """One NEAR-DGD iteration: x = Z^t y, then y+ = x - a grad f(x)."""
-    x = apply_consensus(cm, t, y, counter)
-    return x, gradient_step(x, objective, alpha, counter)[1]
-
-
-def dgd_step(x, objective: Objective, cm: ConsensusMatrix, alpha: float,
-             counter: CommCounter):
-    """One DGD iteration: x+ = Z x - a grad f(x); consensus fused with gradient."""
-    g = gradient(x, objective, counter)
-    return apply_consensus(cm, 1, x, counter) - alpha * g
-
-
-def gradient_tracking_step(x, s, grad_x, objective: Objective,
-                           cm: ConsensusMatrix, alpha: float, counter: CommCounter):
-    """DIGing-form update with a tracked average-gradient estimate.
-
-    x+ = Wx - a s;  s+ = Ws + grad f(x+) - grad f(x). The gradient at x+ is
-    returned for caching, so steady state costs 2 comms + 1 grad.
-    """
-    x_next = apply_consensus(cm, 1, x, counter) - alpha * s
-    grad_next = gradient(x_next, objective, counter)
-    s_next = apply_consensus(cm, 1, s, counter) + grad_next - grad_x
-    return x_next, s_next, grad_next
-
-
-# ---------------------------------------------------------------------------
 # Full runs
 
 @dataclass
@@ -187,10 +154,13 @@ def _running_max(current, values) -> float:
 # The iterations of one block. Each takes the per-slot views of the block
 # buffers, whose slot 0 holds the state the block starts from, and writes
 # iteration i's fresh iterates into slot i + 1, without checks or tallies;
-# the block pass decides which of them the run keeps. The arithmetic is that
-# of near_dgd_step, dgd_step and gradient_tracking_step, element for element:
-# a alpha grad f(x) goes into one (n, p) step buffer per block, and each
-# consensus product straight into its slot. alpha is held as an (n, p) array,
+# the block pass decides which of them the run keeps. The updates are
+#   NEAR-DGD   y_{k+1} = x_k - a grad f(x_k),  x_{k+1} = Z^{t_{k+1}} y_{k+1};
+#   DGD        x_{k+1} = Z x_k - a grad f(x_k);
+#   tracking   x_{k+1} = Z x_k - a s_k,  s_{k+1} = Z s_k + grad f(x_{k+1}) - grad f(x_k),
+# each evaluated as written, element for element: a grad f(x) (a s for the
+# tracker) goes into one (n, p) step buffer per block, and each consensus
+# product straight into its slot. alpha is held as an (n, p) array,
 # since NumPy multiplies two same-shape arrays faster than it converts a
 # Python float, and the ufuncs take their output positionally, which NumPy
 # parses faster than the out keyword.

@@ -123,16 +123,27 @@ def test_cmd_run_writes_trace(tmp_path, capsys):
     assert all(line.split(",")[1] == "2" for line in lines[1:])
 
 
-def test_cmd_run_summary_shows_certificates(tmp_path, capsys):
-    cfg = write_config(tmp_path)
+@pytest.mark.parametrize("method", ["near-dgd-t", "near-dgd-plus", "dgd"])
+def test_cmd_run_summary_shows_certificates(tmp_path, capsys, method):
+    # a certificate the method does not evaluate reads n/a, not its
+    # untouched initial value (eq7=0, cons_gap=-inf)
+    text = SMALL.replace("method.name = near-dgd-t", "method.name = %s" % method)
+    cfg = write_config(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     fields = dict(token.split("=", 1) for token in capsys.readouterr().out.split())
-    loaded = load_run_config(SMALL)
+    loaded = load_run_config(text)
     res = run(loaded.build_problem(), loaded.build_consensus(), loaded.method,
               loaded.alpha, loaded.budget, seed=loaded.seed, cost_model=loaded.cost_model)
-    assert fields["eq7"] == "%.3g" % res.max_eq7_inf
-    assert fields["cons_gap"] == "%.3g" % res.max_cons_gap
-    assert float(fields["eq7"]) <= 1e-10 and float(fields["cons_gap"]) <= 1e-12
+    evaluated = loaded.method.certificates
+    if "eq7-identity" in evaluated:
+        assert fields["eq7"] == "%.3g" % res.max_eq7_inf and float(fields["eq7"]) <= 1e-10
+    else:
+        assert fields["eq7"] == "n/a"
+    if "consensus-bound" in evaluated:
+        assert fields["cons_gap"] == "%.3g" % res.max_cons_gap
+        assert float(fields["cons_gap"]) <= 1e-12
+    else:
+        assert fields["cons_gap"] == "n/a"
 
 
 def test_cmd_run_determinism_byte_identical(tmp_path):

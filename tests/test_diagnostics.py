@@ -6,9 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from neardgd.consensus import (CommCounter, ConsensusMatrix, apply_consensus,
-                               build_consensus_matrix)
-from neardgd.diagnostics import (CostModel, RunTrace, TraceRecord,
+from neardgd.consensus import ConsensusMatrix, apply_consensus, build_consensus_matrix
+from neardgd.diagnostics import (CommCounter, CostModel, RunTrace, TraceRecord,
                                  _coordinate_blocks,
                                  consensus_distance, consensus_distance_bound,
                                  cumulative_cost, descent_residual,
@@ -22,7 +21,8 @@ from neardgd.graph import Graph, build_ring
 from neardgd.linalg import sym_eigen
 from neardgd.objective import (QuadraticProblem, finite_difference_grad,
                                sample_quadratic_problem, sample_quartic_problem)
-from neardgd.optimizer import MethodSpec, near_dgd_step, run
+from neardgd.optimizer import MethodSpec, run
+from reference_steps import near_dgd_step
 
 
 def two_node_instance():
@@ -174,7 +174,7 @@ def test_rho_constant_pins_the_top_power_at_any_t():
 
 def test_descent_residual_examples():
     prob, cm = two_node_instance()
-    _, y1 = near_dgd_step(Y2, prob, cm, 1, 0.1, CommCounter())
+    _, y1 = near_dgd_step(Y2, prob, cm, 1, 0.1)
     assert descent_residual(Y2, y1, prob, cm, 1, 0.1, 1.0) <= 0.0
     assert descent_residual(Y2, Y2, prob, cm, 1, 0.1, 1.0) == pytest.approx(0.0)
 
@@ -355,10 +355,18 @@ def test_cost_examples():
         CostModel(-1.0, 1.0)
 
 
+def extend_rows(trace, rows):
+    """Append TraceRecords to trace as one block of columns."""
+    trace.extend([rec.k for rec in rows], [rec.t_k for rec in rows],
+                 [rec.comms for rec in rows], [rec.grads for rec in rows],
+                 np.array([rec[4:10] for rec in rows], dtype=float),
+                 [rec.cost for rec in rows])
+
+
 def make_trace(f_errs, costs):
     trace = RunTrace(method="m", seed=0)
-    for k, (fe, c) in enumerate(zip(f_errs, costs)):
-        trace.append(TraceRecord(k, 1, k, k, fe, 0.0, 0.0, 0.0, 0.0, 0.0, c))
+    extend_rows(trace, [TraceRecord(k, 1, k, k, fe, 0.0, 0.0, 0.0, 0.0, 0.0, c)
+                        for k, (fe, c) in enumerate(zip(f_errs, costs))])
     return trace
 
 
@@ -389,8 +397,8 @@ def test_trace_csv_prints_integer_costs_exactly():
     res = run(prob, cm, MethodSpec("near-dgd-plus-doubling", period=3), alpha=0.1,
               budget=40, cost_model=CostModel(1, 1))
     big = 2**53 + 1  # %.17g would print it as the nearest double, 2^53
-    res.trace.append(TraceRecord(99, 1, big - 1, 1, math.nan, math.inf, -math.inf,
-                                 -0.0, 0.1, 1e-300, big))
+    extend_rows(res.trace, [TraceRecord(99, 1, big - 1, 1, math.nan, math.inf, -math.inf,
+                                        -0.0, 0.1, 1e-300, big)])
     buf = io.StringIO()
     res.trace.write_csv_to(buf, extra_key_columns=True)
     lines = buf.getvalue().splitlines()
@@ -484,14 +492,14 @@ def test_columnar_trace_matches_a_row_built_reference(costs):
         assert type(rec.cost) is type(c_c * rec.comms + c_g * rec.grads)
         assert rec.cost == c_c * rec.comms + c_g * rec.grads
     assert_trace_matches_rows(res.trace, rows)
-    # a trace built row by row from the same records
+    # a trace built a row at a time from the same records
     rebuilt = RunTrace(method=res.trace.method, seed=res.trace.seed)
     for rec in rows:
-        rebuilt.append(rec)
+        extend_rows(rebuilt, [rec])
     assert_trace_matches_rows(rebuilt, rows)
     # records appended after a run, with NaN, +-inf, -0.0 and big ints
     for rec in APPENDED:
-        res.trace.append(rec)
+        extend_rows(res.trace, [rec])
     assert_trace_matches_rows(res.trace, rows + APPENDED)
     # f_err = 1e-9 does not reach 1e-11; -inf and 1e-12 after it do
     assert res.trace.cost_to_reach(1e-11) == 1e300
@@ -502,7 +510,7 @@ def test_columnar_trace_survives_pickling():
     prob, cm = paper_instance()
     res = run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=30,
               cost_model=CostModel(1, 1))
-    res.trace.append(APPENDED[1])
+    extend_rows(res.trace, [APPENDED[1]])
     rows = list(res.trace.records)
     back = pickle.loads(pickle.dumps(res))
     assert_trace_matches_rows(back.trace, rows)

@@ -1,9 +1,11 @@
 """Engine invariants of run() over drawn methods, budgets and block sizes.
 
-run() must give the same values, bit for bit, for any block size, and end
-where a hand loop of the step functions ends: at the same k, with the same
-divergence note and final iterate, whether it runs out of budget, stops on
-grad_tol or leaves the box.
+run() must give the same values, bit for bit, for any block size and on a
+repeated run, and end where the reference iterations of reference_steps end:
+at the same k, with the same divergence note, final iterate and tallies,
+whether it runs out of budget, stops on grad_tol or leaves the box. Every
+row's tallies are those of the reference, and the NEAR-DGD certificates hold
+on the runs with alpha < 2/L that stay in the box.
 """
 
 import io
@@ -12,12 +14,13 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from neardgd import optimizer
-from neardgd.consensus import CommCounter, build_consensus_matrix
+from neardgd import checks, optimizer
+from neardgd.config import RunConfig
+from neardgd.consensus import build_consensus_matrix
 from neardgd.graph import build_ring
 from neardgd.objective import sample_quartic_problem
-from neardgd.optimizer import (MethodSpec, dgd_step, gradient_tracking_step,
-                               initial_point, near_dgd_step, run)
+from neardgd.optimizer import MethodSpec, initial_point, run
+from reference_steps import run_end
 
 TOKENS = ("near-dgd-t:1", "near-dgd-t:3", "near-dgd-plus", "near-dgd-plus-doubling:4",
           "dgd", "gradient-tracking")
@@ -37,41 +40,12 @@ def fingerprint(res):
             res.counter.consensus_rounds, res.counter.gradient_evals)
 
 
-def hand_loop(prob, cm, method, alpha, budget, seed, grad_tol, box_radius):
-    """run()'s end decisions, one iteration at a time with the step
-    functions: returns (k, note, y_k, counter) where the run ends."""
-    counter = CommCounter()
-    y = initial_point(prob.n, prob.p, seed)
-    iterations = budget
-    if method.name == "gradient-tracking":
-        iterations = budget - 1 if budget >= 2 else 0
-        if iterations:
-            s = grad = optimizer.gradient(y, prob, counter)
-    for k in range(iterations):
-        if method.name.startswith("near-dgd"):
-            x, y_next = near_dgd_step(y, prob, cm, method.rounds(k), alpha, counter)
-        elif method.name == "dgd":
-            x, y_next = y, dgd_step(y, prob, cm, alpha, counter)
-        else:
-            x = y
-            y_next, s, grad = gradient_tracking_step(y, s, grad, prob, cm, alpha, counter)
-        peak = np.abs(y_next).max()
-        if not peak <= box_radius:  # the run counts the step that left the box
-            return k, ("iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
-                       "estimate no longer valid" % (k, peak, box_radius)), y, counter
-        grad_norm = np.linalg.norm(prob.global_grad(x.mean(axis=0)))
-        y = y_next
-        if grad_tol is not None and grad_norm <= grad_tol:
-            return k + 1, "", y, counter
-    return iterations, "", y, counter
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(token=st.sampled_from(TOKENS), shape=st.sampled_from(SHAPES),
        budget=st.integers(0, 120), rows=st.integers(1, 64), seed=st.integers(0, 3),
        grad_tol=st.none() | st.sampled_from([1.0, 0.3, 0.1]),
        large_alpha=st.booleans(), alpha_draw=st.floats(0.05, 0.95))
-def test_run_is_block_size_free_and_ends_where_the_step_functions_do(
+def test_run_is_block_size_free_and_ends_where_the_reference_does(
         token, shape, budget, rows, seed, grad_tol, large_alpha, alpha_draw):
     prob, cm = INSTANCES[shape]
     method = MethodSpec.parse(token)
@@ -87,16 +61,32 @@ def test_run_is_block_size_free_and_ends_where_the_step_functions_do(
                   allow_large_alpha=large_alpha, box_radius=box_radius)
 
     reference = run(prob, cm, method, **kwargs)
+    assert fingerprint(run(prob, cm, method, **kwargs)) == fingerprint(reference)
     with mock.patch.object(optimizer, "BLOCK_ELEMENTS", rows * prob.n * prob.p):
         blocked = run(prob, cm, method, **kwargs)
     assert fingerprint(blocked) == fingerprint(reference)
 
-    k, note, y, counter = hand_loop(prob, cm, method, alpha, budget, seed, grad_tol,
-                                    box_radius)
-    assert reference.trace.final.k == k
-    assert [rec.k for rec in reference.trace.records][-1] == k
-    assert reference.trace.diverged == bool(note)
-    assert reference.trace.divergence_note == note
-    assert reference.final_y.tobytes() == y.tobytes()
-    assert (reference.counter.consensus_rounds, reference.counter.gradient_evals) == (
-        counter.consensus_rounds, counter.gradient_evals)
+    end = run_end(prob, cm, method, alpha, budget, initial_point(prob.n, prob.p, seed),
+                  box_radius, grad_tol)
+    records = reference.trace.records
+    assert [rec.k for rec in records] == [step.k for step in end.steps] + [end.k]
+    assert reference.trace.diverged == bool(end.note)
+    assert reference.trace.divergence_note == end.note
+    assert reference.final_y.tobytes() == end.y.tobytes()
+    # row k's tallies follow iteration k; the terminal row repeats the last
+    assert [(rec.t_k, rec.comms, rec.grads) for rec in records[:-1]] == [
+        (step.t, step.comms, step.grads) for step in end.steps]
+    assert (records[-1].t_k, records[-1].comms, records[-1].grads) == (
+        method.rounds(end.k), *end.tallies)
+    assert (reference.counter.consensus_rounds, reference.counter.gradient_evals) == end.tallies
+
+    if method.certificates and not large_alpha and not reference.diverged:
+        # the thresholds of `neardgd check`, judged on this run
+        with mock.patch.object(checks, "run", lambda *_, **__: reference):
+            verdicts = {name: ok for name, ok, _ in
+                        checks.check_run_certificates(prob, cm, RunConfig(method=method))}
+        assert verdicts["descent-residual"] and verdicts["consensus-bound"]
+        if method.name == "near-dgd-t":
+            assert reference.max_eq7_inf <= 1e-10
+        gap = np.abs(reference.final_x.mean(axis=0) - reference.final_y.mean(axis=0)).max()
+        assert gap <= 1e-12

@@ -1,11 +1,12 @@
 import io
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neardgd.consensus import (CommCounter, ConsensusMatrix, build_consensus_matrix,
+from neardgd.consensus import (ConsensusMatrix, build_consensus_matrix,
                                ensure_positive_definite, metropolis_weights)
 from neardgd.diagnostics import (CostModel, descent_residual, lyapunov_value,
                                  lyapunov_value_at)
@@ -13,9 +14,9 @@ from neardgd.graph import Graph, build_ring
 from neardgd.objective import (Objective, QuadraticProblem, QuadraticQuarticProblem,
                                sample_quartic_problem)
 from neardgd import diagnostics, optimizer
-from neardgd.optimizer import (MethodSpec, SteplengthError, dgd_step,
-                               gradient_tracking_step, initial_point,
-                               near_dgd_step, run)
+from neardgd.optimizer import MethodSpec, SteplengthError, initial_point, run
+from reference_steps import (dgd_step, iterations, near_dgd_step, run_end,
+                             tracking_step)
 
 
 def two_node_instance():
@@ -47,6 +48,16 @@ def test_schedule_fixed_linear_doubling():
         MethodSpec("near-dgd-t", t=0)
     with pytest.raises(ValueError):
         MethodSpec.parse("near-dgd-plus-doubling:0")
+    # a period of 2.5 gave fractional rounds and a "near-dgd-plus-doubling:2"
+    # label, a t of 2.5 a TypeError from range
+    for name, kwargs in (("near-dgd-t", dict(t=2.5)), ("near-dgd-t", dict(t=2.0)),
+                         ("near-dgd-t", dict(t="3")), ("dgd", dict(t=None)),
+                         ("near-dgd-plus-doubling", dict(period=2.5))):
+        with pytest.raises(ValueError, match="needs integer t and period"):
+            MethodSpec(name, **kwargs)
+    spec = MethodSpec("near-dgd-plus-doubling", t=np.int32(2), period=np.int64(4))
+    assert spec == MethodSpec("near-dgd-plus-doubling", t=2, period=4)
+    assert type(spec.t) is type(spec.period) is int
 
 
 _METHODS = st.one_of(
@@ -89,21 +100,28 @@ def test_method_spec_labels_and_parse():
 
 
 # ---------------------------------------------------------------------------
-# Step primitives: hand-iteration values
+# The reference updates: hand-iteration values, and run() at budget 1 or 2
+
+def run_from(prob, cm, token, budget, x0):
+    return run(prob, cm, MethodSpec.parse(token), alpha=0.1, budget=budget, x0=x0)
+
 
 def test_near_dgd_step_hand_example():
     prob, cm = two_node_instance()
-    counter = CommCounter()
     y0 = np.array([[1.0], [-1.0]])
-    x0, y1 = near_dgd_step(y0, prob, cm, 1, 0.1, counter)
+    x0, y1 = near_dgd_step(y0, prob, cm, 1, 0.1)
     np.testing.assert_allclose(x0, [[0.2], [-0.2]], atol=1e-15)
     np.testing.assert_allclose(y1, [[0.18], [-0.18]], atol=1e-15)
-    assert (counter.consensus_rounds, counter.gradient_evals) == (1, 1)
+    res = run_from(prob, cm, "near-dgd-t:1", 1, y0)
+    assert res.final_y.tobytes() == y1.tobytes()
+    assert (res.counter.consensus_rounds, res.counter.gradient_evals) == (1, 1)
 
-    x0, y1 = near_dgd_step(y0, prob, cm, 2, 0.1, counter)
+    x0, y1 = near_dgd_step(y0, prob, cm, 2, 0.1)
     np.testing.assert_allclose(x0, [[0.04], [-0.04]], atol=1e-15)
     np.testing.assert_allclose(y1, [[0.036], [-0.036]], atol=1e-15)
-    assert (counter.consensus_rounds, counter.gradient_evals) == (3, 2)
+    res = run_from(prob, cm, "near-dgd-t:2", 1, y0)
+    assert res.final_y.tobytes() == y1.tobytes()
+    assert (res.counter.consensus_rounds, res.counter.gradient_evals) == (2, 1)
 
 
 def test_near_dgd_consensual_start_stays_consensual():
@@ -111,27 +129,30 @@ def test_near_dgd_consensual_start_stays_consensual():
     cm = build_consensus_matrix(build_ring(5))
     prob = QuadraticProblem(np.tile([0.3, -0.7], (5, 1)))
     y0 = np.tile([1.0, 1.0], (5, 1))
-    x0, y1 = near_dgd_step(y0, prob, cm, 3, 0.1, CommCounter())
+    x0, y1 = near_dgd_step(y0, prob, cm, 3, 0.1)
     np.testing.assert_allclose(x0, y0, atol=1e-12)
     assert np.abs(y1 - y1.mean(axis=0)).max() <= 1e-12
+    assert run_from(prob, cm, "near-dgd-t:3", 1, y0).final_y.tobytes() == y1.tobytes()
     # at the shared minimizer the consensual point is fixed
     ym = np.tile([0.3, -0.7], (5, 1))
-    xm, ym1 = near_dgd_step(ym, prob, cm, 2, 0.1, CommCounter())
+    xm, ym1 = near_dgd_step(ym, prob, cm, 2, 0.1)
     np.testing.assert_allclose(ym1, ym, atol=1e-12)
 
 
 def test_dgd_step_hand_example():
     prob, cm = two_node_instance()
-    counter = CommCounter()
-    x1 = dgd_step(np.array([[1.0], [-1.0]]), prob, cm, 0.1, counter)
+    x0 = np.array([[1.0], [-1.0]])
+    x1 = dgd_step(x0, prob, cm, 0.1)
     np.testing.assert_allclose(x1, [[0.1], [-0.1]], atol=1e-15)
-    assert (counter.consensus_rounds, counter.gradient_evals) == (1, 1)
+    res = run_from(prob, cm, "dgd", 1, x0)
+    assert res.final_y.tobytes() == x1.tobytes()
+    assert (res.counter.consensus_rounds, res.counter.gradient_evals) == (1, 1)
 
 
 def test_dgd_fixed_point_and_pure_consensus():
     prob, cm = two_node_instance()
     zero = np.zeros((2, 1))
-    np.testing.assert_allclose(dgd_step(zero, prob, cm, 0.1, CommCounter()), zero)
+    np.testing.assert_allclose(dgd_step(zero, prob, cm, 0.1), zero)
     # alpha = 0 degenerates to a consensus iteration
     x = np.array([[1.0], [3.0]])
     for _ in range(200):
@@ -141,15 +162,17 @@ def test_dgd_fixed_point_and_pure_consensus():
 
 def test_gradient_tracking_hand_example():
     prob, cm = two_node_instance()
-    counter = CommCounter()
     x0 = np.array([[1.0], [-1.0]])
     s0 = prob.stacked_grad(x0)
     np.testing.assert_allclose(s0, [[1.0], [-1.0]])
-    x1, s1, g1 = gradient_tracking_step(x0, s0, s0, prob, cm, 0.1, counter)
+    x1, s1, g1 = tracking_step(x0, s0, s0, prob, cm, 0.1)
     np.testing.assert_allclose(x1, [[0.1], [-0.1]], atol=1e-15)
     np.testing.assert_allclose(s1, [[-0.7], [0.7]], atol=1e-15)
     np.testing.assert_allclose(g1, prob.stacked_grad(x1))
-    assert (counter.consensus_rounds, counter.gradient_evals) == (2, 1)
+    # budget 2: the tracker's initial gradient, then one iteration
+    res = run_from(prob, cm, "gradient-tracking", 2, x0)
+    assert res.final_y.tobytes() == x1.tobytes()
+    assert (res.counter.consensus_rounds, res.counter.gradient_evals) == (2, 2)
 
 
 def test_gradient_tracking_identity_after_random_steps():
@@ -159,7 +182,7 @@ def test_gradient_tracking_identity_after_random_steps():
     g = prob.stacked_grad(x)
     s = g
     for _ in range(10):
-        x, s, g = gradient_tracking_step(x, s, g, prob, cm, 0.1, CommCounter())
+        x, s, g = tracking_step(x, s, g, prob, cm, 0.1)
         # tracking identity: mean of s equals mean of grad f(x)
         err = np.abs(s.mean(axis=0) - g.mean(axis=0)).max()
         assert err <= 1e-12
@@ -169,7 +192,7 @@ def test_gradient_tracking_consensual_minimizer_fixed():
     prob, cm = two_node_instance()
     x = np.zeros((2, 1))
     g = prob.stacked_grad(x)
-    x1, s1, _ = gradient_tracking_step(x, g, g, prob, cm, 0.1, CommCounter())
+    x1, s1, _ = tracking_step(x, g, g, prob, cm, 0.1)
     np.testing.assert_allclose(x1, x, atol=1e-15)
     np.testing.assert_allclose(s1, np.zeros((2, 1)), atol=1e-15)
 
@@ -253,22 +276,20 @@ def test_run_quadratic_near_dgd_plus_converges_exactly():
 
 @pytest.mark.parametrize("token", ["near-dgd-t:3", "near-dgd-plus",
                                    "near-dgd-plus-doubling:4"])
-def test_run_matches_hand_loop_of_near_dgd_step(token):
+def test_run_matches_the_reference_near_dgd_iterations(token):
     # fixed, linear and doubling schedules; a run with budget K ends at
-    # y_K with final_x = x_K = Z^{t_K} y_K
+    # y_K with final_x = x_K = Z^{t_K} y_K and the tallies of K iterations
     prob, cm = paper_instance()
     method = MethodSpec.parse(token)
-    counter = CommCounter()
-    y = initial_point(12, 4, 2)
-    for k in range(13):
-        x, y_next = near_dgd_step(y, prob, cm, method.rounds(k), 0.1, counter)
-        res = run(prob, cm, method, alpha=0.1, budget=k, seed=2)
+    y, comms = initial_point(12, 4, 2), 0
+    for step in itertools.islice(iterations(prob, cm, method, 0.1, y), 13):
+        res = run(prob, cm, method, alpha=0.1, budget=step.k, seed=2)
         np.testing.assert_array_equal(res.final_y, y)
-        np.testing.assert_array_equal(res.final_x, x)
-        assert res.counter.consensus_rounds == counter.consensus_rounds - method.rounds(k)
+        np.testing.assert_array_equal(res.final_x, step.x)
+        assert (res.counter.consensus_rounds, res.counter.gradient_evals) == (comms, step.k)
         # the average iterate: consensus preserves the mean, x_k and y_k agree
-        np.testing.assert_allclose(x.mean(axis=0), y.mean(axis=0), atol=1e-12)
-        y = y_next
+        np.testing.assert_allclose(step.x.mean(axis=0), y.mean(axis=0), atol=1e-12)
+        y, comms = step.y_next, step.comms
 
 
 @pytest.mark.parametrize("token", ["near-dgd-t:3", "near-dgd-plus",
@@ -280,16 +301,16 @@ def test_run_lyapunov_column_is_carried_bitwise(token):
     method = MethodSpec.parse(token)
     res = run(prob, cm, method, alpha=0.1, budget=12, seed=2)
     y = initial_point(12, 4, 2)
-    for k, rec in enumerate(res.trace.records):
-        x, y_next = near_dgd_step(y, prob, cm, method.rounds(k), 0.1, CommCounter())
-        assert rec.k == k
-        assert rec.lyapunov == lyapunov_value_at(y, x, prob, 0.1)
-        if k < 12:
+    records = res.trace.records
+    assert len(records) == 13
+    for rec, step in zip(records, iterations(prob, cm, method, 0.1, y)):
+        assert rec.k == step.k
+        assert rec.lyapunov == lyapunov_value_at(y, step.x, prob, 0.1)
+        if step.k < 12:
             # L_{t_k}(y_{k+1}), also on the rows after which t changes
             assert rec.descent_residual == descent_residual(
-                y, y_next, prob, cm, method.rounds(k), 0.1, res.lipschitz)
-        y = y_next
-    assert len(res.trace.records) == 13
+                y, step.y_next, prob, cm, step.t, 0.1, res.lipschitz)
+        y = step.y_next
 
 
 @pytest.mark.parametrize("token, calls", [
@@ -466,18 +487,10 @@ def test_run_ends_at_a_mid_block_divergence_without_warnings(monkeypatch, token,
     # block, and the pass discards the rows past the divergence
     prob, cm = paper_instance()
     method = MethodSpec.parse(token)
-    counter = CommCounter()
-    y = initial_point(12, 4, 1)
-    for k in range(3000):
-        if method.name == "dgd":
-            y_next = dgd_step(y, prob, cm, alpha, counter)
-        else:
-            y_next = near_dgd_step(y, prob, cm, method.rounds(k), alpha, counter)[1]
-        if not np.abs(y_next).max() <= 2.5:
-            break
-        y = y_next
+    end = run_end(prob, cm, method, alpha, 3000, initial_point(12, 4, 1), 2.5)
+    k = end.k
     rows = optimizer.BLOCK_ELEMENTS // (12 * 4)
-    assert 0 < k < rows - 1
+    assert end.note and 0 < k < rows - 1
     grad_calls = []
     stacked_grad = Objective.stacked_grad
     monkeypatch.setattr(Objective, "stacked_grad",
@@ -488,11 +501,10 @@ def test_run_ends_at_a_mid_block_divergence_without_warnings(monkeypatch, token,
                   box_radius=2.5, seed=1)
     assert len(grad_calls) == rows  # the loop did run past the divergence
     assert res.diverged
-    assert res.trace.divergence_note.startswith("iteration %d: " % k)
-    assert res.final_y.tobytes() == y.tobytes()
+    assert res.trace.divergence_note == end.note
+    assert res.final_y.tobytes() == end.y.tobytes()
     assert [rec.k for rec in res.trace.records] == list(range(k + 1)) + [k]
-    assert (res.counter.consensus_rounds, res.counter.gradient_evals) == (
-        counter.consensus_rounds, counter.gradient_evals)
+    assert (res.counter.consensus_rounds, res.counter.gradient_evals) == end.tallies
 
 
 def test_run_descent_and_eq7_certificates():
