@@ -10,7 +10,7 @@ from .consensus import (ConsensusMatrix, ConsensusMatrixError, apply_consensus,
 from .diagnostics import lyapunov_grad, lyapunov_value
 from .graph import build_ring
 from .objective import finite_difference_grad
-from .optimizer import MethodSpec, run
+from .optimizer import MethodSpec, RunResult, run
 
 
 def default_check_config() -> RunConfig:
@@ -93,27 +93,33 @@ def check_pd_rejection():
     return False, "indefinite matrix accepted"
 
 
-def check_run_certificates(problem, cm, cfg):
-    """(name, ok, detail) of the three run certificates; ok is None for a
-    certificate that a run of cfg.method does not evaluate."""
-    result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
-                 allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
+DESCENT_SLACK = 1e-10  # a descent residual is at most DESCENT_SLACK * max(1, |L_t(y_k)|)
+EQ7_TOL = 1e-10        # |x_{k+1} - x_k + a grad L_t(y_k)|_inf
+CONS_GAP_TOL = 1e-12   # cons_dist - beta^t ||y_k||
+
+
+def certificate_verdicts(result: RunResult, method: MethodSpec):
+    """(name, ok, detail) of the three run certificates of a finished run of
+    method. ok is None for a certificate the method does not evaluate, and
+    for all three when no iteration ran; a diverged run fails the others."""
     trace = result.trace
-    slack = 1e-10 * np.fmax(1.0, np.abs(trace.column("lyapunov")[:-1]))
+    lyapunov = trace.column("lyapunov")[:-1]  # the terminal row certifies nothing
+    slack = DESCENT_SLACK * np.fmax(1.0, np.abs(lyapunov))
     worst_rel = float(np.fmax.reduce(trace.column("descent_residual")[:-1] / slack,
                                      initial=-math.inf))
-    out = [("descent-residual", worst_rel <= 1.0,
-            "worst residual/slack ratio %.3g" % worst_rel),
-           ("eq7-identity", result.max_eq7_inf <= 1e-10,
-            "max inf-norm %.3g" % result.max_eq7_inf),
-           ("consensus-bound", result.max_cons_gap <= 1e-12,
-            "max gap %.3g" % result.max_cons_gap)]
-    applies = cfg.method.certificates
-    for i, (name, ok, detail) in enumerate(out):
-        if name not in applies:
-            out[i] = (name, None, "not evaluated for %s" % cfg.method.label())
+    eq7, gap = result.max_eq7_inf, result.max_cons_gap
+    out = []
+    for name, ok, detail in (
+            ("descent-residual", worst_rel <= 1.0, "worst residual/slack ratio %.3g" % worst_rel),
+            ("eq7-identity", eq7 <= EQ7_TOL, "max inf-norm %.3g" % eq7),
+            ("consensus-bound", gap <= CONS_GAP_TOL, "max gap %.3g" % gap)):
+        if name not in method.certificates:
+            ok, detail = None, "not evaluated for %s" % method.label()
+        elif not lyapunov.size:
+            ok, detail = None, "no iteration to certify"
         elif result.diverged:
-            out[i] = (name, False, "run diverged: %s" % trace.divergence_note)
+            ok, detail = False, "run diverged: %s" % trace.divergence_note
+        out.append((name, ok, detail))
     return out
 
 
@@ -123,16 +129,11 @@ def run_check_suite(cfg: RunConfig):
     rng = np.random.default_rng(12345)
     problem = cfg.build_problem()
     cm = cfg.build_consensus()
-    results = []
-    ok, detail = check_objective_gradients(problem, rng)
-    results.append(("objective-gradient-fd", ok, detail))
-    ok, detail = check_hessian_vector(problem, rng)
-    results.append(("hessian-vector-fd", ok, detail))
-    ok, detail = check_lyapunov_gradient(problem, cm, cfg.alpha, rng)
-    results.append(("lyapunov-gradient-fd", ok, detail))
-    ok, detail = check_consensus_properties(cm, rng)
-    results.append(("consensus-properties", ok, detail))
-    ok, detail = check_pd_rejection()
-    results.append(("pd-shift-detection", ok, detail))
-    results.extend(check_run_certificates(problem, cm, cfg))
-    return results
+    result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
+                 allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
+    return [("objective-gradient-fd", *check_objective_gradients(problem, rng)),
+            ("hessian-vector-fd", *check_hessian_vector(problem, rng)),
+            ("lyapunov-gradient-fd", *check_lyapunov_gradient(problem, cm, cfg.alpha, rng)),
+            ("consensus-properties", *check_consensus_properties(cm, rng)),
+            ("pd-shift-detection", *check_pd_rejection()),
+            *certificate_verdicts(result, cfg.method)]

@@ -24,6 +24,9 @@ EXIT_CHECK_FAILURE = 3
 def _load(args, default=RunConfig) -> RunConfig:
     cfg = load_run_config_file(args.config) if args.config else default()
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError("bad value for --seed: %d (expected a non-negative integer)"
+                             % args.seed)
         cfg.seed = args.seed
     return cfg
 
@@ -53,13 +56,14 @@ def cmd_run(args) -> int:
     result = _run_cell(cfg, problem, cm, x0s, (cfg.method, cfg.seed))
     result.trace.write_csv(path)
     final = result.trace.final
-    evaluated = cfg.method.certificates
+    judged = {name for name, ok, _ in checks.certificate_verdicts(result, cfg.method)
+              if ok is not None}
     print("method=%s seed=%d iters=%d f_err=%.6g grad_avg_norm=%.6g cost=%.6g "
           "eq7=%s cons_gap=%s trace=%s"
           % (result.trace.method, cfg.seed, final.k, final.f_err,
              final.grad_avg_norm, final.cost,
-             "%.3g" % result.max_eq7_inf if "eq7-identity" in evaluated else "n/a",
-             "%.3g" % result.max_cons_gap if "consensus-bound" in evaluated else "n/a",
+             "%.3g" % result.max_eq7_inf if "eq7-identity" in judged else "n/a",
+             "%.3g" % result.max_cons_gap if "consensus-bound" in judged else "n/a",
              path))
     if result.diverged:
         print("divergence: %s" % result.trace.divergence_note, file=sys.stderr)
@@ -106,19 +110,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     results = checks.run_check_suite(_load(args, checks.default_check_config))
-    failed = skipped = 0
     for name, ok, detail in results:
-        if ok is None:  # not applicable: neither passed nor failed
-            print("N/A %s (%s)" % (name, detail))
-            skipped += 1
-            continue
-        print("%s %s%s" % ("PASS" if ok else "FAIL", name,
-                           "" if ok else " (%s)" % detail))
-        failed += 0 if ok else 1
-    applied = len(results) - skipped
-    print("%d/%d checks passed%s" % (applied - failed, applied,
+        tag = "PASS" if ok else "N/A" if ok is None else "FAIL"  # N/A: neither passed nor failed
+        print("%s %s%s" % (tag, name, "" if ok else " (%s)" % detail))
+    applied = [bool(ok) for _, ok, _ in results if ok is not None]
+    skipped = len(results) - len(applied)
+    print("%d/%d checks passed%s" % (sum(applied), len(applied),
                                      ", %d not applicable" % skipped if skipped else ""))
-    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILURE
+    return EXIT_OK if all(applied) else EXIT_CHECK_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -209,16 +209,16 @@ class _BlockCertifier:
     y_{k+1} leaves the box ends the run there (diverged); otherwise, with
     grad_tol set, the first row whose grad_avg_norm is at most grad_tol ends
     it (stopped); the later rows are discarded. It then appends the kept
-    rows to the trace as columns and updates the certificate maxima.
-    (k, t_k, comms, grads) of each row follow from k and the schedule in
-    exact ints. finish() appends the terminal row.
+    rows to the trace as columns and updates the trajectory maxima b_y,
+    max_cons_gap and max_eq7_inf. (k, t_k, comms, grads) of each row follow
+    from k and the schedule in exact ints. finish() appends the terminal row.
     """
 
-    def __init__(self, objective, cm, method, alpha, cost_model, result,
+    def __init__(self, objective, cm, method, alpha, cost_model, trace, lipschitz,
                  box_radius, grad_tol, y, x, iterations, grad_evals):
         n, p = objective.n, objective.p
         self.objective, self.cm, self.alpha, self.cost_model = objective, cm, alpha, cost_model
-        self.result, self.trace, self.lipschitz = result, result.trace, result.lipschitz
+        self.trace, self.lipschitz = trace, lipschitz
         self.box_radius, self.grad_tol = box_radius, grad_tol
         self.f_star = objective.min_value()
         self.near_dgd = method.name.startswith("near-dgd")
@@ -231,6 +231,7 @@ class _BlockCertifier:
         self.Y[0], self.X[0] = y, x
         self.ys, self.xs = list(self.Y), list(self.X)  # per-slot views for the loop
         self.k, self.comm_rounds, self.grad_evals = 0, 0, grad_evals
+        self.b_y, self.max_cons_gap, self.max_eq7_inf = float(np.linalg.norm(y)), -math.inf, 0.0
         self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
         self.ended = False
 
@@ -239,7 +240,7 @@ class _BlockCertifier:
         buffers' slots 0..m."""
         m = len(ts) - 1
         stack_y, stack_x = self.Y[:m + 1], self.X[:m + 1]
-        objective, cm, alpha, res = self.objective, self.cm, self.alpha, self.result
+        objective, cm, alpha = self.objective, self.cm, self.alpha
 
         peaks = np.abs(stack_y[1:]).reshape(m, -1).max(axis=1)
         out = np.flatnonzero(~(peaks <= self.box_radius))  # also a non-finite peak
@@ -266,7 +267,7 @@ class _BlockCertifier:
                                               initial=self.comm_rounds))[1:]
         grads = list(range(self.grad_evals + 1, self.grad_evals + r + 1))
         norms = np.sqrt(inner(ys, ys))  # ||y_k||, and ||y_{k+1}|| of the last row
-        res.b_y = _running_max(res.b_y, norms[1:])
+        self.b_y = _running_max(self.b_y, norms[1:])
         lyaps = np.full(r + 1, math.nan)  # L_{t_k}(y_k) from (y_k, x_k)
         residuals = np.full(r, math.nan)
         if self.near_dgd:
@@ -301,7 +302,7 @@ class _BlockCertifier:
             # once per distinct t (NumPy's power of an array may differ in
             # the last bit)
             bounds = np.array([cm.beta**t for t in distinct])[per_row] * norms[:r]
-            res.max_cons_gap = _running_max(res.max_cons_gap, cons - bounds)
+            self.max_cons_gap = _running_max(self.max_cons_gap, cons - bounds)
         if self.fixed_t:
             # |x_{k+1} - x_k + a grad L_t(y_k)|, formed in the array of the
             # difference; grad f(x_k) is recomputed on the stack, elementwise
@@ -311,8 +312,8 @@ class _BlockCertifier:
             violation = np.subtract(xs[1:], xs[:r])
             violation += grad_step
             np.abs(violation, violation)
-            res.max_eq7_inf = _running_max(res.max_eq7_inf,
-                                           violation.reshape(r, -1).max(axis=1))
+            self.max_eq7_inf = _running_max(self.max_eq7_inf,
+                                            violation.reshape(r, -1).max(axis=1))
 
         self.comm_rounds, self.grad_evals = comms[-1], self.grad_evals + r
         end = r  # the state the run goes on from, or ends at
@@ -415,9 +416,6 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
 
     trace = RunTrace(method=method.label(), seed=int(seed))
-    result = RunResult(trace=trace, counter=CommCounter(), final_y=y, final_x=y,
-                       final_avg=y.mean(axis=0), b_y=float(np.linalg.norm(y)),
-                       max_cons_gap=-math.inf, max_eq7_inf=0.0, lipschitz=lipschitz)
     near_dgd = method.name.startswith("near-dgd")
     iterations, grad_evals = budget, 0
     if method.name == "gradient-tracking":
@@ -429,7 +427,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
 
     # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
     x = cm.apply(method.rounds(0), y) if near_dgd else y
-    block = _BlockCertifier(objective, cm, method, alpha, cost_model, result,
+    block = _BlockCertifier(objective, cm, method, alpha, cost_model, trace, lipschitz,
                             box_radius, grad_tol, y, x, iterations, grad_evals)
     while block.k < iterations and not block.ended:
         k, m = block.k, min(block.rows, iterations - block.k)
@@ -446,8 +444,10 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     if not block.ended:
         block.finish(method.rounds(block.k))
     # copies, so that no result holds a view of the run's buffers
-    result.counter = CommCounter(block.comm_rounds, block.grad_evals)
-    result.final_y = block.Y[0].copy()
-    result.final_x = result.final_y if block.X is block.Y else block.X[0].copy()
-    result.final_avg = result.final_y.mean(axis=0)
-    return result
+    final_y = block.Y[0].copy()
+    return RunResult(trace=trace, counter=CommCounter(block.comm_rounds, block.grad_evals),
+                     final_y=final_y,
+                     final_x=final_y if block.X is block.Y else block.X[0].copy(),
+                     final_avg=final_y.mean(axis=0), b_y=block.b_y,
+                     max_cons_gap=block.max_cons_gap, max_eq7_inf=block.max_eq7_inf,
+                     lipschitz=lipschitz)

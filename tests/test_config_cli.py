@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from neardgd import checks, cli
 from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, main)
-from neardgd.config import (ConfigError, RunConfig, load_run_config,
-                            parse_flat_config)
+from neardgd.config import ConfigError, load_run_config, parse_flat_config
 from neardgd.optimizer import MethodSpec, run
 
 SMALL = """
@@ -123,27 +122,28 @@ def test_cmd_run_writes_trace(tmp_path, capsys):
     assert all(line.split(",")[1] == "2" for line in lines[1:])
 
 
-@pytest.mark.parametrize("method", ["near-dgd-t", "near-dgd-plus", "dgd"])
-def test_cmd_run_summary_shows_certificates(tmp_path, capsys, method):
-    # a certificate the method does not evaluate reads n/a, not its
-    # untouched initial value (eq7=0, cons_gap=-inf)
-    text = SMALL.replace("method.name = near-dgd-t", "method.name = %s" % method)
+@pytest.mark.parametrize("method, budget, na", [
+    ("near-dgd-t", 50, []), ("near-dgd-plus", 50, ["eq7"]), ("dgd", 50, ["eq7", "cons_gap"]),
+    ("near-dgd-t", 0, ["eq7", "cons_gap"])],
+    ids=["near-dgd-t", "near-dgd-plus", "dgd", "budget0"])
+def test_cmd_run_summary_shows_certificates(tmp_path, capsys, method, budget, na):
+    # a certificate the method does not evaluate, or any certificate of a
+    # run with no iteration, reads n/a, not its untouched initial value
+    # (eq7=0, cons_gap=-inf)
+    text = SMALL.replace("method.name = near-dgd-t", "method.name = %s" % method) \
+        .replace("run.budget = 50", "run.budget = %d" % budget)
     cfg = write_config(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     fields = dict(token.split("=", 1) for token in capsys.readouterr().out.split())
     loaded = load_run_config(text)
     res = run(loaded.build_problem(), loaded.build_consensus(), loaded.method,
               loaded.alpha, loaded.budget, seed=loaded.seed, cost_model=loaded.cost_model)
-    evaluated = loaded.method.certificates
-    if "eq7-identity" in evaluated:
-        assert fields["eq7"] == "%.3g" % res.max_eq7_inf and float(fields["eq7"]) <= 1e-10
-    else:
-        assert fields["eq7"] == "n/a"
-    if "consensus-bound" in evaluated:
-        assert fields["cons_gap"] == "%.3g" % res.max_cons_gap
-        assert float(fields["cons_gap"]) <= 1e-12
-    else:
-        assert fields["cons_gap"] == "n/a"
+    for key, value, tol in (("eq7", res.max_eq7_inf, 1e-10),
+                            ("cons_gap", res.max_cons_gap, 1e-12)):
+        if key in na:
+            assert fields[key] == "n/a"
+        else:
+            assert fields[key] == "%.3g" % value and float(fields[key]) <= tol
 
 
 def test_cmd_run_determinism_byte_identical(tmp_path):
@@ -244,21 +244,30 @@ def test_cmd_check_applies_seed_override(tmp_path, monkeypatch):
     assert seen == [7, 8, 3]  # SMALL sets run.seed = 3
 
 
-@pytest.mark.parametrize("method, inapplicable", [
-    ("dgd", ["descent-residual", "eq7-identity", "consensus-bound"]),
-    ("gradient-tracking", ["descent-residual", "eq7-identity", "consensus-bound"]),
-    ("near-dgd-plus", ["eq7-identity"]),
-    ("near-dgd-plus-doubling", ["eq7-identity"])])
-def test_cmd_check_reports_inapplicable_certificates(tmp_path, capsys, method, inapplicable):
-    # the baselines evaluate no run certificate, and a changing t has no
-    # Eq.-7 identity: those lines are N/A, not PASS, and are not counted
+ALL_CERTIFICATES = ["descent-residual", "eq7-identity", "consensus-bound"]
+
+
+@pytest.mark.parametrize("method, budget, inapplicable, reason", [
+    ("dgd", 50, ALL_CERTIFICATES, "not evaluated for dgd"),
+    ("gradient-tracking", 50, ALL_CERTIFICATES, "not evaluated for gradient-tracking"),
+    ("near-dgd-plus", 50, ["eq7-identity"], "not evaluated for near-dgd-plus"),
+    ("near-dgd-plus-doubling", 50, ["eq7-identity"],
+     "not evaluated for near-dgd-plus-doubling:100"),
+    ("near-dgd-t", 0, ALL_CERTIFICATES, "no iteration to certify")],
+    ids=["dgd-inapplicable0", "gradient-tracking-inapplicable1", "near-dgd-plus-inapplicable2",
+         "near-dgd-plus-doubling-inapplicable3", "budget0"])
+def test_cmd_check_reports_inapplicable_certificates(tmp_path, capsys, method, budget,
+                                                     inapplicable, reason):
+    # the baselines evaluate no run certificate, a changing t has no Eq.-7
+    # identity, and a run with no iteration certifies no row: those lines
+    # are N/A, not PASS, and are not counted
     cfg = write_config(tmp_path, SMALL.replace("method.name = near-dgd-t",
-                                               "method.name = %s" % method))
+                                               "method.name = %s" % method)
+                       .replace("run.budget = 50", "run.budget = %d" % budget))
     assert main(["check", "--config", cfg]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines if line.startswith("N/A")] == inapplicable
-    assert all("(not evaluated for %s" % method in line
-               for line in lines if line.startswith("N/A"))
+    assert all(line.endswith("(%s)" % reason) for line in lines if line.startswith("N/A"))
     assert not [line for line in lines if line.startswith(("PASS", "FAIL"))
                 and line.split()[1] in inapplicable]
     applied = 8 - len(inapplicable)
@@ -331,15 +340,25 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
     ("run", SMALL + "weights.margin = inf\n", "out", "margin"),
     ("run", SMALL + "run.grad_tol = nan\n", "out", "grad_tol"),
     ("sweep", SMALL + "run.grad_tol = -1\nsweep.methods = dgd\n", "out", "grad_tol"),
+    # a seed is a non-negative integer wherever it is read
+    ("sweep", SMALL + "sweep.methods = dgd\nsweep.seeds = 1.5\n", "out", "sweep.seeds"),
+    ("sweep", SMALL + "sweep.methods = dgd\nsweep.seeds = 0, -1\n", "out", "sweep.seeds"),
+    ("run", SMALL.replace("run.seed = 3", "run.seed = -2"), "out", "run.seed"),
+    ("check", SMALL.replace("problem.seed = 0", "problem.seed = -1"), None, "problem.seed"),
+    ("run --seed -1", SMALL, "out", "--seed"),
 ], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
         "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
         "nan-c-check", "nan-box-radius-run", "nan-cost-run", "inf-cost-sweep",
-        "nan-margin-check", "inf-margin-run", "nan-grad-tol-run", "negative-grad-tol-sweep"])
+        "nan-margin-check", "inf-margin-run", "nan-grad-tol-run", "negative-grad-tol-sweep",
+        "fractional-seeds-sweep", "negative-seeds-sweep", "negative-seed-run",
+        "negative-problem-seed-check", "negative-seed-flag-run"])
 def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, text, out,
                                                      says):
     (tmp_path / "a_file").write_text("")
-    argv = [command, "--config", write_config(tmp_path, text.replace("{tmp}", str(tmp_path)))]
+    # command may carry options: "run --seed -1"
+    argv = command.split() + [
+        "--config", write_config(tmp_path, text.replace("{tmp}", str(tmp_path)))]
     if out:
         argv += ["--out", str(tmp_path / out)]
     assert main(argv) == EXIT_VALIDATION

@@ -10,7 +10,6 @@ from neardgd.consensus import (ConsensusMatrix, ConsensusMatrixError, apply_cons
                                ensure_positive_definite, max_degree_weights,
                                metropolis_weights)
 from neardgd.graph import Graph, build_erdos_renyi, build_ring, build_star
-from neardgd.linalg import sym_eigen
 from neardgd.objective import sample_quartic_problem
 from neardgd.optimizer import MethodSpec, run
 

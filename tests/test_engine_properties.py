@@ -4,8 +4,8 @@ run() must give the same values, bit for bit, for any block size and on a
 repeated run, and end where the reference iterations of reference_steps end:
 at the same k, with the same divergence note, final iterate and tallies,
 whether it runs out of budget, stops on grad_tol or leaves the box. Every
-row's tallies are those of the reference, and the NEAR-DGD certificates hold
-on the runs with alpha < 2/L that stay in the box.
+row's tallies are those of the reference, and every certificate a run
+evaluates holds on the runs with alpha < 2/L that stay in the box.
 """
 
 import io
@@ -15,7 +15,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from neardgd import checks, optimizer
-from neardgd.config import RunConfig
 from neardgd.consensus import build_consensus_matrix
 from neardgd.graph import build_ring
 from neardgd.objective import sample_quartic_problem
@@ -80,13 +79,10 @@ def test_run_is_block_size_free_and_ends_where_the_reference_does(
         method.rounds(end.k), *end.tallies)
     assert (reference.counter.consensus_rounds, reference.counter.gradient_evals) == end.tallies
 
-    if method.certificates and not large_alpha and not reference.diverged:
-        # the thresholds of `neardgd check`, judged on this run
-        with mock.patch.object(checks, "run", lambda *_, **__: reference):
-            verdicts = {name: ok for name, ok, _ in
-                        checks.check_run_certificates(prob, cm, RunConfig(method=method))}
-        assert verdicts["descent-residual"] and verdicts["consensus-bound"]
-        if method.name == "near-dgd-t":
-            assert reference.max_eq7_inf <= 1e-10
+    if not large_alpha and not reference.diverged:
+        # every certificate the run evaluates holds, judged as `neardgd check` judges it
+        verdicts = checks.certificate_verdicts(reference, method)
+        assert not [(name, detail) for name, ok, detail in verdicts
+                    if ok is not None and not ok]
         gap = np.abs(reference.final_x.mean(axis=0) - reference.final_y.mean(axis=0)).max()
         assert gap <= 1e-12

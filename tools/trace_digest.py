@@ -7,9 +7,10 @@ with nine coordinates (sums over fewer and over more than 8 entries, which
 NumPy adds in order and pairwise), of runs on the benchmark's
 n=100 networks, the consensus products on C-ordered, F-ordered and strided
 operands, a sweep CSV, the stdout of `neardgd run`, `neardgd sweep` and
-`neardgd check`, and the spectral diagnostics (saddle classification, Dg
-eigenvalues, Lyapunov Hessian and descent constant rho) over a grid of t and
-alpha. A change that promises
+`neardgd check` (`run` and `check` for every method on a small instance and
+at run.budget = 0, whose certificates read n/a), and the spectral
+diagnostics (saddle classification, Dg eigenvalues, Lyapunov Hessian and
+descent constant rho) over a grid of t and alpha. A change that promises
 byte-identical output shows it by printing the same lines on both trees:
 
     python3 tools/trace_digest.py > new.txt
@@ -193,6 +194,14 @@ def cli_digests():
                 Path("check.cfg").write_text(SMALL_CHECK % method)
                 yield (sha(capture(["check", "--config", "check.cfg"])),
                        "stdout check (method.name = %s)" % method)
+                yield (sha(capture(["run", "--config", "check.cfg", "--out", "."])),
+                       "stdout run (method.name = %s)" % method)
+            # no iteration: no certificate row
+            Path("check.cfg").write_text((SMALL_CHECK % "near-dgd-t").replace(
+                "run.budget = 200", "run.budget = 0"))
+            for command in ("run", "check"):
+                yield (sha(capture([command, "--config", "check.cfg", "--out", "."])),
+                       "stdout %s (run.budget = 0)" % command)
         finally:
             os.chdir(cwd)
 
