@@ -10,16 +10,11 @@ from .consensus import (ConsensusMatrix, ConsensusMatrixError, apply_consensus,
 from .diagnostics import lyapunov_grad, lyapunov_value
 from .graph import build_ring
 from .objective import finite_difference_grad
-from .optimizer import MethodSpec, RunResult, run
+from .optimizer import MethodSpec, RunResult
 
 
 def default_check_config() -> RunConfig:
-    cfg = RunConfig()
-    cfg.n, cfg.p, cfg.index = 4, 2, 2
-    cfg.problem_kind = "quartic"
-    cfg.budget = 200
-    cfg.method = MethodSpec("near-dgd-t", t=2)
-    return cfg
+    return RunConfig(n=4, p=2, index=2, budget=200, method=MethodSpec("near-dgd-t", t=2))
 
 
 def _rel_err(a, b):
@@ -123,17 +118,12 @@ def certificate_verdicts(result: RunResult, method: MethodSpec):
     return out
 
 
-def run_check_suite(cfg: RunConfig):
-    """Run every check on the configured instance; list of (name, ok, detail),
-    with ok None for a check that does not apply."""
+def run_check_suite(problem, cm, alpha):
+    """The (name, ok, detail) of the checks of a problem, a consensus matrix
+    and a step length; certificate_verdicts judges a run."""
     rng = np.random.default_rng(12345)
-    problem = cfg.build_problem()
-    cm = cfg.build_consensus()
-    result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
-                 allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
     return [("objective-gradient-fd", *check_objective_gradients(problem, rng)),
             ("hessian-vector-fd", *check_hessian_vector(problem, rng)),
-            ("lyapunov-gradient-fd", *check_lyapunov_gradient(problem, cm, cfg.alpha, rng)),
+            ("lyapunov-gradient-fd", *check_lyapunov_gradient(problem, cm, alpha, rng)),
             ("consensus-properties", *check_consensus_properties(cm, rng)),
-            ("pd-shift-detection", *check_pd_rejection()),
-            *certificate_verdicts(result, cfg.method)]
+            ("pd-shift-detection", *check_pd_rejection())]

@@ -11,9 +11,9 @@ import os
 import sys
 
 from . import checks
-from .config import ConfigError, RunConfig, load_run_config_file
+from .config import ConfigError, RunConfig, load_run_config_file, seed
 from .diagnostics import TRACE_COLUMNS
-from .optimizer import initial_point, run
+from .optimizer import run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -21,14 +21,12 @@ EXIT_DIVERGENCE = 2
 EXIT_CHECK_FAILURE = 3
 
 
-def _load(args, default=RunConfig) -> RunConfig:
+def _load(args, default=RunConfig):
+    """(config, problem, consensus matrix) that args name, --seed applied."""
     cfg = load_run_config_file(args.config) if args.config else default()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError("bad value for --seed: %d (expected a non-negative integer)"
-                             % args.seed)
         cfg.seed = args.seed
-    return cfg
+    return cfg, cfg.build_problem(), cfg.build_consensus()
 
 
 def _out_path(args, cfg, default_name=None):
@@ -39,32 +37,34 @@ def _out_path(args, cfg, default_name=None):
     return name
 
 
-def _run_cell(cfg, problem, cm, x0s, cell):
-    """Run one (MethodSpec, seed) cell of cfg from that seed's x0s entry."""
-    method, seed = cell
-    return run(problem, cm, method, cfg.alpha, cfg.budget, seed=seed,
+def _run_cell(cfg, problem, cm, cell):
+    """Run one (MethodSpec, seed) cell of cfg: the one map from a RunConfig
+    onto run()'s arguments. run() draws the seed's initial point."""
+    method, cell_seed = cell
+    return run(problem, cm, method, cfg.alpha, cfg.budget, seed=cell_seed,
                cost_model=cfg.cost_model, grad_tol=cfg.grad_tol,
-               allow_large_alpha=cfg.allow_large_alpha,
-               box_radius=cfg.box_radius, x0=x0s[seed])
+               allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
+
+
+def _summary(result, method) -> str:
+    """Where a finished run of method ended, and its worst Eq.-7 and
+    consensus-bound values: n/a where certificate_verdicts gives no verdict."""
+    trace, final = result.trace, result.trace.final
+    judged = {name for name, ok, _ in checks.certificate_verdicts(result, method)
+              if ok is not None}
+    return ("method=%s seed=%d iters=%d f_err=%.6g grad_avg_norm=%.6g cost=%.6g "
+            "eq7=%s cons_gap=%s"
+            % (trace.method, trace.seed, final.k, final.f_err, final.grad_avg_norm, final.cost,
+               "%.3g" % result.max_eq7_inf if "eq7-identity" in judged else "n/a",
+               "%.3g" % result.max_cons_gap if "consensus-bound" in judged else "n/a"))
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args)
-    problem, cm = cfg.build_problem(), cfg.build_consensus()
+    cfg, problem, cm = _load(args)
     path = _out_path(args, cfg)
-    x0s = {cfg.seed: initial_point(problem.n, problem.p, cfg.seed)}
-    result = _run_cell(cfg, problem, cm, x0s, (cfg.method, cfg.seed))
+    result = _run_cell(cfg, problem, cm, (cfg.method, cfg.seed))
     result.trace.write_csv(path)
-    final = result.trace.final
-    judged = {name for name, ok, _ in checks.certificate_verdicts(result, cfg.method)
-              if ok is not None}
-    print("method=%s seed=%d iters=%d f_err=%.6g grad_avg_norm=%.6g cost=%.6g "
-          "eq7=%s cons_gap=%s trace=%s"
-          % (result.trace.method, cfg.seed, final.k, final.f_err,
-             final.grad_avg_norm, final.cost,
-             "%.3g" % result.max_eq7_inf if "eq7-identity" in judged else "n/a",
-             "%.3g" % result.max_cons_gap if "consensus-bound" in judged else "n/a",
-             path))
+    print("%s trace=%s" % (_summary(result, cfg.method), path))
     if result.diverged:
         print("divergence: %s" % result.trace.divergence_note, file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -74,15 +74,12 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise ValueError("--parallel must be at least 1, got %d" % args.parallel)
-    cfg = _load(args)
+    cfg, problem, cm = _load(args)
     if not cfg.sweep_methods:
         raise ConfigError("sweep requires a nonempty sweep.methods list")
     seeds = [args.seed] if args.seed is not None else cfg.sweep_seeds or [cfg.seed]
-    problem, cm = cfg.build_problem(), cfg.build_consensus()
     path = _out_path(args, cfg, default_name="sweep.csv")
-    # one draw per seed: every method of a seed starts from the same point
-    x0s = {s: initial_point(problem.n, problem.p, s) for s in seeds}
-    cell = functools.partial(_run_cell, cfg, problem, cm, x0s)
+    cell = functools.partial(_run_cell, cfg, problem, cm)
     cells = [(m, s) for s in seeds for m in cfg.sweep_methods]
     workers = min(args.parallel, len(cells))
     if workers > 1:
@@ -94,12 +91,10 @@ def cmd_sweep(args) -> int:
     any_divergence = False
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["method", "seed"] + list(TRACE_COLUMNS)) + "\n")
-        for result in results:
+        for (method, _), result in zip(cells, results):
             trace = result.trace
             trace.write_csv_to(fh, header=False, extra_key_columns=True)
-            final = trace.final
-            print("method=%s seed=%d f_err=%.6g cost=%.6g"
-                  % (trace.method, trace.seed, final.f_err, final.cost))
+            print(_summary(result, method))
             if trace.diverged:
                 print("divergence (%s, seed %d): %s"
                       % (trace.method, trace.seed, trace.divergence_note), file=sys.stderr)
@@ -109,7 +104,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = checks.run_check_suite(_load(args, checks.default_check_config))
+    cfg, problem, cm = _load(args, checks.default_check_config)
+    result = _run_cell(cfg, problem, cm, (cfg.method, cfg.seed))
+    results = [*checks.run_check_suite(problem, cm, cfg.alpha),
+               *checks.certificate_verdicts(result, cfg.method)]
     for name, ok, detail in results:
         tag = "PASS" if ok else "N/A" if ok is None else "FAIL"  # N/A: neither passed nor failed
         print("%s %s%s" % (tag, name, "" if ok else " (%s)" % detail))
@@ -120,16 +118,22 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(applied) else EXIT_CHECK_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    # a rejected command line ends as main ends any rejected input, in one line
+    # and EXIT_VALIDATION, not in argparse's usage and exit 2 (EXIT_DIVERGENCE)
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="neardgd",
-        description="Decentralized nonconvex optimization simulator")
+    parser = _Parser(prog="neardgd",
+                     description="Decentralized nonconvex optimization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("run", cmd_run), ("sweep", cmd_sweep), ("check", cmd_check)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=seed, default=None, help="override config seed")
         if name == "sweep":
             p.add_argument("--parallel", type=int, default=1, help="worker processes")
         p.set_defaults(fn=fn)
@@ -137,11 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse argv and run the subcommand. A rejected input (every input
-    error here is a ValueError) or a file that cannot be read or written
-    ends in one line and EXIT_VALIDATION."""
-    args = build_parser().parse_args(argv)
+    """Parse argv and run the subcommand. A rejected command line or input
+    (every input error here is a ValueError) or a file that cannot be read
+    or written ends in one line and EXIT_VALIDATION."""
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print("validation error: %s" % exc, file=sys.stderr)

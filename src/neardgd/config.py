@@ -114,15 +114,15 @@ def _parse_bool(text):
         raise ValueError("expected one of %s" % ", ".join(_BOOL)) from None
 
 
-def _parse_seed(text):
+def seed(text):
     """A seed as NumPy's SeedSequence takes it: a non-negative integer."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
+        value = -1
+    if value < 0:
         raise ValueError("expected a non-negative integer")
-    return seed
+    return value
 
 
 def load_run_config(text: str) -> RunConfig:
@@ -153,7 +153,7 @@ def _build_run_config(kv: dict) -> RunConfig:
     cfg.p = take("problem.p", int, cfg.p)
     cfg.index = take("problem.I", int, cfg.index)
     cfg.c = take("problem.c", float, cfg.c)
-    cfg.problem_seed = take("problem.seed", _parse_seed, cfg.problem_seed)
+    cfg.problem_seed = take("problem.seed", seed, cfg.problem_seed)
     cfg.graph_kind = take("graph.kind", str, cfg.graph_kind)
     cfg.graph_prob = take("graph.prob", float, cfg.graph_prob)
     cfg.graph_edges = take("graph.edges", str, cfg.graph_edges)
@@ -171,10 +171,10 @@ def _build_run_config(kv: dict) -> RunConfig:
     if methods:
         cfg.sweep_methods = [MethodSpec.parse(tok) for tok in methods.split(",") if tok.strip()]
     cfg.sweep_seeds = take("sweep.seeds", lambda text: [
-        _parse_seed(s) for s in text.replace(",", " ").split()], cfg.sweep_seeds)
+        seed(s) for s in text.replace(",", " ").split()], cfg.sweep_seeds)
     cfg.alpha = take("run.alpha", float, cfg.alpha)
     cfg.budget = take("run.budget", int, cfg.budget)
-    cfg.seed = take("run.seed", _parse_seed, cfg.seed)
+    cfg.seed = take("run.seed", seed, cfg.seed)
     cfg.grad_tol = take("run.grad_tol", float, cfg.grad_tol)
     cfg.allow_large_alpha = take("run.allow_large_alpha", _parse_bool,
                                  cfg.allow_large_alpha)

@@ -263,8 +263,9 @@ class CommCounter:
 
 
 def cumulative_cost(counter: CommCounter, model: CostModel):
-    """Cost of the counter's tallies; arrays of tallies give one cost each."""
-    return model.c_c * counter.consensus_rounds + model.c_g * counter.gradient_evals
+    """Cost of the counter's tallies, inf past the float range; one per entry of arrays."""
+    with np.errstate(over="ignore"):
+        return model.c_c * counter.consensus_rounds + model.c_g * counter.gradient_evals
 
 
 class TraceRecord(NamedTuple):

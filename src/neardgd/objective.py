@@ -135,8 +135,9 @@ class QuadraticQuarticProblem(Objective):
         self.n, self.p = self.q.shape
         if not 1 <= self.index <= self.p:
             raise ObjectiveError("index %d outside 1..%d" % (self.index, self.p))
-        if not 0 < self.c < math.inf:  # NaN fails both comparisons
-            raise ObjectiveError("c must be positive and finite, got %r" % self.c)
+        # NaN fails every comparison; c * c, unlike c**2, overflows without raising
+        if not (0 < self.c < math.inf and 0 < self.c * self.c / self.n < math.inf):
+            raise ObjectiveError("c must be positive, c^2/n finite and nonzero, got %r" % self.c)
         if not np.isfinite(self.q).all():
             raise ObjectiveError("the diagonals q must be finite")
         ii = self.index - 1
@@ -157,6 +158,9 @@ class QuadraticQuarticProblem(Objective):
         self._network_quartic_row = np.zeros(self.p)
         self._network_quartic_row[ii] = self.c**2
         self._q_sum = self.q.sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(self.min_value()):
+                raise ObjectiveError("c must give a finite minimum value f*, got %r" % self.c)
 
     @property
     def _ii(self):

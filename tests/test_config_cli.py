@@ -1,7 +1,7 @@
 import multiprocessing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neardgd import checks, cli
@@ -223,6 +223,32 @@ def test_cmd_sweep_shared_initial_point(tmp_path, capsys):
     assert first["0"][0] != pytest.approx(first["1"][0], rel=1e-3)
 
 
+@pytest.mark.parametrize("name, token", [
+    ("near-dgd-t", "near-dgd-t:2"), ("near-dgd-plus", "near-dgd-plus"), ("dgd", "dgd")])
+def test_sweep_line_is_the_run_summary_line(tmp_path, capsys, name, token):
+    # a sweep line judges its cell as neardgd run does, less the trace path
+    cfg = write_config(tmp_path, SMALL.replace("method.name = near-dgd-t", "method.name = " + name))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    run_line = capsys.readouterr().out.splitlines()[0]
+    cfg = write_config(tmp_path, SMALL + "sweep.methods = %s\n" % token)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    sweep_line = capsys.readouterr().out.splitlines()[0]
+    assert run_line == "%s trace=%s" % (sweep_line, tmp_path / "out" / "trace.csv")
+
+
+def test_cmd_check_judges_the_configured_run(tmp_path, monkeypatch):
+    # grad_tol ends this run at k = 112 of 3000, and the cost model prices a
+    # round at 0.01: check judges that run, not a run of the whole budget
+    judged, real = [], checks.certificate_verdicts
+    monkeypatch.setattr(checks, "certificate_verdicts", lambda result, method: judged.append(
+        (result.trace.final.k, result.trace.final.cost)) or real(result, method))
+    cfg = write_config(tmp_path, "method.name = near-dgd-t\nmethod.t = 5\nrun.budget = 3000\n"
+                                 "run.grad_tol = 1e-3\ncost.c_c = 0.01\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert judged[0] == judged[1] and judged[0][0] == 112
+
+
 def test_cmd_sweep_empty_methods_is_validation_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", cfg]) == EXIT_VALIDATION
@@ -236,8 +262,9 @@ def test_cmd_check_default_suite_passes(capsys):
 
 
 def test_cmd_check_applies_seed_override(tmp_path, monkeypatch):
-    seen = []
-    monkeypatch.setattr(checks, "run_check_suite", lambda cfg: seen.append(cfg.seed) or [])
+    seen, real = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda *args, seed, **kwargs:
+                        seen.append(seed) or real(*args, seed=seed, **kwargs))
     assert main(["check", "--seed", "7"]) == EXIT_OK
     assert main(["check", "--config", write_config(tmp_path), "--seed", "8"]) == EXIT_OK
     assert main(["check", "--config", write_config(tmp_path)]) == EXIT_OK
@@ -346,13 +373,25 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
     ("run", SMALL.replace("run.seed = 3", "run.seed = -2"), "out", "run.seed"),
     ("check", SMALL.replace("problem.seed = 0", "problem.seed = -1"), None, "problem.seed"),
     ("run --seed -1", SMALL, "out", "--seed"),
+    # argparse's rejections too, where it would print its usage and exit 2
+    ("run --seed 1.5", SMALL, "out", "--seed"),
+    ("sweep --parallel x", SMALL + "sweep.methods = dgd\n", "out", "--parallel"),
+    ("run --parallel 2", SMALL, "out", "--parallel"),
+    ("frobnicate", SMALL, "out", "invalid choice: 'frobnicate'"),
+    # c^2/n overflows, or underflows to 0
+    ("run", SMALL.replace("problem.c = 1.0", "problem.c = 1e155"), "out",
+     "c^2/n finite and nonzero, got 1e+155"),
+    ("check", SMALL.replace("problem.c = 1.0", "problem.c = 1e-200"), None,
+     "c^2/n finite and nonzero, got 1e-200"),
 ], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
         "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
         "nan-c-check", "nan-box-radius-run", "nan-cost-run", "inf-cost-sweep",
         "nan-margin-check", "inf-margin-run", "nan-grad-tol-run", "negative-grad-tol-sweep",
         "fractional-seeds-sweep", "negative-seeds-sweep", "negative-seed-run",
-        "negative-problem-seed-check", "negative-seed-flag-run"])
+        "negative-problem-seed-check", "negative-seed-flag-run", "fractional-seed-flag-run",
+        "malformed-parallel-sweep", "parallel-flag-run", "unknown-command", "huge-c-run",
+        "tiny-c-check"])
 def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, text, out,
                                                      says):
     (tmp_path / "a_file").write_text("")
@@ -449,8 +488,15 @@ def test_out_that_is_a_file_fails_before_any_cell_runs(tmp_path, capsys, monkeyp
 def test_parallel_is_a_sweep_option_only(tmp_path):
     cfg = write_config(tmp_path)
     for command in ("run", "check"):
-        with pytest.raises(SystemExit):
-            main([command, "--config", cfg, "--parallel", "2"])
+        assert main([command, "--config", cfg, "--parallel", "2"]) == EXIT_VALIDATION
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "usage: neardgd" in capsys.readouterr().out
 
 
 CONFIG_KEYS = ["problem.kind", "problem.n", "problem.p", "problem.I", "problem.c",
@@ -472,6 +518,8 @@ _line = st.one_of(st.tuples(st.sampled_from(CONFIG_KEYS), _value).map(" = ".join
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_line, max_size=8).map("\n".join))
+@example("problem.c = 1e155")  # c**2 overflows
+@example("problem.c = 1e-200")  # c^2/n underflows to 0
 def test_config_loaders_raise_only_config_error(text):
     for load in (parse_flat_config, load_run_config):
         try:

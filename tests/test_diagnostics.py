@@ -355,6 +355,16 @@ def test_cost_examples():
         CostModel(-1.0, 1.0)
 
 
+def test_cost_past_the_float_range_reads_inf():
+    # the suite turns a RuntimeWarning into an error: the overflow is quiet
+    model = CostModel(1e308, 1e308)
+    costs = cumulative_cost(CommCounter(np.array([0, 2]), np.array([0, 1])), model)
+    np.testing.assert_array_equal(costs, [0.0, math.inf])
+    prob, cm = paper_instance()
+    res = run(prob, cm, MethodSpec("near-dgd-t", t=2), alpha=0.1, budget=20, cost_model=model)
+    assert res.trace.column("cost") == [math.inf] * 21
+
+
 def extend_rows(trace, rows):
     """Append TraceRecords to trace as one block of columns."""
     trace.extend([rec.k for rec in rows], [rec.t_k for rec in rows],

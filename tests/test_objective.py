@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,15 @@ def test_invalid_construction():
         QuadraticQuarticProblem(q=np.array([[-0.5, -0.25]]), index=2, c=1.0)
     with pytest.raises(ObjectiveError):
         QuadraticQuarticProblem(q=np.array([[0.5, -0.25]]), index=3, c=1.0)
+
+
+@pytest.mark.parametrize("c, says", [
+    (1e155, "c^2/n finite and nonzero"),  # c**2 overflows
+    (1e-200, "c^2/n finite and nonzero"),  # c^2/n underflows to 0; f* would be -inf
+    (1e-160, "finite minimum value f*")])  # c^2/n is subnormal; the minimizer's x^2 overflows
+def test_c_outside_the_float_range_is_rejected(c, says):
+    with pytest.raises(ObjectiveError, match=re.escape("%s, got %r" % (says, c))):
+        QuadraticQuarticProblem(q=np.array([[0.5, -0.25]]), index=2, c=c)
 
 
 def test_quadratic_problem():

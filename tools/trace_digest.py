@@ -8,7 +8,8 @@ NumPy adds in order and pairwise), of runs on the benchmark's
 n=100 networks, the consensus products on C-ordered, F-ordered and strided
 operands, a sweep CSV, the stdout of `neardgd run`, `neardgd sweep` and
 `neardgd check` (`run` and `check` for every method on a small instance and
-at run.budget = 0, whose certificates read n/a), and the spectral
+at run.budget = 0, whose certificates read n/a, and `check` of a run that
+run.grad_tol ends early), and the spectral
 diagnostics (saddle classification, Dg eigenvalues, Lyapunov Hessian and
 descent constant rho) over a grid of t and alpha. A change that promises
 byte-identical output shows it by printing the same lines on both trees:
@@ -196,6 +197,9 @@ def cli_digests():
                        "stdout check (method.name = %s)" % method)
                 yield (sha(capture(["run", "--config", "check.cfg", "--out", "."])),
                        "stdout run (method.name = %s)" % method)
+            Path("check.cfg").write_text((SMALL_CHECK % "near-dgd-t") + "run.grad_tol = 1e-2\n")
+            yield (sha(capture(["check", "--config", "check.cfg"])),
+                   "stdout check (run.grad_tol = 1e-2, ends at k = 85 of 200)")
             # no iteration: no certificate row
             Path("check.cfg").write_text((SMALL_CHECK % "near-dgd-t").replace(
                 "run.budget = 200", "run.budget = 0"))
