@@ -55,10 +55,17 @@ def check_lyapunov_gradient(problem, cm, alpha, rng, points=10, step=1e-5, tol=1
 
 
 def check_consensus_properties(cm, rng, tol=1e-12):
+    """Nonexpansive, contracting by beta^t, composing, mean-keeping, equal
+    to t successive products, and, for every t >= 2, equal to the two
+    eigenbasis products (V diag(lam^t)) (V' y), which guard a dense Z^t."""
     n = cm.n
+    v = cm.eigenvectors
     problems = []
     for _ in range(5):
         y = rng.normal(size=(n, 3))
+        for t in (2, 5, 20):
+            if np.abs(apply_consensus(cm, t, y) - (v * cm.powers(t)) @ (v.T @ y)).max() > tol:
+                problems.append("two-product form")
         z1 = apply_consensus(cm, 1, y)
         if np.linalg.norm(z1) > np.linalg.norm(y) + tol:
             problems.append("expansive")

@@ -22,11 +22,13 @@ EXIT_CHECK_FAILURE = 3
 
 
 def _load(args, default=RunConfig):
-    """(config, problem, consensus matrix) that args name, --seed applied."""
+    """(config, problem, consensus matrix) that args name, --seed applied;
+    a loaded config hands over the problem and graph its validation built."""
     cfg = load_run_config_file(args.config) if args.config else default()
     if args.seed is not None:
         cfg.seed = args.seed
-    return cfg, cfg.build_problem(), cfg.build_consensus()
+    problem, graph = cfg.built or (cfg.build_problem(), cfg.build_graph())
+    return cfg, problem, cfg.consensus_on(graph)
 
 
 def _out_path(args, cfg, default_name=None):

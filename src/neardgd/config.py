@@ -76,6 +76,9 @@ class RunConfig:
     box_radius: float | None = None
     cost_model: CostModel = field(default_factory=CostModel)
     output_path: str = "trace.csv"
+    # the (problem, graph) that validate() built from the fields above, so
+    # that a command builds each once; None for a config made in code
+    built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def build_problem(self):
         if self.problem_kind == "quartic":
@@ -101,7 +104,11 @@ class RunConfig:
         return g
 
     def build_consensus(self) -> ConsensusMatrix:
-        return build_consensus_matrix(self.build_graph(), self.weight_rule, self.margin)
+        return self.consensus_on(self.build_graph())
+
+    def consensus_on(self, g: Graph) -> ConsensusMatrix:
+        """The weight rule and positive-definite shift of this config on g."""
+        return build_consensus_matrix(g, self.weight_rule, self.margin)
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -190,6 +197,8 @@ def _build_run_config(kv: dict) -> RunConfig:
 
 
 def validate(cfg: RunConfig):
+    """Reject a config that cannot run; keep the problem and graph built
+    to check it in cfg.built."""
     if cfg.n < 1 or cfg.p < 1:
         raise ConfigError("n and p must be positive")
     if cfg.problem_kind == "quartic" and not 1 <= cfg.index <= cfg.p:
@@ -202,8 +211,7 @@ def validate(cfg: RunConfig):
         raise ConfigError("unknown weight rule %r" % cfg.weight_rule)
     if not 0 < cfg.margin < math.inf:
         raise ConfigError("weights.margin must be positive and finite")
-    cfg.build_problem()
-    cfg.build_graph()
+    cfg.built = cfg.build_problem(), cfg.build_graph()
 
 
 def load_run_config_file(path) -> RunConfig:

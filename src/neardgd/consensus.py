@@ -15,9 +15,12 @@ from .graph import Graph, adjacency, is_connected
 from .linalg import check_symmetric, sym_eigen
 
 STOCH_TOL = 1e-12
-# ConsensusMatrix.apply_each forms at most this many scaled eigenvector
-# entries at once
+# ConsensusMatrix forms at most this many entries of its t-th power
+# operators at once
 APPLY_EACH_ELEMENTS = 2**17
+# a ConsensusMatrix of at most this many nodes applies Z^t, t >= 2, as one
+# product with a dense Z^t; a larger one as two eigenbasis products
+DENSE_POWER_NODES = 24
 
 
 class ConsensusMatrixError(ValueError):
@@ -59,8 +62,17 @@ class ConsensusMatrix:
     The spectrum is computed once at construction; beta is the second
     largest eigenvalue (the consensus contraction factor) and lambda_min
     the smallest. powers(t) is the one source of lam^t, with the top power
-    pinned to 1. One slot keeps (t, V diag(lam^t)) for the last t >= 2 that
-    apply() was asked for, formed on first use.
+    pinned to 1.
+
+    Z^t for t >= 2 is applied through an operator formed from lam^t: the
+    dense Z^t = (V diag(lam^t)) V' on at most DENSE_POWER_NODES nodes,
+    otherwise V diag(lam^t), which apply() follows with V' (the mode is
+    fixed at construction: _vt holds V' on a two-product matrix, None on a
+    dense one). A memo keeps lam^t and the operator per t: hold(ts)
+    sets it to the t of one block of a run, and apply() on a t it lacks to
+    that t alone. An operator is a function of (W, t) alone, each slice of
+    a batched formation the same BLAS product as a lone one, so every
+    result depends on (cm, t, operand) alone, never on what the memo holds.
     """
 
     W: np.ndarray
@@ -69,8 +81,10 @@ class ConsensusMatrix:
     lambda_min: float = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
-    _scaled_memo: tuple | None = field(init=False, default=None, repr=False,
-                                       compare=False)
+    _vt: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # the memo: lam^t and the operator of each t it holds
+    _lams: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _ops: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.W = check_symmetric(self.W)
@@ -86,6 +100,7 @@ class ConsensusMatrix:
             )
         if not (0.0 <= self.beta < 1.0):
             raise ConsensusMatrixError("beta=%g outside [0, 1)" % self.beta)
+        self._vt = None if self.W.shape[0] <= DENSE_POWER_NODES else self.eigenvectors.T
 
     @property
     def n(self):
@@ -107,6 +122,56 @@ class ConsensusMatrix:
         lam_t **= t
         return lam_t
 
+    def power_rows(self, ts) -> np.ndarray:
+        """A (len(ts), n) array whose row i equals powers(ts[i]) bitwise,
+        read from the memo where it holds ts[i]."""
+        lams = self._lams
+        return np.array([lams[t] if t in lams else self.powers(t) for t in ts])
+
+    def _form(self, ts):
+        """(lam^t rows, operators) of a list of t >= 2: each lam^t taken as
+        its own power, as powers() takes it (NumPy's power of a whole stack
+        may differ in the last bit), then V diag(lam^t) for all of them in
+        one broadcast product and, dense, Z^t in one batched product."""
+        lams = np.array([self.powers(t) for t in ts])
+        scaled = self.eigenvectors * lams[:, None, :]
+        return lams, (scaled @ self.eigenvectors.T if self._vt is None else scaled)
+
+    def _step(self):
+        """The operators formed or copied at once: at most
+        APPLY_EACH_ELEMENTS entries, and at least one."""
+        return max(1, APPLY_EACH_ELEMENTS // self.n**2)
+
+    def hold(self, ts):
+        """On a dense matrix, make the memo hold exactly the distinct t >= 2
+        of ts, keeping those it holds and forming the others a chunk at a
+        time. A run calls this once per block, so that its loop, its
+        certificate pass and rho_constant share one lam^t and one Z^t per t.
+        A two-product matrix keeps the one t that apply() last formed: its
+        operators are n x n each, and a block may need hundreds of them.
+        """
+        if self._vt is not None:
+            return
+        lams, ops = self._lams, self._ops
+        keep = [t for t in dict.fromkeys(ts) if t != 1]
+        new = [t for t in keep if t not in ops]
+        step = self._step()
+        for j in range(0, len(new), step):
+            chunk = new[j:j + step]
+            formed_lams, formed_ops = self._form(chunk)
+            lams.update(zip(chunk, formed_lams))
+            ops.update(zip(chunk, formed_ops))
+        self._lams, self._ops = {t: lams[t] for t in keep}, {t: ops[t] for t in keep}
+
+    def _operator(self, t):
+        """The memo's operator for t >= 2; on a miss the memo holds t alone."""
+        op = self._ops.get(t)
+        if op is None:
+            lams, ops = self._form([t])
+            self._lams, self._ops = {t: lams[0]}, {t: ops[0]}
+            op = ops[0]
+        return op
+
     def apply(self, t: int, cols, out=None) -> np.ndarray:
         """Z^t cols for an int t >= 1 and a float (n,) or (n, k) array, or
         an (r, n, k) stack with one product per iterate, none of them
@@ -115,50 +180,68 @@ class ConsensusMatrix:
         checks its arguments and calls this; run()'s loop calls it directly.
         Every consensus application thus takes this one arithmetic path.
 
-        t = 1 is the single product W cols. For t >= 2 the rounds are applied
-        at once from the cached eigenpairs, W^t cols = (V diag(lam^t)) (V'
-        cols), two products whose cost is the same for every t. The memo
-        slot holds V diag(lam^t) for the last t: a run that keeps t pays the
-        O(n^2) scaling once, one that moves t on every call pays it per call,
-        below the cost of the product it feeds.
+        t = 1 is the single product W cols. For t >= 2 the memo's operator
+        for t, formed on a miss, is applied: on a dense matrix the single
+        product Z^t cols, otherwise the two products (V diag(lam^t)) (V'
+        cols). Either costs the same for every t once the operator exists;
+        forming one costs an n^3 product (dense) or O(n^2) (two-product),
+        which hold() spreads over a block.
 
         One iterate, a 1-D or 2-D cols, goes through ndarray.dot and a stack
         through the @ operator: both reach the same BLAS routine (gemm, or
         gemv for a vector) for each iterate, so a 2-D call equals the
         matching iterate of a stacked call bitwise, and dot spends less on
-        each call.
+        each call; a stack BLAS cannot read is copied first (_apply_stack).
         """
+        if cols.ndim > 2:
+            return self._apply_stack(t, cols, out)
         if t == 1:
-            return self.W.dot(cols, out) if cols.ndim <= 2 else np.matmul(self.W, cols, out=out)
-        memo = self._scaled_memo
-        if memo is None or memo[0] != t:
-            memo = self._scaled_memo = (t, self.eigenvectors * self.powers(t))
-        if cols.ndim <= 2:
-            return memo[1].dot(self.eigenvectors.T.dot(cols), out)
-        return np.matmul(memo[1], self.eigenvectors.T @ cols, out=out)
+            return self.W.dot(cols, out)
+        try:
+            op = self._ops[t]
+        except KeyError:
+            op = self._operator(t)
+        vt = self._vt
+        return op.dot(cols if vt is None else vt.dot(cols), out)
+
+    def _apply_stack(self, t, stack, out):
+        """apply() on an (r, n, k) stack. NumPy multiplies a stack of
+        (n, k > 1) iterates whose rows and columns both have gaps in a loop
+        of its own, which may round otherwise than BLAS (with OpenBLAS
+        0.3.31, at n = 16 to 31), while dot hands BLAS a C-ordered copy of
+        such an iterate; so such a stack is copied into C order first."""
+        if stack.shape[-1] > 1 and stack.itemsize not in stack.strides[-2:]:
+            stack = np.ascontiguousarray(stack)
+        if t == 1:
+            return np.matmul(self.W, stack, out=out)
+        op = self._operator(t)
+        if self._vt is not None:
+            stack = self._vt @ stack
+        return np.matmul(op, stack, out=out)
 
     def apply_each(self, ts, stack) -> np.ndarray:
         """Z^{ts[i]} stack[i] for each i of a float (c, n, k) stack, without
         checks; each equal to apply(ts[i], stack[i]) bitwise.
 
-        The rows with t = 1 take the product W stack[i]. The others form all
-        their V diag(lam^t) in one broadcast product, each lam^t taken as its
-        own power as apply() takes it, and then make two batched products,
-        which NumPy evaluates as one matrix product per row. At most
-        APPLY_EACH_ELEMENTS scaled entries are formed at a time, so a large
-        n takes the rows a few at a time.
+        The rows with t = 1 take the product W stack[i]. The others take
+        their operators, copied from the memo when it holds them all and
+        formed as apply() forms them otherwise, in batched products, which
+        NumPy evaluates as one matrix product per row, at most
+        APPLY_EACH_ELEMENTS operator entries at a time.
         """
         out = np.empty_like(stack)
         ones = [i for i, t in enumerate(ts) if t == 1]
         if ones:
             out[ones] = self.W @ stack[ones]
         rest = [i for i, t in enumerate(ts) if t != 1]
-        step = max(1, APPLY_EACH_ELEMENTS // self.n**2)
+        held, step = self._ops, self._step()
         for j in range(0, len(rest), step):
             rows = rest[j:j + step]
-            lam_t = np.array([self.powers(ts[i]) for i in rows])
-            scaled = self.eigenvectors * lam_t[:, None, :]
-            out[rows] = scaled @ (self.eigenvectors.T @ stack[rows])
+            row_ts = [ts[i] for i in rows]
+            ops = (np.array([held[t] for t in row_ts]) if all(t in held for t in row_ts)
+                   else self._form(row_ts)[1])
+            cols = stack[rows] if self._vt is None else self._vt @ stack[rows]
+            out[rows] = ops @ cols
         return out
 
 

@@ -103,16 +103,15 @@ def rho_constant(cm: ConsensusMatrix, t, alpha: float, lipschitz: float):
 
     The eigenvalues of the stacked operator are those of W, each with
     multiplicity p, so the minimum runs over the cached spectrum of W, with
-    lam^t from cm.powers (the top power pinned to 1, so that the top term
-    stays 2 - aL at any t). A sequence of t gives an array with one constant
-    per entry, each equal to its scalar call bitwise: every lam^t is taken
-    as its own power, since NumPy's power over a whole (len(t), n) stack may
-    differ in the last bit.
+    lam^t from cm.power_rows, each row equal to cm.powers (the top power
+    pinned to 1, so that the top term stays 2 - aL at any t) and read from
+    the powers a run holds for its block. A sequence of t gives an array
+    with one constant per entry, each equal to its scalar call bitwise.
     """
     if not 0 < alpha < 2.0 / lipschitz:  # NaN fails both comparisons
         raise ValueError("rho requires 0 < alpha < 2/L")
     scalar = np.ndim(t) == 0
-    lam_t = np.array([cm.powers(s) for s in ([t] if scalar else t)])
+    lam_t = cm.power_rows([t] if scalar else t)
     rho = (lam_t * (1.0 + (1.0 - alpha * lipschitz) * lam_t)).min(axis=-1) / (2.0 * alpha)
     # mathematically positive for PD W and alpha < 2/L, but lambda_min^t
     # underflows to 0 for very large t; 0 is the conservative limit there

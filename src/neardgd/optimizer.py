@@ -381,19 +381,23 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
 
     The loop does only the method's arithmetic: per iteration one gradient
     and one consensus application (two for the tracker), through
-    ConsensusMatrix.apply. It writes each iteration's y_{k+1} and x_{k+1}
-    into the slots of two (rows + 1, n, p) buffers, rows = max(1,
-    BLOCK_ELEMENTS // (n p)) capped at the iterations, and one batched pass
-    per block then reads them in place, decides how the run ends and
-    certifies the rows it keeps. The first row whose y_{k+1} leaves the box ends the run there,
-    diverged; otherwise, with grad_tol set, the first row whose
-    grad_avg_norm is at most grad_tol ends it; the rest of that block is
-    discarded. The pass computes the rows' (k, t_k, comms, grads) from k and
-    the schedule, their trace columns and the descent, Eq.-7 and
-    consensus-bound certificates. Each iterate's Lyapunov value is evaluated
-    once, plus L_{t_k}(y_{k+1}) on the rows after which t changes. The run
-    gives the same values, bit for bit, for any block size. final_y and
-    final_x are copies, never views of the buffers.
+    ConsensusMatrix.apply, after one cm.hold of the block's schedule, which
+    forms each new Z^t of a NEAR-DGD block once for the loop and the pass.
+    It writes each iteration's y_{k+1} and x_{k+1} into the slots of two
+    (rows + 1, n, p) buffers, rows = max(1, BLOCK_ELEMENTS // (n p)) capped
+    at the iterations, and one batched pass per block then reads them in
+    place, decides how the run ends and certifies the rows it keeps. The
+    first row whose y_{k+1} leaves the box ends the run there, diverged;
+    otherwise, with grad_tol set, the first row whose grad_avg_norm is at
+    most grad_tol ends it; the rest of that block is discarded. The stop
+    test reads row k, the average xbar_k; the terminal row describes
+    y_{k+1}, so its grad_avg_norm, which final_avg_grad_norm and the summary
+    lines report, may lie above grad_tol. The pass computes the rows' (k,
+    t_k, comms, grads) from k and the schedule, their trace columns and the
+    descent, Eq.-7 and consensus-bound certificates. Each iterate's Lyapunov
+    value is evaluated once, plus L_{t_k}(y_{k+1}) on the rows after which t
+    changes. The run gives the same values, bit for bit, for any block size.
+    final_y and final_x are copies, never views of the buffers.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -435,6 +439,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         # iterations past a divergence may overflow; the pass discards them
         with np.errstate(over="ignore", invalid="ignore"):
             if near_dgd:
+                cm.hold(ts)
                 _near_dgd_iterations(objective, cm, alpha, block.ys, block.xs, ts)
             elif method.name == "dgd":
                 _dgd_iterations(objective, cm, alpha, block.ys, m)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neardgd import checks, cli
+from neardgd import checks, cli, config
 from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, main)
 from neardgd.config import ConfigError, load_run_config, parse_flat_config
@@ -247,6 +247,22 @@ def test_cmd_check_judges_the_configured_run(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert main(["check", "--config", cfg]) == EXIT_OK
     assert judged[0] == judged[1] and judged[0][0] == 112
+
+
+def test_one_run_builds_its_problem_and_graph_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("sample_quartic_problem", "build_ring"):
+        monkeypatch.setattr(config, name, counted(name, getattr(config, name)))
+    cfg = write_config(tmp_path, "method.name = near-dgd-t\nmethod.t = 5\nrun.budget = 20\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert sorted(calls) == ["build_ring", "sample_quartic_problem"]
 
 
 def test_cmd_sweep_empty_methods_is_validation_error(tmp_path, capsys):

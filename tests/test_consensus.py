@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neardgd import consensus
+from neardgd import checks, consensus
+from neardgd.diagnostics import FLOAT_COLUMNS
 from neardgd.consensus import (ConsensusMatrix, ConsensusMatrixError, apply_consensus,
                                average_project, build_consensus_matrix,
                                ensure_positive_definite, max_degree_weights,
@@ -188,30 +189,90 @@ def test_changing_t_never_serves_a_stale_power():
                                       apply_consensus(fresh, second, y))
 
 
-def test_memo_holds_one_array_after_a_run_that_changes_t():
+def dense_power(cm, t):
+    """Z^t = (V diag(lam^t)) V', formed as the kernel forms it."""
+    return (cm.eigenvectors * cm.powers(t)) @ cm.eigenvectors.T
+
+
+def test_memo_holds_the_last_blocks_powers_after_a_run_that_changes_t():
     cm = build_consensus_matrix(build_ring(6))
     before = repr(cm)
     prob = sample_quartic_problem(6, 2, 2, 1.0, seed=0)
     res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=40)
-    assert res.trace.final.t_k > 2  # t grew by one per iteration
+    assert res.trace.final.t_k == 41  # t grew by one per iteration, in one block
     assert set(vars(cm)) == {"W", "graph", "beta", "lambda_min", "eigenvalues",
-                             "eigenvectors", "_scaled_memo"}
-    t, scaled = cm._scaled_memo  # the loop's last t, x_K = Z^{t_K} y_K
-    assert type(t) is int and t == res.trace.final.t_k and scaled.shape == (6, 6)
-    np.testing.assert_array_equal(scaled, cm.eigenvectors * cm.powers(t))
+                             "eigenvectors", "_vt", "_lams", "_ops"}
+    # the block's schedule is t_0..t_40 = 1..41; the memo holds its t >= 2
+    assert list(cm._lams) == list(cm._ops) == list(range(2, 42))
+    for t, z_t in cm._ops.items():
+        assert type(t) is int
+        np.testing.assert_array_equal(cm._lams[t], cm.powers(t))
+        np.testing.assert_array_equal(z_t, dense_power(cm, t))
     assert repr(cm) == before
-    memo = {f.name: f for f in fields(cm)}["_scaled_memo"]
-    assert not (memo.init or memo.repr or memo.compare)
+    hidden = {f.name: f for f in fields(cm)}
+    for name in ("_vt", "_lams", "_ops"):
+        assert not (hidden[name].init or hidden[name].repr or hidden[name].compare)
 
 
 def test_memo_keeps_the_last_t_and_never_serves_a_stale_one():
     cm = build_consensus_matrix(build_erdos_renyi(10, 0.4, seed=2))
     y = np.random.default_rng(4).normal(size=(10, 3))
-    assert cm._scaled_memo is None  # formed on first use
+    assert cm._ops == cm._lams == {}  # formed on first use
     for t in (3, 5, 3, 5, 7, 3, 7, 1):
         z = cm.apply(t, y)
         np.testing.assert_array_equal(z, build_consensus_matrix(cm.graph).apply(t, y))
-        assert cm._scaled_memo[0] == (7 if t == 1 else t)  # W y leaves the slot alone
+        # W y leaves the memo alone
+        assert list(cm._ops) == list(cm._lams) == [7 if t == 1 else t]
+
+
+@pytest.mark.parametrize("n", [12, consensus.DENSE_POWER_NODES + 1])
+def test_a_result_depends_on_t_and_the_operand_alone_never_on_the_memo(n):
+    g = build_ring(n)
+    used = build_consensus_matrix(g)
+    stack = np.random.default_rng(n).normal(size=(6, n, 4))
+    for t in (3, 7, 2, 40):  # the memo has served other t
+        used.apply(t, stack)
+    used.hold([1, 2, 3, 3, 9])
+    ts = [2, 5, 9, 1, 3, 2**70]
+    each = used.apply_each(ts, stack)
+    for t, y, z in zip(ts, stack, each):
+        fresh = build_consensus_matrix(g).apply(t, y)
+        np.testing.assert_array_equal(used.apply(t, y), fresh)
+        np.testing.assert_array_equal(z, fresh)
+    # a run on a matrix that served another method's run equals one on a fresh matrix
+    prob = sample_quartic_problem(n, 4, 4, 1.0, seed=0)
+    run(prob, used, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=50)
+    for method in (MethodSpec("near-dgd-plus"), MethodSpec("near-dgd-t", t=5)):
+        a = run(prob, used, method, alpha=0.1, budget=50)
+        b = run(prob, build_consensus_matrix(g), method, alpha=0.1, budget=50)
+        np.testing.assert_array_equal(a.final_x, b.final_x)
+        np.testing.assert_array_equal(a.trace.column("lyapunov"), b.trace.column("lyapunov"))
+
+
+def test_hold_keeps_the_distinct_powers_of_a_block_and_forms_each_once(monkeypatch):
+    cm = build_consensus_matrix(build_ring(8))
+    formed, form = [], cm._form
+
+    def recorded(ts):
+        formed.append(list(ts))
+        return form(ts)
+
+    monkeypatch.setattr(cm, "_form", recorded)
+    cm.hold([1, 2, 2, 3, 4])
+    cm.hold([4, 5, 6])
+    assert formed == [[2, 3, 4], [5, 6]] and list(cm._ops) == [4, 5, 6]
+    # a large n of a dense matrix forms its powers a few at a time
+    monkeypatch.setattr(consensus, "APPLY_EACH_ELEMENTS", 2 * 8 * 8)
+    cm.hold(range(1, 8))
+    assert formed[2:] == [[2, 3], [7]]
+    np.testing.assert_array_equal(cm.power_rows([1, 3, 7]),
+                                  [cm.powers(1), cm.powers(3), cm.powers(7)])
+    # a two-product matrix keeps the one t that apply() formed last
+    monkeypatch.setattr(consensus, "DENSE_POWER_NODES", 0)
+    spectral = build_consensus_matrix(build_ring(8))
+    spectral.apply(3, np.ones((8, 1)))
+    spectral.hold([2, 3, 4])
+    assert list(spectral._ops) == [3]
 
 
 def test_powers_pin_the_top_eigenvalue():
@@ -271,18 +332,25 @@ def _iterate_layouts(rng, n):
             ("strided", base[:, ::2, ::2])]
 
 
-@pytest.mark.parametrize("n", [7, 12, 100])
+@pytest.mark.parametrize("n", [7, 12, consensus.DENSE_POWER_NODES,
+                               consensus.DENSE_POWER_NODES + 1, 100])
 @pytest.mark.parametrize("t", [1, 2, 5])
 def test_apply_consensus_on_one_iterate_equals_its_stacked_iterate_and_the_matmul_formula(n, t):
     # one iterate goes through ndarray.dot, a stack through @; both are the
-    # same BLAS product per iterate, and both equal W @ y, or
-    # (V diag(lam^t)) @ (V' @ y), bitwise
+    # same BLAS product per iterate, and both equal W @ y, or for t >= 2
+    # Z^t @ y with Z^t = (V diag(lam^t)) @ V' up to DENSE_POWER_NODES nodes
+    # and (V diag(lam^t)) @ (V' @ y) above, bitwise; an iterate whose rows
+    # and columns both have gaps, which BLAS cannot read, as its C-ordered copy
     cm = build_consensus_matrix(build_ring(n))
     rng = np.random.default_rng(100 * n + t)
 
     def matmul_formula(y):
+        if y.shape[-1] > 1 and y.itemsize not in y.strides:
+            y = np.ascontiguousarray(y)
         if t == 1:
             return cm.W @ y
+        if n <= consensus.DENSE_POWER_NODES:
+            return dense_power(cm, t) @ y
         return (cm.eigenvectors * cm.powers(t)) @ (cm.eigenvectors.T @ y)
 
     for name, stack in _iterate_layouts(rng, n):
@@ -326,6 +394,53 @@ def test_apply_each_equals_apply_per_row_bitwise(monkeypatch, n, p):
     # a large n forms its scaled eigenvectors a few rows at a time
     monkeypatch.setattr(consensus, "APPLY_EACH_ELEMENTS", 2 * n * n)
     np.testing.assert_array_equal(cm.apply_each(ts, stack), expected)
+
+
+REFERENCE_METHODS = ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",
+                     "near-dgd-plus-doubling:100", "dgd", "gradient-tracking")
+
+
+def test_dense_powers_keep_the_two_product_runs_within_the_bit_contract(monkeypatch):
+    # the reference instance with dense Z^t against the same runs with every
+    # t >= 2 applied as two eigenbasis products (no dense matrix)
+    prob = sample_quartic_problem(12, 4, 4, 1.0, seed=0)
+    dense, again = (build_consensus_matrix(build_ring(12)) for _ in range(2))
+    monkeypatch.setattr(consensus, "DENSE_POWER_NODES", 0)
+    spectral = build_consensus_matrix(build_ring(12))
+    assert dense._vt is None and spectral._vt is not None
+    for token in REFERENCE_METHODS:
+        method = MethodSpec.parse(token)
+        a = run(prob, dense, method, alpha=0.1, budget=1000)
+        b = run(prob, spectral, method, alpha=0.1, budget=1000)
+        for name in ("k", "t_k", "comms", "grads", "cost"):
+            assert a.trace.column(name) == b.trace.column(name), (token, name)
+        for name in FLOAT_COLUMNS:
+            x, y = a.trace.column(name), b.trace.column(name)
+            close = np.abs(x - y) <= 1e-12 * np.fmax(1.0, np.abs(y))
+            assert np.all(close | (np.isnan(x) & np.isnan(y))), (token, name)
+        assert a.max_eq7_inf <= 1e-10 and a.max_cons_gap <= 1e-12, token
+        assert not (a.diverged or b.diverged), token
+    # a repeated run, on the same or a fresh matrix, gives the same bits
+    for token in ("near-dgd-t:5", "near-dgd-plus"):
+        first, second = (run(prob, cm, MethodSpec.parse(token), alpha=0.1, budget=400)
+                         for cm in (dense, again))
+        np.testing.assert_array_equal(first.final_y, second.final_y)
+        np.testing.assert_array_equal(first.trace.column("lyapunov"),
+                                      second.trace.column("lyapunov"))
+
+
+def test_consensus_check_catches_a_dense_power_off_the_two_product_form(monkeypatch):
+    cm = build_consensus_matrix(build_ring(12))
+    assert checks.check_consensus_properties(cm, np.random.default_rng(0)) == (True, "")
+    form = cm._form
+
+    def off_by_a_part_in_1e9(ts):
+        lams, ops = form(ts)
+        return lams, ops * (1.0 + 1e-9)
+
+    monkeypatch.setattr(cm, "_form", off_by_a_part_in_1e9)
+    ok, detail = checks.check_consensus_properties(cm, np.random.default_rng(0))
+    assert not ok and "two-product form" in detail
 
 
 def test_average_project_examples():

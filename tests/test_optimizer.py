@@ -598,6 +598,19 @@ def test_run_grad_tol_stops_early():
     assert stopped.grad_avg_norm <= 1e-6 < before.grad_avg_norm
 
 
+def test_grad_tol_reads_the_last_certified_row_not_the_terminal_row():
+    # the stop test reads row k (xbar_k); the terminal row describes y_{k+1},
+    # so the summary line's grad_avg_norm may lie above the tolerance
+    prob, cm = paper_instance()
+    res = run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=3000,
+              grad_tol=1e-3)
+    norms = res.trace.column("grad_avg_norm")
+    certified, terminal = norms[:-1], norms[-1]
+    assert res.trace.final.k == len(certified) == 112
+    assert certified[-1] <= 1e-3 and (certified[:-1] > 1e-3).all()
+    assert terminal > 1e-3
+
+
 def test_run_rejects_bad_inputs():
     prob, cm = paper_instance()
     with pytest.raises(ValueError):

@@ -21,6 +21,12 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
                   graph (prob 0.1) at n=100 under both weight rules, then a
                   saddle classification of the reference instance at t=5
   <method token>  one run of that method (e.g. dgd, near-dgd-plus) at budget 1000
+--n N runs escape and the method tokens on a Metropolis ring of N nodes
+with c = sqrt(N / 12), as the benchmark's scale workload sizes its n=100
+instance (N = 12 is the reference instance):
+
+    python3 tools/ab_time.py --base old/src --workload near-dgd-plus --n 32
+
 Set-up (problem and matrix builds) is outside the timed calls. The output
 is for reading only; it is no gate.
 """
@@ -67,14 +73,17 @@ def import_tree(src, name, into):
     return importlib.import_module(name)
 
 
-def workload(pkg, token, workdir):
-    """A call that runs the workload once on the package pkg."""
+def workload(pkg, token, workdir, n=12):
+    """A call that runs the workload once on the package pkg; escape and
+    the method tokens run on a ring of n nodes."""
     def from_pkg(module):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
-    problem = pkg.sample_quartic_problem(12, 4, 4, 1.0, seed=0)
-    cm = pkg.build_consensus_matrix(pkg.build_ring(12))
+    if n != 12 and token in ("sweep", "scale"):
+        raise ValueError("--n applies to escape and the method tokens, not to %s" % token)
+    problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
+    cm = pkg.build_consensus_matrix(pkg.build_ring(n))
     if token == "escape":
         method, seeds = pkg.MethodSpec("near-dgd-t", t=5), iter(range(10**9))
         return lambda: optimizer.run(problem, cm, method, ALPHA, 1500, seed=next(seeds))
@@ -124,18 +133,23 @@ def main(argv=None):
     parser.add_argument("--workload", default="escape",
                         help="escape, sweep, scale or a method token (default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
+    parser.add_argument("--n", type=int, default=12,
+                        help="ring size for escape and the method tokens (default: 12)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.n < 3:
+        parser.error("--n must be at least 3, the smallest ring")
     for src in (args.base, args.change):
         if not (Path(src) / "neardgd" / "__init__.py").is_file():
             parser.error("no neardgd package under %s" % src)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
-            calls = {side: workload(import_tree(src, "neardgd_" + side, tmp), args.workload, tmp)
+            calls = {side: workload(import_tree(src, "neardgd_" + side, tmp), args.workload, tmp,
+                                    args.n)
                      for side, src in (("base", args.base), ("change", args.change))}
-        except ValueError as exc:  # a workload that is no method token
+        except ValueError as exc:  # a workload that is no method token, or --n with sweep
             parser.error("--workload: %s" % exc)
         for call in calls.values():
             call()  # warm-up: first calls and caches stay out of the samples
