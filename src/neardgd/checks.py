@@ -13,74 +13,83 @@ from .objective import finite_difference_grad
 from .optimizer import MethodSpec, RunResult
 
 
+# What `neardgd check` judges by: the finite-difference checks (central
+# differences of step FD_STEP), the consensus check and a finished run's certificates.
+FD_STEP = 1e-5
+GRAD_FD_POINTS, GRAD_FD_TOL = 20, 1e-6  # objective-gradient-fd
+HESS_FD_POINTS, HESS_FD_TOL = 10, 1e-5  # hessian-vector-fd
+LYAP_FD_POINTS, LYAP_FD_TOL = 10, 1e-6  # lyapunov-gradient-fd, at t = 1 and 2
+CONSENSUS_TOL, MEAN_TOL = 1e-12, 1e-11  # consensus-properties; MEAN_TOL: the node mean
+DESCENT_SLACK = 1e-10   # a descent residual is at most DESCENT_SLACK * max(1, |L_t(y_k)|)
+EQ7_TOL = 1e-10         # |x_{k+1} - x_k + a grad L_t(y_k)|_inf
+CONS_GAP_TOL = 1e-12    # cons_dist - beta^t ||y_k||
+
+
 def default_check_config() -> RunConfig:
     return RunConfig(n=4, p=2, index=2, budget=200, method=MethodSpec("near-dgd-t", t=2))
 
 
-def _rel_err(a, b):
-    denom = max(1.0, float(np.abs(b).max()))
-    return float(np.abs(a - b).max()) / denom
-
-
-def check_objective_gradients(problem, rng, points=20, step=1e-5, tol=1e-6):
+def _fd_verdict(problem, rng, points, tol, pairs):
+    """(ok, detail) of the worst relative error over the (analytic,
+    finite-difference) pairs that pairs(x) gives at each of points draws
+    of x from [-1, 1]^(n x p); pairs may draw from rng after x."""
     worst = 0.0
     for _ in range(points):
         x = rng.uniform(-1.0, 1.0, size=(problem.n, problem.p))
-        fd = finite_difference_grad(problem.stacked_value, x, step)
-        worst = max(worst, _rel_err(problem.stacked_grad(x), fd))
+        for analytic, fd in pairs(x):
+            rel = float(np.abs(analytic - fd).max()) / max(1.0, float(np.abs(fd).max()))
+            worst = max(worst, rel)
     return worst <= tol, "max rel err %.3g" % worst
 
 
-def check_hessian_vector(problem, rng, points=10, step=1e-5, tol=1e-5):
-    worst = 0.0
-    shape = (problem.n, problem.p)
-    for _ in range(points):
-        x = rng.uniform(-1.0, 1.0, size=shape)
-        v = rng.normal(size=shape)
-        hv = problem.node_hessian_diags(x) * v
-        fd = (problem.stacked_grad(x + step * v) - problem.stacked_grad(x - step * v)) / (2 * step)
-        worst = max(worst, _rel_err(hv, fd))
-    return worst <= tol, "max rel err %.3g" % worst
+def check_objective_gradients(problem, rng):
+    return _fd_verdict(problem, rng, GRAD_FD_POINTS, GRAD_FD_TOL, lambda x: [
+        (problem.stacked_grad(x), finite_difference_grad(problem.stacked_value, x, FD_STEP))])
 
 
-def check_lyapunov_gradient(problem, cm, alpha, rng, points=10, step=1e-5, tol=1e-6):
-    worst = 0.0
-    for _ in range(points):
-        y = rng.uniform(-1.0, 1.0, size=(problem.n, problem.p))
-        for t in (1, 2):
-            fd = finite_difference_grad(
-                lambda v: lyapunov_value(v, problem, cm, t, alpha), y, step)
-            worst = max(worst, _rel_err(lyapunov_grad(y, problem, cm, t, alpha), fd))
-    return worst <= tol, "max rel err %.3g" % worst
+def check_hessian_vector(problem, rng):
+    def pairs(x):
+        v = rng.normal(size=x.shape)
+        fd = (problem.stacked_grad(x + FD_STEP * v)
+              - problem.stacked_grad(x - FD_STEP * v)) / (2 * FD_STEP)
+        return [(problem.node_hessian_diags(x) * v, fd)]
+    return _fd_verdict(problem, rng, HESS_FD_POINTS, HESS_FD_TOL, pairs)
 
 
-def check_consensus_properties(cm, rng, tol=1e-12):
+def check_lyapunov_gradient(problem, cm, alpha, rng):
+    return _fd_verdict(problem, rng, LYAP_FD_POINTS, LYAP_FD_TOL, lambda y: [
+        (lyapunov_grad(y, problem, cm, t, alpha),
+         finite_difference_grad(lambda v: lyapunov_value(v, problem, cm, t, alpha), y, FD_STEP))
+        for t in (1, 2)])
+
+
+def check_consensus_properties(cm, rng):
     """Nonexpansive, contracting by beta^t, composing, mean-keeping, equal
     to t successive products, and, for every t >= 2, equal to the two
     eigenbasis products (V diag(lam^t)) (V' y), which guard a dense Z^t."""
-    n = cm.n
     v = cm.eigenvectors
     problems = []
     for _ in range(5):
-        y = rng.normal(size=(n, 3))
+        y = rng.normal(size=(cm.n, 3))
         for t in (2, 5, 20):
-            if np.abs(apply_consensus(cm, t, y) - (v * cm.powers(t)) @ (v.T @ y)).max() > tol:
+            two_products = (v * cm.powers(t)) @ (v.T @ y)
+            if np.abs(apply_consensus(cm, t, y) - two_products).max() > CONSENSUS_TOL:
                 problems.append("two-product form")
         z1 = apply_consensus(cm, 1, y)
-        if np.linalg.norm(z1) > np.linalg.norm(y) + tol:
+        if np.linalg.norm(z1) > np.linalg.norm(y) + CONSENSUS_TOL:
             problems.append("expansive")
         m = average_project(y)
         z3 = apply_consensus(cm, 3, y)
-        if np.linalg.norm(z3 - m) > cm.beta**3 * np.linalg.norm(y - m) + tol:
+        if np.linalg.norm(z3 - m) > cm.beta**3 * np.linalg.norm(y - m) + CONSENSUS_TOL:
             problems.append("contraction bound")
-        if np.abs(apply_consensus(cm, 2, apply_consensus(cm, 1, y)) - z3).max() > tol:
+        if np.abs(apply_consensus(cm, 2, apply_consensus(cm, 1, y)) - z3).max() > CONSENSUS_TOL:
             problems.append("composition")
-        if np.abs(average_project(z3) - m).max() > 1e-11:
+        if np.abs(average_project(z3) - m).max() > MEAN_TOL:
             problems.append("mean preservation")
         z7 = y
         for _ in range(7):
             z7 = cm.W @ z7
-        if np.abs(apply_consensus(cm, 7, y) - z7).max() > tol:
+        if np.abs(apply_consensus(cm, 7, y) - z7).max() > CONSENSUS_TOL:
             problems.append("spectral power")
     return not problems, ", ".join(sorted(set(problems)))
 
@@ -93,11 +102,6 @@ def check_pd_rejection():
     except ConsensusMatrixError:
         return True, ""
     return False, "indefinite matrix accepted"
-
-
-DESCENT_SLACK = 1e-10  # a descent residual is at most DESCENT_SLACK * max(1, |L_t(y_k)|)
-EQ7_TOL = 1e-10        # |x_{k+1} - x_k + a grad L_t(y_k)|_inf
-CONS_GAP_TOL = 1e-12   # cons_dist - beta^t ||y_k||
 
 
 def certificate_verdicts(result: RunResult, method: MethodSpec):

@@ -12,7 +12,6 @@ import sys
 
 from . import checks
 from .config import ConfigError, RunConfig, load_run_config_file, seed
-from .diagnostics import TRACE_COLUMNS
 from .optimizer import run
 
 EXIT_OK = 0
@@ -92,10 +91,9 @@ def cmd_sweep(args) -> int:
 
     any_divergence = False
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["method", "seed"] + list(TRACE_COLUMNS)) + "\n")
-        for (method, _), result in zip(cells, results):
+        for i, ((method, _), result) in enumerate(zip(cells, results)):
             trace = result.trace
-            trace.write_csv_to(fh, header=False, extra_key_columns=True)
+            trace.write_csv_to(fh, header=(i == 0), extra_key_columns=True)
             print(_summary(result, method))
             if trace.diverged:
                 print("divergence (%s, seed %d): %s"

@@ -166,17 +166,11 @@ def _build_run_config(kv: dict) -> RunConfig:
     cfg.graph_edges = take("graph.edges", str, cfg.graph_edges)
     cfg.weight_rule = take("weights.rule", str, cfg.weight_rule)
     cfg.margin = take("weights.margin", float, cfg.margin)
-    method_name = take("method.name", str, None)
-    if method_name is not None:
-        cfg.method = MethodSpec(method_name,
-                                t=take("method.t", int, 1),
-                                period=take("method.period", int, 100))
-    else:
-        kv.pop("method.t", None)
-        kv.pop("method.period", None)
-    methods = take("sweep.methods", str, "")
-    if methods:
-        cfg.sweep_methods = [MethodSpec.parse(tok) for tok in methods.split(",") if tok.strip()]
+    cfg.method = MethodSpec(take("method.name", str, cfg.method.name),
+                            t=take("method.t", int, cfg.method.t),
+                            period=take("method.period", int, cfg.method.period))
+    cfg.sweep_methods = take("sweep.methods", lambda text: [
+        MethodSpec.parse(tok) for tok in text.split(",") if tok.strip()], cfg.sweep_methods)
     cfg.sweep_seeds = take("sweep.seeds", lambda text: [
         seed(s) for s in text.replace(",", " ").split()], cfg.sweep_seeds)
     cfg.alpha = take("run.alpha", float, cfg.alpha)

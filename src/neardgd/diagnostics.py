@@ -20,6 +20,8 @@ from .linalg import sum_last, sym_eigen, sym_eigvals, sym_power
 from .objective import Objective
 
 HESSIAN_SIZE_GUARD = 2000
+NEAR_CRITICAL_SCALE = 1e-6  # saddle_classification: ||grad L_t(y)|| <= this * max(1, ||y||)
+DEAD_BAND = 1e-8  # a Hessian eigenvalue within it of 0, or a Dg one within it of 1, has no sign
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +205,27 @@ class SaddleReport:
     expanding_dg_count: int  # eigenvalues of Dg exceeding 1
 
 
-def saddle_classification(y, objective, cm, t, alpha, dead_band=1e-8,
-                          grad_tol_scale=1e-6) -> SaddleReport:
+def saddle_classification(y, objective, cm, t, alpha) -> SaddleReport:
     """Classify a near-critical point of the Lyapunov function.
 
-    Uses the sign of the smallest Hessian eigenvalue with a dead band, and
+    Uses the sign of the smallest Hessian eigenvalue outside DEAD_BAND, and
     cross-checks against the unstable-fixed-point criterion max|lam(Dg)| > 1.
     Both spectra come from one set of coordinate blocks; no np x np matrix
-    is formed, so there is no size limit.
+    is formed, so there is no size limit. A point whose ||grad L_t(y)||
+    exceeds NEAR_CRITICAL_SCALE * max(1, ||y||) raises ValueError.
     """
     y = np.asarray(y, dtype=float)
     gnorm = float(np.linalg.norm(lyapunov_grad(y, objective, cm, t, alpha)))
-    tol = grad_tol_scale * max(1.0, float(np.linalg.norm(y)))
+    tol = NEAR_CRITICAL_SCALE * max(1.0, float(np.linalg.norm(y)))
     if gnorm > tol:
         raise ValueError("not near-critical: ||grad L_t|| = %g > %g" % (gnorm, tol))
     hess, dg = _coordinate_blocks(y, objective, cm, t, alpha)
     hess_eigs = np.sort(sym_eigvals(hess), axis=None)
     dg_eigs = np.sort(sym_eigvals(dg), axis=None)
     lam1 = float(hess_eigs[0])
-    if lam1 < -dead_band:
+    if lam1 < -DEAD_BAND:
         label = "strict-saddle"
-    elif lam1 > dead_band:
+    elif lam1 > DEAD_BAND:
         label = "min"
     else:
         label = "indefinite-tolerance"
@@ -231,8 +233,8 @@ def saddle_classification(y, objective, cm, t, alpha, dead_band=1e-8,
         label=label,
         lambda_min_hessian=lam1,
         max_abs_dg_eigenvalue=float(np.abs(dg_eigs).max()),
-        negative_hessian_count=int((hess_eigs < -dead_band).sum()),
-        expanding_dg_count=int((dg_eigs > 1.0 + dead_band).sum()),
+        negative_hessian_count=int((hess_eigs < -DEAD_BAND).sum()),
+        expanding_dg_count=int((dg_eigs > 1.0 + DEAD_BAND).sum()),
     )
 
 
@@ -334,9 +336,9 @@ class RunTrace:
             return np.concatenate([b.floats[:, j] for b in self._blocks] or [np.empty(0)])
         return [value for block in self._blocks for value in getattr(block, name)]
 
-    def write_csv(self, path, extra_key_columns=False):
+    def write_csv(self, path):
         with open(path, "w", newline="") as fh:
-            self.write_csv_to(fh, header=True, extra_key_columns=extra_key_columns)
+            self.write_csv_to(fh)
 
     def write_csv_to(self, fh, header=True, extra_key_columns=False):
         """CSV rows: the four counts as integers and the floats as %.17g,

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ER_MAX_TRIES = 200  # samples build_erdos_renyi draws before it gives up
+
 
 class TopologyError(ValueError):
     """Raised for invalid or unusable graph specifications."""
@@ -80,39 +82,35 @@ def build_ring(n: int) -> Graph:
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
-def build_star(n: int, center: int = 0) -> Graph:
-    """Star graph: every node connected to the center."""
+def build_star(n: int) -> Graph:
+    """Star graph: every node connected to node 0."""
     if n < 2:
         raise TopologyError("star requires n >= 2, got n=%d" % n)
-    if not 0 <= center < n:
-        raise TopologyError("center %d out of range" % center)
-    return Graph(n, frozenset((center, i) for i in range(n) if i != center))
+    return Graph(n, frozenset((0, i) for i in range(1, n)))
 
 
-def build_erdos_renyi(n: int, prob: float, seed, max_tries: int = 200) -> Graph:
-    """G(n, prob) resampled until connected (bounded retries)."""
+def build_erdos_renyi(n: int, prob: float, seed) -> Graph:
+    """G(n, prob) resampled until connected, at most ER_MAX_TRIES times."""
     if n < 2 or not 0.0 <= prob <= 1.0:
         raise TopologyError("invalid Erdos-Renyi parameters n=%d, prob=%r" % (n, prob))
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, 1)  # pairs i < j in row-major order
-    for _ in range(max_tries):
+    for _ in range(ER_MAX_TRIES):
         keep = rng.uniform(size=rows.size) < prob
         g = Graph(n, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
         if is_connected(g):
             return g
-    raise TopologyError(
-        "no connected G(%d, %g) sample within %d tries" % (n, prob, max_tries)
-    )
+    raise TopologyError("no connected G(%d, %g) sample within %d tries"
+                        % (n, prob, ER_MAX_TRIES))
 
 
 def from_edge_list(n: int, text: str) -> Graph:
+    """Graph on n nodes with one edge "i j" per nonblank line of text."""
     edges = set()
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise TopologyError("malformed edge line: %r" % line)
-        edges.add((int(parts[0]), int(parts[1])))
+    for line in filter(None, map(str.strip, text.splitlines())):
+        try:
+            i, j = map(int, line.split())
+        except ValueError:  # not two integers
+            raise TopologyError("malformed edge line: %r" % line) from None
+        edges.add((i, j))
     return Graph(n, frozenset(edges))

@@ -19,13 +19,13 @@ class SymmetryError(ValueError):
     """Input matrix is not symmetric within tolerance."""
 
 
-def check_symmetric(a, tol=SYM_TOL):
+def check_symmetric(a):
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise SymmetryError("expected a square matrix, got shape %r" % (a.shape,))
     scale = np.maximum(1.0, np.abs(a))
-    if not np.all(np.abs(a - np.swapaxes(a, -1, -2)) <= tol * scale):
-        raise SymmetryError("matrix not symmetric within %g" % tol)
+    if not np.all(np.abs(a - np.swapaxes(a, -1, -2)) <= SYM_TOL * scale):
+        raise SymmetryError("matrix not symmetric within %g" % SYM_TOL)
     return a
 
 

@@ -26,7 +26,7 @@ def _check_radius(radius):
 
 
 class Objective:
-    """Separable objective defined by four whole-array primitives.
+    """Separable objective defined by five primitives.
 
     Subclasses implement three per-node primitives, node_values
     ((..., n, p) -> (..., n), the f_i(x_i)), node_grads ((..., n, p) ->

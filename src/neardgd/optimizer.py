@@ -96,13 +96,14 @@ class MethodSpec:
     @staticmethod
     def parse(token: str) -> "MethodSpec":
         name, _, param = token.strip().partition(":")
-        if name == "near-dgd-t":
-            return MethodSpec(name, t=int(param) if param else 1)
-        if name == "near-dgd-plus-doubling":
-            return MethodSpec(name, period=int(param) if param else 100)
-        if param:
+        key = {"near-dgd-t": "t", "near-dgd-plus-doubling": "period"}.get(name)
+        if param and key is None:
             raise ValueError("method %r takes no parameter" % name)
-        return MethodSpec(name)
+        try:
+            params = {key: int(param)} if param else {}
+        except ValueError:
+            raise ValueError("method %r needs an integer after ':'" % token.strip()) from None
+        return MethodSpec(name, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,15 @@ def test_load_run_config_rejects_unknown_and_invalid():
         load_run_config("method.name = near-dgd-t\nmethod.t = 0\n")
 
 
+def test_method_keys_without_a_name_apply_to_the_default_method():
+    # method.name defaults to near-dgd-t, as RunConfig's method does
+    assert load_run_config("method.t = 5\n").method == MethodSpec("near-dgd-t", t=5)
+    assert load_run_config("method.period = 7\n").method.period == 7
+    for text in ("method.t = 0\n", "method.period = 0\n", "method.t = x\n"):
+        with pytest.raises(ConfigError):
+            load_run_config(text)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -399,6 +408,11 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
      "c^2/n finite and nonzero, got 1e+155"),
     ("check", SMALL.replace("problem.c = 1.0", "problem.c = 1e-200"), None,
      "c^2/n finite and nonzero, got 1e-200"),
+    # a malformed method token or edge line is named in the message
+    ("sweep", SMALL + "sweep.methods = dgd, near-dgd-t:abc\n", "out",
+     "bad value for sweep.methods: 'dgd, near-dgd-t:abc' (method 'near-dgd-t:abc' needs"),
+    ("run", SMALL.replace("graph.kind = ring", "graph.kind = edgelist\ngraph.edges =\n"
+                          "  0 1\n  a b\n  2 3\n  3 0"), "out", "malformed edge line: 'a b'"),
 ], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
         "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
@@ -407,7 +421,7 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
         "fractional-seeds-sweep", "negative-seeds-sweep", "negative-seed-run",
         "negative-problem-seed-check", "negative-seed-flag-run", "fractional-seed-flag-run",
         "malformed-parallel-sweep", "parallel-flag-run", "unknown-command", "huge-c-run",
-        "tiny-c-check"])
+        "tiny-c-check", "malformed-method-token-sweep", "malformed-edge-line-run"])
 def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, text, out,
                                                      says):
     (tmp_path / "a_file").write_text("")

@@ -72,3 +72,9 @@ def test_erdos_renyi_pinned_sample():
 def test_edge_list_round_trip():
     text = "0 1\n1 2\n2 3\n3 4\n0 4"
     assert from_edge_list(5, text).edges == build_ring(5).edges
+
+
+@pytest.mark.parametrize("line", ["a b", "0 1 2", "3", "0 1.5"])
+def test_edge_list_error_names_the_line(line):
+    with pytest.raises(TopologyError, match="malformed edge line: %r" % line):
+        from_edge_list(4, "0 1\n  %s  \n1 2" % line)

@@ -97,6 +97,9 @@ def test_method_spec_labels_and_parse():
         MethodSpec.parse("dgd:3")
     with pytest.raises(ValueError):
         MethodSpec("polyak")
+    for token in ("near-dgd-t:abc", " near-dgd-plus-doubling:1.5"):
+        with pytest.raises(ValueError, match="method %r needs an integer" % token.strip()):
+            MethodSpec.parse(token)
 
 
 # ---------------------------------------------------------------------------
