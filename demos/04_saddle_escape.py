@@ -1,10 +1,11 @@
 """Saddle-point analysis and empirical escape statistics.
 
 The quartic instance has a strict saddle at the origin and two symmetric
-minimizers. This demo (1) classifies the lifted saddle through the
-Lyapunov Hessian and the iteration-map Jacobian, and (2) runs the method
-from many random initial points, counting how often it lands at a
-minimizer instead of the saddle.
+minimizers. This demo (1) classifies the lifted saddle through
+S = (I - Dg)/alpha, which has the Lyapunov Hessian's inertia and gives
+the iteration-map Jacobian's spectrum, and (2) runs the method from many
+random initial points, counting how often it lands at a minimizer
+instead of the saddle.
 """
 
 import numpy as np
@@ -18,10 +19,9 @@ cm = build_consensus_matrix(build_ring(12))
 
 report = saddle_classification(np.zeros((12, 4)), problem, cm, t=5, alpha=0.1)
 print("classification at the lifted origin: %s" % report.label)
-print("  smallest Lyapunov-Hessian eigenvalue: %.4f" % report.lambda_min_hessian)
-print("  negative Hessian directions: %d" % report.negative_hessian_count)
-print("  iteration-map eigenvalues above 1: %d (max |eig| = %.4f)"
-      % (report.expanding_dg_count, report.max_abs_dg_eigenvalue))
+print("  smallest eigenvalue of S = (I - Dg)/alpha: %.4f" % report.lambda_min_s)
+print("  unstable directions (negative Hessian, iteration-map eigenvalues above 1): %d"
+      " (max |eig| = %.4f)" % (report.unstable_count, report.max_abs_dg_eigenvalue))
 print()
 
 x_star = problem.minimizers()[0]

@@ -21,7 +21,7 @@ from .objective import Objective
 
 HESSIAN_SIZE_GUARD = 2000
 NEAR_CRITICAL_SCALE = 1e-6  # saddle_classification: ||grad L_t(y)|| <= this * max(1, ||y||)
-DEAD_BAND = 1e-8  # a Hessian eigenvalue within it of 0, or a Dg one within it of 1, has no sign
+DEAD_BAND = 1e-8  # an eigenvalue of S (see _coordinate_blocks) within it of 0 has no sign
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +84,15 @@ def lyapunov_grad(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: f
 
 def lyapunov_hessian(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
     """Explicit np x np Hessian Z^t H_f(Z^t y) Z^t + (1/a) Z^t (I - Z^t),
-    node-major: V M_j V' at coordinate j (see _coordinate_blocks)."""
+    node-major: V lam^{t/2} S_j lam^{t/2} V' at coordinate j (see _coordinate_blocks)."""
     y = np.asarray(y, dtype=float)
     n, p = y.shape
     if n * p > HESSIAN_SIZE_GUARD:
         raise ValueError("refusing to materialize a %d x %d Hessian" % (n * p, n * p))
-    v = cm.eigenvectors
+    vh = cm.eigenvectors * cm.powers(t / 2.0)
     h = np.zeros((n, p, n, p))
     j = np.arange(p)
-    h[:, j, :, j] = v @ _coordinate_blocks(y, objective, cm, t, alpha)[0] @ v.T
+    h[:, j, :, j] = vh @ _coordinate_blocks(y, objective, cm, t, alpha) @ vh.T
     h = h.reshape(n * p, n * p)
     return 0.5 * (h + h.T)
 
@@ -171,70 +171,66 @@ def _coordinate_blocks(y, objective, cm, t, alpha):
     Every Hessian here is diagonal per node, so both stacked operators split
     by coordinate. With Z^t = V diag(lam^t) V' from the eigenpairs cached on
     cm and lam^t, lam^{t/2} from cm.powers, h the diagonal of H_f(Z^t y) and
-    B_j = V' diag(h_j) V, returns the two (p, n, n) stacks
-      M_j = lam^t B_j lam^t + diag(lam^t (1 - lam^t)) / a  (Hessian = V M_j V'),
-      D_j = lam^{t/2} (I - a B_j) lam^{t/2}                 (similar to Dg).
+    B_j = V' diag(h_j) V, returns the one (p, n, n) stack
+      S_j = lam^{t/2} B_j lam^{t/2} + diag(1 - lam^t) / a,
+    congruent to the Hessian V lam^{t/2} S_j lam^{t/2} V', with I - a S_j
+    similar to Dg; unlike the Hessian's, its curvature does not shrink like lam^t.
     """
     zy = apply_consensus(cm, t, np.asarray(y, dtype=float))
     h = objective.node_hessian_diags(objective._check_stacked(zy))
     v = cm.eigenvectors
     b = (v.T * h.T[:, None, :]) @ v
     b = 0.5 * (b + np.swapaxes(b, -1, -2))
-    lam_t, lam_half = cm.powers(t), cm.powers(t / 2.0)
-    hess = b * np.outer(lam_t, lam_t) + np.diag(lam_t * (1.0 - lam_t) / alpha)
-    dg = (np.eye(cm.n) - alpha * b) * np.outer(lam_half, lam_half)
-    return hess, dg
+    lam_half = cm.powers(t / 2.0)
+    return b * np.outer(lam_half, lam_half) + np.diag((1.0 - cm.powers(t)) / alpha)
 
 
 def neardgd_map_jacobian_eigenvalues(y, objective, cm, t, alpha) -> np.ndarray:
     """Eigenvalues of Dg(y) = Z^t (I - a H_f(Z^t y)), ascending, (np,).
 
-    Dg is similar to the symmetric Z^{t/2} (I - a H_f) Z^{t/2}, so the
+    Dg is similar to the symmetric I - a S (see _coordinate_blocks), so the
     spectrum is real and computable with the symmetric solver.
     """
-    dg = _coordinate_blocks(y, objective, cm, t, alpha)[1]
-    return np.sort(sym_eigvals(dg), axis=None)
+    s = sym_eigvals(_coordinate_blocks(y, objective, cm, t, alpha))
+    return np.sort(1.0 - alpha * s, axis=None)
 
 
 @dataclass
 class SaddleReport:
     label: str  # "min" | "strict-saddle" | "indefinite-tolerance"
-    lambda_min_hessian: float
+    lambda_min_s: float
     max_abs_dg_eigenvalue: float
-    negative_hessian_count: int
-    expanding_dg_count: int  # eigenvalues of Dg exceeding 1
+    unstable_count: int  # eigenvalues of S below -DEAD_BAND
 
 
 def saddle_classification(y, objective, cm, t, alpha) -> SaddleReport:
     """Classify a near-critical point of the Lyapunov function.
 
-    Uses the sign of the smallest Hessian eigenvalue outside DEAD_BAND, and
-    cross-checks against the unstable-fixed-point criterion max|lam(Dg)| > 1.
-    Both spectra come from one set of coordinate blocks; no np x np matrix
-    is formed, so there is no size limit. A point whose ||grad L_t(y)||
-    exceeds NEAR_CRITICAL_SCALE * max(1, ||y||) raises ValueError.
+    Uses the sign of the smallest eigenvalue of S (see _coordinate_blocks)
+    outside DEAD_BAND. S has the Hessian's inertia (Sylvester's law) and
+    I - a S is similar to Dg, so the criterion max|lam(Dg)| > 1 agrees by
+    construction and unstable_count counts both. No np x np matrix is formed,
+    so there is no size limit. A point whose ||grad L_t(y)|| exceeds
+    NEAR_CRITICAL_SCALE * max(1, ||y||) raises ValueError.
     """
     y = np.asarray(y, dtype=float)
     gnorm = float(np.linalg.norm(lyapunov_grad(y, objective, cm, t, alpha)))
     tol = NEAR_CRITICAL_SCALE * max(1.0, float(np.linalg.norm(y)))
     if gnorm > tol:
         raise ValueError("not near-critical: ||grad L_t|| = %g > %g" % (gnorm, tol))
-    hess, dg = _coordinate_blocks(y, objective, cm, t, alpha)
-    hess_eigs = np.sort(sym_eigvals(hess), axis=None)
-    dg_eigs = np.sort(sym_eigvals(dg), axis=None)
-    lam1 = float(hess_eigs[0])
-    if lam1 < -DEAD_BAND:
+    s = np.sort(sym_eigvals(_coordinate_blocks(y, objective, cm, t, alpha)), axis=None)
+    s_min = float(s[0])
+    if s_min < -DEAD_BAND:
         label = "strict-saddle"
-    elif lam1 > DEAD_BAND:
+    elif s_min > DEAD_BAND:
         label = "min"
     else:
         label = "indefinite-tolerance"
     return SaddleReport(
         label=label,
-        lambda_min_hessian=lam1,
-        max_abs_dg_eigenvalue=float(np.abs(dg_eigs).max()),
-        negative_hessian_count=int((hess_eigs < -DEAD_BAND).sum()),
-        expanding_dg_count=int((dg_eigs > 1.0 + DEAD_BAND).sum()),
+        lambda_min_s=s_min,
+        max_abs_dg_eigenvalue=float(np.abs(1.0 - alpha * s).max()),
+        unstable_count=int((s < -DEAD_BAND).sum()),
     )
 
 

@@ -277,7 +277,7 @@ def sample_quadratic_problem(n, p, seed) -> QuadraticProblem:
     return QuadraticProblem(b=rng.uniform(-1.0, 1.0, size=(n, p)))
 
 
-def finite_difference_grad(fn, x, step=1e-5) -> np.ndarray:
+def finite_difference_grad(fn, x, step) -> np.ndarray:
     """Central-difference gradient of a scalar function of an ndarray."""
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)

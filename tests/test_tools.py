@@ -34,12 +34,14 @@ def test_ab_time_compares_a_tree_with_itself():
 
 
 def test_ab_time_runs_a_method_on_a_ring_of_n_nodes():
-    proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "near-dgd-plus",
-                    "--n", "16", "--pairs", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert re.search(r"^change / base: median paired ratio \d+\.\d{3} ", proc.stdout,
-                     re.MULTILINE), proc.stdout
+    for workload in ("near-dgd-plus", "saddle"):
+        proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", workload,
+                        "--n", "16", "--pairs", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^change / base: median paired ratio \d+\.\d{3} ", proc.stdout,
+                         re.MULTILINE), proc.stdout
     # the sweep and scale workloads have sizes of their own
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "sweep",
                     "--n", "16", "--pairs", "1")
-    assert proc.returncode == 2 and "--n applies to escape and the method tokens" in proc.stderr
+    assert proc.returncode == 2
+    assert "--n applies to escape, saddle and the method tokens" in proc.stderr

@@ -20,12 +20,14 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
   scale           near-dgd-t:5 at budget 100 on a ring and an Erdos-Renyi
                   graph (prob 0.1) at n=100 under both weight rules, then a
                   saddle classification of the reference instance at t=5
+  saddle          saddle_classification of the lifted origin at t=5
   <method token>  one run of that method (e.g. dgd, near-dgd-plus) at budget 1000
---n N runs escape and the method tokens on a Metropolis ring of N nodes
+--n N runs escape, saddle and the method tokens on a Metropolis ring of N nodes
 with c = sqrt(N / 12), as the benchmark's scale workload sizes its n=100
 instance (N = 12 is the reference instance):
 
     python3 tools/ab_time.py --base old/src --workload near-dgd-plus --n 32
+    python3 tools/ab_time.py --base old/src --workload saddle --n 1000 --pairs 5
 
 Set-up (problem and matrix builds) is outside the timed calls. The output
 is for reading only; it is no gate.
@@ -74,19 +76,23 @@ def import_tree(src, name, into):
 
 
 def workload(pkg, token, workdir, n=12):
-    """A call that runs the workload once on the package pkg; escape and
-    the method tokens run on a ring of n nodes."""
+    """A call that runs the workload once on the package pkg; escape,
+    saddle and the method tokens run on a ring of n nodes."""
     def from_pkg(module):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
     if n != 12 and token in ("sweep", "scale"):
-        raise ValueError("--n applies to escape and the method tokens, not to %s" % token)
+        raise ValueError("--n applies to escape, saddle and the method tokens, not to %s"
+                         % token)
     problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
     cm = pkg.build_consensus_matrix(pkg.build_ring(n))
     if token == "escape":
         method, seeds = pkg.MethodSpec("near-dgd-t", t=5), iter(range(10**9))
         return lambda: optimizer.run(problem, cm, method, ALPHA, 1500, seed=next(seeds))
+    if token == "saddle":
+        origin = np.zeros((n, 4))
+        return lambda: diagnostics.saddle_classification(origin, problem, cm, 5, ALPHA)
     if token == "sweep":
         cli = from_pkg("cli")
         config = Path(workdir) / "sweep.cfg"
@@ -131,10 +137,11 @@ def main(argv=None):
     parser.add_argument("--change", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source directory of the changed tree (default: this checkout's src/)")
     parser.add_argument("--workload", default="escape",
-                        help="escape, sweep, scale or a method token (default: escape)")
+                        help="escape, sweep, scale, saddle or a method token (default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
     parser.add_argument("--n", type=int, default=12,
-                        help="ring size for escape and the method tokens (default: 12)")
+                        help="ring size for escape, saddle and the method tokens "
+                             "(default: 12)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
