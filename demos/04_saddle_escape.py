@@ -37,5 +37,6 @@ for seed in range(N_RUNS):
 
 print("runs from random points in [-1,1]^{np}: %d/%d converged to a"
       % (escaped, N_RUNS))
-print("minimizer, 0 stalled at the saddle -- the unstable directions of the")
+print("minimizer, %d stalled at the saddle -- the unstable directions of the"
+      % (N_RUNS - escaped))
 print("iteration map repel generic trajectories.")

@@ -195,8 +195,6 @@ def validate(cfg: RunConfig):
     to check it in cfg.built."""
     if cfg.n < 1 or cfg.p < 1:
         raise ConfigError("n and p must be positive")
-    if cfg.problem_kind == "quartic" and not 1 <= cfg.index <= cfg.p:
-        raise ConfigError("problem.I must lie in 1..p")
     if cfg.budget < 0:
         raise ConfigError("run.budget must be >= 0")
     if not 0 < cfg.alpha < math.inf:  # NaN fails both comparisons

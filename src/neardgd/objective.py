@@ -220,6 +220,8 @@ class QuadraticQuarticProblem(Objective):
 
 def sample_quartic_problem(n, p, index, c, seed) -> QuadraticQuarticProblem:
     """Random diagonals: q^i_II uniform in (-1, 0), the rest uniform in (0, 1)."""
+    if not 1 <= index <= p:  # before q[:, index - 1] reads a wrong column or none
+        raise ObjectiveError("index %d outside 1..%d" % (index, p))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     q = rng.uniform(0.0, 1.0, size=(n, p))
     q[q == 0.0] = 0.5  # keep the interval open

@@ -11,6 +11,7 @@ columns.
 import itertools
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,17 @@ BOX_INFLATION = 4.0     # trajectory box radius = INIT_BOUND * BOX_INFLATION
 # certificate passes, so its buffers and temporaries do not grow with budget
 BLOCK_ELEMENTS = 2**14
 
-METHOD_NAMES = ("near-dgd-t", "near-dgd-plus", "near-dgd-plus-doubling",
-                "dgd", "gradient-tracking")
+# Each method's facts, read through MethodSpec alone: the field that its token
+# "name:value" and its label carry, and the values of MethodSpec's properties.
+_Facts = namedtuple("_Facts", "param certificates comms_per_round near_dgd")
+_METHODS = {
+    "near-dgd-t": _Facts("t", ("descent-residual", "eq7-identity", "consensus-bound"), 1, True),
+    "near-dgd-plus": _Facts(None, ("descent-residual", "consensus-bound"), 1, True),
+    "near-dgd-plus-doubling": _Facts("period", ("descent-residual", "consensus-bound"), 1, True),
+    "dgd": _Facts(None, (), 1, False),
+    "gradient-tracking": _Facts(None, (), 2, False),
+}
+METHOD_NAMES = tuple(_METHODS)
 
 
 class SteplengthError(ValueError):
@@ -76,34 +86,36 @@ class MethodSpec:
 
     @property
     def certificates(self) -> tuple:
-        """The run certificates a run of this method evaluates: descent and
-        the consensus bound for the NEAR-DGD methods, whose Lyapunov
-        function the paper defines, and the Eq.-7 update identity for a
-        fixed t only. The baselines evaluate none."""
-        if self.name == "near-dgd-t":
-            return ("descent-residual", "eq7-identity", "consensus-bound")
-        if self.name.startswith("near-dgd"):
-            return ("descent-residual", "consensus-bound")
-        return ()
+        """The run certificates a run evaluates: descent and the consensus
+        bound where the paper defines a Lyapunov function, and Eq. 7 for a fixed t."""
+        return _METHODS[self.name].certificates
+
+    @property
+    def near_dgd(self) -> bool:
+        """Whether a run iterates x = Z^t y, with a Lyapunov function."""
+        return _METHODS[self.name].near_dgd
+
+    @property
+    def comms_per_round(self) -> int:
+        """The vectors one consensus round sends: x, and s for the tracker."""
+        return _METHODS[self.name].comms_per_round
 
     def label(self) -> str:
-        if self.name == "near-dgd-t":
-            return "near-dgd-t:%d" % self.t
-        if self.name == "near-dgd-plus-doubling":
-            return "near-dgd-plus-doubling:%d" % self.period
-        return self.name
+        param = _METHODS[self.name].param
+        return self.name if param is None else "%s:%d" % (self.name, getattr(self, param))
 
     @staticmethod
     def parse(token: str) -> "MethodSpec":
-        name, _, param = token.strip().partition(":")
-        key = {"near-dgd-t": "t", "near-dgd-plus-doubling": "period"}.get(name)
-        if param and key is None:
-            raise ValueError("method %r takes no parameter" % name)
+        name, colon, param = token.partition(":")
+        spec = MethodSpec(name.strip())  # rejects an unknown name
+        key = _METHODS[spec.name].param
+        if colon and key is None:
+            raise ValueError("method %r takes no parameter" % spec.name)
         try:
-            params = {key: int(param)} if param else {}
+            params = {key: int(param)} if colon else {}
         except ValueError:
             raise ValueError("method %r needs an integer after ':'" % token.strip()) from None
-        return MethodSpec(name, **params)
+        return MethodSpec(spec.name, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +234,8 @@ class _BlockCertifier:
         self.trace, self.lipschitz = trace, lipschitz
         self.box_radius, self.grad_tol = box_radius, grad_tol
         self.f_star = objective.min_value()
-        self.near_dgd = method.name.startswith("near-dgd")
+        self.near_dgd, self.comms_per_round = method.near_dgd, method.comms_per_round
         self.fixed_t = "eq7-identity" in method.certificates
-        # comms per round of t_k: the tracker communicates x and s
-        self.comms_per_round = 2 if method.name == "gradient-tracking" else 1
         self.rows = max(1, min(BLOCK_ELEMENTS // (n * p), iterations))
         self.Y = np.empty((self.rows + 1, n, p))
         self.X = np.empty_like(self.Y) if self.near_dgd else self.Y
@@ -421,7 +431,6 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
 
     trace = RunTrace(method=method.label(), seed=int(seed))
-    near_dgd = method.name.startswith("near-dgd")
     iterations, grad_evals = budget, 0
     if method.name == "gradient-tracking":
         if budget < 2:
@@ -431,7 +440,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
             iterations, grad_evals = budget - 1, 1
 
     # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
-    x = cm.apply(method.rounds(0), y) if near_dgd else y
+    x = cm.apply(method.rounds(0), y) if method.near_dgd else y
     block = _BlockCertifier(objective, cm, method, alpha, cost_model, trace, lipschitz,
                             box_radius, grad_tol, y, x, iterations, grad_evals)
     while block.k < iterations and not block.ended:
@@ -439,7 +448,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         ts = method.schedule(k, m + 1)
         # iterations past a divergence may overflow; the pass discards them
         with np.errstate(over="ignore", invalid="ignore"):
-            if near_dgd:
+            if method.near_dgd:
                 cm.hold(ts)
                 _near_dgd_iterations(objective, cm, alpha, block.ys, block.xs, ts)
             elif method.name == "dgd":

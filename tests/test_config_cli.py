@@ -90,8 +90,8 @@ def test_load_run_config_rejects_unknown_and_invalid():
         load_run_config("run.warp_speed = 9\n")
     with pytest.raises(ConfigError):
         load_run_config("run.alpha = -1\n")
-    with pytest.raises(ConfigError):
-        load_run_config("problem.I = 9\n")  # outside 1..p
+    with pytest.raises(ConfigError, match=r"^index 9 outside 1\.\.4$"):
+        load_run_config("problem.I = 9\n")  # the sampler's check
     with pytest.raises(ConfigError):
         load_run_config("run.budget = oops\n")
     with pytest.raises(ConfigError):
@@ -411,6 +411,13 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
     # a malformed method token or edge line is named in the message
     ("sweep", SMALL + "sweep.methods = dgd, near-dgd-t:abc\n", "out",
      "bad value for sweep.methods: 'dgd, near-dgd-t:abc' (method 'near-dgd-t:abc' needs"),
+    # an empty parameter is no parameter; the name is read stripped, as the
+    # parameter is, and an unknown name is reported as one
+    ("sweep", SMALL + "sweep.methods = near-dgd-t:\n", "out",
+     "(method 'near-dgd-t:' needs an integer after ':')"),
+    ("sweep", SMALL + "sweep.methods = dgd:\n", "out", "(method 'dgd' takes no parameter)"),
+    ("sweep", SMALL + "sweep.methods = dgd :3\n", "out", "(method 'dgd' takes no parameter)"),
+    ("sweep", SMALL + "sweep.methods = nope:3\n", "out", "(unknown method 'nope')"),
     ("run", SMALL.replace("graph.kind = ring", "graph.kind = edgelist\ngraph.edges =\n"
                           "  0 1\n  a b\n  2 3\n  3 0"), "out", "malformed edge line: 'a b'"),
 ], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
@@ -421,7 +428,9 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
         "fractional-seeds-sweep", "negative-seeds-sweep", "negative-seed-run",
         "negative-problem-seed-check", "negative-seed-flag-run", "fractional-seed-flag-run",
         "malformed-parallel-sweep", "parallel-flag-run", "unknown-command", "huge-c-run",
-        "tiny-c-check", "malformed-method-token-sweep", "malformed-edge-line-run"])
+        "tiny-c-check", "malformed-method-token-sweep", "empty-method-parameter-sweep",
+        "empty-parameter-of-a-baseline-sweep", "spaced-method-name-sweep",
+        "unknown-method-with-parameter-sweep", "malformed-edge-line-run"])
 def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, text, out,
                                                      says):
     (tmp_path / "a_file").write_text("")

@@ -1,6 +1,7 @@
 """Every demo runs to completion against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,6 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     if demo.stem == "04_saddle_escape":
         assert "classification at the lifted origin: strict-saddle" in proc.stdout
+        converged, runs, stalled = map(int, re.search(
+            r"(\d+)/(\d+) converged to a\nminimizer, (\d+) stalled", proc.stdout).groups())
+        assert converged + stalled == runs

@@ -97,6 +97,13 @@ def test_invalid_construction():
         QuadraticQuarticProblem(q=np.array([[0.5, -0.25]]), index=3, c=1.0)
 
 
+@pytest.mark.parametrize("index", [0, 5, 9, -1])
+def test_sampler_rejects_an_index_outside_1_to_p(index):
+    # an index past p reached q[:, index - 1] and raised IndexError
+    with pytest.raises(ObjectiveError, match=r"^index %d outside 1\.\.4$" % index):
+        sample_quartic_problem(12, 4, index, 1.0, 0)
+
+
 @pytest.mark.parametrize("c, says", [
     (1e155, "c^2/n finite and nonzero"),  # c**2 overflows
     (1e-200, "c^2/n finite and nonzero"),  # c^2/n underflows to 0; f* would be -inf

@@ -97,9 +97,46 @@ def test_method_spec_labels_and_parse():
         MethodSpec.parse("dgd:3")
     with pytest.raises(ValueError):
         MethodSpec("polyak")
-    for token in ("near-dgd-t:abc", " near-dgd-plus-doubling:1.5"):
+    for token in ("near-dgd-t:abc", " near-dgd-plus-doubling:1.5", "near-dgd-t:"):
         with pytest.raises(ValueError, match="method %r needs an integer" % token.strip()):
             MethodSpec.parse(token)
+    for token in ("dgd:", "dgd :3", " gradient-tracking: "):
+        with pytest.raises(ValueError, match="^method '%s' takes no parameter$"
+                           % token.partition(":")[0].strip()):
+            MethodSpec.parse(token)
+    with pytest.raises(ValueError, match="^unknown method 'nope'$"):
+        MethodSpec.parse("nope:3")
+    assert MethodSpec.parse(" near-dgd-t :3") == MethodSpec.parse("near-dgd-t: 3") \
+        == MethodSpec("near-dgd-t", t=3)
+
+
+# Each method's facts, written out here rather than read from the library:
+# (spec with its token parameter, if any, off its default, label, run
+# certificates, NEAR-DGD loop, communications per consensus round)
+METHOD_FACTS = [
+    (MethodSpec("near-dgd-t", t=7), "near-dgd-t:7",
+     ("descent-residual", "eq7-identity", "consensus-bound"), True, 1),
+    (MethodSpec("near-dgd-plus"), "near-dgd-plus",
+     ("descent-residual", "consensus-bound"), True, 1),
+    (MethodSpec("near-dgd-plus-doubling", period=9), "near-dgd-plus-doubling:9",
+     ("descent-residual", "consensus-bound"), True, 1),
+    (MethodSpec("dgd"), "dgd", (), False, 1),
+    (MethodSpec("gradient-tracking"), "gradient-tracking", (), False, 2),
+]
+
+
+def test_method_facts_cover_every_method_name():
+    assert [spec.name for spec, *_ in METHOD_FACTS] == list(optimizer.METHOD_NAMES)
+
+
+@pytest.mark.parametrize("spec, label, certificates, near_dgd, comms_per_round", METHOD_FACTS,
+                         ids=[label for _, label, *_ in METHOD_FACTS])
+def test_method_facts(spec, label, certificates, near_dgd, comms_per_round):
+    assert spec.label() == label
+    assert MethodSpec.parse(spec.label()) == spec
+    assert spec.certificates == certificates
+    assert spec.near_dgd is near_dgd
+    assert spec.comms_per_round == comms_per_round
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ def test_trace_digest_prints_one_digest_per_named_item():
     proc = run_tool(TOOLS / "trace_digest.py", "--src", ROOT / "src")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 199
+    assert len(lines) == 207
     matches = [re.fullmatch(r"([0-9a-f]{64})  (\S.*)", line) for line in lines]
     assert all(matches), [line for line, m in zip(lines, matches) if not m]
     names = [m.group(2) for m in matches]

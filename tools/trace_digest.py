@@ -104,8 +104,10 @@ def run_digests():
 
 def large_run_digests():
     """The benchmark's scale networks at n=100: near-dgd-t:5 on a ring and an
-    Erdos-Renyi graph (prob 0.1) under both weight rules, plus dgd and
-    gradient tracking on the Metropolis ring; budget 100, seeds 0 and 1."""
+    Erdos-Renyi graph (prob 0.1) under both weight rules, plus dgd, gradient
+    tracking and the two changing-t schedules on the Metropolis ring (above
+    DENSE_POWER_NODES, where Z^t takes two products and a changing t forms
+    its operators afresh); budget 100, seeds 0 and 1."""
     from neardgd import (MethodSpec, build_consensus_matrix, build_erdos_renyi,
                          build_ring, run, sample_quartic_problem)
 
@@ -117,7 +119,8 @@ def large_run_digests():
             cm = build_consensus_matrix(g, rule)
             tokens = ["near-dgd-t:5"]
             if (kind, rule) == ("ring", "metropolis"):
-                tokens += ["dgd", "gradient-tracking"]
+                tokens += ["dgd", "gradient-tracking", "near-dgd-plus",
+                           "near-dgd-plus-doubling:4"]
             for token in tokens:
                 for seed in (0, 1):
                     res = run(problem, cm, MethodSpec.parse(token), alpha=0.1, budget=100,
