@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 
-from .config import RunConfig
 from .consensus import (ConsensusMatrix, ConsensusMatrixError, apply_consensus,
                         average_project, metropolis_weights)
 from .diagnostics import lyapunov_grad, lyapunov_value
@@ -23,10 +22,8 @@ CONSENSUS_TOL, MEAN_TOL = 1e-12, 1e-11  # consensus-properties; MEAN_TOL: the no
 DESCENT_SLACK = 1e-10   # a descent residual is at most DESCENT_SLACK * max(1, |L_t(y_k)|)
 EQ7_TOL = 1e-10         # |x_{k+1} - x_k + a grad L_t(y_k)|_inf
 CONS_GAP_TOL = 1e-12    # cons_dist - beta^t ||y_k||
-
-
-def default_check_config() -> RunConfig:
-    return RunConfig(n=4, p=2, index=2, budget=200, method=MethodSpec("near-dgd-t", t=2))
+# the config `neardgd check` loads without --config: near-dgd-t:2 on a small instance
+DEFAULT_CONFIG = "problem.n = 4\nproblem.p = 2\nproblem.I = 2\nmethod.t = 2\nrun.budget = 200\n"
 
 
 def _fd_verdict(problem, rng, points, tol, pairs):

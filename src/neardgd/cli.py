@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import checks
-from .config import ConfigError, RunConfig, load_run_config_file, seed
+from .config import ConfigError, load_run_config, load_run_config_file, seed
 from .optimizer import run
 
 EXIT_OK = 0
@@ -20,14 +20,14 @@ EXIT_DIVERGENCE = 2
 EXIT_CHECK_FAILURE = 3
 
 
-def _load(args, default=RunConfig):
-    """(config, problem, consensus matrix) that args name, --seed applied;
-    a loaded config hands over the problem and graph its validation built."""
-    cfg = load_run_config_file(args.config) if args.config else default()
+def _load(args, default_text=""):
+    """(config, problem, consensus matrix) that args name, --seed applied; the
+    --config file or default_text, loaded alike, hands over what it built."""
+    cfg = load_run_config_file(args.config) if args.config else load_run_config(default_text)
     if args.seed is not None:
         cfg.seed = args.seed
-    problem, graph = cfg.built or (cfg.build_problem(), cfg.build_graph())
-    return cfg, problem, cfg.consensus_on(graph)
+    problem, graph = cfg.built
+    return cfg, problem, cfg.build_consensus(graph)
 
 
 def _out_path(args, cfg, default_name=None):
@@ -104,7 +104,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg, problem, cm = _load(args, checks.default_check_config)
+    cfg, problem, cm = _load(args, checks.DEFAULT_CONFIG)
     result = _run_cell(cfg, problem, cm, (cfg.method, cfg.seed))
     results = [*checks.run_check_suite(problem, cm, cfg.alpha),
                *checks.certificate_verdicts(result, cfg.method)]

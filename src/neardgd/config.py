@@ -64,7 +64,6 @@ class RunConfig:
     graph_prob: float = 0.5
     graph_edges: str = ""
     weight_rule: str = "metropolis"
-    margin: float = 0.1
     method: MethodSpec = field(default_factory=lambda: MethodSpec("near-dgd-t", t=1))
     sweep_methods: list = field(default_factory=list)
     sweep_seeds: list = field(default_factory=list)
@@ -103,12 +102,10 @@ class RunConfig:
             raise ConfigError("graph is not connected")
         return g
 
-    def build_consensus(self) -> ConsensusMatrix:
-        return self.consensus_on(self.build_graph())
-
-    def consensus_on(self, g: Graph) -> ConsensusMatrix:
-        """The weight rule and positive-definite shift of this config on g."""
-        return build_consensus_matrix(g, self.weight_rule, self.margin)
+    def build_consensus(self, g: Graph | None = None) -> ConsensusMatrix:
+        """The weight rule and positive-definite shift of this config on g,
+        by default on the graph it builds."""
+        return build_consensus_matrix(self.build_graph() if g is None else g, self.weight_rule)
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -165,7 +162,6 @@ def _build_run_config(kv: dict) -> RunConfig:
     cfg.graph_prob = take("graph.prob", float, cfg.graph_prob)
     cfg.graph_edges = take("graph.edges", str, cfg.graph_edges)
     cfg.weight_rule = take("weights.rule", str, cfg.weight_rule)
-    cfg.margin = take("weights.margin", float, cfg.margin)
     cfg.method = MethodSpec(take("method.name", str, cfg.method.name),
                             t=take("method.t", int, cfg.method.t),
                             period=take("method.period", int, cfg.method.period))
@@ -201,8 +197,6 @@ def validate(cfg: RunConfig):
         raise ConfigError("run.alpha must be positive and finite")
     if cfg.weight_rule not in WEIGHT_RULES:
         raise ConfigError("unknown weight rule %r" % cfg.weight_rule)
-    if not 0 < cfg.margin < math.inf:
-        raise ConfigError("weights.margin must be positive and finite")
     cfg.built = cfg.build_problem(), cfg.build_graph()
 
 

@@ -5,14 +5,13 @@ p-vector. Flattened, they are node-major np-length vectors. Several iterates
 side by side form an (..., n, p) stack.
 """
 
-import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph, adjacency, is_connected
-from .linalg import check_symmetric, sym_eigen
+from .linalg import sym_eigen
 
 STOCH_TOL = 1e-12
 # ConsensusMatrix forms at most this many entries of its t-th power
@@ -21,6 +20,7 @@ APPLY_EACH_ELEMENTS = 2**17
 # a ConsensusMatrix of at most this many nodes applies Z^t, t >= 2, as one
 # product with a dense Z^t; a larger one as two eigenbasis products
 DENSE_POWER_NODES = 24
+PD_MARGIN = 0.1  # lambda_1 after ensure_positive_definite's shift: PD_MARGIN / (1 - delta)
 
 
 class ConsensusMatrixError(ValueError):
@@ -87,9 +87,9 @@ class ConsensusMatrix:
     _ops: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.W = check_symmetric(self.W)
+        self.W = np.asarray(self.W, dtype=float)
+        spec = sym_eigen(self.W)  # rejects a matrix that is not symmetric
         _check_consensus_invariants(self.W, self.graph)
-        spec = sym_eigen(self.W)
         self.eigenvalues = spec.eigenvalues
         self.eigenvectors = spec.eigenvectors
         self.lambda_min = float(spec.eigenvalues[0])
@@ -263,33 +263,31 @@ def _check_consensus_invariants(w, g: Graph):
         raise ConsensusMatrixError("nonzero weight off edge (%d,%d)" % (i, j))
 
 
-def ensure_positive_definite(w_tilde, g: Graph, margin: float = 0.1) -> ConsensusMatrix:
+def ensure_positive_definite(w_tilde, g: Graph) -> ConsensusMatrix:
     """Shift a symmetric doubly stochastic matrix into the positive-definite cone.
 
     If lambda_1 > 0 the matrix is returned unchanged; otherwise applies
-    W = (W~ - delta*I) / (1 - delta) with delta = lambda_1 - margin, which
+    W = (W~ - delta*I) / (1 - delta), delta = lambda_1 - PD_MARGIN, which
     keeps rows stochastic and eigenvectors intact while moving lambda_1 to
-    margin / (1 - delta) > 0. It keeps the sign of every off-diagonal entry,
-    so the ConsensusMatrix constructor rejects a negative one.
+    PD_MARGIN / (1 - delta) > 0. It keeps the sign of every off-diagonal
+    entry, so the ConsensusMatrix constructor rejects a negative one.
     """
-    if not 0 < margin < math.inf:  # NaN fails both comparisons
-        raise ValueError("margin must be positive and finite, got %r" % margin)
-    w_tilde = check_symmetric(w_tilde)
-    lam1 = sym_eigen(w_tilde).eigenvalues[0]
+    w_tilde = np.asarray(w_tilde, dtype=float)
+    lam1 = sym_eigen(w_tilde).eigenvalues[0]  # rejects a matrix that is not symmetric
     if lam1 > 0:
         return ConsensusMatrix(w_tilde.copy(), g)
-    delta = lam1 - margin
+    delta = lam1 - PD_MARGIN
     w = (w_tilde - delta * np.eye(w_tilde.shape[0])) / (1.0 - delta)
     return ConsensusMatrix(w, g)
 
 
-def build_consensus_matrix(g: Graph, rule: str = "metropolis", margin: float = 0.1) -> ConsensusMatrix:
+def build_consensus_matrix(g: Graph, rule: str = "metropolis") -> ConsensusMatrix:
     """Weight-rule construction followed by the positive-definite shift."""
     try:
         base = WEIGHT_RULES[rule]
     except KeyError:
         raise ConsensusMatrixError("unknown weight rule %r" % rule) from None
-    return ensure_positive_definite(base(g), g, margin)
+    return ensure_positive_definite(base(g), g)
 
 
 def apply_consensus(cm: ConsensusMatrix, t: int, y):

@@ -55,8 +55,6 @@ def degrees(g: Graph) -> np.ndarray:
 
 def is_connected(g: Graph) -> bool:
     """Breadth-first search from node 0 reaches every node."""
-    if g.n == 1:
-        return True
     adj = [[] for _ in range(g.n)]
     for (i, j) in g.edges:
         adj[i].append(j)

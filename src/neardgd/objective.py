@@ -8,6 +8,7 @@ Every family here has diagonal per-node Hessians.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,19 @@ def _check_radius(radius):
     """A box radius must be positive; NaN is not. An infinite box is allowed."""
     if not radius > 0:
         raise ObjectiveError("radius must be positive, got %r" % radius)
+
+
+def _quartic_index(n, p, index) -> int:
+    """index as an int in 1..p, on n >= 1 nodes; a fractional one is rejected."""
+    if not n >= 1:
+        raise ObjectiveError("node count must be at least 1, got %r" % (n,))
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise ObjectiveError("index must be an integer, got %r" % (index,)) from None
+    if not 1 <= index <= p:
+        raise ObjectiveError("index %d outside 1..%d" % (index, p))
+    return index
 
 
 class Objective:
@@ -133,8 +147,7 @@ class QuadraticQuarticProblem(Objective):
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.n, self.p = self.q.shape
-        if not 1 <= self.index <= self.p:
-            raise ObjectiveError("index %d outside 1..%d" % (self.index, self.p))
+        self.index = _quartic_index(self.n, self.p, self.index)
         # NaN fails every comparison; c * c, unlike c**2, overflows without raising
         if not (0 < self.c < math.inf and 0 < self.c * self.c / self.n < math.inf):
             raise ObjectiveError("c must be positive, c^2/n finite and nonzero, got %r" % self.c)
@@ -161,10 +174,6 @@ class QuadraticQuarticProblem(Objective):
         with np.errstate(over="ignore", invalid="ignore"):
             if not math.isfinite(self.min_value()):
                 raise ObjectiveError("c must give a finite minimum value f*, got %r" % self.c)
-
-    @property
-    def _ii(self):
-        return self.index - 1
 
     # each oracle forms its products in one array: the operations of
     # (0.5 q + (0.25 c^2/n) x^2) x^2 and x (q + (c^2/n) x^2), with the
@@ -206,11 +215,10 @@ class QuadraticQuarticProblem(Objective):
 
     def minimizers(self):
         """The two symmetric minimizers +-(1/c) sqrt(-sum_i q^i_II) e_I."""
-        s = self.q[:, self._ii].sum()
-        if s >= 0:
-            raise ObjectiveError("sum of q^i_II must be negative")
+        ii = self.index - 1
+        s = self.q[:, ii].sum()
         x = np.zeros(self.p)
-        x[self._ii] = np.sqrt(-s) / self.c
+        x[ii] = np.sqrt(-s) / self.c
         return x, -x
 
     def min_value(self) -> float:
@@ -220,8 +228,7 @@ class QuadraticQuarticProblem(Objective):
 
 def sample_quartic_problem(n, p, index, c, seed) -> QuadraticQuarticProblem:
     """Random diagonals: q^i_II uniform in (-1, 0), the rest uniform in (0, 1)."""
-    if not 1 <= index <= p:  # before q[:, index - 1] reads a wrong column or none
-        raise ObjectiveError("index %d outside 1..%d" % (index, p))
+    index = _quartic_index(n, p, index)  # before q[:, index - 1] reads any column
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     q = rng.uniform(0.0, 1.0, size=(n, p))
     q[q == 0.0] = 0.5  # keep the interval open

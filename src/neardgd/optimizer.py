@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class MethodSpec:
         if self.t < 1 or self.period < 1:
             raise ValueError("method %s needs t >= 1 and period >= 1, got t=%r, "
                              "period=%r" % (self.name, self.t, self.period))
+        for f in fields(self)[1:]:  # a parameter the method lacks keeps its default
+            if f.name != _METHODS[self.name].param and getattr(self, f.name) != f.default:
+                raise ValueError("method %s takes no %s, got %s=%r"
+                                 % (self.name, f.name, f.name, getattr(self, f.name)))
 
     def rounds(self, k: int) -> int:
         """Consensus rounds t_k of iteration k."""

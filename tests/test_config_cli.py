@@ -1,4 +1,7 @@
+import inspect
 import multiprocessing
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +11,7 @@ from neardgd import checks, cli, config
 from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, main)
 from neardgd.config import ConfigError, load_run_config, parse_flat_config
+from neardgd.graph import build_erdos_renyi
 from neardgd.optimizer import MethodSpec, run
 
 SMALL = """
@@ -27,6 +31,14 @@ run.seed = 3
 cost.c_c = 0.01
 output.path = trace.csv
 """
+
+
+def small_running(name):
+    """SMALL with method.name = name and the parameter line of the method,
+    if it carries one."""
+    param = {"near-dgd-t": "\nmethod.t = 2", "near-dgd-plus-doubling": "\nmethod.period = 100"}
+    return SMALL.replace("method.name = near-dgd-t\nmethod.t = 2",
+                         "method.name = %s%s" % (name, param.get(name, "")))
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +112,33 @@ def test_load_run_config_rejects_unknown_and_invalid():
         load_run_config("weights.rule = nope\n")
     with pytest.raises(ConfigError):
         load_run_config("method.name = near-dgd-t\nmethod.t = 0\n")
+    with pytest.raises(ConfigError, match="^n and p must be positive$"):
+        load_run_config("problem.n = 0\n")
+    with pytest.raises(ConfigError, match=r"^run\.budget must be >= 0$"):
+        load_run_config("run.budget = -1\n")
+
+
+@pytest.mark.parametrize("text, edges", [
+    ("graph.kind = star\n", {(0, i) for i in range(1, 12)}),
+    # prob = 1 keeps every pair; prob = 0.3 is the sampler's draw on problem.seed
+    ("graph.kind = erdos-renyi\ngraph.prob = 1\n",
+     {(i, j) for i in range(12) for j in range(i + 1, 12)}),
+    ("graph.kind = erdos-renyi\ngraph.prob = 0.3\nproblem.seed = 4\n",
+     build_erdos_renyi(12, 0.3, 4).edges)], ids=["star", "complete", "erdos-renyi"])
+def test_load_run_config_builds_each_graph_kind(text, edges):
+    assert load_run_config(text).built[1].edges == frozenset(edges)
 
 
 def test_method_keys_without_a_name_apply_to_the_default_method():
     # method.name defaults to near-dgd-t, as RunConfig's method does
     assert load_run_config("method.t = 5\n").method == MethodSpec("near-dgd-t", t=5)
-    assert load_run_config("method.period = 7\n").method.period == 7
+    assert load_run_config("method.name = near-dgd-plus-doubling\nmethod.period = 7\n") \
+        .method == MethodSpec("near-dgd-plus-doubling", period=7)
+    # a parameter the method does not carry is rejected, not dropped
+    for text, says in (("method.period = 7\n", "near-dgd-t takes no period, got period=7"),
+                       ("method.name = dgd\nmethod.t = 5\n", "dgd takes no t, got t=5")):
+        with pytest.raises(ConfigError, match="^method %s$" % says):
+            load_run_config(text)
     for text in ("method.t = 0\n", "method.period = 0\n", "method.t = x\n"):
         with pytest.raises(ConfigError):
             load_run_config(text)
@@ -139,8 +172,7 @@ def test_cmd_run_summary_shows_certificates(tmp_path, capsys, method, budget, na
     # a certificate the method does not evaluate, or any certificate of a
     # run with no iteration, reads n/a, not its untouched initial value
     # (eq7=0, cons_gap=-inf)
-    text = SMALL.replace("method.name = near-dgd-t", "method.name = %s" % method) \
-        .replace("run.budget = 50", "run.budget = %d" % budget)
+    text = small_running(method).replace("run.budget = 50", "run.budget = %d" % budget)
     cfg = write_config(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     fields = dict(token.split("=", 1) for token in capsys.readouterr().out.split())
@@ -236,7 +268,7 @@ def test_cmd_sweep_shared_initial_point(tmp_path, capsys):
     ("near-dgd-t", "near-dgd-t:2"), ("near-dgd-plus", "near-dgd-plus"), ("dgd", "dgd")])
 def test_sweep_line_is_the_run_summary_line(tmp_path, capsys, name, token):
     # a sweep line judges its cell as neardgd run does, less the trace path
-    cfg = write_config(tmp_path, SMALL.replace("method.name = near-dgd-t", "method.name = " + name))
+    cfg = write_config(tmp_path, small_running(name))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     run_line = capsys.readouterr().out.splitlines()[0]
     cfg = write_config(tmp_path, SMALL + "sweep.methods = %s\n" % token)
@@ -313,8 +345,7 @@ def test_cmd_check_reports_inapplicable_certificates(tmp_path, capsys, method, b
     # the baselines evaluate no run certificate, a changing t has no Eq.-7
     # identity, and a run with no iteration certifies no row: those lines
     # are N/A, not PASS, and are not counted
-    cfg = write_config(tmp_path, SMALL.replace("method.name = near-dgd-t",
-                                               "method.name = %s" % method)
+    cfg = write_config(tmp_path, small_running(method)
                        .replace("run.budget = 50", "run.budget = %d" % budget))
     assert main(["check", "--config", cfg]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -364,6 +395,13 @@ def test_cmd_missing_config_is_validation_error(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "check"])
+def test_margin_key_is_rejected_by_every_command(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, SMALL + "weights.margin = 0.1\nsweep.methods = dgd\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: unknown config keys: weights.margin\n"
+
+
 DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-plus-doubling") \
     .replace("method.t = 2", "method.period = 3").replace("run.budget = 50", "run.budget = 3100")
 
@@ -388,8 +426,9 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
     ("run", SMALL + "run.box_radius = nan\n", "out", "radius"),
     ("run", SMALL.replace("cost.c_c = 0.01", "cost.c_c = nan"), "out", "cost"),
     ("sweep", SMALL + "cost.c_g = inf\nsweep.methods = dgd\n", "out", "cost"),
-    ("check", SMALL + "weights.margin = nan\n", None, "margin"),
-    ("run", SMALL + "weights.margin = inf\n", "out", "margin"),
+    # the positive-definite shift's margin is a constant, not a key
+    ("check", SMALL + "weights.margin = nan\n", None, "unknown config keys: weights.margin"),
+    ("run", SMALL + "weights.margin = inf\n", "out", "unknown config keys: weights.margin"),
     ("run", SMALL + "run.grad_tol = nan\n", "out", "grad_tol"),
     ("sweep", SMALL + "run.grad_tol = -1\nsweep.methods = dgd\n", "out", "grad_tol"),
     # a seed is a non-negative integer wherever it is read
@@ -424,7 +463,7 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
         "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
         "nan-c-check", "nan-box-radius-run", "nan-cost-run", "inf-cost-sweep",
-        "nan-margin-check", "inf-margin-run", "nan-grad-tol-run", "negative-grad-tol-sweep",
+        "margin-key-check", "margin-key-run", "nan-grad-tol-run", "negative-grad-tol-sweep",
         "fractional-seeds-sweep", "negative-seeds-sweep", "negative-seed-run",
         "negative-problem-seed-check", "negative-seed-flag-run", "fractional-seed-flag-run",
         "malformed-parallel-sweep", "parallel-flag-run", "unknown-command", "huge-c-run",
@@ -540,10 +579,22 @@ def test_help_exits_0(capsys):
 
 CONFIG_KEYS = ["problem.kind", "problem.n", "problem.p", "problem.I", "problem.c",
                "problem.seed", "graph.kind", "graph.prob", "graph.edges",
-               "weights.rule", "weights.margin", "method.name", "method.t",
+               "weights.rule", "method.name", "method.t",
                "method.period", "sweep.methods", "sweep.seeds", "run.alpha",
                "run.budget", "run.seed", "run.grad_tol", "run.allow_large_alpha",
                "run.box_radius", "cost.c_c", "cost.c_g", "output.path"]
+
+
+def test_config_keys_are_the_keys_the_loader_reads_and_readme_documents():
+    # the fuzz test below draws from CONFIG_KEYS: a key added to the loader
+    # and not here would go untested
+    read = re.findall(r'take\("([^"]+)"', inspect.getsource(config._build_run_config))
+    assert sorted(read) == sorted(CONFIG_KEYS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [key for key in CONFIG_KEYS
+            if not re.search(r"(?<![\w.])%s\b" % re.escape(key), readme)] == []
+
+
 # No decimal digits in free text: a large problem.n would build a large problem.
 _free_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
 _value = st.one_of(_free_text, st.integers(-3, 30).map(str),

@@ -1,10 +1,11 @@
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neardgd import checks, consensus
+from neardgd import checks, consensus, linalg
 from neardgd.diagnostics import FLOAT_COLUMNS
 from neardgd.consensus import (ConsensusMatrix, ConsensusMatrixError, apply_consensus,
                                average_project, build_consensus_matrix,
@@ -42,8 +43,9 @@ def test_metropolis_star3():
 
 
 def test_metropolis_rejects_disconnected():
-    with pytest.raises(ConsensusMatrixError):
-        metropolis_weights(Graph(4, frozenset({(0, 1), (2, 3)})))
+    for rule in (metropolis_weights, max_degree_weights):
+        with pytest.raises(ConsensusMatrixError, match="^graph must be connected$"):
+            rule(Graph(4, frozenset({(0, 1), (2, 3)})))
 
 
 def test_max_degree_star3():
@@ -54,8 +56,8 @@ def test_max_degree_star3():
 
 def test_ensure_pd_ring4_shift():
     g = build_ring(4)
-    cm = ensure_positive_definite(metropolis_weights(g), g, margin=0.1)
-    # affine spectral map with delta = -1/3 - 0.1
+    cm = ensure_positive_definite(metropolis_weights(g), g)
+    # affine spectral map with delta = -1/3 - PD_MARGIN, PD_MARGIN = 0.1
     np.testing.assert_allclose(cm.eigenvalues, [3 / 43, 23 / 43, 23 / 43, 1.0],
                                atol=1e-12)
     assert cm.beta == pytest.approx(23 / 43, abs=1e-12)
@@ -64,13 +66,13 @@ def test_ensure_pd_ring4_shift():
 
 def test_ensure_pd_noop_when_already_pd():
     cm0 = two_node_cm()
-    cm = ensure_positive_definite(cm0.W, cm0.graph, margin=0.1)
+    cm = ensure_positive_definite(cm0.W, cm0.graph)
     np.testing.assert_allclose(cm.W, cm0.W)
 
 
 def test_ensure_pd_two_node_complete_mixing():
     g = Graph(2, frozenset({(0, 1)}))
-    cm = ensure_positive_definite(np.full((2, 2), 0.5), g, margin=0.1)
+    cm = ensure_positive_definite(np.full((2, 2), 0.5), g)
     np.testing.assert_allclose(cm.W, [[6 / 11, 5 / 11], [5 / 11, 6 / 11]], atol=1e-12)
     np.testing.assert_allclose(cm.eigenvalues, [1 / 11, 1.0], atol=1e-12)
 
@@ -87,6 +89,34 @@ def test_constructor_rejects_indefinite():
     g = build_ring(4)
     with pytest.raises(ConsensusMatrixError):
         ConsensusMatrix(metropolis_weights(g), g)
+
+
+@pytest.mark.parametrize("w, g, says", [
+    (np.array([[0.6, 0.4], [0.4, 0.6]]), build_ring(3), "matrix size 2 != graph size 3"),
+    (np.array([[0.6, 0.3], [0.3, 0.6]]), Graph(2, frozenset({(0, 1)})), "rows do not sum to 1"),
+    # the identity on an edgeless two-node graph never mixes
+    (np.eye(2), Graph(2), r"beta=1 outside \[0, 1\)")],
+    ids=["wrong-size", "row-sums", "no-mixing"])
+def test_constructor_rejects_a_matrix_that_breaks_an_invariant(w, g, says):
+    with pytest.raises(ConsensusMatrixError, match="^%s$" % says):
+        ConsensusMatrix(w, g)
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_consensus_matrix, (build_ring(12),)),  # lambda_1 = -1/3: shifted
+    (ensure_positive_definite, (two_node_cm().W, two_node_cm().graph))],  # kept
+    ids=["shifted", "already-pd"])
+def test_a_build_checks_each_matrix_for_symmetry_once(monkeypatch, build, args):
+    # ensure_positive_definite decomposes W~ and the constructor W (W~'s
+    # copy when no shift is needed); each decomposition is the one symmetry
+    # check of its matrix
+    calls, real = [], linalg.check_symmetric
+    for module in list(sys.modules.values()):  # every module that holds it by name
+        if module.__name__.startswith("neardgd") and vars(module).get("check_symmetric") is real:
+            monkeypatch.setattr(module, "check_symmetric",
+                                lambda a: calls.append(a) or real(a))
+    build(*args)
+    assert len(calls) == 2
 
 
 def moved_weight(w, i, j, amount):
@@ -159,6 +189,12 @@ def test_apply_consensus_long_horizon_keeps_mean_and_contraction(t):
     z = apply_consensus(cm, t, y)
     assert np.abs(average_project(z) - m).max() <= 1e-13
     assert np.linalg.norm(z - m) <= cm.beta**t * np.linalg.norm(y - m) + 1e-12
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_apply_consensus_rejects_t_below_one(t):
+    with pytest.raises(ValueError, match="^consensus rounds t must be >= 1$"):
+        apply_consensus(two_node_cm(), t, np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("t", [2.5, 3.0, "3"])

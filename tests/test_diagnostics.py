@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from neardgd import diagnostics
 from neardgd.consensus import ConsensusMatrix, apply_consensus, build_consensus_matrix
 from neardgd.diagnostics import (CommCounter, CostModel, RunTrace, TraceRecord,
                                  _coordinate_blocks,
@@ -220,13 +221,17 @@ def test_optimality_gap_bound_examples():
 # ---------------------------------------------------------------------------
 # Saddle classification
 
-def test_saddle_classification_at_lifted_saddle():
+def test_saddle_classification_at_lifted_saddle(monkeypatch):
     prob, cm = paper_instance()
     rep = saddle_classification(np.zeros((12, 4)), prob, cm, 1, 0.1)
     assert rep.label == "strict-saddle"
     assert rep.lambda_min_s < 0
     assert rep.max_abs_dg_eigenvalue > 1.0
     assert rep.unstable_count >= 1
+    # a dead band wider than |s_min| leaves the sign undecided
+    monkeypatch.setattr(diagnostics, "DEAD_BAND", 2 * abs(rep.lambda_min_s))
+    rep = saddle_classification(np.zeros((12, 4)), prob, cm, 1, 0.1)
+    assert rep.label == "indefinite-tolerance" and rep.unstable_count == 0
 
 
 @pytest.mark.parametrize("t", [2, 10, 20])

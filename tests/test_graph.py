@@ -35,6 +35,7 @@ def test_no_self_loops_or_duplicates():
 
 def test_connectivity():
     assert is_connected(build_ring(5))
+    assert is_connected(Graph(1))
     assert not is_connected(Graph(2, frozenset()))
     assert not is_connected(Graph(4, frozenset({(0, 1), (2, 3)})))
 

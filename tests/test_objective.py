@@ -104,6 +104,21 @@ def test_sampler_rejects_an_index_outside_1_to_p(index):
         sample_quartic_problem(12, 4, index, 1.0, 0)
 
 
+@pytest.mark.parametrize("build, says", [
+    (lambda: sample_quartic_problem(12, 4, 2.5, 1.0, 0), "index must be an integer, got 2.5"),
+    (lambda: QuadraticQuarticProblem(q=np.array([[-0.5, 0.25]]), index=1.5, c=1.0),
+     "index must be an integer, got 1.5"),
+    (lambda: sample_quartic_problem(0, 4, 1, 1.0, 0), "node count must be at least 1, got 0"),
+    (lambda: QuadraticQuarticProblem(q=np.empty((0, 2)), index=1, c=1.0),
+     "node count must be at least 1, got 0")],
+    ids=["fractional-index-sampler", "fractional-index-constructor", "no-nodes-sampler",
+         "no-nodes-constructor"])
+def test_quartic_family_rejects_a_fractional_index_or_no_nodes(build, says):
+    # these raised IndexError and ZeroDivisionError
+    with pytest.raises(ObjectiveError, match="^%s$" % re.escape(says)):
+        build()
+
+
 @pytest.mark.parametrize("c, says", [
     (1e155, "c^2/n finite and nonzero"),  # c**2 overflows
     (1e-200, "c^2/n finite and nonzero"),  # c^2/n underflows to 0; f* would be -inf

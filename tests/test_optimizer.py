@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neardgd.consensus import (ConsensusMatrix, build_consensus_matrix,
-                               ensure_positive_definite, metropolis_weights)
+from neardgd.consensus import ConsensusMatrix, build_consensus_matrix
 from neardgd.diagnostics import (CostModel, descent_residual, lyapunov_value,
                                  lyapunov_value_at)
 from neardgd.graph import Graph, build_ring
@@ -55,9 +54,19 @@ def test_schedule_fixed_linear_doubling():
                          ("near-dgd-plus-doubling", dict(period=2.5))):
         with pytest.raises(ValueError, match="needs integer t and period"):
             MethodSpec(name, **kwargs)
-    spec = MethodSpec("near-dgd-plus-doubling", t=np.int32(2), period=np.int64(4))
-    assert spec == MethodSpec("near-dgd-plus-doubling", t=2, period=4)
-    assert type(spec.t) is type(spec.period) is int
+    for name, param, value in (("near-dgd-t", "t", np.int32(2)),
+                               ("near-dgd-plus-doubling", "period", np.int64(4))):
+        spec = MethodSpec(name, **{param: value})
+        assert spec == MethodSpec(name, **{param: int(value)})
+        assert type(spec.t) is type(spec.period) is int
+    # a parameter the method does not carry stays at its default: t=5 on
+    # dgd ran dgd, and MethodSpec("dgd", t=5) differed from MethodSpec("dgd")
+    for name, param, value in (("dgd", "t", 5), ("gradient-tracking", "period", 7),
+                               ("near-dgd-plus", "t", 2), ("near-dgd-t", "period", 7),
+                               ("near-dgd-plus-doubling", "t", 2)):
+        with pytest.raises(ValueError, match="^method %s takes no %s, got %s=%d$"
+                           % (name, param, param, value)):
+            MethodSpec(name, **{param: value})
 
 
 _METHODS = st.one_of(
@@ -601,8 +610,6 @@ def test_library_checks_reject_meaningless_values(bad):
         CostModel(c_c=bad)
     with pytest.raises(ValueError, match="cost coefficients"):
         CostModel(c_g=bad)
-    with pytest.raises(ValueError, match="margin"):
-        ensure_positive_definite(metropolis_weights(cm.graph), cm.graph, margin=bad)
     if bad != float("inf"):
         for objective in (prob, quadratic):
             with pytest.raises(ValueError, match="radius"):

@@ -51,8 +51,13 @@ problem.p = 2
 problem.I = 2
 run.budget = 200
 method.name = %s
-method.t = 2
 """
+
+
+def small_check(method):
+    """SMALL_CHECK running method, with method.t = 2 for near-dgd-t."""
+    return SMALL_CHECK % method + ("method.t = 2\n" if method == "near-dgd-t" else "")
+
 
 SWEEP = """\
 run.budget = 300
@@ -195,16 +200,16 @@ def cli_digests():
             yield sha(capture(["check"])), "stdout check (default config)"
             for method in ("near-dgd-t", "near-dgd-plus", "near-dgd-plus-doubling",
                            "dgd", "gradient-tracking"):
-                Path("check.cfg").write_text(SMALL_CHECK % method)
+                Path("check.cfg").write_text(small_check(method))
                 yield (sha(capture(["check", "--config", "check.cfg"])),
                        "stdout check (method.name = %s)" % method)
                 yield (sha(capture(["run", "--config", "check.cfg", "--out", "."])),
                        "stdout run (method.name = %s)" % method)
-            Path("check.cfg").write_text((SMALL_CHECK % "near-dgd-t") + "run.grad_tol = 1e-2\n")
+            Path("check.cfg").write_text(small_check("near-dgd-t") + "run.grad_tol = 1e-2\n")
             yield (sha(capture(["check", "--config", "check.cfg"])),
                    "stdout check (run.grad_tol = 1e-2, ends at k = 85 of 200)")
             # no iteration: no certificate row
-            Path("check.cfg").write_text((SMALL_CHECK % "near-dgd-t").replace(
+            Path("check.cfg").write_text(small_check("near-dgd-t").replace(
                 "run.budget = 200", "run.budget = 0"))
             for command in ("run", "check"):
                 yield (sha(capture([command, "--config", "check.cfg", "--out", "."])),
