@@ -9,8 +9,7 @@ from .diagnostics import (CommCounter, CostModel, RunTrace, consensus_distance,
                           descent_residual, lyapunov_grad, lyapunov_hessian,
                           lyapunov_value, optimality_gap_bound, rho_constant,
                           saddle_classification)
-from .graph import (Graph, build_erdos_renyi, build_ring, build_star, degrees,
-                    is_connected)
+from .graph import Graph, build_erdos_renyi, build_ring, build_star, is_connected
 from .linalg import Spectrum, sym_eigen
 from .objective import (QuadraticProblem, QuadraticQuarticProblem,
                         sample_quadratic_problem, sample_quartic_problem)

@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("run", cmd_run), ("sweep", cmd_sweep), ("check", cmd_check)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--out", default=None, help="output directory")
+        if name != "check":  # check writes no file
+            p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=seed, default=None, help="override config seed")
         if name == "sweep":
             p.add_argument("--parallel", type=int, default=1, help="worker processes")

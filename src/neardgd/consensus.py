@@ -55,7 +55,7 @@ def max_degree_weights(g: Graph) -> np.ndarray:
 WEIGHT_RULES = {"metropolis": metropolis_weights, "maxdegree": max_degree_weights}
 
 
-@dataclass
+@dataclass(eq=False)
 class ConsensusMatrix:
     """Symmetric doubly stochastic positive-definite weight matrix.
 

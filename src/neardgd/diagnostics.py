@@ -9,6 +9,7 @@ stacks of iterates, and each iterate's value equals its (n, p) call bitwise.
 
 import math
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -283,54 +284,52 @@ TRACE_COLUMNS = TraceRecord._fields
 FLOAT_COLUMNS = TRACE_COLUMNS[4:10]  # f_err .. dist_saddle
 
 
-class _Block(NamedTuple):
-    """r trace rows as columns."""
-    k: list
-    t_k: list
-    comms: list
-    grads: list
-    floats: np.ndarray  # (r, 6), the FLOAT_COLUMNS
-    cost: list
-
-
 @dataclass(eq=False)
 class RunTrace:
-    """Per-iteration trace rows of one run, kept as columns a block at a time.
-
-    A block of r rows holds k, t_k, comms and grads as lists of Python ints
-    (a doubling schedule's counts outgrow int64), the six FLOAT_COLUMNS as
-    one (r, 6) array, and the cost column as a list: ints under integer
-    cost coefficients, floats otherwise. ``records`` builds a new list of
-    every row as a TraceRecord on each access; ``final`` builds only the last.
-    """
+    """Per-iteration trace rows of one run, kept as columns: k, t_k, comms
+    and grads as lists of Python ints (a doubling schedule's counts outgrow
+    int64), the six FLOAT_COLUMNS as a list of the (r, 6) arrays appended,
+    so that an append copies no earlier row, and cost as a list: ints under
+    integer cost coefficients, floats otherwise. ``records`` builds a new
+    list of every row as a TraceRecord on each access; ``final`` builds
+    only the last."""
 
     method: str
     seed: int
     diverged: bool = False
     divergence_note: str = ""
-    _blocks: list = field(default_factory=list, init=False, repr=False)
+    _ints: tuple = field(default_factory=lambda: ([], [], [], []), init=False, repr=False)
+    _floats: list = field(default_factory=lambda: [np.empty((0, len(FLOAT_COLUMNS)))],
+                          init=False, repr=False)
+    _costs: list = field(default_factory=list, init=False, repr=False)
 
     def extend(self, ks, ts, comms, grads, floats, costs):
         """Append r rows: four lists of r ints, an (r, 6) float array and r costs."""
-        self._blocks.append(_Block(ks, ts, comms, grads, floats, costs))
+        for column, values in zip(self._ints, (ks, ts, comms, grads)):
+            column.extend(values)
+        self._floats.append(floats)
+        self._costs.extend(costs)
+
+    def _rows(self, start=0):
+        """The rows from start on (counted from the end when negative), as
+        tuples in TRACE_COLUMNS order."""
+        return zip(*(column[start:] for column in self._ints),
+                   *np.concatenate(self._floats)[start:].T.tolist(), self._costs[start:])
 
     @property
     def records(self) -> list:
-        return [row for ks, ts, comms, grads, floats, costs in self._blocks
-                for row in map(TraceRecord, ks, ts, comms, grads, *floats.T.tolist(), costs)]
+        return list(starmap(TraceRecord, self._rows()))
 
     @property
     def final(self) -> TraceRecord:
-        ks, ts, comms, grads, floats, costs = self._blocks[-1]  # IndexError when empty
-        return TraceRecord(ks[-1], ts[-1], comms[-1], grads[-1], *floats[-1].tolist(), costs[-1])
+        return TraceRecord(*list(self._rows(-1))[0])  # IndexError when empty
 
     def column(self, name):
         """One column over every row: a float array for FLOAT_COLUMNS, a
         list for the integer columns and cost."""
         if name in FLOAT_COLUMNS:
-            j = FLOAT_COLUMNS.index(name)
-            return np.concatenate([b.floats[:, j] for b in self._blocks] or [np.empty(0)])
-        return [value for block in self._blocks for value in getattr(block, name)]
+            return np.concatenate(self._floats)[:, FLOAT_COLUMNS.index(name)]
+        return list(self._costs if name == "cost" else self._ints[TRACE_COLUMNS.index(name)])
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -351,9 +350,8 @@ class RunTrace:
         head = (prefix.replace("%", "%%") + "%d,%d,%d,%d,"
                 + "%.17g," * (len(TRACE_COLUMNS) - 5))
         float_cost, int_cost = head + "%.17g\n", head + "%d\n"
-        for ks, ts, comms, grads, floats, costs in self._blocks:
-            fh.writelines((int_cost if isinstance(row[-1], (int, np.integer)) else float_cost)
-                          % row for row in zip(ks, ts, comms, grads, *floats.T.tolist(), costs))
+        fh.writelines((int_cost if isinstance(row[-1], (int, np.integer)) else float_cost) % row
+                      for row in self._rows())
 
     def cost_to_reach(self, f_err_target: float) -> float:
         """Cost of first reaching the error target and staying at or below it.

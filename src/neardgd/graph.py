@@ -48,11 +48,6 @@ def adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-def degrees(g: Graph) -> np.ndarray:
-    """Per-node edge counts."""
-    return adjacency(g).sum(axis=1)
-
-
 def is_connected(g: Graph) -> bool:
     """Breadth-first search from node 0 reaches every node."""
     adj = [[] for _ in range(g.n)]

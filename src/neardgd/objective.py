@@ -26,10 +26,34 @@ def _check_radius(radius):
         raise ObjectiveError("radius must be positive, got %r" % radius)
 
 
-def _quartic_index(n, p, index) -> int:
-    """index as an int in 1..p, on n >= 1 nodes; a fractional one is rejected."""
-    if not n >= 1:
-        raise ObjectiveError("node count must be at least 1, got %r" % (n,))
+def _sizes(n, p):
+    """The node count n and coordinate count p as ints, each at least 1."""
+    sizes = []
+    for name, value in (("node count", n), ("coordinate count", p)):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ObjectiveError("%s must be an integer, got %r" % (name, value)) from None
+        if value < 1:
+            raise ObjectiveError("%s must be at least 1, got %d" % (name, value))
+        sizes.append(value)
+    return sizes
+
+
+def _coefficients(name, a) -> np.ndarray:
+    """a as a finite (n, p) float array with n, p >= 1."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ObjectiveError("%s must be an (n, p) array, got shape %r" % (name, a.shape))
+    _sizes(*a.shape)
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise ObjectiveError("%s must be finite, got %r" % (name, float(bad[0])))
+    return a
+
+
+def _quartic_index(p, index) -> int:
+    """index as an int in 1..p; a fractional one is rejected."""
     try:
         index = operator.index(index)
     except TypeError:
@@ -40,7 +64,7 @@ def _quartic_index(n, p, index) -> int:
 
 
 class Objective:
-    """Separable objective defined by five primitives.
+    """Separable objective defined by six primitives.
 
     Subclasses implement three per-node primitives, node_values
     ((..., n, p) -> (..., n), the f_i(x_i)), node_grads ((..., n, p) ->
@@ -48,8 +72,9 @@ class Objective:
     (..., n, p), the diagonals of the Hessians of the f_i at x_i); one
     network primitive, network_value_and_grad ((K, p) -> (K,), (K, p): the
     network-wide f(v) = sum_i f_i(v) and its gradient at each of K points,
-    in closed form, without an n-fold broadcast); and lipschitz_estimate.
-    Stacked evaluators and single-point aggregates are derived here, and
+    in closed form, without an n-fold broadcast); lipschitz_estimate; and
+    minimizers, the global minimizers of that f. Stacked evaluators,
+    single-point aggregates and f* = min_value() are derived here, and
     subclasses do not override them.
 
     The primitives run once per iteration on small arrays, where a NumPy
@@ -78,6 +103,13 @@ class Objective:
 
     def lipschitz_estimate(self, radius: float) -> float:
         raise NotImplementedError
+
+    def minimizers(self) -> tuple:
+        raise NotImplementedError
+
+    def min_value(self) -> float:
+        """f*: the network-wide f at the first of minimizers()."""
+        return self.global_value(self.minimizers()[0])
 
     # stacked evaluators over (n, p) iterates
 
@@ -130,7 +162,7 @@ class Objective:
         return v[None]
 
 
-@dataclass
+@dataclass(eq=False)
 class QuadraticQuarticProblem(Objective):
     """Diagonal quadratics plus a quartic along one coordinate.
 
@@ -145,14 +177,12 @@ class QuadraticQuarticProblem(Objective):
     c: float
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
+        self.q = _coefficients("the diagonals q", self.q)
         self.n, self.p = self.q.shape
-        self.index = _quartic_index(self.n, self.p, self.index)
+        self.index = _quartic_index(self.p, self.index)
         # NaN fails every comparison; c * c, unlike c**2, overflows without raising
         if not (0 < self.c < math.inf and 0 < self.c * self.c / self.n < math.inf):
             raise ObjectiveError("c must be positive, c^2/n finite and nonzero, got %r" % self.c)
-        if not np.isfinite(self.q).all():
-            raise ObjectiveError("the diagonals q must be finite")
         ii = self.index - 1
         if np.any(self.q[:, ii] >= 0):
             raise ObjectiveError("q^i_II must be negative at the quartic coordinate")
@@ -221,14 +251,11 @@ class QuadraticQuarticProblem(Objective):
         x[ii] = np.sqrt(-s) / self.c
         return x, -x
 
-    def min_value(self) -> float:
-        """Network objective value at either minimizer."""
-        return self.global_value(self.minimizers()[0])
-
 
 def sample_quartic_problem(n, p, index, c, seed) -> QuadraticQuarticProblem:
     """Random diagonals: q^i_II uniform in (-1, 0), the rest uniform in (0, 1)."""
-    index = _quartic_index(n, p, index)  # before q[:, index - 1] reads any column
+    n, p = _sizes(n, p)
+    index = _quartic_index(p, index)  # before q[:, index - 1] reads any column
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     q = rng.uniform(0.0, 1.0, size=(n, p))
     q[q == 0.0] = 0.5  # keep the interval open
@@ -237,7 +264,7 @@ def sample_quartic_problem(n, p, index, c, seed) -> QuadraticQuarticProblem:
     return QuadraticQuarticProblem(q=q, index=index, c=float(c))
 
 
-@dataclass
+@dataclass(eq=False)
 class QuadraticProblem(Objective):
     """Strongly convex sanity problem: f_i(x) = 1/2 ||x - b_i||^2.
 
@@ -247,7 +274,7 @@ class QuadraticProblem(Objective):
     b: np.ndarray  # (n, p) targets
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
+        self.b = _coefficients("the targets b", self.b)
         self.n, self.p = self.b.shape
 
     def node_values(self, x):
@@ -274,14 +301,13 @@ class QuadraticProblem(Objective):
         _check_radius(radius)
         return 1.0
 
-    def minimizer(self) -> np.ndarray:
-        return self.b.mean(axis=0)
-
-    def min_value(self) -> float:
-        return self.global_value(self.minimizer())
+    def minimizers(self):
+        """The unique minimizer, the mean of the b_i."""
+        return (self.b.mean(axis=0),)
 
 
 def sample_quadratic_problem(n, p, seed) -> QuadraticProblem:
+    n, p = _sizes(n, p)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     return QuadraticProblem(b=rng.uniform(-1.0, 1.0, size=(n, p)))
 

@@ -398,7 +398,8 @@ def test_cmd_missing_config_is_validation_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["run", "sweep", "check"])
 def test_margin_key_is_rejected_by_every_command(tmp_path, capsys, command):
     cfg = write_config(tmp_path, SMALL + "weights.margin = 0.1\nsweep.methods = dgd\n")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    out = [] if command == "check" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", cfg, *out]) == EXIT_VALIDATION
     assert capsys.readouterr().err == "validation error: unknown config keys: weights.margin\n"
 
 
@@ -459,6 +460,9 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
     ("sweep", SMALL + "sweep.methods = nope:3\n", "out", "(unknown method 'nope')"),
     ("run", SMALL.replace("graph.kind = ring", "graph.kind = edgelist\ngraph.edges =\n"
                           "  0 1\n  a b\n  2 3\n  3 0"), "out", "malformed edge line: 'a b'"),
+    # says holds the whole line
+    ("run", SMALL.replace("graph.kind = ring", "graph.kind = edgelist\ngraph.edges =\n"
+                          "  0 1\n  2 3"), "out", "validation error: graph is not connected\n"),
 ], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
         "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
@@ -469,7 +473,8 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
         "malformed-parallel-sweep", "parallel-flag-run", "unknown-command", "huge-c-run",
         "tiny-c-check", "malformed-method-token-sweep", "empty-method-parameter-sweep",
         "empty-parameter-of-a-baseline-sweep", "spaced-method-name-sweep",
-        "unknown-method-with-parameter-sweep", "malformed-edge-line-run"])
+        "unknown-method-with-parameter-sweep", "malformed-edge-line-run",
+        "disconnected-edge-list-run"])
 def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, text, out,
                                                      says):
     (tmp_path / "a_file").write_text("")
@@ -567,6 +572,25 @@ def test_parallel_is_a_sweep_option_only(tmp_path):
     cfg = write_config(tmp_path)
     for command in ("run", "check"):
         assert main([command, "--config", cfg, "--parallel", "2"]) == EXIT_VALIDATION
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    # a flag a command ignores (check took --out and wrote nothing) fails here
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if action.choices)
+    flags = {name: {flag for action in sub._actions for flag in action.option_strings
+                    if flag not in ("-h", "--help")}
+             for name, sub in commands.items()}
+    assert flags == {"run": {"--config", "--out", "--seed"},
+                     "sweep": {"--config", "--out", "--seed", "--parallel"},
+                     "check": {"--config", "--seed"}}
+
+
+def test_check_rejects_out_and_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["check", "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: unrecognized arguments: --out %s\n" % out
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):

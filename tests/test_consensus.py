@@ -12,7 +12,7 @@ from neardgd.consensus import (ConsensusMatrix, ConsensusMatrixError, apply_cons
                                ensure_positive_definite, max_degree_weights,
                                metropolis_weights)
 from neardgd.graph import Graph, build_erdos_renyi, build_ring, build_star
-from neardgd.objective import sample_quartic_problem
+from neardgd.objective import sample_quadratic_problem, sample_quartic_problem
 from neardgd.optimizer import MethodSpec, run
 
 
@@ -463,6 +463,41 @@ def test_dense_powers_keep_the_two_product_runs_within_the_bit_contract(monkeypa
         np.testing.assert_array_equal(first.final_y, second.final_y)
         np.testing.assert_array_equal(first.trace.column("lyapunov"),
                                       second.trace.column("lyapunov"))
+
+
+def test_matrices_and_problems_compare_by_identity():
+    # the generated == compared the array fields and raised NumPy's
+    # ambiguous-truth-value ValueError, and left the classes unhashable
+    for build in (lambda: build_consensus_matrix(build_ring(5)),
+                  lambda: sample_quartic_problem(4, 2, 1, 1.0, 0),
+                  lambda: sample_quadratic_problem(4, 2, 0)):
+        a, b = build(), build()
+        assert a == a and a != b and len({a, a, b}) == 2
+
+
+def _scaled_at(t_off):
+    """checks.apply_consensus, its result doubled at t = t_off."""
+    real = checks.apply_consensus
+    return lambda cm, t, y: real(cm, t, y) * (2.0 if t == t_off else 1.0)
+
+
+@pytest.mark.parametrize("patch, failure", [
+    (lambda monkeypatch, cm: monkeypatch.setattr(checks, "apply_consensus", _scaled_at(1)),
+     "expansive"),
+    (lambda monkeypatch, cm: monkeypatch.setattr(cm, "beta", 0.0), "contraction bound"),
+    (lambda monkeypatch, cm: monkeypatch.setattr(checks, "apply_consensus", _scaled_at(2)),
+     "composition")], ids=["expansive", "contraction-bound", "composition"])
+def test_consensus_check_names_each_broken_property(monkeypatch, patch, failure):
+    cm = build_consensus_matrix(build_ring(12))
+    patch(monkeypatch, cm)
+    ok, detail = checks.check_consensus_properties(cm, np.random.default_rng(0))
+    assert not ok and failure in detail.split(", ")
+
+
+def test_pd_check_fails_when_an_indefinite_matrix_is_accepted(monkeypatch):
+    assert checks.check_pd_rejection() == (True, "")
+    monkeypatch.setattr(checks, "ConsensusMatrix", lambda w, g: None)
+    assert checks.check_pd_rejection() == (False, "indefinite matrix accepted")
 
 
 def test_consensus_check_catches_a_dense_power_off_the_two_product_form(monkeypatch):

@@ -70,6 +70,13 @@ def test_lyapunov_grad_hand_example():
     np.testing.assert_allclose(g, [[1.64], [-1.64]], atol=1e-12)
 
 
+@pytest.mark.parametrize("fn", [lyapunov_value, lyapunov_grad])
+def test_lyapunov_rejects_a_nan_step(fn):
+    prob, cm = two_node_instance()
+    with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
+        fn(np.zeros((2, 1)), prob, cm, 1, math.nan)
+
+
 def test_lyapunov_grad_zero_at_consensual_critical_point():
     prob, cm = two_node_instance()
     np.testing.assert_allclose(lyapunov_grad(np.zeros((2, 1)), prob, cm, 3, 0.1),

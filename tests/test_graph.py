@@ -1,16 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from neardgd.graph import (Graph, TopologyError, adjacency, build_erdos_renyi,
-                           build_ring, build_star, degrees, from_edge_list,
+                           build_ring, build_star, from_edge_list,
                            is_connected)
 
 
 def test_ring_paper_size():
     g = build_ring(12)
     assert len(g.edges) == 12
-    assert all(d == 2 for d in degrees(g))
+    assert all(d == 2 for d in adjacency(g).sum(axis=1))
 
 
 def test_ring_triangle():
@@ -33,6 +35,20 @@ def test_no_self_loops_or_duplicates():
     assert g.edges == frozenset({(0, 1)})
 
 
+@pytest.mark.parametrize("build, says", [
+    (lambda: Graph(0), "node count must be positive"),
+    (lambda: Graph(3, frozenset({(0, 5)})), "edge (0,5) out of range for n=3"),
+    (lambda: build_star(1), "star requires n >= 2, got n=1"),
+    (lambda: build_erdos_renyi(1, 0.5, 0), "invalid Erdos-Renyi parameters n=1, prob=0.5"),
+    (lambda: build_erdos_renyi(4, 1.5, 0), "invalid Erdos-Renyi parameters n=4, prob=1.5"),
+    (lambda: build_erdos_renyi(4, 0.0, 0), "no connected G(4, 0) sample within 200 tries")],
+    ids=["no-nodes", "edge-out-of-range", "one-node-star", "one-node-erdos-renyi",
+         "probability-above-1", "never-connected"])
+def test_invalid_topology_is_rejected(build, says):
+    with pytest.raises(TopologyError, match="^%s$" % re.escape(says)):
+        build()
+
+
 def test_connectivity():
     assert is_connected(build_ring(5))
     assert is_connected(Graph(1))
@@ -41,10 +57,10 @@ def test_connectivity():
 
 
 def test_degrees():
-    assert list(degrees(build_ring(4))) == [2, 2, 2, 2]
-    assert list(degrees(build_star(4))) == [3, 1, 1, 1]
-    assert list(degrees(Graph(2, frozenset({(0, 1)})))) == [1, 1]
-    assert list(degrees(Graph(2, frozenset()))) == [0, 0]
+    assert list(adjacency(build_ring(4)).sum(axis=1)) == [2, 2, 2, 2]
+    assert list(adjacency(build_star(4)).sum(axis=1)) == [3, 1, 1, 1]
+    assert list(adjacency(Graph(2, frozenset({(0, 1)}))).sum(axis=1)) == [1, 1]
+    assert list(adjacency(Graph(2, frozenset())).sum(axis=1)) == [0, 0]
     np.testing.assert_array_equal(adjacency(build_star(3)),
                                   [[False, True, True], [True, False, False], [True, False, False]])
 
@@ -53,7 +69,7 @@ def test_degrees():
 def test_ring_connected_and_degree_sum(n):
     g = build_ring(n)
     assert is_connected(g)
-    assert degrees(g).sum() == 2 * len(g.edges)
+    assert adjacency(g).sum(axis=1).sum() == 2 * len(g.edges)
 
 
 def test_erdos_renyi_connected_and_deterministic():

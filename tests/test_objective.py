@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from neardgd.objective import (ObjectiveError, QuadraticQuarticProblem,
+from neardgd.objective import (ObjectiveError, QuadraticProblem, QuadraticQuarticProblem,
                                finite_difference_grad,
                                sample_quadratic_problem,
                                sample_quartic_problem)
@@ -119,6 +119,35 @@ def test_quartic_family_rejects_a_fractional_index_or_no_nodes(build, says):
         build()
 
 
+@pytest.mark.parametrize("build, says", [
+    (lambda: sample_quadratic_problem(0, 2, 0), "node count must be at least 1, got 0"),
+    (lambda: QuadraticProblem(b=np.array([[np.nan, 1.0]])), "the targets b must be finite, got nan"),
+    (lambda: sample_quartic_problem(2.5, 4, 2, 1.0, 0), "node count must be an integer, got 2.5"),
+    (lambda: sample_quadratic_problem(2.5, 2, 0), "node count must be an integer, got 2.5"),
+    (lambda: QuadraticQuarticProblem(q=np.array([-0.5, 0.25]), index=1, c=1.0),
+     "the diagonals q must be an (n, p) array, got shape (2,)"),
+    (lambda: sample_quartic_problem(3, 0, 1, 1.0, 0), "coordinate count must be at least 1, got 0"),
+    (lambda: QuadraticQuarticProblem(q=np.array([[-np.inf, 1.0]]), index=1, c=1.0),
+     "the diagonals q must be finite, got -inf")],
+    ids=["no-nodes-quadratic-sampler", "nan-target", "fractional-n-quartic-sampler",
+         "fractional-n-quadratic-sampler", "one-dimensional-q", "no-coordinates-quartic-sampler",
+         "infinite-q"])
+def test_both_families_reject_bad_sizes_and_coefficients(build, says):
+    # an empty problem had a nan f*, NumPy raised TypeError on a fractional
+    # n, a 1-D q failed to unpack, and p = 0 was reported as a bad index
+    with pytest.raises(ObjectiveError, match="^%s$" % re.escape(says)):
+        build()
+
+
+def test_stacked_oracles_reject_a_wrong_shape():
+    prob = sample_quartic_problem(12, 4, 4, 1.0, 0)
+    with pytest.raises(ObjectiveError, match=re.escape("expected shape (..., 12, 4), got (3, 4)")):
+        prob.stacked_value(np.zeros((3, 4)))
+    # stacked_grad takes one (n, p) iterate, not a stack
+    with pytest.raises(ObjectiveError, match=re.escape("expected shape (12, 4), got (2, 12, 4)")):
+        prob.stacked_grad(np.zeros((2, 12, 4)))
+
+
 @pytest.mark.parametrize("c, says", [
     (1e155, "c^2/n finite and nonzero"),  # c**2 overflows
     (1e-200, "c^2/n finite and nonzero"),  # c^2/n underflows to 0; f* would be -inf
@@ -131,10 +160,10 @@ def test_c_outside_the_float_range_is_rejected(c, says):
 def test_quadratic_problem():
     prob = sample_quadratic_problem(2, 1, seed=0)
     prob.b = np.array([[0.0], [2.0]])
-    np.testing.assert_allclose(prob.minimizer(), [1.0])
+    np.testing.assert_allclose(prob.minimizers()[0], [1.0])
     zero = sample_quadratic_problem(3, 2, seed=1)
     zero.b = np.zeros((3, 2))
-    np.testing.assert_allclose(zero.minimizer(), [0.0, 0.0])
+    np.testing.assert_allclose(zero.minimizers()[0], [0.0, 0.0])
     a = sample_quadratic_problem(4, 2, seed=5)
     b = sample_quadratic_problem(4, 2, seed=5)
     np.testing.assert_array_equal(a.b, b.b)

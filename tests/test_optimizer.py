@@ -319,7 +319,7 @@ def test_run_quadratic_near_dgd_plus_converges_exactly():
     rng = np.random.default_rng(5)
     prob = QuadraticProblem(rng.uniform(-1, 1, size=(6, 2)))
     res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.5, budget=200)
-    assert np.linalg.norm(res.final_avg - prob.minimizer()) <= 1e-8
+    assert np.linalg.norm(res.final_avg - prob.minimizers()[0]) <= 1e-8
     assert res.final_avg_grad_norm <= 1e-8
 
 

@@ -211,9 +211,9 @@ def cli_digests():
             # no iteration: no certificate row
             Path("check.cfg").write_text(small_check("near-dgd-t").replace(
                 "run.budget = 200", "run.budget = 0"))
-            for command in ("run", "check"):
-                yield (sha(capture([command, "--config", "check.cfg", "--out", "."])),
-                       "stdout %s (run.budget = 0)" % command)
+            for argv in (["run", "--out", "."], ["check"]):
+                yield (sha(capture(argv + ["--config", "check.cfg"])),
+                       "stdout %s (run.budget = 0)" % argv[0])
         finally:
             os.chdir(cwd)
 
