@@ -5,6 +5,7 @@ p-vector. Flattened, they are node-major np-length vectors. Several iterates
 side by side form an (..., n, p) stack.
 """
 
+import copy
 import operator
 from dataclasses import dataclass, field
 
@@ -73,6 +74,12 @@ class ConsensusMatrix:
     that t alone. An operator is a function of (W, t) alone, each slice of
     a batched formation the same BLAS product as a lone one, so every
     result depends on (cm, t, operand) alone, never on what the memo holds.
+
+    dense_twin() is the same matrix in the dense mode, at any n: a shallow
+    copy sharing W and the eigenpairs, with a memo of its own, made on first
+    use and kept here (the matrix itself on at most DENSE_POWER_NODES
+    nodes). A run whose schedule repeats each t on enough iterations runs
+    on it; the matrix's own results keep their bits.
     """
 
     W: np.ndarray
@@ -85,6 +92,8 @@ class ConsensusMatrix:
     # the memo: lam^t and the operator of each t it holds
     _lams: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     _ops: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _twin: "ConsensusMatrix | None" = field(init=False, default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -105,6 +114,21 @@ class ConsensusMatrix:
     @property
     def n(self):
         return self.W.shape[0]
+
+    def dense_twin(self) -> "ConsensusMatrix":
+        """This matrix in the dense mode: Z^t, t >= 2, applied as one product
+        with a dense Z^t whatever n. Forming a Z^t costs one n x n x n
+        product and each use then saves one n x n x p product over the two
+        eigenbasis products, so it pays on a t applied n / p times or more.
+        Its products equal those of a dense matrix bitwise, and differ from
+        this matrix's, above DENSE_POWER_NODES nodes, by rounding only."""
+        if self._vt is None:
+            return self
+        if self._twin is None:
+            twin = copy.copy(self)
+            twin._vt, twin._lams, twin._ops = None, {}, {}
+            self._twin = twin
+        return self._twin
 
     def powers(self, t) -> np.ndarray:
         """lam^t, a fresh (n,) array, with the top eigenvalue's power pinned
@@ -146,9 +170,10 @@ class ConsensusMatrix:
         """On a dense matrix, make the memo hold exactly the distinct t >= 2
         of ts, keeping those it holds and forming the others a chunk at a
         time. A run calls this once per block, so that its loop, its
-        certificate pass and rho_constant share one lam^t and one Z^t per t.
-        A two-product matrix keeps the one t that apply() last formed: its
-        operators are n x n each, and a block may need hundreds of them.
+        certificate pass and rho_constant share one lam^t and one Z^t per t;
+        a run on the dense twin does so at every n. A two-product matrix
+        keeps the one t that apply() last formed: its operators are n x n
+        each, and a block may need hundreds of them.
         """
         if self._vt is not None:
             return

@@ -32,14 +32,18 @@ BOX_INFLATION = 4.0     # trajectory box radius = INIT_BOUND * BOX_INFLATION
 BLOCK_ELEMENTS = 2**14
 
 # Each method's facts, read through MethodSpec alone: the field that its token
-# "name:value" and its label carry, and the values of MethodSpec's properties.
-_Facts = namedtuple("_Facts", "param certificates comms_per_round near_dgd")
+# "name:value" and its label carry, the values of MethodSpec's properties, and
+# the consecutive iterations that share one t (repeats()): every one of a run
+# (inf), one, or the named field.
+_Facts = namedtuple("_Facts", "param certificates comms_per_round near_dgd repeat")
 _METHODS = {
-    "near-dgd-t": _Facts("t", ("descent-residual", "eq7-identity", "consensus-bound"), 1, True),
-    "near-dgd-plus": _Facts(None, ("descent-residual", "consensus-bound"), 1, True),
-    "near-dgd-plus-doubling": _Facts("period", ("descent-residual", "consensus-bound"), 1, True),
-    "dgd": _Facts(None, (), 1, False),
-    "gradient-tracking": _Facts(None, (), 2, False),
+    "near-dgd-t": _Facts("t", ("descent-residual", "eq7-identity", "consensus-bound"), 1, True,
+                         math.inf),
+    "near-dgd-plus": _Facts(None, ("descent-residual", "consensus-bound"), 1, True, 1),
+    "near-dgd-plus-doubling": _Facts("period", ("descent-residual", "consensus-bound"), 1,
+                                     True, "period"),
+    "dgd": _Facts(None, (), 1, False, math.inf),
+    "gradient-tracking": _Facts(None, (), 2, False, math.inf),
 }
 METHOD_NAMES = tuple(_METHODS)
 
@@ -87,6 +91,14 @@ class MethodSpec:
         if self.name == "near-dgd-plus-doubling":
             return [2 ** (j // self.period) for j in range(k, k + count)]
         return [1] * count
+
+    def repeats(self, iterations: int) -> int:
+        """The fewest consecutive iterations of a run of this many that
+        share one t, as the schedule counts them: all of them for a fixed t,
+        one for near-dgd-plus, the period for the doubling (its last t may
+        be cut short by the run's end)."""
+        repeat = _METHODS[self.name].repeat
+        return min(iterations, getattr(self, repeat) if isinstance(repeat, str) else repeat)
 
     @property
     def certificates(self) -> tuple:
@@ -398,22 +410,34 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     and one consensus application (two for the tracker), through
     ConsensusMatrix.apply, after one cm.hold of the block's schedule, which
     forms each new Z^t of a NEAR-DGD block once for the loop and the pass.
-    It writes each iteration's y_{k+1} and x_{k+1} into the slots of two
-    (rows + 1, n, p) buffers, rows = max(1, BLOCK_ELEMENTS // (n p)) capped
-    at the iterations, and one batched pass per block then reads them in
-    place, decides how the run ends and certifies the rows it keeps. The
-    first row whose y_{k+1} leaves the box ends the run there, diverged;
-    otherwise, with grad_tol set, the first row whose grad_avg_norm is at
-    most grad_tol ends it; the rest of that block is discarded. The stop
-    test reads row k, the average xbar_k; the terminal row describes
-    y_{k+1}, so its grad_avg_norm, which final_avg_grad_norm and the summary
-    lines report, may lie above grad_tol. The pass computes the rows' (k,
-    t_k, comms, grads) from k and the schedule, their trace columns and the
-    descent, Eq.-7 and consensus-bound certificates. Each iterate's Lyapunov
+    A NEAR-DGD run whose schedule applies each t on at least n / p
+    consecutive iterations (method.repeats: near-dgd-t with budget p >= n,
+    the doubling with period p >= n, never near-dgd-plus) runs on
+    cm.dense_twin(), x_0, loop and pass alike, so that each Z^t takes one
+    product at every n; above DENSE_POWER_NODES nodes its values then
+    differ from those of the two-product matrix by rounding, and cm's own
+    products keep their bits. The loop writes each iteration's y_{k+1} and
+    x_{k+1} into the slots of two (rows + 1, n, p) buffers, rows =
+    max(1, BLOCK_ELEMENTS // (n p)) capped at the iterations, and one
+    batched pass per block then reads them in place, decides how the run
+    ends and certifies the rows it keeps. The first row whose y_{k+1} leaves
+    the box ends the run there, diverged; otherwise, with grad_tol set, the
+    first row whose grad_avg_norm is at most grad_tol ends it; the rest of
+    that block is discarded. The stop test reads row k, the average xbar_k;
+    the terminal row describes y_{k+1}, so its grad_avg_norm, which
+    final_avg_grad_norm and the summary lines report, may lie above
+    grad_tol. The pass computes the rows' (k, t_k, comms, grads) from k and
+    the schedule, their trace columns and the descent, Eq.-7 and
+    consensus-bound certificates. Each iterate's Lyapunov
     value is evaluated once, plus L_{t_k}(y_{k+1}) on the rows after which t
     changes. The run gives the same values, bit for bit, for any block size.
     final_y and final_x are copies, never views of the buffers.
     """
+    try:  # int and NumPy integers; 2.5 iterations or seed 1.5 would be truncated
+        budget, seed = operator.index(budget), operator.index(seed)
+    except TypeError:
+        raise ValueError("budget and seed must be integers, got budget=%r, seed=%r"
+                         % (budget, seed)) from None
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if grad_tol is not None and not grad_tol >= 0:
@@ -433,8 +457,10 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     y = initial_point(n, p, seed) if x0 is None else np.array(x0, dtype=float)
     if y.shape != (n, p):
         raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
+    if not np.isfinite(y).all():
+        raise ValueError("initial point has a non-finite entry")
 
-    trace = RunTrace(method=method.label(), seed=int(seed))
+    trace = RunTrace(method=method.label(), seed=seed)
     iterations, grad_evals = budget, 0
     if method.name == "gradient-tracking":
         if budget < 2:
@@ -443,6 +469,10 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
             s = grad = objective.stacked_grad(y)
             iterations, grad_evals = budget - 1, 1
 
+    # a t applied on n / p or more consecutive iterations repays forming a
+    # dense Z^t: such a run takes one product per Z^t on the dense twin
+    if method.near_dgd and method.repeats(iterations) * p >= n:
+        cm = cm.dense_twin()
     # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
     x = cm.apply(method.rounds(0), y) if method.near_dgd else y
     block = _BlockCertifier(objective, cm, method, alpha, cost_model, trace, lipschitz,

@@ -270,19 +270,52 @@ def test_a_result_depends_on_t_and_the_operand_alone_never_on_the_memo(n):
         used.apply(t, stack)
     used.hold([1, 2, 3, 3, 9])
     ts = [2, 5, 9, 1, 3, 2**70]
-    each = used.apply_each(ts, stack)
-    for t, y, z in zip(ts, stack, each):
-        fresh = build_consensus_matrix(g).apply(t, y)
-        np.testing.assert_array_equal(used.apply(t, y), fresh)
-        np.testing.assert_array_equal(z, fresh)
-    # a run on a matrix that served another method's run equals one on a fresh matrix
+
+    def assert_as_fresh():
+        each = used.apply_each(ts, stack)
+        for t, y, z in zip(ts, stack, each):
+            fresh = build_consensus_matrix(g).apply(t, y)
+            np.testing.assert_array_equal(used.apply(t, y), fresh)
+            np.testing.assert_array_equal(apply_consensus(used, t, y), fresh)
+            np.testing.assert_array_equal(z, fresh)
+
+    assert_as_fresh()
+    # a run on a matrix that served another method's run equals one on a fresh
+    # matrix; above DENSE_POWER_NODES this near-dgd-t:5 run (budget p >= n)
+    # runs on the dense twin, and the matrix's own products keep their bits
     prob = sample_quartic_problem(n, 4, 4, 1.0, seed=0)
     run(prob, used, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=50)
+    assert_as_fresh()
     for method in (MethodSpec("near-dgd-plus"), MethodSpec("near-dgd-t", t=5)):
         a = run(prob, used, method, alpha=0.1, budget=50)
         b = run(prob, build_consensus_matrix(g), method, alpha=0.1, budget=50)
         np.testing.assert_array_equal(a.final_x, b.final_x)
         np.testing.assert_array_equal(a.trace.column("lyapunov"), b.trace.column("lyapunov"))
+
+
+def test_the_dense_twin_is_made_on_first_use_and_shares_the_eigenpairs(monkeypatch):
+    small = build_consensus_matrix(build_ring(consensus.DENSE_POWER_NODES))
+    assert small.dense_twin() is small
+    g = build_ring(30)
+    cm = build_consensus_matrix(g)
+    assert cm._twin is None and not cm._ops  # a build forms no twin and no Z^t
+    twin = cm.dense_twin()
+    assert twin is cm.dense_twin() and twin.dense_twin() is twin
+    assert twin._vt is None and cm._vt is not None
+    assert all(getattr(twin, name) is getattr(cm, name)
+               for name in ("W", "graph", "eigenvalues", "eigenvectors"))
+    stack = np.random.default_rng(0).normal(size=(3, 30, 4))
+    twin.hold([5, 9])
+    assert list(twin._ops) == [5, 9] and not cm._ops  # a memo of its own
+    # its products are those of a matrix built dense, and differ from the
+    # two-product matrix's by rounding only
+    monkeypatch.setattr(consensus, "DENSE_POWER_NODES", 30)
+    dense = build_consensus_matrix(g)
+    for t in (1, 2, 5, 9):
+        np.testing.assert_array_equal(twin.apply(t, stack), dense.apply(t, stack))
+        np.testing.assert_array_equal(twin.apply_each([t] * 3, stack), dense.apply(t, stack))
+        np.testing.assert_allclose(twin.apply(t, stack), cm.apply(t, stack), rtol=0,
+                                   atol=1e-13)
 
 
 def test_hold_keeps_the_distinct_powers_of_a_block_and_forms_each_once(monkeypatch):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neardgd.consensus import ConsensusMatrix, build_consensus_matrix
-from neardgd.diagnostics import (CostModel, descent_residual, lyapunov_value,
-                                 lyapunov_value_at)
-from neardgd.graph import Graph, build_ring
+from neardgd.diagnostics import (FLOAT_COLUMNS, CostModel, descent_residual,
+                                 lyapunov_value, lyapunov_value_at)
+from neardgd.graph import Graph, build_erdos_renyi, build_ring
 from neardgd.objective import (Objective, QuadraticProblem, QuadraticQuarticProblem,
                                sample_quartic_problem)
 from neardgd import diagnostics, optimizer
@@ -658,9 +659,103 @@ def test_grad_tol_reads_the_last_certified_row_not_the_terminal_row():
     assert terminal > 1e-3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", optimizer.METHOD_NAMES)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_run_rejects_a_non_finite_initial_point_before_any_product(name, value):
+    prob, cm = paper_instance()
+    x0 = initial_point(12, 4, 0)
+    x0[3, 1] = value
+    with pytest.raises(ValueError, match="^initial point has a non-finite entry$"):
+        run(prob, cm, MethodSpec(name), alpha=0.1, budget=5, x0=x0)
+
+
+def test_run_reads_budget_and_seed_as_integers():
+    prob, cm = paper_instance()
+    with pytest.raises(ValueError, match=r"budget=2\.5"):
+        run(prob, cm, MethodSpec("dgd"), alpha=0.1, budget=2.5)
+    with pytest.raises(ValueError, match=r"seed=1\.5"):
+        run(prob, cm, MethodSpec("dgd"), alpha=0.1, budget=5, seed=1.5)
+    res = run(prob, cm, MethodSpec("dgd"), alpha=0.1, budget=np.int64(5), seed=np.int64(1))
+    assert type(res.trace.seed) is int and res.trace.seed == 1
+    assert _run_fingerprint(res) == _run_fingerprint(
+        run(prob, cm, MethodSpec("dgd"), alpha=0.1, budget=5, seed=1))
+
+
 def test_run_rejects_bad_inputs():
     prob, cm = paper_instance()
     with pytest.raises(ValueError):
         run(prob, cm, MethodSpec("dgd"), alpha=0.1, budget=-1)
     with pytest.raises(ValueError):
         run(prob, cm, MethodSpec("dgd"), alpha=0.1, budget=5, x0=np.zeros((3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# The dense twin: a NEAR-DGD run whose schedule applies each t on at least
+# n / p consecutive iterations runs on cm.dense_twin()
+
+def _reference_final(prob, cm, method, budget, seed):
+    """(y_K, x_K) of the reference iterations on cm, K = budget >= 1."""
+    steps = itertools.islice(
+        iterations(prob, cm, method, 0.1, initial_point(prob.n, prob.p, seed)), budget + 1)
+    *_, last, terminal = steps
+    return last.y_next, terminal.x
+
+
+@pytest.mark.parametrize("token, budget, twin", [
+    # a ring with n = 30 and p = 4: 7 * 4 < 30 <= 8 * 4
+    ("near-dgd-t:5", 7, False), ("near-dgd-t:5", 8, True),
+    ("near-dgd-plus-doubling:7", 20, False), ("near-dgd-plus-doubling:8", 20, True),
+    ("near-dgd-plus", 20, False)])
+def test_a_run_takes_the_dense_twin_when_each_t_repeats_n_over_p_times(token, budget, twin):
+    prob = sample_quartic_problem(30, 4, 4, math.sqrt(30 / 12.0), seed=0)
+    cm = build_consensus_matrix(build_ring(30))
+    method = MethodSpec.parse(token)
+    res = run(prob, cm, method, alpha=0.1, budget=budget, seed=2)
+    picked, other = (cm.dense_twin(), cm) if twin else (cm, cm.dense_twin())
+    y, x = _reference_final(prob, picked, method, budget, 2)
+    np.testing.assert_array_equal(res.final_y, y)
+    np.testing.assert_array_equal(res.final_x, x)
+    # the two matrices round differently, so the test tells them apart
+    y, x = _reference_final(prob, other, method, budget, 2)
+    assert not (np.array_equal(res.final_y, y) and np.array_equal(res.final_x, x))
+
+
+# The bit contract of a twin run against the same run on the two-product
+# matrix: the integer columns and cost are equal; each float column is within
+# FLOAT_BOUND (GRAD_BOUND for grad_avg_norm, whose global gradient sums n
+# terms that cancel) times max(1, |value|), the descent residual within
+# FLOAT_BOUND times max(1, |lyapunov|), the difference of two Lyapunov values
+# it is; max_eq7_inf <= 1e-10 and max_cons_gap <= 1e-12.
+FLOAT_BOUND, GRAD_BOUND = 1e-12, 1e-11
+
+
+@pytest.mark.parametrize("kind", ["ring", "erdos-renyi"])
+@pytest.mark.parametrize("n", [25, 30, 100])
+def test_a_twin_run_keeps_the_bit_contract(monkeypatch, n, kind):
+    prob = sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
+    g = build_ring(n) if kind == "ring" else build_erdos_renyi(n, 0.2, seed=0)
+    for rule in ("metropolis", "maxdegree"):
+        cm = build_consensus_matrix(g, rule)
+        for t in (5, 20):
+            method = MethodSpec("near-dgd-t", t=t)
+            twin = run(prob, cm, method, alpha=0.1, budget=1000)
+            assert _run_fingerprint(run(prob, cm, method, alpha=0.1, budget=1000)) == (
+                _run_fingerprint(twin))
+            with monkeypatch.context() as m:
+                m.setattr(optimizer, "BLOCK_ELEMENTS", 7 * n * 4)
+                assert _run_fingerprint(run(prob, cm, method, alpha=0.1, budget=1000)) == (
+                    _run_fingerprint(twin))
+                m.setattr(ConsensusMatrix, "dense_twin", lambda self: self)
+                base = run(prob, cm, method, alpha=0.1, budget=1000)
+            assert not np.array_equal(twin.final_x, base.final_x)  # the twin ran
+            for name in ("k", "t_k", "comms", "grads", "cost"):
+                assert twin.trace.column(name) == base.trace.column(name)
+            scale = np.maximum(1.0, np.abs(base.trace.column("lyapunov")))
+            for name in FLOAT_COLUMNS:
+                a, b = twin.trace.column(name), base.trace.column(name)
+                bound = ((GRAD_BOUND if name == "grad_avg_norm" else FLOAT_BOUND)
+                         * (scale if name == "descent_residual" else np.maximum(1.0, np.abs(b))))
+                assert np.array_equal(np.isnan(a), np.isnan(b))
+                assert (np.abs(a - b)[~np.isnan(b)] <= bound[~np.isnan(b)]).all(), name
+            assert twin.max_eq7_inf <= 1e-10 and twin.max_cons_gap <= 1e-12

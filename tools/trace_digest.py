@@ -4,12 +4,12 @@ Prints one line per item, "<sha256>  <name>": the trace CSV and end state
 of runs of every method (both objective families, integer and float cost
 models, a diverging run and a grad_tol run), of quartic runs with one and
 with nine coordinates (sums over fewer and over more than 8 entries, which
-NumPy adds in order and pairwise), of runs on the benchmark's
-n=100 networks, the consensus products on C-ordered, F-ordered and strided
-operands, a sweep CSV, the stdout of `neardgd run`, `neardgd sweep` and
-`neardgd check` (`run` and `check` for every method on a small instance and
-at run.budget = 0, whose certificates read n/a, and `check` of a run that
-run.grad_tol ends early), and the spectral
+NumPy adds in order and pairwise), of runs on the benchmark's n=100
+networks and on a ring of 30, the consensus products on C-ordered,
+F-ordered and strided operands, a sweep CSV, the stdout of `neardgd run`,
+`neardgd sweep` and `neardgd check` (`run` and `check` for every method on
+a small instance and at run.budget = 0, whose certificates read n/a, and
+`check` of a run that run.grad_tol ends early), and the spectral
 diagnostics (saddle classification, Dg eigenvalues, Lyapunov Hessian and
 descent constant rho) over a grid of t and alpha. A change that promises
 byte-identical output shows it by printing the same lines on both trees:
@@ -108,30 +108,39 @@ def run_digests():
 
 
 def large_run_digests():
-    """The benchmark's scale networks at n=100: near-dgd-t:5 on a ring and an
+    """Runs above DENSE_POWER_NODES, budget 100, seeds 0 and 1: the
+    benchmark's scale networks at n=100, near-dgd-t:5 on a ring and an
     Erdos-Renyi graph (prob 0.1) under both weight rules, plus dgd, gradient
-    tracking and the two changing-t schedules on the Metropolis ring (above
-    DENSE_POWER_NODES, where Z^t takes two products and a changing t forms
-    its operators afresh); budget 100, seeds 0 and 1."""
+    tracking and the two changing-t schedules on the Metropolis ring, and
+    near-dgd-t:5 on a ring of 30. A NEAR-DGD run whose schedule applies each
+    t on at least n / p consecutive iterations runs on the dense twin, one
+    product per Z^t: near-dgd-t:5 (budget p >= n) and
+    near-dgd-plus-doubling:25 (25 p = n). near-dgd-plus and
+    near-dgd-plus-doubling:4 stay on the two-product matrix, where a changing
+    t forms its operators afresh."""
     from neardgd import (MethodSpec, build_consensus_matrix, build_erdos_renyi,
                          build_ring, run, sample_quartic_problem)
 
+    def digests(n, kind, g, rule, tokens):
+        problem = sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
+        cm = build_consensus_matrix(g, rule)
+        for token in tokens:
+            for seed in (0, 1):
+                res = run(problem, cm, MethodSpec.parse(token), alpha=0.1, budget=100,
+                          seed=seed)
+                yield from run_result_digests(
+                    res, "n=%d %s/%s %s seed=%d" % (n, kind, rule, token, seed))
+
     n = 100
-    problem = sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
     graphs = (("ring", build_ring(n)), ("erdos-renyi", build_erdos_renyi(n, 0.1, seed=0)))
     for kind, g in graphs:
         for rule in ("metropolis", "maxdegree"):
-            cm = build_consensus_matrix(g, rule)
             tokens = ["near-dgd-t:5"]
             if (kind, rule) == ("ring", "metropolis"):
                 tokens += ["dgd", "gradient-tracking", "near-dgd-plus",
-                           "near-dgd-plus-doubling:4"]
-            for token in tokens:
-                for seed in (0, 1):
-                    res = run(problem, cm, MethodSpec.parse(token), alpha=0.1, budget=100,
-                              seed=seed)
-                    yield from run_result_digests(
-                        res, "n=%d %s/%s %s seed=%d" % (n, kind, rule, token, seed))
+                           "near-dgd-plus-doubling:4", "near-dgd-plus-doubling:25"]
+            yield from digests(n, kind, g, rule, tokens)
+    yield from digests(30, "ring", build_ring(30), "metropolis", ["near-dgd-t:5"])
 
 
 def kernel_digests():
