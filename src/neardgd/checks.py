@@ -61,16 +61,16 @@ def check_lyapunov_gradient(problem, cm, alpha, rng):
 
 
 def check_consensus_properties(cm, rng):
-    """Nonexpansive, contracting by beta^t, composing, mean-keeping, equal
-    to t successive products, and, for every t >= 2, equal to the two
-    eigenbasis products (V diag(lam^t)) (V' y), which guard a dense Z^t."""
-    v = cm.eigenvectors
+    """Nonexpansive, contracting by beta^t, composing, mean-keeping, equal to
+    t successive products, and, for every t >= 2, the dense Z^t that runs use
+    (cm.dense_twin()'s) equal to the two eigenbasis products (V diag(lam^t)) (V' y)."""
+    v, twin = cm.eigenvectors, cm.dense_twin()
     problems = []
     for _ in range(5):
         y = rng.normal(size=(cm.n, 3))
         for t in (2, 5, 20):
             two_products = (v * cm.powers(t)) @ (v.T @ y)
-            if np.abs(apply_consensus(cm, t, y) - two_products).max() > CONSENSUS_TOL:
+            if np.abs(apply_consensus(twin, t, y) - two_products).max() > CONSENSUS_TOL:
                 problems.append("two-product form")
         z1 = apply_consensus(cm, 1, y)
         if np.linalg.norm(z1) > np.linalg.norm(y) + CONSENSUS_TOL:

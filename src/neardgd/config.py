@@ -189,8 +189,6 @@ def _build_run_config(kv: dict) -> RunConfig:
 def validate(cfg: RunConfig):
     """Reject a config that cannot run; keep the problem and graph built
     to check it in cfg.built."""
-    if cfg.n < 1 or cfg.p < 1:
-        raise ConfigError("n and p must be positive")
     if cfg.budget < 0:
         raise ConfigError("run.budget must be >= 0")
     if not 0 < cfg.alpha < math.inf:  # NaN fails both comparisons

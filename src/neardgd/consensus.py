@@ -15,9 +15,6 @@ from .graph import Graph, adjacency, is_connected
 from .linalg import sym_eigen
 
 STOCH_TOL = 1e-12
-# ConsensusMatrix forms at most this many entries of its t-th power
-# operators at once
-APPLY_EACH_ELEMENTS = 2**17
 # a ConsensusMatrix of at most this many nodes applies Z^t, t >= 2, as one
 # product with a dense Z^t; a larger one as two eigenbasis products
 DENSE_POWER_NODES = 24
@@ -67,13 +64,13 @@ class ConsensusMatrix:
 
     Z^t for t >= 2 is applied through an operator formed from lam^t: the
     dense Z^t = (V diag(lam^t)) V' on at most DENSE_POWER_NODES nodes,
-    otherwise V diag(lam^t), which apply() follows with V' (the mode is
+    otherwise lam^t itself, applied as V (lam^t * (V' y)) (the mode is
     fixed at construction: _vt holds V' on a two-product matrix, None on a
-    dense one). A memo keeps lam^t and the operator per t: hold(ts)
-    sets it to the t of one block of a run, and apply() on a t it lacks to
-    that t alone. An operator is a function of (W, t) alone, each slice of
-    a batched formation the same BLAS product as a lone one, so every
-    result depends on (cm, t, operand) alone, never on what the memo holds.
+    dense one). A memo keeps lam^t and the operator per t, by one rule in
+    both modes: hold(ts) sets it to the t >= 2 of one block of a run, and
+    apply() on a t it lacks to that t alone. An operator is a function of
+    (W, t) alone, each slice of a batched formation the same BLAS product
+    as a lone one, so every result depends on (cm, t, operand) alone.
 
     dense_twin() is the same matrix in the dense mode, at any n: a shallow
     copy sharing W and the eigenpairs, with a memo of its own, made on first
@@ -153,68 +150,53 @@ class ConsensusMatrix:
         return np.array([lams[t] if t in lams else self.powers(t) for t in ts])
 
     def _form(self, ts):
-        """(lam^t rows, operators) of a list of t >= 2: each lam^t taken as
-        its own power, as powers() takes it (NumPy's power of a whole stack
-        may differ in the last bit), then V diag(lam^t) for all of them in
-        one broadcast product and, dense, Z^t in one batched product."""
+        """(lam^t rows, operators) of a nonempty list of t >= 2, each lam^t
+        taken as powers() takes it (NumPy's power of a stack may differ in
+        the last bit): the dense Z^t = (V diag(lam^t)) V' in one batched
+        product, or lam^t itself as an (n, 1) column view."""
         lams = np.array([self.powers(t) for t in ts])
-        scaled = self.eigenvectors * lams[:, None, :]
-        return lams, (scaled @ self.eigenvectors.T if self._vt is None else scaled)
-
-    def _step(self):
-        """The operators formed or copied at once: at most
-        APPLY_EACH_ELEMENTS entries, and at least one."""
-        return max(1, APPLY_EACH_ELEMENTS // self.n**2)
+        if self._vt is not None:
+            return lams, lams[:, :, None]
+        return lams, (self.eigenvectors * lams[:, None, :]) @ self.eigenvectors.T
 
     def hold(self, ts):
-        """On a dense matrix, make the memo hold exactly the distinct t >= 2
-        of ts, keeping those it holds and forming the others a chunk at a
-        time. A run calls this once per block, so that its loop, its
-        certificate pass and rho_constant share one lam^t and one Z^t per t;
-        a run on the dense twin does so at every n. A two-product matrix
-        keeps the one t that apply() last formed: its operators are n x n
-        each, and a block may need hundreds of them.
-        """
-        if self._vt is not None:
-            return
+        """Make the memo hold exactly the distinct t >= 2 of ts, keeping
+        those it holds and forming the others at once; a run calls this once
+        per block, so that its loop, its pass and rho_constant share one
+        lam^t, and a dense matrix one Z^t, per t. A two-product matrix forms
+        n floats per t, a dense one n^2 and as many for its scaled
+        eigenvectors: for a block of rows iterations at most (rows + 1) n^2,
+        3.2 MB at n = 24 and p = 1, and on the dense twin, where each t
+        repeats at least n / p times, about BLOCK_ELEMENTS + 2 n^2."""
         lams, ops = self._lams, self._ops
         keep = [t for t in dict.fromkeys(ts) if t != 1]
         new = [t for t in keep if t not in ops]
-        step = self._step()
-        for j in range(0, len(new), step):
-            chunk = new[j:j + step]
-            formed_lams, formed_ops = self._form(chunk)
-            lams.update(zip(chunk, formed_lams))
-            ops.update(zip(chunk, formed_ops))
+        if new:
+            for memo, formed in zip((lams, ops), self._form(new)):
+                memo.update(zip(new, formed))
         self._lams, self._ops = {t: lams[t] for t in keep}, {t: ops[t] for t in keep}
 
     def _operator(self, t):
         """The memo's operator for t >= 2; on a miss the memo holds t alone."""
-        op = self._ops.get(t)
-        if op is None:
-            lams, ops = self._form([t])
-            self._lams, self._ops = {t: lams[0]}, {t: ops[0]}
-            op = ops[0]
-        return op
+        if t not in self._ops:
+            self.hold([t])
+        return self._ops[t]
 
     def apply(self, t: int, cols, out=None) -> np.ndarray:
-        """Z^t cols for an int t >= 1 and a float (n,) or (n, k) array, or
-        an (r, n, k) stack with one product per iterate, none of them
-        checked; written into out when given (a C-ordered float array of
-        the result's shape that shares no memory with cols). apply_consensus
-        checks its arguments and calls this; run()'s loop calls it directly.
-        Every consensus application thus takes this one arithmetic path.
+        """Z^t cols for an int t >= 1 and a float (n, k) array, or an
+        (r, n, k) stack with one product per iterate, none of them checked;
+        written into out when given (a C-ordered float array of the
+        result's shape that shares no memory with cols). apply_consensus
+        checks its arguments, makes a vector one column and calls this;
+        run()'s loop calls it directly. Every consensus application thus
+        takes this one arithmetic path: W cols for t = 1, and for t >= 2
+        the memo's operator for t, formed on a miss: Z^t cols on a dense
+        matrix, otherwise V (lam^t * (V' cols)), the (n, k) intermediate
+        scaled row by row. Either costs the same for every t.
 
-        t = 1 is the single product W cols. For t >= 2 the memo's operator
-        for t, formed on a miss, is applied: on a dense matrix the single
-        product Z^t cols, otherwise the two products (V diag(lam^t)) (V'
-        cols). Either costs the same for every t once the operator exists;
-        forming one costs an n^3 product (dense) or O(n^2) (two-product),
-        which hold() spreads over a block.
-
-        One iterate, a 1-D or 2-D cols, goes through ndarray.dot and a stack
+        One iterate, a 2-D cols, goes through ndarray.dot and a stack
         through the @ operator: both reach the same BLAS routine (gemm, or
-        gemv for a vector) for each iterate, so a 2-D call equals the
+        gemv for one column) for each iterate, so a 2-D call equals the
         matching iterate of a stacked call bitwise, and dot spends less on
         each call; a stack BLAS cannot read is copied first (_apply_stack).
         """
@@ -227,7 +209,10 @@ class ConsensusMatrix:
         except KeyError:
             op = self._operator(t)
         vt = self._vt
-        return op.dot(cols if vt is None else vt.dot(cols), out)
+        if vt is None:
+            return op.dot(cols, out)
+        scaled = vt.dot(cols)
+        return self.eigenvectors.dot(np.multiply(scaled, op, scaled), out)
 
     def _apply_stack(self, t, stack, out):
         """apply() on an (r, n, k) stack. NumPy multiplies a stack of
@@ -239,10 +224,14 @@ class ConsensusMatrix:
             stack = np.ascontiguousarray(stack)
         if t == 1:
             return np.matmul(self.W, stack, out=out)
-        op = self._operator(t)
-        if self._vt is not None:
-            stack = self._vt @ stack
-        return np.matmul(op, stack, out=out)
+        return self._apply_ops(self._operator(t), stack, out)
+
+    def _apply_ops(self, ops, stack, out=None):
+        """An operator, or one per iterate, applied to a stack as apply() does."""
+        if self._vt is None:
+            return np.matmul(ops, stack, out=out)
+        scaled = self._vt @ stack
+        return np.matmul(self.eigenvectors, np.multiply(scaled, ops, scaled), out=out)
 
     def apply_each(self, ts, stack) -> np.ndarray:
         """Z^{ts[i]} stack[i] for each i of a float (c, n, k) stack, without
@@ -250,23 +239,19 @@ class ConsensusMatrix:
 
         The rows with t = 1 take the product W stack[i]. The others take
         their operators, copied from the memo when it holds them all and
-        formed as apply() forms them otherwise, in batched products, which
-        NumPy evaluates as one matrix product per row, at most
-        APPLY_EACH_ELEMENTS operator entries at a time.
+        formed as hold() forms them otherwise, in batched products, which
+        NumPy evaluates as one matrix product per row.
         """
         out = np.empty_like(stack)
         ones = [i for i, t in enumerate(ts) if t == 1]
         if ones:
             out[ones] = self.W @ stack[ones]
         rest = [i for i, t in enumerate(ts) if t != 1]
-        held, step = self._ops, self._step()
-        for j in range(0, len(rest), step):
-            rows = rest[j:j + step]
-            row_ts = [ts[i] for i in rows]
+        if rest:
+            row_ts, held = [ts[i] for i in rest], self._ops
             ops = (np.array([held[t] for t in row_ts]) if all(t in held for t in row_ts)
                    else self._form(row_ts)[1])
-            cols = stack[rows] if self._vt is None else self._vt @ stack[rows]
-            out[rows] = ops @ cols
+            out[rest] = self._apply_ops(ops, stack[rest])
         return out
 
 

@@ -237,11 +237,18 @@ class QuadraticQuarticProblem(Objective):
         """Gradient Lipschitz bound valid on the box ||x||_inf <= radius.
 
         Deliberately an over-estimate: max diagonal curvature plus the
-        quartic term's worst-case curvature on the box.
+        quartic term's worst-case curvature on the box, which must be finite.
         """
         _check_radius(radius)
-        return float(np.abs(self.q).max(axis=1).max()
-                     + 3.0 * (self.c**2 / self.n) * radius**2)
+        try:
+            estimate = float(np.abs(self.q).max(axis=1).max()
+                             + 3.0 * (self.c**2 / self.n) * radius**2)
+        except OverflowError:  # radius**2 past the float range
+            estimate = math.inf
+        if estimate == math.inf:
+            raise ObjectiveError("the Lipschitz estimate on the box of radius %r is not "
+                                 "finite" % radius)
+        return estimate
 
     def minimizers(self):
         """The two symmetric minimizers +-(1/c) sqrt(-sum_i q^i_II) e_I."""

@@ -161,6 +161,8 @@ class RunResult:
 def _validate_alpha(alpha, lipschitz, allow_large_alpha):
     if not 0 < alpha < math.inf:  # NaN fails both comparisons
         raise SteplengthError("alpha must be positive and finite, got %r" % alpha)
+    if not 1.0 / alpha < math.inf:  # 1/alpha bounds L_t's 1/(2 alpha) and rho
+        raise SteplengthError("alpha=%r is too small: 1/alpha is not finite" % alpha)
     if alpha >= 2.0 / lipschitz and not allow_large_alpha:
         raise SteplengthError(
             "alpha=%g violates alpha < 2/L with L=%g; pass allow_large_alpha "
@@ -264,14 +266,20 @@ class _BlockCertifier:
 
     def certify(self, ts):
         """Certify iterations k..k+m-1 from ts = [t_k, ..., t_{k+m}] and the
-        buffers' slots 0..m."""
+        buffers' slots 0..m. What it computes from a y_{k+1} that left the
+        box may overflow, as the loop may past it; such a block is certified
+        with overflow and invalid operations ignored."""
         m = len(ts) - 1
+        peaks = np.abs(self.Y[1:m + 1]).reshape(m, -1).max(axis=1)
+        out = np.flatnonzero(~(peaks <= self.box_radius))  # also a non-finite peak
+        ignore = "ignore" if out.size else None  # None keeps the caller's setting
+        with np.errstate(over=ignore, invalid=ignore):
+            self._certify(ts, m, peaks, int(out[0]) if out.size else None)
+
+    def _certify(self, ts, m, peaks, diverged):
+        """certify() given each row's |y_{k+1}|_inf and the first row out of the box."""
         stack_y, stack_x = self.Y[:m + 1], self.X[:m + 1]
         objective, cm, alpha = self.objective, self.cm, self.alpha
-
-        peaks = np.abs(stack_y[1:]).reshape(m, -1).max(axis=1)
-        out = np.flatnonzero(~(peaks <= self.box_radius))  # also a non-finite peak
-        diverged = int(out[0]) if out.size else None
         r = m if diverged is None else diverged + 1  # the rows kept
         evaluated = self._evaluate(stack_x[:r])
         stopped = None
@@ -409,7 +417,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     The loop does only the method's arithmetic: per iteration one gradient
     and one consensus application (two for the tracker), through
     ConsensusMatrix.apply, after one cm.hold of the block's schedule, which
-    forms each new Z^t of a NEAR-DGD block once for the loop and the pass.
+    forms each new lam^t (dense: Z^t) of a block once for loop and pass.
     A NEAR-DGD run whose schedule applies each t on at least n / p
     consecutive iterations (method.repeats: near-dgd-t with budget p >= n,
     the doubling with period p >= n, never near-dgd-plus) runs on

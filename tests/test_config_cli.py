@@ -112,8 +112,8 @@ def test_load_run_config_rejects_unknown_and_invalid():
         load_run_config("weights.rule = nope\n")
     with pytest.raises(ConfigError):
         load_run_config("method.name = near-dgd-t\nmethod.t = 0\n")
-    with pytest.raises(ConfigError, match="^n and p must be positive$"):
-        load_run_config("problem.n = 0\n")
+    with pytest.raises(ConfigError, match="^node count must be at least 1, got 0$"):
+        load_run_config("problem.n = 0\n")  # the sampler's check
     with pytest.raises(ConfigError, match=r"^run\.budget must be >= 0$"):
         load_run_config("run.budget = -1\n")
 
@@ -425,6 +425,13 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
      "out", "c must be"),
     ("check", SMALL.replace("problem.c = 1.0", "problem.c = nan"), None, "c must be"),
     ("run", SMALL + "run.box_radius = nan\n", "out", "radius"),
+    # the Lipschitz estimate on the box, and 1/alpha, must be finite
+    ("run", SMALL + "run.box_radius = 1e308\n", "out",
+     "the Lipschitz estimate on the box of radius 1e+308 is not finite"),
+    ("check", SMALL + "run.box_radius = 1e308\n", None, "radius 1e+308"),
+    ("sweep", SMALL.replace("run.alpha = 0.1", "run.alpha = 1e-320") + "sweep.methods = dgd\n",
+     "out", "alpha=1e-320 is too small: 1/alpha is not finite"),
+    ("check", SMALL.replace("run.alpha = 0.1", "run.alpha = 1e-320"), None, "alpha=1e-320"),
     ("run", SMALL.replace("cost.c_c = 0.01", "cost.c_c = nan"), "out", "cost"),
     ("sweep", SMALL + "cost.c_g = inf\nsweep.methods = dgd\n", "out", "cost"),
     # the positive-definite shift's margin is a constant, not a key
@@ -466,7 +473,8 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
 ], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
         "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
-        "nan-c-check", "nan-box-radius-run", "nan-cost-run", "inf-cost-sweep",
+        "nan-c-check", "nan-box-radius-run", "huge-box-radius-run", "huge-box-radius-check",
+        "subnormal-alpha-sweep", "subnormal-alpha-check", "nan-cost-run", "inf-cost-sweep",
         "margin-key-check", "margin-key-run", "nan-grad-tol-run", "negative-grad-tol-sweep",
         "fractional-seeds-sweep", "negative-seeds-sweep", "negative-seed-run",
         "negative-problem-seed-check", "negative-seed-flag-run", "fractional-seed-flag-run",
@@ -662,6 +670,23 @@ def test_cmd_sweep_divergence_writes_cell(tmp_path, capsys):
     assert "left the box" in capsys.readouterr().err
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
     assert rows and all(row.startswith("near-dgd-t:2,3,") for row in rows)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "check"])
+def test_a_divergence_past_the_float_range_prints_only_its_line(tmp_path, capsys, command):
+    # alpha = 1e308 throws y_1 near the float range: the pass's arithmetic on
+    # it overflows, and tier-1 turns any RuntimeWarning into an error
+    text = (SMALL.replace("run.alpha = 0.1", "run.alpha = 1e308")
+            + "run.allow_large_alpha = true\nsweep.methods = near-dgd-t:2\nsweep.seeds = 3\n")
+    out = [] if command == "check" else ["--out", str(tmp_path / "out")]
+    code = main([command, "--config", write_config(tmp_path, text), *out])
+    err = capsys.readouterr().err
+    if command == "check":
+        assert code == EXIT_CHECK_FAILURE and err == ""
+    else:
+        assert code == EXIT_DIVERGENCE
+        assert err.startswith("divergence") and len(err.splitlines()) == 1
+        assert "iteration 0: |y|_inf = " in err and "left the box" in err
 
 
 def test_cmd_check_reports_divergence(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import fields
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neardgd import checks, consensus, linalg
+from neardgd import checks, consensus, linalg, optimizer
 from neardgd.diagnostics import FLOAT_COLUMNS
 from neardgd.consensus import (ConsensusMatrix, ConsensusMatrixError, apply_consensus,
                                average_project, build_consensus_matrix,
@@ -230,20 +231,30 @@ def dense_power(cm, t):
     return (cm.eigenvectors * cm.powers(t)) @ cm.eigenvectors.T
 
 
-def test_memo_holds_the_last_blocks_powers_after_a_run_that_changes_t():
-    cm = build_consensus_matrix(build_ring(6))
+@pytest.mark.parametrize("n, budget", [(6, 40), (30, 300)])
+def test_memo_holds_the_last_blocks_powers_after_a_run_that_changes_t(n, budget):
+    cm = build_consensus_matrix(build_ring(n))
     before = repr(cm)
-    prob = sample_quartic_problem(6, 2, 2, 1.0, seed=0)
-    res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=40)
-    assert res.trace.final.t_k == 41  # t grew by one per iteration, in one block
+    prob = sample_quartic_problem(n, 2, 2, math.sqrt(n / 12.0), seed=0)
+    res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=budget)
+    assert res.trace.final.t_k == budget + 1  # t grew by one per iteration
     assert set(vars(cm)) == {"W", "graph", "beta", "lambda_min", "eigenvalues",
                              "eigenvectors", "_vt", "_lams", "_ops"}
-    # the block's schedule is t_0..t_40 = 1..41; the memo holds its t >= 2
-    assert list(cm._lams) == list(cm._ops) == list(range(2, 42))
-    for t, z_t in cm._ops.items():
+    # the last block's schedule is t_k..t_budget = k + 1..budget + 1 (one block
+    # of 40 rows at n = 6, the second of 273 and 27 at n = 30); the memo holds
+    # its t >= 2, a dense Z^t for each on the dense matrix and lam^t alone,
+    # no n x n array, on the two-product one
+    rows = optimizer.BLOCK_ELEMENTS // (n * 2)
+    k = (budget - 1) // rows * rows
+    assert list(cm._lams) == list(cm._ops) == list(range(max(2, k + 1), budget + 2))
+    for t, op in cm._ops.items():
         assert type(t) is int
         np.testing.assert_array_equal(cm._lams[t], cm.powers(t))
-        np.testing.assert_array_equal(z_t, dense_power(cm, t))
+        if cm._vt is None:
+            np.testing.assert_array_equal(op, dense_power(cm, t))
+        else:
+            assert op.shape == (n, 1) and np.shares_memory(op, cm._lams[t])
+    assert (cm._vt is None) == (n <= consensus.DENSE_POWER_NODES)
     assert repr(cm) == before
     hidden = {f.name: f for f in fields(cm)}
     for name in ("_vt", "_lams", "_ops"):
@@ -318,8 +329,10 @@ def test_the_dense_twin_is_made_on_first_use_and_shares_the_eigenpairs(monkeypat
                                    atol=1e-13)
 
 
-def test_hold_keeps_the_distinct_powers_of_a_block_and_forms_each_once(monkeypatch):
-    cm = build_consensus_matrix(build_ring(8))
+@pytest.mark.parametrize("n", [8, 30])
+def test_hold_keeps_the_distinct_powers_of_a_block_and_forms_each_once(monkeypatch, n):
+    # one rule in both modes: dense at n = 8, two products at n = 30
+    cm = build_consensus_matrix(build_ring(n))
     formed, form = [], cm._form
 
     def recorded(ts):
@@ -330,18 +343,14 @@ def test_hold_keeps_the_distinct_powers_of_a_block_and_forms_each_once(monkeypat
     cm.hold([1, 2, 2, 3, 4])
     cm.hold([4, 5, 6])
     assert formed == [[2, 3, 4], [5, 6]] and list(cm._ops) == [4, 5, 6]
-    # a large n of a dense matrix forms its powers a few at a time
-    monkeypatch.setattr(consensus, "APPLY_EACH_ELEMENTS", 2 * 8 * 8)
     cm.hold(range(1, 8))
-    assert formed[2:] == [[2, 3], [7]]
+    assert formed[2:] == [[2, 3, 7]] and list(cm._ops) == list(range(2, 8))
     np.testing.assert_array_equal(cm.power_rows([1, 3, 7]),
                                   [cm.powers(1), cm.powers(3), cm.powers(7)])
-    # a two-product matrix keeps the one t that apply() formed last
-    monkeypatch.setattr(consensus, "DENSE_POWER_NODES", 0)
-    spectral = build_consensus_matrix(build_ring(8))
-    spectral.apply(3, np.ones((8, 1)))
-    spectral.hold([2, 3, 4])
-    assert list(spectral._ops) == [3]
+    # apply() on a t the memo lacks makes it hold that t alone
+    cm.apply(9, np.ones((n, 1)))
+    assert formed[3:] == [[9]] and list(cm._ops) == [9]
+    assert (cm._vt is None) == (n <= consensus.DENSE_POWER_NODES)
 
 
 def test_powers_pin_the_top_eigenvalue():
@@ -408,7 +417,7 @@ def test_apply_consensus_on_one_iterate_equals_its_stacked_iterate_and_the_matmu
     # one iterate goes through ndarray.dot, a stack through @; both are the
     # same BLAS product per iterate, and both equal W @ y, or for t >= 2
     # Z^t @ y with Z^t = (V diag(lam^t)) @ V' up to DENSE_POWER_NODES nodes
-    # and (V diag(lam^t)) @ (V' @ y) above, bitwise; an iterate whose rows
+    # and V @ (lam^t * (V' @ y)) above, bitwise; an iterate whose rows
     # and columns both have gaps, which BLAS cannot read, as its C-ordered copy
     cm = build_consensus_matrix(build_ring(n))
     rng = np.random.default_rng(100 * n + t)
@@ -420,7 +429,7 @@ def test_apply_consensus_on_one_iterate_equals_its_stacked_iterate_and_the_matmu
             return cm.W @ y
         if n <= consensus.DENSE_POWER_NODES:
             return dense_power(cm, t) @ y
-        return (cm.eigenvectors * cm.powers(t)) @ (cm.eigenvectors.T @ y)
+        return cm.eigenvectors @ (cm.powers(t)[:, None] * (cm.eigenvectors.T @ y))
 
     for name, stack in _iterate_layouts(rng, n):
         stacked = apply_consensus(cm, t, stack)
@@ -454,14 +463,14 @@ def test_powers_equal_the_raw_power_with_the_top_entry_pinned_without_overflow(g
         assert lam_t[-1] == 1.0
 
 @pytest.mark.parametrize("n, p", [(12, 4), (5, 1), (30, 3)])
-def test_apply_each_equals_apply_per_row_bitwise(monkeypatch, n, p):
+def test_apply_each_equals_apply_per_row_bitwise(n, p):
     cm = build_consensus_matrix(build_ring(n))
     stack = np.random.default_rng(n).normal(size=(9, n, p))
     ts = [1, 2, 2, 3, 1, 8, 40, 2**70, 5]
     expected = np.array([cm.apply(t, y) for t, y in zip(ts, stack)])
     np.testing.assert_array_equal(cm.apply_each(ts, stack), expected)
-    # a large n forms its scaled eigenvectors a few rows at a time
-    monkeypatch.setattr(consensus, "APPLY_EACH_ELEMENTS", 2 * n * n)
+    # with operators formed afresh above, and copied from the memo here
+    cm.hold(ts)
     np.testing.assert_array_equal(cm.apply_each(ts, stack), expected)
 
 
@@ -533,16 +542,20 @@ def test_pd_check_fails_when_an_indefinite_matrix_is_accepted(monkeypatch):
     assert checks.check_pd_rejection() == (False, "indefinite matrix accepted")
 
 
-def test_consensus_check_catches_a_dense_power_off_the_two_product_form(monkeypatch):
-    cm = build_consensus_matrix(build_ring(12))
+@pytest.mark.parametrize("n", [12, 30])
+def test_consensus_check_catches_a_dense_power_off_the_two_product_form(monkeypatch, n):
+    # the check judges the dense twin that repeating runs use; at n <= 24 it
+    # is the matrix itself
+    cm = build_consensus_matrix(build_ring(n))
     assert checks.check_consensus_properties(cm, np.random.default_rng(0)) == (True, "")
-    form = cm._form
+    twin = cm.dense_twin()
+    form = twin._form
 
     def off_by_a_part_in_1e9(ts):
         lams, ops = form(ts)
         return lams, ops * (1.0 + 1e-9)
 
-    monkeypatch.setattr(cm, "_form", off_by_a_part_in_1e9)
+    monkeypatch.setattr(twin, "_form", off_by_a_part_in_1e9)
     ok, detail = checks.check_consensus_properties(cm, np.random.default_rng(0))
     assert not ok and "two-product form" in detail
 

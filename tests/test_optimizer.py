@@ -11,8 +11,8 @@ from neardgd.consensus import ConsensusMatrix, build_consensus_matrix
 from neardgd.diagnostics import (FLOAT_COLUMNS, CostModel, descent_residual,
                                  lyapunov_value, lyapunov_value_at)
 from neardgd.graph import Graph, build_erdos_renyi, build_ring
-from neardgd.objective import (Objective, QuadraticProblem, QuadraticQuarticProblem,
-                               sample_quartic_problem)
+from neardgd.objective import (Objective, ObjectiveError, QuadraticProblem,
+                               QuadraticQuarticProblem, sample_quartic_problem)
 from neardgd import diagnostics, optimizer
 from neardgd.optimizer import MethodSpec, SteplengthError, initial_point, run
 from reference_steps import (dgd_step, iterations, near_dgd_step, run_end,
@@ -619,6 +619,25 @@ def test_library_checks_reject_meaningless_values(bad):
             run(prob, cm, method, alpha=0.1, budget=5, grad_tol=bad)
 
 
+def test_inputs_at_the_float_range_end_in_one_error_or_a_divergence():
+    # tier-1 turns any RuntimeWarning into an error, so none is raised here
+    prob, cm = paper_instance()
+    method = MethodSpec("near-dgd-t", t=2)
+    for radius in (1e308, math.inf):  # the quartic's estimate grows with radius^2
+        with pytest.raises(ObjectiveError, match="Lipschitz estimate on the box"):
+            run(prob, cm, method, alpha=0.1, budget=5, box_radius=radius)
+    quadratic = QuadraticProblem(np.zeros((12, 4)))  # L = 1 on any box
+    assert not run(quadratic, cm, method, alpha=0.1, budget=5, box_radius=1e308).diverged
+    for alpha in (1e-320, 5e-324):  # subnormal: 1/alpha overflows
+        with pytest.raises(SteplengthError, match="1/alpha is not finite"):
+            run(prob, cm, method, alpha=alpha, budget=5)
+    for token in ("near-dgd-t:3", "near-dgd-plus", "near-dgd-plus-doubling:4", "dgd",
+                  "gradient-tracking"):
+        res = run(prob, cm, MethodSpec.parse(token), alpha=1e308, budget=5,
+                  allow_large_alpha=True)
+        assert res.diverged and [rec.k for rec in res.trace.records] == [0, 0], token
+
+
 def test_run_divergence_guard_box():
     prob, cm = paper_instance()
     x0 = np.full((12, 4), 5.0)
@@ -730,6 +749,20 @@ def test_a_run_takes_the_dense_twin_when_each_t_repeats_n_over_p_times(token, bu
 FLOAT_BOUND, GRAD_BOUND = 1e-12, 1e-11
 
 
+def _assert_bit_contract(twin, base):
+    assert not np.array_equal(twin.final_x, base.final_x)  # the twin ran
+    for name in ("k", "t_k", "comms", "grads", "cost"):
+        assert twin.trace.column(name) == base.trace.column(name)
+    scale = np.maximum(1.0, np.abs(base.trace.column("lyapunov")))
+    for name in FLOAT_COLUMNS:
+        a, b = twin.trace.column(name), base.trace.column(name)
+        bound = ((GRAD_BOUND if name == "grad_avg_norm" else FLOAT_BOUND)
+                 * (scale if name == "descent_residual" else np.maximum(1.0, np.abs(b))))
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert (np.abs(a - b)[~np.isnan(b)] <= bound[~np.isnan(b)]).all(), name
+    assert twin.max_eq7_inf <= 1e-10 and twin.max_cons_gap <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["ring", "erdos-renyi"])
 @pytest.mark.parametrize("n", [25, 30, 100])
 def test_a_twin_run_keeps_the_bit_contract(monkeypatch, n, kind):
@@ -748,14 +781,9 @@ def test_a_twin_run_keeps_the_bit_contract(monkeypatch, n, kind):
                     _run_fingerprint(twin))
                 m.setattr(ConsensusMatrix, "dense_twin", lambda self: self)
                 base = run(prob, cm, method, alpha=0.1, budget=1000)
-            assert not np.array_equal(twin.final_x, base.final_x)  # the twin ran
-            for name in ("k", "t_k", "comms", "grads", "cost"):
-                assert twin.trace.column(name) == base.trace.column(name)
-            scale = np.maximum(1.0, np.abs(base.trace.column("lyapunov")))
-            for name in FLOAT_COLUMNS:
-                a, b = twin.trace.column(name), base.trace.column(name)
-                bound = ((GRAD_BOUND if name == "grad_avg_norm" else FLOAT_BOUND)
-                         * (scale if name == "descent_residual" else np.maximum(1.0, np.abs(b))))
-                assert np.array_equal(np.isnan(a), np.isnan(b))
-                assert (np.abs(a - b)[~np.isnan(b)] <= bound[~np.isnan(b)]).all(), name
-            assert twin.max_eq7_inf <= 1e-10 and twin.max_cons_gap <= 1e-12
+            _assert_bit_contract(twin, base)
+        # the schedules that change t too often to take the twin, run on it
+        for token in ("near-dgd-plus", "near-dgd-plus-doubling:4"):
+            method = MethodSpec.parse(token)
+            _assert_bit_contract(run(prob, cm.dense_twin(), method, alpha=0.1, budget=1000),
+                                 run(prob, cm, method, alpha=0.1, budget=1000))

@@ -38,6 +38,7 @@ import contextlib
 import importlib
 import io
 import math
+import os
 import resource
 import shutil
 import statistics
@@ -46,7 +47,11 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
+# One BLAS thread, pinned before NumPy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 ALPHA = 0.1
 SWEEP_CONFIG = """\

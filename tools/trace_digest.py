@@ -11,8 +11,12 @@ F-ordered and strided operands, a sweep CSV, the stdout of `neardgd run`,
 a small instance and at run.budget = 0, whose certificates read n/a, and
 `check` of a run that run.grad_tol ends early), and the spectral
 diagnostics (saddle classification, Dg eigenvalues, Lyapunov Hessian and
-descent constant rho) over a grid of t and alpha. A change that promises
-byte-identical output shows it by printing the same lines on both trees:
+descent constant rho) over a grid of t and alpha. The tool runs NumPy on
+one BLAS thread, since the bits of the larger-n products depend on the
+thread count. tests/golden_digest.txt holds its output for this checkout,
+and a tier-1 test compares the two; a change that alters bits rewrites
+that file and states its bounds. A change that promises byte-identical
+output shows it by printing the same lines on both trees:
 
     python3 tools/trace_digest.py > new.txt
     python3 tools/trace_digest.py --src /path/to/other/checkout/src > old.txt
@@ -32,7 +36,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, pinned before NumPy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 # (token, run() keyword arguments) on the n=12 reference instance
 RUNS = [(tok, {}) for tok in ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",
@@ -116,8 +124,8 @@ def large_run_digests():
     t on at least n / p consecutive iterations runs on the dense twin, one
     product per Z^t: near-dgd-t:5 (budget p >= n) and
     near-dgd-plus-doubling:25 (25 p = n). near-dgd-plus and
-    near-dgd-plus-doubling:4 stay on the two-product matrix, where a changing
-    t forms its operators afresh."""
+    near-dgd-plus-doubling:4 stay on the two-product matrix, where each new
+    t takes n powers and each use V (lam^t * (V' y))."""
     from neardgd import (MethodSpec, build_consensus_matrix, build_erdos_renyi,
                          build_ring, run, sample_quartic_problem)
 
