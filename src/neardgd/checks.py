@@ -104,8 +104,11 @@ def check_pd_rejection():
 def certificate_verdicts(result: RunResult, method: MethodSpec):
     """(name, ok, detail) of the three run certificates of a finished run of
     method. ok is None for a certificate the method does not evaluate, and
-    for all three when no iteration ran; a diverged run fails the others."""
+    for all three when no iteration ran. A diverged run, of any method, has
+    one failing verdict in their place, carrying the divergence note."""
     trace = result.trace
+    if result.diverged:
+        return [("certificates", False, "run diverged: %s" % trace.divergence_note)]
     lyapunov = trace.column("lyapunov")[:-1]  # the terminal row certifies nothing
     slack = DESCENT_SLACK * np.fmax(1.0, np.abs(lyapunov))
     worst_rel = float(np.fmax.reduce(trace.column("descent_residual")[:-1] / slack,
@@ -120,8 +123,6 @@ def certificate_verdicts(result: RunResult, method: MethodSpec):
             ok, detail = None, "not evaluated for %s" % method.label()
         elif not lyapunov.size:
             ok, detail = None, "no iteration to certify"
-        elif result.diverged:
-            ok, detail = False, "run diverged: %s" % trace.divergence_note
         out.append((name, ok, detail))
     return out
 

@@ -49,10 +49,10 @@ def _run_cell(cfg, problem, cm, cell):
 
 def _summary(result, method) -> str:
     """Where a finished run of method ended, and its worst Eq.-7 and
-    consensus-bound values: n/a where certificate_verdicts gives no verdict."""
+    consensus-bound values: n/a where the method evaluates no such
+    certificate or no iteration ran."""
     trace, final = result.trace, result.trace.final
-    judged = {name for name, ok, _ in checks.certificate_verdicts(result, method)
-              if ok is not None}
+    judged = method.certificates if len(trace.column("k")) > 1 else ()
     return ("method=%s seed=%d iters=%d f_err=%.6g grad_avg_norm=%.6g cost=%.6g "
             "eq7=%s cons_gap=%s"
             % (trace.method, trace.seed, final.k, final.f_err, final.grad_avg_norm, final.cost,

@@ -15,9 +15,9 @@ from .graph import Graph, adjacency, is_connected
 from .linalg import sym_eigen
 
 STOCH_TOL = 1e-12
-# a ConsensusMatrix of at most this many nodes applies Z^t, t >= 2, as one
-# product with a dense Z^t; a larger one as two eigenbasis products
-DENSE_POWER_NODES = 24
+# the eigenbasis kernel's NumPy call overhead per use, in multiply-adds: p = 4
+# near-dgd-plus runs faster dense at n <= 20, and 21^2 (21 - 4) ~ 7500
+CALL_COST = 7500
 PD_MARGIN = 0.1  # lambda_1 after ensure_positive_definite's shift: PD_MARGIN / (1 - delta)
 
 
@@ -53,6 +53,15 @@ def max_degree_weights(g: Graph) -> np.ndarray:
 WEIGHT_RULES = {"metropolis": metropolis_weights, "maxdegree": max_degree_weights}
 
 
+def dense_pays(n, width, repeats) -> bool:
+    """Whether one Z^t applied to repeats operands of width columns costs
+    less as a dense Z^t than as V (lam^t * (V' y)): forming it costs n^3
+    multiply-adds, and each use saves n^2 width of them and CALL_COST. A
+    matrix asks at (1, 1) and run() at (p, repeats) >= 1, so a run only
+    moves toward dense."""
+    return n * n * (n - width * repeats) <= repeats * CALL_COST
+
+
 @dataclass(eq=False)
 class ConsensusMatrix:
     """Symmetric doubly stochastic positive-definite weight matrix.
@@ -63,10 +72,10 @@ class ConsensusMatrix:
     pinned to 1.
 
     Z^t for t >= 2 is applied through an operator formed from lam^t: the
-    dense Z^t = (V diag(lam^t)) V' on at most DENSE_POWER_NODES nodes,
-    otherwise lam^t itself, applied as V (lam^t * (V' y)) (the mode is
-    fixed at construction: _vt holds V' on a two-product matrix, None on a
-    dense one). A memo keeps lam^t and the operator per t, by one rule in
+    dense Z^t = (V diag(lam^t)) V' where dense_pays(n, 1, 1), otherwise
+    lam^t itself, applied as V (lam^t * (V' y)) (the mode is fixed at
+    construction: _vt holds V' on a two-product matrix, None on a dense
+    one). A memo keeps lam^t and the operator per t, by one rule in
     both modes: hold(ts) sets it to the t >= 2 of one block of a run, and
     apply() on a t it lacks to that t alone. An operator is a function of
     (W, t) alone, each slice of a batched formation the same BLAS product
@@ -74,9 +83,8 @@ class ConsensusMatrix:
 
     dense_twin() is the same matrix in the dense mode, at any n: a shallow
     copy sharing W and the eigenpairs, with a memo of its own, made on first
-    use and kept here (the matrix itself on at most DENSE_POWER_NODES
-    nodes). A run whose schedule repeats each t on enough iterations runs
-    on it; the matrix's own results keep their bits.
+    use and kept here (the matrix itself if dense). A run for which
+    dense_pays runs on it; the matrix's own results keep their bits.
     """
 
     W: np.ndarray
@@ -106,7 +114,7 @@ class ConsensusMatrix:
             )
         if not (0.0 <= self.beta < 1.0):
             raise ConsensusMatrixError("beta=%g outside [0, 1)" % self.beta)
-        self._vt = None if self.W.shape[0] <= DENSE_POWER_NODES else self.eigenvectors.T
+        self._vt = None if dense_pays(self.n, 1, 1) else self.eigenvectors.T
 
     @property
     def n(self):
@@ -114,11 +122,8 @@ class ConsensusMatrix:
 
     def dense_twin(self) -> "ConsensusMatrix":
         """This matrix in the dense mode: Z^t, t >= 2, applied as one product
-        with a dense Z^t whatever n. Forming a Z^t costs one n x n x n
-        product and each use then saves one n x n x p product over the two
-        eigenbasis products, so it pays on a t applied n / p times or more.
-        Its products equal those of a dense matrix bitwise, and differ from
-        this matrix's, above DENSE_POWER_NODES nodes, by rounding only."""
+        with a dense Z^t whatever n. Its products equal those of a dense
+        matrix bitwise, and differ from a two-product one's by rounding only."""
         if self._vt is None:
             return self
         if self._twin is None:
@@ -166,8 +171,8 @@ class ConsensusMatrix:
         lam^t, and a dense matrix one Z^t, per t. A two-product matrix forms
         n floats per t, a dense one n^2 and as many for its scaled
         eigenvectors: for a block of rows iterations at most (rows + 1) n^2,
-        3.2 MB at n = 24 and p = 1, and on the dense twin, where each t
-        repeats at least n / p times, about BLOCK_ELEMENTS + 2 n^2."""
+        2.5 MB at n = 19 and p = 1, and on the dense twin, where each t
+        repeats r times with dense_pays(n, p, r), (rows / r + 2) n^2."""
         lams, ops = self._lams, self._ops
         keep = [t for t in dict.fromkeys(ts) if t != 1]
         new = [t for t in keep if t not in ops]

@@ -18,7 +18,7 @@ import numpy as np
 
 # apply_consensus has no caller here; the benchmark harness traces it under
 # this name
-from .consensus import ConsensusMatrix, apply_consensus
+from .consensus import ConsensusMatrix, apply_consensus, dense_pays
 from .diagnostics import (FLOAT_COLUMNS, CommCounter, CostModel, RunTrace,
                           consensus_distance, cumulative_cost, descent_certificate,
                           inner, lyapunov_grad_at, lyapunov_value_at, rho_constant)
@@ -158,11 +158,19 @@ class RunResult:
         return self.trace.final.grad_avg_norm
 
 
-def _validate_alpha(alpha, lipschitz, allow_large_alpha):
+def _validate_alpha(alpha, lipschitz, allow_large_alpha, size, box_radius):
+    """Reject an alpha that is not positive and finite, that is at least 2/L
+    unless allowed, or for which a 1/alpha-weighted certificate term on an
+    iterate of size entries in the box |y|_inf <= box_radius is not finite."""
     if not 0 < alpha < math.inf:  # NaN fails both comparisons
         raise SteplengthError("alpha must be positive and finite, got %r" % alpha)
     if not 1.0 / alpha < math.inf:  # 1/alpha bounds L_t's 1/(2 alpha) and rho
         raise SteplengthError("alpha=%r is too small: 1/alpha is not finite" % alpha)
+    # the largest 1/alpha-weighted term the certificates form on the box:
+    # rho ||y_{k+1} - y_k||^2 <= 4 n p R^2 / alpha
+    if not 4.0 * size * box_radius * box_radius / alpha < math.inf:
+        raise SteplengthError("alpha=%r is too small for the box of radius %r: "
+                              "4 n p R^2 / alpha is not finite" % (alpha, box_radius))
     if alpha >= 2.0 / lipschitz and not allow_large_alpha:
         raise SteplengthError(
             "alpha=%g violates alpha < 2/L with L=%g; pass allow_large_alpha "
@@ -418,16 +426,13 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     and one consensus application (two for the tracker), through
     ConsensusMatrix.apply, after one cm.hold of the block's schedule, which
     forms each new lam^t (dense: Z^t) of a block once for loop and pass.
-    A NEAR-DGD run whose schedule applies each t on at least n / p
-    consecutive iterations (method.repeats: near-dgd-t with budget p >= n,
-    the doubling with period p >= n, never near-dgd-plus) runs on
-    cm.dense_twin(), x_0, loop and pass alike, so that each Z^t takes one
-    product at every n; above DENSE_POWER_NODES nodes its values then
-    differ from those of the two-product matrix by rounding, and cm's own
-    products keep their bits. The loop writes each iteration's y_{k+1} and
-    x_{k+1} into the slots of two (rows + 1, n, p) buffers, rows =
-    max(1, BLOCK_ELEMENTS // (n p)) capped at the iterations, and one
-    batched pass per block then reads them in place, decides how the run
+    A NEAR-DGD run for which dense_pays(n, p, method.repeats(iterations))
+    runs on cm.dense_twin(), x_0, loop and pass alike; on a two-product cm
+    its values then differ by rounding, and cm's own products keep their
+    bits. The loop writes each iteration's y_{k+1} and x_{k+1} into the
+    slots of two (rows + 1, n, p) buffers, rows = max(1, BLOCK_ELEMENTS //
+    (n p)) capped at the iterations, and one batched pass per block then
+    reads them in place, decides how the run
     ends and certifies the rows it keeps. The first row whose y_{k+1} leaves
     the box ends the run there, diverged; otherwise, with grad_tol set, the
     first row whose grad_avg_norm is at most grad_tol ends it; the rest of
@@ -455,7 +460,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     if box_radius is None:
         box_radius = INIT_BOUND * BOX_INFLATION
     lipschitz = objective.lipschitz_estimate(box_radius)
-    _validate_alpha(alpha, lipschitz, allow_large_alpha)
+    _validate_alpha(alpha, lipschitz, allow_large_alpha, n * p, box_radius)
     # the schedules never decrease, so no t_k exceeds t_budget and the comms
     # tally stays at most budget * t_budget; both must convert to float
     if budget * method.rounds(budget) >= 2**1024:
@@ -477,9 +482,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
             s = grad = objective.stacked_grad(y)
             iterations, grad_evals = budget - 1, 1
 
-    # a t applied on n / p or more consecutive iterations repays forming a
-    # dense Z^t: such a run takes one product per Z^t on the dense twin
-    if method.near_dgd and method.repeats(iterations) * p >= n:
+    if method.near_dgd and dense_pays(n, p, method.repeats(iterations)):
         cm = cm.dense_twin()
     # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
     x = cm.apply(method.rounds(0), y) if method.near_dgd else y

@@ -12,7 +12,7 @@ from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, main)
 from neardgd.config import ConfigError, load_run_config, parse_flat_config
 from neardgd.graph import build_erdos_renyi
-from neardgd.optimizer import MethodSpec, run
+from neardgd.optimizer import METHOD_NAMES, MethodSpec, run
 
 SMALL = """
 # small quartic instance
@@ -280,14 +280,17 @@ def test_sweep_line_is_the_run_summary_line(tmp_path, capsys, name, token):
 def test_cmd_check_judges_the_configured_run(tmp_path, monkeypatch):
     # grad_tol ends this run at k = 112 of 3000, and the cost model prices a
     # round at 0.01: check judges that run, not a run of the whole budget
-    judged, real = [], checks.certificate_verdicts
+    made, judged = [], []
+    real_cell, real_verdicts = cli._run_cell, checks.certificate_verdicts
+    monkeypatch.setattr(cli, "_run_cell", lambda *args: made.append(real_cell(*args)) or made[-1])
     monkeypatch.setattr(checks, "certificate_verdicts", lambda result, method: judged.append(
-        (result.trace.final.k, result.trace.final.cost)) or real(result, method))
+        result) or real_verdicts(result, method))
     cfg = write_config(tmp_path, "method.name = near-dgd-t\nmethod.t = 5\nrun.budget = 3000\n"
                                  "run.grad_tol = 1e-3\ncost.c_c = 0.01\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert main(["check", "--config", cfg]) == EXIT_OK
-    assert judged[0] == judged[1] and judged[0][0] == 112
+    ends = [(result.trace.final.k, result.trace.final.cost) for result in made]
+    assert judged == made[1:] and ends[0] == ends[1] and ends[0][0] == 112
 
 
 def test_one_run_builds_its_problem_and_graph_once(tmp_path, monkeypatch):
@@ -432,6 +435,9 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
     ("sweep", SMALL.replace("run.alpha = 0.1", "run.alpha = 1e-320") + "sweep.methods = dgd\n",
      "out", "alpha=1e-320 is too small: 1/alpha is not finite"),
     ("check", SMALL.replace("run.alpha = 0.1", "run.alpha = 1e-320"), None, "alpha=1e-320"),
+    # a normal alpha for which rho ||y_{k+1} - y_k||^2 may overflow on the box
+    ("run", SMALL.replace("run.alpha = 0.1", "run.alpha = 3e-308"), "out",
+     "alpha=3e-308 is too small for the box of radius 4.0: 4 n p R^2 / alpha is not finite"),
     ("run", SMALL.replace("cost.c_c = 0.01", "cost.c_c = nan"), "out", "cost"),
     ("sweep", SMALL + "cost.c_g = inf\nsweep.methods = dgd\n", "out", "cost"),
     # the positive-definite shift's margin is a constant, not a key
@@ -474,7 +480,8 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
         "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
         "nan-c-check", "nan-box-radius-run", "huge-box-radius-run", "huge-box-radius-check",
-        "subnormal-alpha-sweep", "subnormal-alpha-check", "nan-cost-run", "inf-cost-sweep",
+        "subnormal-alpha-sweep", "subnormal-alpha-check", "small-normal-alpha-run",
+        "nan-cost-run", "inf-cost-sweep",
         "margin-key-check", "margin-key-run", "nan-grad-tol-run", "negative-grad-tol-sweep",
         "fractional-seeds-sweep", "negative-seeds-sweep", "negative-seed-run",
         "negative-problem-seed-check", "negative-seed-flag-run", "fractional-seed-flag-run",
@@ -689,11 +696,21 @@ def test_a_divergence_past_the_float_range_prints_only_its_line(tmp_path, capsys
         assert "iteration 0: |y|_inf = " in err and "left the box" in err
 
 
-def test_cmd_check_reports_divergence(tmp_path, capsys):
-    cfg = write_config(tmp_path, BOXED)
+@pytest.mark.parametrize("name", METHOD_NAMES)
+@pytest.mark.parametrize("diverging", [
+    lambda text: text + "run.box_radius = 0.5\n",
+    lambda text: text.replace("run.alpha = 0.1", "run.alpha = 1e308")
+    + "run.allow_large_alpha = true\n"], ids=["small-box", "huge-alpha"])
+def test_cmd_check_fails_a_diverged_run_of_every_method_in_one_line(tmp_path, capsys, name,
+                                                                    diverging):
+    # check judges the run that `run` makes: one FAIL line, with run's
+    # divergence note, in place of the certificates, whatever the method
+    cfg = write_config(tmp_path, diverging(small_running(name)))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: ") and len(err.splitlines()) == 1
     assert main(["check", "--config", cfg]) == EXIT_CHECK_FAILURE
-    failed = [line for line in capsys.readouterr().out.splitlines()
-              if line.startswith("FAIL")]
-    assert [line.split()[1] for line in failed] == [
-        "descent-residual", "eq7-identity", "consensus-bound"]
-    assert all("run diverged" in line for line in failed)
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("PASS ")] == [
+        "FAIL certificates (run diverged: %s)" % err[len("divergence: "):-1],
+        "5/6 checks passed"]

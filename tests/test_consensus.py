@@ -16,6 +16,10 @@ from neardgd.graph import Graph, build_erdos_renyi, build_ring, build_star
 from neardgd.objective import sample_quadratic_problem, sample_quartic_problem
 from neardgd.optimizer import MethodSpec, run
 
+# the largest ring that dense_pays builds dense; every larger one applies
+# Z^t as two eigenbasis products
+DENSE_EDGE = max(n for n in range(2, 100) if consensus.dense_pays(n, 1, 1))
+
 
 def two_node_cm():
     g = Graph(2, frozenset({(0, 1)}))
@@ -254,7 +258,7 @@ def test_memo_holds_the_last_blocks_powers_after_a_run_that_changes_t(n, budget)
             np.testing.assert_array_equal(op, dense_power(cm, t))
         else:
             assert op.shape == (n, 1) and np.shares_memory(op, cm._lams[t])
-    assert (cm._vt is None) == (n <= consensus.DENSE_POWER_NODES)
+    assert (cm._vt is None) == consensus.dense_pays(n, 1, 1)
     assert repr(cm) == before
     hidden = {f.name: f for f in fields(cm)}
     for name in ("_vt", "_lams", "_ops"):
@@ -272,7 +276,7 @@ def test_memo_keeps_the_last_t_and_never_serves_a_stale_one():
         assert list(cm._ops) == list(cm._lams) == [7 if t == 1 else t]
 
 
-@pytest.mark.parametrize("n", [12, consensus.DENSE_POWER_NODES + 1])
+@pytest.mark.parametrize("n", [DENSE_EDGE, DENSE_EDGE + 1])
 def test_a_result_depends_on_t_and_the_operand_alone_never_on_the_memo(n):
     g = build_ring(n)
     used = build_consensus_matrix(g)
@@ -292,9 +296,10 @@ def test_a_result_depends_on_t_and_the_operand_alone_never_on_the_memo(n):
 
     assert_as_fresh()
     # a run on a matrix that served another method's run equals one on a fresh
-    # matrix; above DENSE_POWER_NODES this near-dgd-t:5 run (budget p >= n)
-    # runs on the dense twin, and the matrix's own products keep their bits
-    prob = sample_quartic_problem(n, 4, 4, 1.0, seed=0)
+    # matrix; on the two-product matrix this near-dgd-t:5 run runs on the
+    # dense twin, near-dgd-plus with p = 1 on the matrix itself, and the
+    # matrix's own products keep their bits
+    prob = sample_quartic_problem(n, 1, 1, 1.0, seed=0)
     run(prob, used, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=50)
     assert_as_fresh()
     for method in (MethodSpec("near-dgd-plus"), MethodSpec("near-dgd-t", t=5)):
@@ -305,7 +310,7 @@ def test_a_result_depends_on_t_and_the_operand_alone_never_on_the_memo(n):
 
 
 def test_the_dense_twin_is_made_on_first_use_and_shares_the_eigenpairs(monkeypatch):
-    small = build_consensus_matrix(build_ring(consensus.DENSE_POWER_NODES))
+    small = build_consensus_matrix(build_ring(DENSE_EDGE))
     assert small.dense_twin() is small
     g = build_ring(30)
     cm = build_consensus_matrix(g)
@@ -320,7 +325,7 @@ def test_the_dense_twin_is_made_on_first_use_and_shares_the_eigenpairs(monkeypat
     assert list(twin._ops) == [5, 9] and not cm._ops  # a memo of its own
     # its products are those of a matrix built dense, and differ from the
     # two-product matrix's by rounding only
-    monkeypatch.setattr(consensus, "DENSE_POWER_NODES", 30)
+    monkeypatch.setattr(consensus, "CALL_COST", 30**3)  # dense_pays(30, 1, 1)
     dense = build_consensus_matrix(g)
     for t in (1, 2, 5, 9):
         np.testing.assert_array_equal(twin.apply(t, stack), dense.apply(t, stack))
@@ -350,7 +355,7 @@ def test_hold_keeps_the_distinct_powers_of_a_block_and_forms_each_once(monkeypat
     # apply() on a t the memo lacks makes it hold that t alone
     cm.apply(9, np.ones((n, 1)))
     assert formed[3:] == [[9]] and list(cm._ops) == [9]
-    assert (cm._vt is None) == (n <= consensus.DENSE_POWER_NODES)
+    assert (cm._vt is None) == consensus.dense_pays(n, 1, 1)
 
 
 def test_powers_pin_the_top_eigenvalue():
@@ -410,14 +415,13 @@ def _iterate_layouts(rng, n):
             ("strided", base[:, ::2, ::2])]
 
 
-@pytest.mark.parametrize("n", [7, 12, consensus.DENSE_POWER_NODES,
-                               consensus.DENSE_POWER_NODES + 1, 100])
+@pytest.mark.parametrize("n", [7, 12, DENSE_EDGE, DENSE_EDGE + 1, 100])
 @pytest.mark.parametrize("t", [1, 2, 5])
 def test_apply_consensus_on_one_iterate_equals_its_stacked_iterate_and_the_matmul_formula(n, t):
     # one iterate goes through ndarray.dot, a stack through @; both are the
     # same BLAS product per iterate, and both equal W @ y, or for t >= 2
-    # Z^t @ y with Z^t = (V diag(lam^t)) @ V' up to DENSE_POWER_NODES nodes
-    # and V @ (lam^t * (V' @ y)) above, bitwise; an iterate whose rows
+    # Z^t @ y with Z^t = (V diag(lam^t)) @ V' where dense_pays(n, 1, 1) and
+    # V @ (lam^t * (V' @ y)) elsewhere, bitwise; an iterate whose rows
     # and columns both have gaps, which BLAS cannot read, as its C-ordered copy
     cm = build_consensus_matrix(build_ring(n))
     rng = np.random.default_rng(100 * n + t)
@@ -427,7 +431,7 @@ def test_apply_consensus_on_one_iterate_equals_its_stacked_iterate_and_the_matmu
             y = np.ascontiguousarray(y)
         if t == 1:
             return cm.W @ y
-        if n <= consensus.DENSE_POWER_NODES:
+        if consensus.dense_pays(n, 1, 1):
             return dense_power(cm, t) @ y
         return cm.eigenvectors @ (cm.powers(t)[:, None] * (cm.eigenvectors.T @ y))
 
@@ -480,10 +484,11 @@ REFERENCE_METHODS = ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",
 
 def test_dense_powers_keep_the_two_product_runs_within_the_bit_contract(monkeypatch):
     # the reference instance with dense Z^t against the same runs with every
-    # t >= 2 applied as two eigenbasis products (no dense matrix)
+    # t >= 2 applied as two eigenbasis products (no dense matrix: at
+    # CALL_COST = -inf dense_pays never holds)
     prob = sample_quartic_problem(12, 4, 4, 1.0, seed=0)
     dense, again = (build_consensus_matrix(build_ring(12)) for _ in range(2))
-    monkeypatch.setattr(consensus, "DENSE_POWER_NODES", 0)
+    monkeypatch.setattr(consensus, "CALL_COST", -math.inf)
     spectral = build_consensus_matrix(build_ring(12))
     assert dense._vt is None and spectral._vt is not None
     for token in REFERENCE_METHODS:
@@ -544,8 +549,8 @@ def test_pd_check_fails_when_an_indefinite_matrix_is_accepted(monkeypatch):
 
 @pytest.mark.parametrize("n", [12, 30])
 def test_consensus_check_catches_a_dense_power_off_the_two_product_form(monkeypatch, n):
-    # the check judges the dense twin that repeating runs use; at n <= 24 it
-    # is the matrix itself
+    # the check judges the dense twin that repeating runs use; on a dense
+    # matrix it is the matrix itself
     cm = build_consensus_matrix(build_ring(n))
     assert checks.check_consensus_properties(cm, np.random.default_rng(0)) == (True, "")
     twin = cm.dense_twin()

@@ -3,7 +3,8 @@
 run() must give the same values, bit for bit, for any block size and on a
 repeated run, and end where the reference iterations of reference_steps end:
 at the same k, with the same divergence note, final iterate and tallies,
-whether it runs out of budget, stops on grad_tol or leaves the box. Every
+whether it runs out of budget, stops on grad_tol or leaves the box, on the
+kernel that dense_pays picks for the run: the matrix or its dense twin. Every
 row's tallies are those of the reference, and every certificate a run
 evaluates holds on the runs with alpha < 2/L that stay in the box.
 """
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from neardgd import checks, optimizer
-from neardgd.consensus import build_consensus_matrix
+from neardgd.consensus import build_consensus_matrix, dense_pays
 from neardgd.graph import build_ring
 from neardgd.objective import sample_quartic_problem
 from neardgd.optimizer import MethodSpec, initial_point, run
@@ -23,9 +24,10 @@ from reference_steps import run_end
 
 TOKENS = ("near-dgd-t:1", "near-dgd-t:3", "near-dgd-plus", "near-dgd-plus-doubling:4",
           "dgd", "gradient-tracking")
-# (n, p): the reference instance, and shapes whose buffer slots are not
-# 16-byte aligned or hold a single column
-SHAPES = ((12, 4), (5, 1), (7, 3))
+# (n, p): the reference instance, shapes whose buffer slots are not 16-byte
+# aligned or hold a single column, and two-product matrices on which
+# near-dgd-plus runs on the dense twin (20, 4) and on the matrix (30, 2)
+SHAPES = ((12, 4), (5, 1), (7, 3), (20, 4), (30, 2))
 INSTANCES = {(n, p): (sample_quartic_problem(n, p, p, 1.0, seed=0),
                       build_consensus_matrix(build_ring(n))) for n, p in SHAPES}
 
@@ -65,8 +67,9 @@ def test_run_is_block_size_free_and_ends_where_the_reference_does(
         blocked = run(prob, cm, method, **kwargs)
     assert fingerprint(blocked) == fingerprint(reference)
 
-    end = run_end(prob, cm, method, alpha, budget, initial_point(prob.n, prob.p, seed),
-                  box_radius, grad_tol)
+    twin = method.near_dgd and dense_pays(prob.n, prob.p, method.repeats(budget))
+    end = run_end(prob, cm.dense_twin() if twin else cm, method, alpha, budget,
+                  initial_point(prob.n, prob.p, seed), box_radius, grad_tol)
     records = reference.trace.records
     assert [rec.k for rec in records] == [step.k for step in end.steps] + [end.k]
     assert reference.trace.diverged == bool(end.note)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neardgd.consensus import ConsensusMatrix, build_consensus_matrix
+from neardgd.consensus import ConsensusMatrix, build_consensus_matrix, dense_pays
 from neardgd.diagnostics import (FLOAT_COLUMNS, CostModel, descent_residual,
                                  lyapunov_value, lyapunov_value_at)
 from neardgd.graph import Graph, build_erdos_renyi, build_ring
@@ -627,7 +627,11 @@ def test_inputs_at_the_float_range_end_in_one_error_or_a_divergence():
         with pytest.raises(ObjectiveError, match="Lipschitz estimate on the box"):
             run(prob, cm, method, alpha=0.1, budget=5, box_radius=radius)
     quadratic = QuadraticProblem(np.zeros((12, 4)))  # L = 1 on any box
-    assert not run(quadratic, cm, method, alpha=0.1, budget=5, box_radius=1e308).diverged
+    assert not run(quadratic, cm, method, alpha=0.1, budget=5, box_radius=1e150).diverged
+    # but rho ||y_{k+1} - y_k||^2 may reach 4 n p R^2 / alpha on it
+    with pytest.raises(SteplengthError, match=r"alpha=0\.1 is too small for the box of "
+                                              r"radius 1e\+308: 4 n p R\^2 / alpha"):
+        run(quadratic, cm, method, alpha=0.1, budget=5, box_radius=1e308)
     for alpha in (1e-320, 5e-324):  # subnormal: 1/alpha overflows
         with pytest.raises(SteplengthError, match="1/alpha is not finite"):
             run(prob, cm, method, alpha=alpha, budget=5)
@@ -636,6 +640,25 @@ def test_inputs_at_the_float_range_end_in_one_error_or_a_divergence():
         res = run(prob, cm, MethodSpec.parse(token), alpha=1e308, budget=5,
                   allow_large_alpha=True)
         assert res.diverged and [rec.k for rec in res.trace.records] == [0, 0], token
+
+
+def test_an_alpha_whose_certificate_terms_overflow_on_the_box_is_rejected():
+    # at alpha = 3e-308, 1/alpha is finite, but L_t's 1/(2 alpha) y'(Z^t - Z^2t) y
+    # overflowed on this ring: row 0 read lyapunov = inf and descent_residual
+    # = -inf, and every certificate passed
+    n, p = 100, 4
+    prob = sample_quartic_problem(n, p, p, math.sqrt(n / 12.0), seed=0)
+    cm = build_consensus_matrix(build_ring(n))
+    method = MethodSpec("near-dgd-t", t=2)
+    with pytest.raises(SteplengthError, match=r"alpha=3e-308 is too small for the box of "
+                                              r"radius 4\.0"):
+        run(prob, cm, method, alpha=3e-308, budget=5)
+    # at 4 n p R^2 / alpha = 1e308, finite, every term is
+    alpha = 4.0 * n * p * 16.0 / 1e308
+    res = run(prob, cm, method, alpha=alpha, budget=5)
+    for name in ("lyapunov", "descent_residual"):
+        assert np.isfinite(res.trace.column(name)[:-1]).all(), name
+    assert not res.diverged
 
 
 def test_run_divergence_guard_box():
@@ -710,8 +733,8 @@ def test_run_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# The dense twin: a NEAR-DGD run whose schedule applies each t on at least
-# n / p consecutive iterations runs on cm.dense_twin()
+# The dense twin: a NEAR-DGD run for which dense_pays(n, p, method.repeats)
+# runs on cm.dense_twin()
 
 def _reference_final(prob, cm, method, budget, seed):
     """(y_K, x_K) of the reference iterations on cm, K = budget >= 1."""
@@ -721,12 +744,17 @@ def _reference_final(prob, cm, method, budget, seed):
     return last.y_next, terminal.x
 
 
+# on a ring with n = 30 and p = 4, the fewest iterations sharing one t for
+# which the dense twin pays; near-dgd-plus (one) stays on the matrix
+REPEATS = next(r for r in itertools.count(1) if dense_pays(30, 4, r))
+
+
 @pytest.mark.parametrize("token, budget, twin", [
-    # a ring with n = 30 and p = 4: 7 * 4 < 30 <= 8 * 4
-    ("near-dgd-t:5", 7, False), ("near-dgd-t:5", 8, True),
-    ("near-dgd-plus-doubling:7", 20, False), ("near-dgd-plus-doubling:8", 20, True),
-    ("near-dgd-plus", 20, False)])
-def test_a_run_takes_the_dense_twin_when_each_t_repeats_n_over_p_times(token, budget, twin):
+    ("near-dgd-t:5", REPEATS - 1, False), ("near-dgd-t:5", REPEATS, True),
+    ("near-dgd-plus-doubling:%d" % (REPEATS - 1), 20, False),
+    ("near-dgd-plus-doubling:%d" % REPEATS, 20, True), ("near-dgd-plus", 20, False)])
+def test_a_run_takes_the_dense_twin_where_dense_pays(token, budget, twin):
+    assert 1 < REPEATS <= 20
     prob = sample_quartic_problem(30, 4, 4, math.sqrt(30 / 12.0), seed=0)
     cm = build_consensus_matrix(build_ring(30))
     method = MethodSpec.parse(token)
@@ -782,8 +810,11 @@ def test_a_twin_run_keeps_the_bit_contract(monkeypatch, n, kind):
                 m.setattr(ConsensusMatrix, "dense_twin", lambda self: self)
                 base = run(prob, cm, method, alpha=0.1, budget=1000)
             _assert_bit_contract(twin, base)
-        # the schedules that change t too often to take the twin, run on it
+        # the schedules that change t, run on the twin and on the matrix
         for token in ("near-dgd-plus", "near-dgd-plus-doubling:4"):
             method = MethodSpec.parse(token)
+            with monkeypatch.context() as m:
+                m.setattr(ConsensusMatrix, "dense_twin", lambda self: self)
+                base = run(prob, cm, method, alpha=0.1, budget=1000)
             _assert_bit_contract(run(prob, cm.dense_twin(), method, alpha=0.1, budget=1000),
-                                 run(prob, cm, method, alpha=0.1, budget=1000))
+                                 base)

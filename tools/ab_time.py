@@ -29,6 +29,12 @@ instance (N = 12 is the reference instance):
     python3 tools/ab_time.py --base old/src --workload near-dgd-plus --n 32
     python3 tools/ab_time.py --base old/src --workload saddle --n 1000 --pairs 5
 
+consensus.CALL_COST is calibrated this way: near-dgd-plus, which forms a new
+Z^t every iteration, at N = 12 to 32, with --base a copy of the tree with
+CALL_COST = -inf (dense_pays never holds) and --change one with CALL_COST =
+inf (it always does); where the ratio crosses 1, at N_x, CALL_COST =
+N_x^2 (N_x - 4).
+
 Set-up (problem and matrix builds) is outside the timed calls. The output
 is for reading only; it is no gate.
 """

@@ -11,7 +11,9 @@ F-ordered and strided operands, a sweep CSV, the stdout of `neardgd run`,
 a small instance and at run.budget = 0, whose certificates read n/a, and
 `check` of a run that run.grad_tol ends early), and the spectral
 diagnostics (saddle classification, Dg eigenvalues, Lyapunov Hessian and
-descent constant rho) over a grid of t and alpha. The tool runs NumPy on
+descent constant rho) over a grid of t and alpha, then, last, runs and
+products on both sides of consensus.dense_pays, on rings of 16, 20 and 24
+nodes. The tool runs NumPy on
 one BLAS thread, since the bits of the larger-n products depend on the
 thread count. tests/golden_digest.txt holds its output for this checkout,
 and a tier-1 test compares the two; a change that alters bits rewrites
@@ -115,29 +117,30 @@ def run_digests():
             yield from run_result_digests(res, "quartic p=%d %s" % (p, token))
 
 
-def large_run_digests():
-    """Runs above DENSE_POWER_NODES, budget 100, seeds 0 and 1: the
-    benchmark's scale networks at n=100, near-dgd-t:5 on a ring and an
-    Erdos-Renyi graph (prob 0.1) under both weight rules, plus dgd, gradient
-    tracking and the two changing-t schedules on the Metropolis ring, and
-    near-dgd-t:5 on a ring of 30. A NEAR-DGD run whose schedule applies each
-    t on at least n / p consecutive iterations runs on the dense twin, one
-    product per Z^t: near-dgd-t:5 (budget p >= n) and
-    near-dgd-plus-doubling:25 (25 p = n). near-dgd-plus and
-    near-dgd-plus-doubling:4 stay on the two-product matrix, where each new
-    t takes n powers and each use V (lam^t * (V' y))."""
-    from neardgd import (MethodSpec, build_consensus_matrix, build_erdos_renyi,
-                         build_ring, run, sample_quartic_problem)
+def network_run_digests(n, kind, g, rule, tokens):
+    """Runs of each token on g, budget 100, seeds 0 and 1, of a quartic
+    problem with p = 4 and c = sqrt(n / 12)."""
+    from neardgd import MethodSpec, build_consensus_matrix, run, sample_quartic_problem
 
-    def digests(n, kind, g, rule, tokens):
-        problem = sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
-        cm = build_consensus_matrix(g, rule)
-        for token in tokens:
-            for seed in (0, 1):
-                res = run(problem, cm, MethodSpec.parse(token), alpha=0.1, budget=100,
-                          seed=seed)
-                yield from run_result_digests(
-                    res, "n=%d %s/%s %s seed=%d" % (n, kind, rule, token, seed))
+    problem = sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
+    cm = build_consensus_matrix(g, rule)
+    for token in tokens:
+        for seed in (0, 1):
+            res = run(problem, cm, MethodSpec.parse(token), alpha=0.1, budget=100, seed=seed)
+            yield from run_result_digests(
+                res, "n=%d %s/%s %s seed=%d" % (n, kind, rule, token, seed))
+
+
+def large_run_digests():
+    """Runs on two-product matrices: the benchmark's scale networks at n=100,
+    near-dgd-t:5 on a ring and an Erdos-Renyi graph (prob 0.1) under both
+    weight rules, plus dgd, gradient tracking and the two changing-t
+    schedules on the Metropolis ring, and near-dgd-t:5 on a ring of 30. A
+    NEAR-DGD run for which consensus.dense_pays holds runs on the dense twin,
+    one product per Z^t: near-dgd-t:5 and near-dgd-plus-doubling:25.
+    near-dgd-plus and near-dgd-plus-doubling:4 stay on the two-product
+    matrix, where each new t takes n powers and each use V (lam^t * (V' y))."""
+    from neardgd import build_erdos_renyi, build_ring
 
     n = 100
     graphs = (("ring", build_ring(n)), ("erdos-renyi", build_erdos_renyi(n, 0.1, seed=0)))
@@ -147,16 +150,16 @@ def large_run_digests():
             if (kind, rule) == ("ring", "metropolis"):
                 tokens += ["dgd", "gradient-tracking", "near-dgd-plus",
                            "near-dgd-plus-doubling:4", "near-dgd-plus-doubling:25"]
-            yield from digests(n, kind, g, rule, tokens)
-    yield from digests(30, "ring", build_ring(30), "metropolis", ["near-dgd-t:5"])
+            yield from network_run_digests(n, kind, g, rule, tokens)
+    yield from network_run_digests(30, "ring", build_ring(30), "metropolis", ["near-dgd-t:5"])
 
 
-def kernel_digests():
-    """apply_consensus on C-ordered, F-ordered and strided iterates and stacks,
-    on one column and on (n,) vectors."""
+def kernel_digests(ns=(12, 100)):
+    """apply_consensus on rings of each n in ns, on C-ordered, F-ordered and
+    strided iterates and stacks, on one column and on (n,) vectors."""
     from neardgd import apply_consensus, build_consensus_matrix, build_ring
 
-    for n in (12, 100):
+    for n in ns:
         cm = build_consensus_matrix(build_ring(n))
         base = np.random.default_rng(n).uniform(-1.0, 1.0, size=(3, 2 * n, 9))
         c4 = np.ascontiguousarray(base[:, :n, :4])
@@ -235,6 +238,19 @@ def cli_digests():
             os.chdir(cwd)
 
 
+def boundary_digests():
+    """Both sides of consensus.dense_pays: near-dgd-plus and near-dgd-t:5 on
+    rings of 16 and 24, and apply_consensus on a ring of 20, the smallest
+    that is built two-product. near-dgd-plus runs dense at n = 16 and as two
+    eigenbasis products at n = 24; near-dgd-t:5 runs dense at both."""
+    from neardgd import build_ring
+
+    for n in (16, 24):
+        yield from network_run_digests(n, "ring", build_ring(n), "metropolis",
+                                       ["near-dgd-plus", "near-dgd-t:5"])
+    yield from kernel_digests((20,))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -242,7 +258,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     for digest, name in (*run_digests(), *large_run_digests(), *kernel_digests(),
-                         *spectral_digests(), *cli_digests()):
+                         *spectral_digests(), *cli_digests(), *boundary_digests()):
         print("%s  %s" % (digest, name))
     return 0
 
