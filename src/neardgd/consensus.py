@@ -77,7 +77,7 @@ class ConsensusMatrix:
     construction: _vt holds V' on a two-product matrix, None on a dense
     one). A memo keeps lam^t and the operator per t, by one rule in
     both modes: hold(ts) sets it to the t >= 2 of one block of a run, and
-    apply() on a t it lacks to that t alone. An operator is a function of
+    product() or apply() on a t it lacks to that t alone. An operator is a function of
     (W, t) alone, each slice of a batched formation the same BLAS product
     as a lone one, so every result depends on (cm, t, operand) alone.
 
@@ -155,11 +155,17 @@ class ConsensusMatrix:
         return np.array([lams[t] if t in lams else self.powers(t) for t in ts])
 
     def _form(self, ts):
-        """(lam^t rows, operators) of a nonempty list of t >= 2, each lam^t
-        taken as powers() takes it (NumPy's power of a stack may differ in
-        the last bit): the dense Z^t = (V diag(lam^t)) V' in one batched
-        product, or lam^t itself as an (n, 1) column view."""
-        lams = np.array([self.powers(t) for t in ts])
+        """(lam^t rows, operators) of a nonempty list of t >= 2. The rows
+        take one power call on the (len(ts), n) grid of the pinned spectrum
+        and the ts, and the rows with t = 2 its square, as powers() takes
+        them (NumPy's ** by a Python 2 is a square, which a power may round
+        otherwise), so row i equals powers(ts[i]) bitwise. The operators:
+        the dense Z^t = (V diag(lam^t)) V' in one batched product, or lam^t
+        itself as an (n, 1) column view."""
+        pinned = self.powers(1)
+        exponents = np.array(ts, dtype=float)
+        lams = np.power(pinned, exponents[:, None])
+        lams[exponents == 2] = np.square(pinned)
         if self._vt is not None:
             return lams, lams[:, :, None]
         return lams, (self.eigenvectors * lams[:, None, :]) @ self.eigenvectors.T
@@ -187,37 +193,51 @@ class ConsensusMatrix:
             self.hold([t])
         return self._ops[t]
 
-    def apply(self, t: int, cols, out=None) -> np.ndarray:
-        """Z^t cols for an int t >= 1 and a float (n, k) array, or an
-        (r, n, k) stack with one product per iterate, none of them checked;
-        written into out when given (a C-ordered float array of the
-        result's shape that shares no memory with cols). apply_consensus
-        checks its arguments, makes a vector one column and calls this;
-        run()'s loop calls it directly. Every consensus application thus
-        takes this one arithmetic path: W cols for t = 1, and for t >= 2
-        the memo's operator for t, formed on a miss: Z^t cols on a dense
-        matrix, otherwise V (lam^t * (V' cols)), the (n, k) intermediate
-        scaled row by row. Either costs the same for every t.
-
-        One iterate, a 2-D cols, goes through ndarray.dot and a stack
-        through the @ operator: both reach the same BLAS routine (gemm, or
-        gemv for one column) for each iterate, so a 2-D call equals the
-        matching iterate of a stacked call bitwise, and dot spends less on
-        each call; a stack BLAS cannot read is copied first (_apply_stack).
-        """
-        if cols.ndim > 2:
-            return self._apply_stack(t, cols, out)
+    def product(self, t: int):
+        """The product Z^t on one iterate, for an int t >= 1: a function
+        (cols, out=None) of a float (n, k) array, unchecked, that returns Z^t
+        cols, written into out when given (a C-ordered float array of that
+        shape sharing no memory with cols). It is W.dot for t = 1, and for
+        t >= 2 takes the memo's operator for t, formed on a miss: the dense
+        Z^t's dot, or the two products V (lam^t * (V' cols)), the (n, k)
+        intermediate scaled row by row. Either costs the same for every t.
+        run()'s loop fetches it once per block of one t and once per
+        iteration otherwise; apply() calls it on one iterate."""
         if t == 1:
-            return self.W.dot(cols, out)
+            return self.W.dot
         try:
             op = self._ops[t]
         except KeyError:
             op = self._operator(t)
         vt = self._vt
         if vt is None:
-            return op.dot(cols, out)
-        scaled = vt.dot(cols)
-        return self.eigenvectors.dot(np.multiply(scaled, op, scaled), out)
+            return op.dot
+        v, multiply = self.eigenvectors, np.multiply
+
+        def two_products(cols, out=None):
+            scaled = vt.dot(cols)
+            return v.dot(multiply(scaled, op, scaled), out)
+        return two_products
+
+    def apply(self, t: int, cols, out=None) -> np.ndarray:
+        """Z^t cols for an int t >= 1 and a float (n, k) array, or an
+        (r, n, k) stack with one product per iterate, none of them checked;
+        written into out when given (a C-ordered float array of the
+        result's shape that shares no memory with cols). apply_consensus
+        checks its arguments, makes a vector one column and calls this.
+        Every consensus application thus takes one arithmetic path: one
+        iterate goes through product(t), the handle run()'s loop calls, and
+        a stack takes the same operator, so each of its iterates equals a
+        2-D call bitwise.
+
+        One iterate goes through ndarray.dot and a stack through the @
+        operator: both reach the same BLAS routine (gemm, or gemv for one
+        column) for each iterate, and dot spends less on each call; a stack
+        BLAS cannot read is copied first (_apply_stack).
+        """
+        if cols.ndim > 2:
+            return self._apply_stack(t, cols, out)
+        return self.product(t)(cols, out)
 
     def _apply_stack(self, t, stack, out):
         """apply() on an (r, n, k) stack. NumPy multiplies a stack of
@@ -242,19 +262,24 @@ class ConsensusMatrix:
         """Z^{ts[i]} stack[i] for each i of a float (c, n, k) stack, without
         checks; each equal to apply(ts[i], stack[i]) bitwise.
 
-        The rows with t = 1 take the product W stack[i]. The others take
-        their operators, copied from the memo when it holds them all and
-        formed as hold() forms them otherwise, in batched products, which
-        NumPy evaluates as one matrix product per row.
+        When the memo holds every ts[i] (so each is >= 2), the stack takes
+        their operators, gathered in one call, in one batched product, which
+        NumPy evaluates as one matrix product per row. Otherwise the rows
+        with t = 1 take the product W stack[i], and the others their
+        operators, formed as hold() forms them unless the memo holds them
+        all.
         """
+        held = self._ops
+        if len(ts) and held.keys() >= set(ts):
+            return self._apply_ops(np.array([*map(held.__getitem__, ts)]), stack)
         out = np.empty_like(stack)
         ones = [i for i, t in enumerate(ts) if t == 1]
         if ones:
             out[ones] = self.W @ stack[ones]
         rest = [i for i, t in enumerate(ts) if t != 1]
         if rest:
-            row_ts, held = [ts[i] for i in rest], self._ops
-            ops = (np.array([held[t] for t in row_ts]) if all(t in held for t in row_ts)
+            row_ts = [ts[i] for i in rest]
+            ops = (np.array([*map(held.__getitem__, row_ts)]) if held.keys() >= set(row_ts)
                    else self._form(row_ts)[1])
             out[rest] = self._apply_ops(ops, stack[rest])
         return out

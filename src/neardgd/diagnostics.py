@@ -9,7 +9,7 @@ stacks of iterates, and each iterate's value equals its (n, p) call bitwise.
 
 import math
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -339,7 +339,12 @@ class RunTrace:
         """CSV rows: the four counts as integers and the floats as %.17g,
         which round-trips them. Integer cost coefficients give integer costs;
         those keep %d, since %.17g would round them above 2^53. No field
-        needs csv quoting: method labels hold no comma or quote."""
+        needs csv quoting: method labels hold no comma or quote.
+
+        Each block of rows the trace appended is formatted by one % over
+        its values, interleaved row by row, so the text held at once stays
+        one block's; a block whose cost column mixes ints and floats is
+        formatted row by row, each row by its own cost's format."""
         cols = list(TRACE_COLUMNS)
         prefix = ""
         if extra_key_columns:
@@ -350,8 +355,21 @@ class RunTrace:
         head = (prefix.replace("%", "%%") + "%d,%d,%d,%d,"
                 + "%.17g," * (len(TRACE_COLUMNS) - 5))
         float_cost, int_cost = head + "%.17g\n", head + "%d\n"
-        fh.writelines((int_cost if isinstance(row[-1], (int, np.integer)) else float_cost) % row
-                      for row in self._rows())
+        width, start = len(TRACE_COLUMNS), 0
+        for floats in self._floats:
+            r, end = len(floats), start + len(floats)
+            costs = self._costs[start:end]
+            values = [None] * (r * width)
+            for j, column in enumerate((*(c[start:end] for c in self._ints),
+                                        *floats.T.tolist(), costs)):
+                values[j::width] = column
+            ints = sum(map(isinstance, costs, repeat((int, np.integer))))
+            if 0 < ints < r:
+                fh.writelines((int_cost if isinstance(row[-1], (int, np.integer))
+                               else float_cost) % row for row in zip(*[iter(values)] * width))
+            else:
+                fh.write(((int_cost if ints else float_cost) * r) % tuple(values))
+            start = end
 
     def cost_to_reach(self, f_err_target: float) -> float:
         """Cost of first reaching the error target and staying at or below it.

@@ -206,31 +206,38 @@ def _running_max(current, values) -> float:
 
 def _near_dgd_iterations(objective, cm, alpha, ys, xs, ts):
     """Iterations k..k+m-1 from x_k = xs[0], given ts = [t_k, ..., t_{k+m}]:
-    y_{k+i+1} into ys[i+1] and x_{k+i+1} = Z^{t_{k+i+1}} y_{k+i+1} into xs[i+1]."""
-    grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
+    y_{k+i+1} into ys[i+1] and x_{k+i+1} = Z^{t_{k+i+1}} y_{k+i+1} into
+    xs[i+1]. The schedules never decrease, so ts[1] == ts[m] means one
+    product for the whole block."""
+    grad_of, multiply, subtract = objective.stacked_grad, np.multiply, np.subtract
     alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
-    for t, x, y_next, x_next in zip(ts[1:], xs, ys[1:], xs[1:]):
+    m = len(ts) - 1
+    products = (itertools.repeat(cm.product(ts[1]), m) if ts[1] == ts[m]
+                else map(cm.product, ts[1:]))
+    for product, x, y_next, x_next in zip(products, xs, ys[1:], xs[1:]):
         subtract(x, multiply(grad_of(x), alphas, step), y_next)
-        apply(t, y_next, x_next)
+        product(y_next, x_next)
 
 
 def _dgd_iterations(objective, cm, alpha, xs, m):
-    grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
+    grad_of, multiply, subtract = objective.stacked_grad, np.multiply, np.subtract
+    product = cm.product(1)
     alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
     for x, x_next in zip(xs[:m], xs[1:m + 1]):
         multiply(grad_of(x), alphas, step)
-        subtract(apply(1, x, x_next), step, x_next)
+        subtract(product(x, x_next), step, x_next)
 
 
 def _tracking_iterations(objective, cm, alpha, xs, s, grad, m):
     """m tracker iterations into xs[1..m]; returns the final (s, grad)."""
-    grad_of, apply, multiply, subtract = objective.stacked_grad, cm.apply, np.multiply, np.subtract
+    grad_of, multiply, subtract = objective.stacked_grad, np.multiply, np.subtract
+    product = cm.product(1)
     alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
     for x, x_next in zip(xs[:m], xs[1:m + 1]):
-        subtract(apply(1, x, x_next), multiply(s, alphas, step), x_next)
+        subtract(product(x, x_next), multiply(s, alphas, step), x_next)
         grad_next = grad_of(x_next)
         # W s is a fresh array, so (W s + grad_next) - grad is formed in it
-        s = apply(1, s)
+        s = product(s)
         s += grad_next
         s -= grad
         grad = grad_next
@@ -316,10 +323,19 @@ class _BlockCertifier:
         if self.near_dgd:
             lyaps[0] = self.lyap
             lyaps[1:] = lyapunov_value_at(ys[1:], xs[1:], objective, alpha)
-            lyap_next = lyaps[1:].copy()  # L_{t_k}(y_{k+1})
+            # L_{t_k}(y_{k+1}), which differs from L_{t_{k+1}}(y_{k+1}) on the rows
+            # after which t changes
             if constant:
                 distinct, per_row = (ts[0],), np.zeros(r, dtype=int)
+                lyap_next = lyaps[1:]
+            elif len(set(ts)) == len(ts):
+                # t changes after every row: each row is a distinct t of its
+                # own, and the full slice its own row map
+                distinct, per_row = ts_rows, slice(None)
+                lyap_next = lyapunov_value_at(ys[1:], cm.apply_each(ts_rows, ys[1:]),
+                                              objective, alpha)
             else:
+                lyap_next = lyaps[1:].copy()
                 changes = [i for i in range(r) if ts[i + 1] != ts[i]]
                 if changes:
                     # x_{k+1} used t_{k+1}; the certificate needs Z^{t_k} y_{k+1}
@@ -423,9 +439,10 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     Deterministic for fixed seed and config.
 
     The loop does only the method's arithmetic: per iteration one gradient
-    and one consensus application (two for the tracker), through
-    ConsensusMatrix.apply, after one cm.hold of the block's schedule, which
-    forms each new lam^t (dense: Z^t) of a block once for loop and pass.
+    and one consensus application (two for the tracker), through the handle
+    cm.product(t), fetched once per block of one t and once per iteration
+    where t changes, after one cm.hold of the block's schedule, which forms
+    each new lam^t (dense: Z^t) of a block once for loop and pass.
     A NEAR-DGD run for which dense_pays(n, p, method.repeats(iterations))
     runs on cm.dense_twin(), x_0, loop and pass alike; on a two-product cm
     its values then differ by rounding, and cm's own products keep their

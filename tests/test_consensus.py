@@ -476,6 +476,53 @@ def test_apply_each_equals_apply_per_row_bitwise(n, p):
     # with operators formed afresh above, and copied from the memo here
     cm.hold(ts)
     np.testing.assert_array_equal(cm.apply_each(ts, stack), expected)
+    # every t held: the operators gathered in one call, with no t = 1 rows
+    rows = [i for i, t in enumerate(ts) if t != 1]
+    np.testing.assert_array_equal(cm.apply_each([ts[i] for i in rows], stack[rows]),
+                                  expected[rows])
+
+
+@pytest.mark.parametrize("n, twin", [(12, False), (25, False), (25, True)],
+                         ids=["dense-12", "two-product-25", "dense-twin-25"])
+def test_a_product_handle_equals_apply_bitwise(n, twin):
+    def matrix():
+        cm = build_consensus_matrix(build_ring(n))
+        return cm.dense_twin() if twin else cm
+
+    cm, fresh = matrix(), matrix()
+    assert (cm._vt is None) == (n == 12 or twin)
+    y = np.random.default_rng(n).normal(size=(n, 4))
+    for t in (1, 2, 5, 20):
+        expected = fresh.apply(t, y[None])[0]  # a stack takes no handle
+        product = cm.product(t)
+        out = np.empty_like(y)
+        assert product(y, out) is out
+        np.testing.assert_array_equal(out, cm.apply(t, y))
+        np.testing.assert_array_equal(out, expected)
+        # a handle keeps its operator when the memo moves on to other t
+        cm.hold([3, 4])
+        np.testing.assert_array_equal(product(y), expected)
+
+
+POWER_GRAPHS = [(kind, n) for kind in ("ring", "star", "erdos-renyi") for n in (4, 12, 30, 100)]
+
+
+@pytest.mark.parametrize("kind, n", POWER_GRAPHS)
+def test_block_formed_powers_equal_powers_bitwise(kind, n):
+    # t = 2..2000 held in blocks, in both weight rules and both modes: each
+    # held lam^t equals powers(t), which squares at t = 2
+    g = {"ring": build_ring, "star": build_star,
+         "erdos-renyi": lambda n: build_erdos_renyi(n, 0.3, seed=n)}[kind](n)
+    for rule in ("metropolis", "maxdegree"):
+        cm = build_consensus_matrix(g, rule)
+        for matrix in {id(m): m for m in (cm, cm.dense_twin())}.values():
+            for start in range(2, 2001, 250):
+                ts = list(range(start, min(start + 250, 2001)))
+                matrix.hold(ts)
+                formed = np.array([matrix._lams[t] for t in ts])
+                np.testing.assert_array_equal(formed, [matrix.powers(t) for t in ts],
+                                              err_msg="%s %s t=%d.." % (rule, matrix._vt is None,
+                                                                        start))
 
 
 REFERENCE_METHODS = ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",

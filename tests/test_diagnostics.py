@@ -451,17 +451,17 @@ def test_cost_nondecreasing_over_run():
 # ---------------------------------------------------------------------------
 # The columnar trace against a row-built reference
 
-def reference_csv(method, seed, rows, extra_key_columns):
-    """The CSV as a list of TraceRecords prints, one field at a time."""
+def reference_csv(method, seed, rows, extra_key_columns, header=True):
+    """The CSV as a list of TraceRecords prints, one row and field at a time."""
     head = (["method", "seed"] if extra_key_columns else []) + list(TraceRecord._fields)
-    lines = [",".join(head)]
+    lines = [",".join(head)] if header else []
     for rec in rows:
         cost = rec.cost
         fields = (["%s" % method, "%d" % seed] if extra_key_columns else [])
         fields += ["%d" % v for v in rec[:4]] + ["%.17g" % v for v in rec[4:10]]
         fields.append("%d" % cost if isinstance(cost, (int, np.integer)) else "%.17g" % cost)
         lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def reference_cost_to_reach(rows, target):
@@ -530,6 +530,38 @@ def test_columnar_trace_matches_a_row_built_reference(costs):
     assert_trace_matches_rows(res.trace, rows + APPENDED)
     # f_err = 1e-9 does not reach 1e-11; -inf and 1e-12 after it do
     assert res.trace.cost_to_reach(1e-11) == 1e300
+
+
+def test_csv_formats_each_block_as_the_per_row_reference_does():
+    # blocks of several rows with int, float and mixed costs, each written in
+    # one piece unless mixed; the label's % must not reach the format
+    big = 2**63 + 5  # past int64, so the count columns are object arrays
+    blocks = [
+        [TraceRecord(k, 1, k, k, 1.0 / (k + 3), -0.0, 0.0, k * 0.1, math.nan, 2.0**-1074,
+                     2 * k) for k in range(5)],
+        [TraceRecord(5, 2**70, big, big + 1, math.nan, math.inf, -math.inf, -0.0, 1e-300,
+                     1e300, 0.25),
+         TraceRecord(6, 2**70, big + 2**70, big + 2, -math.inf, math.nan, 1e308, 5e-324,
+                     -1.5, 0.1, math.inf)],
+        [TraceRecord(7, 3, 9, 9, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, big),
+         TraceRecord(8, 3, 12, 10, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 22.0),
+         TraceRecord(9, 3, 15, 11, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, np.int64(26)),
+         TraceRecord(10, 3, 18, 12, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, math.nan)],
+        [TraceRecord(11, 4, 22, 13, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, big + 35)],
+    ]
+    trace = RunTrace(method="near-dgd-t:5 %d", seed=-3)
+    empty = RunTrace(method="m", seed=0)
+    for block in blocks:
+        extend_rows(trace, block)
+    rows = [rec for block in blocks for rec in block]
+    for tr, recs in ((trace, rows), (empty, [])):
+        for header in (True, False):
+            for extra in (False, True):
+                buf = io.StringIO()
+                tr.write_csv_to(buf, header=header, extra_key_columns=extra)
+                assert buf.getvalue() == reference_csv(tr.method, tr.seed, recs, extra,
+                                                       header), (header, extra)
+    assert reference_csv("m", 0, [], False, header=False) == ""
 
 
 def test_columnar_trace_survives_pickling():

@@ -383,14 +383,24 @@ def test_run_evaluates_stacked_value_once_per_iterate(monkeypatch, token, calls)
 
 
 def count_kernel_calls(monkeypatch):
-    """Counts ConsensusMatrix.apply calls, split into those made inside a
-    block pass and the rest (x_0 and run()'s loop)."""
+    """Counts consensus products, split into those made inside a block pass
+    and the rest (x_0 and run()'s loop): each call of a handle that
+    ConsensusMatrix.product returns (which apply() on one iterate calls too)
+    and each apply() on a stack, which takes no handle."""
     counts, in_pass = {"loop": 0, "pass": 0}, []
-    apply, certify = ConsensusMatrix.apply, optimizer._BlockCertifier.certify
+    product, apply_stack = ConsensusMatrix.product, ConsensusMatrix._apply_stack
+    certify = optimizer._BlockCertifier.certify
 
-    def counting(self, t, cols, out=None):
+    def count():
         counts["pass" if in_pass else "loop"] += 1
-        return apply(self, t, cols, out)
+
+    def counting_product(self, t):
+        handle = product(self, t)
+        return lambda cols, out=None: count() or handle(cols, out)
+
+    def counting_stack(self, t, stack, out):
+        count()
+        return apply_stack(self, t, stack, out)
 
     def flagged(self, *args):
         in_pass.append(True)
@@ -399,7 +409,8 @@ def count_kernel_calls(monkeypatch):
         finally:
             in_pass.pop()
 
-    monkeypatch.setattr(ConsensusMatrix, "apply", counting)
+    monkeypatch.setattr(ConsensusMatrix, "product", counting_product)
+    monkeypatch.setattr(ConsensusMatrix, "_apply_stack", counting_stack)
     monkeypatch.setattr(optimizer._BlockCertifier, "certify", flagged)
     return counts
 

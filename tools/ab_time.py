@@ -17,6 +17,8 @@ Workloads, after the benchmark's (benchmarks/harness.py) on the n=12
 reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
   escape          one near-dgd-t:5 run at budget 1500, on the next seed
   sweep           `neardgd sweep --parallel 1`: six methods, budget 1000, one seed
+  csv             the sweep's sweep.csv written to memory from its six traces,
+                  which are run before the timed calls
   scale           near-dgd-t:5 at budget 100 on a ring and an Erdos-Renyi
                   graph (prob 0.1) at n=100 under both weight rules, then a
                   saddle classification of the reference instance at t=5
@@ -60,6 +62,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ALPHA = 0.1
+SWEEP_METHODS = ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus", "near-dgd-plus-doubling:100",
+                 "dgd", "gradient-tracking")
 SWEEP_CONFIG = """\
 problem.kind = quartic
 problem.n = 12
@@ -75,8 +79,7 @@ cost.c_c = 0.01
 cost.c_g = 1.0
 sweep.methods = %s
 sweep.seeds = 0
-""" % (ALPHA, ", ".join(("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",
-                         "near-dgd-plus-doubling:100", "dgd", "gradient-tracking")))
+""" % (ALPHA, ", ".join(SWEEP_METHODS))
 
 
 def import_tree(src, name, into):
@@ -93,7 +96,7 @@ def workload(pkg, token, workdir, n=12):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
-    if n != 12 and token in ("sweep", "scale"):
+    if n != 12 and token in ("sweep", "csv", "scale"):
         raise ValueError("--n applies to escape, saddle and the method tokens, not to %s"
                          % token)
     problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
@@ -117,6 +120,16 @@ def workload(pkg, token, workdir, n=12):
             if code != 0:
                 raise RuntimeError("sweep exited with %d" % code)
         return sweep
+    if token == "csv":
+        cost = diagnostics.CostModel(c_c=0.01, c_g=1.0)
+        traces = [optimizer.run(problem, cm, pkg.MethodSpec.parse(m), ALPHA, 1000,
+                                cost_model=cost).trace for m in SWEEP_METHODS]
+
+        def write():
+            fh = io.StringIO()
+            for i, trace in enumerate(traces):
+                trace.write_csv_to(fh, header=(i == 0), extra_key_columns=True)
+        return write
     if token == "scale":
         n, method = 100, pkg.MethodSpec("near-dgd-t", t=5)
         large = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
@@ -148,7 +161,8 @@ def main(argv=None):
     parser.add_argument("--change", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source directory of the changed tree (default: this checkout's src/)")
     parser.add_argument("--workload", default="escape",
-                        help="escape, sweep, scale, saddle or a method token (default: escape)")
+                        help="escape, sweep, csv, scale, saddle or a method token "
+                             "(default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
     parser.add_argument("--n", type=int, default=12,
                         help="ring size for escape, saddle and the method tokens "
