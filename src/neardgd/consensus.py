@@ -77,9 +77,10 @@ class ConsensusMatrix:
     construction: _vt holds V' on a two-product matrix, None on a dense
     one). A memo keeps lam^t and the operator per t, by one rule in
     both modes: hold(ts) sets it to the t >= 2 of one block of a run, and
-    product() or apply() on a t it lacks to that t alone. An operator is a function of
-    (W, t) alone, each slice of a batched formation the same BLAS product
-    as a lone one, so every result depends on (cm, t, operand) alone.
+    product(), apply() or apply_each() missing a t to the t >= 2 of that
+    call alone. An operator is a function of (W, t) alone, each slice of a
+    batched formation the same BLAS product as a lone one, so every result
+    depends on (cm, t, operand) alone.
 
     dense_twin() is the same matrix in the dense mode, at any n: a shallow
     copy sharing W and the eigenpairs, with a memo of its own, made on first
@@ -193,6 +194,15 @@ class ConsensusMatrix:
             self.hold([t])
         return self._ops[t]
 
+    def _operators(self, ts):
+        """The memo's operators of a list of t >= 2, in a list; on a miss
+        the memo holds these t alone, as _operator holds its t."""
+        try:
+            return [*map(self._ops.__getitem__, ts)]
+        except KeyError:
+            self.hold(ts)
+            return [*map(self._ops.__getitem__, ts)]
+
     def product(self, t: int):
         """The product Z^t on one iterate, for an int t >= 1: a function
         (cols, out=None) of a float (n, k) array, unchecked, that returns Z^t
@@ -259,29 +269,18 @@ class ConsensusMatrix:
         return np.matmul(self.eigenvectors, np.multiply(scaled, ops, scaled), out=out)
 
     def apply_each(self, ts, stack) -> np.ndarray:
-        """Z^{ts[i]} stack[i] for each i of a float (c, n, k) stack, without
-        checks; each equal to apply(ts[i], stack[i]) bitwise.
-
-        When the memo holds every ts[i] (so each is >= 2), the stack takes
-        their operators, gathered in one call, in one batched product, which
-        NumPy evaluates as one matrix product per row. Otherwise the rows
-        with t = 1 take the product W stack[i], and the others their
-        operators, formed as hold() forms them unless the memo holds them
-        all.
-        """
-        held = self._ops
-        if len(ts) and held.keys() >= set(ts):
-            return self._apply_ops(np.array([*map(held.__getitem__, ts)]), stack)
+        """Z^{ts[i]} stack[i] for each i of a float (c, n, k) stack and c
+        ints ts[i] >= 1 whose 1s come first, as in a schedule, which never
+        decreases (a 1 after a larger t is a KeyError); without checks, each
+        equal to apply(ts[i], stack[i]) bitwise. The leading t = 1 rows take
+        W stack[i], the others their operators, gathered by _operators, which
+        holds on a miss as product() does, in one batched product (one matrix
+        product per row), each written into its slice of the output."""
+        ones = next((i for i, t in enumerate(ts) if t != 1), len(ts))  # leading t = 1 rows
         out = np.empty_like(stack)
-        ones = [i for i, t in enumerate(ts) if t == 1]
-        if ones:
-            out[ones] = self.W @ stack[ones]
-        rest = [i for i, t in enumerate(ts) if t != 1]
-        if rest:
-            row_ts = [ts[i] for i in rest]
-            ops = (np.array([*map(held.__getitem__, row_ts)]) if held.keys() >= set(row_ts)
-                   else self._form(row_ts)[1])
-            out[rest] = self._apply_ops(ops, stack[rest])
+        np.matmul(self.W, stack[:ones], out=out[:ones])
+        if ones < len(ts):
+            self._apply_ops(np.array(self._operators(ts[ones:])), stack[ones:], out[ones:])
         return out
 
 

@@ -9,7 +9,7 @@ stacks of iterates, and each iterate's value equals its (n, p) call bitwise.
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat, starmap
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -304,7 +304,8 @@ class RunTrace:
     _costs: list = field(default_factory=list, init=False, repr=False)
 
     def extend(self, ks, ts, comms, grads, floats, costs):
-        """Append r rows: four lists of r ints, an (r, 6) float array and r costs."""
+        """Append r rows: four lists of r ints, an (r, 6) float array and r
+        costs of one type, ints or floats, as write_csv_to formats them."""
         for column, values in zip(self._ints, (ks, ts, comms, grads)):
             column.extend(values)
         self._floats.append(floats)
@@ -342,9 +343,8 @@ class RunTrace:
         needs csv quoting: method labels hold no comma or quote.
 
         Each block of rows the trace appended is formatted by one % over
-        its values, interleaved row by row, so the text held at once stays
-        one block's; a block whose cost column mixes ints and floats is
-        formatted row by row, each row by its own cost's format."""
+        its values, interleaved row by row, in the format of its costs' one
+        type, so the text held at once stays one block's."""
         cols = list(TRACE_COLUMNS)
         prefix = ""
         if extra_key_columns:
@@ -363,12 +363,8 @@ class RunTrace:
             for j, column in enumerate((*(c[start:end] for c in self._ints),
                                         *floats.T.tolist(), costs)):
                 values[j::width] = column
-            ints = sum(map(isinstance, costs, repeat((int, np.integer))))
-            if 0 < ints < r:
-                fh.writelines((int_cost if isinstance(row[-1], (int, np.integer))
-                               else float_cost) % row for row in zip(*[iter(values)] * width))
-            else:
-                fh.write(((int_cost if ints else float_cost) * r) % tuple(values))
+            row = int_cost if costs and isinstance(costs[0], (int, np.integer)) else float_cost
+            fh.write((row * r) % tuple(values))
             start = end
 
     def cost_to_reach(self, f_err_target: float) -> float:

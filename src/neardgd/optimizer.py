@@ -274,6 +274,9 @@ class _BlockCertifier:
         self.X = np.empty_like(self.Y) if self.near_dgd else self.Y
         self.Y[0], self.X[0] = y, x
         self.ys, self.xs = list(self.Y), list(self.X)  # per-slot views for the loop
+        # an integer coefficient would wrap times int64 tallies, not times Python ints
+        integral = [isinstance(c, (int, np.integer)) for c in (cost_model.c_c, cost_model.c_g)]
+        self.tallies_dtype = object if any(integral) else None
         self.k, self.comm_rounds, self.grad_evals = 0, 0, grad_evals
         self.b_y, self.max_cons_gap, self.max_eq7_inf = float(np.linalg.norm(y)), -math.inf, 0.0
         self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
@@ -292,7 +295,11 @@ class _BlockCertifier:
             self._certify(ts, m, peaks, int(out[0]) if out.size else None)
 
     def _certify(self, ts, m, peaks, diverged):
-        """certify() given each row's |y_{k+1}|_inf and the first row out of the box."""
+        """certify() given each row's |y_{k+1}|_inf and the first row out of
+        the box, by one path for every schedule: L_{t_k}(y_{k+1}), the
+        distinct t and the row map follow from one selection of the rows
+        after which t changes (none for a constant t, the full slice when
+        every row changes)."""
         stack_y, stack_x = self.Y[:m + 1], self.X[:m + 1]
         objective, cm, alpha = self.objective, self.cm, self.alpha
         r = m if diverged is None else diverged + 1  # the rows kept
@@ -305,11 +312,18 @@ class _BlockCertifier:
                 stopped, diverged = int(below[0]), None
                 r = stopped + 1
         ys, xs, ts_rows = stack_y[:r + 1], stack_x[:r + 1], ts[:r]
-
-        # the schedules never decrease, so ts[0] == ts[m] means one t for
-        # every row: its comms are one arithmetic progression
-        constant = ts[0] == ts[m]
-        if constant:
+        # the schedules never decrease, so a constant t has no step for
+        # np.diff (which takes ts past int64 too) to find; the row map gives
+        # row i the count of changes before it, its index among the distinct t
+        changes = (np.flatnonzero(np.diff(ts[:r + 1])) if ts[0] != ts[r]
+                   else np.empty(0, dtype=np.intp))
+        if changes.size == r:
+            changed = per_row = slice(None)
+            t_changed = ts_rows
+        else:
+            changed, t_changed = changes, [ts[i] for i in changes]
+            per_row = changes.searchsorted(np.arange(r))
+        if not changes.size:  # one t for every row: its comms are one progression
             step = self.comms_per_round * ts[0]
             comms = list(range(self.comm_rounds + step, self.comm_rounds + (r + 1) * step, step))
         else:
@@ -323,31 +337,15 @@ class _BlockCertifier:
         if self.near_dgd:
             lyaps[0] = self.lyap
             lyaps[1:] = lyapunov_value_at(ys[1:], xs[1:], objective, alpha)
-            # L_{t_k}(y_{k+1}), which differs from L_{t_{k+1}}(y_{k+1}) on the rows
-            # after which t changes
-            if constant:
-                distinct, per_row = (ts[0],), np.zeros(r, dtype=int)
-                lyap_next = lyaps[1:]
-            elif len(set(ts)) == len(ts):
-                # t changes after every row: each row is a distinct t of its
-                # own, and the full slice its own row map
-                distinct, per_row = ts_rows, slice(None)
-                lyap_next = lyapunov_value_at(ys[1:], cm.apply_each(ts_rows, ys[1:]),
-                                              objective, alpha)
-            else:
-                lyap_next = lyaps[1:].copy()
-                changes = [i for i in range(r) if ts[i + 1] != ts[i]]
-                if changes:
-                    # x_{k+1} used t_{k+1}; the certificate needs Z^{t_k} y_{k+1}
-                    rows = np.array(changes)
-                    changed = ys[rows + 1]
-                    lyap_next[rows] = lyapunov_value_at(
-                        changed, cm.apply_each([ts[i] for i in changes], changed),
-                        objective, alpha)
-                # the rows of one t are consecutive
-                distinct, counts = zip(*((t, len(list(g)))
-                                         for t, g in itertools.groupby(ts_rows)))
-                per_row = np.repeat(np.arange(len(distinct)), counts)
+            # L_{t_k}(y_{k+1}) differs from L_{t_{k+1}}(y_{k+1}) on the changed
+            # rows: x_{k+1} used t_{k+1}, the certificate needs Z^{t_k} y_{k+1}
+            lyap_next = lyaps[1:]
+            if changes.size:
+                ys_changed, lyap_next = ys[1:][changed], lyap_next.copy()
+                lyap_next[changed] = lyapunov_value_at(
+                    ys_changed, cm.apply_each(t_changed, ys_changed), objective, alpha)
+            # the distinct t: the changed rows', and the last row's unless it changed
+            distinct = t_changed + [ts[r - 1]] if ts[r - 1] == ts[r] else t_changed
             # alpha >= 2/L under the override flag: no guaranteed margin,
             # report the raw Lyapunov difference
             rho = (rho_constant(cm, distinct, alpha, self.lipschitz)[per_row]
@@ -419,8 +417,9 @@ class _BlockCertifier:
         floats[:, 4] = residuals
         floats[:, 5] = np.sqrt(sum_last(avgs * avgs))  # ||xbar||, as numpy.linalg.norm
         # one array for both tallies, so that counts past int64 make both
-        # object arrays of exact ints
-        cost = cumulative_cost(CommCounter(*np.array([comms, grads])), self.cost_model)
+        # object arrays of exact ints, as integer coefficients do
+        tallies = np.array([comms, grads], dtype=self.tallies_dtype)
+        cost = cumulative_cost(CommCounter(*tallies), self.cost_model)
         self.trace.extend(ks, ts, comms, grads, floats, cost.tolist())
         return cons
 
@@ -435,8 +434,9 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     y_{k+1} = x_k - a grad f(x_k); the baselines have x_k = y_k. Trace row k
     describes x_k; rows 0..K-1 carry the Lyapunov value and descent residual
     (NEAR-DGD methods), the final row the terminal state y_K. A run that
-    leaves the box |y|_inf <= box_radius stops there and is marked diverged.
-    Deterministic for fixed seed and config.
+    leaves the box |y|_inf <= box_radius, whose radius must be finite,
+    stops there and is marked diverged. Integer cost coefficients give
+    exact int costs. Deterministic for fixed seed and config.
 
     The loop does only the method's arithmetic: per iteration one gradient
     and one consensus application (two for the tracker), through the handle
@@ -460,7 +460,8 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     the schedule, their trace columns and the descent, Eq.-7 and
     consensus-bound certificates. Each iterate's Lyapunov
     value is evaluated once, plus L_{t_k}(y_{k+1}) on the rows after which t
-    changes. The run gives the same values, bit for bit, for any block size.
+    changes, which one whole-array search per block finds for every
+    schedule. The run gives the same values, bit for bit, for any block size.
     final_y and final_x are copies, never views of the buffers.
     """
     try:  # int and NumPy integers; 2.5 iterations or seed 1.5 would be truncated
@@ -476,6 +477,8 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     n, p = objective.n, objective.p
     if box_radius is None:
         box_radius = INIT_BOUND * BOX_INFLATION
+    if not 0 < box_radius < math.inf:  # NaN fails both comparisons
+        raise ValueError("box_radius must be positive and finite, got %r" % box_radius)
     lipschitz = objective.lipschitz_estimate(box_radius)
     _validate_alpha(alpha, lipschitz, allow_large_alpha, n * p, box_radius)
     # the schedules never decrease, so no t_k exceeds t_budget and the comms

@@ -428,6 +428,11 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
      "out", "c must be"),
     ("check", SMALL.replace("problem.c = 1.0", "problem.c = nan"), None, "c must be"),
     ("run", SMALL + "run.box_radius = nan\n", "out", "radius"),
+    # no alpha fits an infinite box, although a quadratic's Lipschitz
+    # estimate is finite on it
+    ("run", SMALL.replace("problem.kind = quartic", "problem.kind = quadratic")
+     + "run.box_radius = inf\n", "out",
+     "validation error: box_radius must be positive and finite, got inf\n"),
     # the Lipschitz estimate on the box, and 1/alpha, must be finite
     ("run", SMALL + "run.box_radius = 1e308\n", "out",
      "the Lipschitz estimate on the box of radius 1e+308 is not finite"),
@@ -479,7 +484,8 @@ DOUBLING_3 = SMALL.replace("method.name = near-dgd-t", "method.name = near-dgd-p
 ], ids=["unknown-rule-sweep", "unknown-rule-check", "t0-run", "period0-sweep",
         "large-alpha-check", "unwritable-output-run", "out-is-a-file-sweep",
         "doubling-overflow-run", "doubling-overflow-sweep", "nan-alpha-run", "nan-c-sweep",
-        "nan-c-check", "nan-box-radius-run", "huge-box-radius-run", "huge-box-radius-check",
+        "nan-c-check", "nan-box-radius-run", "infinite-box-radius-quadratic-run",
+        "huge-box-radius-run", "huge-box-radius-check",
         "subnormal-alpha-sweep", "subnormal-alpha-check", "small-normal-alpha-run",
         "nan-cost-run", "inf-cost-sweep",
         "margin-key-check", "margin-key-run", "nan-grad-tol-run", "negative-grad-tol-sweep",

@@ -284,7 +284,7 @@ def test_a_result_depends_on_t_and_the_operand_alone_never_on_the_memo(n):
     for t in (3, 7, 2, 40):  # the memo has served other t
         used.apply(t, stack)
     used.hold([1, 2, 3, 3, 9])
-    ts = [2, 5, 9, 1, 3, 2**70]
+    ts = [1, 2, 5, 9, 3, 2**70]
 
     def assert_as_fresh():
         each = used.apply_each(ts, stack)
@@ -470,16 +470,18 @@ def test_powers_equal_the_raw_power_with_the_top_entry_pinned_without_overflow(g
 def test_apply_each_equals_apply_per_row_bitwise(n, p):
     cm = build_consensus_matrix(build_ring(n))
     stack = np.random.default_rng(n).normal(size=(9, n, p))
-    ts = [1, 2, 2, 3, 1, 8, 40, 2**70, 5]
+    # the 1s come first; the larger t in any order
+    ts = [1, 1, 2, 2, 3, 8, 40, 2**70, 5]
     expected = np.array([cm.apply(t, y) for t, y in zip(ts, stack)])
     np.testing.assert_array_equal(cm.apply_each(ts, stack), expected)
-    # with operators formed afresh above, and copied from the memo here
-    cm.hold(ts)
+    # with operators held on the miss above, and after the memo moved on
+    cm.hold([4, 6])
     np.testing.assert_array_equal(cm.apply_each(ts, stack), expected)
-    # every t held: the operators gathered in one call, with no t = 1 rows
-    rows = [i for i, t in enumerate(ts) if t != 1]
-    np.testing.assert_array_equal(cm.apply_each([ts[i] for i in rows], stack[rows]),
-                                  expected[rows])
+    # with no t = 1 rows, and with t = 1 rows alone
+    for rows in (slice(2, None), slice(None, 2)):
+        np.testing.assert_array_equal(cm.apply_each(ts[rows], stack[rows]), expected[rows])
+    with pytest.raises(KeyError):  # a 1 after a larger t
+        cm.apply_each([2, 1], stack[:2])
 
 
 @pytest.mark.parametrize("n, twin", [(12, False), (25, False), (25, True)],

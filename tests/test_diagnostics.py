@@ -507,7 +507,12 @@ APPENDED = [
 ]
 
 
-@pytest.mark.parametrize("costs", [(1, 1), (0.01, 1.0)], ids=["int-costs", "float-costs"])
+@pytest.mark.parametrize("costs", [
+    (1, 1), (0.01, 1.0),
+    # integer products past int64, which the tallies' int64 arrays wrapped
+    (10**18, 1), (3, 2**62), (2**63, 1)],
+    ids=["int-costs", "float-costs", "int-costs-past-int64", "int-coefficient-2^62",
+         "int-coefficient-2^63"])
 def test_columnar_trace_matches_a_row_built_reference(costs):
     prob, cm = paper_instance()
     c_c, c_g = costs
@@ -533,8 +538,8 @@ def test_columnar_trace_matches_a_row_built_reference(costs):
 
 
 def test_csv_formats_each_block_as_the_per_row_reference_does():
-    # blocks of several rows with int, float and mixed costs, each written in
-    # one piece unless mixed; the label's % must not reach the format
+    # blocks of several rows with int and float costs, each written in one
+    # piece in its costs' format; the label's % must not reach the format
     big = 2**63 + 5  # past int64, so the count columns are object arrays
     blocks = [
         [TraceRecord(k, 1, k, k, 1.0 / (k + 3), -0.0, 0.0, k * 0.1, math.nan, 2.0**-1074,
@@ -544,8 +549,8 @@ def test_csv_formats_each_block_as_the_per_row_reference_does():
          TraceRecord(6, 2**70, big + 2**70, big + 2, -math.inf, math.nan, 1e308, 5e-324,
                      -1.5, 0.1, math.inf)],
         [TraceRecord(7, 3, 9, 9, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, big),
-         TraceRecord(8, 3, 12, 10, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 22.0),
-         TraceRecord(9, 3, 15, 11, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, np.int64(26)),
+         TraceRecord(8, 3, 12, 10, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, np.int64(26))],
+        [TraceRecord(9, 3, 15, 11, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 22.0),
          TraceRecord(10, 3, 18, 12, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, math.nan)],
         [TraceRecord(11, 4, 22, 13, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, big + 35)],
     ]

@@ -342,15 +342,24 @@ def test_run_matches_the_reference_near_dgd_iterations(token):
         y, comms = step.y_next, step.comms
 
 
-@pytest.mark.parametrize("token", ["near-dgd-t:3", "near-dgd-plus",
-                                   "near-dgd-plus-doubling:4"])
-def test_run_lyapunov_column_is_carried_bitwise(token):
+@pytest.mark.parametrize("rows", [1, 5, 12])
+@pytest.mark.parametrize("n, p", [(12, 4), (30, 2)], ids=["dense-12", "two-product-30"])
+@pytest.mark.parametrize("token", ["near-dgd-t:3", "near-dgd-plus", "near-dgd-plus-doubling:4",
+                                   "near-dgd-plus-doubling:1"])
+def test_run_lyapunov_column_is_carried_bitwise(monkeypatch, token, n, p, rows):
     # row k holds L_{t_k}(y_k), computed once per iterate and carried from the
-    # certificate's L_t(y_{k+1}) while t is unchanged; the terminal row too
-    prob, cm = paper_instance()
+    # certificate's L_t(y_{k+1}) while t is unchanged; the terminal row too.
+    # In blocks of 1, 5 and 12 rows, t changes after no row, some rows or
+    # every row (near-dgd-plus, doubling:1); on the two-product matrix the
+    # reference is the dense twin where dense_pays holds
+    prob = sample_quartic_problem(n, p, p, 1.0, seed=0)
+    cm = build_consensus_matrix(build_ring(n))
     method = MethodSpec.parse(token)
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", rows * n * p)
     res = run(prob, cm, method, alpha=0.1, budget=12, seed=2)
-    y = initial_point(12, 4, 2)
+    if dense_pays(n, p, method.repeats(12)):
+        cm = cm.dense_twin()
+    y = initial_point(n, p, 2)
     records = res.trace.records
     assert len(records) == 13
     for rec, step in zip(records, iterations(prob, cm, method, 0.1, y)):
@@ -604,7 +613,7 @@ def test_run_steplength_validation():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_library_checks_reject_meaningless_values(bad):
     # NaN passes a "<= 0" test; each check rejects it, and every value
-    # that is negative or (but for the box radius and grad_tol) infinite
+    # that is negative or (but for grad_tol) infinite
     prob, cm = paper_instance()
     quadratic = QuadraticProblem(np.zeros((12, 4)))
     method = MethodSpec("near-dgd-t", t=2)
@@ -622,10 +631,10 @@ def test_library_checks_reject_meaningless_values(bad):
         CostModel(c_c=bad)
     with pytest.raises(ValueError, match="cost coefficients"):
         CostModel(c_g=bad)
+    for objective in (prob, quadratic):
+        with pytest.raises(ValueError, match="box_radius must be positive and finite"):
+            run(objective, cm, method, alpha=0.1, budget=5, box_radius=bad)
     if bad != float("inf"):
-        for objective in (prob, quadratic):
-            with pytest.raises(ValueError, match="radius"):
-                run(objective, cm, method, alpha=0.1, budget=5, box_radius=bad)
         with pytest.raises(ValueError, match="grad_tol"):
             run(prob, cm, method, alpha=0.1, budget=5, grad_tol=bad)
 
@@ -634,10 +643,13 @@ def test_inputs_at_the_float_range_end_in_one_error_or_a_divergence():
     # tier-1 turns any RuntimeWarning into an error, so none is raised here
     prob, cm = paper_instance()
     method = MethodSpec("near-dgd-t", t=2)
-    for radius in (1e308, math.inf):  # the quartic's estimate grows with radius^2
-        with pytest.raises(ObjectiveError, match="Lipschitz estimate on the box"):
-            run(prob, cm, method, alpha=0.1, budget=5, box_radius=radius)
+    # the quartic's estimate grows with radius^2
+    with pytest.raises(ObjectiveError, match="Lipschitz estimate on the box"):
+        run(prob, cm, method, alpha=0.1, budget=5, box_radius=1e308)
     quadratic = QuadraticProblem(np.zeros((12, 4)))  # L = 1 on any box
+    for objective in (prob, quadratic):  # no alpha fits an infinite box
+        with pytest.raises(ValueError, match="box_radius must be positive and finite, got inf"):
+            run(objective, cm, method, alpha=0.1, budget=5, box_radius=math.inf)
     assert not run(quadratic, cm, method, alpha=0.1, budget=5, box_radius=1e150).diverged
     # but rho ||y_{k+1} - y_k||^2 may reach 4 n p R^2 / alpha on it
     with pytest.raises(SteplengthError, match=r"alpha=0\.1 is too small for the box of "

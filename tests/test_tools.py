@@ -30,11 +30,14 @@ def test_trace_digest_prints_one_digest_per_named_item():
 
 
 def test_ab_time_compares_a_tree_with_itself():
-    proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "dgd",
-                    "--pairs", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert re.search(r"^change / base: median paired ratio \d+\.\d{3} .* in [01] of 1 pairs$",
-                     proc.stdout, re.MULTILINE), proc.stdout
+    # one pair has no spread; three have one
+    for pairs, spread in ((1, r"0\.000"), (3, r"\d+\.\d{3}")):
+        proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "dgd",
+                        "--pairs", pairs)
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^change / base: median paired ratio \d+\.\d{3} \([+-]\d+\.\d %%\), "
+                         r"interquartile range %s, change faster in [0-%d] of %d pairs$"
+                         % (spread, pairs, pairs), proc.stdout, re.MULTILINE), proc.stdout
 
 
 def test_ab_time_runs_a_method_on_a_ring_of_n_nodes():

@@ -7,8 +7,8 @@ alternating from pair to pair, so that a host whose speed changes over
 seconds slows both sides of a pair alike. Prints each tree's median time
 and median count of minor page faults per call (the growth of the
 process's ru_minflt over the call, which counts the pages of work arrays
-that the heap had given back to the system), and the median over pairs
-of the ratio change / base:
+that the heap had given back to the system), and the median and the
+interquartile range over pairs of the ratio change / base:
 
     python3 tools/ab_time.py --base /path/to/other/checkout/src --workload escape
     python3 tools/ab_time.py --base old/src --change new/src --workload dgd --pairs 40
@@ -38,7 +38,11 @@ inf (it always does); where the ratio crosses 1, at N_x, CALL_COST =
 N_x^2 (N_x - 4).
 
 Set-up (problem and matrix builds) is outside the timed calls. The output
-is for reading only; it is no gate.
+is for reading only; it is no gate. Run an A/A comparison beside each
+A/B one, the base tree against itself (--change the same directory as
+--base): its median and interquartile range show what the host's noise
+alone reads (an A/A near-dgd-plus run of 30 pairs has read 0.975 on a
+shared two-CPU host), and an A/B ratio inside them shows no change.
 """
 
 import argparse
@@ -195,8 +199,11 @@ def main(argv=None):
     for side in ("base", "change"):
         print("%-6s median %.5f s, %g minor page faults per call"
               % (side, statistics.median(times[side]), statistics.median(faults[side])))
-    print("change / base: median paired ratio %.3f (%+.1f %%), change faster in %d of %d pairs"
-          % (statistics.median(ratios), 100 * (statistics.median(ratios) - 1),
+    # one pair has no spread
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print("change / base: median paired ratio %.3f (%+.1f %%), interquartile range %.3f, "
+          "change faster in %d of %d pairs"
+          % (statistics.median(ratios), 100 * (statistics.median(ratios) - 1), q3 - q1,
              sum(r < 1 for r in ratios), len(ratios)))
     return 0
 
