@@ -238,14 +238,24 @@ def saddle_classification(y, objective, cm, t, alpha) -> SaddleReport:
 # ---------------------------------------------------------------------------
 # Cost accounting and traces
 
+def as_float(name, value) -> float:
+    """An input as a Python float, or a ValueError that names it (an int past
+    the float range such as 10**400, text float() cannot read)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("%s must be a number within the float range" % name) from None
+
+
 @dataclass
 class CostModel:
-    """Cost = c_c * communications + c_g * computations."""
+    """Cost = c_c * communications + c_g * computations, with float coefficients."""
 
     c_c: float = 1.0
     c_g: float = 1.0
 
     def __post_init__(self):
+        self.c_c, self.c_g = as_float("c_c", self.c_c), as_float("c_g", self.c_g)
         # NaN fails each comparison
         if not (0 <= self.c_c < math.inf and 0 <= self.c_g < math.inf):
             raise ValueError("cost coefficients must be finite and nonnegative, got "
@@ -261,7 +271,7 @@ class CommCounter:
 
 
 def cumulative_cost(counter: CommCounter, model: CostModel):
-    """Cost of the counter's tallies, inf past the float range; one per entry of arrays."""
+    """Float cost of the tallies, inf past the float range; one per entry of arrays."""
     with np.errstate(over="ignore"):
         return model.c_c * counter.consensus_rounds + model.c_g * counter.gradient_evals
 
@@ -281,18 +291,17 @@ class TraceRecord(NamedTuple):
 
 
 TRACE_COLUMNS = TraceRecord._fields
-FLOAT_COLUMNS = TRACE_COLUMNS[4:10]  # f_err .. dist_saddle
+FLOAT_COLUMNS = TRACE_COLUMNS[4:]  # f_err .. cost
 
 
 @dataclass(eq=False)
 class RunTrace:
     """Per-iteration trace rows of one run, kept as columns: k, t_k, comms
     and grads as lists of Python ints (a doubling schedule's counts outgrow
-    int64), the six FLOAT_COLUMNS as a list of the (r, 6) arrays appended,
-    so that an append copies no earlier row, and cost as a list: ints under
-    integer cost coefficients, floats otherwise. ``records`` builds a new
-    list of every row as a TraceRecord on each access; ``final`` builds
-    only the last."""
+    int64), and the seven FLOAT_COLUMNS, f_err .. cost, as a list of the
+    (r, 7) arrays appended, so that an append copies no earlier row.
+    ``records`` builds a new list of every row as a TraceRecord on each
+    access; ``final`` builds only the last."""
 
     method: str
     seed: int
@@ -301,21 +310,18 @@ class RunTrace:
     _ints: tuple = field(default_factory=lambda: ([], [], [], []), init=False, repr=False)
     _floats: list = field(default_factory=lambda: [np.empty((0, len(FLOAT_COLUMNS)))],
                           init=False, repr=False)
-    _costs: list = field(default_factory=list, init=False, repr=False)
 
-    def extend(self, ks, ts, comms, grads, floats, costs):
-        """Append r rows: four lists of r ints, an (r, 6) float array and r
-        costs of one type, ints or floats, as write_csv_to formats them."""
+    def extend(self, ks, ts, comms, grads, floats):
+        """Append r rows: four lists of r ints and an (r, 7) float array."""
         for column, values in zip(self._ints, (ks, ts, comms, grads)):
             column.extend(values)
         self._floats.append(floats)
-        self._costs.extend(costs)
 
     def _rows(self, start=0):
         """The rows from start on (counted from the end when negative), as
         tuples in TRACE_COLUMNS order."""
         return zip(*(column[start:] for column in self._ints),
-                   *np.concatenate(self._floats)[start:].T.tolist(), self._costs[start:])
+                   *np.concatenate(self._floats)[start:].T.tolist())
 
     @property
     def records(self) -> list:
@@ -327,24 +333,23 @@ class RunTrace:
 
     def column(self, name):
         """One column over every row: a float array for FLOAT_COLUMNS, a
-        list for the integer columns and cost."""
+        list for the integer columns."""
         if name in FLOAT_COLUMNS:
             return np.concatenate(self._floats)[:, FLOAT_COLUMNS.index(name)]
-        return list(self._costs if name == "cost" else self._ints[TRACE_COLUMNS.index(name)])
+        return list(self._ints[TRACE_COLUMNS.index(name)])
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             self.write_csv_to(fh)
 
     def write_csv_to(self, fh, header=True, extra_key_columns=False):
-        """CSV rows: the four counts as integers and the floats as %.17g,
-        which round-trips them. Integer cost coefficients give integer costs;
-        those keep %d, since %.17g would round them above 2^53. No field
-        needs csv quoting: method labels hold no comma or quote.
+        """CSV rows: the four counts as integers and the seven floats as
+        %.17g, which round-trips them. No field needs csv quoting: method
+        labels hold no comma or quote.
 
         Each block of rows the trace appended is formatted by one % over
-        its values, interleaved row by row, in the format of its costs' one
-        type, so the text held at once stays one block's."""
+        its values, interleaved row by row, so the text held at once stays
+        one block's."""
         cols = list(TRACE_COLUMNS)
         prefix = ""
         if extra_key_columns:
@@ -352,23 +357,20 @@ class RunTrace:
             prefix = "%s,%d," % (self.method, self.seed)
         if header:
             fh.write(",".join(cols) + "\n")
-        head = (prefix.replace("%", "%%") + "%d,%d,%d,%d,"
-                + "%.17g," * (len(TRACE_COLUMNS) - 5))
-        float_cost, int_cost = head + "%.17g\n", head + "%d\n"
+        row = (prefix.replace("%", "%%") + "%d,%d,%d,%d,"
+               + ",".join(["%.17g"] * len(FLOAT_COLUMNS)) + "\n")
         width, start = len(TRACE_COLUMNS), 0
         for floats in self._floats:
             r, end = len(floats), start + len(floats)
-            costs = self._costs[start:end]
             values = [None] * (r * width)
             for j, column in enumerate((*(c[start:end] for c in self._ints),
-                                        *floats.T.tolist(), costs)):
+                                        *floats.T.tolist())):
                 values[j::width] = column
-            row = int_cost if costs and isinstance(costs[0], (int, np.integer)) else float_cost
             fh.write((row * r) % tuple(values))
             start = end
 
     def cost_to_reach(self, f_err_target: float) -> float:
-        """Cost of first reaching the error target and staying at or below it.
+        """Float cost of first reaching the error target and staying at or below it.
 
         Transient dips that later rise back above the target do not count;
         inf if the run never settles below the target.
@@ -376,4 +378,4 @@ class RunTrace:
         unsettled = np.flatnonzero(~(self.column("f_err") <= f_err_target))
         start = int(unsettled[-1]) + 1 if unsettled.size else 0
         costs = self.column("cost")
-        return costs[start] if start < len(costs) else math.inf
+        return float(costs[start]) if start < len(costs) else math.inf

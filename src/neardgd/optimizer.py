@@ -19,7 +19,7 @@ import numpy as np
 # apply_consensus has no caller here; the benchmark harness traces it under
 # this name
 from .consensus import ConsensusMatrix, apply_consensus, dense_pays
-from .diagnostics import (FLOAT_COLUMNS, CommCounter, CostModel, RunTrace,
+from .diagnostics import (FLOAT_COLUMNS, CommCounter, CostModel, RunTrace, as_float,
                           consensus_distance, cumulative_cost, descent_certificate,
                           inner, lyapunov_grad_at, lyapunov_value_at, rho_constant)
 from .linalg import mean_rows, sum_last
@@ -274,9 +274,6 @@ class _BlockCertifier:
         self.X = np.empty_like(self.Y) if self.near_dgd else self.Y
         self.Y[0], self.X[0] = y, x
         self.ys, self.xs = list(self.Y), list(self.X)  # per-slot views for the loop
-        # an integer coefficient would wrap times int64 tallies, not times Python ints
-        integral = [isinstance(c, (int, np.integer)) for c in (cost_model.c_c, cost_model.c_g)]
-        self.tallies_dtype = object if any(integral) else None
         self.k, self.comm_rounds, self.grad_evals = 0, 0, grad_evals
         self.b_y, self.max_cons_gap, self.max_eq7_inf = float(np.linalg.norm(y)), -math.inf, 0.0
         self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
@@ -416,11 +413,10 @@ class _BlockCertifier:
         floats[:, 3] = lyaps
         floats[:, 4] = residuals
         floats[:, 5] = np.sqrt(sum_last(avgs * avgs))  # ||xbar||, as numpy.linalg.norm
-        # one array for both tallies, so that counts past int64 make both
-        # object arrays of exact ints, as integer coefficients do
-        tallies = np.array([comms, grads], dtype=self.tallies_dtype)
-        cost = cumulative_cost(CommCounter(*tallies), self.cost_model)
-        self.trace.extend(ks, ts, comms, grads, floats, cost.tolist())
+        # run() bounds the tallies below 2^1024, so they convert to float
+        floats[:, 6] = cumulative_cost(CommCounter(*np.array([comms, grads], dtype=float)),
+                                       self.cost_model)
+        self.trace.extend(ks, ts, comms, grads, floats)
         return cons
 
 
@@ -435,8 +431,8 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     describes x_k; rows 0..K-1 carry the Lyapunov value and descent residual
     (NEAR-DGD methods), the final row the terminal state y_K. A run that
     leaves the box |y|_inf <= box_radius, whose radius must be finite,
-    stops there and is marked diverged. Integer cost coefficients give
-    exact int costs. Deterministic for fixed seed and config.
+    stops there and is marked diverged. Deterministic for fixed seed and
+    config.
 
     The loop does only the method's arithmetic: per iteration one gradient
     and one consensus application (two for the tracker), through the handle
@@ -471,12 +467,16 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
                          % (budget, seed)) from None
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    # Python floats from here on: an int past the float range fails once,
+    # here, and a NumPy scalar takes Python's float arithmetic, warning-free
+    alpha = as_float("alpha", alpha)
+    grad_tol = grad_tol if grad_tol is None else as_float("grad_tol", grad_tol)
     if grad_tol is not None and not grad_tol >= 0:
         raise ValueError("grad_tol must be nonnegative, got %r" % grad_tol)
     cost_model = cost_model or CostModel()
     n, p = objective.n, objective.p
-    if box_radius is None:
-        box_radius = INIT_BOUND * BOX_INFLATION
+    box_radius = as_float("box_radius",
+                          INIT_BOUND * BOX_INFLATION if box_radius is None else box_radius)
     if not 0 < box_radius < math.inf:  # NaN fails both comparisons
         raise ValueError("box_radius must be positive and finite, got %r" % box_radius)
     lipschitz = objective.lipschitz_estimate(box_radius)
@@ -487,7 +487,10 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
         raise ValueError("%s at budget %d: the consensus rounds per iteration "
                          "outgrow the float range" % (method.label(), budget))
 
-    y = initial_point(n, p, seed) if x0 is None else np.array(x0, dtype=float)
+    try:
+        y = initial_point(n, p, seed) if x0 is None else np.array(x0, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # an int past the float range, text
+        raise ValueError("initial point x0 must hold numbers within the float range") from None
     if y.shape != (n, p):
         raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
     if not np.isfinite(y).all():
@@ -495,19 +498,23 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
 
     trace = RunTrace(method=method.label(), seed=seed)
     iterations, grad_evals = budget, 0
-    if method.name == "gradient-tracking":
-        if budget < 2:
-            iterations = 0  # not enough budget for tracker init plus a step
-        else:
-            s = grad = objective.stacked_grad(y)
-            iterations, grad_evals = budget - 1, 1
+    # what the set-up, and the end of a run that ends at y_0, evaluate at a
+    # y_0 outside the box may overflow, as the pass's evaluations at a y past it
+    ignore = None if np.abs(y).max() <= box_radius else "ignore"
+    with np.errstate(over=ignore, invalid=ignore):
+        if method.name == "gradient-tracking":
+            if budget < 2:
+                iterations = 0  # not enough budget for tracker init plus a step
+            else:
+                s = grad = objective.stacked_grad(y)
+                iterations, grad_evals = budget - 1, 1
 
-    if method.near_dgd and dense_pays(n, p, method.repeats(iterations)):
-        cm = cm.dense_twin()
-    # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
-    x = cm.apply(method.rounds(0), y) if method.near_dgd else y
-    block = _BlockCertifier(objective, cm, method, alpha, cost_model, trace, lipschitz,
-                            box_radius, grad_tol, y, x, iterations, grad_evals)
+        if method.near_dgd and dense_pays(n, p, method.repeats(iterations)):
+            cm = cm.dense_twin()
+        # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
+        x = cm.apply(method.rounds(0), y) if method.near_dgd else y
+        block = _BlockCertifier(objective, cm, method, alpha, cost_model, trace, lipschitz,
+                                box_radius, grad_tol, y, x, iterations, grad_evals)
     while block.k < iterations and not block.ended:
         k, m = block.k, min(block.rows, iterations - block.k)
         ts = method.schedule(k, m + 1)
@@ -521,13 +528,15 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
             else:
                 s, grad = _tracking_iterations(objective, cm, alpha, block.ys, s, grad, m)
         block.certify(ts)
-    if not block.ended:
-        block.finish(method.rounds(block.k))
-    # copies, so that no result holds a view of the run's buffers
-    final_y = block.Y[0].copy()
+    with np.errstate(over=ignore, invalid=ignore):
+        if not block.ended:
+            block.finish(method.rounds(block.k))
+        # copies, so that no result holds a view of the run's buffers
+        final_y = block.Y[0].copy()
+        final_avg = final_y.mean(axis=0)
     return RunResult(trace=trace, counter=CommCounter(block.comm_rounds, block.grad_evals),
                      final_y=final_y,
                      final_x=final_y if block.X is block.Y else block.X[0].copy(),
-                     final_avg=final_y.mean(axis=0), b_y=block.b_y,
+                     final_avg=final_avg, b_y=block.b_y,
                      max_cons_gap=block.max_cons_gap, max_eq7_inf=block.max_eq7_inf,
                      lipschitz=lipschitz)

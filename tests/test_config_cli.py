@@ -640,9 +640,18 @@ def test_config_keys_are_the_keys_the_loader_reads_and_readme_documents():
             if not re.search(r"(?<![\w.])%s\b" % re.escape(key), readme)] == []
 
 
+# The numeric keys, and the edge values the fuzz below and the commands' grid
+# give them.
+NUMERIC_KEYS = ["problem.n", "problem.p", "problem.I", "problem.c", "problem.seed",
+                "graph.prob", "method.t", "method.period", "sweep.seeds", "run.alpha",
+                "run.budget", "run.seed", "run.grad_tol", "run.box_radius", "cost.c_c",
+                "cost.c_g"]
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "0.0", "-0.0", "5e-324", "1e-320", "1e308",
+               "-1e308", "1e400", "-1e400", "2.5", "text"]
+
 # No decimal digits in free text: a large problem.n would build a large problem.
 _free_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
-_value = st.one_of(_free_text, st.integers(-3, 30).map(str),
+_value = st.one_of(_free_text, st.integers(-3, 30).map(str), st.sampled_from(EDGE_VALUES),
                    st.floats(allow_nan=True, allow_infinity=True).map(repr),
                    st.sampled_from(["quartic", "quadratic", "ring", "star", "edgelist",
                                     "erdos-renyi", "metropolis", "maxdegree", "dgd",
@@ -661,6 +670,47 @@ def test_config_loaders_raise_only_config_error(text):
             load(text)
         except ConfigError:
             pass
+
+
+# The loaders' fuzz, carried through the commands. Every numeric key takes
+# every edge value on three method, graph and problem variants with a
+# budget of 20; n, p and the budget stay small, since resource limits on a
+# huge problem are out of scope. Each (key, value, variant) runs one command,
+# rotated so that each (key, value) pair meets all three commands.
+VARIANTS = [
+    {"problem.kind": "quartic", "problem.n": "4", "problem.p": "2", "problem.I": "2",
+     "graph.kind": "ring", "method.name": "near-dgd-t", "method.t": "2",
+     "sweep.methods": "near-dgd-t:2"},
+    {"problem.kind": "quadratic", "problem.n": "5", "problem.p": "2", "graph.kind": "star",
+     "method.name": "near-dgd-plus-doubling", "method.period": "3",
+     "sweep.methods": "near-dgd-plus-doubling:3"},
+    {"problem.kind": "quartic", "problem.n": "6", "problem.p": "1", "problem.I": "1",
+     "graph.kind": "erdos-renyi", "graph.prob": "0.5", "method.name": "gradient-tracking",
+     "sweep.methods": "gradient-tracking", "run.allow_large_alpha": "true"},
+]
+
+
+def test_commands_end_in_a_run_or_one_validation_line(tmp_path, capsys):
+    assert len(NUMERIC_KEYS) == len(set(NUMERIC_KEYS)) and set(NUMERIC_KEYS) <= set(CONFIG_KEYS)
+    out = str(tmp_path / "out")
+    cases = 0
+    for i, key in enumerate(NUMERIC_KEYS):
+        for j, value in enumerate(EDGE_VALUES):
+            for v, variant in enumerate(VARIANTS):
+                command = ("run", "sweep", "check")[(i + j + v) % 3]
+                kv = dict(variant, **{"run.budget": "20", key: value})
+                text = "".join("%s = %s\n" % item for item in kv.items())
+                argv = [command, "--config", write_config(tmp_path, text)]
+                code = main(argv + ([] if command == "check" else ["--out", out]))
+                err = capsys.readouterr().err.splitlines()
+                case = (command, key, value, v, code, err)
+                if code == EXIT_VALIDATION:
+                    assert len(err) == 1 and err[0].startswith("validation error: "), case
+                else:
+                    assert code in (EXIT_OK, EXIT_DIVERGENCE, EXIT_CHECK_FAILURE), case
+                    assert all(line.startswith("divergence") for line in err), case
+                cases += 1
+    assert cases == len(NUMERIC_KEYS) * len(EDGE_VALUES) * len(VARIANTS)
 
 
 # ---------------------------------------------------------------------------

@@ -544,8 +544,9 @@ def test_dense_powers_keep_the_two_product_runs_within_the_bit_contract(monkeypa
         method = MethodSpec.parse(token)
         a = run(prob, dense, method, alpha=0.1, budget=1000)
         b = run(prob, spectral, method, alpha=0.1, budget=1000)
-        for name in ("k", "t_k", "comms", "grads", "cost"):
+        for name in ("k", "t_k", "comms", "grads"):
             assert a.trace.column(name) == b.trace.column(name), (token, name)
+        np.testing.assert_array_equal(a.trace.column("cost"), b.trace.column("cost"))
         for name in FLOAT_COLUMNS:
             x, y = a.trace.column(name), b.trace.column(name)
             close = np.abs(x - y) <= 1e-12 * np.fmax(1.0, np.abs(y))

@@ -684,6 +684,42 @@ def test_an_alpha_whose_certificate_terms_overflow_on_the_box_is_rejected():
     assert not res.diverged
 
 
+# run()'s own inputs at the edges of the float range, as Python floats,
+# ints past the range and NumPy scalars
+RUN_EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, 0.1, 1, 2.5,
+                   1e100, 1e200, 1e308, -1e308, 10**400, -10**400, np.float64(1e-320),
+                   np.float64(1e308), np.float32(0.5), np.int64(3)]
+
+
+@pytest.mark.parametrize("name", ["alpha", "box_radius", "grad_tol", "c_c", "c_g", "x0"])
+def test_run_inputs_end_in_a_run_or_one_error_never_a_warning(name):
+    # the library twin of the commands' edge-value grid in test_config_cli
+    prob = sample_quartic_problem(4, 2, 2, 1.0, seed=0)
+    cm = build_consensus_matrix(build_ring(4))
+    for value in RUN_EDGE_VALUES:
+        for token in ("near-dgd-t:2", "near-dgd-plus", "dgd", "gradient-tracking"):
+            for budget in (0, 20):
+                case = (name, value, token, budget)
+                kwargs = dict(alpha=0.1, budget=budget)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        if name in ("c_c", "c_g"):
+                            kwargs["cost_model"] = CostModel(**{name: value})
+                        elif name == "x0":
+                            kwargs["x0"] = [[value] * 2] * 4  # value at every entry
+                        else:
+                            kwargs[name] = value
+                        res = run(prob, cm, MethodSpec.parse(token), **kwargs)
+                    except (ValueError, ObjectiveError):
+                        continue
+                assert len(res.trace.records) >= 1, case
+                if name == "x0" and not abs(value) <= 4.0:  # y_0 outside the box
+                    # the first iterate leaves it too: the run ends at row 0
+                    assert res.diverged == (budget > 0), case
+                    assert len(res.trace.records) == (2 if budget else 1), case
+
+
 def test_run_divergence_guard_box():
     prob, cm = paper_instance()
     x0 = np.full((12, 4), 5.0)
@@ -802,8 +838,9 @@ FLOAT_BOUND, GRAD_BOUND = 1e-12, 1e-11
 
 def _assert_bit_contract(twin, base):
     assert not np.array_equal(twin.final_x, base.final_x)  # the twin ran
-    for name in ("k", "t_k", "comms", "grads", "cost"):
+    for name in ("k", "t_k", "comms", "grads"):
         assert twin.trace.column(name) == base.trace.column(name)
+    np.testing.assert_array_equal(twin.trace.column("cost"), base.trace.column("cost"))
     scale = np.maximum(1.0, np.abs(base.trace.column("lyapunov")))
     for name in FLOAT_COLUMNS:
         a, b = twin.trace.column(name), base.trace.column(name)

@@ -1,5 +1,6 @@
 """The byte-identity and timing tools in tools/ run against the package in src/."""
 
+import os
 import re
 import subprocess
 import sys
@@ -27,6 +28,31 @@ def test_trace_digest_prints_one_digest_per_named_item():
     assert all(matches), [line for line, m in zip(lines, matches) if not m]
     names = [m.group(2) for m in matches]
     assert len(set(names)) == len(names)
+
+
+# Runs whose bits depend on the BLAS thread count: the n=100 runs on the
+# dense twin, whose Z^t is formed by one n x n x n product
+THREAD_SENSITIVE = re.compile(r"(trace|state) n=100 \S+ (near-dgd-t:5|near-dgd-plus-doubling:25) "
+                              r"seed=\d")
+
+
+def test_trace_digest_at_two_blas_threads_differs_only_on_the_dense_twin_runs():
+    # NumPy is loaded under two threads before the tool pins one, so the pin
+    # has no effect; a host that caps OpenBLAS at one thread changes nothing
+    launch = ("import runpy, sys\nimport numpy\nsys.argv = sys.argv[1:]\n"
+              "runpy.run_path(sys.argv[0], run_name='__main__')")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", launch, str(TOOLS / "trace_digest.py"),
+                           "--src", str(ROOT / "src")], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    golden = (ROOT / "tests" / "golden_digest.txt").read_text().splitlines()
+    assert [line[66:] for line in lines] == [line[66:] for line in golden]
+    sensitive = [line[66:] for line in golden if THREAD_SENSITIVE.fullmatch(line[66:])]
+    assert len(sensitive) == 20, sensitive
+    changed = [new[66:] for old, new in zip(golden, lines) if old != new]
+    assert set(changed) <= set(sensitive), changed
 
 
 def test_ab_time_compares_a_tree_with_itself():

@@ -1,11 +1,11 @@
 """SHA-256 digests of the program's observable output.
 
 Prints one line per item, "<sha256>  <name>": the trace CSV and end state
-of runs of every method (both objective families, integer and float cost
-models, a diverging run and a grad_tol run), of quartic runs with one and
-with nine coordinates (sums over fewer and over more than 8 entries, which
-NumPy adds in order and pairwise), of runs on the benchmark's n=100
-networks and on a ring of 30, the consensus products on C-ordered,
+of runs of every method (both objective families, cost coefficients given
+as ints and as floats, a diverging run and a grad_tol run), of quartic
+runs with one and with nine coordinates (sums over fewer and over more
+than 8 entries, which NumPy adds in order and pairwise), of runs on the
+benchmark's n=100 networks and on a ring of 30, the consensus products on C-ordered,
 F-ordered and strided operands, a sweep CSV, the stdout of `neardgd run`,
 `neardgd sweep` and `neardgd check` (`run` and `check` for every method on
 a small instance and at run.budget = 0, whose certificates read n/a, and
