@@ -77,10 +77,10 @@ class ConsensusMatrix:
     construction: _vt holds V' on a two-product matrix, None on a dense
     one). A memo keeps lam^t and the operator per t, by one rule in
     both modes: hold(ts) sets it to the t >= 2 of one block of a run, and
-    product(), apply() or apply_each() missing a t to the t >= 2 of that
-    call alone. An operator is a function of (W, t) alone, each slice of a
-    batched formation the same BLAS product as a lone one, so every result
-    depends on (cm, t, operand) alone.
+    _operators(ts), the one look-up of product(), apply() and apply_each(),
+    to the t >= 2 of a call that misses one. An operator is a function of
+    (W, t) alone, each slice of a batched formation the same BLAS product as
+    a lone one, so every result depends on (cm, t, operand) alone.
 
     dense_twin() is the same matrix in the dense mode, at any n: a shallow
     copy sharing W and the eigenpairs, with a memo of its own, made on first
@@ -188,15 +188,9 @@ class ConsensusMatrix:
                 memo.update(zip(new, formed))
         self._lams, self._ops = {t: lams[t] for t in keep}, {t: ops[t] for t in keep}
 
-    def _operator(self, t):
-        """The memo's operator for t >= 2; on a miss the memo holds t alone."""
-        if t not in self._ops:
-            self.hold([t])
-        return self._ops[t]
-
     def _operators(self, ts):
-        """The memo's operators of a list of t >= 2, in a list; on a miss
-        the memo holds these t alone, as _operator holds its t."""
+        """The memo's operators of a list of t >= 2, in a list, by the one
+        look-up rule: on a miss the memo holds these t alone."""
         try:
             return [*map(self._ops.__getitem__, ts)]
         except KeyError:
@@ -208,17 +202,15 @@ class ConsensusMatrix:
         (cols, out=None) of a float (n, k) array, unchecked, that returns Z^t
         cols, written into out when given (a C-ordered float array of that
         shape sharing no memory with cols). It is W.dot for t = 1, and for
-        t >= 2 takes the memo's operator for t, formed on a miss: the dense
-        Z^t's dot, or the two products V (lam^t * (V' cols)), the (n, k)
-        intermediate scaled row by row. Either costs the same for every t.
-        run()'s loop fetches it once per block of one t and once per
-        iteration otherwise; apply() calls it on one iterate."""
+        t >= 2 takes the memo's operator for t, from _operators on a miss:
+        the dense Z^t's dot, or the two products V (lam^t * (V' cols)), the
+        (n, k) intermediate scaled row by row. Either costs the same for
+        every t. run()'s loop fetches it once per block of one t and once
+        per iteration otherwise; apply() calls it on one iterate."""
         if t == 1:
             return self.W.dot
-        try:
-            op = self._ops[t]
-        except KeyError:
-            op = self._operator(t)
+        ops = self._ops  # a dict hit: near-dgd-plus fetches a handle every iteration
+        op = ops[t] if t in ops else self._operators([t])[0]
         vt = self._vt
         if vt is None:
             return op.dot
@@ -242,24 +234,19 @@ class ConsensusMatrix:
 
         One iterate goes through ndarray.dot and a stack through the @
         operator: both reach the same BLAS routine (gemm, or gemv for one
-        column) for each iterate, and dot spends less on each call; a stack
-        BLAS cannot read is copied first (_apply_stack).
+        column) for each iterate, and dot spends less on each call. But @
+        multiplies (n, k > 1) iterates whose rows and columns both have gaps
+        in a loop of its own, which may round otherwise (with OpenBLAS
+        0.3.31, at n = 16 to 31), where dot hands BLAS a C-ordered copy; so
+        such a stack is copied into C order first.
         """
-        if cols.ndim > 2:
-            return self._apply_stack(t, cols, out)
-        return self.product(t)(cols, out)
-
-    def _apply_stack(self, t, stack, out):
-        """apply() on an (r, n, k) stack. NumPy multiplies a stack of
-        (n, k > 1) iterates whose rows and columns both have gaps in a loop
-        of its own, which may round otherwise than BLAS (with OpenBLAS
-        0.3.31, at n = 16 to 31), while dot hands BLAS a C-ordered copy of
-        such an iterate; so such a stack is copied into C order first."""
-        if stack.shape[-1] > 1 and stack.itemsize not in stack.strides[-2:]:
-            stack = np.ascontiguousarray(stack)
+        if cols.ndim < 3:
+            return self.product(t)(cols, out)
+        if cols.shape[-1] > 1 and cols.itemsize not in cols.strides[-2:]:
+            cols = np.ascontiguousarray(cols)
         if t == 1:
-            return np.matmul(self.W, stack, out=out)
-        return self._apply_ops(self._operator(t), stack, out)
+            return np.matmul(self.W, cols, out=out)
+        return self._apply_ops(self._operators([t])[0], cols, out)
 
     def _apply_ops(self, ops, stack, out=None):
         """An operator, or one per iterate, applied to a stack as apply() does."""
@@ -273,9 +260,9 @@ class ConsensusMatrix:
         ints ts[i] >= 1 whose 1s come first, as in a schedule, which never
         decreases (a 1 after a larger t is a KeyError); without checks, each
         equal to apply(ts[i], stack[i]) bitwise. The leading t = 1 rows take
-        W stack[i], the others their operators, gathered by _operators, which
-        holds on a miss as product() does, in one batched product (one matrix
-        product per row), each written into its slice of the output."""
+        W stack[i], the others their operators, gathered by _operators as
+        product() and apply() gather theirs, in one batched product (one
+        matrix product per row), each written into its slice of the output."""
         ones = next((i for i, t in enumerate(ts) if t != 1), len(ts))  # leading t = 1 rows
         out = np.empty_like(stack)
         np.matmul(self.W, stack[:ones], out=out[:ones])

@@ -247,17 +247,17 @@ def as_float(name, value) -> float:
         raise ValueError("%s must be a number within the float range" % name) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostModel:
-    """Cost = c_c * communications + c_g * computations, with float coefficients."""
+    """Cost = c_c * communications + c_g * computations, frozen, with float coefficients."""
 
     c_c: float = 1.0
     c_g: float = 1.0
 
-    def __post_init__(self):
-        self.c_c, self.c_g = as_float("c_c", self.c_c), as_float("c_g", self.c_g)
-        # NaN fails each comparison
-        if not (0 <= self.c_c < math.inf and 0 <= self.c_g < math.inf):
+    def __post_init__(self):  # dataclasses.replace runs it too
+        for name in ("c_c", "c_g"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
+        if not (0 <= self.c_c < math.inf and 0 <= self.c_g < math.inf):  # NaN makes it false
             raise ValueError("cost coefficients must be finite and nonnegative, got "
                              "c_c=%r, c_g=%r" % (self.c_c, self.c_g))
 

@@ -1,5 +1,6 @@
 """Undirected communication topologies for consensus networks."""
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -10,6 +11,13 @@ ER_MAX_TRIES = 200  # samples build_erdos_renyi draws before it gives up
 
 class TopologyError(ValueError):
     """Raised for invalid or unusable graph specifications."""
+
+
+def _node_count(n) -> int:
+    try:  # int and NumPy integers; 2.5 nodes is no graph
+        return operator.index(n)
+    except TypeError:
+        raise TopologyError("node count must be an integer, got %r" % (n,)) from None
 
 
 def _canonical(i, j):
@@ -30,6 +38,7 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _node_count(self.n))
         if self.n < 1:
             raise TopologyError("node count must be positive")
         canon = set()
@@ -70,6 +79,7 @@ def is_connected(g: Graph) -> bool:
 
 def build_ring(n: int) -> Graph:
     """Cycle graph on n >= 3 nodes; every node has degree 2."""
+    n = _node_count(n)
     if n < 3:
         raise TopologyError("ring requires n >= 3, got n=%d" % n)
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
@@ -77,6 +87,7 @@ def build_ring(n: int) -> Graph:
 
 def build_star(n: int) -> Graph:
     """Star graph: every node connected to node 0."""
+    n = _node_count(n)
     if n < 2:
         raise TopologyError("star requires n >= 2, got n=%d" % n)
     return Graph(n, frozenset((0, i) for i in range(1, n)))
@@ -84,6 +95,7 @@ def build_star(n: int) -> Graph:
 
 def build_erdos_renyi(n: int, prob: float, seed) -> Graph:
     """G(n, prob) resampled until connected, at most ER_MAX_TRIES times."""
+    n = _node_count(n)
     if n < 2 or not 0.0 <= prob <= 1.0:
         raise TopologyError("invalid Erdos-Renyi parameters n=%d, prob=%r" % (n, prob))
     rng = np.random.default_rng(seed)

@@ -20,8 +20,9 @@ import numpy as np
 # this name
 from .consensus import ConsensusMatrix, apply_consensus, dense_pays
 from .diagnostics import (FLOAT_COLUMNS, CommCounter, CostModel, RunTrace, as_float,
-                          consensus_distance, cumulative_cost, descent_certificate,
-                          inner, lyapunov_grad_at, lyapunov_value_at, rho_constant)
+                          consensus_distance, consensus_distance_bound, cumulative_cost,
+                          descent_certificate, inner, lyapunov_grad_at, lyapunov_value_at,
+                          rho_constant)
 from .linalg import mean_rows, sum_last
 from .objective import Objective
 
@@ -352,10 +353,10 @@ class _BlockCertifier:
                                  xs[:r], lyaps[:r], residuals,
                                  *(column[:r] for column in evaluated))
         if self.near_dgd:
-            # consensus_distance_bound beta^t ||y_k||, with Python's beta ** t
-            # once per distinct t (NumPy's power of an array may differ in
-            # the last bit)
-            bounds = np.array([cm.beta**t for t in distinct])[per_row] * norms[:r]
+            # beta^t ||y_k||, with Python's beta ** t once per distinct t
+            # (NumPy's power of an array may differ in the last bit)
+            bounds = np.array([consensus_distance_bound(cm.beta, t, 1.0)
+                               for t in distinct])[per_row] * norms[:r]
             self.max_cons_gap = _running_max(self.max_cons_gap, cons - bounds)
         if self.fixed_t:
             # |x_{k+1} - x_k + a grad L_t(y_k)|, formed in the array of the
@@ -378,10 +379,7 @@ class _BlockCertifier:
             self.trace.divergence_note = (
                 "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
                 "estimate no longer valid" % (self.k + end, peaks[end], self.box_radius))
-        if end:
-            self.Y[0] = ys[end]
-            if self.near_dgd:
-                self.X[0] = xs[end]
+        self.Y[0], self.X[0] = ys[end], xs[end]  # the baselines' X is Y
         self.lyap = lyaps[end]
         self.k += end
         if diverged is not None or stopped is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import pickle
@@ -370,6 +371,22 @@ def test_cost_examples():
     assert cumulative_cost(CommCounter(), CostModel(1.0, 1.0)) == 0.0
     with pytest.raises(ValueError):
         CostModel(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["c_c", "c_g"])
+def test_cost_model_is_frozen_and_replace_runs_its_checks(name):
+    # an assignment after construction would skip the checks: 10**400 or "x"
+    # ended in run() outside a ValueError, -1.0 and nan ran silently
+    model = CostModel(2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(model, name, 1.0)
+    assert (model.c_c, model.c_g) == (2.0, 3.0)
+    for bad, says in ((10**400, "float range"), ("x", "float range"),
+                      (-1.0, "nonnegative"), (math.nan, "nonnegative")):
+        with pytest.raises(ValueError, match=says):
+            dataclasses.replace(model, **{name: bad})
+    replaced = dataclasses.replace(model, **{name: 5})
+    assert type(getattr(replaced, name)) is float and getattr(replaced, name) == 5.0
 
 
 def test_cost_past_the_float_range_reads_inf():

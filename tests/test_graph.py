@@ -41,9 +41,15 @@ def test_no_self_loops_or_duplicates():
     (lambda: build_star(1), "star requires n >= 2, got n=1"),
     (lambda: build_erdos_renyi(1, 0.5, 0), "invalid Erdos-Renyi parameters n=1, prob=0.5"),
     (lambda: build_erdos_renyi(4, 1.5, 0), "invalid Erdos-Renyi parameters n=4, prob=1.5"),
-    (lambda: build_erdos_renyi(4, 0.0, 0), "no connected G(4, 0) sample within 200 tries")],
+    (lambda: build_erdos_renyi(4, 0.0, 0), "no connected G(4, 0) sample within 200 tries"),
+    (lambda: Graph(2.5), "node count must be an integer, got 2.5"),
+    (lambda: from_edge_list(3.5, "0 1"), "node count must be an integer, got 3.5"),
+    (lambda: build_ring(12.5), "node count must be an integer, got 12.5"),
+    (lambda: build_star(4.0), "node count must be an integer, got 4.0"),
+    (lambda: build_erdos_renyi(5.5, 0.5, 0), "node count must be an integer, got 5.5")],
     ids=["no-nodes", "edge-out-of-range", "one-node-star", "one-node-erdos-renyi",
-         "probability-above-1", "never-connected"])
+         "probability-above-1", "never-connected", "fractional-graph",
+         "fractional-edge-list", "fractional-ring", "float-star", "fractional-erdos-renyi"])
 def test_invalid_topology_is_rejected(build, says):
     with pytest.raises(TopologyError, match="^%s$" % re.escape(says)):
         build()

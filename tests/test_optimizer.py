@@ -395,9 +395,10 @@ def count_kernel_calls(monkeypatch):
     """Counts consensus products, split into those made inside a block pass
     and the rest (x_0 and run()'s loop): each call of a handle that
     ConsensusMatrix.product returns (which apply() on one iterate calls too)
-    and each apply() on a stack, which takes no handle."""
+    and each apply() on a stack, which takes no handle; apply() is patched
+    to count stacks alone."""
     counts, in_pass = {"loop": 0, "pass": 0}, []
-    product, apply_stack = ConsensusMatrix.product, ConsensusMatrix._apply_stack
+    product, apply = ConsensusMatrix.product, ConsensusMatrix.apply
     certify = optimizer._BlockCertifier.certify
 
     def count():
@@ -407,9 +408,10 @@ def count_kernel_calls(monkeypatch):
         handle = product(self, t)
         return lambda cols, out=None: count() or handle(cols, out)
 
-    def counting_stack(self, t, stack, out):
-        count()
-        return apply_stack(self, t, stack, out)
+    def counting_apply(self, t, cols, out=None):
+        if cols.ndim > 2:
+            count()
+        return apply(self, t, cols, out)
 
     def flagged(self, *args):
         in_pass.append(True)
@@ -419,7 +421,7 @@ def count_kernel_calls(monkeypatch):
             in_pass.pop()
 
     monkeypatch.setattr(ConsensusMatrix, "product", counting_product)
-    monkeypatch.setattr(ConsensusMatrix, "_apply_stack", counting_stack)
+    monkeypatch.setattr(ConsensusMatrix, "apply", counting_apply)
     monkeypatch.setattr(optimizer._BlockCertifier, "certify", flagged)
     return counts
 
