@@ -4,13 +4,13 @@ The quartic instance has a strict saddle at the origin and two symmetric
 minimizers. This demo (1) classifies the lifted saddle through
 S = (I - Dg)/alpha, which has the Lyapunov Hessian's inertia and gives
 the iteration-map Jacobian's spectrum, and (2) runs the method from many
-random initial points, counting how often it lands at a minimizer
-instead of the saddle.
+random initial points, as one batch of runs (run_batch), counting how
+often it lands at a minimizer instead of the saddle.
 """
 
 import numpy as np
 
-from neardgd import (MethodSpec, build_consensus_matrix, build_ring, run,
+from neardgd import (MethodSpec, build_consensus_matrix, build_ring, run_batch,
                      saddle_classification, sample_quartic_problem)
 
 N_RUNS = 25
@@ -27,9 +27,8 @@ print()
 x_star = problem.minimizers()[0]
 f_saddle = problem.global_value(np.zeros(4))
 escaped = 0
-for seed in range(N_RUNS):
-    res = run(problem, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1,
-              budget=1500, seed=seed)
+cells = [(MethodSpec("near-dgd-t", t=5), seed) for seed in range(N_RUNS)]
+for res in run_batch(problem, cm, cells, alpha=0.1, budget=1500):
     avg = res.final_avg
     dist = min(np.linalg.norm(avg - x_star), np.linalg.norm(avg + x_star))
     if problem.global_value(avg) < f_saddle - 0.01 and dist <= 0.1 * np.linalg.norm(x_star):

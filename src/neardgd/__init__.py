@@ -13,6 +13,6 @@ from .graph import Graph, build_erdos_renyi, build_ring, build_star, is_connecte
 from .linalg import Spectrum, sym_eigen
 from .objective import (QuadraticProblem, QuadraticQuarticProblem,
                         sample_quadratic_problem, sample_quartic_problem)
-from .optimizer import MethodSpec, initial_point, run
+from .optimizer import MethodSpec, initial_point, run, run_batch
 
 __version__ = "0.1.0"

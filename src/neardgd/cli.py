@@ -12,7 +12,7 @@ import sys
 
 from . import checks
 from .config import ConfigError, load_run_config, load_run_config_file, seed
-from .optimizer import run
+from .optimizer import run, run_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -38,13 +38,18 @@ def _out_path(args, cfg, default_name=None):
     return name
 
 
+def _run_options(cfg):
+    """The one map from a RunConfig onto the keyword arguments that run()
+    and run_batch() share."""
+    return dict(cost_model=cfg.cost_model, grad_tol=cfg.grad_tol,
+                allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
+
+
 def _run_cell(cfg, problem, cm, cell):
-    """Run one (MethodSpec, seed) cell of cfg: the one map from a RunConfig
-    onto run()'s arguments. run() draws the seed's initial point."""
+    """Run one (MethodSpec, seed) cell of cfg. run() draws the seed's
+    initial point."""
     method, cell_seed = cell
-    return run(problem, cm, method, cfg.alpha, cfg.budget, seed=cell_seed,
-               cost_model=cfg.cost_model, grad_tol=cfg.grad_tol,
-               allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
+    return run(problem, cm, method, cfg.alpha, cfg.budget, seed=cell_seed, **_run_options(cfg))
 
 
 def _summary(result, method) -> str:
@@ -80,14 +85,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep requires a nonempty sweep.methods list")
     seeds = [args.seed] if args.seed is not None else cfg.sweep_seeds or [cfg.seed]
     path = _out_path(args, cfg, default_name="sweep.csv")
-    cell = functools.partial(_run_cell, cfg, problem, cm)
     cells = [(m, s) for s in seeds for m in cfg.sweep_methods]
     workers = min(args.parallel, len(cells))
-    if workers > 1:
+    if workers > 1:  # one task per cell
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(cell, cells)
+            results = pool.map(functools.partial(_run_cell, cfg, problem, cm), cells)
     else:
-        results = list(map(cell, cells))
+        results = run_batch(problem, cm, cells, cfg.alpha, cfg.budget, **_run_options(cfg))
 
     any_divergence = False
     with open(path, "w", newline="") as fh:

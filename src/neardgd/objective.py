@@ -16,6 +16,9 @@ import numpy as np
 from .linalg import sum_last
 
 
+_FLOAT64 = np.dtype(float)
+
+
 class ObjectiveError(ValueError):
     pass
 
@@ -124,7 +127,16 @@ class Objective:
         return float(values) if values.ndim == 0 else values
 
     def stacked_grad(self, x) -> np.ndarray:
-        return self.node_grads(self._check_stacked(x))
+        """grad f(x) for an (n, p) iterate, or one gradient per iterate of
+        a (..., n, p) stack (each equal to its (n, p) call bitwise). A float64
+        ndarray, such as a run's buffer slot, takes one trailing-shape test
+        and no conversion."""
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=float)
+        if x.shape[-2:] != (self.n, self.p):
+            raise ObjectiveError("expected shape (..., %d, %d), got %r"
+                                 % (self.n, self.p, x.shape))
+        return self.node_grads(x)
 
     # aggregates of the network-wide f at p-dimensional points; the value and
     # gradient come from network_value_and_grad alone, and none of them calls

@@ -1,10 +1,11 @@
 """Iteration engines: NEAR-DGD variants, DGD, and gradient tracking.
 
-A run is strictly sequential; parallelism lives one level up (sweeps over
-methods and seeds share no mutable state). run()'s loop does only the
-method's arithmetic and writes each iteration's iterates into two buffers
-allocated once per run; one pass per block of iterations reads them in
-place, decides how the run ends and appends the certificates and trace
+A run is strictly sequential; run_batch() iterates several runs side by
+side, each with its own bits, and process parallelism lives one level up
+(sweeps over methods and seeds share no mutable state). run()'s loop does
+only the method's arithmetic and writes each iteration's iterates into two
+buffers allocated once per run; one pass per block of iterations reads them
+in place, decides how the run ends and appends the certificates and trace
 columns.
 """
 
@@ -205,17 +206,22 @@ def _running_max(current, values) -> float:
 # Python float, and the ufuncs take their output positionally, which NumPy
 # parses faster than the out keyword.
 
+def _handles(cm, ts):
+    """The product handles of iterations k..k+m-1, given ts = [t_k, ...,
+    t_{k+m}]: Z^{t_{k+i+1}} for each i. The schedules never decrease, so
+    ts[1] == ts[m] means one handle for the whole block; otherwise each is
+    fetched as its iteration comes."""
+    m = len(ts) - 1
+    return itertools.repeat(cm.product(ts[1]), m) if ts[1] == ts[m] else map(cm.product, ts[1:])
+
+
 def _near_dgd_iterations(objective, cm, alpha, ys, xs, ts):
     """Iterations k..k+m-1 from x_k = xs[0], given ts = [t_k, ..., t_{k+m}]:
     y_{k+i+1} into ys[i+1] and x_{k+i+1} = Z^{t_{k+i+1}} y_{k+i+1} into
-    xs[i+1]. The schedules never decrease, so ts[1] == ts[m] means one
-    product for the whole block."""
+    xs[i+1]."""
     grad_of, multiply, subtract = objective.stacked_grad, np.multiply, np.subtract
     alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
-    m = len(ts) - 1
-    products = (itertools.repeat(cm.product(ts[1]), m) if ts[1] == ts[m]
-                else map(cm.product, ts[1:]))
-    for product, x, y_next, x_next in zip(products, xs, ys[1:], xs[1:]):
+    for product, x, y_next, x_next in zip(_handles(cm, ts), xs, ys[1:], xs[1:]):
         subtract(x, multiply(grad_of(x), alphas, step), y_next)
         product(y_next, x_next)
 
@@ -245,40 +251,71 @@ def _tracking_iterations(objective, cm, alpha, xs, s, grad, m):
     return s, grad
 
 
-class _BlockCertifier:
-    """How a run ends, its certificates and its trace rows, a block at a time.
+def _iterations(method, budget):
+    """(iterations, gradient evaluations before the first) of a run of the
+    given budget: the tracker spends one gradient on its initialisation and
+    has no iteration below a budget of 2."""
+    if method.name != "gradient-tracking":
+        return budget, 0
+    return (budget - 1, 1) if budget >= 2 else (0, 0)
 
-    The run's two (rows + 1, n, p) buffers Y and X are allocated here once;
-    the baselines have x_k = y_k and share one. Slot 0 holds the state
-    (y_k, x_k) the next block starts from, and the loop writes y_{k+i+1} and
-    x_{k+i+1} into slot i + 1. certify() reads the buffers in place and
-    decides how many of the block's rows the run keeps: the first row whose
-    y_{k+1} leaves the box ends the run there (diverged); otherwise, with
-    grad_tol set, the first row whose grad_avg_norm is at most grad_tol ends
-    it (stopped); the later rows are discarded. It then appends the kept
-    rows to the trace as columns and updates the trajectory maxima b_y,
-    max_cons_gap and max_eq7_inf. (k, t_k, comms, grads) of each row follow
-    from k and the schedule in exact ints. finish() appends the terminal row.
+
+def _block_rows(n, p, iterations):
+    """The iterations of one block: BLOCK_ELEMENTS // (n p), at least one
+    and at most the run's."""
+    return max(1, min(BLOCK_ELEMENTS // (n * p), iterations))
+
+
+class _BlockCertifier:
+    """One run from its first iteration on: how it ends, its certificates
+    and its trace rows, a block at a time, and its RunResult.
+
+    The run's matrix is cm or, for a NEAR-DGD run where dense_pays, its
+    dense twin. The run's two (rows + 1, n, p) buffers Y and X are the
+    caller's; the baselines have x_k = y_k and share one. Slot 0 holds the
+    state (y_k, x_k) the next block starts from, and the loop writes
+    y_{k+i+1} and x_{k+i+1} into slot i + 1. certify() reads the buffers in
+    place and decides how many of the block's rows the run keeps: the first
+    row whose y_{k+1} leaves the box ends the run there (diverged);
+    otherwise, with grad_tol set, the first row whose grad_avg_norm is at
+    most grad_tol ends it (stopped); the later rows are discarded. It then
+    appends the kept rows to the trace as columns and updates the trajectory
+    maxima b_y, max_cons_gap and max_eq7_inf. (k, t_k, comms, grads) of each
+    row follow from k and the schedule in exact ints. finish() appends the
+    terminal row, and result() the terminal row of a run that did not end.
     """
 
-    def __init__(self, objective, cm, method, alpha, cost_model, trace, lipschitz,
-                 box_radius, grad_tol, y, x, iterations, grad_evals):
+    def __init__(self, objective, cm, method, inputs, y, Y, X):
         n, p = objective.n, objective.p
-        self.objective, self.cm, self.alpha, self.cost_model = objective, cm, alpha, cost_model
-        self.trace, self.lipschitz = trace, lipschitz
-        self.box_radius, self.grad_tol = box_radius, grad_tol
+        self.iterations, self.grad_evals = _iterations(method, inputs.budget)
+        if method.near_dgd and dense_pays(n, p, method.repeats(self.iterations)):
+            cm = cm.dense_twin()
+        alpha = inputs.alpha
+        self.objective, self.cm, self.method, self.alpha = objective, cm, method, alpha
+        self.cost_model, self.lipschitz = inputs.cost_model, inputs.lipschitz
+        self.box_radius, self.grad_tol = inputs.box_radius, inputs.grad_tol
+        self.trace = RunTrace(method=method.label(), seed=inputs.seed)
         self.f_star = objective.min_value()
         self.near_dgd, self.comms_per_round = method.near_dgd, method.comms_per_round
         self.fixed_t = "eq7-identity" in method.certificates
-        self.rows = max(1, min(BLOCK_ELEMENTS // (n * p), iterations))
-        self.Y = np.empty((self.rows + 1, n, p))
-        self.X = np.empty_like(self.Y) if self.near_dgd else self.Y
-        self.Y[0], self.X[0] = y, x
-        self.ys, self.xs = list(self.Y), list(self.X)  # per-slot views for the loop
-        self.k, self.comm_rounds, self.grad_evals = 0, 0, grad_evals
-        self.b_y, self.max_cons_gap, self.max_eq7_inf = float(np.linalg.norm(y)), -math.inf, 0.0
-        self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
+        self.Y, self.X, self.rows = Y, X, len(Y) - 1
+        self.ys, self.xs = list(Y), list(X)  # per-slot views for the loop
+        # what the set-up, and the end of a run that ends at y_0, evaluate at a
+        # y_0 outside the box may overflow, as the pass's evaluations at a y past it
+        self.ignore = None if np.abs(y).max() <= self.box_radius else "ignore"
+        with np.errstate(over=self.ignore, invalid=self.ignore):
+            # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
+            x = cm.apply(method.rounds(0), y) if self.near_dgd else y
+            Y[0], X[0] = y, x
+            self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
+            self.b_y = float(np.linalg.norm(y))
+        self.k, self.comm_rounds, self.max_cons_gap, self.max_eq7_inf = 0, 0, -math.inf, 0.0
         self.ended = False
+
+    @property
+    def running(self) -> bool:
+        """Whether iterations are left: the run neither ended nor spent them."""
+        return self.k < self.iterations and not self.ended
 
     def certify(self, ts):
         """Certify iterations k..k+m-1 from ts = [t_k, ..., t_{k+m}] and the
@@ -393,6 +430,20 @@ class _BlockCertifier:
                           np.array([self.lyap]), np.array([math.nan]),
                           *self._evaluate(points))
 
+    def result(self) -> RunResult:
+        """The run's RunResult, after the terminal row of a run that did not
+        end; final_y and final_x are copies, never views of the buffers."""
+        with np.errstate(over=self.ignore, invalid=self.ignore):
+            if not self.ended:
+                self.finish(self.method.rounds(self.k))
+            final_y = self.Y[0].copy()
+            final_avg = final_y.mean(axis=0)
+        return RunResult(trace=self.trace, counter=CommCounter(self.comm_rounds, self.grad_evals),
+                         final_y=final_y,
+                         final_x=final_y if self.X is self.Y else self.X[0].copy(),
+                         final_avg=final_avg, b_y=self.b_y, max_cons_gap=self.max_cons_gap,
+                         max_eq7_inf=self.max_eq7_inf, lipschitz=self.lipschitz)
+
     def _evaluate(self, points):
         """The averages of a stack of (n, p) points, and f and ||grad f|| there."""
         avgs = mean_rows(points)
@@ -458,6 +509,28 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     schedule. The run gives the same values, bit for bit, for any block size.
     final_y and final_x are copies, never views of the buffers.
     """
+    inputs = _checked_inputs(objective, method, alpha, budget, seed, cost_model, grad_tol,
+                             allow_large_alpha, box_radius)
+    n, p = objective.n, objective.p
+    try:
+        y = initial_point(n, p, inputs.seed) if x0 is None else np.array(x0, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # an int past the float range, text
+        raise ValueError("initial point x0 must hold numbers within the float range") from None
+    if y.shape != (n, p):
+        raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
+    if not np.isfinite(y).all():
+        raise ValueError("initial point has a non-finite entry")
+    return _scalar_run(objective, cm, method, inputs, y)
+
+
+# run()'s inputs as the engine reads them: Python ints and floats, the cost
+# model, and the Lipschitz estimate on the box
+_Inputs = namedtuple("_Inputs", "budget seed alpha grad_tol cost_model box_radius lipschitz")
+
+
+def _checked_inputs(objective, method, alpha, budget, seed, cost_model, grad_tol,
+                    allow_large_alpha, box_radius) -> _Inputs:
+    """The input checks of one run of method from seed, in run()'s order."""
     try:  # int and NumPy integers; 2.5 iterations or seed 1.5 would be truncated
         budget, seed = operator.index(budget), operator.index(seed)
     except TypeError:
@@ -471,50 +544,33 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     grad_tol = grad_tol if grad_tol is None else as_float("grad_tol", grad_tol)
     if grad_tol is not None and not grad_tol >= 0:
         raise ValueError("grad_tol must be nonnegative, got %r" % grad_tol)
-    cost_model = cost_model or CostModel()
-    n, p = objective.n, objective.p
     box_radius = as_float("box_radius",
                           INIT_BOUND * BOX_INFLATION if box_radius is None else box_radius)
     if not 0 < box_radius < math.inf:  # NaN fails both comparisons
         raise ValueError("box_radius must be positive and finite, got %r" % box_radius)
     lipschitz = objective.lipschitz_estimate(box_radius)
-    _validate_alpha(alpha, lipschitz, allow_large_alpha, n * p, box_radius)
+    _validate_alpha(alpha, lipschitz, allow_large_alpha, objective.n * objective.p, box_radius)
     # the schedules never decrease, so no t_k exceeds t_budget and the comms
     # tally stays at most budget * t_budget; both must convert to float
     if budget * method.rounds(budget) >= 2**1024:
         raise ValueError("%s at budget %d: the consensus rounds per iteration "
                          "outgrow the float range" % (method.label(), budget))
+    return _Inputs(budget, seed, alpha, grad_tol, cost_model or CostModel(), box_radius,
+                   lipschitz)
 
-    try:
-        y = initial_point(n, p, seed) if x0 is None else np.array(x0, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # an int past the float range, text
-        raise ValueError("initial point x0 must hold numbers within the float range") from None
-    if y.shape != (n, p):
-        raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
-    if not np.isfinite(y).all():
-        raise ValueError("initial point has a non-finite entry")
 
-    trace = RunTrace(method=method.label(), seed=seed)
-    iterations, grad_evals = budget, 0
-    # what the set-up, and the end of a run that ends at y_0, evaluate at a
-    # y_0 outside the box may overflow, as the pass's evaluations at a y past it
-    ignore = None if np.abs(y).max() <= box_radius else "ignore"
-    with np.errstate(over=ignore, invalid=ignore):
-        if method.name == "gradient-tracking":
-            if budget < 2:
-                iterations = 0  # not enough budget for tracker init plus a step
-            else:
-                s = grad = objective.stacked_grad(y)
-                iterations, grad_evals = budget - 1, 1
-
-        if method.near_dgd and dense_pays(n, p, method.repeats(iterations)):
-            cm = cm.dense_twin()
-        # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
-        x = cm.apply(method.rounds(0), y) if method.near_dgd else y
-        block = _BlockCertifier(objective, cm, method, alpha, cost_model, trace, lipschitz,
-                                box_radius, grad_tol, y, x, iterations, grad_evals)
-    while block.k < iterations and not block.ended:
-        k, m = block.k, min(block.rows, iterations - block.k)
+def _scalar_run(objective, cm, method, inputs, y) -> RunResult:
+    """run() on checked inputs from y_0 = y, by the method's scalar loop."""
+    n, p = objective.n, objective.p
+    Y = np.empty((_block_rows(n, p, _iterations(method, inputs.budget)[0]) + 1, n, p))
+    block = _BlockCertifier(objective, cm, method, inputs, y, Y,
+                            np.empty_like(Y) if method.near_dgd else Y)
+    cm, alpha = block.cm, inputs.alpha
+    if block.iterations and method.name == "gradient-tracking":
+        with np.errstate(over=block.ignore, invalid=block.ignore):
+            s = grad = objective.stacked_grad(y)
+    while block.running:
+        k, m = block.k, min(block.rows, block.iterations - block.k)
         ts = method.schedule(k, m + 1)
         # iterations past a divergence may overflow; the pass discards them
         with np.errstate(over="ignore", invalid="ignore"):
@@ -526,15 +582,119 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
             else:
                 s, grad = _tracking_iterations(objective, cm, alpha, block.ys, s, grad, m)
         block.certify(ts)
-    with np.errstate(over=ignore, invalid=ignore):
-        if not block.ended:
-            block.finish(method.rounds(block.k))
-        # copies, so that no result holds a view of the run's buffers
-        final_y = block.Y[0].copy()
-        final_avg = final_y.mean(axis=0)
-    return RunResult(trace=trace, counter=CommCounter(block.comm_rounds, block.grad_evals),
-                     final_y=final_y,
-                     final_x=final_y if block.X is block.Y else block.X[0].copy(),
-                     final_avg=final_avg, b_y=block.b_y,
-                     max_cons_gap=block.max_cons_gap, max_eq7_inf=block.max_eq7_inf,
-                     lipschitz=lipschitz)
+    return block.result()
+
+
+# the order of a batch's cells in its buffers: the NEAR-DGD cells first, so
+# that one subtract forms the y_{k+1} of all of them, then DGD, then tracking
+_BATCH_ORDER = {"dgd": 1, "gradient-tracking": 2}
+
+
+def run_batch(objective: Objective, cm: ConsensusMatrix, cells, alpha: float, budget: int,
+              cost_model: CostModel | None = None, grad_tol: float | None = None,
+              allow_large_alpha: bool = False, box_radius: float | None = None) -> list:
+    """run() of every (MethodSpec, seed) cell of cells, as one batch: a list
+    with one RunResult per cell, in cell order, each equal bit for bit to
+    that cell's run() with the same arguments. A cell's result depends on
+    its own inputs alone, not on the other cells of the batch.
+
+    Every cell is checked, in cell order, before any iteration, so a bad
+    batch raises the error that the first bad cell's run() raises. A lone
+    cell runs by run()'s scalar loop. Otherwise the cells iterate slot by
+    slot on B-major buffers of shape (B, rows + 1, n, p), for x (every cell)
+    and y (the NEAR-DGD cells), rows as one run of the longest cell takes:
+    each slot takes one stacked_grad and one alpha-multiply for all B
+    cells, one subtract for the y_{k+1} of every NEAR-DGD cell, and then
+    each cell's own consensus products, from the handles of its matrix (cm,
+    or its dense twin as run() picks it), whose memo holds the union of its
+    cells' schedules once per block. The tracker's s_k = W s_{k-1} + g_k -
+    g_{k-1} is formed from the slot's gradient g_k before x_{k+1} = W x_k -
+    a s_k. After each block each cell's own block pass certifies its rows.
+    A cell that diverges or stops on grad_tol leaves the batch there with
+    its partial trace and end state; its rows of the shared arrays may go
+    on being computed, and are never read again.
+    """
+    cells = list(cells)
+    inputs = [_checked_inputs(objective, method, alpha, budget, seed, cost_model, grad_tol,
+                              allow_large_alpha, box_radius) for method, seed in cells]
+    n, p = objective.n, objective.p
+    starts = [initial_point(n, p, checked.seed) for checked in inputs]
+    if len(cells) < 2:
+        return [_scalar_run(objective, cm, method, checked, y)
+                for (method, _), checked, y in zip(cells, inputs, starts)]
+    order = sorted(range(len(cells)), key=lambda b: _BATCH_ORDER.get(cells[b][0].name, 0))
+    methods = [cells[b][0] for b in order]
+    near = sum(method.near_dgd for method in methods)
+    iterations = max(_iterations(method, inputs[0].budget)[0] for method in methods)
+    X = np.empty((len(cells), _block_rows(n, p, iterations) + 1, n, p))
+    Y = np.empty((near,) + X.shape[1:])
+    blocks = [_BlockCertifier(objective, cm, method, inputs[b], starts[b],
+                              Y[j] if method.near_dgd else X[j], X[j])
+              for j, (b, method) in enumerate(zip(order, methods))]
+    _batch_iterations(objective, cm, inputs[0].alpha, blocks, X, Y)
+    results = [None] * len(cells)
+    for b, block in zip(order, blocks):
+        results[b] = block.result()
+    return results
+
+
+def _batch_iterations(objective, cm, alpha, blocks, X, Y):
+    """run_batch()'s slot loop and block passes on the buffers X and Y,
+    whose first len(Y) cells are the NEAR-DGD ones."""
+    grad_of, multiply, subtract, copyto = (objective.stacked_grad, np.multiply, np.subtract,
+                                           np.copyto)
+    w_dot, near, rows = cm.W.dot, len(Y), X.shape[1] - 1
+    alphas, step = np.full(X[:, 0].shape, alpha), np.empty(X[:, 0].shape)
+    # per-slot views of x of every cell and y of the NEAR-DGD cells; a slot's
+    # x is copied into one C-ordered array, on which the gradient and the
+    # subtract take NumPy's faster contiguous loops
+    x_slots, y_near = list(X.swapaxes(0, 1)), list(Y.swapaxes(0, 1))
+    x, step_near, steps, cell_alpha = np.empty_like(step), step[:near], list(step), alphas[0]
+    x_near = x[:near]
+    trackers = {j: [None, None] for j, block in enumerate(blocks)
+                if block.method.name == "gradient-tracking"}  # j: [s_{k-1}, g_{k-1}]
+    k = 0
+    while True:
+        live = [j for j, block in enumerate(blocks) if block.running]
+        if not live:
+            break
+        m = min(rows, max(blocks[j].iterations for j in live) - k)
+        schedules = {j: blocks[j].method.schedule(k, m + 1) for j in live if j < near}
+        held = {}  # one hold per matrix, of the union of its cells' schedules
+        for j, ts in schedules.items():
+            held.setdefault(blocks[j].cm, []).extend(ts)
+        for matrix, ts in held.items():
+            matrix.hold(ts)
+        # slot i's products of the NEAR-DGD cells: (handle, y_{k+i+1}, x_{k+i+1})
+        near_slots = (zip(*(zip(_handles(blocks[j].cm, ts), blocks[j].ys[1:], blocks[j].xs[1:])
+                            for j, ts in schedules.items()))
+                      if schedules else itertools.repeat((), m))
+        dgd = [(blocks[j].xs, steps[j]) for j in live if blocks[j].method.name == "dgd"]
+        tracking = [(blocks[j].xs, steps[j], j, trackers[j]) for j in live if j in trackers]
+        # iterations past a divergence may overflow; the pass discards them
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, near_ops in zip(range(m), near_slots):
+                copyto(x, x_slots[i])
+                grad = grad_of(x)
+                multiply(grad, alphas, step)
+                subtract(x_near, step_near, y_near[i + 1])
+                for product, y_next, x_next in near_ops:
+                    product(y_next, x_next)
+                for xs, cell_step in dgd:
+                    subtract(w_dot(xs[i], xs[i + 1]), cell_step, xs[i + 1])
+                for xs, cell_step, j, state in tracking:
+                    s, g = state[0], grad[j]
+                    if s is None:  # s_0 = g_0
+                        s = g
+                    else:  # W s is a fresh array, so (W s + g_k) - g_{k-1} is formed in it
+                        s = w_dot(s)
+                        s += g
+                        s -= state[1]
+                    subtract(w_dot(xs[i], xs[i + 1]), multiply(s, cell_alpha, cell_step),
+                             xs[i + 1])
+                    state[0], state[1] = s, g
+        for j in live:
+            block = blocks[j]
+            block.certify(schedules[j] if j in schedules else
+                          block.method.schedule(k, min(m, block.iterations - k) + 1))
+        k += m

@@ -143,9 +143,27 @@ def test_stacked_oracles_reject_a_wrong_shape():
     prob = sample_quartic_problem(12, 4, 4, 1.0, 0)
     with pytest.raises(ObjectiveError, match=re.escape("expected shape (..., 12, 4), got (3, 4)")):
         prob.stacked_value(np.zeros((3, 4)))
-    # stacked_grad takes one (n, p) iterate, not a stack
-    with pytest.raises(ObjectiveError, match=re.escape("expected shape (12, 4), got (2, 12, 4)")):
-        prob.stacked_grad(np.zeros((2, 12, 4)))
+    # stacked_grad takes stacks too, and tests the trailing shape of lists
+    # and float32 arrays after their conversion
+    for bad in (np.zeros((2, 12, 3)), np.zeros((12, 4, 1)), np.zeros(48), np.float64(1.0),
+                np.zeros((2, 4, 12), dtype=np.float32), [[0.0] * 4] * 11):
+        with pytest.raises(ObjectiveError, match=re.escape(
+                "expected shape (..., 12, 4), got %r" % (np.shape(bad),))):
+            prob.stacked_grad(bad)
+
+
+@pytest.mark.parametrize("family", ["quartic", "quadratic"])
+def test_stacked_grad_of_a_stack_equals_its_per_iterate_calls(family):
+    prob = (sample_quartic_problem(12, 4, 4, 1.0, 0) if family == "quartic"
+            else sample_quadratic_problem(12, 4, 0))
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, size=(3, 5, 12, 4))
+    # a strided view, as a batch's slot across its cells' buffers is
+    stack = x[:, ::2]
+    grads = prob.stacked_grad(stack)
+    assert grads.shape == stack.shape
+    for index in np.ndindex(stack.shape[:2]):
+        np.testing.assert_array_equal(grads[index], prob.stacked_grad(stack[index]))
+        np.testing.assert_array_equal(grads[index], prob.stacked_grad(stack[index].tolist()))
 
 
 @pytest.mark.parametrize("c, says", [

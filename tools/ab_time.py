@@ -16,6 +16,9 @@ interquartile range over pairs of the ratio change / base:
 Workloads, after the benchmark's (benchmarks/harness.py) on the n=12
 reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
   escape          one near-dgd-t:5 run at budget 1500, on the next seed
+  escape100       the acceptance-5 experiment: near-dgd-t:5 at budget 1500 on
+                  seeds 0..99, as one run_batch call where the tree has that
+                  function, and as 100 run() calls where it does not
   sweep           `neardgd sweep --parallel 1`: six methods, budget 1000, one seed
   csv             the sweep's sweep.csv written to memory from its six traces,
                   which are run before the timed calls
@@ -24,7 +27,7 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
                   saddle classification of the reference instance at t=5
   saddle          saddle_classification of the lifted origin at t=5
   <method token>  one run of that method (e.g. dgd, near-dgd-plus) at budget 1000
---n N runs escape, saddle and the method tokens on a Metropolis ring of N nodes
+--n N runs escape, escape100, saddle and the method tokens on a Metropolis ring of N nodes
 with c = sqrt(N / 12), as the benchmark's scale workload sizes its n=100
 instance (N = 12 is the reference instance):
 
@@ -95,19 +98,27 @@ def import_tree(src, name, into):
 
 def workload(pkg, token, workdir, n=12):
     """A call that runs the workload once on the package pkg; escape,
-    saddle and the method tokens run on a ring of n nodes."""
+    escape100, saddle and the method tokens run on a ring of n nodes."""
     def from_pkg(module):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
     if n != 12 and token in ("sweep", "csv", "scale"):
-        raise ValueError("--n applies to escape, saddle and the method tokens, not to %s"
-                         % token)
+        raise ValueError("--n applies to escape, escape100, saddle and the method tokens, "
+                         "not to %s" % token)
     problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
     cm = pkg.build_consensus_matrix(pkg.build_ring(n))
     if token == "escape":
         method, seeds = pkg.MethodSpec("near-dgd-t", t=5), iter(range(10**9))
         return lambda: optimizer.run(problem, cm, method, ALPHA, 1500, seed=next(seeds))
+    if token == "escape100":
+        method, seeds = pkg.MethodSpec("near-dgd-t", t=5), range(100)
+        run_batch = getattr(optimizer, "run_batch", None)
+        if run_batch is None:
+            return lambda: [optimizer.run(problem, cm, method, ALPHA, 1500, seed=seed)
+                            for seed in seeds]
+        cells = [(method, seed) for seed in seeds]
+        return lambda: run_batch(problem, cm, cells, ALPHA, 1500)
     if token == "saddle":
         origin = np.zeros((n, 4))
         return lambda: diagnostics.saddle_classification(origin, problem, cm, 5, ALPHA)
@@ -165,12 +176,12 @@ def main(argv=None):
     parser.add_argument("--change", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source directory of the changed tree (default: this checkout's src/)")
     parser.add_argument("--workload", default="escape",
-                        help="escape, sweep, csv, scale, saddle or a method token "
-                             "(default: escape)")
+                        help="escape, escape100, sweep, csv, scale, saddle or a method "
+                             "token (default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
     parser.add_argument("--n", type=int, default=12,
-                        help="ring size for escape, saddle and the method tokens "
-                             "(default: 12)")
+                        help="ring size for escape, escape100, saddle and the method "
+                             "tokens (default: 12)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
