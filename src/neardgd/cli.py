@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="neardgd",
                      description="Decentralized nonconvex optimization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", cmd_run), ("sweep", cmd_sweep), ("check", cmd_check)):
+    for name in ("run", "sweep", "check"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         if name != "check":  # check writes no file
@@ -141,17 +141,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=seed, default=None, help="override config seed")
         if name == "sweep":
             p.add_argument("--parallel", type=int, default=1, help="worker processes")
-        p.set_defaults(fn=fn)
     return parser
 
 
+# one parser per process; building it costs about as much as a short command
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    """Parse argv and run the subcommand. A rejected command line or input
+    """Parse argv and run the subcommand, cmd_<command>, looked up at call
+    time so that a patched one runs. A rejected command line or input
     (every input error here is a ValueError) or a file that cannot be read
     or written ends in one line and EXIT_VALIDATION."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+        return globals()["cmd_" + args.command](args)
     except (ValueError, OSError) as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION

@@ -205,8 +205,8 @@ class ConsensusMatrix:
         t >= 2 takes the memo's operator for t, from _operators on a miss:
         the dense Z^t's dot, or the two products V (lam^t * (V' cols)), the
         (n, k) intermediate scaled row by row. Either costs the same for
-        every t. run()'s loop fetches it once per block of one t and once
-        per iteration otherwise; apply() calls it on one iterate."""
+        every t. run()'s loop fetches it once per run of equal t within a
+        block; apply() calls it on one iterate."""
         if t == 1:
             return self.W.dot
         ops = self._ops  # a dict hit: near-dgd-plus fetches a handle every iteration

@@ -7,6 +7,7 @@ through f_i, and any leading batch axes, as in (B, n, p), pass through.
 Every family here has diagonal per-node Hessians.
 """
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -91,6 +92,8 @@ class Objective:
 
     n: int
     p: int
+    # the names of the coefficient arrays that node_grads reads
+    _grad_coefficients = ()
 
     def node_values(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -137,6 +140,25 @@ class Objective:
             raise ObjectiveError("expected shape (..., %d, %d), got %r"
                                  % (self.n, self.p, x.shape))
         return self.node_grads(x)
+
+    def tiled(self, lead) -> "Objective":
+        """A copy of this objective whose coefficient arrays that node_grads
+        reads are C-ordered arrays of shape lead + (n, p), formed once. Its
+        stacked_grad on a stack of that shape then multiplies same-shape
+        operands, which NumPy runs by its contiguous loop instead of its
+        broadcast one; each value is the same elementwise product, so every
+        bit stays. The copy is for stacked_grad on stacks of that shape
+        alone, and this objective keeps its (n, p) arrays. A family whose
+        node_grads reads no such array is returned as it is."""
+        if not self._grad_coefficients:
+            return self
+        shape = tuple(lead) + (self.n, self.p)
+        twin = copy.copy(self)
+        for name in self._grad_coefficients:
+            coefficients = np.empty(shape)
+            coefficients[...] = getattr(self, name)
+            setattr(twin, name, coefficients)
+        return twin
 
     # aggregates of the network-wide f at p-dimensional points; the value and
     # gradient come from network_value_and_grad alone, and none of them calls
@@ -187,6 +209,7 @@ class QuadraticQuarticProblem(Objective):
     q: np.ndarray  # (n, p) diagonals of the Q^i
     index: int
     c: float
+    _grad_coefficients = ("q", "_quartic")
 
     def __post_init__(self):
         self.q = _coefficients("the diagonals q", self.q)
@@ -291,6 +314,7 @@ class QuadraticProblem(Objective):
     """
 
     b: np.ndarray  # (n, p) targets
+    _grad_coefficients = ("b",)
 
     def __post_init__(self):
         self.b = _coefficients("the targets b", self.b)

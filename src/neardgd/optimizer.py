@@ -208,11 +208,18 @@ def _running_max(current, values) -> float:
 
 def _handles(cm, ts):
     """The product handles of iterations k..k+m-1, given ts = [t_k, ...,
-    t_{k+m}]: Z^{t_{k+i+1}} for each i. The schedules never decrease, so
-    ts[1] == ts[m] means one handle for the whole block; otherwise each is
-    fetched as its iteration comes."""
+    t_{k+m}]: Z^{t_{k+i+1}} for each i, fetched once per run of equal t.
+    The schedules never decrease, so ts[1] == ts[m] means one handle for the
+    whole block."""
     m = len(ts) - 1
-    return itertools.repeat(cm.product(ts[1]), m) if ts[1] == ts[m] else map(cm.product, ts[1:])
+    if ts[1] == ts[m]:
+        return itertools.repeat(cm.product(ts[1]), m)
+    handles, last = [], None
+    for t in ts[1:]:
+        if t != last:
+            handle, last = cm.product(t), t
+        handles.append(handle)
+    return handles
 
 
 def _near_dgd_iterations(objective, cm, alpha, ys, xs, ts):
@@ -485,8 +492,8 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
 
     The loop does only the method's arithmetic: per iteration one gradient
     and one consensus application (two for the tracker), through the handle
-    cm.product(t), fetched once per block of one t and once per iteration
-    where t changes, after one cm.hold of the block's schedule, which forms
+    cm.product(t), fetched once per run of equal t within a block, after
+    one cm.hold of the block's schedule, which forms
     each new lam^t (dense: Z^t) of a block once for loop and pass.
     A NEAR-DGD run for which dense_pays(n, p, method.repeats(iterations))
     runs on cm.dense_twin(), x_0, loop and pass alike; on a two-product cm
@@ -509,7 +516,7 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     schedule. The run gives the same values, bit for bit, for any block size.
     final_y and final_x are copies, never views of the buffers.
     """
-    inputs = _checked_inputs(objective, method, alpha, budget, seed, cost_model, grad_tol,
+    inputs = _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad_tol,
                              allow_large_alpha, box_radius)
     n, p = objective.n, objective.p
     try:
@@ -528,9 +535,13 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
 _Inputs = namedtuple("_Inputs", "budget seed alpha grad_tol cost_model box_radius lipschitz")
 
 
-def _checked_inputs(objective, method, alpha, budget, seed, cost_model, grad_tol,
+def _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad_tol,
                     allow_large_alpha, box_radius) -> _Inputs:
-    """The input checks of one run of method from seed, in run()'s order."""
+    """The input checks of one run of method from seed on cm, in run()'s
+    order."""
+    if cm.n != objective.n:
+        raise ValueError("the consensus matrix has %d nodes, the objective %d"
+                         % (cm.n, objective.n))
     try:  # int and NumPy integers; 2.5 iterations or seed 1.5 would be truncated
         budget, seed = operator.index(budget), operator.index(seed)
     except TypeError:
@@ -538,6 +549,8 @@ def _checked_inputs(objective, method, alpha, budget, seed, cost_model, grad_tol
                          % (budget, seed)) from None
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if seed < 0:  # NumPy's SeedSequence takes non-negative integers only
+        raise ValueError("seed must be nonnegative, got %d" % seed)
     # Python floats from here on: an int past the float range fails once,
     # here, and a NumPy scalar takes Python's float arithmetic, warning-free
     alpha = as_float("alpha", alpha)
@@ -615,8 +628,8 @@ def run_batch(objective: Objective, cm: ConsensusMatrix, cells, alpha: float, bu
     on being computed, and are never read again.
     """
     cells = list(cells)
-    inputs = [_checked_inputs(objective, method, alpha, budget, seed, cost_model, grad_tol,
-                              allow_large_alpha, box_radius) for method, seed in cells]
+    inputs = [_checked_inputs(objective, cm, method, alpha, budget, seed, cost_model,
+                              grad_tol, allow_large_alpha, box_radius) for method, seed in cells]
     n, p = objective.n, objective.p
     starts = [initial_point(n, p, checked.seed) for checked in inputs]
     if len(cells) < 2:
@@ -641,13 +654,14 @@ def run_batch(objective: Objective, cm: ConsensusMatrix, cells, alpha: float, bu
 def _batch_iterations(objective, cm, alpha, blocks, X, Y):
     """run_batch()'s slot loop and block passes on the buffers X and Y,
     whose first len(Y) cells are the NEAR-DGD ones."""
-    grad_of, multiply, subtract, copyto = (objective.stacked_grad, np.multiply, np.subtract,
-                                           np.copyto)
+    # the gradient's coefficients tiled to the slot's shape (B, n, p), once
+    grad_of = objective.tiled(X.shape[:1]).stacked_grad
+    multiply, subtract, copyto = np.multiply, np.subtract, np.copyto
     w_dot, near, rows = cm.W.dot, len(Y), X.shape[1] - 1
     alphas, step = np.full(X[:, 0].shape, alpha), np.empty(X[:, 0].shape)
     # per-slot views of x of every cell and y of the NEAR-DGD cells; a slot's
     # x is copied into one C-ordered array, on which the gradient and the
-    # subtract take NumPy's faster contiguous loops
+    # subtract take NumPy's faster same-shape loops
     x_slots, y_near = list(X.swapaxes(0, 1)), list(Y.swapaxes(0, 1))
     x, step_near, steps, cell_alpha = np.empty_like(step), step[:near], list(step), alphas[0]
     x_near = x[:near]

@@ -614,6 +614,18 @@ def test_check_rejects_out_and_creates_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_builds_one_parser_and_runs_a_patched_command(tmp_path, monkeypatch):
+    # the benchmark traces cli.cmd_sweep by patching it after the first sweep
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    sweeps = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: sweeps.append(args.config) or EXIT_OK)
+    for _ in range(3):
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+    assert sweeps == [cfg] * 3
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_help_exits_0(capsys):
     for argv in (["--help"], ["run", "--help"]):
         with pytest.raises(SystemExit) as exc:

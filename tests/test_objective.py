@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from neardgd.objective import (ObjectiveError, QuadraticProblem, QuadraticQuarticProblem,
+from neardgd.objective import (Objective, ObjectiveError, QuadraticProblem,
+                               QuadraticQuarticProblem,
                                finite_difference_grad,
                                sample_quadratic_problem,
                                sample_quartic_problem)
@@ -164,6 +165,41 @@ def test_stacked_grad_of_a_stack_equals_its_per_iterate_calls(family):
     for index in np.ndindex(stack.shape[:2]):
         np.testing.assert_array_equal(grads[index], prob.stacked_grad(stack[index]))
         np.testing.assert_array_equal(grads[index], prob.stacked_grad(stack[index].tolist()))
+
+
+@pytest.mark.parametrize("family", ["quartic", "quadratic"])
+def test_tiled_stacked_grad_equals_the_per_iterate_calls(family):
+    prob = (sample_quartic_problem(12, 4, 4, 1.0, 0) if family == "quartic"
+            else sample_quadratic_problem(12, 4, 0))
+    names = ("q", "_quartic") if family == "quartic" else ("b",)
+    originals = {name: getattr(prob, name).copy() for name in names}
+    rng = np.random.default_rng(9)
+    for cells in range(1, 9):
+        tiled = prob.tiled((cells,))
+        for name in names:
+            coefficients = getattr(tiled, name)
+            assert coefficients.shape == (cells, 12, 4) and coefficients.flags.c_contiguous
+            # the original keeps its own (n, p) arrays
+            assert getattr(prob, name).shape == (12, 4)
+            assert getattr(prob, name).tobytes() == originals[name].tobytes()
+        # slot 3 of cells buffers of 5 slots each: a strided view, as a
+        # batch's slot across its cells' buffers is
+        slot = rng.uniform(-3.0, 3.0, size=(cells, 5, 12, 4))[:, 3]
+        grads = tiled.stacked_grad(slot)
+        assert grads.shape == slot.shape
+        for b in range(cells):
+            assert grads[b].tobytes() == prob.stacked_grad(slot[b]).tobytes()
+
+
+def test_a_family_without_gradient_coefficients_is_not_tiled():
+    class Linear(Objective):
+        n, p = 2, 3
+
+        def node_grads(self, x):
+            return np.ones(np.shape(x))
+
+    prob = Linear()
+    assert prob.tiled((4,)) is prob
 
 
 @pytest.mark.parametrize("c, says", [

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from neardgd import optimizer
-from neardgd.consensus import build_consensus_matrix, dense_pays
+from neardgd.consensus import ConsensusMatrix, build_consensus_matrix, dense_pays
 from neardgd.diagnostics import TRACE_COLUMNS
 from neardgd.graph import build_ring
-from neardgd.objective import Objective, sample_quartic_problem
+from neardgd.objective import Objective, sample_quadratic_problem, sample_quartic_problem
 from neardgd.optimizer import MethodSpec, run, run_batch
 
 SWEEP_METHODS = ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus", "near-dgd-plus-doubling:100",
@@ -53,6 +53,12 @@ def assert_batch_equals_runs(prob, cm, cells, alpha, budget, **options):
 def test_the_sweep_methods_over_two_seeds():
     prob, cm = paper_instance()
     assert_batch_equals_runs(prob, cm, cells_of(SWEEP_METHODS, (0, 3)), 0.1, 1000)
+
+
+def test_the_sweep_methods_on_the_quadratic_family():
+    prob = sample_quadratic_problem(12, 4, seed=0)
+    cm = build_consensus_matrix(build_ring(12))
+    assert_batch_equals_runs(prob, cm, cells_of(SWEEP_METHODS, (0, 3)), 0.5, 400)
 
 
 def test_cells_on_the_dense_twin_and_on_the_two_product_matrix():
@@ -121,6 +127,27 @@ def test_one_gradient_call_per_slot_for_every_cell(monkeypatch):
     assert calls == [(2, 12, 4)] * 9
 
 
+@pytest.mark.parametrize("token", ["near-dgd-plus-doubling:100", "near-dgd-plus"])
+def test_product_handles_are_fetched_once_per_run_of_equal_t(monkeypatch, token):
+    # blocks of 341 rows at budget 1000: the doubling's t changes inside
+    # each block, near-dgd-plus's at every slot
+    prob, cm = paper_instance()
+    calls = []
+    product = ConsensusMatrix.product
+    monkeypatch.setattr(ConsensusMatrix, "product",
+                        lambda self, t: calls.append(t) or product(self, t))
+    method, budget, rows = MethodSpec.parse(token), 1000, 341
+    # one fetch per distinct t of each block's t_{k+1}..t_{k+m}, and one for x_0
+    handles = 1 + sum(len(set(method.schedule(k, min(rows, budget - k) + 1)[1:]))
+                      for k in range(0, budget, rows))
+    assert handles == (14 if method.name == "near-dgd-plus-doubling" else 1 + budget)
+    run(prob, cm, method, 0.1, budget)
+    assert len(calls) == handles
+    calls.clear()
+    run_batch(prob, cm, cells_of((token,), (0, 1)), 0.1, budget)
+    assert len(calls) == 2 * handles
+
+
 def test_every_cell_is_checked_before_any_iteration(monkeypatch):
     prob, cm = paper_instance()
     calls = []
@@ -132,6 +159,22 @@ def test_every_cell_is_checked_before_any_iteration(monkeypatch):
             run_batch(prob, cm, cells, 0.1, 1100)
     with pytest.raises(optimizer.SteplengthError):
         run_batch(prob, cm, [(good, 0), (good, 1)], 0.9, 10)
+    assert calls == []
+
+
+def test_a_negative_seed_and_a_matrix_of_another_size_are_rejected_by_name(monkeypatch):
+    prob, cm = paper_instance()
+    ring10 = build_consensus_matrix(build_ring(10))
+    calls = []
+    monkeypatch.setattr(Objective, "stacked_grad", lambda self, x: calls.append(1))
+    method = MethodSpec("near-dgd-t", t=5)
+    for matrix, seed, says in ((cm, -1, "seed must be nonnegative, got -1"),
+                               (ring10, 0, "the consensus matrix has 10 nodes, the objective 12")):
+        with pytest.raises(ValueError, match=says):
+            run(prob, matrix, method, 0.1, 10, seed=seed)
+        for cells in ([(method, seed)], [(method, 0), (method, seed)]):
+            with pytest.raises(ValueError, match=says):
+                run_batch(prob, matrix, cells, 0.1, 10)
     assert calls == []
 
 

@@ -103,3 +103,15 @@ def test_ab_time_runs_the_hundred_seed_escape_with_or_without_run_batch(tmp_path
     assert proc.returncode == 0, proc.stderr
     assert re.search(r"^change / base: median paired ratio \d+\.\d{3} .* in [01] of 1 pairs$",
                      proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_ab_time_runs_the_sweep_cells_as_one_batch_without_the_cli():
+    proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "batch",
+                    "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^change / base: median paired ratio \d+\.\d{3} .* in [01] of 1 pairs$",
+                     proc.stdout, re.MULTILINE), proc.stdout
+    proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "batch",
+                    "--n", "16", "--pairs", "1")
+    assert proc.returncode == 2
+    assert "--n applies to escape, escape100, saddle and the method tokens" in proc.stderr

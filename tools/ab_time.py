@@ -20,6 +20,8 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
                   seeds 0..99, as one run_batch call where the tree has that
                   function, and as 100 run() calls where it does not
   sweep           `neardgd sweep --parallel 1`: six methods, budget 1000, one seed
+  batch           the sweep's six cells as one run_batch call, without the CLI
+                  and the CSV (six run() calls where the tree has no run_batch)
   csv             the sweep's sweep.csv written to memory from its six traces,
                   which are run before the timed calls
   scale           near-dgd-t:5 at budget 100 on a ring and an Erdos-Renyi
@@ -103,7 +105,7 @@ def workload(pkg, token, workdir, n=12):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
-    if n != 12 and token in ("sweep", "csv", "scale"):
+    if n != 12 and token in ("sweep", "batch", "csv", "scale"):
         raise ValueError("--n applies to escape, escape100, saddle and the method tokens, "
                          "not to %s" % token)
     problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
@@ -112,13 +114,12 @@ def workload(pkg, token, workdir, n=12):
         method, seeds = pkg.MethodSpec("near-dgd-t", t=5), iter(range(10**9))
         return lambda: optimizer.run(problem, cm, method, ALPHA, 1500, seed=next(seeds))
     if token == "escape100":
-        method, seeds = pkg.MethodSpec("near-dgd-t", t=5), range(100)
-        run_batch = getattr(optimizer, "run_batch", None)
-        if run_batch is None:
-            return lambda: [optimizer.run(problem, cm, method, ALPHA, 1500, seed=seed)
-                            for seed in seeds]
-        cells = [(method, seed) for seed in seeds]
-        return lambda: run_batch(problem, cm, cells, ALPHA, 1500)
+        method = pkg.MethodSpec("near-dgd-t", t=5)
+        return batch(optimizer, problem, cm, [(method, seed) for seed in range(100)], 1500)
+    if token == "batch":
+        cells = [(pkg.MethodSpec.parse(m), 0) for m in SWEEP_METHODS]
+        return batch(optimizer, problem, cm, cells, 1000,
+                     cost_model=diagnostics.CostModel(c_c=0.01, c_g=1.0))
     if token == "saddle":
         origin = np.zeros((n, 4))
         return lambda: diagnostics.saddle_classification(origin, problem, cm, 5, ALPHA)
@@ -161,6 +162,17 @@ def workload(pkg, token, workdir, n=12):
     return lambda: optimizer.run(problem, cm, method, ALPHA, 1000, seed=0)
 
 
+def batch(optimizer, problem, cm, cells, budget, **options):
+    """A call that runs the (method, seed) cells as one run_batch call where
+    the optimizer has that function, and as one run() call per cell where
+    it does not."""
+    run_batch = getattr(optimizer, "run_batch", None)
+    if run_batch is None:
+        return lambda: [optimizer.run(problem, cm, method, ALPHA, budget, seed=seed, **options)
+                        for method, seed in cells]
+    return lambda: run_batch(problem, cm, cells, ALPHA, budget, **options)
+
+
 def timed(call):
     """(seconds, minor page faults) of one call."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -176,8 +188,8 @@ def main(argv=None):
     parser.add_argument("--change", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source directory of the changed tree (default: this checkout's src/)")
     parser.add_argument("--workload", default="escape",
-                        help="escape, escape100, sweep, csv, scale, saddle or a method "
-                             "token (default: escape)")
+                        help="escape, escape100, sweep, batch, csv, scale, saddle or a "
+                             "method token (default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
     parser.add_argument("--n", type=int, default=12,
                         help="ring size for escape, escape100, saddle and the method "
