@@ -2,11 +2,11 @@
 
 A run is strictly sequential; run_batch() iterates several runs side by
 side, each with its own bits, and process parallelism lives one level up
-(sweeps over methods and seeds share no mutable state). run()'s loop does
-only the method's arithmetic and writes each iteration's iterates into two
-buffers allocated once per run; one pass per block of iterations reads them
-in place, decides how the run ends and appends the certificates and trace
-columns.
+(sweeps over methods and seeds share no mutable state). run() is
+run_batch()'s driver on one cell. One slot loop, or a lone NEAR-DGD cell's
+own, does only the methods' arithmetic and writes the iterates into buffers
+allocated once per batch; one pass per block and cell reads them in place,
+decides how the run ends and appends the certificates and trace columns.
 """
 
 import itertools
@@ -192,19 +192,20 @@ def _running_max(current, values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The iterations of one block. Each takes the per-slot views of the block
-# buffers, whose slot 0 holds the state the block starts from, and writes
-# iteration i's fresh iterates into slot i + 1, without checks or tallies;
-# the block pass decides which of them the run keeps. The updates are
+# The iterations of one block, by _slot_loop or, for a lone NEAR-DGD cell,
+# _near_dgd_iterations. Each takes the per-slot views of the block buffers,
+# whose slot 0 holds the state the block starts from, and writes iteration
+# i's fresh iterates into slot i + 1, without checks or tallies; the block
+# pass decides which of them the run keeps. The updates are
 #   NEAR-DGD   y_{k+1} = x_k - a grad f(x_k),  x_{k+1} = Z^{t_{k+1}} y_{k+1};
 #   DGD        x_{k+1} = Z x_k - a grad f(x_k);
-#   tracking   x_{k+1} = Z x_k - a s_k,  s_{k+1} = Z s_k + grad f(x_{k+1}) - grad f(x_k),
-# each evaluated as written, element for element: a grad f(x) (a s for the
-# tracker) goes into one (n, p) step buffer per block, and each consensus
-# product straight into its slot. alpha is held as an (n, p) array,
-# since NumPy multiplies two same-shape arrays faster than it converts a
-# Python float, and the ufuncs take their output positionally, which NumPy
-# parses faster than the out keyword.
+#   tracking   x_{k+1} = Z x_k - a s_k,  s_k = Z s_{k-1} + grad f(x_k) - grad f(x_{k-1}),
+# with s_0 = grad f(x_0), each evaluated as written, element for element:
+# a grad f(x) (a s for the tracker) goes into a step buffer, and each
+# consensus product straight into its slot. alpha is held as an array of the
+# step's shape, since NumPy multiplies two same-shape arrays faster than it
+# converts a Python float, and the ufuncs take their output positionally,
+# which NumPy parses faster than the out keyword.
 
 def _handles(cm, ts):
     """The product handles of iterations k..k+m-1, given ts = [t_k, ...,
@@ -233,35 +234,10 @@ def _near_dgd_iterations(objective, cm, alpha, ys, xs, ts):
         product(y_next, x_next)
 
 
-def _dgd_iterations(objective, cm, alpha, xs, m):
-    grad_of, multiply, subtract = objective.stacked_grad, np.multiply, np.subtract
-    product = cm.product(1)
-    alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
-    for x, x_next in zip(xs[:m], xs[1:m + 1]):
-        multiply(grad_of(x), alphas, step)
-        subtract(product(x, x_next), step, x_next)
-
-
-def _tracking_iterations(objective, cm, alpha, xs, s, grad, m):
-    """m tracker iterations into xs[1..m]; returns the final (s, grad)."""
-    grad_of, multiply, subtract = objective.stacked_grad, np.multiply, np.subtract
-    product = cm.product(1)
-    alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
-    for x, x_next in zip(xs[:m], xs[1:m + 1]):
-        subtract(product(x, x_next), multiply(s, alphas, step), x_next)
-        grad_next = grad_of(x_next)
-        # W s is a fresh array, so (W s + grad_next) - grad is formed in it
-        s = product(s)
-        s += grad_next
-        s -= grad
-        grad = grad_next
-    return s, grad
-
-
 def _iterations(method, budget):
-    """(iterations, gradient evaluations before the first) of a run of the
-    given budget: the tracker spends one gradient on its initialisation and
-    has no iteration below a budget of 2."""
+    """(iterations, gradient evaluations counted before the first) of a run
+    of the given budget: the tracker counts grad f(x_0), its s_0, and has no
+    iteration below a budget of 2 (its loop never evaluates grad f(x_K))."""
     if method.name != "gradient-tracking":
         return budget, 0
     return (budget - 1, 1) if budget >= 2 else (0, 0)
@@ -423,7 +399,7 @@ class _BlockCertifier:
             self.trace.divergence_note = (
                 "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
                 "estimate no longer valid" % (self.k + end, peaks[end], self.box_radius))
-        self.Y[0], self.X[0] = ys[end], xs[end]  # the baselines' X is Y
+        self.Y[0], self.X[0] = ys[end], xs[end]  # the baselines' X and Y are one buffer
         self.lyap = lyaps[end]
         self.k += end
         if diverged is not None or stopped is not None:
@@ -447,7 +423,7 @@ class _BlockCertifier:
             final_avg = final_y.mean(axis=0)
         return RunResult(trace=self.trace, counter=CommCounter(self.comm_rounds, self.grad_evals),
                          final_y=final_y,
-                         final_x=final_y if self.X is self.Y else self.X[0].copy(),
+                         final_x=self.X[0].copy() if self.near_dgd else final_y,
                          final_avg=final_avg, b_y=self.b_y, max_cons_gap=self.max_cons_gap,
                          max_eq7_inf=self.max_eq7_inf, lipschitz=self.lipschitz)
 
@@ -490,13 +466,17 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     stops there and is marked diverged. Deterministic for fixed seed and
     config.
 
+    run() is run_batch()'s driver on one cell. A NEAR-DGD run keeps its
+    own loop on (n, p) operands (through the batch's slot loop it took 1.2
+    times as long at n = 12); DGD and the tracker iterate by the slot loop.
     The loop does only the method's arithmetic: per iteration one gradient
     and one consensus application (two for the tracker), through the handle
     cm.product(t), fetched once per run of equal t within a block, after
     one cm.hold of the block's schedule, which forms
-    each new lam^t (dense: Z^t) of a block once for loop and pass.
-    A NEAR-DGD run for which dense_pays(n, p, method.repeats(iterations))
-    runs on cm.dense_twin(), x_0, loop and pass alike; on a two-product cm
+    each new lam^t (dense: Z^t) of a block once for loop and pass. A
+    tracker counts budget gradients but evaluates budget - 1: grad f(x_K)
+    would only form s_K, which nothing reads. A NEAR-DGD run for which
+    dense_pays(n, p, method.repeats(iterations)) runs on cm.dense_twin(), x_0, loop and pass alike; on a two-product cm
     its values then differ by rounding, and cm's own products keep their
     bits. The loop writes each iteration's y_{k+1} and x_{k+1} into the
     slots of two (rows + 1, n, p) buffers, rows = max(1, BLOCK_ELEMENTS //
@@ -519,15 +499,17 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     inputs = _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad_tol,
                              allow_large_alpha, box_radius)
     n, p = objective.n, objective.p
-    try:
+    try:  # an int past the float range, text, or complex, which a cast would make real
+        if x0 is not None and np.iscomplexobj(x0):
+            raise TypeError
         y = initial_point(n, p, inputs.seed) if x0 is None else np.array(x0, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # an int past the float range, text
-        raise ValueError("initial point x0 must hold numbers within the float range") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("initial point x0 must hold real numbers within the float range") from None
     if y.shape != (n, p):
         raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
     if not np.isfinite(y).all():
         raise ValueError("initial point has a non-finite entry")
-    return _scalar_run(objective, cm, method, inputs, y)
+    return _run_cells(objective, cm, [method], [inputs], [y])[0]
 
 
 # run()'s inputs as the engine reads them: Python ints and floats, the cost
@@ -572,32 +554,6 @@ def _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad
                    lipschitz)
 
 
-def _scalar_run(objective, cm, method, inputs, y) -> RunResult:
-    """run() on checked inputs from y_0 = y, by the method's scalar loop."""
-    n, p = objective.n, objective.p
-    Y = np.empty((_block_rows(n, p, _iterations(method, inputs.budget)[0]) + 1, n, p))
-    block = _BlockCertifier(objective, cm, method, inputs, y, Y,
-                            np.empty_like(Y) if method.near_dgd else Y)
-    cm, alpha = block.cm, inputs.alpha
-    if block.iterations and method.name == "gradient-tracking":
-        with np.errstate(over=block.ignore, invalid=block.ignore):
-            s = grad = objective.stacked_grad(y)
-    while block.running:
-        k, m = block.k, min(block.rows, block.iterations - block.k)
-        ts = method.schedule(k, m + 1)
-        # iterations past a divergence may overflow; the pass discards them
-        with np.errstate(over="ignore", invalid="ignore"):
-            if method.near_dgd:
-                cm.hold(ts)
-                _near_dgd_iterations(objective, cm, alpha, block.ys, block.xs, ts)
-            elif method.name == "dgd":
-                _dgd_iterations(objective, cm, alpha, block.ys, m)
-            else:
-                s, grad = _tracking_iterations(objective, cm, alpha, block.ys, s, grad, m)
-        block.certify(ts)
-    return block.result()
-
-
 # the order of a batch's cells in its buffers: the NEAR-DGD cells first, so
 # that one subtract forms the y_{k+1} of all of them, then DGD, then tracking
 _BATCH_ORDER = {"dgd": 1, "gradient-tracking": 2}
@@ -612,52 +568,87 @@ def run_batch(objective: Objective, cm: ConsensusMatrix, cells, alpha: float, bu
     its own inputs alone, not on the other cells of the batch.
 
     Every cell is checked, in cell order, before any iteration, so a bad
-    batch raises the error that the first bad cell's run() raises. A lone
-    cell runs by run()'s scalar loop. Otherwise the cells iterate slot by
-    slot on B-major buffers of shape (B, rows + 1, n, p), for x (every cell)
-    and y (the NEAR-DGD cells), rows as one run of the longest cell takes:
-    each slot takes one stacked_grad and one alpha-multiply for all B
-    cells, one subtract for the y_{k+1} of every NEAR-DGD cell, and then
-    each cell's own consensus products, from the handles of its matrix (cm,
-    or its dense twin as run() picks it), whose memo holds the union of its
-    cells' schedules once per block. The tracker's s_k = W s_{k-1} + g_k -
-    g_{k-1} is formed from the slot's gradient g_k before x_{k+1} = W x_k -
-    a s_k. After each block each cell's own block pass certifies its rows.
-    A cell that diverges or stops on grad_tol leaves the batch there with
-    its partial trace and end state; its rows of the shared arrays may go
-    on being computed, and are never read again.
+    batch raises the error that the first bad cell's run() raises. Every
+    batch but a lone NEAR-DGD cell iterates slot by slot on B-major buffers
+    of shape (B, rows + 1, n, p), for x (every cell) and y (the NEAR-DGD
+    cells), rows as one run of the longest cell takes: each slot takes one
+    stacked_grad and one alpha-multiply for all B cells, one subtract for
+    the y_{k+1} of every NEAR-DGD cell, and then each cell's own consensus
+    products, from the handles of its matrix (cm, or its dense twin as run()
+    picks it), whose memo holds the union of its cells' schedules once per
+    block. The tracker's s_k = W s_{k-1} + g_k - g_{k-1} is formed from the
+    slot's gradient g_k before x_{k+1} = W x_k - a s_k. After each block
+    each cell's own block pass certifies its rows. A cell that diverges or
+    stops on grad_tol leaves the batch there with its partial trace and end
+    state; its rows of the shared arrays may go on being computed, and are
+    never read again.
     """
     cells = list(cells)
     inputs = [_checked_inputs(objective, cm, method, alpha, budget, seed, cost_model,
                               grad_tol, allow_large_alpha, box_radius) for method, seed in cells]
     n, p = objective.n, objective.p
-    starts = [initial_point(n, p, checked.seed) for checked in inputs]
-    if len(cells) < 2:
-        return [_scalar_run(objective, cm, method, checked, y)
-                for (method, _), checked, y in zip(cells, inputs, starts)]
-    order = sorted(range(len(cells)), key=lambda b: _BATCH_ORDER.get(cells[b][0].name, 0))
-    methods = [cells[b][0] for b in order]
+    return _run_cells(objective, cm, [method for method, _ in cells], inputs,
+                      [initial_point(n, p, checked.seed) for checked in inputs])
+
+
+def _run_cells(objective, cm, methods, inputs, starts) -> list:
+    """The run driver of run() and run_batch(): the RunResults of the
+    checked cells (methods[b], inputs[b]) from y_0 = starts[b], in cell
+    order, by one block loop (hold, iterate, certify) over one
+    _BlockCertifier per cell on the B-major buffers."""
+    if not methods:
+        return []
+    n, p = objective.n, objective.p
+    order = sorted(range(len(methods)), key=lambda b: _BATCH_ORDER.get(methods[b].name, 0))
     near = sum(method.near_dgd for method in methods)
     iterations = max(_iterations(method, inputs[0].budget)[0] for method in methods)
-    X = np.empty((len(cells), _block_rows(n, p, iterations) + 1, n, p))
+    X = np.empty((len(methods), _block_rows(n, p, iterations) + 1, n, p))
     Y = np.empty((near,) + X.shape[1:])
-    blocks = [_BlockCertifier(objective, cm, method, inputs[b], starts[b],
-                              Y[j] if method.near_dgd else X[j], X[j])
-              for j, (b, method) in enumerate(zip(order, methods))]
-    _batch_iterations(objective, cm, inputs[0].alpha, blocks, X, Y)
-    results = [None] * len(cells)
+    blocks = [_BlockCertifier(objective, cm, methods[b], inputs[b], starts[b],
+                              Y[j] if j < near else X[j], X[j])
+              for j, b in enumerate(order)]
+    alpha = inputs[0].alpha
+    if len(blocks) == 1 and near:
+        cell = blocks[0]
+
+        def iterate(m, schedules):
+            _near_dgd_iterations(objective, cell.cm, alpha, cell.ys, cell.xs, schedules[0])
+    else:
+        iterate = _slot_loop(objective, cm, alpha, blocks, X, Y)
+    rows, k = X.shape[1] - 1, 0
+    while True:
+        live = [j for j, block in enumerate(blocks) if block.running]
+        if not live:
+            break
+        m = min(rows, max(blocks[j].iterations for j in live) - k)
+        schedules = {j: blocks[j].method.schedule(k, min(m, blocks[j].iterations - k) + 1)
+                     for j in live}
+        held = {}  # one hold per matrix, of the union of its NEAR-DGD cells' schedules
+        for j, ts in schedules.items():
+            if j < near:
+                held.setdefault(blocks[j].cm, []).extend(ts)
+        for matrix, ts in held.items():
+            matrix.hold(ts)
+        # iterations past a divergence may overflow; the pass discards them
+        with np.errstate(over="ignore", invalid="ignore"):
+            iterate(m, schedules)
+        for j, ts in schedules.items():
+            blocks[j].certify(ts)
+        k += m
+    results = [None] * len(methods)
     for b, block in zip(order, blocks):
         results[b] = block.result()
     return results
 
 
-def _batch_iterations(objective, cm, alpha, blocks, X, Y):
-    """run_batch()'s slot loop and block passes on the buffers X and Y,
-    whose first len(Y) cells are the NEAR-DGD ones."""
+def _slot_loop(objective, cm, alpha, blocks, X, Y):
+    """The iterations of a batch on the buffers X and Y, whose first len(Y)
+    cells are the NEAR-DGD ones: a function (m, schedules) that runs m
+    slots of the live cells that schedules maps to [t_k, ..., t_{k+m}]."""
     # the gradient's coefficients tiled to the slot's shape (B, n, p), once
     grad_of = objective.tiled(X.shape[:1]).stacked_grad
     multiply, subtract, copyto = np.multiply, np.subtract, np.copyto
-    w_dot, near, rows = cm.W.dot, len(Y), X.shape[1] - 1
+    w_dot, near = cm.W.dot, len(Y)
     alphas, step = np.full(X[:, 0].shape, alpha), np.empty(X[:, 0].shape)
     # per-slot views of x of every cell and y of the NEAR-DGD cells; a slot's
     # x is copied into one C-ordered array, on which the gradient and the
@@ -667,48 +658,33 @@ def _batch_iterations(objective, cm, alpha, blocks, X, Y):
     x_near = x[:near]
     trackers = {j: [None, None] for j, block in enumerate(blocks)
                 if block.method.name == "gradient-tracking"}  # j: [s_{k-1}, g_{k-1}]
-    k = 0
-    while True:
-        live = [j for j, block in enumerate(blocks) if block.running]
-        if not live:
-            break
-        m = min(rows, max(blocks[j].iterations for j in live) - k)
-        schedules = {j: blocks[j].method.schedule(k, m + 1) for j in live if j < near}
-        held = {}  # one hold per matrix, of the union of its cells' schedules
-        for j, ts in schedules.items():
-            held.setdefault(blocks[j].cm, []).extend(ts)
-        for matrix, ts in held.items():
-            matrix.hold(ts)
+
+    def iterate(m, schedules):
         # slot i's products of the NEAR-DGD cells: (handle, y_{k+i+1}, x_{k+i+1})
-        near_slots = (zip(*(zip(_handles(blocks[j].cm, ts), blocks[j].ys[1:], blocks[j].xs[1:])
-                            for j, ts in schedules.items()))
-                      if schedules else itertools.repeat((), m))
-        dgd = [(blocks[j].xs, steps[j]) for j in live if blocks[j].method.name == "dgd"]
-        tracking = [(blocks[j].xs, steps[j], j, trackers[j]) for j in live if j in trackers]
-        # iterations past a divergence may overflow; the pass discards them
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, near_ops in zip(range(m), near_slots):
-                copyto(x, x_slots[i])
-                grad = grad_of(x)
-                multiply(grad, alphas, step)
+        near_cells = [zip(_handles(blocks[j].cm, ts), blocks[j].ys[1:], blocks[j].xs[1:])
+                      for j, ts in schedules.items() if j < near]
+        near_slots = zip(*near_cells) if near_cells else itertools.repeat((), m)
+        dgd = [(blocks[j].xs, steps[j]) for j in schedules if blocks[j].method.name == "dgd"]
+        tracking = [(blocks[j].xs, steps[j], j, trackers[j]) for j in schedules if j in trackers]
+        for i, near_ops in zip(range(m), near_slots):
+            copyto(x, x_slots[i])
+            grad = grad_of(x)
+            multiply(grad, alphas, step)
+            if near:
                 subtract(x_near, step_near, y_near[i + 1])
-                for product, y_next, x_next in near_ops:
-                    product(y_next, x_next)
-                for xs, cell_step in dgd:
-                    subtract(w_dot(xs[i], xs[i + 1]), cell_step, xs[i + 1])
-                for xs, cell_step, j, state in tracking:
-                    s, g = state[0], grad[j]
-                    if s is None:  # s_0 = g_0
-                        s = g
-                    else:  # W s is a fresh array, so (W s + g_k) - g_{k-1} is formed in it
-                        s = w_dot(s)
-                        s += g
-                        s -= state[1]
-                    subtract(w_dot(xs[i], xs[i + 1]), multiply(s, cell_alpha, cell_step),
-                             xs[i + 1])
-                    state[0], state[1] = s, g
-        for j in live:
-            block = blocks[j]
-            block.certify(schedules[j] if j in schedules else
-                          block.method.schedule(k, min(m, block.iterations - k) + 1))
-        k += m
+            for product, y_next, x_next in near_ops:
+                product(y_next, x_next)
+            for xs, cell_step in dgd:
+                subtract(w_dot(xs[i], xs[i + 1]), cell_step, xs[i + 1])
+            for xs, cell_step, j, state in tracking:
+                s, g = state[0], grad[j]
+                if s is None:  # s_0 = g_0
+                    s = g
+                else:  # W s is a fresh array, so (W s + g_k) - g_{k-1} is formed in it
+                    s = w_dot(s)
+                    s += g
+                    s -= state[1]
+                subtract(w_dot(xs[i], xs[i + 1]), multiply(s, cell_alpha, cell_step),
+                         xs[i + 1])
+                state[0], state[1] = s, g
+    return iterate

@@ -1,7 +1,8 @@
 """Engine invariants of run() over drawn methods, budgets and block sizes.
 
-run() must give the same values, bit for bit, for any block size and on a
-repeated run, and end where the reference iterations of reference_steps end:
+run() must give the same values, bit for bit, for any block size, on a
+repeated run and as one cell of a batch beside a second drawn cell, and end
+where the reference iterations of reference_steps end:
 at the same k, with the same divergence note, final iterate and tallies,
 whether it runs out of budget, stops on grad_tol or leaves the box, on the
 kernel that dense_pays picks for the run: the matrix or its dense twin. Every
@@ -19,7 +20,7 @@ from neardgd import checks, optimizer
 from neardgd.consensus import build_consensus_matrix, dense_pays
 from neardgd.graph import build_ring
 from neardgd.objective import sample_quartic_problem
-from neardgd.optimizer import MethodSpec, initial_point, run
+from neardgd.optimizer import MethodSpec, initial_point, run, run_batch
 from reference_steps import run_end
 
 TOKENS = ("near-dgd-t:1", "near-dgd-t:3", "near-dgd-plus", "near-dgd-plus-doubling:4",
@@ -45,9 +46,11 @@ def fingerprint(res):
 @given(token=st.sampled_from(TOKENS), shape=st.sampled_from(SHAPES),
        budget=st.integers(0, 120), rows=st.integers(1, 64), seed=st.integers(0, 3),
        grad_tol=st.none() | st.sampled_from([1.0, 0.3, 0.1]),
-       large_alpha=st.booleans(), alpha_draw=st.floats(0.05, 0.95))
+       large_alpha=st.booleans(), alpha_draw=st.floats(0.05, 0.95),
+       other_token=st.sampled_from(TOKENS), other_seed=st.integers(0, 3))
 def test_run_is_block_size_free_and_ends_where_the_reference_does(
-        token, shape, budget, rows, seed, grad_tol, large_alpha, alpha_draw):
+        token, shape, budget, rows, seed, grad_tol, large_alpha, alpha_draw, other_token,
+        other_seed):
     prob, cm = INSTANCES[shape]
     method = MethodSpec.parse(token)
     if large_alpha:
@@ -66,6 +69,13 @@ def test_run_is_block_size_free_and_ends_where_the_reference_does(
     with mock.patch.object(optimizer, "BLOCK_ELEMENTS", rows * prob.n * prob.p):
         blocked = run(prob, cm, method, **kwargs)
     assert fingerprint(blocked) == fingerprint(reference)
+    # each cell of a batch of two is its own run()
+    other = MethodSpec.parse(other_token)
+    options = dict(kwargs)
+    del options["seed"]
+    batch = run_batch(prob, cm, [(method, seed), (other, other_seed)], **options)
+    assert fingerprint(batch[0]) == fingerprint(reference)
+    assert fingerprint(batch[1]) == fingerprint(run(prob, cm, other, seed=other_seed, **options))
 
     twin = method.near_dgd and dense_pays(prob.n, prob.p, method.repeats(budget))
     end = run_end(prob, cm.dense_twin() if twin else cm, method, alpha, budget,

@@ -14,7 +14,8 @@ from neardgd.graph import Graph, build_erdos_renyi, build_ring
 from neardgd.objective import (Objective, ObjectiveError, QuadraticProblem,
                                QuadraticQuarticProblem, sample_quartic_problem)
 from neardgd import diagnostics, optimizer
-from neardgd.optimizer import MethodSpec, SteplengthError, initial_point, run
+from neardgd.optimizer import (MethodSpec, SteplengthError, initial_point, run,
+                               run_batch)
 from reference_steps import (dgd_step, iterations, near_dgd_step, run_end,
                              tracking_step)
 
@@ -459,16 +460,26 @@ def test_run_fixed_t_loop_makes_one_consensus_and_one_gradient_call(monkeypatch)
 
 @pytest.mark.parametrize("name", optimizer.METHOD_NAMES)
 def test_run_makes_one_stacked_grad_call_per_gradient_evaluation(monkeypatch, name):
-    # blocks of 4 rows over a budget of 10: the tracker's first gradient
-    # is its initialisation, and every iteration evaluates one gradient
+    # blocks of 4 rows over a budget of 10: every iteration evaluates one
+    # gradient. The tracker counts grad f(x_0), its s_0, as its first
+    # gradient and makes 9 iterations, which evaluate grad f(x_0..x_8);
+    # grad f(x_9) would only form s_9, which nothing reads, so it is never
+    # evaluated and the tracker makes one call fewer than it counts. A lone
+    # run_batch() cell makes the same calls, by shape and bytes
     prob, cm = paper_instance()
     monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 4 * 12 * 4)
     calls = []
     stacked_grad = Objective.stacked_grad
-    monkeypatch.setattr(Objective, "stacked_grad",
-                        lambda self, x: calls.append(1) or stacked_grad(self, x))
+    monkeypatch.setattr(Objective, "stacked_grad", lambda self, x: calls.append(
+        (np.shape(x), np.asarray(x).tobytes())) or stacked_grad(self, x))
     res = run(prob, cm, MethodSpec(name), alpha=0.1, budget=10)
-    assert len(calls) == res.counter.gradient_evals == 10
+    assert res.counter.gradient_evals == 10
+    assert len(calls) == (9 if name == "gradient-tracking" else 10)
+    alone = list(calls)
+    calls.clear()
+    batch = run_batch(prob, cm, [(MethodSpec(name), 0)], alpha=0.1, budget=10)
+    assert calls == alone
+    assert batch[0].counter.gradient_evals == 10
 
 def _run_fingerprint(res):
     buf = io.StringIO()
@@ -771,6 +782,21 @@ def test_run_rejects_a_non_finite_initial_point_before_any_product(name, value):
     x0[3, 1] = value
     with pytest.raises(ValueError, match="^initial point has a non-finite entry$"):
         run(prob, cm, MethodSpec(name), alpha=0.1, budget=5, x0=x0)
+
+
+@pytest.mark.parametrize("x0", [np.zeros((12, 4)) + 1e-3j, np.zeros((12, 4)) + 0j,
+                                [[1j] * 4] * 12], ids=["imaginary", "zero-imaginary", "list"])
+def test_run_rejects_a_complex_initial_point_by_name(x0):
+    # a cast to float would drop the imaginary part, with NumPy's
+    # ComplexWarning at most; under warnings as errors run() still raises
+    # its own ValueError
+    prob, cm = paper_instance()
+    for strict in (False, True):
+        with warnings.catch_warnings():
+            if strict:
+                warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^initial point x0 must hold real numbers"):
+                run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=5, x0=x0)
 
 
 def test_run_reads_budget_and_seed_as_integers():

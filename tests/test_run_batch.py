@@ -127,6 +127,27 @@ def test_one_gradient_call_per_slot_for_every_cell(monkeypatch):
     assert calls == [(2, 12, 4)] * 9
 
 
+@pytest.mark.parametrize("token", ["near-dgd-t:5", "near-dgd-plus"])
+def test_a_lone_near_dgd_cell_keeps_its_own_loop(monkeypatch, token):
+    # run() of a NEAR-DGD method, as the escape and scale workloads time it,
+    # iterates on (n, p) operands and never tiles the objective; a batch of
+    # two cells tiles it once and makes one call per slot for both
+    prob, cm = paper_instance()
+    shapes, leads = [], []
+    stacked_grad, tiled = Objective.stacked_grad, Objective.tiled
+    monkeypatch.setattr(Objective, "stacked_grad",
+                        lambda self, x: shapes.append(np.shape(x)) or stacked_grad(self, x))
+    monkeypatch.setattr(Objective, "tiled",
+                        lambda self, lead: leads.append(tuple(lead)) or tiled(self, lead))
+    method = MethodSpec.parse(token)
+    run(prob, cm, method, 0.1, 50)
+    run_batch(prob, cm, [(method, 1)], 0.1, 50)
+    assert shapes == [(12, 4)] * 100 and leads == []
+    shapes.clear()
+    run_batch(prob, cm, [(method, 0), (method, 1)], 0.1, 50)
+    assert shapes == [(2, 12, 4)] * 50 and leads == [(2,)]
+
+
 @pytest.mark.parametrize("token", ["near-dgd-plus-doubling:100", "near-dgd-plus"])
 def test_product_handles_are_fetched_once_per_run_of_equal_t(monkeypatch, token):
     # blocks of 341 rows at budget 1000: the doubling's t changes inside
