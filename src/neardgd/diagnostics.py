@@ -301,7 +301,7 @@ class RunTrace:
     int64), and the seven FLOAT_COLUMNS, f_err .. cost, as a list of the
     (r, 7) arrays appended, so that an append copies no earlier row.
     ``records`` builds a new list of every row as a TraceRecord on each
-    access; ``final`` builds only the last."""
+    access; ``final`` builds only the last, from the last block."""
 
     method: str
     seed: int
@@ -317,19 +317,16 @@ class RunTrace:
             column.extend(values)
         self._floats.append(floats)
 
-    def _rows(self, start=0):
-        """The rows from start on (counted from the end when negative), as
-        tuples in TRACE_COLUMNS order."""
-        return zip(*(column[start:] for column in self._ints),
-                   *np.concatenate(self._floats)[start:].T.tolist())
-
     @property
     def records(self) -> list:
-        return list(starmap(TraceRecord, self._rows()))
+        return list(starmap(TraceRecord, zip(*self._ints,
+                                             *np.concatenate(self._floats).T.tolist())))
 
     @property
     def final(self) -> TraceRecord:
-        return TraceRecord(*list(self._rows(-1))[0])  # IndexError when empty
+        ints = [column[-1] for column in self._ints]  # IndexError when empty
+        floats = next(block for block in reversed(self._floats) if len(block))
+        return TraceRecord(*ints, *floats[-1].tolist())
 
     def column(self, name):
         """One column over every row: a float array for FLOAT_COLUMNS, a

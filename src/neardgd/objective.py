@@ -8,6 +8,7 @@ Every family here has diagonal per-node Hessians.
 """
 
 import copy
+import inspect
 import math
 import operator
 from dataclasses import dataclass
@@ -72,9 +73,11 @@ class Objective:
 
     Subclasses implement three per-node primitives, node_values
     ((..., n, p) -> (..., n), the f_i(x_i)), node_grads ((..., n, p) ->
-    (..., n, p), the grad f_i(x_i)) and node_hessian_diags ((..., n, p) ->
-    (..., n, p), the diagonals of the Hessians of the f_i at x_i); one
-    network primitive, network_value_and_grad ((K, p) -> (K,), (K, p): the
+    (..., n, p), the grad f_i(x_i), written into out when given: a float
+    array of x's shape that shares no memory with x, passed to its first
+    ufunc as the output) and node_hessian_diags ((..., n, p) -> (..., n,
+    p), the diagonals of the Hessians of the f_i at x_i); one network
+    primitive, network_value_and_grad ((K, p) -> (K,), (K, p): the
     network-wide f(v) = sum_i f_i(v) and its gradient at each of K points,
     in closed form, without an n-fold broadcast); lipschitz_estimate; and
     minimizers, the global minimizers of that f. Stacked evaluators,
@@ -87,7 +90,11 @@ class Objective:
     ufunc, and a reduction over the short coordinate axis several times
     the column adds that give its bits. So coefficient arrays are kept at
     the full (n, p) shape of an iterate, and sums over coordinates go
-    through linalg.sum_last.
+    through linalg.sum_last. For the same reason stacked_grad(x, out)
+    tests nothing: a run checks its buffers once, when it allocates them,
+    and its loop then writes each gradient into its step buffer. So
+    node_grads must take (x, out=None), and a subclass whose node_grads
+    cannot take out is refused when it is defined.
     """
 
     n: int
@@ -95,10 +102,19 @@ class Objective:
     # the names of the coefficient arrays that node_grads reads
     _grad_coefficients = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        try:
+            inspect.signature(cls.node_grads).bind(cls, None, None)
+        except TypeError:
+            raise TypeError("%s.node_grads must take (x, out=None), as the Objective "
+                            "contract asks; it has the signature %s"
+                            % (cls.__name__, inspect.signature(cls.node_grads))) from None
+
     def node_values(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def node_grads(self, x) -> np.ndarray:
+    def node_grads(self, x, out=None) -> np.ndarray:
         raise NotImplementedError
 
     def node_hessian_diags(self, x) -> np.ndarray:
@@ -129,11 +145,22 @@ class Objective:
         values = self.node_values(x).sum(axis=-1)
         return float(values) if values.ndim == 0 else values
 
-    def stacked_grad(self, x) -> np.ndarray:
+    def stacked_grad(self, x, out=None) -> np.ndarray:
         """grad f(x) for an (n, p) iterate, or one gradient per iterate of
         a (..., n, p) stack (each equal to its (n, p) call bitwise). A float64
         ndarray, such as a run's buffer slot, takes one trailing-shape test
-        and no conversion."""
+        and no conversion.
+
+        With out, grad f(x) is written into out, which is returned, by the
+        same elementwise operations, so every bit stays; neither argument is
+        tested. x must then be a float64 ndarray of shape (..., n, p) and out
+        one of x's shape that shares no memory with it, both checked once by
+        the caller, as a run's loop has its slots and its step buffer by
+        allocating them at that shape. Nothing catches a breach: an x of
+        another shape may broadcast into out, and an out that overlaps x
+        gives a wrong gradient."""
+        if out is not None:
+            return self.node_grads(x, out)
         if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
             x = np.asarray(x, dtype=float)
         if x.shape[-2:] != (self.n, self.p):
@@ -251,8 +278,8 @@ class QuadraticQuarticProblem(Objective):
         terms *= x2
         return sum_last(terms)
 
-    def node_grads(self, x):
-        grads = x * x
+    def node_grads(self, x, out=None):
+        grads = np.multiply(x, x, out)
         grads *= self._quartic
         grads += self.q
         grads *= x
@@ -324,8 +351,8 @@ class QuadraticProblem(Objective):
         d = x - self.b
         return 0.5 * sum_last(d * d)
 
-    def node_grads(self, x):
-        return x - self.b
+    def node_grads(self, x, out=None):
+        return np.subtract(x, self.b, out)
 
     def node_hessian_diags(self, x):
         return np.ones(np.shape(x))

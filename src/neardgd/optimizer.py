@@ -205,7 +205,10 @@ def _running_max(current, values) -> float:
 # consensus product straight into its slot. alpha is held as an array of the
 # step's shape, since NumPy multiplies two same-shape arrays faster than it
 # converts a Python float, and the ufuncs take their output positionally,
-# which NumPy parses faster than the out keyword.
+# which NumPy parses faster than the out keyword. The lone NEAR-DGD loop
+# writes grad f(x) itself into its step buffer, by stacked_grad(x, step),
+# which tests neither array: the run allocates that buffer and the slots at
+# (n, p), once, and no call needs to check them again.
 
 def _handles(cm, ts):
     """The product handles of iterations k..k+m-1, given ts = [t_k, ...,
@@ -223,14 +226,15 @@ def _handles(cm, ts):
     return handles
 
 
-def _near_dgd_iterations(objective, cm, alpha, ys, xs, ts):
+def _near_dgd_iterations(objective, cm, alphas, step, ys, xs, ts):
     """Iterations k..k+m-1 from x_k = xs[0], given ts = [t_k, ..., t_{k+m}]:
     y_{k+i+1} into ys[i+1] and x_{k+i+1} = Z^{t_{k+i+1}} y_{k+i+1} into
-    xs[i+1]."""
+    xs[i+1]. alphas (alpha in every entry) and step are the run's (n, p)
+    arrays; each gradient is asked for in step, and the returned array is
+    the one used, so an oracle that returns a fresh array works too."""
     grad_of, multiply, subtract = objective.stacked_grad, np.multiply, np.subtract
-    alphas, step = np.full_like(xs[0], alpha), np.empty_like(xs[0])
     for product, x, y_next, x_next in zip(_handles(cm, ts), xs, ys[1:], xs[1:]):
-        subtract(x, multiply(grad_of(x), alphas, step), y_next)
+        subtract(x, multiply(grad_of(x, step), alphas, step), y_next)
         product(y_next, x_next)
 
 
@@ -609,10 +613,14 @@ def _run_cells(objective, cm, methods, inputs, starts) -> list:
               for j, b in enumerate(order)]
     alpha = inputs[0].alpha
     if len(blocks) == 1 and near:
-        cell = blocks[0]
+        # alpha and the step buffer, allocated once per run: the buffer and
+        # every slot of X and Y are float64 arrays of shape (n, p) by their
+        # allocation, the one check that stacked_grad(x, out) relies on
+        cell, alphas, step = blocks[0], np.full((n, p), alpha), np.empty((n, p))
 
         def iterate(m, schedules):
-            _near_dgd_iterations(objective, cell.cm, alpha, cell.ys, cell.xs, schedules[0])
+            _near_dgd_iterations(objective, cell.cm, alphas, step, cell.ys, cell.xs,
+                                 schedules[0])
     else:
         iterate = _slot_loop(objective, cm, alpha, blocks, X, Y)
     rows, k = X.shape[1] - 1, 0

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from neardgd import diagnostics
+from neardgd import diagnostics, optimizer
 from neardgd.consensus import ConsensusMatrix, apply_consensus, build_consensus_matrix
 from neardgd.diagnostics import (CommCounter, CostModel, RunTrace, TraceRecord,
                                  _coordinate_blocks,
@@ -574,6 +574,34 @@ def test_columnar_trace_survives_pickling():
     assert_trace_matches_rows(back.trace, rows)
     assert back.final_y.tobytes() == res.final_y.tobytes()
     assert (back.trace.method, back.trace.seed) == (res.trace.method, res.trace.seed)
+
+
+def test_final_reads_the_last_row_from_the_last_block(monkeypatch):
+    # a run of 8 blocks of 4 rows and a terminal row, and then rows with
+    # NaN, +-inf and -0.0 appended as blocks, the last of them empty: final
+    # is records[-1] without joining the blocks
+    prob, cm = paper_instance()
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 4 * 12 * 4)
+    trace = run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=30).trace
+    assert len(trace._floats) == 1 + 8 + 1  # the initial empty block, 8 blocks, the terminal row
+    finals = [trace.final]
+    for rec in APPENDED:
+        extend_rows(trace, [rec])
+        finals.append(trace.final)
+    trace.extend([], [], [], [], np.empty((0, len(diagnostics.FLOAT_COLUMNS))))
+    records = trace.records
+    with monkeypatch.context() as m:
+        m.setattr(np, "concatenate", None)
+        assert repr(trace.final) == repr(records[-1]) == repr(APPENDED[-1])
+    assert repr(finals) == repr(records[-1 - len(APPENDED):])
+    assert all(type(v) is int for v in trace.final[:4])
+    assert all(type(v) is float for v in trace.final[4:])
+    # an empty trace raises IndexError, with an empty block appended too
+    empty = RunTrace(method="m", seed=0)
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            empty.final
+        empty.extend([], [], [], [], np.empty((0, len(diagnostics.FLOAT_COLUMNS))))
 
 
 def test_empty_trace():

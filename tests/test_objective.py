@@ -191,15 +191,62 @@ def test_tiled_stacked_grad_equals_the_per_iterate_calls(family):
             assert grads[b].tobytes() == prob.stacked_grad(slot[b]).tobytes()
 
 
+@pytest.mark.parametrize("family", ["quartic", "quadratic"])
+def test_stacked_grad_into_out_returns_out_with_the_bits_of_its_checked_call(family):
+    # with out, the gradient goes into out by the same elementwise operations:
+    # one iterate, a stack and a tiled twin's stack, with strided slot views
+    # as x and as out, and NaN of both signs, +-inf and -0.0 among the entries
+    prob = (sample_quartic_problem(12, 4, 4, 1.0, 0) if family == "quartic"
+            else sample_quadratic_problem(12, 4, 0))
+    buffers = np.random.default_rng(13).uniform(-3.0, 3.0, size=(3, 5, 12, 4))
+    buffers[:, :, 0, :] = [np.nan, -np.nan, np.inf, -np.inf]
+    buffers[:, :, 1, :2] = [-0.0, 0.0]
+    outs = np.empty_like(buffers)
+    cases = [(prob, buffers[1, 2], np.empty((12, 4))),       # one C-ordered iterate
+             (prob, buffers[1, 2], outs[1, 2]),
+             (prob, buffers[:, ::2], np.empty((3, 3, 12, 4))),  # a strided stack
+             (prob, buffers[:, 3], outs[:, 1]),                 # strided slot views
+             (prob.tiled((3,)), buffers[:, 3], outs[:, 1]),
+             (prob.tiled((3,)), buffers[:, 3], np.empty((3, 12, 4)))]
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf
+        for objective, x, out in cases:
+            out.fill(7.0)
+            got = objective.stacked_grad(x, out)
+            assert got is out
+            assert got.tobytes() == objective.stacked_grad(x).tobytes()
+            assert got.tobytes() == prob.stacked_grad(x).tobytes()
+
+
 def test_a_family_without_gradient_coefficients_is_not_tiled():
     class Linear(Objective):
         n, p = 2, 3
 
-        def node_grads(self, x):
+        def node_grads(self, x, out=None):
             return np.ones(np.shape(x))
 
     prob = Linear()
     assert prob.tiled((4,)) is prob
+
+
+def test_a_family_whose_node_grads_takes_no_out_is_refused_when_defined():
+    # the lone NEAR-DGD loop calls node_grads(x, out); a family without out
+    # would fail there with a bare TypeError, so its class is refused instead
+    with pytest.raises(TypeError, match=re.escape(
+            "XOnly.node_grads must take (x, out=None), as the Objective contract asks; "
+            "it has the signature (self, x)")):
+        class XOnly(Objective):
+            def node_grads(self, x):
+                return x
+
+    class Variadic(Objective):  # out may come through *args
+        n, p = 1, 1
+
+        def node_grads(self, x, *args):
+            return np.multiply(x, 2.0, *args)
+
+    out = np.empty((1, 1))
+    assert Variadic().stacked_grad(np.ones((1, 1)), out) is out
+    assert out[0, 0] == 2.0
 
 
 @pytest.mark.parametrize("c, says", [

@@ -470,8 +470,8 @@ def test_run_makes_one_stacked_grad_call_per_gradient_evaluation(monkeypatch, na
     monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 4 * 12 * 4)
     calls = []
     stacked_grad = Objective.stacked_grad
-    monkeypatch.setattr(Objective, "stacked_grad", lambda self, x: calls.append(
-        (np.shape(x), np.asarray(x).tobytes())) or stacked_grad(self, x))
+    monkeypatch.setattr(Objective, "stacked_grad", lambda self, x, out=None: calls.append(
+        (np.shape(x), np.asarray(x).tobytes())) or stacked_grad(self, x, out))
     res = run(prob, cm, MethodSpec(name), alpha=0.1, budget=10)
     assert res.counter.gradient_evals == 10
     assert len(calls) == (9 if name == "gradient-tracking" else 10)
@@ -480,6 +480,31 @@ def test_run_makes_one_stacked_grad_call_per_gradient_evaluation(monkeypatch, na
     batch = run_batch(prob, cm, [(MethodSpec(name), 0)], alpha=0.1, budget=10)
     assert calls == alone
     assert batch[0].counter.gradient_evals == 10
+
+
+@pytest.mark.parametrize("token", ["near-dgd-t:5", "near-dgd-plus"])
+def test_a_lone_near_dgd_run_writes_every_gradient_into_one_step_buffer(monkeypatch, token):
+    # blocks of 4 rows over a budget of 10: the run allocates one (n, p)
+    # float64 step buffer, and each of its 10 gradient calls passes it as
+    # out; an oracle that returns a fresh array instead gives the same run
+    prob, cm = paper_instance()
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 4 * 12 * 4)
+    method = MethodSpec.parse(token)
+    reference = _run_fingerprint(run(prob, cm, method, alpha=0.1, budget=10))
+    outs = []
+    stacked_grad = Objective.stacked_grad
+    monkeypatch.setattr(Objective, "stacked_grad", lambda self, x, out=None: (
+        outs.append(out) or stacked_grad(self, x, out)))
+    assert _run_fingerprint(run(prob, cm, method, alpha=0.1, budget=10)) == reference
+    assert len(outs) == 10 and all(out is outs[0] for out in outs)
+    step = outs[0]
+    assert step.shape == (12, 4) and step.dtype == np.float64 and step.flags.c_contiguous
+    outs.clear()
+    monkeypatch.setattr(Objective, "stacked_grad", lambda self, x, out=None: (
+        outs.append(out) or stacked_grad(self, x)))
+    assert _run_fingerprint(run(prob, cm, method, alpha=0.1, budget=10)) == reference
+    assert len(outs) == 10
+
 
 def _run_fingerprint(res):
     buf = io.StringIO()
@@ -576,8 +601,8 @@ def test_run_ends_at_a_mid_block_divergence_without_warnings(monkeypatch, token,
     assert end.note and 0 < k < rows - 1
     grad_calls = []
     stacked_grad = Objective.stacked_grad
-    monkeypatch.setattr(Objective, "stacked_grad",
-                        lambda self, x: grad_calls.append(1) or stacked_grad(self, x))
+    monkeypatch.setattr(Objective, "stacked_grad", lambda self, x, out=None: (
+        grad_calls.append(1) or stacked_grad(self, x, out)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = run(prob, cm, method, alpha=alpha, budget=3000, allow_large_alpha=True,
@@ -605,7 +630,7 @@ def test_eq7_certificate_catches_a_loop_with_a_wrong_gradient(monkeypatch):
     # along grad f at a perturbed point breaks the Eq.-7 identity
     prob, cm = paper_instance()
     true_grad = prob.stacked_grad
-    monkeypatch.setattr(prob, "stacked_grad", lambda x: true_grad(x + 1e-3))
+    monkeypatch.setattr(prob, "stacked_grad", lambda x, out=None: true_grad(x + 1e-3, out))
     res = run(prob, cm, MethodSpec("near-dgd-t", t=2), alpha=0.1, budget=300)
     assert res.max_eq7_inf > 1e-10
 

@@ -135,8 +135,8 @@ def test_a_lone_near_dgd_cell_keeps_its_own_loop(monkeypatch, token):
     prob, cm = paper_instance()
     shapes, leads = [], []
     stacked_grad, tiled = Objective.stacked_grad, Objective.tiled
-    monkeypatch.setattr(Objective, "stacked_grad",
-                        lambda self, x: shapes.append(np.shape(x)) or stacked_grad(self, x))
+    monkeypatch.setattr(Objective, "stacked_grad", lambda self, x, out=None: (
+        shapes.append(np.shape(x)) or stacked_grad(self, x, out)))
     monkeypatch.setattr(Objective, "tiled",
                         lambda self, lead: leads.append(tuple(lead)) or tiled(self, lead))
     method = MethodSpec.parse(token)

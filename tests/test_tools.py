@@ -1,11 +1,13 @@
 """The byte-identity and timing tools in tools/ run against the package in src/."""
 
+import importlib.util
 import os
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
@@ -14,6 +16,16 @@ TOOLS = ROOT / "tools"
 def run_tool(*args):
     return subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, capture_output=True,
                           text=True, timeout=300)
+
+
+def load_tool(name):
+    """tools/<name>.py as a module; the BLAS thread pins it sets on import
+    are undone, so that later subprocesses inherit this process's settings."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
 
 
 def test_trace_digest_prints_one_digest_per_named_item():
@@ -65,6 +77,37 @@ def test_ab_time_compares_a_tree_with_itself():
         assert re.search(r"^change / base: median paired ratio \d+\.\d{3} \([+-]\d+\.\d %%\), "
                          r"interquartile range %s, change faster in [0-%d] of %d pairs$"
                          % (spread, pairs, pairs), proc.stdout, re.MULTILINE), proc.stdout
+        for side in ("base  ", "change"):
+            assert re.search(r"^%s median \d\.\d{5} s, quartiles \d\.\d{5}-\d\.\d{5} s, "
+                             % side, proc.stdout, re.MULTILINE), proc.stdout
+        # fewer than ten pairs show no gain, whatever the times
+        assert re.search(r"^verdict: no gain shown \(%d pairs, fewer than 10[;)]" % pairs,
+                         proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_ab_time_verdict_shows_a_gain_only_by_the_pair_and_spread_rule():
+    verdict = load_tool("ab_time").verdict
+    base = [1.0 + 0.01 * i for i in range(10)]  # quartiles 1.0175 and 1.0725
+    faster = [b - 0.1 for b in base]
+    assert verdict(base, faster).startswith(
+        "verdict: gain shown (faster in 10 of 10 pairs, median gain 0.10000 s above the "
+        "base's interquartile range 0.05500 s)")
+    # a tie counts for neither tree: nine of ten pairs still show the gain, eight do not
+    assert verdict(base, base[:1] + faster[1:]).startswith("verdict: gain shown (faster in 9 ")
+    assert verdict(base, base[:2] + faster[2:]) == (
+        "verdict: no gain shown (faster in 8 of 10 pairs, fewer than nine tenths)")
+    assert verdict(base * 2, base[:2] + faster[2:] + faster).startswith(
+        "verdict: gain shown (faster in 18 of 20 pairs")
+    # every pair faster, by less than the base's own spread
+    assert verdict(base, [b - 0.05 for b in base]) == (
+        "verdict: no gain shown (median gain 0.05000 s not above the base's interquartile "
+        "range 0.05500 s)")
+    # nine pairs are too few for any gain
+    assert verdict(base[:9], faster[:9]).startswith(
+        "verdict: no gain shown (9 pairs, fewer than 10)")
+    assert verdict(faster, base) == (
+        "verdict: no gain shown (faster in 0 of 10 pairs, fewer than nine tenths; median gain "
+        "-0.10000 s not above the base's interquartile range 0.05500 s)")
 
 
 def test_ab_time_runs_a_method_on_a_ring_of_n_nodes():

@@ -5,10 +5,14 @@ a name of its own, imports both, and times one call of a workload per tree
 per pair. Each pair runs the two trees back to back, the first of them
 alternating from pair to pair, so that a host whose speed changes over
 seconds slows both sides of a pair alike. Prints each tree's median time
-and median count of minor page faults per call (the growth of the
-process's ru_minflt over the call, which counts the pages of work arrays
-that the heap had given back to the system), and the median and the
-interquartile range over pairs of the ratio change / base:
+and quartiles and its median count of minor page faults per call (the
+growth of the process's ru_minflt over the call, which counts the pages of
+work arrays that the heap had given back to the system), the median and
+the interquartile range over pairs of the ratio change / base, and one
+verdict line: "gain shown" when the change is faster in at least nine
+tenths of at least ten pairs (a tie counts for neither tree) and the
+base's median time exceeds the change's by more than the distance between
+the base's quartiles, "no gain shown" otherwise, with each test it failed:
 
     python3 tools/ab_time.py --base /path/to/other/checkout/src --workload escape
     python3 tools/ab_time.py --base old/src --change new/src --workload dgd --pairs 40
@@ -71,6 +75,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ALPHA = 0.1
+MIN_PAIRS = 10  # the fewest pairs on which a gain can be shown
 SWEEP_METHODS = ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus", "near-dgd-plus-doubling:100",
                  "dgd", "gradient-tracking")
 SWEEP_CONFIG = """\
@@ -173,6 +178,36 @@ def batch(optimizer, problem, cm, cells, budget, **options):
     return lambda: run_batch(problem, cm, cells, ALPHA, budget, **options)
 
 
+def quartiles(values):
+    """(first quartile, median, third quartile) of values; one value is all
+    three."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
+def verdict(base, change):
+    """The verdict line on paired times, base[i] and change[i] of pair i:
+    "gain shown" when there are at least MIN_PAIRS pairs, the change is
+    faster in at least nine tenths of them (a tie counts for neither tree),
+    and the base's median exceeds the change's by more than the base's
+    interquartile range; "no gain shown" otherwise, naming each test that
+    failed."""
+    pairs, wins = len(base), sum(c < b for b, c in zip(base, change))
+    q1, median, q3 = quartiles(base)
+    gain, spread = median - quartiles(change)[1], q3 - q1
+    failed = []
+    if pairs < MIN_PAIRS:
+        failed.append("%d pairs, fewer than %d" % (pairs, MIN_PAIRS))
+    if 10 * wins < 9 * pairs:
+        failed.append("faster in %d of %d pairs, fewer than nine tenths" % (wins, pairs))
+    if not gain > spread:
+        failed.append("median gain %.5f s not above the base's interquartile range %.5f s"
+                      % (gain, spread))
+    if failed:
+        return "verdict: no gain shown (%s)" % "; ".join(failed)
+    return ("verdict: gain shown (faster in %d of %d pairs, median gain %.5f s above the "
+            "base's interquartile range %.5f s)" % (wins, pairs, gain, spread))
+
+
 def timed(call):
     """(seconds, minor page faults) of one call."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -220,14 +255,15 @@ def main(argv=None):
                 faults[side].append(faulted)
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     for side in ("base", "change"):
-        print("%-6s median %.5f s, %g minor page faults per call"
-              % (side, statistics.median(times[side]), statistics.median(faults[side])))
-    # one pair has no spread
-    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+        q1, median, q3 = quartiles(times[side])
+        print("%-6s median %.5f s, quartiles %.5f-%.5f s, %g minor page faults per call"
+              % (side, median, q1, q3, statistics.median(faults[side])))
+    q1, _, q3 = quartiles(ratios)  # one pair has no spread
     print("change / base: median paired ratio %.3f (%+.1f %%), interquartile range %.3f, "
           "change faster in %d of %d pairs"
           % (statistics.median(ratios), 100 * (statistics.median(ratios) - 1), q3 - q1,
              sum(r < 1 for r in ratios), len(ratios)))
+    print(verdict(times["base"], times["change"]))
     return 0
 
 
