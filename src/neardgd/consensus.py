@@ -183,6 +183,8 @@ class ConsensusMatrix:
         lams, ops = self._lams, self._ops
         keep = [t for t in dict.fromkeys(ts) if t != 1]
         new = [t for t in keep if t not in ops]
+        if not new and len(keep) == len(ops):  # it holds these t already, and no other
+            return
         if new:
             for memo, formed in zip((lams, ops), self._form(new)):
                 memo.update(zip(new, formed))

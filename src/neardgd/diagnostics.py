@@ -147,9 +147,13 @@ def consensus_distance(x, mean=None):
     x = np.asarray(x, dtype=float)
     if mean is None:
         mean = x.mean(axis=-2)
-    d = x - mean[..., None, :]
+    # the difference is formed in a same-shape copy of the mean, the one
+    # array of x's size this allocates, as the broadcast subtract would;
+    # NumPy subtracts two same-shape arrays about three times as fast
+    d = np.repeat(mean[..., None, :], x.shape[-2], axis=-2)
+    np.subtract(x, d, d)
     d *= d  # numpy.linalg.norm(d, axis=-1), operation for operation
-    dist = np.sqrt(sum_last(d)).max(axis=-1)
+    dist = np.maximum.reduce(np.sqrt(sum_last(d)), axis=-1)  # .max(axis=-1), unwrapped
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -312,7 +316,8 @@ class RunTrace:
                           init=False, repr=False)
 
     def extend(self, ks, ts, comms, grads, floats):
-        """Append r rows: four lists of r ints and an (r, 7) float array."""
+        """Append r rows: four sequences of r ints (lists, tuples or ranges) and
+        an (r, 7) float array."""
         for column, values in zip(self._ints, (ks, ts, comms, grads)):
             column.extend(values)
         self._floats.append(floats)

@@ -142,7 +142,7 @@ class Objective:
         if x.shape[-2:] != (self.n, self.p):
             raise ObjectiveError("expected shape (..., %d, %d), got %r"
                                  % (self.n, self.p, x.shape))
-        values = self.node_values(x).sum(axis=-1)
+        values = np.add.reduce(self.node_values(x), axis=-1)  # .sum(axis=-1), unwrapped
         return float(values) if values.ndim == 0 else values
 
     def stacked_grad(self, x, out=None) -> np.ndarray:
@@ -263,6 +263,10 @@ class QuadraticQuarticProblem(Objective):
         self._network_quartic_row = np.zeros(self.p)
         self._network_quartic_row[ii] = self.c**2
         self._q_sum = self.q.sum(axis=0)
+        self._curvature = np.abs(self.q).max(axis=1).max()  # the largest |q^i_jj|
+        # and the network value's 0.5 Q and 0.25 c^2 e_I, formed once
+        self._half_q_sum = 0.5 * self._q_sum
+        self._quarter_quartic_row = 0.25 * self._network_quartic_row
         with np.errstate(over="ignore", invalid="ignore"):
             if not math.isfinite(self.min_value()):
                 raise ObjectiveError("c must give a finite minimum value f*, got %r" % self.c)
@@ -292,7 +296,7 @@ class QuadraticQuarticProblem(Objective):
         """f(v) = sum_j (Q_j / 2 + c^2 [j = I] v_j^2 / 4) v_j^2 and
         grad f(v) = v (Q + c^2 e_I v^2), with Q = sum_i q^i."""
         v2 = v * v
-        return (sum_last((0.5 * self._q_sum + (0.25 * self._network_quartic_row) * v2) * v2),
+        return (sum_last((self._half_q_sum + self._quarter_quartic_row * v2) * v2),
                 v * (self._q_sum + self._network_quartic_row * v2))
 
     def lipschitz_estimate(self, radius):
@@ -303,8 +307,7 @@ class QuadraticQuarticProblem(Objective):
         """
         _check_radius(radius)
         try:
-            estimate = float(np.abs(self.q).max(axis=1).max()
-                             + 3.0 * (self.c**2 / self.n) * radius**2)
+            estimate = float(self._curvature + 3.0 * (self.c**2 / self.n) * radius**2)
         except OverflowError:  # radius**2 past the float range
             estimate = math.inf
         if estimate == math.inf:

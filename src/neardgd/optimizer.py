@@ -9,6 +9,7 @@ allocated once per batch; one pass per block and cell reads them in place,
 decides how the run ends and appends the certificates and trace columns.
 """
 
+import contextlib
 import itertools
 import math
 import operator
@@ -253,6 +254,23 @@ def _block_rows(n, p, iterations):
     return max(1, min(BLOCK_ELEMENTS // (n * p), iterations))
 
 
+def _quiet(flag):
+    """np.errstate ignoring overflow and invalid operations where flag is
+    set, and otherwise no context at all: the caller's setting holds."""
+    return np.errstate(over="ignore", invalid="ignore") if flag else contextlib.nullcontext()
+
+
+def _floats(ints):
+    """A sequence of Python ints as a float array, each rounded as
+    float(int) rounds it: an increasing range whose every entry and next
+    step stay within 2^53 by one np.arange, whose start + i step is then
+    exact (its stop one step past the last entry, so that its count is too),
+    anything else by np.array."""
+    if isinstance(ints, range) and ints and ints.step > 0 and ints[-1] + ints.step <= 2**53:
+        return np.arange(ints.start, ints[-1] + ints.step, ints.step, dtype=float)
+    return np.array(ints, dtype=float)
+
+
 class _BlockCertifier:
     """One run from its first iteration on: how it ends, its certificates
     and its trace rows, a block at a time, and its RunResult.
@@ -270,6 +288,14 @@ class _BlockCertifier:
     maxima b_y, max_cons_gap and max_eq7_inf. (k, t_k, comms, grads) of each
     row follow from k and the schedule in exact ints. finish() appends the
     terminal row, and result() the terminal row of a run that did not end.
+
+    Formed once per run: f*, the per-slot views, and the descent constant
+    rho(t) and beta^t of each distinct t the run meets (the run keeps the
+    last t's pair, which the next block may repeat).
+    Formed once per block: the box test, the rows' trace columns and
+    certificates, and, on a block where t changes, the rows after which it
+    does and each row's index among the block's distinct t; a block of one
+    t takes its constants as two scalars and its comms as one range.
     """
 
     def __init__(self, objective, cm, method, inputs, y, Y, X):
@@ -285,17 +311,19 @@ class _BlockCertifier:
         self.f_star = objective.min_value()
         self.near_dgd, self.comms_per_round = method.near_dgd, method.comms_per_round
         self.fixed_t = "eq7-identity" in method.certificates
-        self.Y, self.X, self.rows = Y, X, len(Y) - 1
+        self.Y, self.X = Y, X
         self.ys, self.xs = list(Y), list(X)  # per-slot views for the loop
+        self.carry = (None, None, None)  # _constants' last t, rho(t) and beta^t
         # what the set-up, and the end of a run that ends at y_0, evaluate at a
         # y_0 outside the box may overflow, as the pass's evaluations at a y past it
-        self.ignore = None if np.abs(y).max() <= self.box_radius else "ignore"
-        with np.errstate(over=self.ignore, invalid=self.ignore):
+        self.outside = not np.maximum.reduce(np.abs(y), axis=None) <= self.box_radius
+        with _quiet(self.outside):
             # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
             x = cm.apply(method.rounds(0), y) if self.near_dgd else y
             Y[0], X[0] = y, x
             self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
-            self.b_y = float(np.linalg.norm(y))
+            flat = y.ravel(order="K")  # numpy.linalg.norm(y), operation for operation
+            self.b_y = float(np.sqrt(flat.dot(flat)))
         self.k, self.comm_rounds, self.max_cons_gap, self.max_eq7_inf = 0, 0, -math.inf, 0.0
         self.ended = False
 
@@ -309,21 +337,20 @@ class _BlockCertifier:
         buffers' slots 0..m. What it computes from a y_{k+1} that left the
         box may overflow, as the loop may past it; such a block is certified
         with overflow and invalid operations ignored."""
-        m = len(ts) - 1
-        peaks = np.abs(self.Y[1:m + 1]).reshape(m, -1).max(axis=1)
-        out = np.flatnonzero(~(peaks <= self.box_radius))  # also a non-finite peak
-        ignore = "ignore" if out.size else None  # None keeps the caller's setting
-        with np.errstate(over=ignore, invalid=ignore):
-            self._certify(ts, m, peaks, int(out[0]) if out.size else None)
+        m, top = len(ts) - 1, np.maximum.reduce  # ndarray.max without its Python wrapper
+        # |y| is freed before the pass, which then holds at most three block-sized arrays
+        if top(np.abs(self.Y[1:m + 1]), axis=None) <= self.box_radius:  # a NaN fails the test
+            self._certify(ts, m)
+            return
+        peaks = top(np.abs(self.Y[1:m + 1]).reshape(m, -1), axis=1)
+        diverged = int(np.flatnonzero(~(peaks <= self.box_radius))[0])  # also a non-finite peak
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._certify(ts, m, diverged, peaks[diverged])
 
-    def _certify(self, ts, m, peaks, diverged):
-        """certify() given each row's |y_{k+1}|_inf and the first row out of
-        the box, by one path for every schedule: L_{t_k}(y_{k+1}), the
-        distinct t and the row map follow from one selection of the rows
-        after which t changes (none for a constant t, the full slice when
-        every row changes)."""
+    def _certify(self, ts, m, diverged=None, peak=None):
+        """certify() given the first row out of the box, if any, and its
+        |y_{k+1}|_inf."""
         stack_y, stack_x = self.Y[:m + 1], self.X[:m + 1]
-        objective, cm, alpha = self.objective, self.cm, self.alpha
         r = m if diverged is None else diverged + 1  # the rows kept
         evaluated = self._evaluate(stack_x[:r])
         stopped = None
@@ -333,94 +360,119 @@ class _BlockCertifier:
             if below.size:
                 stopped, diverged = int(below[0]), None
                 r = stopped + 1
+        end = r if diverged is None else diverged  # the state the run goes on from, or ends at
         ys, xs, ts_rows = stack_y[:r + 1], stack_x[:r + 1], ts[:r]
-        # the schedules never decrease, so a constant t has no step for
-        # np.diff (which takes ts past int64 too) to find; the row map gives
-        # row i the count of changes before it, its index among the distinct t
-        changes = (np.flatnonzero(np.diff(ts[:r + 1])) if ts[0] != ts[r]
-                   else np.empty(0, dtype=np.intp))
-        if changes.size == r:
-            changed = per_row = slice(None)
-            t_changed = ts_rows
-        else:
-            changed, t_changed = changes, [ts[i] for i in changes]
-            per_row = changes.searchsorted(np.arange(r))
-        if not changes.size:  # one t for every row: its comms are one progression
+        if ts[0] == ts[r]:  # one t for every row: its comms are one progression
             step = self.comms_per_round * ts[0]
-            comms = list(range(self.comm_rounds + step, self.comm_rounds + (r + 1) * step, step))
+            comms = range(self.comm_rounds + step, self.comm_rounds + (r + 1) * step, step)
         else:
             comms = list(itertools.accumulate((self.comms_per_round * t for t in ts_rows),
                                               initial=self.comm_rounds))[1:]
-        grads = list(range(self.grad_evals + 1, self.grad_evals + r + 1))
+        grads = range(self.grad_evals + 1, self.grad_evals + r + 1)
         norms = np.sqrt(inner(ys, ys))  # ||y_k||, and ||y_{k+1}|| of the last row
         self.b_y = _running_max(self.b_y, norms[1:])
-        lyaps = np.full(r + 1, math.nan)  # L_{t_k}(y_k) from (y_k, x_k)
-        residuals = np.full(r, math.nan)
         if self.near_dgd:
-            lyaps[0] = self.lyap
-            lyaps[1:] = lyapunov_value_at(ys[1:], xs[1:], objective, alpha)
-            # L_{t_k}(y_{k+1}) differs from L_{t_{k+1}}(y_{k+1}) on the changed
-            # rows: x_{k+1} used t_{k+1}, the certificate needs Z^{t_k} y_{k+1}
-            lyap_next = lyaps[1:]
-            if changes.size:
-                ys_changed, lyap_next = ys[1:][changed], lyap_next.copy()
-                lyap_next[changed] = lyapunov_value_at(
-                    ys_changed, cm.apply_each(t_changed, ys_changed), objective, alpha)
-            # the distinct t: the changed rows', and the last row's unless it changed
-            distinct = t_changed + [ts[r - 1]] if ts[r - 1] == ts[r] else t_changed
-            # alpha >= 2/L under the override flag: no guaranteed margin,
-            # report the raw Lyapunov difference
-            rho = (rho_constant(cm, distinct, alpha, self.lipschitz)[per_row]
-                   if alpha < 2.0 / self.lipschitz else 0.0)
-            residuals = descent_certificate(lyaps[:r], lyap_next, ys[:r], ys[1:], rho)
-        cons = self._append_rows(list(range(self.k, self.k + r)), ts_rows, comms, grads,
-                                 xs[:r], lyaps[:r], residuals,
-                                 *(column[:r] for column in evaluated))
+            lyaps, residuals, bounds = self._descent(ts, r, ys, xs, norms[:r])
+            self.lyap = lyaps[end]
+            lyaps = lyaps[:r]
+        else:
+            lyaps = residuals = math.nan
+        cons = self._append_rows(range(self.k, self.k + r), ts_rows, comms, grads, xs[:r],
+                                 lyaps, residuals, *(column[:r] for column in evaluated))
         if self.near_dgd:
-            # beta^t ||y_k||, with Python's beta ** t once per distinct t
-            # (NumPy's power of an array may differ in the last bit)
-            bounds = np.array([consensus_distance_bound(cm.beta, t, 1.0)
-                               for t in distinct])[per_row] * norms[:r]
             self.max_cons_gap = _running_max(self.max_cons_gap, cons - bounds)
         if self.fixed_t:
             # |x_{k+1} - x_k + a grad L_t(y_k)|, formed in the array of the
             # difference; grad f(x_k) is recomputed on the stack, elementwise
             # and so equal to the loop's bitwise
-            grad_step = lyapunov_grad_at(xs[:r], objective.node_grads(xs[:r]), cm, ts[0], alpha)
-            grad_step *= alpha
+            grad_step = lyapunov_grad_at(xs[:r], self.objective.node_grads(xs[:r]), self.cm,
+                                         ts[0], self.alpha)
+            grad_step *= self.alpha
             violation = np.subtract(xs[1:], xs[:r])
             violation += grad_step
             np.abs(violation, violation)
             self.max_eq7_inf = _running_max(self.max_eq7_inf,
                                             violation.reshape(r, -1).max(axis=1))
 
-        self.comm_rounds, self.grad_evals = comms[-1], self.grad_evals + r
-        end = r  # the state the run goes on from, or ends at
+        self.comm_rounds, self.grad_evals = comms[-1], grads[-1]
         if diverged is not None:
             # the run stops at y_k; its terminal row repeats row k's L_t(y_k)
-            end = diverged
             self.trace.diverged = True
             self.trace.divergence_note = (
                 "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
-                "estimate no longer valid" % (self.k + end, peaks[end], self.box_radius))
+                "estimate no longer valid" % (self.k + end, peak, self.box_radius))
         self.Y[0], self.X[0] = ys[end], xs[end]  # the baselines' X and Y are one buffer
-        self.lyap = lyaps[end]
         self.k += end
         if diverged is not None or stopped is not None:
             self.ended = True
             self.finish(ts[end])
 
+    def _descent(self, ts, r, ys, xs, norms):
+        """A NEAR-DGD block's Lyapunov values L_{t_k}(y_k) of rows 0..r (from
+        (y_k, x_k)), descent residuals of rows 0..r-1, and their consensus
+        bounds beta^{t_k} ||y_k|| given norms = ||y_k||. L_{t_k}(y_{k+1})
+        differs from L_{t_{k+1}}(y_{k+1}) on the rows after which t changes:
+        x_{k+1} used t_{k+1}, the certificate needs Z^{t_k} y_{k+1}. One
+        selection of those rows (the full slice when every row changes)
+        gives the block's distinct t and each row's index among them, the
+        count of changes before it; a block of one t has none."""
+        objective, alpha = self.objective, self.alpha
+        lyaps = np.empty(r + 1)
+        lyaps[0] = self.lyap
+        lyaps[1:] = lyapunov_value_at(ys[1:], xs[1:], objective, alpha)
+        lyap_next = lyaps[1:]
+        if ts[0] == ts[r]:
+            (rho,), (beta_t,) = self._constants(ts[:1])
+        else:
+            # the schedules never decrease, so np.diff (which takes ts past
+            # int64 too) finds each change
+            changes = np.flatnonzero(np.diff(ts[:r + 1]))
+            if changes.size == r:
+                changed = per_row = slice(None)
+                t_changed = ts[:r]
+            else:
+                changed, t_changed = changes, [ts[i] for i in changes]
+                per_row = changes.searchsorted(np.arange(r))
+            ys_changed, lyap_next = ys[1:][changed], lyap_next.copy()
+            lyap_next[changed] = lyapunov_value_at(
+                ys_changed, self.cm.apply_each(t_changed, ys_changed), objective, alpha)
+            # the distinct t: the changed rows', and the last row's unless it changed
+            distinct = t_changed + [ts[r - 1]] if ts[r - 1] == ts[r] else t_changed
+            rho, beta_t = (np.array(column)[per_row] for column in self._constants(distinct))
+        residuals = descent_certificate(lyaps[:r], lyap_next, ys[:r], ys[1:], rho)
+        return lyaps, residuals, beta_t * norms
+
+    def _constants(self, distinct):
+        """([rho(t)], [beta^t]) over distinct, a block's distinct t in
+        increasing order, each t's pair formed once per run: the run keeps
+        the pair of the last t it formed, the one t that a later block may
+        repeat, since a schedule never decreases. The t it lacks take one
+        rho_constant call (each entry equal to its scalar call bitwise), or
+        0.0 for alpha >= 2/L under the override flag (no guaranteed margin:
+        the residual is the raw Lyapunov difference), and Python's beta ** t
+        (NumPy's power of an array may differ in the last bit)."""
+        last, rho, beta_t = self.carry
+        new = distinct[1:] if distinct[0] == last else distinct
+        if not new:
+            return [rho], [beta_t]
+        rhos = (rho_constant(self.cm, new, self.alpha, self.lipschitz).tolist()
+                if self.alpha < 2.0 / self.lipschitz else [0.0] * len(new))
+        betas = [consensus_distance_bound(self.cm.beta, t, 1.0) for t in new]
+        self.carry = (new[-1], rhos[-1], betas[-1])
+        if len(new) < len(distinct):
+            return [rho] + rhos, [beta_t] + betas
+        return rhos, betas
+
     def finish(self, t):
         """Append the terminal row (k, t, tallies) at the state y_k in slot 0."""
         points = self.Y[:1]
-        self._append_rows([self.k], [t], [self.comm_rounds], [self.grad_evals], points,
-                          np.array([self.lyap]), np.array([math.nan]),
-                          *self._evaluate(points))
+        self._append_rows((self.k,), (t,), (self.comm_rounds,), (self.grad_evals,), points,
+                          self.lyap, math.nan, *self._evaluate(points))
 
     def result(self) -> RunResult:
         """The run's RunResult, after the terminal row of a run that did not
         end; final_y and final_x are copies, never views of the buffers."""
-        with np.errstate(over=self.ignore, invalid=self.ignore):
+        with _quiet(self.outside):
             if not self.ended:
                 self.finish(self.method.rounds(self.k))
             final_y = self.Y[0].copy()
@@ -439,18 +491,19 @@ class _BlockCertifier:
     def _append_rows(self, ks, ts, comms, grads, points, lyaps, residuals, avgs, values,
                      grad_norms):
         """Append the trace rows with the given (k, t_k, comms, grads), each
-        describing its (n, p) point, given _evaluate's columns; returns
-        their cons_dist."""
+        describing its (n, p) point, given _evaluate's columns, the Lyapunov
+        values and the residuals (an array, or one float for every row);
+        returns their cons_dist."""
         cons = consensus_distance(points, avgs)
         floats = np.empty((len(ks), len(FLOAT_COLUMNS)))
-        floats[:, 0] = values - self.f_star
+        np.subtract(values, self.f_star, floats[:, 0])
         floats[:, 1] = grad_norms
         floats[:, 2] = cons
         floats[:, 3] = lyaps
         floats[:, 4] = residuals
-        floats[:, 5] = np.sqrt(sum_last(avgs * avgs))  # ||xbar||, as numpy.linalg.norm
+        np.sqrt(sum_last(avgs * avgs), floats[:, 5])  # ||xbar||, as numpy.linalg.norm
         # run() bounds the tallies below 2^1024, so they convert to float
-        floats[:, 6] = cumulative_cost(CommCounter(*np.array([comms, grads], dtype=float)),
+        floats[:, 6] = cumulative_cost(CommCounter(_floats(comms), _floats(grads)),
                                        self.cost_model)
         self.trace.extend(ks, ts, comms, grads, floats)
         return cons
@@ -496,29 +549,42 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     the schedule, their trace columns and the descent, Eq.-7 and
     consensus-bound certificates. Each iterate's Lyapunov
     value is evaluated once, plus L_{t_k}(y_{k+1}) on the rows after which t
-    changes, which one whole-array search per block finds for every
-    schedule. The run gives the same values, bit for bit, for any block size.
-    final_y and final_x are copies, never views of the buffers.
+    changes, which one whole-array search finds on a block whose first and
+    last t differ; a block of one t needs none. Formed once per run: the
+    Lipschitz estimate, f*, the buffers and their per-slot views, and the
+    descent constant rho(t) and beta^t of each distinct t, kept in a memo;
+    once per block: the schedule and its hold, the box test, the row map
+    where t changes, and the rows' trace columns and certificates. The run
+    gives the same values, bit for bit, for any block size. final_y and
+    final_x are copies, never views of the buffers.
     """
     inputs = _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad_tol,
                              allow_large_alpha, box_radius)
     n, p = objective.n, objective.p
+    y = initial_point(n, p, inputs.seed) if x0 is None else _checked_start(x0, n, p)
+    return _run_cells(objective, cm, [method], [inputs], [y])[0]
+
+
+def _checked_start(x0, n, p) -> np.ndarray:
+    """x0 as a float (n, p) array of finite entries, a copy; a drawn initial
+    point is one by construction."""
     try:  # an int past the float range, text, or complex, which a cast would make real
-        if x0 is not None and np.iscomplexobj(x0):
+        if np.iscomplexobj(x0):
             raise TypeError
-        y = initial_point(n, p, inputs.seed) if x0 is None else np.array(x0, dtype=float)
+        y = np.array(x0, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("initial point x0 must hold real numbers within the float range") from None
     if y.shape != (n, p):
         raise ValueError("initial point has shape %r, expected (%d, %d)" % (y.shape, n, p))
     if not np.isfinite(y).all():
         raise ValueError("initial point has a non-finite entry")
-    return _run_cells(objective, cm, [method], [inputs], [y])[0]
+    return y
 
 
 # run()'s inputs as the engine reads them: Python ints and floats, the cost
 # model, and the Lipschitz estimate on the box
 _Inputs = namedtuple("_Inputs", "budget seed alpha grad_tol cost_model box_radius lipschitz")
+_DEFAULT_COST = CostModel()  # frozen, so every run without a cost model shares it
 
 
 def _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad_tol,
@@ -554,7 +620,7 @@ def _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad
     if budget * method.rounds(budget) >= 2**1024:
         raise ValueError("%s at budget %d: the consensus rounds per iteration "
                          "outgrow the float range" % (method.label(), budget))
-    return _Inputs(budget, seed, alpha, grad_tol, cost_model or CostModel(), box_radius,
+    return _Inputs(budget, seed, alpha, grad_tol, cost_model or _DEFAULT_COST, box_radius,
                    lipschitz)
 
 

@@ -217,6 +217,25 @@ def test_consensus_distance_takes_the_averages_bitwise(n, p):
     assert isinstance(consensus_distance(stack[0], stack[0].mean(axis=0)), float)
 
 
+@pytest.mark.parametrize("n, p", [(12, 4), (5, 1), (100, 4)])
+def test_consensus_distance_keeps_the_bits_of_its_formula_on_special_values(n, p):
+    # the same-shape subtract and the unwrapped reductions give the bits of
+    # the broadcast formula: NaNs of both signs, infinities, signed zeros,
+    # subnormals and squares that overflow included, on stacks below and
+    # above the sizes that linalg.sum_last reduces in one call
+    rng = np.random.default_rng(n + p)
+    stack = rng.standard_normal((9, n, p)) * np.exp(rng.uniform(-360, 360, (9, n, p)))
+    special = rng.uniform(size=stack.shape) < 0.03
+    stack[special] = rng.choice([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324],
+                                size=int(special.sum()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = stack.mean(axis=-2)
+        want = np.linalg.norm(stack - mean[..., None, :], axis=-1).max(axis=-1)
+        assert consensus_distance(stack, mean).tobytes() == want.tobytes()
+        for x, m, w in zip(stack, mean, want):
+            assert np.float64(consensus_distance(x, m)).tobytes() == w.tobytes()
+
+
 def test_optimality_gap_bound_examples():
     assert optimality_gap_bound(0.5349, 5, 4, 3.5, 10.0) == pytest.approx(
         0.5349**5 * 2 * 35, rel=1e-12)

@@ -105,14 +105,16 @@ def _layouts(a):
             ("reversed", a[::-1, ::-1]))
 
 
+@pytest.mark.parametrize("rows", [11, 150])  # arrays below and above SMALL_REDUCTION
 @pytest.mark.parametrize("length", range(1, 13))
-def test_sum_last_equals_numpy_sum_bitwise(length):
+def test_sum_last_equals_numpy_sum_bitwise(rows, length):
     # NaNs of both signs, infinities of both signs (whose sum is a third
     # NaN), signed zeros, overflow and a subnormal: the bits, sign of zero
     # and of NaN included, are the reduction's on every layout
     rng = np.random.default_rng(length)
     for trial in range(10):
-        a = rng.standard_normal((7, 11, length)) * np.exp(rng.uniform(-30, 30, (7, 11, length)))
+        shape = (7, rows, length)
+        a = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
         special = rng.uniform(size=a.shape) < 0.1 * (trial % 5)
         a[special] = rng.choice(SPECIALS, size=int(special.sum()))
         with np.errstate(invalid="ignore", over="ignore"):

@@ -430,7 +430,8 @@ def count_kernel_calls(monkeypatch):
 def test_run_fixed_t_loop_makes_one_consensus_and_one_gradient_call(monkeypatch):
     # blocks of 4 rows: budget 10 makes passes over 4, 4 and 2 rows; per
     # iteration the loop applies Z^t once and evaluates one gradient, and
-    # the certificates cost a fixed number of calls per pass
+    # the certificates cost a fixed number of calls per pass, but for the
+    # descent constant, which the run forms once for its one t
     prob, cm = paper_instance()
     monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", 4 * 12 * 4)
     kernel = count_kernel_calls(monkeypatch)
@@ -445,7 +446,8 @@ def test_run_fixed_t_loop_makes_one_consensus_and_one_gradient_call(monkeypatch)
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((diagnostics, "apply_consensus"), (Objective, "stacked_grad"),
-                        (Objective, "stacked_value"), (optimizer, "consensus_distance")):
+                        (Objective, "stacked_value"), (optimizer, "consensus_distance"),
+                        (optimizer, "rho_constant")):
         counting(owner, name)
     res = run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=10)
     assert res.counter.gradient_evals == 10 and res.counter.consensus_rounds == 50
@@ -455,6 +457,7 @@ def test_run_fixed_t_loop_makes_one_consensus_and_one_gradient_call(monkeypatch)
     assert calls["apply_consensus", diagnostics] == kernel["pass"] == 2 * 3
     assert calls["stacked_value", Objective] == 1 + 3  # L_t(y_0), then per pass
     assert calls["consensus_distance", optimizer] == 3 + 1  # per pass, terminal row
+    assert calls["rho_constant", optimizer] == 1  # once per run, not per pass
 
 
 
@@ -504,6 +507,18 @@ def test_a_lone_near_dgd_run_writes_every_gradient_into_one_step_buffer(monkeypa
         outs.append(out) or stacked_grad(self, x)))
     assert _run_fingerprint(run(prob, cm, method, alpha=0.1, budget=10)) == reference
     assert len(outs) == 10
+
+
+def test_tally_columns_convert_to_floats_as_python_rounds_each_int():
+    # a range whose entries and next step stay within 2^53 takes one
+    # np.arange, anything else np.array; each entry is float(int) either
+    # way, above 2^53 too
+    big = 2**53
+    for ints in (range(1, 2), range(3, 3 + 7 * 40, 7), range(0, 10, 3), range(big - 10, big),
+                 range(big - 3, big + 9), range(big, big + 5 * 2**12, 2**12),
+                 range(2**70, 2**70 + 3), [5, 7, big + 1]):
+        want = np.array([float(i) for i in ints])
+        assert optimizer._floats(ints).tobytes() == want.tobytes()
 
 
 def _run_fingerprint(res):

@@ -1,6 +1,7 @@
-"""The byte-identity and timing tools in tools/ run against the package in src/."""
+"""The byte-identity, timing and record tools in tools/ run against the package in src/."""
 
 import importlib.util
+import json
 import os
 import re
 import shutil
@@ -8,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
@@ -111,7 +114,8 @@ def test_ab_time_verdict_shows_a_gain_only_by_the_pair_and_spread_rule():
 
 
 def test_ab_time_runs_a_method_on_a_ring_of_n_nodes():
-    for workload in ("near-dgd-plus", "saddle"):
+    # short-blocks and tiny probe the fixed costs of a block pass and of a run
+    for workload in ("near-dgd-plus", "saddle", "short-blocks", "tiny"):
         proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", workload,
                         "--n", "16", "--pairs", "1")
         assert proc.returncode == 0, proc.stderr
@@ -121,7 +125,8 @@ def test_ab_time_runs_a_method_on_a_ring_of_n_nodes():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "sweep",
                     "--n", "16", "--pairs", "1")
     assert proc.returncode == 2
-    assert "--n applies to escape, escape100, saddle and the method tokens" in proc.stderr
+    assert ("--n applies to escape, escape100, saddle, short-blocks, tiny and the method "
+            "tokens") in proc.stderr
 
 
 def test_ab_time_times_the_sweep_csv_writer_apart_from_the_runs():
@@ -133,7 +138,8 @@ def test_ab_time_times_the_sweep_csv_writer_apart_from_the_runs():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "csv",
                     "--n", "16", "--pairs", "1")
     assert proc.returncode == 2
-    assert "--n applies to escape, escape100, saddle and the method tokens" in proc.stderr
+    assert ("--n applies to escape, escape100, saddle, short-blocks, tiny and the method "
+            "tokens") in proc.stderr
 
 
 def test_ab_time_runs_the_hundred_seed_escape_with_or_without_run_batch(tmp_path):
@@ -157,4 +163,57 @@ def test_ab_time_runs_the_sweep_cells_as_one_batch_without_the_cli():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "batch",
                     "--n", "16", "--pairs", "1")
     assert proc.returncode == 2
-    assert "--n applies to escape, escape100, saddle and the method tokens" in proc.stderr
+    assert ("--n applies to escape, escape100, saddle, short-blocks, tiny and the method "
+            "tokens") in proc.stderr
+
+
+BENCH_OUTPUT = """\
+env {"nproc": 2, "commit": "%s", "workload": "escape", "seed": 0, "seconds": 1.0}
+escape wall_s = 0.00922938 s  (median over 19 batches)
+escape raw.wall_s = 0.00830713 s  (median over 19 batches)
+escape peak_rss_mb = 40.5938 MB  (process plus children)
+escape fail_frac = 0  (0 of 19 runs failed)
+env {"nproc": 2, "commit": "%s", "workload": "sweep", "seed": 0, "seconds": 1.0}
+note sweep: every call, traced or not, uses --parallel 1
+sweep iters_per_s = 101548 1/s  (median over 10 batches, 59990 iterations)
+sweep fail_frac = 0  (0 of 60 runs failed)
+{"correct": true, "attempted": 79, "failed": 0, "metrics": {}}
+""" % ("0" * 40, "0" * 40)
+
+
+def test_bench_record_reads_every_line_the_benchmark_prints():
+    tool = load_tool("bench_record")
+    rec = tool.record("x", 1.0, BENCH_OUTPUT, 2585, False)
+    assert tool.check(rec) == []
+    assert rec["attempted"] == 79 and rec["commit"] == "0" * 40
+    escape, sweep = rec["workloads"]["escape"], rec["workloads"]["sweep"]
+    assert escape["metrics"]["raw.wall_s"] == {"value": 0.00830713, "unit": "s"}
+    assert escape["metrics"]["fail_frac"] == {"value": 0.0, "unit": ""}
+    assert (escape["attempted"], sweep["attempted"], sweep["correct"]) == (19, 60, True)
+    assert sweep["notes"] == ["sweep: every call, traced or not, uses --parallel 1"]
+    # a failed run, a non-finite metric and a stray line are each caught
+    failed = BENCH_OUTPUT.replace("(0 of 60 runs failed)", "(1 of 60 runs failed)")
+    assert tool.check(tool.record("x", 1.0, failed, 2585, False)) == ["sweep: correct False"]
+    broken = BENCH_OUTPUT.replace("101548 1/s", "nan 1/s")
+    assert tool.check(tool.record("x", 1.0, broken, 2585, False)) == [
+        "sweep iters_per_s: {'value': nan, 'unit': '1/s'}"]
+    with pytest.raises(ValueError, match="not a metric line of workload sweep"):
+        tool.parse(BENCH_OUTPUT.replace("note sweep", "sweep: a stray line"))
+
+
+def test_every_committed_bench_record_keeps_the_schema():
+    # the performance record at the repo root: keys, finite values and
+    # correct: true, and every end-to-end metric BENCHMARK.json names, for
+    # each of its workloads; the benchmark itself is not run here
+    tool = load_tool("bench_record")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records, "no BENCH_*.json at the repo root"
+    for path in records:
+        rec = json.loads(path.read_text())
+        assert tool.check(rec) == [], path.name
+        assert path.name == "BENCH_%s.json" % rec["label"]
+        assert set(rec["workloads"]) == {w["name"] for w in benchmark["workloads"]}, path.name
+        for name, workload in rec["workloads"].items():
+            missing = {m["name"] for m in benchmark["end_to_end"]} - set(workload["metrics"])
+            assert not missing, (path.name, name, missing)

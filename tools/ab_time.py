@@ -32,13 +32,19 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
                   graph (prob 0.1) at n=100 under both weight rules, then a
                   saddle classification of the reference instance at t=5
   saddle          saddle_classification of the lifted origin at t=5
+  short-blocks    one near-dgd-t:5 run at budget 300 with the tree's
+                  optimizer.BLOCK_ELEMENTS set to n p, so that each of its
+                  300 block passes certifies one row: the fixed cost of a pass
+  tiny            200 near-dgd-t:5 run() calls at budget 1, on seeds 0..199:
+                  the fixed cost of a run
   <method token>  one run of that method (e.g. dgd, near-dgd-plus) at budget 1000
---n N runs escape, escape100, saddle and the method tokens on a Metropolis ring of N nodes
-with c = sqrt(N / 12), as the benchmark's scale workload sizes its n=100
-instance (N = 12 is the reference instance):
+--n N runs escape, escape100, saddle, short-blocks, tiny and the method tokens on a
+Metropolis ring of N nodes with c = sqrt(N / 12), as the benchmark's scale
+workload sizes its n=100 instance (N = 12 is the reference instance):
 
     python3 tools/ab_time.py --base old/src --workload near-dgd-plus --n 32
     python3 tools/ab_time.py --base old/src --workload saddle --n 1000 --pairs 5
+    python3 tools/ab_time.py --base old/src --workload short-blocks --n 100
 
 consensus.CALL_COST is calibrated this way: near-dgd-plus, which forms a new
 Z^t every iteration, at N = 12 to 32, with --base a copy of the tree with
@@ -105,19 +111,28 @@ def import_tree(src, name, into):
 
 def workload(pkg, token, workdir, n=12):
     """A call that runs the workload once on the package pkg; escape,
-    escape100, saddle and the method tokens run on a ring of n nodes."""
+    escape100, saddle, short-blocks, tiny and the method tokens run on a
+    ring of n nodes."""
     def from_pkg(module):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
     if n != 12 and token in ("sweep", "batch", "csv", "scale"):
-        raise ValueError("--n applies to escape, escape100, saddle and the method tokens, "
-                         "not to %s" % token)
+        raise ValueError("--n applies to escape, escape100, saddle, short-blocks, tiny and "
+                         "the method tokens, not to %s" % token)
     problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
     cm = pkg.build_consensus_matrix(pkg.build_ring(n))
     if token == "escape":
         method, seeds = pkg.MethodSpec("near-dgd-t", t=5), iter(range(10**9))
         return lambda: optimizer.run(problem, cm, method, ALPHA, 1500, seed=next(seeds))
+    if token == "short-blocks":
+        method = pkg.MethodSpec("near-dgd-t", t=5)
+        optimizer.BLOCK_ELEMENTS = n * 4  # one row per block, in this tree alone
+        return lambda: optimizer.run(problem, cm, method, ALPHA, 300, seed=0)
+    if token == "tiny":
+        method = pkg.MethodSpec("near-dgd-t", t=5)
+        return lambda: [optimizer.run(problem, cm, method, ALPHA, 1, seed=seed)
+                        for seed in range(200)]
     if token == "escape100":
         method = pkg.MethodSpec("near-dgd-t", t=5)
         return batch(optimizer, problem, cm, [(method, seed) for seed in range(100)], 1500)
@@ -223,12 +238,12 @@ def main(argv=None):
     parser.add_argument("--change", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source directory of the changed tree (default: this checkout's src/)")
     parser.add_argument("--workload", default="escape",
-                        help="escape, escape100, sweep, batch, csv, scale, saddle or a "
-                             "method token (default: escape)")
+                        help="escape, escape100, sweep, batch, csv, scale, saddle, "
+                             "short-blocks, tiny or a method token (default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
     parser.add_argument("--n", type=int, default=12,
-                        help="ring size for escape, escape100, saddle and the method "
-                             "tokens (default: 12)")
+                        help="ring size for escape, escape100, saddle, short-blocks, tiny "
+                             "and the method tokens (default: 12)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
