@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime divergence,
 
 import argparse
 import functools
-import multiprocessing
 import os
 import sys
 
@@ -45,13 +44,6 @@ def _run_options(cfg):
                 allow_large_alpha=cfg.allow_large_alpha, box_radius=cfg.box_radius)
 
 
-def _run_cell(cfg, problem, cm, cell):
-    """Run one (MethodSpec, seed) cell of cfg. run() draws the seed's
-    initial point."""
-    method, cell_seed = cell
-    return run(problem, cm, method, cfg.alpha, cfg.budget, seed=cell_seed, **_run_options(cfg))
-
-
 def _summary(result, method) -> str:
     """Where a finished run of method ended, and its worst Eq.-7 and
     consensus-bound values: n/a where the method evaluates no such
@@ -68,7 +60,8 @@ def _summary(result, method) -> str:
 def cmd_run(args) -> int:
     cfg, problem, cm = _load(args)
     path = _out_path(args, cfg)
-    result = _run_cell(cfg, problem, cm, (cfg.method, cfg.seed))
+    result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
+                 **_run_options(cfg))
     result.trace.write_csv(path)
     print("%s trace=%s" % (_summary(result, cfg.method), path))
     if result.diverged:
@@ -78,20 +71,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.parallel < 1:
-        raise ValueError("--parallel must be at least 1, got %d" % args.parallel)
     cfg, problem, cm = _load(args)
     if not cfg.sweep_methods:
         raise ConfigError("sweep requires a nonempty sweep.methods list")
     seeds = [args.seed] if args.seed is not None else cfg.sweep_seeds or [cfg.seed]
     path = _out_path(args, cfg, default_name="sweep.csv")
     cells = [(m, s) for s in seeds for m in cfg.sweep_methods]
-    workers = min(args.parallel, len(cells))
-    if workers > 1:  # one task per cell
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(functools.partial(_run_cell, cfg, problem, cm), cells)
-    else:
-        results = run_batch(problem, cm, cells, cfg.alpha, cfg.budget, **_run_options(cfg))
+    results = run_batch(problem, cm, cells, cfg.alpha, cfg.budget, **_run_options(cfg))
 
     any_divergence = False
     with open(path, "w", newline="") as fh:
@@ -109,7 +95,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     cfg, problem, cm = _load(args, checks.DEFAULT_CONFIG)
-    result = _run_cell(cfg, problem, cm, (cfg.method, cfg.seed))
+    result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
+                 **_run_options(cfg))
     results = [*checks.run_check_suite(problem, cm, cfg.alpha),
                *checks.certificate_verdicts(result, cfg.method)]
     for name, ok, detail in results:
@@ -140,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=seed, default=None, help="override config seed")
         if name == "sweep":
-            p.add_argument("--parallel", type=int, default=1, help="worker processes")
+            p.add_argument("--parallel", type=int, choices=(1,), default=1,
+                           help="accepted for older callers: a sweep runs in one process")
     return parser
 
 

@@ -109,7 +109,7 @@ class ConsensusMatrix:
         self.eigenvectors = spec.eigenvectors
         self.lambda_min = float(spec.eigenvalues[0])
         self.beta = float(spec.eigenvalues[-2]) if self.W.shape[0] > 1 else 0.0
-        if self.lambda_min <= 0:
+        if self.lambda_min <= STOCH_TOL:  # an exact 0 comes back at rounding level
             raise ConsensusMatrixError(
                 "matrix not positive definite (lambda_min=%g)" % self.lambda_min
             )
@@ -294,7 +294,9 @@ def _check_consensus_invariants(w, g: Graph):
 def ensure_positive_definite(w_tilde, g: Graph) -> ConsensusMatrix:
     """Shift a symmetric doubly stochastic matrix into the positive-definite cone.
 
-    If lambda_1 > 0 the matrix is returned unchanged; otherwise applies
+    If lambda_1 > STOCH_TOL the matrix is returned unchanged (an exact 0,
+    as every star's weights have, comes back from the eigensolver at rounding
+    level, of either sign); otherwise applies
     W = (W~ - delta*I) / (1 - delta), delta = lambda_1 - PD_MARGIN, which
     keeps rows stochastic and eigenvectors intact while moving lambda_1 to
     PD_MARGIN / (1 - delta) > 0. It keeps the sign of every off-diagonal
@@ -302,7 +304,7 @@ def ensure_positive_definite(w_tilde, g: Graph) -> ConsensusMatrix:
     """
     w_tilde = np.asarray(w_tilde, dtype=float)
     lam1 = sym_eigen(w_tilde).eigenvalues[0]  # rejects a matrix that is not symmetric
-    if lam1 > 0:
+    if lam1 > STOCH_TOL:
         return ConsensusMatrix(w_tilde.copy(), g)
     delta = lam1 - PD_MARGIN
     w = (w_tilde - delta * np.eye(w_tilde.shape[0])) / (1.0 - delta)

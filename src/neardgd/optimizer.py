@@ -1,12 +1,11 @@
 """Iteration engines: NEAR-DGD variants, DGD, and gradient tracking.
 
 A run is strictly sequential; run_batch() iterates several runs side by
-side, each with its own bits, and process parallelism lives one level up
-(sweeps over methods and seeds share no mutable state). run() is
-run_batch()'s driver on one cell. One slot loop, or a lone NEAR-DGD cell's
-own, does only the methods' arithmetic and writes the iterates into buffers
-allocated once per batch; one pass per block and cell reads them in place,
-decides how the run ends and appends the certificates and trace columns.
+side, each with its own bits, and run() is run_batch()'s driver on one
+cell. One slot loop, or a lone NEAR-DGD cell's own, does only the methods'
+arithmetic and writes the iterates into buffers allocated once per batch;
+one pass per block and cell reads them in place, decides how the run ends
+and appends the certificates and trace columns.
 """
 
 import contextlib
@@ -517,46 +516,17 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
 
     Iteration k of NEAR-DGD communicates, x_k = Z^{t_k} y_k, then computes,
     y_{k+1} = x_k - a grad f(x_k); the baselines have x_k = y_k. Trace row k
-    describes x_k; rows 0..K-1 carry the Lyapunov value and descent residual
-    (NEAR-DGD methods), the final row the terminal state y_K. A run that
-    leaves the box |y|_inf <= box_radius, whose radius must be finite,
-    stops there and is marked diverged. Deterministic for fixed seed and
-    config.
-
-    run() is run_batch()'s driver on one cell. A NEAR-DGD run keeps its
-    own loop on (n, p) operands (through the batch's slot loop it took 1.2
-    times as long at n = 12); DGD and the tracker iterate by the slot loop.
-    The loop does only the method's arithmetic: per iteration one gradient
-    and one consensus application (two for the tracker), through the handle
-    cm.product(t), fetched once per run of equal t within a block, after
-    one cm.hold of the block's schedule, which forms
-    each new lam^t (dense: Z^t) of a block once for loop and pass. A
-    tracker counts budget gradients but evaluates budget - 1: grad f(x_K)
-    would only form s_K, which nothing reads. A NEAR-DGD run for which
-    dense_pays(n, p, method.repeats(iterations)) runs on cm.dense_twin(), x_0, loop and pass alike; on a two-product cm
-    its values then differ by rounding, and cm's own products keep their
-    bits. The loop writes each iteration's y_{k+1} and x_{k+1} into the
-    slots of two (rows + 1, n, p) buffers, rows = max(1, BLOCK_ELEMENTS //
-    (n p)) capped at the iterations, and one batched pass per block then
-    reads them in place, decides how the run
-    ends and certifies the rows it keeps. The first row whose y_{k+1} leaves
-    the box ends the run there, diverged; otherwise, with grad_tol set, the
-    first row whose grad_avg_norm is at most grad_tol ends it; the rest of
-    that block is discarded. The stop test reads row k, the average xbar_k;
-    the terminal row describes y_{k+1}, so its grad_avg_norm, which
-    final_avg_grad_norm and the summary lines report, may lie above
-    grad_tol. The pass computes the rows' (k, t_k, comms, grads) from k and
-    the schedule, their trace columns and the descent, Eq.-7 and
-    consensus-bound certificates. Each iterate's Lyapunov
-    value is evaluated once, plus L_{t_k}(y_{k+1}) on the rows after which t
-    changes, which one whole-array search finds on a block whose first and
-    last t differ; a block of one t needs none. Formed once per run: the
-    Lipschitz estimate, f*, the buffers and their per-slot views, and the
-    descent constant rho(t) and beta^t of each distinct t, kept in a memo;
-    once per block: the schedule and its hold, the box test, the row map
-    where t changes, and the rows' trace columns and certificates. The run
-    gives the same values, bit for bit, for any block size. final_y and
-    final_x are copies, never views of the buffers.
+    describes xbar_k, the average of x_k; rows 0..K-1 carry the Lyapunov
+    value and descent residual (NEAR-DGD methods), the final row the
+    terminal state y_K. The first row whose y_{k+1} leaves the box
+    |y|_inf <= box_radius (finite) ends the run there, diverged; otherwise,
+    with grad_tol set, the first row whose grad_avg_norm is at most grad_tol
+    ends it. The terminal row describes y_{k+1}, so its grad_avg_norm may
+    lie above grad_tol. The run is deterministic for fixed seed and
+    arguments, and gives the same values, bit for bit, for any block size.
+    A NEAR-DGD run for which dense_pays(n, p, method.repeats(iterations))
+    runs on cm.dense_twin(); on a two-product cm its values then differ by
+    rounding, and cm's own products keep their bits.
     """
     inputs = _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad_tol,
                              allow_large_alpha, box_radius)

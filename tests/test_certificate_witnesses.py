@@ -14,13 +14,15 @@ each within TOL of the size of the terms it combines. A change that weakens
 a certificate (rho dropped, or halved) fails here, whatever the golden
 digest says. Blocks of five rows make each run cross several block passes,
 so that what a run forms once and keeps (rho and beta^t per t) is held to
-the same witnesses as what each pass forms.
+the same witnesses as what each pass forms. The cells of run_batch are held
+to the same witnesses as lone runs.
 """
 
 import numpy as np
 import pytest
 
-from neardgd import MethodSpec, build_consensus_matrix, build_ring, build_star, run
+from neardgd import (MethodSpec, build_consensus_matrix, build_erdos_renyi, build_ring,
+                     build_star, run, run_batch)
 from neardgd import optimizer
 from neardgd.objective import sample_quartic_problem
 
@@ -71,8 +73,9 @@ def lyapunov(prob, z, y, alpha):
     return terms[0] + terms[1] - terms[2], sum(map(abs, terms))
 
 
-def rho(w, t, alpha, lipschitz):
-    lam_t = np.linalg.eigvalsh(w) ** t
+def rho(lam, t, alpha, lipschitz):
+    """rho(t) from the eigenvalues lam of W."""
+    lam_t = lam**t
     return np.min(lam_t * (1 + (1 - alpha * lipschitz) * lam_t)) / (2 * alpha)
 
 
@@ -84,7 +87,8 @@ def witness(prob, w, token, alpha, lipschitz, y0):
     """The rows' (t_k, L_{t_k}(y_k) and its scale, the descent residual and
     its scale), max_cons_gap and its scale, max_eq7_inf and its scale, and
     y_K, from the trajectory rebuilt with Powers."""
-    powers, beta = Powers(w), np.linalg.eigvalsh(w)[-2]
+    powers, lam = Powers(w), np.linalg.eigvalsh(w)
+    beta = lam[-2]
     rows, gaps, eq7 = [], [], []
     y, size = y0, 0.0
     for k in range(BUDGET):
@@ -94,7 +98,7 @@ def witness(prob, w, token, alpha, lipschitz, y0):
         y_next = x - alpha * f_grad(prob, x)
         lyap, lyap_scale = lyapunov(prob, z, y, alpha)
         lyap_next, next_scale = lyapunov(prob, z, y_next, alpha)  # L_{t_k}(y_{k+1})
-        descent = rho(w, t, alpha, lipschitz) * np.vdot(y_next - y, y_next - y)
+        descent = rho(lam, t, alpha, lipschitz) * np.vdot(y_next - y, y_next - y)
         rows.append((t, lyap, lyap_scale, lyap_next - lyap + descent,
                      lyap_scale + next_scale + descent))
         # cons_dist is a norm of x_i - xbar, whose terms have the size of x
@@ -112,23 +116,24 @@ def witness(prob, w, token, alpha, lipschitz, y0):
     return rows, gap, max(eq7, default=0.0), size, y
 
 
-GRID = [(token, graph, n, p, frac)
-        for token in ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus", "near-dgd-plus-doubling:4")
-        for graph in ("ring", "star") for n in (4, 12) for p in (1, 3)
-        for frac in (0.5, 1.5)]  # alpha = frac / L, both below 2 / L
+TOKENS = ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus", "near-dgd-plus-doubling:4")
+GRAPHS = {"ring": build_ring, "star": build_star,
+          "er": lambda n: build_erdos_renyi(n, 0.5, seed=n)}
+SHAPES = [(graph, n, p, frac) for graph in GRAPHS for n in (4, 12, 30) for p in (1, 3)
+          for frac in (0.5, 1.5)]  # alpha = frac / L, both below 2 / L
 
 
-@pytest.mark.parametrize("token, graph, n, p, frac", GRID)
-def test_run_certificates_match_their_first_principles_witnesses(monkeypatch, token, graph, n,
-                                                                 p, frac):
-    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", ROWS * n * p)
-    prob = sample_quartic_problem(n, p, p, 1.0, seed=n + p)
-    cm = build_consensus_matrix((build_ring if graph == "ring" else build_star)(n))
+def instance(graph, n, p, frac):
+    """(problem, consensus matrix, alpha, L) of one grid shape."""
+    # c^2 / n = 1/4 on every n keeps the minimisers of f well inside the box
+    prob = sample_quartic_problem(n, p, p, np.sqrt(n) / 2, seed=n + p)
+    cm = build_consensus_matrix(GRAPHS[graph](n))
     # the Lipschitz estimate on the default box |y|_inf <= 4, from its definition
     lipschitz = np.max(np.abs(prob.q)) + 3 * prob.c**2 / n * 4.0**2
-    alpha = frac / lipschitz
-    y0 = np.random.default_rng(100 * n + p).uniform(-1.0, 1.0, (n, p))
-    res = run(prob, cm, MethodSpec.parse(token), alpha, BUDGET, x0=y0)
+    return prob, cm, frac / lipschitz, lipschitz
+
+
+def assert_witnessed(res, prob, cm, token, alpha, lipschitz, y0):
     assert not res.trace.diverged and res.lipschitz == pytest.approx(lipschitz, rel=1e-15)
     rows, gap, eq7, size, y_end = witness(prob, cm.W, token, alpha, lipschitz, y0)
     records = res.trace.records
@@ -141,3 +146,29 @@ def test_run_certificates_match_their_first_principles_witnesses(monkeypatch, to
             rec.k, rec.descent_residual, residual)
     assert close(res.max_cons_gap, gap[0], gap[1]), (res.max_cons_gap, gap)
     assert close(res.max_eq7_inf, eq7, size), (res.max_eq7_inf, eq7)
+
+
+@pytest.mark.parametrize("graph, n, p, frac", SHAPES)
+@pytest.mark.parametrize("token", TOKENS)
+def test_run_certificates_match_their_first_principles_witnesses(monkeypatch, token, graph, n,
+                                                                 p, frac):
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", ROWS * n * p)
+    prob, cm, alpha, lipschitz = instance(graph, n, p, frac)
+    y0 = np.random.default_rng(100 * n + p).uniform(-1.0, 1.0, (n, p))
+    res = run(prob, cm, MethodSpec.parse(token), alpha, BUDGET, x0=y0)
+    assert_witnessed(res, prob, cm, token, alpha, lipschitz, y0)
+
+
+@pytest.mark.parametrize("graph, n, p, frac", SHAPES)
+def test_batch_certificates_match_their_first_principles_witnesses(monkeypatch, graph, n, p,
+                                                                   frac):
+    # every NEAR-DGD method, one of them on a second seed, beside a dgd cell
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", ROWS * n * p)
+    prob, cm, alpha, lipschitz = instance(graph, n, p, frac)
+    cells = [("dgd", 0), *((token, 0) for token in TOKENS), ("near-dgd-t:5", 1)]
+    results = run_batch(prob, cm, [(MethodSpec.parse(token), seed) for token, seed in cells],
+                        alpha, BUDGET)
+    for (token, seed), res in zip(cells, results):
+        if token != "dgd":
+            assert_witnessed(res, prob, cm, token, alpha, lipschitz,
+                             optimizer.initial_point(n, p, seed))

@@ -1,5 +1,4 @@
 import inspect
-import multiprocessing
 import re
 from pathlib import Path
 
@@ -281,8 +280,9 @@ def test_cmd_check_judges_the_configured_run(tmp_path, monkeypatch):
     # grad_tol ends this run at k = 112 of 3000, and the cost model prices a
     # round at 0.01: check judges that run, not a run of the whole budget
     made, judged = [], []
-    real_cell, real_verdicts = cli._run_cell, checks.certificate_verdicts
-    monkeypatch.setattr(cli, "_run_cell", lambda *args: made.append(real_cell(*args)) or made[-1])
+    real_run, real_verdicts = cli.run, checks.certificate_verdicts
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs:
+                        made.append(real_run(*args, **kwargs)) or made[-1])
     monkeypatch.setattr(checks, "certificate_verdicts", lambda result, method: judged.append(
         result) or real_verdicts(result, method))
     cfg = write_config(tmp_path, "method.name = near-dgd-t\nmethod.t = 5\nrun.budget = 3000\n"
@@ -512,66 +512,49 @@ def test_rejected_input_is_one_line_in_every_command(tmp_path, capsys, command, 
     assert "Traceback" not in captured.out + captured.err
 
 
-@pytest.mark.parametrize("parallel", ["1", "2"])
-def test_cmd_sweep_large_alpha_is_validation_error(tmp_path, capsys, parallel):
+def test_cmd_sweep_large_alpha_is_validation_error(tmp_path, capsys):
     text = SMALL.replace("run.alpha = 0.1", "run.alpha = 50") \
         + "sweep.methods = near-dgd-t:1, dgd\nsweep.seeds = 0, 1\n"
     cfg = write_config(tmp_path, text)
-    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--parallel", parallel])
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--parallel", "1"])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: alpha=50") and len(err.splitlines()) == 1
 
 
-class RecordingPool:
-    """Stands in for multiprocessing.Pool: records the worker count asked
-    for and maps in this process, so no worker is started."""
-
-    started = []
-
-    def __init__(self, processes):
-        self.started.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
-
-
-@pytest.mark.parametrize("parallel, seeds, workers", [
-    ("8", "0", []),          # one method and one seed: one cell, run serially
-    ("8", "0, 1", [2]),      # never more workers than cells
-    ("2", "0, 1, 2", [2]),
-    ("1", "0, 1, 2", []),
-])
-def test_cmd_sweep_starts_at_most_one_worker_per_cell(tmp_path, capsys, monkeypatch,
-                                                      parallel, seeds, workers):
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "started", [])
-    cfg = write_config(tmp_path, SMALL + "sweep.methods = dgd\nsweep.seeds = %s\n" % seeds)
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--parallel", parallel]) == EXIT_OK
-    assert RecordingPool.started == workers
-    rows = (out / "sweep.csv").read_text().splitlines()
-    assert sorted({row.split(",")[1] for row in rows[1:]}) == seeds.split(", ")
+def test_cmd_sweep_runs_every_seed_in_one_batch(tmp_path, capsys, monkeypatch):
+    # one run_batch call holds every (method, seed) cell, with or without
+    # --parallel 1, and no cell goes through run()
+    batches, runs, real_batch = [], [], cli.run_batch
+    monkeypatch.setattr(cli, "run_batch", lambda problem, cm, cells, *args, **kwargs:
+                        batches.append(cells) or real_batch(problem, cm, cells, *args, **kwargs))
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+    cfg = write_config(tmp_path,
+                       SMALL + "sweep.methods = dgd, near-dgd-t:2\nsweep.seeds = 0, 1, 2\n")
+    written = []
+    for flags in ([], ["--parallel", "1"]):
+        out = tmp_path / ("out%d" % len(flags))
+        assert main(["sweep", "--config", cfg, "--out", str(out), *flags]) == EXIT_OK
+        written.append((out / "sweep.csv").read_bytes())
+    assert [len(cells) for cells in batches] == [6, 6] and runs == []
+    rows = written[0].decode().splitlines()
+    assert sorted({row.split(",")[1] for row in rows[1:]}) == ["0", "1", "2"]
+    assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("parallel", ["0", "-3"])
+@pytest.mark.parametrize("parallel", ["0", "-3", "2"])
 def test_cmd_sweep_rejects_parallel_below_one(tmp_path, capsys, monkeypatch, parallel):
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "started", [])
+    # --parallel takes only 1: a sweep runs its cells in one process
+    batches = []
+    monkeypatch.setattr(cli, "run_batch", lambda *args, **kwargs: batches.append(args))
     cfg = write_config(tmp_path, SMALL + "sweep.methods = dgd\nsweep.seeds = 0, 1\n")
     code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--parallel", parallel])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err == "validation error: --parallel must be at least 1, got %s\n" % parallel
-    assert RecordingPool.started == []
+    assert err == ("validation error: argument --parallel: invalid choice: %s (choose from 1)\n"
+                   % parallel)
+    assert batches == []
     assert not (tmp_path / "out").exists()
 
 

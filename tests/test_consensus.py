@@ -96,6 +96,18 @@ def test_constructor_rejects_indefinite():
         ConsensusMatrix(metropolis_weights(g), g)
 
 
+@pytest.mark.parametrize("rule", sorted(consensus.WEIGHT_RULES))
+def test_every_star_is_shifted(rule):
+    # a star's weights have an exact eigenvalue 0, which the eigensolver
+    # returns at rounding level, positive for some n: it is shifted as 0 is,
+    # and the constructor rejects it unshifted
+    for n in range(3, 41):
+        g = build_star(n)
+        assert build_consensus_matrix(g, rule).lambda_min > 0.09, n
+        with pytest.raises(ConsensusMatrixError, match="^matrix not positive definite"):
+            ConsensusMatrix(consensus.WEIGHT_RULES[rule](g), g)
+
+
 @pytest.mark.parametrize("w, g, says", [
     (np.array([[0.6, 0.4], [0.4, 0.6]]), build_ring(3), "matrix size 2 != graph size 3"),
     (np.array([[0.6, 0.3], [0.3, 0.6]]), Graph(2, frozenset({(0, 1)})), "rows do not sum to 1"),

@@ -1,7 +1,6 @@
 import dataclasses
 import io
 import math
-import pickle
 import warnings
 
 import numpy as np
@@ -580,19 +579,6 @@ def test_csv_formats_each_block_as_the_per_row_reference_does():
                 assert buf.getvalue() == reference_csv(tr.method, tr.seed, recs, extra,
                                                        header), (header, extra)
     assert reference_csv("m", 0, [], False, header=False) == ""
-
-
-def test_columnar_trace_survives_pickling():
-    # sweep --parallel sends each RunResult back from its worker by pickle
-    prob, cm = paper_instance()
-    res = run(prob, cm, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=30,
-              cost_model=CostModel(1, 1))
-    extend_rows(res.trace, [APPENDED[1]])
-    rows = list(res.trace.records)
-    back = pickle.loads(pickle.dumps(res))
-    assert_trace_matches_rows(back.trace, rows)
-    assert back.final_y.tobytes() == res.final_y.tobytes()
-    assert (back.trace.method, back.trace.seed) == (res.trace.method, res.trace.seed)
 
 
 def test_final_reads_the_last_row_from_the_last_block(monkeypatch):

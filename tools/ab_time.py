@@ -23,7 +23,7 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
   escape100       the acceptance-5 experiment: near-dgd-t:5 at budget 1500 on
                   seeds 0..99, as one run_batch call where the tree has that
                   function, and as 100 run() calls where it does not
-  sweep           `neardgd sweep --parallel 1`: six methods, budget 1000, one seed
+  sweep           `neardgd sweep`, in process: six methods, budget 1000, one seed
   batch           the sweep's six cells as one run_batch call, without the CLI
                   and the CSV (six run() calls where the tree has no run_batch)
   csv             the sweep's sweep.csv written to memory from its six traces,
@@ -151,8 +151,7 @@ def workload(pkg, token, workdir, n=12):
 
         def sweep():
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["sweep", "--config", str(config), "--out", str(out_dir),
-                                 "--parallel", "1"])
+                code = cli.main(["sweep", "--config", str(config), "--out", str(out_dir)])
             if code != 0:
                 raise RuntimeError("sweep exited with %d" % code)
         return sweep
