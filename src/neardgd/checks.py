@@ -105,14 +105,16 @@ def certificate_verdicts(result: RunResult, method: MethodSpec):
     """(name, ok, detail) of the three run certificates of a finished run of
     method. ok is None for a certificate the method does not evaluate, and
     for all three when no iteration ran. A diverged run, of any method, has
-    one failing verdict in their place, carrying the divergence note."""
+    one failing verdict in their place, carrying the divergence note. A
+    non-finite descent residual fails its verdict."""
     trace = result.trace
     if result.diverged:
         return [("certificates", False, "run diverged: %s" % trace.divergence_note)]
     lyapunov = trace.column("lyapunov")[:-1]  # the terminal row certifies nothing
     slack = DESCENT_SLACK * np.fmax(1.0, np.abs(lyapunov))
-    worst_rel = float(np.fmax.reduce(trace.column("descent_residual")[:-1] / slack,
-                                     initial=-math.inf))
+    # a NaN ratio fails; a -inf residual follows an infinite L_t(y_k), whose slack gives NaN
+    worst_rel = float(np.maximum.reduce(trace.column("descent_residual")[:-1] / slack,
+                                        initial=-math.inf))
     eq7, gap = result.max_eq7_inf, result.max_cons_gap
     out = []
     for name, ok, detail in (

@@ -30,11 +30,18 @@ def _load(args, default_text=""):
 
 
 def _out_path(args, cfg, default_name=None):
+    """The output file. An --out that cannot become a writable directory is
+    rejected here, before any cell runs; the command makes it after its run,
+    so that a rejected input leaves no directory behind."""
     name = default_name or cfg.output_path
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        return os.path.join(args.out, os.path.basename(name))
-    return name
+    if not args.out:
+        return name
+    existing = os.path.abspath(args.out)  # its nearest existing part, which makedirs builds on
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise NotADirectoryError("--out %s: %s is not a writable directory" % (args.out, existing))
+    return os.path.join(args.out, os.path.basename(name))
 
 
 def _run_options(cfg):
@@ -62,6 +69,8 @@ def cmd_run(args) -> int:
     path = _out_path(args, cfg)
     result = run(problem, cm, cfg.method, cfg.alpha, cfg.budget, seed=cfg.seed,
                  **_run_options(cfg))
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     result.trace.write_csv(path)
     print("%s trace=%s" % (_summary(result, cfg.method), path))
     if result.diverged:
@@ -78,7 +87,8 @@ def cmd_sweep(args) -> int:
     path = _out_path(args, cfg, default_name="sweep.csv")
     cells = [(m, s) for s in seeds for m in cfg.sweep_methods]
     results = run_batch(problem, cm, cells, cfg.alpha, cfg.budget, **_run_options(cfg))
-
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     any_divergence = False
     with open(path, "w", newline="") as fh:
         for i, ((method, _), result) in enumerate(zip(cells, results)):

@@ -8,7 +8,6 @@ one pass per block and cell reads them in place, decides how the run ends
 and appends the certificates and trace columns.
 """
 
-import contextlib
 import itertools
 import math
 import operator
@@ -253,12 +252,6 @@ def _block_rows(n, p, iterations):
     return max(1, min(BLOCK_ELEMENTS // (n * p), iterations))
 
 
-def _quiet(flag):
-    """np.errstate ignoring overflow and invalid operations where flag is
-    set, and otherwise no context at all: the caller's setting holds."""
-    return np.errstate(over="ignore", invalid="ignore") if flag else contextlib.nullcontext()
-
-
 def _floats(ints):
     """A sequence of Python ints as a float array, each rounded as
     float(int) rounds it: an increasing range whose every entry and next
@@ -287,6 +280,8 @@ class _BlockCertifier:
     maxima b_y, max_cons_gap and max_eq7_inf. (k, t_k, comms, grads) of each
     row follow from k and the schedule in exact ints. finish() appends the
     terminal row, and result() the terminal row of a run that did not end.
+    It runs under the driver's floating-point policy (see _run_cells), so
+    what it evaluates at a y past the box may overflow without a warning.
 
     Formed once per run: f*, the per-slot views, and the descent constant
     rho(t) and beta^t of each distinct t the run meets (the run keeps the
@@ -313,16 +308,12 @@ class _BlockCertifier:
         self.Y, self.X = Y, X
         self.ys, self.xs = list(Y), list(X)  # per-slot views for the loop
         self.carry = (None, None, None)  # _constants' last t, rho(t) and beta^t
-        # what the set-up, and the end of a run that ends at y_0, evaluate at a
-        # y_0 outside the box may overflow, as the pass's evaluations at a y past it
-        self.outside = not np.maximum.reduce(np.abs(y), axis=None) <= self.box_radius
-        with _quiet(self.outside):
-            # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
-            x = cm.apply(method.rounds(0), y) if self.near_dgd else y
-            Y[0], X[0] = y, x
-            self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
-            flat = y.ravel(order="K")  # numpy.linalg.norm(y), operation for operation
-            self.b_y = float(np.sqrt(flat.dot(flat)))
+        # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
+        x = cm.apply(method.rounds(0), y) if self.near_dgd else y
+        Y[0], X[0] = y, x
+        self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
+        flat = y.ravel(order="K")  # numpy.linalg.norm(y), operation for operation
+        self.b_y = float(np.sqrt(flat.dot(flat)))
         self.k, self.comm_rounds, self.max_cons_gap, self.max_eq7_inf = 0, 0, -math.inf, 0.0
         self.ended = False
 
@@ -333,22 +324,14 @@ class _BlockCertifier:
 
     def certify(self, ts):
         """Certify iterations k..k+m-1 from ts = [t_k, ..., t_{k+m}] and the
-        buffers' slots 0..m. What it computes from a y_{k+1} that left the
-        box may overflow, as the loop may past it; such a block is certified
-        with overflow and invalid operations ignored."""
+        buffers' slots 0..m."""
         m, top = len(ts) - 1, np.maximum.reduce  # ndarray.max without its Python wrapper
+        diverged = peak = None  # the first row whose y_{k+1} left the box, and its |y_{k+1}|_inf
         # |y| is freed before the pass, which then holds at most three block-sized arrays
-        if top(np.abs(self.Y[1:m + 1]), axis=None) <= self.box_radius:  # a NaN fails the test
-            self._certify(ts, m)
-            return
-        peaks = top(np.abs(self.Y[1:m + 1]).reshape(m, -1), axis=1)
-        diverged = int(np.flatnonzero(~(peaks <= self.box_radius))[0])  # also a non-finite peak
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._certify(ts, m, diverged, peaks[diverged])
-
-    def _certify(self, ts, m, diverged=None, peak=None):
-        """certify() given the first row out of the box, if any, and its
-        |y_{k+1}|_inf."""
+        if not top(np.abs(self.Y[1:m + 1]), axis=None) <= self.box_radius:  # a NaN fails the test
+            peaks = top(np.abs(self.Y[1:m + 1]).reshape(m, -1), axis=1)
+            diverged = int(np.flatnonzero(~(peaks <= self.box_radius))[0])  # a NaN peak too
+            peak = peaks[diverged]
         stack_y, stack_x = self.Y[:m + 1], self.X[:m + 1]
         r = m if diverged is None else diverged + 1  # the rows kept
         evaluated = self._evaluate(stack_x[:r])
@@ -471,16 +454,15 @@ class _BlockCertifier:
     def result(self) -> RunResult:
         """The run's RunResult, after the terminal row of a run that did not
         end; final_y and final_x are copies, never views of the buffers."""
-        with _quiet(self.outside):
-            if not self.ended:
-                self.finish(self.method.rounds(self.k))
-            final_y = self.Y[0].copy()
-            final_avg = final_y.mean(axis=0)
+        if not self.ended:
+            self.finish(self.method.rounds(self.k))
+        final_y = self.Y[0].copy()
         return RunResult(trace=self.trace, counter=CommCounter(self.comm_rounds, self.grad_evals),
                          final_y=final_y,
                          final_x=self.X[0].copy() if self.near_dgd else final_y,
-                         final_avg=final_avg, b_y=self.b_y, max_cons_gap=self.max_cons_gap,
-                         max_eq7_inf=self.max_eq7_inf, lipschitz=self.lipschitz)
+                         final_avg=final_y.mean(axis=0), b_y=self.b_y,
+                         max_cons_gap=self.max_cons_gap, max_eq7_inf=self.max_eq7_inf,
+                         lipschitz=self.lipschitz)
 
     def _evaluate(self, points):
         """The averages of a stack of (n, p) points, and f and ||grad f|| there."""
@@ -621,7 +603,8 @@ def run_batch(objective: Objective, cm: ConsensusMatrix, cells, alpha: float, bu
     each cell's own block pass certifies its rows. A cell that diverges or
     stops on grad_tol leaves the batch there with its partial trace and end
     state; its rows of the shared arrays may go on being computed, and are
-    never read again.
+    never read again. Overflow and invalid operations are ignored from the
+    first set-up to the last result; the caller's error state is restored.
     """
     cells = list(cells)
     inputs = [_checked_inputs(objective, cm, method, alpha, budget, seed, cost_model,
@@ -635,7 +618,10 @@ def _run_cells(objective, cm, methods, inputs, starts) -> list:
     """The run driver of run() and run_batch(): the RunResults of the
     checked cells (methods[b], inputs[b]) from y_0 = starts[b], in cell
     order, by one block loop (hold, iterate, certify) over one
-    _BlockCertifier per cell on the B-major buffers."""
+    _BlockCertifier per cell on the B-major buffers, under the runs' one
+    floating-point policy: overflow and invalid operations are ignored from
+    set-up to result. The box test, which a non-finite y fails, ends a run
+    past the box; inside it, they leave a non-finite certificate."""
     if not methods:
         return []
     n, p = objective.n, objective.p
@@ -644,44 +630,43 @@ def _run_cells(objective, cm, methods, inputs, starts) -> list:
     iterations = max(_iterations(method, inputs[0].budget)[0] for method in methods)
     X = np.empty((len(methods), _block_rows(n, p, iterations) + 1, n, p))
     Y = np.empty((near,) + X.shape[1:])
-    blocks = [_BlockCertifier(objective, cm, methods[b], inputs[b], starts[b],
-                              Y[j] if j < near else X[j], X[j])
-              for j, b in enumerate(order)]
-    alpha = inputs[0].alpha
-    if len(blocks) == 1 and near:
-        # alpha and the step buffer, allocated once per run: the buffer and
-        # every slot of X and Y are float64 arrays of shape (n, p) by their
-        # allocation, the one check that stacked_grad(x, out) relies on
-        cell, alphas, step = blocks[0], np.full((n, p), alpha), np.empty((n, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [_BlockCertifier(objective, cm, methods[b], inputs[b], starts[b],
+                                  Y[j] if j < near else X[j], X[j])
+                  for j, b in enumerate(order)]
+        alpha = inputs[0].alpha
+        if len(blocks) == 1 and near:
+            # alpha and the step buffer, allocated once per run: the buffer and
+            # every slot of X and Y are float64 arrays of shape (n, p) by their
+            # allocation, the one check that stacked_grad(x, out) relies on
+            cell, alphas, step = blocks[0], np.full((n, p), alpha), np.empty((n, p))
 
-        def iterate(m, schedules):
-            _near_dgd_iterations(objective, cell.cm, alphas, step, cell.ys, cell.xs,
-                                 schedules[0])
-    else:
-        iterate = _slot_loop(objective, cm, alpha, blocks, X, Y)
-    rows, k = X.shape[1] - 1, 0
-    while True:
-        live = [j for j, block in enumerate(blocks) if block.running]
-        if not live:
-            break
-        m = min(rows, max(blocks[j].iterations for j in live) - k)
-        schedules = {j: blocks[j].method.schedule(k, min(m, blocks[j].iterations - k) + 1)
-                     for j in live}
-        held = {}  # one hold per matrix, of the union of its NEAR-DGD cells' schedules
-        for j, ts in schedules.items():
-            if j < near:
-                held.setdefault(blocks[j].cm, []).extend(ts)
-        for matrix, ts in held.items():
-            matrix.hold(ts)
-        # iterations past a divergence may overflow; the pass discards them
-        with np.errstate(over="ignore", invalid="ignore"):
+            def iterate(m, schedules):
+                _near_dgd_iterations(objective, cell.cm, alphas, step, cell.ys, cell.xs,
+                                     schedules[0])
+        else:
+            iterate = _slot_loop(objective, cm, alpha, blocks, X, Y)
+        rows, k = X.shape[1] - 1, 0
+        while True:
+            live = [j for j, block in enumerate(blocks) if block.running]
+            if not live:
+                break
+            m = min(rows, max(blocks[j].iterations for j in live) - k)
+            schedules = {j: blocks[j].method.schedule(k, min(m, blocks[j].iterations - k) + 1)
+                         for j in live}
+            held = {}  # one hold per matrix, of the union of its NEAR-DGD cells' schedules
+            for j, ts in schedules.items():
+                if j < near:
+                    held.setdefault(blocks[j].cm, []).extend(ts)
+            for matrix, ts in held.items():
+                matrix.hold(ts)
             iterate(m, schedules)
-        for j, ts in schedules.items():
-            blocks[j].certify(ts)
-        k += m
-    results = [None] * len(methods)
-    for b, block in zip(order, blocks):
-        results[b] = block.result()
+            for j, ts in schedules.items():
+                blocks[j].certify(ts)
+            k += m
+        results = [None] * len(methods)
+        for b, block in zip(order, blocks):
+            results[b] = block.result()
     return results
 
 

@@ -16,15 +16,19 @@ digest says. Blocks of five rows make each run cross several block passes,
 so that what a run forms once and keeps (rho and beta^t per t) is held to
 the same witnesses as what each pass forms. The cells of run_batch are held
 to the same witnesses as lone runs.
+
+The saddle classification's dead band has a witness of its own: points at
+which the smallest eigenvalue of S is known in closed form, on either side
+of the band, each labelled as that value says.
 """
 
 import numpy as np
 import pytest
 
 from neardgd import (MethodSpec, build_consensus_matrix, build_erdos_renyi, build_ring,
-                     build_star, run, run_batch)
+                     build_star, run, run_batch, saddle_classification)
 from neardgd import optimizer
-from neardgd.objective import sample_quartic_problem
+from neardgd.objective import QuadraticQuarticProblem, sample_quartic_problem
 
 TOL = 1e-10
 BUDGET = 24
@@ -172,3 +176,32 @@ def test_batch_certificates_match_their_first_principles_witnesses(monkeypatch, 
         if token != "dgd":
             assert_witnessed(res, prob, cm, token, alpha, lipschitz,
                              optimizer.initial_point(n, p, seed))
+
+
+# (q, point, label): on the quartic family with q^i_II = q on every node and
+# every other diagonal entry 1, the smallest eigenvalue of S is q at y = 0
+# and -2q at the consensual minimiser, whose coordinate I is sqrt(-n q) / c
+# (there q + 3 (c^2 / n) y_I^2 = -2q); the band is 1e-8 wide, and the values
+# are literal so that a changed band fails here
+DEAD_BAND_CASES = [(-2e-8, "origin", "strict-saddle"), (-5e-9, "origin", "indefinite-tolerance"),
+                   (-2.5e-9, "minimiser", "indefinite-tolerance"), (-1e-8, "minimiser", "min")]
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 20])
+@pytest.mark.parametrize("graph", ["ring", "star"])
+def test_saddle_labels_follow_the_closed_form_eigenvalue_across_the_dead_band(graph, t):
+    n, p, index, c, alpha = 12, 3, 2, 1.0, 0.1
+    cm = build_consensus_matrix(GRAPHS[graph](n))
+    for q, point, label in DEAD_BAND_CASES:
+        diagonals = np.ones((n, p))
+        diagonals[:, index - 1] = q
+        prob = QuadraticQuarticProblem(diagonals, index, c)
+        y = np.zeros((n, p))
+        if point == "minimiser":
+            y[:, index - 1] = np.sqrt(-n * q) / c
+        report = saddle_classification(y, prob, cm, t, alpha)
+        case = (q, point, report)
+        assert report.label == label, case
+        assert abs(report.lambda_min_s - (q if point == "origin" else -2 * q)) <= 1e-13, case
+        if label == "strict-saddle":
+            assert report.unstable_count == 1, case

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neardgd import checks, cli, config
+from neardgd import build_consensus_matrix, build_ring, checks, cli, config, optimizer
 from neardgd.cli import (EXIT_CHECK_FAILURE, EXIT_DIVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, main)
 from neardgd.config import ConfigError, load_run_config, parse_flat_config
 from neardgd.graph import build_erdos_renyi
+from neardgd.objective import sample_quartic_problem
 from neardgd.optimizer import METHOD_NAMES, MethodSpec, run
 
 SMALL = """
@@ -378,6 +380,46 @@ def test_cmd_check_large_alpha_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def certificate_run(monkeypatch, token, budget, nan_rows=None):
+    """The verdicts of a run of token on a small instance, by name, with the
+    residuals of nan_rows (an index of each block pass's rows) set to NaN,
+    as an overflow inside the box would leave them."""
+    real = optimizer.descent_certificate
+
+    def certificate(*args):
+        residuals = real(*args)
+        residuals[nan_rows] = math.nan
+        return residuals
+
+    if nan_rows is not None:
+        monkeypatch.setattr(optimizer, "descent_certificate", certificate)
+    prob = sample_quartic_problem(4, 2, 2, 1.0, seed=0)
+    cm = build_consensus_matrix(build_ring(4))
+    method = MethodSpec.parse(token)
+    res = run(prob, cm, method, alpha=0.1, budget=budget)
+    assert not res.diverged
+    return {name: (ok, detail) for name, ok, detail in checks.certificate_verdicts(res, method)}
+
+
+@pytest.mark.parametrize("nan_rows", [3, slice(None)], ids=["one-row", "every-row"])
+def test_a_nan_descent_residual_fails_its_verdict(monkeypatch, nan_rows):
+    verdicts = certificate_run(monkeypatch, "near-dgd-t:2", 50, nan_rows)
+    assert verdicts["descent-residual"] == (False, "worst residual/slack ratio nan")
+    assert verdicts["eq7-identity"][0] and verdicts["consensus-bound"][0]
+
+
+@pytest.mark.parametrize("token, budget, ok", [
+    ("near-dgd-t:2", 50, True), ("near-dgd-plus", 50, True), ("dgd", 50, None),
+    ("gradient-tracking", 50, None), ("near-dgd-t:2", 0, None)])
+def test_descent_verdict_of_finite_baseline_and_empty_runs(monkeypatch, token, budget, ok):
+    # the baselines' residual column is NaN throughout, and is not judged
+    got, detail = certificate_run(monkeypatch, token, budget)["descent-residual"]
+    assert got is ok
+    if ok:
+        assert re.fullmatch(r"worst residual/slack ratio -?[0-9.e+-]+", detail), detail
+        assert float(detail.split()[-1]) <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # User errors end in one line and exit 1
 
@@ -520,6 +562,35 @@ def test_cmd_sweep_large_alpha_is_validation_error(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: alpha=50") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_rejected_input_leaves_no_output_directory(tmp_path, capsys, command):
+    # the run rejects alpha = 50 after --out was checked; neither level of
+    # a nested --out is made until a run has been written
+    text = SMALL + "sweep.methods = near-dgd-t:1, dgd\n"
+    out = tmp_path / "results" / "out"
+    for alpha, code in (("50", EXIT_VALIDATION), ("0.1", EXIT_OK)):
+        cfg = write_config(tmp_path, text.replace("run.alpha = 0.1", "run.alpha = " + alpha))
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert (tmp_path / "results").exists() == (code == EXIT_OK)
+    assert capsys.readouterr().err.startswith("validation error: alpha=50")
+    assert [path.name for path in out.iterdir()] == [
+        "trace.csv" if command == "run" else "sweep.csv"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_below_a_file_fails_before_any_cell_runs(tmp_path, capsys, monkeypatch, command):
+    cells = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: cells.append(args))
+    monkeypatch.setattr(cli, "run_batch", lambda *args, **kwargs: cells.append(args))
+    (tmp_path / "a_file").write_text("")
+    cfg = write_config(tmp_path, SMALL + "sweep.methods = dgd\n")
+    out = tmp_path / "a_file" / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: --out %s: %s is not a writable directory\n" % (out, out.parent))
+    assert cells == []
 
 
 def test_cmd_sweep_runs_every_seed_in_one_batch(tmp_path, capsys, monkeypatch):

@@ -630,6 +630,47 @@ def test_run_ends_at_a_mid_block_divergence_without_warnings(monkeypatch, token,
     assert (res.counter.consensus_rounds, res.counter.gradient_evals) == end.tallies
 
 
+# each kind of run that the floating-point policy of the run driver covers:
+# an ordinary one, two whose y overflows past a box of 2.5, and one from an
+# x0 outside the box whose set-up and end overflow
+DIVERGING = dict(budget=3000, allow_large_alpha=True, box_radius=2.5, seed=1)
+POLICY_RUNS = {
+    "ordinary": ("near-dgd-t:5", dict(alpha=0.1, budget=300)),
+    "overflow-near-dgd-t": ("near-dgd-t:5", dict(DIVERGING, alpha=6.0)),
+    "overflow-dgd": ("dgd", dict(DIVERGING, alpha=3.0)),
+    "x0-outside": ("near-dgd-plus", dict(alpha=0.1, budget=10, x0=np.full((12, 4), 1e300))),
+}
+
+
+@pytest.mark.parametrize("case", POLICY_RUNS)
+def test_run_restores_the_callers_floating_point_error_state(case):
+    prob, cm = paper_instance()
+    token, kwargs = POLICY_RUNS[case]
+    method = MethodSpec.parse(token)
+    before = np.geterr()
+    res = run(prob, cm, method, **kwargs)
+    assert res.diverged == (case != "ordinary")
+    assert np.geterr() == before
+    if "x0" not in kwargs:  # run_batch draws its cells' initial points
+        kwargs = {key: value for key, value in kwargs.items() if key != "seed"}
+        run_batch(prob, cm, [(method, 1), (MethodSpec("dgd"), 2)], **kwargs)
+        assert np.geterr() == before
+
+
+@pytest.mark.parametrize("case", [case for case in POLICY_RUNS if case != "ordinary"])
+def test_a_run_ends_alike_under_a_callers_raising_error_state(case):
+    # one context covers the set-up, the block loop and the end of a run, so
+    # a caller that raises on overflow sees the run end as it does without
+    prob, cm = paper_instance()
+    token, kwargs = POLICY_RUNS[case]
+    method = MethodSpec.parse(token)
+    reference = run(prob, cm, method, **kwargs)
+    with np.errstate(over="raise", invalid="raise"):
+        res = run(prob, cm, method, **kwargs)
+    assert res.diverged
+    assert _run_fingerprint(res) == _run_fingerprint(reference)
+
+
 def test_run_descent_and_eq7_certificates():
     prob, cm = paper_instance()
     res = run(prob, cm, MethodSpec("near-dgd-t", t=2), alpha=0.1, budget=300)

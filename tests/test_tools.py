@@ -129,6 +129,19 @@ def test_ab_time_runs_a_method_on_a_ring_of_n_nodes():
             "tokens") in proc.stderr
 
 
+def test_ab_time_times_the_pass_of_a_diverging_block():
+    # the one workload that reaches a block pass past the box; n=12 alone
+    proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "diverge",
+                    "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^change / base: median paired ratio \d+\.\d{3} .* in [01] of 1 pairs$",
+                     proc.stdout, re.MULTILINE), proc.stdout
+    proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "diverge",
+                    "--n", "16", "--pairs", "1")
+    assert proc.returncode == 2
+    assert "--n applies to" in proc.stderr
+
+
 def test_ab_time_times_the_sweep_csv_writer_apart_from_the_runs():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "csv",
                     "--pairs", "1")

@@ -37,6 +37,9 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
                   300 block passes certifies one row: the fixed cost of a pass
   tiny            200 near-dgd-t:5 run() calls at budget 1, on seeds 0..199:
                   the fixed cost of a run
+  diverge         one near-dgd-t:5 run at alpha 6.0 (allow_large_alpha) on a
+                  box of 2.5, budget 3000, seed 1: its y overflows by k = 11,
+                  so this times the pass of a block that diverges
   <method token>  one run of that method (e.g. dgd, near-dgd-plus) at budget 1000
 --n N runs escape, escape100, saddle, short-blocks, tiny and the method tokens on a
 Metropolis ring of N nodes with c = sqrt(N / 12), as the benchmark's scale
@@ -117,7 +120,7 @@ def workload(pkg, token, workdir, n=12):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
-    if n != 12 and token in ("sweep", "batch", "csv", "scale"):
+    if n != 12 and token in ("sweep", "batch", "csv", "scale", "diverge"):
         raise ValueError("--n applies to escape, escape100, saddle, short-blocks, tiny and "
                          "the method tokens, not to %s" % token)
     problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
@@ -133,6 +136,10 @@ def workload(pkg, token, workdir, n=12):
         method = pkg.MethodSpec("near-dgd-t", t=5)
         return lambda: [optimizer.run(problem, cm, method, ALPHA, 1, seed=seed)
                         for seed in range(200)]
+    if token == "diverge":
+        method = pkg.MethodSpec("near-dgd-t", t=5)
+        return lambda: optimizer.run(problem, cm, method, 6.0, 3000, seed=1,
+                                     allow_large_alpha=True, box_radius=2.5)
     if token == "escape100":
         method = pkg.MethodSpec("near-dgd-t", t=5)
         return batch(optimizer, problem, cm, [(method, seed) for seed in range(100)], 1500)
@@ -238,7 +245,7 @@ def main(argv=None):
                         help="source directory of the changed tree (default: this checkout's src/)")
     parser.add_argument("--workload", default="escape",
                         help="escape, escape100, sweep, batch, csv, scale, saddle, "
-                             "short-blocks, tiny or a method token (default: escape)")
+                             "short-blocks, tiny, diverge or a method token (default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
     parser.add_argument("--n", type=int, default=12,
                         help="ring size for escape, escape100, saddle, short-blocks, tiny "
