@@ -75,12 +75,12 @@ class ConsensusMatrix:
     dense Z^t = (V diag(lam^t)) V' where dense_pays(n, 1, 1), otherwise
     lam^t itself, applied as V (lam^t * (V' y)) (the mode is fixed at
     construction: _vt holds V' on a two-product matrix, None on a dense
-    one). A memo keeps lam^t and the operator per t, by one rule in
-    both modes: hold(ts) sets it to the t >= 2 of one block of a run, and
-    _operators(ts), the one look-up of product(), apply() and apply_each(),
-    to the t >= 2 of a call that misses one. An operator is a function of
-    (W, t) alone, each slice of a batched formation the same BLAS product as
-    a lone one, so every result depends on (cm, t, operand) alone.
+    one). A memo holds one block: _lams and _ops, lam^t and the operator of
+    a set of t >= 2 formed whole, in row _rows[t] for t. hold(ts) sets it to
+    the t >= 2 of one block of a run, a call that misses a t to those of that
+    call. An operator is a function of (W, t) alone, each slice of a batched
+    formation the same BLAS product as a lone one, so every result depends
+    on (cm, t, operand) alone, never on what else the block holds.
 
     dense_twin() is the same matrix in the dense mode, at any n: a shallow
     copy sharing W and the eigenpairs, with a memo of its own, made on first
@@ -95,9 +95,9 @@ class ConsensusMatrix:
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
     _vt: np.ndarray | None = field(init=False, repr=False, compare=False)
-    # the memo: lam^t and the operator of each t it holds
-    _lams: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    _ops: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _rows: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _lams: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _ops: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _twin: "ConsensusMatrix | None" = field(init=False, default=None, repr=False,
                                             compare=False)
 
@@ -129,7 +129,7 @@ class ConsensusMatrix:
             return self
         if self._twin is None:
             twin = copy.copy(self)
-            twin._vt, twin._lams, twin._ops = None, {}, {}
+            twin._vt, twin._rows, twin._lams, twin._ops = None, {}, None, None
             self._twin = twin
         return self._twin
 
@@ -151,15 +151,17 @@ class ConsensusMatrix:
 
     def power_rows(self, ts) -> np.ndarray:
         """A (len(ts), n) array whose row i equals powers(ts[i]) bitwise,
-        read from the memo where it holds ts[i]."""
-        lams = self._lams
-        return np.array([lams[t] if t in lams else self.powers(t) for t in ts])
+        read from the memo, by one index where it holds every ts[i]."""
+        rows, lams = self._rows, self._lams
+        if all(map(rows.__contains__, ts)):
+            return lams[[*map(rows.__getitem__, ts)]]
+        return np.array([lams[rows[t]] if t in rows else self.powers(t) for t in ts])
 
     def _form(self, ts):
-        """(lam^t rows, operators) of a nonempty list of t >= 2. The rows
-        take one power call on the (len(ts), n) grid of the pinned spectrum
-        and the ts, and the rows with t = 2 its square, as powers() takes
-        them (NumPy's ** by a Python 2 is a square, which a power may round
+        """(lam^t rows, operators) of a list of t >= 2. The rows take one
+        power call on the (len(ts), n) grid of the pinned spectrum and the
+        ts, and the rows with t = 2 its square, as powers() takes them
+        (NumPy's ** by a Python 2 is a square, which a power may round
         otherwise), so row i equals powers(ts[i]) bitwise. The operators:
         the dense Z^t = (V diag(lam^t)) V' in one batched product, or lam^t
         itself as an (n, 1) column view."""
@@ -172,47 +174,42 @@ class ConsensusMatrix:
         return lams, (self.eigenvectors * lams[:, None, :]) @ self.eigenvectors.T
 
     def hold(self, ts):
-        """Make the memo hold exactly the distinct t >= 2 of ts, keeping
-        those it holds and forming the others at once; a run calls this once
-        per block, so that its loop, its pass and rho_constant share one
-        lam^t, and a dense matrix one Z^t, per t. A two-product matrix forms
-        n floats per t, a dense one n^2 and as many for its scaled
-        eigenvectors: for a block of rows iterations at most (rows + 1) n^2,
-        2.5 MB at n = 19 and p = 1, and on the dense twin, where each t
-        repeats r times with dense_pays(n, p, r), (rows / r + 2) n^2."""
-        lams, ops = self._lams, self._ops
-        keep = [t for t in dict.fromkeys(ts) if t != 1]
-        new = [t for t in keep if t not in ops]
-        if not new and len(keep) == len(ops):  # it holds these t already, and no other
-            return
-        if new:
-            for memo, formed in zip((lams, ops), self._form(new)):
-                memo.update(zip(new, formed))
-        self._lams, self._ops = {t: lams[t] for t in keep}, {t: ops[t] for t in keep}
+        """Make the memo hold exactly the distinct t >= 2 of ts: one _form
+        call forms them all when they differ, as a set, from those it holds,
+        and none is formed otherwise. A run calls this once per block: its
+        loop, its pass and rho_constant share one lam^t, and a dense matrix
+        one Z^t, per t. A two-product matrix forms n floats per t, a dense one
+        n^2 and as many for its scaled eigenvectors: for a block of rows
+        iterations at most (rows + 1) n^2, 2.5 MB at n = 19 and p = 1, and on
+        the dense twin, where each t repeats r times with dense_pays(n, p, r),
+        (rows / r + 2) n^2."""
+        held = dict.fromkeys(ts)
+        held.pop(1, None)
+        if held.keys() != self._rows.keys():
+            self._lams, self._ops = self._form(list(held))
+            self._rows = {t: i for i, t in enumerate(held)}
 
-    def _operators(self, ts):
-        """The memo's operators of a list of t >= 2, in a list, by the one
-        look-up rule: on a miss the memo holds these t alone."""
-        try:
-            return [*map(self._ops.__getitem__, ts)]
-        except KeyError:
+    def _index(self, ts):
+        """The memo's rows of a list of t >= 2; on a miss it holds these t alone."""
+        if not all(map(self._rows.__contains__, ts)):
             self.hold(ts)
-            return [*map(self._ops.__getitem__, ts)]
+        return [*map(self._rows.__getitem__, ts)]
 
     def product(self, t: int):
         """The product Z^t on one iterate, for an int t >= 1: a function
         (cols, out=None) of a float (n, k) array, unchecked, that returns Z^t
         cols, written into out when given (a C-ordered float array of that
         shape sharing no memory with cols). It is W.dot for t = 1, and for
-        t >= 2 takes the memo's operator for t, from _operators on a miss:
+        t >= 2 takes the memo's operator for t, through _index on a miss:
         the dense Z^t's dot, or the two products V (lam^t * (V' cols)), the
         (n, k) intermediate scaled row by row. Either costs the same for
         every t. run()'s loop fetches it once per run of equal t within a
         block; apply() calls it on one iterate."""
         if t == 1:
             return self.W.dot
-        ops = self._ops  # a dict hit: near-dgd-plus fetches a handle every iteration
-        op = ops[t] if t in ops else self._operators([t])[0]
+        rows = self._rows  # a dict hit: near-dgd-plus fetches a handle every iteration
+        i = rows[t] if t in rows else self._index([t])[0]
+        op = self._ops[i]
         vt = self._vt
         if vt is None:
             return op.dot
@@ -248,7 +245,8 @@ class ConsensusMatrix:
             cols = np.ascontiguousarray(cols)
         if t == 1:
             return np.matmul(self.W, cols, out=out)
-        return self._apply_ops(self._operators([t])[0], cols, out)
+        i, = self._index([t])
+        return self._apply_ops(self._ops[i], cols, out)
 
     def _apply_ops(self, ops, stack, out=None):
         """An operator, or one per iterate, applied to a stack as apply() does."""
@@ -262,14 +260,15 @@ class ConsensusMatrix:
         ints ts[i] >= 1 whose 1s come first, as in a schedule, which never
         decreases (a 1 after a larger t is a KeyError); without checks, each
         equal to apply(ts[i], stack[i]) bitwise. The leading t = 1 rows take
-        W stack[i], the others their operators, gathered by _operators as
-        product() and apply() gather theirs, in one batched product (one
-        matrix product per row), each written into its slice of the output."""
+        W stack[i], the others their operators, taken by one index as
+        product() and apply() take theirs, in one batched product (one matrix
+        product per row), each written into its slice of the output."""
         ones = next((i for i, t in enumerate(ts) if t != 1), len(ts))  # leading t = 1 rows
         out = np.empty_like(stack)
         np.matmul(self.W, stack[:ones], out=out[:ones])
         if ones < len(ts):
-            self._apply_ops(np.array(self._operators(ts[ones:])), stack[ones:], out[ones:])
+            index = self._index(ts[ones:])
+            self._apply_ops(self._ops[index], stack[ones:], out[ones:])
         return out
 
 

@@ -579,17 +579,22 @@ def test_rejected_input_leaves_no_output_directory(tmp_path, capsys, command):
         "trace.csv" if command == "run" else "sweep.csv"]
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_out_below_a_file_fails_before_any_cell_runs(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, below", [
+    ("run", True), ("sweep", True), ("run", False), ("sweep", False)],
+    ids=["run", "sweep", "run-file-itself", "sweep-file-itself"])
+def test_out_below_a_file_fails_before_any_cell_runs(tmp_path, capsys, monkeypatch, command,
+                                                     below):
+    # an --out below a file, or the file itself
     cells = []
     monkeypatch.setattr(cli, "run", lambda *args, **kwargs: cells.append(args))
     monkeypatch.setattr(cli, "run_batch", lambda *args, **kwargs: cells.append(args))
-    (tmp_path / "a_file").write_text("")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
     cfg = write_config(tmp_path, SMALL + "sweep.methods = dgd\n")
-    out = tmp_path / "a_file" / "out"
+    out = a_file / "out" if below else a_file
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        "validation error: --out %s: %s is not a writable directory\n" % (out, out.parent))
+        "validation error: --out %s: %s is not a writable directory\n" % (out, a_file))
     assert cells == []
 
 
@@ -627,20 +632,6 @@ def test_cmd_sweep_rejects_parallel_below_one(tmp_path, capsys, monkeypatch, par
                    % parallel)
     assert batches == []
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_out_that_is_a_file_fails_before_any_cell_runs(tmp_path, capsys, monkeypatch,
-                                                       command):
-    cells = []
-    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: cells.append(args))
-    (tmp_path / "a_file").write_text("")
-    cfg = write_config(tmp_path, SMALL + "sweep.methods = near-dgd-t:1, dgd\n")
-    code = main([command, "--config", cfg, "--out", str(tmp_path / "a_file")])
-    assert code == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith("validation error: ") and len(err.splitlines()) == 1
-    assert cells == []
 
 
 def test_parallel_is_a_sweep_option_only(tmp_path):

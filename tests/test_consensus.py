@@ -247,6 +247,13 @@ def dense_power(cm, t):
     return (cm.eigenvectors * cm.powers(t)) @ cm.eigenvectors.T
 
 
+def memo(cm):
+    """The memo's block as ({t: lam^t}, {t: operator}), read through its
+    t -> row index in the order it holds its t."""
+    return ({t: cm._lams[i] for t, i in cm._rows.items()},
+            {t: cm._ops[i] for t, i in cm._rows.items()})
+
+
 @pytest.mark.parametrize("n, budget", [(6, 40), (30, 300)])
 def test_memo_holds_the_last_blocks_powers_after_a_run_that_changes_t(n, budget):
     cm = build_consensus_matrix(build_ring(n))
@@ -255,70 +262,95 @@ def test_memo_holds_the_last_blocks_powers_after_a_run_that_changes_t(n, budget)
     res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=budget)
     assert res.trace.final.t_k == budget + 1  # t grew by one per iteration
     assert set(vars(cm)) == {"W", "graph", "beta", "lambda_min", "eigenvalues",
-                             "eigenvectors", "_vt", "_lams", "_ops"}
+                             "eigenvectors", "_vt", "_rows", "_lams", "_ops"}
     # the last block's schedule is t_k..t_budget = k + 1..budget + 1 (one block
     # of 40 rows at n = 6, the second of 273 and 27 at n = 30); the memo holds
-    # its t >= 2, a dense Z^t for each on the dense matrix and lam^t alone,
-    # no n x n array, on the two-product one
+    # its t >= 2 as one block, row i for its i-th t: a dense Z^t for each on
+    # the dense matrix and lam^t alone, no n x n array, on the two-product one
     rows = optimizer.BLOCK_ELEMENTS // (n * 2)
     k = (budget - 1) // rows * rows
-    assert list(cm._lams) == list(cm._ops) == list(range(max(2, k + 1), budget + 2))
-    for t, op in cm._ops.items():
+    held = list(range(max(2, k + 1), budget + 2))
+    assert cm._rows == {t: i for i, t in enumerate(held)}
+    assert len(cm._lams) == len(cm._ops) == len(held)
+    lams, ops = memo(cm)
+    for t, op in ops.items():
         assert type(t) is int
-        np.testing.assert_array_equal(cm._lams[t], cm.powers(t))
+        np.testing.assert_array_equal(lams[t], cm.powers(t))
         if cm._vt is None:
             np.testing.assert_array_equal(op, dense_power(cm, t))
         else:
-            assert op.shape == (n, 1) and np.shares_memory(op, cm._lams[t])
+            assert op.shape == (n, 1) and np.shares_memory(op, lams[t])
     assert (cm._vt is None) == consensus.dense_pays(n, 1, 1)
     assert repr(cm) == before
     hidden = {f.name: f for f in fields(cm)}
-    for name in ("_vt", "_lams", "_ops"):
+    for name in ("_vt", "_rows", "_lams", "_ops"):
         assert not (hidden[name].init or hidden[name].repr or hidden[name].compare)
 
 
 def test_memo_keeps_the_last_t_and_never_serves_a_stale_one():
     cm = build_consensus_matrix(build_erdos_renyi(10, 0.4, seed=2))
     y = np.random.default_rng(4).normal(size=(10, 3))
-    assert cm._ops == cm._lams == {}  # formed on first use
+    assert cm._rows == {} and cm._lams is cm._ops is None  # formed on first use
     for t in (3, 5, 3, 5, 7, 3, 7, 1):
         z = cm.apply(t, y)
         np.testing.assert_array_equal(z, build_consensus_matrix(cm.graph).apply(t, y))
         # W y leaves the memo alone
-        assert list(cm._ops) == list(cm._lams) == [7 if t == 1 else t]
+        assert cm._rows == {7 if t == 1 else t: 0}
+        assert len(cm._lams) == len(cm._ops) == 1
 
 
 @pytest.mark.parametrize("n", [DENSE_EDGE, DENSE_EDGE + 1])
 def test_a_result_depends_on_t_and_the_operand_alone_never_on_the_memo(n):
+    # the whole-block rule relies on this: a held t's results do not depend
+    # on what else the block holds. On the dense matrix (n = DENSE_EDGE), on
+    # the two-product one and on its dense twin, every reader of the memo
+    # after hold(block), for a block of small t and one shaped like a
+    # near-dgd-plus block, equals its call on a fresh matrix
     g = build_ring(n)
-    used = build_consensus_matrix(g)
     stack = np.random.default_rng(n).normal(size=(6, n, 4))
-    for t in (3, 7, 2, 40):  # the memo has served other t
-        used.apply(t, stack)
-    used.hold([1, 2, 3, 3, 9])
     ts = [1, 2, 5, 9, 3, 2**70]
+    readers = {
+        "apply": lambda cm, t, y: cm.apply(t, y),
+        "stacked apply": lambda cm, t, y: cm.apply(t, y[None])[0],
+        "apply_consensus": lambda cm, t, y: apply_consensus(cm, t, y),
+        "product": lambda cm, t, y: cm.product(t)(y),
+        "apply_each": lambda cm, t, y: cm.apply_each([t], y[None])[0],
+        "power_rows": lambda cm, t, y: cm.power_rows([t]),
+    }
+    for twin in ((False, True) if n > DENSE_EDGE else (False,)):
+        def matrix():
+            cm = build_consensus_matrix(g)
+            return cm.dense_twin() if twin else cm
 
-    def assert_as_fresh():
-        each = used.apply_each(ts, stack)
-        for t, y, z in zip(ts, stack, each):
-            fresh = build_consensus_matrix(g).apply(t, y)
-            np.testing.assert_array_equal(used.apply(t, y), fresh)
-            np.testing.assert_array_equal(apply_consensus(used, t, y), fresh)
-            np.testing.assert_array_equal(z, fresh)
+        used = matrix()
+        for t in (3, 7, 2, 40):  # the memo has served other t
+            used.apply(t, stack)
 
-    assert_as_fresh()
-    # a run on a matrix that served another method's run equals one on a fresh
-    # matrix; on the two-product matrix this near-dgd-t:5 run runs on the
-    # dense twin, near-dgd-plus with p = 1 on the matrix itself, and the
-    # matrix's own products keep their bits
-    prob = sample_quartic_problem(n, 1, 1, 1.0, seed=0)
-    run(prob, used, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=50)
-    assert_as_fresh()
-    for method in (MethodSpec("near-dgd-plus"), MethodSpec("near-dgd-t", t=5)):
-        a = run(prob, used, method, alpha=0.1, budget=50)
-        b = run(prob, build_consensus_matrix(g), method, alpha=0.1, budget=50)
-        np.testing.assert_array_equal(a.final_x, b.final_x)
-        np.testing.assert_array_equal(a.trace.column("lyapunov"), b.trace.column("lyapunov"))
+        def assert_as_fresh():
+            np.testing.assert_array_equal(used.apply_each(ts, stack),
+                                          matrix().apply_each(ts, stack))
+            for t, y in zip(ts, stack):
+                for name, read in readers.items():
+                    expected = read(matrix(), t, y)
+                    for block in ([1, 2, 3, 3, 9], [t, *range(7, 60)]):
+                        used.hold(block)
+                        np.testing.assert_array_equal(read(used, t, y), expected,
+                                                      err_msg="%s t=%r" % (name, t))
+
+        assert_as_fresh()
+        # a run on a matrix that served another method's run equals one on a
+        # fresh matrix; on the two-product matrix this near-dgd-t:5 run runs
+        # on the dense twin, near-dgd-plus with p = 1 on the matrix itself,
+        # and the matrix's own products keep their bits
+        prob = sample_quartic_problem(n, 1, 1, 1.0, seed=0)
+        run(prob, used, MethodSpec("near-dgd-t", t=5), alpha=0.1, budget=50)
+        assert_as_fresh()
+        for method in (MethodSpec("near-dgd-plus"), MethodSpec("near-dgd-t", t=5)):
+            a = run(prob, used, method, alpha=0.1, budget=50)
+            b = run(prob, matrix(), method, alpha=0.1, budget=50)
+            np.testing.assert_array_equal(a.final_x, b.final_x)
+            np.testing.assert_array_equal(a.trace.column("lyapunov"),
+                                          b.trace.column("lyapunov"))
 
 
 def test_the_dense_twin_is_made_on_first_use_and_shares_the_eigenpairs(monkeypatch):
@@ -326,7 +358,7 @@ def test_the_dense_twin_is_made_on_first_use_and_shares_the_eigenpairs(monkeypat
     assert small.dense_twin() is small
     g = build_ring(30)
     cm = build_consensus_matrix(g)
-    assert cm._twin is None and not cm._ops  # a build forms no twin and no Z^t
+    assert cm._twin is None and not cm._rows  # a build forms no twin and no Z^t
     twin = cm.dense_twin()
     assert twin is cm.dense_twin() and twin.dense_twin() is twin
     assert twin._vt is None and cm._vt is not None
@@ -334,7 +366,7 @@ def test_the_dense_twin_is_made_on_first_use_and_shares_the_eigenpairs(monkeypat
                for name in ("W", "graph", "eigenvalues", "eigenvectors"))
     stack = np.random.default_rng(0).normal(size=(3, 30, 4))
     twin.hold([5, 9])
-    assert list(twin._ops) == [5, 9] and not cm._ops  # a memo of its own
+    assert list(twin._rows) == [5, 9] and not cm._rows  # a memo of its own
     # its products are those of a matrix built dense, and differ from the
     # two-product matrix's by rounding only
     monkeypatch.setattr(consensus, "CALL_COST", 30**3)  # dense_pays(30, 1, 1)
@@ -347,7 +379,7 @@ def test_the_dense_twin_is_made_on_first_use_and_shares_the_eigenpairs(monkeypat
 
 
 @pytest.mark.parametrize("n", [8, 30])
-def test_hold_keeps_the_distinct_powers_of_a_block_and_forms_each_once(monkeypatch, n):
+def test_hold_forms_a_block_whole_when_its_set_changes_and_nothing_otherwise(monkeypatch, n):
     # one rule in both modes: dense at n = 8, two products at n = 30
     cm = build_consensus_matrix(build_ring(n))
     formed, form = [], cm._form
@@ -358,15 +390,22 @@ def test_hold_keeps_the_distinct_powers_of_a_block_and_forms_each_once(monkeypat
 
     monkeypatch.setattr(cm, "_form", recorded)
     cm.hold([1, 2, 2, 3, 4])
-    cm.hold([4, 5, 6])
-    assert formed == [[2, 3, 4], [5, 6]] and list(cm._ops) == [4, 5, 6]
+    cm.hold([4, 3, 1, 2, 3])  # the same set, in another order: nothing is formed
+    assert formed == [[2, 3, 4]] and cm._rows == {2: 0, 3: 1, 4: 2}
+    cm.hold([4, 5, 6])  # another set: all of it, 4 too
+    assert formed[1:] == [[4, 5, 6]] and cm._rows == {4: 0, 5: 1, 6: 2}
     cm.hold(range(1, 8))
-    assert formed[2:] == [[2, 3, 7]] and list(cm._ops) == list(range(2, 8))
+    assert formed[2:] == [[2, 3, 4, 5, 6, 7]] and list(cm._rows) == list(range(2, 8))
+    assert cm._lams.shape == (6, n) and len(cm._ops) == 6
     np.testing.assert_array_equal(cm.power_rows([1, 3, 7]),
                                   [cm.powers(1), cm.powers(3), cm.powers(7)])
     # apply() on a t the memo lacks makes it hold that t alone
     cm.apply(9, np.ones((n, 1)))
-    assert formed[3:] == [[9]] and list(cm._ops) == [9]
+    assert formed[3:] == [[9]] and cm._rows == {9: 0}
+    # a block of t = 1 alone holds no t, and then forms nothing again
+    cm.hold([1, 1])
+    cm.hold([1])
+    assert formed[4:] == [[]] and cm._rows == {} and len(cm._ops) == 0
     assert (cm._vt is None) == consensus.dense_pays(n, 1, 1)
 
 
@@ -533,7 +572,7 @@ def test_block_formed_powers_equal_powers_bitwise(kind, n):
             for start in range(2, 2001, 250):
                 ts = list(range(start, min(start + 250, 2001)))
                 matrix.hold(ts)
-                formed = np.array([matrix._lams[t] for t in ts])
+                formed = matrix._lams[[matrix._rows[t] for t in ts]]
                 np.testing.assert_array_equal(formed, [matrix.powers(t) for t in ts],
                                               err_msg="%s %s t=%d.." % (rule, matrix._vt is None,
                                                                         start))

@@ -1,4 +1,4 @@
-"""Engine invariants of run() over drawn methods, budgets and block sizes.
+"""Engine invariants of run() over drawn methods, budgets, block sizes and graphs.
 
 run() must give the same values, bit for bit, for any block size, on a
 repeated run and as one cell of a batch beside a second drawn cell, and end
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from neardgd import checks, optimizer
 from neardgd.consensus import build_consensus_matrix, dense_pays
-from neardgd.graph import build_ring
+from neardgd.graph import build_erdos_renyi, build_ring, build_star
 from neardgd.objective import sample_quartic_problem
 from neardgd.optimizer import MethodSpec, initial_point, run, run_batch
 from reference_steps import run_end
@@ -29,8 +29,13 @@ TOKENS = ("near-dgd-t:1", "near-dgd-t:3", "near-dgd-plus", "near-dgd-plus-doubli
 # aligned or hold a single column, and two-product matrices on which
 # near-dgd-plus runs on the dense twin (20, 4) and on the matrix (30, 2)
 SHAPES = ((12, 4), (5, 1), (7, 3), (20, 4), (30, 2))
-INSTANCES = {(n, p): (sample_quartic_problem(n, p, p, 1.0, seed=0),
-                      build_consensus_matrix(build_ring(n))) for n, p in SHAPES}
+# each shape on a ring, a star and an Erdos-Renyi graph, so that both memos
+# run on three kinds of spectrum
+GRAPHS = {"ring": build_ring, "star": build_star,
+          "erdos-renyi": lambda n: build_erdos_renyi(n, 0.5, seed=n)}
+INSTANCES = {(kind, n, p): (sample_quartic_problem(n, p, p, 1.0, seed=0),
+                            build_consensus_matrix(graph(n)))
+             for kind, graph in GRAPHS.items() for n, p in SHAPES}
 
 
 def fingerprint(res):
@@ -43,15 +48,16 @@ def fingerprint(res):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(token=st.sampled_from(TOKENS), shape=st.sampled_from(SHAPES),
+@given(token=st.sampled_from(TOKENS), graph=st.sampled_from(sorted(GRAPHS)),
+       shape=st.sampled_from(SHAPES),
        budget=st.integers(0, 120), rows=st.integers(1, 64), seed=st.integers(0, 3),
        grad_tol=st.none() | st.sampled_from([1.0, 0.3, 0.1]),
        large_alpha=st.booleans(), alpha_draw=st.floats(0.05, 0.95),
        other_token=st.sampled_from(TOKENS), other_seed=st.integers(0, 3))
 def test_run_is_block_size_free_and_ends_where_the_reference_does(
-        token, shape, budget, rows, seed, grad_tol, large_alpha, alpha_draw, other_token,
-        other_seed):
-    prob, cm = INSTANCES[shape]
+        token, graph, shape, budget, rows, seed, grad_tol, large_alpha, alpha_draw,
+        other_token, other_seed):
+    prob, cm = INSTANCES[(graph, *shape)]
     method = MethodSpec.parse(token)
     if large_alpha:
         # above 2/L on a small box: most of these runs leave it

@@ -125,8 +125,8 @@ def test_ab_time_runs_a_method_on_a_ring_of_n_nodes():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "sweep",
                     "--n", "16", "--pairs", "1")
     assert proc.returncode == 2
-    assert ("--n applies to escape, escape100, saddle, short-blocks, tiny and the method "
-            "tokens") in proc.stderr
+    assert ("--n applies to escape, escape100, batch, saddle, short-blocks, tiny and the "
+            "method tokens") in proc.stderr
 
 
 def test_ab_time_times_the_pass_of_a_diverging_block():
@@ -151,8 +151,8 @@ def test_ab_time_times_the_sweep_csv_writer_apart_from_the_runs():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "csv",
                     "--n", "16", "--pairs", "1")
     assert proc.returncode == 2
-    assert ("--n applies to escape, escape100, saddle, short-blocks, tiny and the method "
-            "tokens") in proc.stderr
+    assert ("--n applies to escape, escape100, batch, saddle, short-blocks, tiny and the "
+            "method tokens") in proc.stderr
 
 
 def test_ab_time_runs_the_hundred_seed_escape_with_or_without_run_batch(tmp_path):
@@ -173,11 +173,13 @@ def test_ab_time_runs_the_sweep_cells_as_one_batch_without_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert re.search(r"^change / base: median paired ratio \d+\.\d{3} .* in [01] of 1 pairs$",
                      proc.stdout, re.MULTILINE), proc.stdout
+    # at n = 24 its near-dgd-plus cell runs on the matrix and near-dgd-t:5 on
+    # the dense twin, both memos in one block loop
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "batch",
-                    "--n", "16", "--pairs", "1")
-    assert proc.returncode == 2
-    assert ("--n applies to escape, escape100, saddle, short-blocks, tiny and the method "
-            "tokens") in proc.stderr
+                    "--n", "24", "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^change / base: median paired ratio \d+\.\d{3} .* in [01] of 1 pairs$",
+                     proc.stdout, re.MULTILINE), proc.stdout
 
 
 BENCH_OUTPUT = """\

@@ -41,13 +41,17 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
                   box of 2.5, budget 3000, seed 1: its y overflows by k = 11,
                   so this times the pass of a block that diverges
   <method token>  one run of that method (e.g. dgd, near-dgd-plus) at budget 1000
---n N runs escape, escape100, saddle, short-blocks, tiny and the method tokens on a
-Metropolis ring of N nodes with c = sqrt(N / 12), as the benchmark's scale
-workload sizes its n=100 instance (N = 12 is the reference instance):
+--n N runs escape, escape100, batch, saddle, short-blocks, tiny and the method
+tokens on a Metropolis ring of N nodes with c = sqrt(N / 12), as the benchmark's
+scale workload sizes its n=100 instance (N = 12 is the reference instance). At
+N = 24 or 100 the batch's NEAR-DGD cells run on both memos in one block loop:
+near-dgd-plus on the matrix and near-dgd-t:5 on its dense twin.
+
 
     python3 tools/ab_time.py --base old/src --workload near-dgd-plus --n 32
     python3 tools/ab_time.py --base old/src --workload saddle --n 1000 --pairs 5
     python3 tools/ab_time.py --base old/src --workload short-blocks --n 100
+    python3 tools/ab_time.py --base old/src --workload batch --n 24
 
 consensus.CALL_COST is calibrated this way: near-dgd-plus, which forms a new
 Z^t every iteration, at N = 12 to 32, with --base a copy of the tree with
@@ -114,15 +118,15 @@ def import_tree(src, name, into):
 
 def workload(pkg, token, workdir, n=12):
     """A call that runs the workload once on the package pkg; escape,
-    escape100, saddle, short-blocks, tiny and the method tokens run on a
-    ring of n nodes."""
+    escape100, batch, saddle, short-blocks, tiny and the method tokens run
+    on a ring of n nodes."""
     def from_pkg(module):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
-    if n != 12 and token in ("sweep", "batch", "csv", "scale", "diverge"):
-        raise ValueError("--n applies to escape, escape100, saddle, short-blocks, tiny and "
-                         "the method tokens, not to %s" % token)
+    if n != 12 and token in ("sweep", "csv", "scale", "diverge"):
+        raise ValueError("--n applies to escape, escape100, batch, saddle, short-blocks, tiny "
+                         "and the method tokens, not to %s" % token)
     problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
     cm = pkg.build_consensus_matrix(pkg.build_ring(n))
     if token == "escape":
@@ -248,8 +252,8 @@ def main(argv=None):
                              "short-blocks, tiny, diverge or a method token (default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
     parser.add_argument("--n", type=int, default=12,
-                        help="ring size for escape, escape100, saddle, short-blocks, tiny "
-                             "and the method tokens (default: 12)")
+                        help="ring size for escape, escape100, batch, saddle, short-blocks, "
+                             "tiny and the method tokens (default: 12)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

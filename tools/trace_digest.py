@@ -13,7 +13,8 @@ a small instance and at run.budget = 0, whose certificates read n/a, and
 diagnostics (saddle classification, Dg eigenvalues, Lyapunov Hessian and
 descent constant rho) over a grid of t and alpha, then, last, runs and
 products on both sides of consensus.dense_pays, on rings of 16, 20 and 24
-nodes. The tool runs NumPy on
+nodes, and one run_batch on the ring of 24 whose block loop keeps the
+matrix's memo and its dense twin's live at once. The tool runs NumPy on
 one BLAS thread, since the bits of the larger-n products depend on the
 thread count. tests/golden_digest.txt holds its output for this checkout,
 and a tier-1 test compares the two; a change that alters bits rewrites
@@ -251,6 +252,22 @@ def boundary_digests():
     yield from kernel_digests((20,))
 
 
+def batch_digests():
+    """One run_batch on the Metropolis ring of 24, a two-product matrix, with
+    p = 4 and budget 400, three blocks of at most 170 rows: near-dgd-plus
+    runs on the matrix, near-dgd-t:5 and near-dgd-plus-doubling:4 on its
+    dense twin, and dgd on W, so that each block holds both memos."""
+    from neardgd import (MethodSpec, build_consensus_matrix, build_ring, run_batch,
+                         sample_quartic_problem)
+
+    n, tokens = 24, ("near-dgd-plus", "near-dgd-t:5", "near-dgd-plus-doubling:4", "dgd")
+    problem = sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
+    cells = [(MethodSpec.parse(token), 0) for token in tokens]
+    results = run_batch(problem, build_consensus_matrix(build_ring(n)), cells, 0.1, 400)
+    for token, res in zip(tokens, results):
+        yield from run_result_digests(res, "batch n=%d ring/metropolis %s seed=0" % (n, token))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -258,7 +275,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     for digest, name in (*run_digests(), *large_run_digests(), *kernel_digests(),
-                         *spectral_digests(), *cli_digests(), *boundary_digests()):
+                         *spectral_digests(), *cli_digests(), *boundary_digests(),
+                         *batch_digests()):
         print("%s  %s" % (digest, name))
     return 0
 
