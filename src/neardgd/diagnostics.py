@@ -58,29 +58,22 @@ def lyapunov_value(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: 
     return lyapunov_value_at(y, apply_consensus(cm, t, y), objective, alpha)
 
 
-def lyapunov_grad_at(zy, grad, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
+def lyapunov_grad_at(y, zy, grad, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
     """grad L_t(y) = Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y, given zy = Z^t y
-    and grad = grad f(zy); (n, p) arrays or (..., n, p) stacks, each
-    iterate of a stack equal to its (n, p) call bitwise. The sum is formed in
-    the fresh array of the Z^2t y product, with the bits of the formula as
-    written."""
-    zgrad = apply_consensus(cm, t, grad)
-    # a grad passed as a temporary is freed here, so that the block pass
-    # holds at most three block-sized arrays during the second product
-    del grad
-    out = apply_consensus(cm, t, zy)
-    np.subtract(zy, out, out)
-    out /= alpha
-    out += zgrad
-    return out
+    and grad = grad f(zy), as the one product Z^t ((y - zy)/a + grad), with
+    the bits of the formula as written; (n, p) arrays or (..., n, p) stacks,
+    each iterate of a stack equal to its (n, p) call bitwise. A zy that is
+    not Z^t y shows in the result."""
+    return apply_consensus(cm, t, (y - zy) / alpha + grad)
 
 
 def lyapunov_grad(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:
-    """Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y."""
+    """Z^t grad f(Z^t y) + (1/a)(Z^t - Z^2t) y, in two products (lyapunov_grad_at)."""
     if not 0 < alpha < math.inf:  # NaN fails both comparisons
         raise ValueError("alpha must be positive and finite")
-    zy = apply_consensus(cm, t, np.asarray(y, dtype=float))
-    return lyapunov_grad_at(zy, objective.stacked_grad(zy), cm, t, alpha)
+    y = np.asarray(y, dtype=float)
+    zy = apply_consensus(cm, t, y)
+    return lyapunov_grad_at(y, zy, objective.stacked_grad(zy), cm, t, alpha)
 
 
 def lyapunov_hessian(y, objective: Objective, cm: ConsensusMatrix, t: int, alpha: float) -> np.ndarray:

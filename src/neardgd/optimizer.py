@@ -308,14 +308,17 @@ class _BlockCertifier:
         self.Y, self.X = Y, X
         self.ys, self.xs = list(Y), list(X)  # per-slot views for the loop
         self.carry = (None, None, None)  # _constants' last t, rho(t) and beta^t
-        # Z^{t_0} y_0; its t_0 rounds are counted when iteration 0 uses it
-        x = cm.apply(method.rounds(0), y) if self.near_dgd else y
-        Y[0], X[0] = y, x
-        self.lyap = lyapunov_value_at(y, x, objective, alpha) if self.near_dgd else math.nan
+        Y[0], self.lyap = y, math.nan  # the baselines' X is Y; start() forms a NEAR-DGD x_0
         flat = y.ravel(order="K")  # numpy.linalg.norm(y), operation for operation
         self.b_y = float(np.sqrt(flat.dot(flat)))
         self.k, self.comm_rounds, self.max_cons_gap, self.max_eq7_inf = 0, 0, -math.inf, 0.0
         self.ended = False
+
+    def start(self):
+        """x_0 = Z^{t_0} y_0 and L_{t_0}(y_0) of a NEAR-DGD run, from the memo
+        the first block holds; iteration 0 counts the t_0 rounds."""
+        self.X[0] = x = self.cm.apply(self.method.rounds(0), self.Y[0])
+        self.lyap = lyapunov_value_at(self.Y[0], x, self.objective, self.alpha)
 
     @property
     def running(self) -> bool:
@@ -364,11 +367,11 @@ class _BlockCertifier:
         if self.near_dgd:
             self.max_cons_gap = _running_max(self.max_cons_gap, cons - bounds)
         if self.fixed_t:
-            # |x_{k+1} - x_k + a grad L_t(y_k)|, formed in the array of the
-            # difference; grad f(x_k) is recomputed on the stack, elementwise
-            # and so equal to the loop's bitwise
-            grad_step = lyapunov_grad_at(xs[:r], self.objective.node_grads(xs[:r]), self.cm,
-                                         ts[0], self.alpha)
+            # |x_{k+1} - x_k + a Z^t ((y_k - x_k)/a + grad f(x_k))|, one product
+            # per row, which also ties x_k to Z^t y_k; grad f(x_k) is recomputed
+            # on the stack, elementwise and so equal to the loop's bitwise
+            grad_step = lyapunov_grad_at(ys[:r], xs[:r], self.objective.node_grads(xs[:r]),
+                                         self.cm, ts[0], self.alpha)
             grad_step *= self.alpha
             violation = np.subtract(xs[1:], xs[:r])
             violation += grad_step
@@ -649,9 +652,7 @@ def _run_cells(objective, cm, methods, inputs, starts) -> list:
         rows, k = X.shape[1] - 1, 0
         while True:
             live = [j for j, block in enumerate(blocks) if block.running]
-            if not live:
-                break
-            m = min(rows, max(blocks[j].iterations for j in live) - k)
+            m = min(rows, max((blocks[j].iterations for j in live), default=k) - k)
             schedules = {j: blocks[j].method.schedule(k, min(m, blocks[j].iterations - k) + 1)
                          for j in live}
             held = {}  # one hold per matrix, of the union of its NEAR-DGD cells' schedules
@@ -660,6 +661,11 @@ def _run_cells(objective, cm, methods, inputs, starts) -> list:
                     held.setdefault(blocks[j].cm, []).extend(ts)
             for matrix, ts in held.items():
                 matrix.hold(ts)
+            if k == 0:  # x_0 after the first hold, so that no t_0 is formed alone
+                for block in blocks[:near]:
+                    block.start()
+            if not live:
+                break
             iterate(m, schedules)
             for j, ts in schedules.items():
                 blocks[j].certify(ts)

@@ -371,11 +371,12 @@ def test_batched_formulas_match_single_iterate_calls(family, n):
     # the gradient applies Z^t to a whole stack in one call, one product per
     # iterate
     grads = np.array([prob.stacked_grad(zb) for zb in zy])
-    stacked = lyapunov_grad_at(zy, grads, cm, 5, 0.1)
+    stacked = lyapunov_grad_at(y, zy, grads, cm, 5, 0.1)
     for b in range(5):
-        np.testing.assert_array_equal(stacked[b], lyapunov_grad_at(zy[b], grads[b], cm, 5, 0.1))
+        np.testing.assert_array_equal(stacked[b],
+                                      lyapunov_grad_at(y[b], zy[b], grads[b], cm, 5, 0.1))
     # formed in place, with the bits of the formula as written
-    written = apply_consensus(cm, 5, grads) + (zy - apply_consensus(cm, 5, zy)) / 0.1
+    written = apply_consensus(cm, 5, (y - zy) / 0.1 + grads)
     assert stacked.tobytes() == written.tobytes()
 
 

@@ -169,6 +169,23 @@ def test_product_handles_are_fetched_once_per_run_of_equal_t(monkeypatch, token)
     assert len(calls) == 2 * handles
 
 
+def test_a_batch_forms_each_block_of_its_matrix_once(monkeypatch):
+    # every cell's x_0 = Z^{t_0} y_0 is formed from the first block's memo,
+    # which holds the union of the cells' schedules, t_0 included, so no x_0
+    # misses and forms its t_0 alone; near-dgd-plus gives each of the three
+    # blocks of 341 rows a set of t of its own
+    prob, cm = paper_instance()
+    assert cm.dense_twin() is cm  # every cell runs on the one matrix
+    forms = []
+    form = ConsensusMatrix._form
+    monkeypatch.setattr(ConsensusMatrix, "_form",
+                        lambda self, ts: forms.append(list(ts)) or form(self, ts))
+    cells = cells_of(("near-dgd-t:5", "near-dgd-plus", "near-dgd-plus-doubling:4"), (0,))
+    run_batch(prob, cm, cells, 0.1, 1000)
+    assert len(forms) == 3
+    assert 5 in forms[0]
+
+
 def test_every_cell_is_checked_before_any_iteration(monkeypatch):
     prob, cm = paper_instance()
     calls = []

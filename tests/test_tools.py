@@ -86,6 +86,9 @@ def test_ab_time_compares_a_tree_with_itself():
         # fewer than ten pairs show no gain, whatever the times
         assert re.search(r"^verdict: no gain shown \(%d pairs, fewer than 10[;)]" % pairs,
                          proc.stdout, re.MULTILINE), proc.stdout
+        # bench_record --base reads these lines
+        paired = load_tool("bench_record").parse_paired(proc.stdout)
+        assert paired["pairs"] == pairs and paired["verdict"].startswith("verdict: no gain")
 
 
 def test_ab_time_verdict_shows_a_gain_only_by_the_pair_and_spread_rule():
@@ -214,6 +217,47 @@ def test_bench_record_reads_every_line_the_benchmark_prints():
         "sweep iters_per_s: {'value': nan, 'unit': '1/s'}"]
     with pytest.raises(ValueError, match="not a metric line of workload sweep"):
         tool.parse(BENCH_OUTPUT.replace("note sweep", "sweep: a stray line"))
+
+
+AB_OUTPUT = """\
+base   median 0.01300 s, quartiles 0.01280-0.01330 s, 0 minor page faults per call
+change median 0.01180 s, quartiles 0.01160-0.01200 s, 0 minor page faults per call
+change / base: median paired ratio 0.906 (-9.4 %), interquartile range 0.031, change faster in 29 of 30 pairs
+verdict: gain shown (faster in 29 of 30 pairs, median gain 0.00120 s above the base's interquartile range 0.00050 s)
+"""
+
+
+def test_bench_record_base_pairs_each_workload_with_an_aa_run(monkeypatch, tmp_path):
+    # ab_time and git are stubbed: each workload runs this checkout against
+    # the base (ab) and the base against itself (aa), both kept with the
+    # base's commit under "paired", which check() accepts and checks
+    tool = load_tool("bench_record")
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        stdout = "f" * 40 + "\n" if cmd[0] == "git" else AB_OUTPUT
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    entry = tool.paired(tmp_path)
+    base = str(tmp_path / "src")
+    assert [(c[c.index("--workload") + 1], c[c.index("--change") + 1])
+            for c in commands[:-1]] == [(w, change) for w in ("escape", "sweep", "scale")
+                                        for change in (str(ROOT / "src"), base)]
+    assert all(c[c.index("--base") + 1] == base for c in commands[:-1])
+    assert entry["base_commit"] == "f" * 40 and entry["pairs"] == 30
+    assert entry["workloads"]["scale"]["ab"] == {
+        "median_ratio": 0.906, "iqr": 0.031, "faster": 29, "pairs": 30,
+        "verdict": AB_OUTPUT.splitlines()[-1]}
+    rec = tool.record("x", 1.0, BENCH_OUTPUT, 2585, False)
+    rec["paired"] = entry
+    assert tool.check(rec) == []
+    entry["workloads"]["sweep"]["aa"]["median_ratio"] = float("nan")
+    del entry["workloads"]["escape"]
+    assert [p.split(":")[0] for p in tool.check(rec)] == ["paired", "paired sweep"]
+    with pytest.raises(ValueError, match="no ratio or verdict line"):
+        tool.parse_paired(AB_OUTPUT.replace("verdict:", "outcome:"))
 
 
 def test_every_committed_bench_record_keeps_the_schema():
