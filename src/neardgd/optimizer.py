@@ -4,8 +4,9 @@ A run is strictly sequential; run_batch() iterates several runs side by
 side, each with its own bits, and run() is run_batch()'s driver on one
 cell. One slot loop, or a lone NEAR-DGD cell's own, does only the methods'
 arithmetic and writes the iterates into buffers allocated once per batch;
-one pass per block and cell reads them in place, decides how the run ends
-and appends the certificates and trace columns.
+one pass per block and cell reads them in place, decides where the run ends
+and appends the certificates and trace columns; each run's result appends
+its one terminal row.
 """
 
 import itertools
@@ -273,15 +274,17 @@ class _BlockCertifier:
     state (y_k, x_k) the next block starts from, and the loop writes
     y_{k+i+1} and x_{k+i+1} into slot i + 1. certify() reads the buffers in
     place and decides how many of the block's rows the run keeps: the first
-    row whose y_{k+1} leaves the box ends the run there (diverged);
-    otherwise, with grad_tol set, the first row whose grad_avg_norm is at
-    most grad_tol ends it (stopped); the later rows are discarded. It then
-    appends the kept rows to the trace as columns and updates the trajectory
-    maxima b_y, max_cons_gap and max_eq7_inf. (k, t_k, comms, grads) of each
-    row follow from k and the schedule in exact ints. finish() appends the
-    terminal row, and result() the terminal row of a run that did not end.
-    It runs under the driver's floating-point policy (see _run_cells), so
-    what it evaluates at a y past the box may overflow without a warning.
+    row whose y_{k+1} leaves the box, or row 0 when y_0 is out of it, ends
+    the run there (diverged); otherwise, with grad_tol set, the first row
+    whose grad_avg_norm is at most grad_tol ends it (stopped); the later
+    rows are discarded. It then appends the kept rows to the trace as
+    columns and updates the trajectory maxima b_y, max_cons_gap and
+    max_eq7_inf. (k, t_k, comms, grads) of each row follow from k and the
+    schedule in exact ints. A run that ends sets iterations to its k, so a
+    run is live while k < iterations. result() appends the terminal row, at
+    the state in slot 0, which neither loop writes. It runs under the
+    driver's floating-point policy (see _run_cells), so what it evaluates
+    at a y past the box may overflow without a warning.
 
     Formed once per run: f*, the per-slot views, and the descent constant
     rho(t) and beta^t of each distinct t the run meets (the run keeps the
@@ -312,7 +315,6 @@ class _BlockCertifier:
         flat = y.ravel(order="K")  # numpy.linalg.norm(y), operation for operation
         self.b_y = float(np.sqrt(flat.dot(flat)))
         self.k, self.comm_rounds, self.max_cons_gap, self.max_eq7_inf = 0, 0, -math.inf, 0.0
-        self.ended = False
 
     def start(self):
         """x_0 = Z^{t_0} y_0 and L_{t_0}(y_0) of a NEAR-DGD run, from the memo
@@ -320,21 +322,17 @@ class _BlockCertifier:
         self.X[0] = x = self.cm.apply(self.method.rounds(0), self.Y[0])
         self.lyap = lyapunov_value_at(self.Y[0], x, self.objective, self.alpha)
 
-    @property
-    def running(self) -> bool:
-        """Whether iterations are left: the run neither ended nor spent them."""
-        return self.k < self.iterations and not self.ended
-
     def certify(self, ts):
         """Certify iterations k..k+m-1 from ts = [t_k, ..., t_{k+m}] and the
         buffers' slots 0..m."""
         m, top = len(ts) - 1, np.maximum.reduce  # ndarray.max without its Python wrapper
-        diverged = peak = None  # the first row whose y_{k+1} left the box, and its |y_{k+1}|_inf
-        # |y| is freed before the pass, which then holds at most three block-sized arrays
-        if not top(np.abs(self.Y[1:m + 1]), axis=None) <= self.box_radius:  # a NaN fails the test
-            peaks = top(np.abs(self.Y[1:m + 1]).reshape(m, -1), axis=1)
-            diverged = int(np.flatnonzero(~(peaks <= self.box_radius))[0])  # a NaN peak too
-            peak = peaks[diverged]
+        diverged = peak = None  # the row that ends the run out of the box, and the |y|_inf out
+        # slot 0 too, where only y_0 can fail (row 0 then ends the run); |y| is
+        # freed before the pass, which then holds at most three block-sized arrays
+        if not top(np.abs(self.Y[:m + 1]), axis=None) <= self.box_radius:  # a NaN fails the test
+            peaks = top(np.abs(self.Y[:m + 1]).reshape(m + 1, -1), axis=1)
+            out = int(np.flatnonzero(~(peaks <= self.box_radius))[0])  # a NaN peak too
+            diverged, peak = max(out - 1, 0), peaks[out]
         stack_y, stack_x = self.Y[:m + 1], self.X[:m + 1]
         r = m if diverged is None else diverged + 1  # the rows kept
         evaluated = self._evaluate(stack_x[:r])
@@ -389,8 +387,7 @@ class _BlockCertifier:
         self.Y[0], self.X[0] = ys[end], xs[end]  # the baselines' X and Y are one buffer
         self.k += end
         if diverged is not None or stopped is not None:
-            self.ended = True
-            self.finish(ts[end])
+            self.iterations = self.k
 
     def _descent(self, ts, r, ys, xs, norms):
         """A NEAR-DGD block's Lyapunov values L_{t_k}(y_k) of rows 0..r (from
@@ -448,17 +445,14 @@ class _BlockCertifier:
             return [rho] + rhos, [beta_t] + betas
         return rhos, betas
 
-    def finish(self, t):
-        """Append the terminal row (k, t, tallies) at the state y_k in slot 0."""
-        points = self.Y[:1]
-        self._append_rows((self.k,), (t,), (self.comm_rounds,), (self.grad_evals,), points,
-                          self.lyap, math.nan, *self._evaluate(points))
-
     def result(self) -> RunResult:
-        """The run's RunResult, after the terminal row of a run that did not
-        end; final_y and final_x are copies, never views of the buffers."""
-        if not self.ended:
-            self.finish(self.method.rounds(self.k))
+        """The run's RunResult, after its terminal row (k, t_k, tallies) at the
+        state y_k in slot 0; final_y and final_x are copies, never views of
+        the buffers."""
+        points = self.Y[:1]
+        self._append_rows((self.k,), (self.method.rounds(self.k),), (self.comm_rounds,),
+                          (self.grad_evals,), points, self.lyap, math.nan,
+                          *self._evaluate(points))
         final_y = self.Y[0].copy()
         return RunResult(trace=self.trace, counter=CommCounter(self.comm_rounds, self.grad_evals),
                          final_y=final_y,
@@ -502,13 +496,15 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     Iteration k of NEAR-DGD communicates, x_k = Z^{t_k} y_k, then computes,
     y_{k+1} = x_k - a grad f(x_k); the baselines have x_k = y_k. Trace row k
     describes xbar_k, the average of x_k; rows 0..K-1 carry the Lyapunov
-    value and descent residual (NEAR-DGD methods), the final row the
-    terminal state y_K. The first row whose y_{k+1} leaves the box
-    |y|_inf <= box_radius (finite) ends the run there, diverged; otherwise,
-    with grad_tol set, the first row whose grad_avg_norm is at most grad_tol
-    ends it. The terminal row describes y_{k+1}, so its grad_avg_norm may
-    lie above grad_tol. The run is deterministic for fixed seed and
-    arguments, and gives the same values, bit for bit, for any block size.
+    value and descent residual (NEAR-DGD methods). The first row whose
+    y_{k+1} leaves the box |y|_inf <= box_radius (finite), or row 0 when y_0
+    is out of it, ends the run there, diverged; otherwise, with grad_tol
+    set, the first row whose grad_avg_norm is at most grad_tol ends it. The
+    terminal row has k = K and describes ybar_K, the state the run ends at:
+    y after the last kept row's step, or y_k of the row whose step left the
+    box; so its grad_avg_norm may lie above grad_tol. The run is
+    deterministic for fixed seed and arguments, and gives the same values,
+    bit for bit, for any block size.
     A NEAR-DGD run for which dense_pays(n, p, method.repeats(iterations))
     runs on cm.dense_twin(); on a two-product cm its values then differ by
     rounding, and cm's own products keep their bits.
@@ -651,7 +647,7 @@ def _run_cells(objective, cm, methods, inputs, starts) -> list:
             iterate = _slot_loop(objective, cm, alpha, blocks, X, Y)
         rows, k = X.shape[1] - 1, 0
         while True:
-            live = [j for j, block in enumerate(blocks) if block.running]
+            live = [j for j, block in enumerate(blocks) if block.k < block.iterations]
             m = min(rows, max((blocks[j].iterations for j in live), default=k) - k)
             schedules = {j: blocks[j].method.schedule(k, min(m, blocks[j].iterations - k) + 1)
                          for j in live}

@@ -88,16 +88,20 @@ class End(NamedTuple):
 def run_end(objective, cm, method, alpha, budget, y0, box_radius, grad_tol=None):
     """Where run() ends, decided one iteration at a time: after the budget's
     iterations (one fewer for the tracker, none below a budget of 2); at the
-    first y_{k+1} out of the box |y|_inf <= box_radius, keeping that step
-    and staying at y_k (diverged); or, with grad_tol, after the first step
-    whose ||grad f(mean x_k)|| is at most grad_tol."""
+    first y_{k+1} out of the box |y|_inf <= box_radius, or at the first step
+    when y_0 is out of it, keeping that step and staying at y_k (diverged);
+    or, with grad_tol, after the first step whose ||grad f(mean x_k)|| is at
+    most grad_tol."""
     count = budget
     if method.name == "gradient-tracking":
         count = budget - 1 if budget >= 2 else 0
     steps, y = [], y0
     for step in itertools.islice(iterations(objective, cm, method, alpha, y0), count):
         steps.append(step)
-        peak = np.abs(step.y_next).max()
+        # the first step also tests y_0, whose |y|_inf the note then gives
+        peak = np.abs(y0).max() if step.k == 0 else 0.0
+        if peak <= box_radius:
+            peak = np.abs(step.y_next).max()
         if not peak <= box_radius:
             return End(steps, step.k, y, "iteration %d: |y|_inf = %g left the box |y|_inf "
                        "<= %g; Lipschitz estimate no longer valid" % (step.k, peak, box_radius))

@@ -849,6 +849,31 @@ def test_run_divergence_guard_box():
     assert res.trace.final.lyapunov == res.trace.records[0].lyapunov
 
 
+@pytest.mark.parametrize("start", ["x0-past-coordinate-I", "seed-0-past-a-small-box"])
+def test_a_start_outside_the_box_ends_the_run_at_row_0(start):
+    # neither start's y_1 leaves the box (the first would run all 50
+    # iterations, certifying row 0 with an L valid only on |y|_inf <= 4, the
+    # second 27): the test of y_0 alone ends these runs at row 0
+    prob, cm = paper_instance()
+    method = MethodSpec("near-dgd-t", t=5)
+    if start == "x0-past-coordinate-I":
+        y0 = np.zeros((12, 4))
+        y0[:, prob.index - 1] = 4.1
+        kwargs, box_radius = dict(x0=y0), 4.0
+    else:
+        y0 = initial_point(12, 4, 0)
+        kwargs, box_radius = dict(seed=0, box_radius=0.9), 0.9
+    peak = np.abs(y0).max()
+    assert peak > box_radius
+    res = run(prob, cm, method, alpha=0.1, budget=50, **kwargs)
+    assert res.diverged
+    assert [rec.k for rec in res.trace.records] == [0, 0]
+    assert res.final_y.tobytes() == y0.tobytes()
+    assert res.trace.divergence_note.startswith("iteration 0: |y|_inf = %g left" % peak)
+    end = run_end(prob, cm, method, 0.1, 50, y0, box_radius)
+    assert (end.k, len(end.steps), end.note) == (0, 1, res.trace.divergence_note)
+
+
 def test_run_grad_tol_stops_early():
     prob, cm = paper_instance()
     res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=3000,

@@ -4,7 +4,6 @@ import importlib.util
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -128,8 +127,8 @@ def test_ab_time_runs_a_method_on_a_ring_of_n_nodes():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "sweep",
                     "--n", "16", "--pairs", "1")
     assert proc.returncode == 2
-    assert ("--n applies to escape, escape100, batch, saddle, short-blocks, tiny and the "
-            "method tokens") in proc.stderr
+    assert ("--n applies to escape, escape100, batch, saddle, short-blocks, tiny, grad-tol "
+            "and the method tokens") in proc.stderr
 
 
 def test_ab_time_times_the_pass_of_a_diverging_block():
@@ -145,6 +144,15 @@ def test_ab_time_times_the_pass_of_a_diverging_block():
     assert "--n applies to" in proc.stderr
 
 
+def test_ab_time_times_the_pass_of_a_block_that_stops_on_grad_tol():
+    # near-dgd-plus stops at k = 214, inside its first block
+    proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "grad-tol",
+                    "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^change / base: median paired ratio \d+\.\d{3} .* in [01] of 1 pairs$",
+                     proc.stdout, re.MULTILINE), proc.stdout
+
+
 def test_ab_time_times_the_sweep_csv_writer_apart_from_the_runs():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "csv",
                     "--pairs", "1")
@@ -154,16 +162,12 @@ def test_ab_time_times_the_sweep_csv_writer_apart_from_the_runs():
     proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "csv",
                     "--n", "16", "--pairs", "1")
     assert proc.returncode == 2
-    assert ("--n applies to escape, escape100, batch, saddle, short-blocks, tiny and the "
-            "method tokens") in proc.stderr
+    assert ("--n applies to escape, escape100, batch, saddle, short-blocks, tiny, grad-tol "
+            "and the method tokens") in proc.stderr
 
 
-def test_ab_time_runs_the_hundred_seed_escape_with_or_without_run_batch(tmp_path):
-    # a tree without run_batch runs the 100 seeds as 100 run() calls
-    shutil.copytree(ROOT / "src" / "neardgd", tmp_path / "neardgd")
-    with open(tmp_path / "neardgd" / "optimizer.py", "a") as fh:
-        fh.write("\nrun_batch = None\n")
-    proc = run_tool(TOOLS / "ab_time.py", "--base", tmp_path, "--workload", "escape100",
+def test_ab_time_runs_the_hundred_seed_escape_as_one_batch():
+    proc = run_tool(TOOLS / "ab_time.py", "--base", ROOT / "src", "--workload", "escape100",
                     "--pairs", "1")
     assert proc.returncode == 0, proc.stderr
     assert re.search(r"^change / base: median paired ratio \d+\.\d{3} .* in [01] of 1 pairs$",

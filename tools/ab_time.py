@@ -21,11 +21,10 @@ Workloads, after the benchmark's (benchmarks/harness.py) on the n=12
 reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
   escape          one near-dgd-t:5 run at budget 1500, on the next seed
   escape100       the acceptance-5 experiment: near-dgd-t:5 at budget 1500 on
-                  seeds 0..99, as one run_batch call where the tree has that
-                  function, and as 100 run() calls where it does not
+                  seeds 0..99, as one run_batch call
   sweep           `neardgd sweep`, in process: six methods, budget 1000, one seed
   batch           the sweep's six cells as one run_batch call, without the CLI
-                  and the CSV (six run() calls where the tree has no run_batch)
+                  and the CSV
   csv             the sweep's sweep.csv written to memory from its six traces,
                   which are run before the timed calls
   scale           near-dgd-t:5 at budget 100 on a ring and an Erdos-Renyi
@@ -40,12 +39,16 @@ reference instance (quartic, p=4, I=4, c=1, Metropolis ring, alpha=0.1):
   diverge         one near-dgd-t:5 run at alpha 6.0 (allow_large_alpha) on a
                   box of 2.5, budget 3000, seed 1: its y overflows by k = 11,
                   so this times the pass of a block that diverges
+  grad-tol        one near-dgd-plus run at budget 3000 with grad_tol 1e-5,
+                  seed 0: at n=12 it stops at k = 214, inside its first
+                  block, so this times the pass of a block that stops
   <method token>  one run of that method (e.g. dgd, near-dgd-plus) at budget 1000
---n N runs escape, escape100, batch, saddle, short-blocks, tiny and the method
-tokens on a Metropolis ring of N nodes with c = sqrt(N / 12), as the benchmark's
-scale workload sizes its n=100 instance (N = 12 is the reference instance). At
-N = 24 or 100 the batch's NEAR-DGD cells run on both memos in one block loop:
-near-dgd-plus on the matrix and near-dgd-t:5 on its dense twin.
+--n N runs escape, escape100, batch, saddle, short-blocks, tiny, grad-tol and
+the method tokens on a Metropolis ring of N nodes with c = sqrt(N / 12), as
+the benchmark's scale workload sizes its n=100 instance (N = 12 is the
+reference instance). At N = 24 or 100 the batch's NEAR-DGD cells run on both
+memos in one block loop: near-dgd-plus on the matrix and near-dgd-t:5 on its
+dense twin.
 
 
     python3 tools/ab_time.py --base old/src --workload near-dgd-plus --n 32
@@ -118,15 +121,15 @@ def import_tree(src, name, into):
 
 def workload(pkg, token, workdir, n=12):
     """A call that runs the workload once on the package pkg; escape,
-    escape100, batch, saddle, short-blocks, tiny and the method tokens run
-    on a ring of n nodes."""
+    escape100, batch, saddle, short-blocks, tiny, grad-tol and the method
+    tokens run on a ring of n nodes."""
     def from_pkg(module):
         return importlib.import_module("%s.%s" % (pkg.__name__, module))
 
     optimizer, diagnostics = from_pkg("optimizer"), from_pkg("diagnostics")
     if n != 12 and token in ("sweep", "csv", "scale", "diverge"):
-        raise ValueError("--n applies to escape, escape100, batch, saddle, short-blocks, tiny "
-                         "and the method tokens, not to %s" % token)
+        raise ValueError("--n applies to escape, escape100, batch, saddle, short-blocks, tiny, "
+                         "grad-tol and the method tokens, not to %s" % token)
     problem = pkg.sample_quartic_problem(n, 4, 4, math.sqrt(n / 12.0), seed=0)
     cm = pkg.build_consensus_matrix(pkg.build_ring(n))
     if token == "escape":
@@ -144,13 +147,17 @@ def workload(pkg, token, workdir, n=12):
         method = pkg.MethodSpec("near-dgd-t", t=5)
         return lambda: optimizer.run(problem, cm, method, 6.0, 3000, seed=1,
                                      allow_large_alpha=True, box_radius=2.5)
+    if token == "grad-tol":
+        method = pkg.MethodSpec("near-dgd-plus")
+        return lambda: optimizer.run(problem, cm, method, ALPHA, 3000, seed=0, grad_tol=1e-5)
     if token == "escape100":
         method = pkg.MethodSpec("near-dgd-t", t=5)
-        return batch(optimizer, problem, cm, [(method, seed) for seed in range(100)], 1500)
+        cells = [(method, seed) for seed in range(100)]
+        return lambda: optimizer.run_batch(problem, cm, cells, ALPHA, 1500)
     if token == "batch":
         cells = [(pkg.MethodSpec.parse(m), 0) for m in SWEEP_METHODS]
-        return batch(optimizer, problem, cm, cells, 1000,
-                     cost_model=diagnostics.CostModel(c_c=0.01, c_g=1.0))
+        cost = diagnostics.CostModel(c_c=0.01, c_g=1.0)
+        return lambda: optimizer.run_batch(problem, cm, cells, ALPHA, 1000, cost_model=cost)
     if token == "saddle":
         origin = np.zeros((n, 4))
         return lambda: diagnostics.saddle_classification(origin, problem, cm, 5, ALPHA)
@@ -190,17 +197,6 @@ def workload(pkg, token, workdir, n=12):
         return scale
     method = pkg.MethodSpec.parse(token)
     return lambda: optimizer.run(problem, cm, method, ALPHA, 1000, seed=0)
-
-
-def batch(optimizer, problem, cm, cells, budget, **options):
-    """A call that runs the (method, seed) cells as one run_batch call where
-    the optimizer has that function, and as one run() call per cell where
-    it does not."""
-    run_batch = getattr(optimizer, "run_batch", None)
-    if run_batch is None:
-        return lambda: [optimizer.run(problem, cm, method, ALPHA, budget, seed=seed, **options)
-                        for method, seed in cells]
-    return lambda: run_batch(problem, cm, cells, ALPHA, budget, **options)
 
 
 def quartiles(values):
@@ -249,11 +245,12 @@ def main(argv=None):
                         help="source directory of the changed tree (default: this checkout's src/)")
     parser.add_argument("--workload", default="escape",
                         help="escape, escape100, sweep, batch, csv, scale, saddle, "
-                             "short-blocks, tiny, diverge or a method token (default: escape)")
+                             "short-blocks, tiny, diverge, grad-tol or a method token "
+                             "(default: escape)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default: 20)")
     parser.add_argument("--n", type=int, default=12,
                         help="ring size for escape, escape100, batch, saddle, short-blocks, "
-                             "tiny and the method tokens (default: 12)")
+                             "tiny, grad-tol and the method tokens (default: 12)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

@@ -12,10 +12,10 @@ and whether src/ differed from it (dirty), the seconds per workload, the
 totals of the benchmark's result line (correct, attempted, failed), the
 line count of src/neardgd, and per workload its env, its correct,
 attempted and failed, its note and FAIL lines, and every metric it
-printed, host-scaled and raw.,
-each as {"value": float, "unit": str}. A metric printed without a unit
-(fail_frac) has the unit "". The benchmark is not changed by this tool;
-it only reads the lines the benchmark prints:
+printed, host-scaled and raw (named raw.<metric>), each as {"value":
+float, "unit": str}. A metric printed without a unit (fail_frac) has the
+unit "". The benchmark is not changed by this tool; it only reads the
+lines the benchmark prints:
 
     env {json}                                     one per workload, first
     <workload> <metric> = <value> [<unit>]  (<note>)
