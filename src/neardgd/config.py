@@ -2,7 +2,7 @@
 
 One "key = value" per line; sections are dotted prefixes. A key with an
 empty value opens an indented block (used for graph edge lists, one "i j"
-pair per line). '#' starts a comment.
+pair per line). '#' starts a comment, on a block's lines too.
 """
 
 import math
@@ -40,10 +40,10 @@ def parse_flat_config(text: str) -> dict:
             raise ConfigError("empty key in line %r" % raw)
         if value == "":
             block = []
-            while i < len(lines) and (lines[i].startswith((" ", "\t"))) and lines[i].strip():
-                block.append(lines[i].strip())
+            while i < len(lines) and lines[i].startswith((" ", "\t")) and lines[i].strip():
+                block.append(lines[i].split("#", 1)[0].strip())
                 i += 1
-            value = "\n".join(block)
+            value = "\n".join(filter(None, block))  # a comment line stays in the block
         if key in values:
             raise ConfigError("duplicate key %r" % key)
         values[key] = value

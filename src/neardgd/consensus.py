@@ -62,6 +62,17 @@ def dense_pays(n, width, repeats) -> bool:
     return n * n * (n - width * repeats) <= repeats * CALL_COST
 
 
+def power_grid(base, ts) -> np.ndarray:
+    """The (len(ts), len(base)) grid base ** ts[i] of a 1-D base and a list
+    of t, in one power call, with the rows of t = 2 the square of base, as
+    NumPy's ** by a Python 2 takes it (a power may round a square
+    otherwise), so row i equals base ** ts[i] bitwise."""
+    exponents = np.array(ts, dtype=float)
+    grid = np.power(base, exponents[:, None])
+    grid[exponents == 2] = np.square(base)
+    return grid
+
+
 @dataclass(eq=False)
 class ConsensusMatrix:
     """Symmetric doubly stochastic positive-definite weight matrix.
@@ -75,8 +86,8 @@ class ConsensusMatrix:
     dense Z^t = (V diag(lam^t)) V' where dense_pays(n, 1, 1), otherwise
     lam^t itself, applied as V (lam^t * (V' y)) (the mode is fixed at
     construction: _vt holds V' on a two-product matrix, None on a dense
-    one). A memo holds one block: _lams and _ops, lam^t and the operator of
-    a set of t >= 2 formed whole, in row _rows[t] for t. hold(ts) sets it to
+    one). A memo holds one block: _ops, the operators of a set of t >= 2
+    formed whole, in row _rows[t] for t. hold(ts) sets it to
     the t >= 2 of one block of a run, a call that misses a t to those of that
     call. An operator is a function of (W, t) alone, each slice of a batched
     formation the same BLAS product as a lone one, so every result depends
@@ -96,7 +107,6 @@ class ConsensusMatrix:
     eigenvectors: np.ndarray = field(init=False)
     _vt: np.ndarray | None = field(init=False, repr=False, compare=False)
     _rows: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    _lams: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _ops: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     _twin: "ConsensusMatrix | None" = field(init=False, default=None, repr=False,
                                             compare=False)
@@ -129,7 +139,7 @@ class ConsensusMatrix:
             return self
         if self._twin is None:
             twin = copy.copy(self)
-            twin._vt, twin._rows, twin._lams, twin._ops = None, {}, None, None
+            twin._vt, twin._rows, twin._ops = None, {}, None
             self._twin = twin
         return self._twin
 
@@ -149,44 +159,29 @@ class ConsensusMatrix:
         lam_t **= t
         return lam_t
 
-    def power_rows(self, ts) -> np.ndarray:
-        """A (len(ts), n) array whose row i equals powers(ts[i]) bitwise,
-        read from the memo, by one index where it holds every ts[i]."""
-        rows, lams = self._rows, self._lams
-        if all(map(rows.__contains__, ts)):
-            return lams[[*map(rows.__getitem__, ts)]]
-        return np.array([lams[rows[t]] if t in rows else self.powers(t) for t in ts])
-
     def _form(self, ts):
-        """(lam^t rows, operators) of a list of t >= 2. The rows take one
-        power call on the (len(ts), n) grid of the pinned spectrum and the
-        ts, and the rows with t = 2 its square, as powers() takes them
-        (NumPy's ** by a Python 2 is a square, which a power may round
-        otherwise), so row i equals powers(ts[i]) bitwise. The operators:
-        the dense Z^t = (V diag(lam^t)) V' in one batched product, or lam^t
-        itself as an (n, 1) column view."""
-        pinned = self.powers(1)
-        exponents = np.array(ts, dtype=float)
-        lams = np.power(pinned, exponents[:, None])
-        lams[exponents == 2] = np.square(pinned)
+        """The operators of a list of t >= 2, from lam^t rows that equal
+        powers(t) bitwise (power_grid of the pinned spectrum): the dense
+        Z^t = (V diag(lam^t)) V' in one batched product, or lam^t itself as
+        an (n, 1) column."""
+        lams = power_grid(self.powers(1), ts)
         if self._vt is not None:
-            return lams, lams[:, :, None]
-        return lams, (self.eigenvectors * lams[:, None, :]) @ self.eigenvectors.T
+            return lams[:, :, None]
+        return (self.eigenvectors * lams[:, None, :]) @ self.eigenvectors.T
 
     def hold(self, ts):
         """Make the memo hold exactly the distinct t >= 2 of ts: one _form
         call forms them all when they differ, as a set, from those it holds,
         and none is formed otherwise. A run calls this once per block: its
-        loop, its pass and rho_constant share one lam^t, and a dense matrix
-        one Z^t, per t. A two-product matrix forms n floats per t, a dense one
-        n^2 and as many for its scaled eigenvectors: for a block of rows
-        iterations at most (rows + 1) n^2, 2.5 MB at n = 19 and p = 1, and on
-        the dense twin, where each t repeats r times with dense_pays(n, p, r),
-        (rows / r + 2) n^2."""
+        loop and its pass share one operator per t. A two-product matrix
+        forms n floats per t, a dense one n^2 and as many for its scaled
+        eigenvectors: for a block of rows iterations at most (rows + 1) n^2,
+        and on the dense twin, where each t repeats r times with
+        dense_pays(n, p, r), (rows / r + 2) n^2."""
         held = dict.fromkeys(ts)
         held.pop(1, None)
         if held.keys() != self._rows.keys():
-            self._lams, self._ops = self._form(list(held))
+            self._ops = self._form(list(held))
             self._rows = {t: i for i, t in enumerate(held)}
 
     def _index(self, ts):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consensus import ConsensusMatrix, apply_consensus
+from .consensus import ConsensusMatrix, apply_consensus, power_grid
 # sym_eigen and sym_power have no caller here; the benchmark harness traces
 # them under these names
 from .linalg import sum_last, sym_eigen, sym_eigvals, sym_power
@@ -98,16 +98,16 @@ def rho_constant(cm: ConsensusMatrix, t, alpha: float, lipschitz: float):
     """Sufficient-descent constant: (2a)^-1 min_i lam_i^t (1 + (1 - aL) lam_i^t).
 
     The eigenvalues of the stacked operator are those of W, each with
-    multiplicity p, so the minimum runs over the cached spectrum of W, with
-    lam^t from cm.power_rows, each row equal to cm.powers (the top power
-    pinned to 1, so that the top term stays 2 - aL at any t) and read from
-    the powers a run holds for its block. A sequence of t gives an array
-    with one constant per entry, each equal to its scalar call bitwise.
+    multiplicity p. g(u) = u (1 + (1 - aL) u) increases for aL <= 1 and is
+    concave otherwise, so its minimum over [lambda_min^t, 1] is g at an end,
+    min(g(lambda_min^t), 2 - aL), read from the pinned spectrum's two ends
+    raised as cm.powers(t) raises them. A sequence of t gives an array with
+    one constant per entry, each equal to its scalar call bitwise.
     """
     if not 0 < alpha < 2.0 / lipschitz:  # NaN fails both comparisons
         raise ValueError("rho requires 0 < alpha < 2/L")
     scalar = np.ndim(t) == 0
-    lam_t = cm.power_rows([t] if scalar else t)
+    lam_t = power_grid(cm.powers(1)[[0, -1]], [t] if scalar else t)
     rho = (lam_t * (1.0 + (1.0 - alpha * lipschitz) * lam_t)).min(axis=-1) / (2.0 * alpha)
     # mathematically positive for PD W and alpha < 2/L, but lambda_min^t
     # underflows to 0 for very large t; 0 is the conservative limit there

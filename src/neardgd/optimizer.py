@@ -626,25 +626,24 @@ def _run_cells(objective, cm, methods, inputs, starts) -> list:
     n, p = objective.n, objective.p
     order = sorted(range(len(methods)), key=lambda b: _BATCH_ORDER.get(methods[b].name, 0))
     near = sum(method.near_dgd for method in methods)
-    iterations = max(_iterations(method, inputs[0].budget)[0] for method in methods)
+    iterations = max(_iterations(method, cell.budget)[0] for method, cell in zip(methods, inputs))
     X = np.empty((len(methods), _block_rows(n, p, iterations) + 1, n, p))
     Y = np.empty((near,) + X.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = [_BlockCertifier(objective, cm, methods[b], inputs[b], starts[b],
                                   Y[j] if j < near else X[j], X[j])
                   for j, b in enumerate(order)]
-        alpha = inputs[0].alpha
         if len(blocks) == 1 and near:
             # alpha and the step buffer, allocated once per run: the buffer and
             # every slot of X and Y are float64 arrays of shape (n, p) by their
             # allocation, the one check that stacked_grad(x, out) relies on
-            cell, alphas, step = blocks[0], np.full((n, p), alpha), np.empty((n, p))
+            cell, alphas, step = blocks[0], np.full((n, p), blocks[0].alpha), np.empty((n, p))
 
             def iterate(m, schedules):
                 _near_dgd_iterations(objective, cell.cm, alphas, step, cell.ys, cell.xs,
                                      schedules[0])
         else:
-            iterate = _slot_loop(objective, cm, alpha, blocks, X, Y)
+            iterate = _slot_loop(objective, cm, blocks, X, Y)
         rows, k = X.shape[1] - 1, 0
         while True:
             live = [j for j, block in enumerate(blocks) if block.k < block.iterations]
@@ -672,31 +671,36 @@ def _run_cells(objective, cm, methods, inputs, starts) -> list:
     return results
 
 
-def _slot_loop(objective, cm, alpha, blocks, X, Y):
+def _slot_loop(objective, cm, blocks, X, Y):
     """The iterations of a batch on the buffers X and Y, whose first len(Y)
     cells are the NEAR-DGD ones: a function (m, schedules) that runs m
-    slots of the live cells that schedules maps to [t_k, ..., t_{k+m}]."""
+    slots of the live cells that schedules maps to [t_k, ..., t_{k+m}],
+    each cell stepping with its own alpha."""
     # the gradient's coefficients tiled to the slot's shape (B, n, p), once
     grad_of = objective.tiled(X.shape[:1]).stacked_grad
     multiply, subtract, copyto = np.multiply, np.subtract, np.copyto
     w_dot, near = cm.W.dot, len(Y)
-    alphas, step = np.full(X[:, 0].shape, alpha), np.empty(X[:, 0].shape)
+    alphas = np.stack([np.full(X.shape[2:], block.alpha) for block in blocks])
+    step = np.empty_like(alphas)
     # per-slot views of x of every cell and y of the NEAR-DGD cells; a slot's
     # x is copied into one C-ordered array, on which the gradient and the
     # subtract take NumPy's faster same-shape loops
     x_slots, y_near = list(X.swapaxes(0, 1)), list(Y.swapaxes(0, 1))
-    x, step_near, steps, cell_alpha = np.empty_like(step), step[:near], list(step), alphas[0]
+    x, step_near, steps = np.empty_like(step), step[:near], list(step)
     x_near = x[:near]
     trackers = {j: [None, None] for j, block in enumerate(blocks)
                 if block.method.name == "gradient-tracking"}  # j: [s_{k-1}, g_{k-1}]
 
     def iterate(m, schedules):
-        # slot i's products of the NEAR-DGD cells: (handle, y_{k+i+1}, x_{k+i+1})
-        near_cells = [zip(_handles(blocks[j].cm, ts), blocks[j].ys[1:], blocks[j].xs[1:])
+        # slot i's products of the NEAR-DGD cells: (handle, y_{k+i+1}, x_{k+i+1}),
+        # a cell that ends inside the block repeating its last t to the block's end
+        near_cells = [zip(_handles(blocks[j].cm, ts + ts[-1:] * (m + 1 - len(ts))),
+                          blocks[j].ys[1:], blocks[j].xs[1:])
                       for j, ts in schedules.items() if j < near]
         near_slots = zip(*near_cells) if near_cells else itertools.repeat((), m)
         dgd = [(blocks[j].xs, steps[j]) for j in schedules if blocks[j].method.name == "dgd"]
-        tracking = [(blocks[j].xs, steps[j], j, trackers[j]) for j in schedules if j in trackers]
+        tracking = [(blocks[j].xs, steps[j], alphas[j], j, trackers[j])
+                    for j in schedules if j in trackers]
         for i, near_ops in zip(range(m), near_slots):
             copyto(x, x_slots[i])
             grad = grad_of(x)
@@ -707,7 +711,7 @@ def _slot_loop(objective, cm, alpha, blocks, X, Y):
                 product(y_next, x_next)
             for xs, cell_step in dgd:
                 subtract(w_dot(xs[i], xs[i + 1]), cell_step, xs[i + 1])
-            for xs, cell_step, j, state in tracking:
+            for xs, cell_step, cell_alpha, j, state in tracking:
                 s, g = state[0], grad[j]
                 if s is None:  # s_0 = g_0
                     s = g

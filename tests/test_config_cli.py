@@ -56,6 +56,14 @@ def test_parse_flat_config_block_value():
     assert kv["other"] == "3"
 
 
+def test_parse_flat_config_drops_comments_inside_a_block():
+    text = ("problem.n = 3\nproblem.I = 1\ngraph.kind = edgelist\ngraph.edges =\n"
+            "  # the path 0 - 1 - 2\n  0 1  # first edge\n\t1 2#second\n    #\nproblem.p = 1\n")
+    kv = parse_flat_config(text)
+    assert kv["graph.edges"] == "0 1\n1 2" and kv["problem.p"] == "1"
+    assert load_run_config(text).built[1].edges == frozenset({(0, 1), (1, 2)})
+
+
 def test_parse_flat_config_errors():
     with pytest.raises(ConfigError):
         parse_flat_config("just a line\n")

@@ -247,11 +247,17 @@ def dense_power(cm, t):
     return (cm.eigenvectors * cm.powers(t)) @ cm.eigenvectors.T
 
 
-def memo(cm):
-    """The memo's block as ({t: lam^t}, {t: operator}), read through its
-    t -> row index in the order it holds its t."""
-    return ({t: cm._lams[i] for t, i in cm._rows.items()},
-            {t: cm._ops[i] for t, i in cm._rows.items()})
+def assert_holds_powers(cm, ts):
+    """Each held operator of ts is formed from powers(t) bitwise: lam^t as
+    the (n, 1) column of a two-product matrix, (V diag(lam^t)) V' on a
+    dense one."""
+    for t in ts:
+        op = cm._ops[cm._rows[t]]
+        if cm._vt is None:
+            np.testing.assert_array_equal(op, dense_power(cm, t), err_msg="t=%r" % t)
+        else:
+            assert op.shape == (cm.n, 1)
+            np.testing.assert_array_equal(op[:, 0], cm.powers(t), err_msg="t=%r" % t)
 
 
 @pytest.mark.parametrize("n, budget", [(6, 40), (30, 300)])
@@ -262,7 +268,7 @@ def test_memo_holds_the_last_blocks_powers_after_a_run_that_changes_t(n, budget)
     res = run(prob, cm, MethodSpec("near-dgd-plus"), alpha=0.1, budget=budget)
     assert res.trace.final.t_k == budget + 1  # t grew by one per iteration
     assert set(vars(cm)) == {"W", "graph", "beta", "lambda_min", "eigenvalues",
-                             "eigenvectors", "_vt", "_rows", "_lams", "_ops"}
+                             "eigenvectors", "_vt", "_rows", "_ops"}
     # the last block's schedule is t_k..t_budget = k + 1..budget + 1 (one block
     # of 40 rows at n = 6, the second of 273 and 27 at n = 30); the memo holds
     # its t >= 2 as one block, row i for its i-th t: a dense Z^t for each on
@@ -271,32 +277,25 @@ def test_memo_holds_the_last_blocks_powers_after_a_run_that_changes_t(n, budget)
     k = (budget - 1) // rows * rows
     held = list(range(max(2, k + 1), budget + 2))
     assert cm._rows == {t: i for i, t in enumerate(held)}
-    assert len(cm._lams) == len(cm._ops) == len(held)
-    lams, ops = memo(cm)
-    for t, op in ops.items():
-        assert type(t) is int
-        np.testing.assert_array_equal(lams[t], cm.powers(t))
-        if cm._vt is None:
-            np.testing.assert_array_equal(op, dense_power(cm, t))
-        else:
-            assert op.shape == (n, 1) and np.shares_memory(op, lams[t])
+    assert len(cm._ops) == len(held) and all(type(t) is int for t in cm._rows)
+    assert_holds_powers(cm, held)
     assert (cm._vt is None) == consensus.dense_pays(n, 1, 1)
     assert repr(cm) == before
     hidden = {f.name: f for f in fields(cm)}
-    for name in ("_vt", "_rows", "_lams", "_ops"):
+    for name in ("_vt", "_rows", "_ops"):
         assert not (hidden[name].init or hidden[name].repr or hidden[name].compare)
 
 
 def test_memo_keeps_the_last_t_and_never_serves_a_stale_one():
     cm = build_consensus_matrix(build_erdos_renyi(10, 0.4, seed=2))
     y = np.random.default_rng(4).normal(size=(10, 3))
-    assert cm._rows == {} and cm._lams is cm._ops is None  # formed on first use
+    assert cm._rows == {} and cm._ops is None  # formed on first use
     for t in (3, 5, 3, 5, 7, 3, 7, 1):
         z = cm.apply(t, y)
         np.testing.assert_array_equal(z, build_consensus_matrix(cm.graph).apply(t, y))
         # W y leaves the memo alone
         assert cm._rows == {7 if t == 1 else t: 0}
-        assert len(cm._lams) == len(cm._ops) == 1
+        assert len(cm._ops) == 1
 
 
 @pytest.mark.parametrize("n", [DENSE_EDGE, DENSE_EDGE + 1])
@@ -315,7 +314,6 @@ def test_a_result_depends_on_t_and_the_operand_alone_never_on_the_memo(n):
         "apply_consensus": lambda cm, t, y: apply_consensus(cm, t, y),
         "product": lambda cm, t, y: cm.product(t)(y),
         "apply_each": lambda cm, t, y: cm.apply_each([t], y[None])[0],
-        "power_rows": lambda cm, t, y: cm.power_rows([t]),
     }
     for twin in ((False, True) if n > DENSE_EDGE else (False,)):
         def matrix():
@@ -396,9 +394,8 @@ def test_hold_forms_a_block_whole_when_its_set_changes_and_nothing_otherwise(mon
     assert formed[1:] == [[4, 5, 6]] and cm._rows == {4: 0, 5: 1, 6: 2}
     cm.hold(range(1, 8))
     assert formed[2:] == [[2, 3, 4, 5, 6, 7]] and list(cm._rows) == list(range(2, 8))
-    assert cm._lams.shape == (6, n) and len(cm._ops) == 6
-    np.testing.assert_array_equal(cm.power_rows([1, 3, 7]),
-                                  [cm.powers(1), cm.powers(3), cm.powers(7)])
+    assert cm._ops.shape == ((6, n, n) if cm._vt is None else (6, n, 1))
+    assert_holds_powers(cm, [3, 7])
     # apply() on a t the memo lacks makes it hold that t alone
     cm.apply(9, np.ones((n, 1)))
     assert formed[3:] == [[9]] and cm._rows == {9: 0}
@@ -572,10 +569,7 @@ def test_block_formed_powers_equal_powers_bitwise(kind, n):
             for start in range(2, 2001, 250):
                 ts = list(range(start, min(start + 250, 2001)))
                 matrix.hold(ts)
-                formed = matrix._lams[[matrix._rows[t] for t in ts]]
-                np.testing.assert_array_equal(formed, [matrix.powers(t) for t in ts],
-                                              err_msg="%s %s t=%d.." % (rule, matrix._vt is None,
-                                                                        start))
+                assert_holds_powers(matrix, ts)
 
 
 REFERENCE_METHODS = ("near-dgd-t:1", "near-dgd-t:5", "near-dgd-plus",
@@ -658,8 +652,7 @@ def test_consensus_check_catches_a_dense_power_off_the_two_product_form(monkeypa
     form = twin._form
 
     def off_by_a_part_in_1e9(ts):
-        lams, ops = form(ts)
-        return lams, ops * (1.0 + 1e-9)
+        return form(ts) * (1.0 + 1e-9)
 
     monkeypatch.setattr(twin, "_form", off_by_a_part_in_1e9)
     ok, detail = checks.check_consensus_properties(cm, np.random.default_rng(0))

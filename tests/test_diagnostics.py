@@ -18,7 +18,7 @@ from neardgd.diagnostics import (CommCounter, CostModel, RunTrace, TraceRecord,
                                  neardgd_map_jacobian_eigenvalues,
                                  optimality_gap_bound, rho_constant,
                                  saddle_classification)
-from neardgd.graph import Graph, build_ring
+from neardgd.graph import Graph, build_erdos_renyi, build_ring, build_star
 from neardgd.linalg import sym_eigen
 from neardgd.objective import (QuadraticProblem, finite_difference_grad,
                                sample_quadratic_problem, sample_quartic_problem)
@@ -178,6 +178,36 @@ def test_rho_constant_pins_the_top_power_at_any_t():
         rhos = rho_constant(cm, [1, 2**40, 2**70], 1.5, 1.0)
     assert math.isfinite(rho) and rho >= 0.0
     assert np.isfinite(rhos).all() and (rhos >= 0.0).all() and rhos[-1] == rho
+
+
+def spectrum_rho(cm, t, alpha, lipschitz):
+    """rho by its definition: the minimum over the whole pinned spectrum,
+    each lam^t formed as cm.powers(t) forms it."""
+    lam_t = cm.powers(t)
+    return (lam_t * (1.0 + (1.0 - alpha * lipschitz) * lam_t)).min() / (2.0 * alpha)
+
+
+RHO_GRAPHS = {"ring": build_ring, "star": build_star,
+              "erdos-renyi": lambda n: build_erdos_renyi(n, 0.3, seed=n)}
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in sorted(RHO_GRAPHS)
+                                     for n in (2, 4, 12, 30, 100)
+                                     if (kind, n) != ("ring", 2)])  # a ring needs 3 nodes
+def test_rho_constant_equals_the_minimum_over_the_spectrum_bitwise(kind, n):
+    # the closed form reads lambda_min^t and the pinned top power alone; in
+    # floating point too, no inner eigenvalue gives a smaller term
+    ts = [1, 2, 3, 7, 40, 300, 2**40, 2**70]
+    for rule in ("metropolis", "maxdegree"):
+        cm = build_consensus_matrix(RHO_GRAPHS[kind](n), rule)
+        for lipschitz in (1.0, 5.0):
+            for alpha_l in (0.01, 0.5, 1.0, 1.5, 1.999):
+                alpha = alpha_l / lipschitz
+                expected = [spectrum_rho(cm, t, alpha, lipschitz) for t in ts]
+                assert [rho_constant(cm, t, alpha, lipschitz) for t in ts] == expected, \
+                    (rule, lipschitz, alpha_l)
+                assert rho_constant(cm, ts, alpha, lipschitz).tolist() == expected, \
+                    (rule, lipschitz, alpha_l)
 
 
 def test_descent_residual_examples():

@@ -1032,3 +1032,23 @@ def test_a_twin_run_keeps_the_bit_contract(monkeypatch, n, kind):
                 base = run(prob, cm, method, alpha=0.1, budget=1000)
             _assert_bit_contract(run(prob, cm.dense_twin(), method, alpha=0.1, budget=1000),
                                  base)
+
+
+@pytest.mark.parametrize("rows", [7, 341])
+def test_the_run_driver_steps_each_cell_with_its_own_alpha_and_budget(monkeypatch, rows):
+    # run_batch passes one alpha and one budget; the driver under it reads
+    # each cell's own, so a cell of a mixed batch equals its run() bitwise
+    prob, cm = paper_instance()
+    monkeypatch.setattr(optimizer, "BLOCK_ELEMENTS", rows * 12 * 4)
+    cells = [("near-dgd-t:5", 0.05, 30), ("near-dgd-plus", 0.1, 50), ("dgd", 0.08, 20),
+             ("gradient-tracking", 0.03, 40), ("near-dgd-t:1", 0.12, 10)]
+    methods = [MethodSpec.parse(token) for token, _, _ in cells]
+    inputs = [optimizer._checked_inputs(prob, cm, method, alpha, budget, 0, None, None,
+                                        False, None)
+              for method, (_, alpha, budget) in zip(methods, cells)]
+    batch = optimizer._run_cells(prob, cm, methods, inputs,
+                                 [initial_point(12, 4, 0) for _ in cells])
+    for method, (token, alpha, budget), got in zip(methods, cells, batch):
+        want = run(prob, cm, method, alpha, budget)
+        assert len(got.trace.column("k")) == len(want.trace.column("k")), token
+        assert _run_fingerprint(got) == _run_fingerprint(want), token

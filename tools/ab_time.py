@@ -5,14 +5,12 @@ a name of its own, imports both, and times one call of a workload per tree
 per pair. Each pair runs the two trees back to back, the first of them
 alternating from pair to pair, so that a host whose speed changes over
 seconds slows both sides of a pair alike. Prints each tree's median time
-and quartiles and its median count of minor page faults per call (the
-growth of the process's ru_minflt over the call, which counts the pages of
-work arrays that the heap had given back to the system), the median and
-the interquartile range over pairs of the ratio change / base, and one
-verdict line: "gain shown" when the change is faster in at least nine
-tenths of at least ten pairs (a tie counts for neither tree) and the
-base's median time exceeds the change's by more than the distance between
-the base's quartiles, "no gain shown" otherwise, with each test it failed:
+and quartiles, the median and the interquartile range over pairs of the
+ratio change / base, and one verdict line: "gain shown" when the change is
+faster in at least nine tenths of at least ten pairs (a tie counts for
+neither tree) and the base's median time exceeds the change's by more than
+the distance between the base's quartiles, "no gain shown" otherwise, with
+each test it failed:
 
     python3 tools/ab_time.py --base /path/to/other/checkout/src --workload escape
     python3 tools/ab_time.py --base old/src --change new/src --workload dgd --pairs 40
@@ -76,7 +74,6 @@ import importlib
 import io
 import math
 import os
-import resource
 import shutil
 import statistics
 import sys
@@ -230,12 +227,10 @@ def verdict(base, change):
 
 
 def timed(call):
-    """(seconds, minor page faults) of one call."""
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    """Seconds of one call."""
     started = perf_counter()
     call()
-    elapsed = perf_counter() - started
-    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return perf_counter() - started
 
 
 def main(argv=None):
@@ -269,17 +264,14 @@ def main(argv=None):
             parser.error("--workload: %s" % exc)
         for call in calls.values():
             call()  # warm-up: first calls and caches stay out of the samples
-        times, faults = {"base": [], "change": []}, {"base": [], "change": []}
+        times = {"base": [], "change": []}
         for i in range(args.pairs):
             for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                elapsed, faulted = timed(calls[side])
-                times[side].append(elapsed)
-                faults[side].append(faulted)
+                times[side].append(timed(calls[side]))
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     for side in ("base", "change"):
         q1, median, q3 = quartiles(times[side])
-        print("%-6s median %.5f s, quartiles %.5f-%.5f s, %g minor page faults per call"
-              % (side, median, q1, q3, statistics.median(faults[side])))
+        print("%-6s median %.5f s, quartiles %.5f-%.5f s" % (side, median, q1, q3))
     q1, _, q3 = quartiles(ratios)  # one pair has no spread
     print("change / base: median paired ratio %.3f (%+.1f %%), interquartile range %.3f, "
           "change faster in %d of %d pairs"
