@@ -4,9 +4,10 @@ A run is strictly sequential; run_batch() iterates several runs side by
 side, each with its own bits, and run() is run_batch()'s driver on one
 cell. One slot loop, or a lone NEAR-DGD cell's own, does only the methods'
 arithmetic and writes the iterates into buffers allocated once per batch;
-one pass per block and cell reads them in place, decides where the run ends
-and appends the certificates and trace columns; each run's result appends
-its one terminal row.
+one pass per block and cell reads them in place. _BlockCertifier.certify,
+the one place that decides where a run ends, keeps its bookkeeping, and
+_box_exit, _trace_floats, _descent_rows and _eq7_rows do the array work;
+each run's result appends its one terminal row through _trace_floats too.
 """
 
 import itertools
@@ -93,6 +94,13 @@ class MethodSpec:
         if self.name == "near-dgd-plus-doubling":
             return [2 ** (j // self.period) for j in range(k, k + count)]
         return [1] * count
+
+    def rounds_fit(self, budget: int) -> bool:
+        """Whether budget * t_budget is below 2^1024, for the doubling from
+        its exponent, without forming 2^(budget // period)."""
+        if self.name == "near-dgd-plus-doubling":
+            return budget < 2 ** max(1024 - budget // self.period, 0)
+        return budget * self.rounds(budget) < 2**1024
 
     def repeats(self, iterations: int) -> int:
         """The fewest consecutive iterations of a run of this many that
@@ -264,57 +272,110 @@ def _floats(ints):
     return np.array(ints, dtype=float)
 
 
+# ---------------------------------------------------------------------------
+# The block pass's array work, over any leading axes. _AFTER and _BEFORE index
+# a slot stack's slots after and before each row's step, built once.
+_AFTER, _BEFORE = np.s_[..., 1:, :, :], np.s_[..., :-1, :, :]
+
+
+def _box_exit(ys, radius):
+    """None when every y of a (..., slots, n, p) stack lies in the box
+    |y|_inf <= radius, else each slot's |y|_inf (a NaN entry fails)."""
+    top, size = np.maximum.reduce, np.abs(ys)  # ndarray.max without its Python wrapper
+    if top(size, axis=None) <= radius:
+        return None
+    return top(size.reshape(ys.shape[:-2] + (-1,)), axis=-1)
+
+
+def _trace_floats(objective, f_star, cost_model, points, comms, grads, lyap=math.nan):
+    """The FLOAT_COLUMNS of the rows that describe (..., rows, n, p) points
+    after the tallies comms and grads (int sequences), with the Lyapunov
+    value lyap on every row and NaN residuals, which a NEAR-DGD pass fills."""
+    avgs = mean_rows(points)
+    lead = avgs.shape[:-1]
+    values, grad_norms = objective.batch_value_and_grad_norm(avgs.reshape(-1, avgs.shape[-1]))
+    floats = np.empty(lead + (len(FLOAT_COLUMNS),))
+    np.subtract(values.reshape(lead), f_star, floats[..., 0])
+    floats[..., 1] = grad_norms.reshape(lead)
+    floats[..., 2] = consensus_distance(points, avgs)
+    floats[..., 3] = lyap
+    floats[..., 4] = math.nan
+    np.sqrt(sum_last(avgs * avgs), floats[..., 5])  # ||xbar||, as numpy.linalg.norm
+    # run() bounds the tallies below 2^1024, so they convert to float
+    floats[..., 6] = cumulative_cost(CommCounter(_floats(comms), _floats(grads)), cost_model)
+    return floats
+
+
+def _descent_rows(objective, cm, alpha, lyap, ys, xs, rho, changes):
+    """A NEAR-DGD block's Lyapunov values L_{t_k}(y_k) of slots 0..r, given
+    lyap, slot 0's, and descent residuals of rows 0..r-1 under rho (a float
+    or one per row). On the rows after which t changes, changes = (those
+    rows, their t_k) or None, x_{k+1} used t_{k+1}, and the certificate
+    takes Z^{t_k} y_{k+1}, by cm.apply_each, on one (rows, n, p) stack only."""
+    y_next, lyaps = ys[_AFTER], np.empty(ys.shape[:-2])
+    lyaps[..., 0] = lyap
+    lyaps[..., 1:] = lyap_next = lyapunov_value_at(y_next, xs[_AFTER], objective, alpha)
+    if changes is not None:
+        changed, t_changed = changes
+        ys_changed = y_next[..., changed, :, :]
+        lyap_next[..., changed] = lyapunov_value_at(
+            ys_changed, cm.apply_each(t_changed, ys_changed), objective, alpha)
+    return lyaps, descent_certificate(lyaps[..., :-1], lyap_next, ys[_BEFORE], y_next, rho)
+
+
+def _eq7_rows(objective, cm, t, alpha, ys, xs):
+    """|x_{k+1} - x_k + a Z^t ((y_k - x_k)/a + grad f(x_k))|_inf of each row
+    of a fixed-t block: one product per row, which also ties x_k to Z^t y_k,
+    and grad f(x_k) recomputed elementwise, so equal to the loop's bitwise."""
+    y, x = ys[_BEFORE], xs[_BEFORE]
+    grad_step = lyapunov_grad_at(y, x, objective.node_grads(x), cm, t, alpha)
+    grad_step *= alpha
+    violation = np.subtract(xs[_AFTER], x)
+    violation += grad_step
+    np.abs(violation, violation)
+    return violation.reshape(violation.shape[:-2] + (-1,)).max(axis=-1)
+
+
 class _BlockCertifier:
-    """One run from its first iteration on: how it ends, its certificates
-    and its trace rows, a block at a time, and its RunResult.
+    """One run's bookkeeping, a block at a time, and its RunResult; the pass
+    functions above do the array work.
 
     The run's matrix is cm or, for a NEAR-DGD run where dense_pays, its
     dense twin. The run's two (rows + 1, n, p) buffers Y and X are the
     caller's; the baselines have x_k = y_k and share one. Slot 0 holds the
     state (y_k, x_k) the next block starts from, and the loop writes
     y_{k+i+1} and x_{k+i+1} into slot i + 1. certify() reads the buffers in
-    place and decides how many of the block's rows the run keeps: the first
-    row whose y_{k+1} leaves the box, or row 0 when y_0 is out of it, ends
-    the run there (diverged); otherwise, with grad_tol set, the first row
-    whose grad_avg_norm is at most grad_tol ends it (stopped); the later
-    rows are discarded. It then appends the kept rows to the trace as
-    columns and updates the trajectory maxima b_y, max_cons_gap and
-    max_eq7_inf. (k, t_k, comms, grads) of each row follow from k and the
-    schedule in exact ints. A run that ends sets iterations to its k, so a
-    run is live while k < iterations. result() appends the terminal row, at
-    the state in slot 0, which neither loop writes. It runs under the
-    driver's floating-point policy (see _run_cells), so what it evaluates
-    at a y past the box may overflow without a warning.
-
-    Formed once per run: f*, the per-slot views, and the descent constant
-    rho(t) and beta^t of each distinct t the run meets (the run keeps the
-    last t's pair, which the next block may repeat).
-    Formed once per block: the box test, the rows' trace columns and
-    certificates, and, on a block where t changes, the rows after which it
-    does and each row's index among the block's distinct t; a block of one
-    t takes its constants as two scalars and its comms as one range.
+    place and is the one place that decides where a run ends: at the first
+    row whose y_{k+1} leaves the box, or row 0 when y_0 is out of it
+    (diverged), or else, with grad_tol set, at the first row whose
+    grad_avg_norm is at most grad_tol (stopped); it cuts the block's rows
+    there, once. A run that ends sets iterations to its k, so a run is live
+    while k < iterations; one with no iteration tests y_0 when formed. Row
+    tallies follow from k and the schedule in exact ints. result() appends
+    the terminal row at the state in slot 0, which neither loop writes. All
+    runs under the driver's floating-point policy (see _run_cells), so what
+    is evaluated at a y past the box may overflow without a warning.
     """
 
     def __init__(self, objective, cm, method, inputs, y, Y, X):
-        n, p = objective.n, objective.p
         self.iterations, self.grad_evals = _iterations(method, inputs.budget)
-        if method.near_dgd and dense_pays(n, p, method.repeats(self.iterations)):
+        if method.near_dgd and dense_pays(objective.n, objective.p,
+                                          method.repeats(self.iterations)):
             cm = cm.dense_twin()
-        alpha = inputs.alpha
-        self.objective, self.cm, self.method, self.alpha = objective, cm, method, alpha
+        self.objective, self.cm, self.method, self.alpha = objective, cm, method, inputs.alpha
         self.cost_model, self.lipschitz = inputs.cost_model, inputs.lipschitz
         self.box_radius, self.grad_tol = inputs.box_radius, inputs.grad_tol
         self.trace = RunTrace(method=method.label(), seed=inputs.seed)
         self.f_star = objective.min_value()
         self.near_dgd, self.comms_per_round = method.near_dgd, method.comms_per_round
-        self.fixed_t = "eq7-identity" in method.certificates
-        self.Y, self.X = Y, X
-        self.ys, self.xs = list(Y), list(X)  # per-slot views for the loop
+        self.Y, self.X, self.ys, self.xs = Y, X, list(Y), list(X)  # and per-slot views
         self.carry = (None, None, None)  # _constants' last t, rho(t) and beta^t
         Y[0], self.lyap = y, math.nan  # the baselines' X is Y; start() forms a NEAR-DGD x_0
         flat = y.ravel(order="K")  # numpy.linalg.norm(y), operation for operation
         self.b_y = float(np.sqrt(flat.dot(flat)))
         self.k, self.comm_rounds, self.max_cons_gap, self.max_eq7_inf = 0, 0, -math.inf, 0.0
+        if not self.iterations and (peaks := _box_exit(Y[:1], self.box_radius)) is not None:
+            self._diverge(peaks[0])
 
     def start(self):
         """x_0 = Z^{t_0} y_0 and L_{t_0}(y_0) of a NEAR-DGD run, from the memo
@@ -325,166 +386,103 @@ class _BlockCertifier:
     def certify(self, ts):
         """Certify iterations k..k+m-1 from ts = [t_k, ..., t_{k+m}] and the
         buffers' slots 0..m."""
-        m, top = len(ts) - 1, np.maximum.reduce  # ndarray.max without its Python wrapper
-        diverged = peak = None  # the row that ends the run out of the box, and the |y|_inf out
-        # slot 0 too, where only y_0 can fail (row 0 then ends the run); |y| is
-        # freed before the pass, which then holds at most three block-sized arrays
-        if not top(np.abs(self.Y[:m + 1]), axis=None) <= self.box_radius:  # a NaN fails the test
-            peaks = top(np.abs(self.Y[:m + 1]).reshape(m + 1, -1), axis=1)
-            out = int(np.flatnonzero(~(peaks <= self.box_radius))[0])  # a NaN peak too
-            diverged, peak = max(out - 1, 0), peaks[out]
-        stack_y, stack_x = self.Y[:m + 1], self.X[:m + 1]
-        r = m if diverged is None else diverged + 1  # the rows kept
-        evaluated = self._evaluate(stack_x[:r])
-        stopped = None
-        if self.grad_tol is not None:
-            below = np.flatnonzero(evaluated[2][:r if diverged is None else diverged]
-                                   <= self.grad_tol)
-            if below.size:
-                stopped, diverged = int(below[0]), None
-                r = stopped + 1
-        end = r if diverged is None else diverged  # the state the run goes on from, or ends at
-        ys, xs, ts_rows = stack_y[:r + 1], stack_x[:r + 1], ts[:r]
-        if ts[0] == ts[r]:  # one t for every row: its comms are one progression
+        m = len(ts) - 1
+        # the first slot out of the box: y_{k+1} of the row leaving it, or y_0 (row 0)
+        peaks = _box_exit(self.Y[:m + 1], self.box_radius)
+        out = None if peaks is None else int(np.flatnonzero(~(peaks <= self.box_radius))[0])
+        r = m if out is None else max(out, 1)  # the rows evaluated
+        if ts[0] == ts[r - 1]:  # one t for every row: its comms are one progression
             step = self.comms_per_round * ts[0]
             comms = range(self.comm_rounds + step, self.comm_rounds + (r + 1) * step, step)
         else:
-            comms = list(itertools.accumulate((self.comms_per_round * t for t in ts_rows),
+            comms = list(itertools.accumulate((self.comms_per_round * t for t in ts[:r]),
                                               initial=self.comm_rounds))[1:]
         grads = range(self.grad_evals + 1, self.grad_evals + r + 1)
+        floats = _trace_floats(self.objective, self.f_star, self.cost_model, self.X[:r], comms,
+                               grads)
+        # the cut: the run keeps rows 0..kept-1 and goes on from slot end, or ends there
+        end = r - (out is not None)
+        if self.grad_tol is not None:
+            below = np.flatnonzero(floats[:end, 1] <= self.grad_tol)
+            if below.size:
+                out, end = None, int(below[0]) + 1
+                self.iterations = self.k + end
+        kept = end + (out is not None)
+        ys, xs, floats = self.Y[:kept + 1], self.X[:kept + 1], floats[:kept]
         norms = np.sqrt(inner(ys, ys))  # ||y_k||, and ||y_{k+1}|| of the last row
         self.b_y = _running_max(self.b_y, norms[1:])
         if self.near_dgd:
-            lyaps, residuals, bounds = self._descent(ts, r, ys, xs, norms[:r])
-            self.lyap = lyaps[end]
-            lyaps = lyaps[:r]
-        else:
-            lyaps = residuals = math.nan
-        cons = self._append_rows(range(self.k, self.k + r), ts_rows, comms, grads, xs[:r],
-                                 lyaps, residuals, *(column[:r] for column in evaluated))
-        if self.near_dgd:
-            self.max_cons_gap = _running_max(self.max_cons_gap, cons - bounds)
-        if self.fixed_t:
-            # |x_{k+1} - x_k + a Z^t ((y_k - x_k)/a + grad f(x_k))|, one product
-            # per row, which also ties x_k to Z^t y_k; grad f(x_k) is recomputed
-            # on the stack, elementwise and so equal to the loop's bitwise
-            grad_step = lyapunov_grad_at(ys[:r], xs[:r], self.objective.node_grads(xs[:r]),
-                                         self.cm, ts[0], self.alpha)
-            grad_step *= self.alpha
-            violation = np.subtract(xs[1:], xs[:r])
-            violation += grad_step
-            np.abs(violation, violation)
-            self.max_eq7_inf = _running_max(self.max_eq7_inf,
-                                            violation.reshape(r, -1).max(axis=1))
-
-        self.comm_rounds, self.grad_evals = comms[-1], grads[-1]
-        if diverged is not None:
-            # the run stops at y_k; its terminal row repeats row k's L_t(y_k)
-            self.trace.diverged = True
-            self.trace.divergence_note = (
-                "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
-                "estimate no longer valid" % (self.k + end, peak, self.box_radius))
+            rho, beta_t, changes = self._constants(ts[:kept + 1])
+            lyaps, floats[:, 4] = _descent_rows(self.objective, self.cm, self.alpha, self.lyap,
+                                                ys, xs, rho, changes)
+            floats[:, 3], self.lyap = lyaps[:kept], lyaps[end]
+            self.max_cons_gap = _running_max(self.max_cons_gap,
+                                             floats[:, 2] - beta_t * norms[:kept])
+        if "eq7-identity" in self.method.certificates:  # a fixed t
+            self.max_eq7_inf = _running_max(self.max_eq7_inf, _eq7_rows(
+                self.objective, self.cm, ts[0], self.alpha, ys, xs))
+        self.trace.extend(range(self.k, self.k + kept), ts[:kept], comms[:kept], grads[:kept],
+                          floats)
+        self.comm_rounds, self.grad_evals = comms[kept - 1], grads[kept - 1]
         self.Y[0], self.X[0] = ys[end], xs[end]  # the baselines' X and Y are one buffer
         self.k += end
-        if diverged is not None or stopped is not None:
-            self.iterations = self.k
+        if out is not None:  # the terminal row repeats row k's L_t(y_k)
+            self._diverge(peaks[out])
 
-    def _descent(self, ts, r, ys, xs, norms):
-        """A NEAR-DGD block's Lyapunov values L_{t_k}(y_k) of rows 0..r (from
-        (y_k, x_k)), descent residuals of rows 0..r-1, and their consensus
-        bounds beta^{t_k} ||y_k|| given norms = ||y_k||. L_{t_k}(y_{k+1})
-        differs from L_{t_{k+1}}(y_{k+1}) on the rows after which t changes:
-        x_{k+1} used t_{k+1}, the certificate needs Z^{t_k} y_{k+1}. One
-        selection of those rows (the full slice when every row changes)
-        gives the block's distinct t and each row's index among them, the
-        count of changes before it; a block of one t has none."""
-        objective, alpha = self.objective, self.alpha
-        lyaps = np.empty(r + 1)
-        lyaps[0] = self.lyap
-        lyaps[1:] = lyapunov_value_at(ys[1:], xs[1:], objective, alpha)
-        lyap_next = lyaps[1:]
-        if ts[0] == ts[r]:
-            (rho,), (beta_t,) = self._constants(ts[:1])
-        else:
+    def _diverge(self, peak):
+        """End the run at k, diverged, given the |y|_inf out of the box."""
+        self.iterations, self.trace.diverged = self.k, True
+        self.trace.divergence_note = (
+            "iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz "
+            "estimate no longer valid" % (self.k, peak, self.box_radius))
+
+    def _constants(self, ts):
+        """(rho, beta_t, changes) of a NEAR-DGD block's rows 0..r-1 from ts =
+        [t_k, ..., t_{k+r}]: each row's rho(t) and beta^t (two floats for one
+        t) and _descent_rows' changes. The run keeps the last t's pair, which a
+        later block may repeat; the t it lacks take one rho_constant call (each
+        equal to its scalar call bitwise), or 0.0 for alpha >= 2/L under the
+        override, and Python's beta ** t (NumPy's array power may differ)."""
+        r, changes, distinct = len(ts) - 1, None, ts[:1]
+        if ts[0] != ts[r]:
             # the schedules never decrease, so np.diff (which takes ts past
             # int64 too) finds each change
-            changes = np.flatnonzero(np.diff(ts[:r + 1]))
-            if changes.size == r:
+            changed = np.flatnonzero(np.diff(ts))
+            if changed.size == r:
                 changed = per_row = slice(None)
                 t_changed = ts[:r]
             else:
-                changed, t_changed = changes, [ts[i] for i in changes]
-                per_row = changes.searchsorted(np.arange(r))
-            ys_changed, lyap_next = ys[1:][changed], lyap_next.copy()
-            lyap_next[changed] = lyapunov_value_at(
-                ys_changed, self.cm.apply_each(t_changed, ys_changed), objective, alpha)
+                t_changed = [ts[i] for i in changed]
+                per_row = changed.searchsorted(np.arange(r))  # each row's among the distinct t
+            changes = changed, t_changed
             # the distinct t: the changed rows', and the last row's unless it changed
             distinct = t_changed + [ts[r - 1]] if ts[r - 1] == ts[r] else t_changed
-            rho, beta_t = (np.array(column)[per_row] for column in self._constants(distinct))
-        residuals = descent_certificate(lyaps[:r], lyap_next, ys[:r], ys[1:], rho)
-        return lyaps, residuals, beta_t * norms
-
-    def _constants(self, distinct):
-        """([rho(t)], [beta^t]) over distinct, a block's distinct t in
-        increasing order, each t's pair formed once per run: the run keeps
-        the pair of the last t it formed, the one t that a later block may
-        repeat, since a schedule never decreases. The t it lacks take one
-        rho_constant call (each entry equal to its scalar call bitwise), or
-        0.0 for alpha >= 2/L under the override flag (no guaranteed margin:
-        the residual is the raw Lyapunov difference), and Python's beta ** t
-        (NumPy's power of an array may differ in the last bit)."""
         last, rho, beta_t = self.carry
         new = distinct[1:] if distinct[0] == last else distinct
-        if not new:
-            return [rho], [beta_t]
-        rhos = (rho_constant(self.cm, new, self.alpha, self.lipschitz).tolist()
-                if self.alpha < 2.0 / self.lipschitz else [0.0] * len(new))
-        betas = [consensus_distance_bound(self.cm.beta, t, 1.0) for t in new]
-        self.carry = (new[-1], rhos[-1], betas[-1])
-        if len(new) < len(distinct):
-            return [rho] + rhos, [beta_t] + betas
-        return rhos, betas
+        rhos, betas = ([rho], [beta_t]) if len(new) < len(distinct) else ([], [])
+        if new:
+            rhos += (rho_constant(self.cm, new, self.alpha, self.lipschitz).tolist()
+                     if self.alpha < 2.0 / self.lipschitz else [0.0] * len(new))
+            betas += [consensus_distance_bound(self.cm.beta, t, 1.0) for t in new]
+            self.carry = (new[-1], rhos[-1], betas[-1])
+        if changes is None:
+            return rhos[0], betas[0], None
+        return np.array(rhos)[per_row], np.array(betas)[per_row], changes
 
     def result(self) -> RunResult:
         """The run's RunResult, after its terminal row (k, t_k, tallies) at the
         state y_k in slot 0; final_y and final_x are copies, never views of
         the buffers."""
-        points = self.Y[:1]
-        self._append_rows((self.k,), (self.method.rounds(self.k),), (self.comm_rounds,),
-                          (self.grad_evals,), points, self.lyap, math.nan,
-                          *self._evaluate(points))
+        k, comms, grads = self.k, self.comm_rounds, self.grad_evals
+        self.trace.extend((k,), (self.method.rounds(k),), (comms,), (grads,), _trace_floats(
+            self.objective, self.f_star, self.cost_model, self.Y[:1], (comms,), (grads,),
+            self.lyap))
         final_y = self.Y[0].copy()
-        return RunResult(trace=self.trace, counter=CommCounter(self.comm_rounds, self.grad_evals),
-                         final_y=final_y,
+        return RunResult(trace=self.trace, counter=CommCounter(comms, grads), final_y=final_y,
                          final_x=self.X[0].copy() if self.near_dgd else final_y,
                          final_avg=final_y.mean(axis=0), b_y=self.b_y,
                          max_cons_gap=self.max_cons_gap, max_eq7_inf=self.max_eq7_inf,
                          lipschitz=self.lipschitz)
-
-    def _evaluate(self, points):
-        """The averages of a stack of (n, p) points, and f and ||grad f|| there."""
-        avgs = mean_rows(points)
-        return (avgs, *self.objective.batch_value_and_grad_norm(avgs))
-
-    def _append_rows(self, ks, ts, comms, grads, points, lyaps, residuals, avgs, values,
-                     grad_norms):
-        """Append the trace rows with the given (k, t_k, comms, grads), each
-        describing its (n, p) point, given _evaluate's columns, the Lyapunov
-        values and the residuals (an array, or one float for every row);
-        returns their cons_dist."""
-        cons = consensus_distance(points, avgs)
-        floats = np.empty((len(ks), len(FLOAT_COLUMNS)))
-        np.subtract(values, self.f_star, floats[:, 0])
-        floats[:, 1] = grad_norms
-        floats[:, 2] = cons
-        floats[:, 3] = lyaps
-        floats[:, 4] = residuals
-        np.sqrt(sum_last(avgs * avgs), floats[:, 5])  # ||xbar||, as numpy.linalg.norm
-        # run() bounds the tallies below 2^1024, so they convert to float
-        floats[:, 6] = cumulative_cost(CommCounter(_floats(comms), _floats(grads)),
-                                       self.cost_model)
-        self.trace.extend(ks, ts, comms, grads, floats)
-        return cons
 
 
 def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
@@ -498,13 +496,14 @@ def run(objective: Objective, cm: ConsensusMatrix, method: MethodSpec,
     describes xbar_k, the average of x_k; rows 0..K-1 carry the Lyapunov
     value and descent residual (NEAR-DGD methods). The first row whose
     y_{k+1} leaves the box |y|_inf <= box_radius (finite), or row 0 when y_0
-    is out of it, ends the run there, diverged; otherwise, with grad_tol
-    set, the first row whose grad_avg_norm is at most grad_tol ends it. The
-    terminal row has k = K and describes ybar_K, the state the run ends at:
-    y after the last kept row's step, or y_k of the row whose step left the
-    box; so its grad_avg_norm may lie above grad_tol. The run is
-    deterministic for fixed seed and arguments, and gives the same values,
-    bit for bit, for any block size.
+    is out of it (the terminal row, at a budget with no iteration), ends the
+    run there, diverged; otherwise, with grad_tol set, the first row whose
+    grad_avg_norm is at most grad_tol ends it. The terminal row has k = K
+    and describes ybar_K, the state the run ends at: y after the last kept
+    row's step, or y_k of the row whose step left the box; so its
+    grad_avg_norm may lie above grad_tol. The run is deterministic for fixed
+    seed and arguments, and gives the same values, bit for bit, for any
+    block size.
     A NEAR-DGD run for which dense_pays(n, p, method.repeats(iterations))
     runs on cm.dense_twin(); on a two-product cm its values then differ by
     rounding, and cm's own products keep their bits.
@@ -568,7 +567,7 @@ def _checked_inputs(objective, cm, method, alpha, budget, seed, cost_model, grad
     _validate_alpha(alpha, lipschitz, allow_large_alpha, objective.n * objective.p, box_radius)
     # the schedules never decrease, so no t_k exceeds t_budget and the comms
     # tally stays at most budget * t_budget; both must convert to float
-    if budget * method.rounds(budget) >= 2**1024:
+    if not method.rounds_fit(budget):
         raise ValueError("%s at budget %d: the consensus rounds per iteration "
                          "outgrow the float range" % (method.label(), budget))
     return _Inputs(budget, seed, alpha, grad_tol, cost_model or _DEFAULT_COST, box_radius,

@@ -89,12 +89,15 @@ def run_end(objective, cm, method, alpha, budget, y0, box_radius, grad_tol=None)
     """Where run() ends, decided one iteration at a time: after the budget's
     iterations (one fewer for the tracker, none below a budget of 2); at the
     first y_{k+1} out of the box |y|_inf <= box_radius, or at the first step
-    when y_0 is out of it, keeping that step and staying at y_k (diverged);
+    when y_0 is out of it, keeping that step and staying at y_k (diverged),
+    or at y_0 when it is out of the box and there is no step (diverged);
     or, with grad_tol, after the first step whose ||grad f(mean x_k)|| is at
     most grad_tol."""
     count = budget
     if method.name == "gradient-tracking":
         count = budget - 1 if budget >= 2 else 0
+    note = ("iteration %d: |y|_inf = %g left the box |y|_inf <= %g; Lipschitz estimate no "
+            "longer valid")
     steps, y = [], y0
     for step in itertools.islice(iterations(objective, cm, method, alpha, y0), count):
         steps.append(step)
@@ -103,10 +106,11 @@ def run_end(objective, cm, method, alpha, budget, y0, box_radius, grad_tol=None)
         if peak <= box_radius:
             peak = np.abs(step.y_next).max()
         if not peak <= box_radius:
-            return End(steps, step.k, y, "iteration %d: |y|_inf = %g left the box |y|_inf "
-                       "<= %g; Lipschitz estimate no longer valid" % (step.k, peak, box_radius))
+            return End(steps, step.k, y, note % (step.k, peak, box_radius))
         y = step.y_next
         if (grad_tol is not None
                 and np.linalg.norm(objective.global_grad(step.x.mean(axis=0))) <= grad_tol):
             break
+    if not count and not np.abs(y0).max() <= box_radius:
+        return End(steps, 0, y0, note % (0, np.abs(y0).max(), box_radius))
     return End(steps, len(steps), y, "")

@@ -1,4 +1,5 @@
-"""Engine invariants of run() over drawn methods, budgets, block sizes and graphs.
+"""Engine invariants of run() over drawn methods, budgets, block sizes, graphs,
+sizes and weight rules.
 
 run() must give the same values, bit for bit, for any block size, on a
 repeated run and as one cell of a batch beside a second drawn cell, and end
@@ -10,6 +11,7 @@ row's tallies are those of the reference, and every certificate a run
 evaluates holds on the runs with alpha < 2/L that stay in the box.
 """
 
+import functools
 import io
 from unittest import mock
 
@@ -27,15 +29,20 @@ TOKENS = ("near-dgd-t:1", "near-dgd-t:3", "near-dgd-plus", "near-dgd-plus-doubli
           "dgd", "gradient-tracking")
 # (n, p): the reference instance, shapes whose buffer slots are not 16-byte
 # aligned or hold a single column, and two-product matrices on which
-# near-dgd-plus runs on the dense twin (20, 4) and on the matrix (30, 2)
+# near-dgd-plus runs on the dense twin (20, 4) and on the matrix (30, 2); or
+# any n from 3 to 40 with p = 1 or 4, on both sides of consensus.dense_pays
+# for every method
 SHAPES = ((12, 4), (5, 1), (7, 3), (20, 4), (30, 2))
-# each shape on a ring, a star and an Erdos-Renyi graph, so that both memos
-# run on three kinds of spectrum
+# each shape on a ring, a star and an Erdos-Renyi graph under either weight
+# rule, so that both memos run on six kinds of spectrum
 GRAPHS = {"ring": build_ring, "star": build_star,
           "erdos-renyi": lambda n: build_erdos_renyi(n, 0.5, seed=n)}
-INSTANCES = {(kind, n, p): (sample_quartic_problem(n, p, p, 1.0, seed=0),
-                            build_consensus_matrix(graph(n)))
-             for kind, graph in GRAPHS.items() for n, p in SHAPES}
+
+
+@functools.lru_cache(maxsize=None)
+def instance(kind, rule, n, p):
+    return (sample_quartic_problem(n, p, p, 1.0, seed=0),
+            build_consensus_matrix(GRAPHS[kind](n), rule))
 
 
 def fingerprint(res):
@@ -49,15 +56,16 @@ def fingerprint(res):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(token=st.sampled_from(TOKENS), graph=st.sampled_from(sorted(GRAPHS)),
-       shape=st.sampled_from(SHAPES),
+       rule=st.sampled_from(["metropolis", "maxdegree"]),
+       shape=st.sampled_from(SHAPES) | st.tuples(st.integers(3, 40), st.sampled_from([1, 4])),
        budget=st.integers(0, 120), rows=st.integers(1, 64), seed=st.integers(0, 3),
        grad_tol=st.none() | st.sampled_from([1.0, 0.3, 0.1]),
        large_alpha=st.booleans(), alpha_draw=st.floats(0.05, 0.95),
        other_token=st.sampled_from(TOKENS), other_seed=st.integers(0, 3))
 def test_run_is_block_size_free_and_ends_where_the_reference_does(
-        token, graph, shape, budget, rows, seed, grad_tol, large_alpha, alpha_draw,
+        token, graph, rule, shape, budget, rows, seed, grad_tol, large_alpha, alpha_draw,
         other_token, other_seed):
-    prob, cm = INSTANCES[(graph, *shape)]
+    prob, cm = instance(graph, rule, *shape)
     method = MethodSpec.parse(token)
     if large_alpha:
         # above 2/L on a small box: most of these runs leave it

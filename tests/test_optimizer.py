@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -829,8 +830,9 @@ def test_run_inputs_end_in_a_run_or_one_error_never_a_warning(name):
                         continue
                 assert len(res.trace.records) >= 1, case
                 if name == "x0" and not abs(value) <= 4.0:  # y_0 outside the box
-                    # the first iterate leaves it too: the run ends at row 0
-                    assert res.diverged == (budget > 0), case
+                    # the run ends at row 0, or at its terminal row when it
+                    # has no iteration
+                    assert res.diverged, case
                     assert len(res.trace.records) == (2 if budget else 1), case
 
 
@@ -872,6 +874,46 @@ def test_a_start_outside_the_box_ends_the_run_at_row_0(start):
     assert res.trace.divergence_note.startswith("iteration 0: |y|_inf = %g left" % peak)
     end = run_end(prob, cm, method, 0.1, 50, y0, box_radius)
     assert (end.k, len(end.steps), end.note) == (0, 1, res.trace.divergence_note)
+
+
+@pytest.mark.parametrize("token, budget", [("near-dgd-t:5", 0), ("near-dgd-plus", 0),
+                                           ("dgd", 0), ("gradient-tracking", 1)])
+def test_a_start_outside_the_box_ends_a_run_without_iterations_diverged(token, budget):
+    # no block pass runs, yet y_0 meets the box test: the run ends diverged
+    # at its one row, the terminal row, whose L_t would be valid only inside
+    prob, cm = paper_instance()
+    method = MethodSpec.parse(token)
+    y0 = np.zeros((12, 4))
+    y0[:, prob.index - 1] = 4.1
+    res = run(prob, cm, method, alpha=0.1, budget=budget, x0=y0)
+    assert res.diverged
+    assert [rec.k for rec in res.trace.records] == [0]
+    assert res.final_y.tobytes() == y0.tobytes()
+    assert res.trace.divergence_note.startswith("iteration 0: |y|_inf = 4.1 left the box")
+    end = run_end(prob, cm, method, 0.1, budget, y0, 4.0)
+    assert (end.k, end.steps, end.note) == (0, [], res.trace.divergence_note)
+    y0[:, prob.index - 1] = 4.0  # on the box's edge, inside it
+    assert not run(prob, cm, method, alpha=0.1, budget=budget, x0=y0).diverged
+    assert run_end(prob, cm, method, 0.1, budget, y0, 4.0).note == ""
+
+
+def test_a_doubling_budget_past_the_float_range_is_rejected_from_its_exponent():
+    # budget * 2^(budget // period) >= 2^1024 is decided without forming
+    # the power: at budget 10^15 and period 1 it would hold 10^15 bits
+    prob, cm = paper_instance()
+    method = MethodSpec("near-dgd-plus-doubling", period=1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"near-dgd-plus-doubling:1 at budget 1000000000000000: "
+                                         r"the consensus rounds per iteration outgrow the "
+                                         r"float range"):
+        run(prob, cm, method, alpha=0.1, budget=10**15)
+    assert time.perf_counter() - start < 1.0
+    # the decision is exact at the edge, for every period
+    for period in (1, 2, 7, 100):
+        spec = MethodSpec("near-dgd-plus-doubling", period=period)
+        edge = next(b for b in itertools.count(0, period) if b * 2**(b // period) >= 2**1024)
+        for budget in range(max(edge - 3 * period, 0), edge + 3 * period):
+            assert spec.rounds_fit(budget) == (budget * spec.rounds(budget) < 2**1024), budget
 
 
 def test_run_grad_tol_stops_early():

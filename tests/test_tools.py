@@ -247,7 +247,9 @@ def test_bench_record_base_pairs_each_workload_with_an_aa_run(monkeypatch, tmp_p
     entry = tool.paired(tmp_path)
     base = str(tmp_path / "src")
     assert [(c[c.index("--workload") + 1], c[c.index("--change") + 1])
-            for c in commands[:-1]] == [(w, change) for w in ("escape", "sweep", "scale")
+            for c in commands[:-1]] == [(w, change)
+                                        for w in ("escape", "sweep", "scale", "escape100",
+                                                  "batch")
                                         for change in (str(ROOT / "src"), base)]
     assert all(c[c.index("--base") + 1] == base for c in commands[:-1])
     assert entry["base_commit"] == "f" * 40 and entry["pairs"] == 30
@@ -257,8 +259,11 @@ def test_bench_record_base_pairs_each_workload_with_an_aa_run(monkeypatch, tmp_p
     rec = tool.record("x", 1.0, BENCH_OUTPUT, 2585, False)
     rec["paired"] = entry
     assert tool.check(rec) == []
+    # a record from before escape100 and batch were paired holds three
+    earlier = {name: entry["workloads"][name] for name in ("escape", "sweep", "scale")}
+    assert tool.check(dict(rec, paired=dict(entry, workloads=earlier))) == []
     entry["workloads"]["sweep"]["aa"]["median_ratio"] = float("nan")
-    del entry["workloads"]["escape"]
+    del entry["workloads"]["batch"]
     assert [p.split(":")[0] for p in tool.check(rec)] == ["paired", "paired sweep"]
     with pytest.raises(ValueError, match="no ratio or verdict line"):
         tool.parse_paired(AB_OUTPUT.replace("verdict:", "outcome:"))

@@ -25,12 +25,12 @@ lines the benchmark prints:
 A record's numbers are one run on one host: compare two records by the
 paired ratios of tools/ab_time.py, not by their medians alone. With
 --base DIR, a checkout of another tree, the record also holds them, under
-"paired": for each of escape, sweep and scale, tools/ab_time.py times this
-checkout's src/ against DIR/src (A/B) and DIR/src against itself (A/A,
-what the host's noise alone reads), PAIRS pairs each, and the record
-keeps each run's median ratio change / base, its interquartile range, the
-pairs in which the change was faster, the pairs and the verdict line,
-beside DIR's commit:
+"paired": for each of escape, sweep, scale, escape100 and batch,
+tools/ab_time.py times this checkout's src/ against DIR/src (A/B) and
+DIR/src against itself (A/A, what the host's noise alone reads), PAIRS
+pairs each, and the record keeps each run's median ratio change / base,
+its interquartile range, the pairs in which the change was faster, the
+pairs and the verdict line, beside DIR's commit:
 
     python3 tools/bench_record.py --label my-change --base ../parent
 """
@@ -48,7 +48,9 @@ METRIC = re.compile(r"(?P<workload>\S+) (?P<name>\S+) = (?P<value>\S+)(?: (?P<un
                     r"(?:  \((?P<note>.*)\))?")
 RUNS = re.compile(r"(?P<failed>\d+) of (?P<attempted>\d+) runs failed")
 LABEL = re.compile(r"[A-Za-z0-9._-]+")
-PAIRED_WORKLOADS = ("escape", "sweep", "scale")
+PAIRED_WORKLOADS = ("escape", "sweep", "scale", "escape100", "batch")
+# the workloads of a record written before escape100 and batch were paired
+EARLIER_PAIRED = PAIRED_WORKLOADS[:3]
 PAIRS = 30  # timed pairs of each ab_time.py run, enough for its gain rule (at least 10)
 RATIO = re.compile(r"change / base: median paired ratio (?P<median_ratio>\S+) \(.*\), "
                    r"interquartile range (?P<iqr>\S+), change faster in (?P<faster>\d+) of "
@@ -148,7 +150,7 @@ def _paired_run_ok(run, pairs):
 def check_paired(entry):
     """What is wrong with a record's "paired" entry, as a list: its keys, the
     base's commit (a hash, or None), and an A/B and an A/A run of each of
-    PAIRED_WORKLOADS over the entry's pairs."""
+    PAIRED_WORKLOADS (or EARLIER_PAIRED) over the entry's pairs."""
     if not (isinstance(entry, dict) and set(entry) == {"base_commit", "pairs", "workloads"}
             and isinstance(entry["pairs"], int) and isinstance(entry["workloads"], dict)):
         return ["paired: %r" % (entry,)]
@@ -156,7 +158,7 @@ def check_paired(entry):
     commit = entry["base_commit"]
     if not (commit is None or isinstance(commit, str) and re.fullmatch(r"[0-9a-f]{40}", commit)):
         problems.append("paired: base_commit %r" % (commit,))
-    if set(entry["workloads"]) != set(PAIRED_WORKLOADS):
+    if set(entry["workloads"]) not in (set(PAIRED_WORKLOADS), set(EARLIER_PAIRED)):
         problems.append("paired: workloads %s" % sorted(entry["workloads"]))
     for name, runs in entry["workloads"].items():
         if not (isinstance(runs, dict) and set(runs) == {"ab", "aa"}
